@@ -22,7 +22,8 @@ from .errors import (
     NotLocal,
     NotOneUnit,
 )
-from .expr import monomial_str, parse_polynomial, polynomial_str
+from .expr import evaluate, monomial_str, parse_polynomial, polynomial_str
+from .linalg import add_to
 from .poly import (
     Polynomial,
     degrevlex_key,
@@ -40,7 +41,6 @@ class AlgebraSpec:
     variables: tuple
     relations: tuple
     distinguished: str | None = None
-    nilpotency_hint: int | None = None
 
     def __post_init__(self):
         names = tuple(self.variables)
@@ -56,9 +56,6 @@ class AlgebraSpec:
                 raise InvalidSpec(f"distinguished variable {self.distinguished!r} not declared")
             if names[-1] != self.distinguished:
                 raise InvalidSpec("the distinguished variable must be last in the order")
-
-    def key(self):
-        return (self.variables, self.relations, self.distinguished)
 
 
 def _spoly(f, g):
@@ -84,13 +81,8 @@ def _reduce_poly(p, basis):
                 factor = coeff / lc
                 for gm, gc in g.terms.items():
                     t = mono_mul(gm, q)
-                    if t == mono:
-                        continue
-                    s = work.get(t, Fraction(0)) - factor * gc
-                    if s:
-                        work[t] = s
-                    elif t in work:
-                        del work[t]
+                    if t != mono:
+                        add_to(work, t, -factor * gc)
                 break
         else:
             rem[mono] = coeff
@@ -159,12 +151,10 @@ class Algebra:
         self._mono_nf = {}
         self._pair_cache = {}
         self._omega_cache = {}
+        self._derived = {}  # spec -> algebra, see derived_algebra
         self._misc_cache = {}
 
     # -- construction helpers -------------------------------------------------
-
-    def parse(self, text):
-        return parse_polynomial(text, self.names)
 
     def reduce_mono(self, mono):
         """Normal-form coordinates of a raw monomial (memoized)."""
@@ -184,15 +174,16 @@ class Algebra:
         coords = {}
         for mono, c in p.terms.items():
             for bm, bc in self.reduce_mono(mono).items():
-                s = coords.get(bm, Fraction(0)) + c * bc
-                if s:
-                    coords[bm] = s
-                elif bm in coords:
-                    del coords[bm]
+                add_to(coords, bm, c * bc)
         return AlgebraElement(self, coords)
 
     def element(self, value):
-        """Coerce an expression string, rational, or element into this algebra."""
+        """Coerce an expression string, rational, or element into this algebra.
+
+        Strings are evaluated with this algebra's arithmetic, which reduces
+        after every operation, so the work is bounded by the dimension and
+        not by how far the expression would expand over Q[vars].
+        """
         if isinstance(value, AlgebraElement):
             if value.algebra is not self:
                 raise AlgebraMismatch("element belongs to a different algebra")
@@ -200,7 +191,8 @@ class Algebra:
         if isinstance(value, (int, Fraction)):
             q = Fraction(value)
             return AlgebraElement(self, {(0,) * self.nvars: q} if q else {})
-        return self.element_from_poly(self.parse(value))
+        return evaluate(value, self.names, self.element,
+                        lambda i: self.variable(self.names[i]))
 
     @property
     def one(self):
@@ -265,11 +257,7 @@ class AlgebraElement:
         other = self._check(other)
         res = dict(self.coords)
         for m, c in other.coords.items():
-            s = res.get(m, Fraction(0)) + c
-            if s:
-                res[m] = s
-            elif m in res:
-                del res[m]
+            add_to(res, m, c)
         return AlgebraElement(self.algebra, res)
 
     __radd__ = __add__
@@ -297,11 +285,7 @@ class AlgebraElement:
             for m2, c2 in other.coords.items():
                 factor = c1 * c2
                 for bm, bc in A.pair_product(i, A.index[m2]).items():
-                    s = res.get(bm, Fraction(0)) + factor * bc
-                    if s:
-                        res[bm] = s
-                    elif bm in res:
-                        del res[bm]
+                    add_to(res, bm, factor * bc)
         return AlgebraElement(self.algebra, res)
 
     __rmul__ = __mul__
@@ -362,10 +346,9 @@ def build_algebra(spec):
 
     alg = Algebra(spec, gb, basis)
 
-    cap = alg.dimension if spec.nilpotency_hint is None else min(alg.dimension, spec.nilpotency_hint)
     for mono in basis[1:]:
         e = alg.element_from_poly(Polynomial(nvars, {mono: Fraction(1)}, normalize=False))
-        if e ** max(cap, 1):
+        if e ** alg.dimension:
             raise NotLocal(
                 f"standard monomial {monomial_str(mono, spec.variables)} is not nilpotent")
     return alg
@@ -374,7 +357,7 @@ def build_algebra(spec):
 def normal_form(algebra, poly):
     """Unique reduced representative of an expression string or Polynomial."""
     if isinstance(poly, str):
-        poly = algebra.parse(poly)
+        return algebra.element(poly)
     return algebra.element_from_poly(poly)
 
 
@@ -420,20 +403,18 @@ def log_one_unit(algebra, u):
     return acc
 
 
-def exp_nilpotent(algebra, x):
-    """Truncated exponential of a nilpotent element."""
-    if x.augmentation():
-        raise NotOneUnit("exponential argument must be nilpotent")
-    acc = algebra.one
-    term = algebra.one
-    k = 0
-    while True:
-        k += 1
-        term = term * x * Fraction(1, k)
-        if not term:
-            break
-        acc = acc + term
-    return acc
+def derived_algebra(parent, variables, relations, distinguished=None):
+    """Q[variables]/(relations) built from `parent`, once per spec.
+
+    The result is cached on the parent, so every caller that derives the
+    same presentation from the same algebra shares one Algebra instance and
+    its memo caches.
+    """
+    spec = AlgebraSpec(tuple(variables), tuple(relations), distinguished)
+    got = parent._derived.get(spec)
+    if got is None:
+        got = parent._derived[spec] = build_algebra(spec)
+    return got
 
 
 def truncated_extension(algebra, name, order):
@@ -446,22 +427,12 @@ def truncated_extension(algebra, name, order):
         raise NameCollision(f"variable {name!r} already present")
     if order < 1:
         raise InvalidSpec("truncation order must be >= 1")
-    cache = algebra._misc_cache.setdefault("extensions", {})
-    cached = cache.get((name, order))
-    if cached is not None:
-        return cached
-    spec = AlgebraSpec(
-        variables=algebra.names + (name,),
-        relations=algebra.spec.relations + (f"{name}^{order}",),
-        distinguished=name,
-    )
-    ext = build_algebra(spec)
-    if ext.dimension != algebra.dimension * order:
-        raise NotArtinian("extension basis is not the expected product basis")
-    ext.base = algebra
-    ext.ext_name = name
-    ext.ext_order = order
-    cache[(name, order)] = ext
+    ext = derived_algebra(algebra, algebra.names + (name,),
+                          algebra.spec.relations + (f"{name}^{order}",), name)
+    if ext.base is None:
+        if ext.dimension != algebra.dimension * order:
+            raise NotArtinian("extension basis is not the expected product basis")
+        ext.base, ext.ext_name, ext.ext_order = algebra, name, order
     return ext
 
 
@@ -498,9 +469,8 @@ def transport(e, target, rename=None, drop=()):
                     f"target has no variable {rename.get(src.names[i], src.names[i])!r}")
             new[j] = exp
         if not dead:
-            key = tuple(new)
-            poly[key] = poly.get(key, Fraction(0)) + c
-    return target.element_from_poly(Polynomial(target.nvars, poly))
+            add_to(poly, tuple(new), c)
+    return target.element_from_poly(Polynomial(target.nvars, poly, normalize=False))
 
 
 def sigma_layers(e):
@@ -518,18 +488,6 @@ def sigma_layers(e):
     return [AlgebraElement(A, layer) for layer in layers]
 
 
-def include(e, ext):
-    """Coordinate inclusion of a base element into a truncated extension."""
-    if ext.base is not e.algebra:
-        raise AlgebraMismatch("not an extension of this element's algebra")
-    return transport(e, ext)
-
-
-def project_extension(e, smaller):
-    """Projection A[s]/s^(n+1) -> A[s]/s^n on elements (kills the top layer)."""
-    return transport(e, smaller)
-
-
 def quotient_mod_variable(algebra, name):
     """The quotient algebra A/(name); relations get name set to zero."""
     if name not in algebra.names:
@@ -541,4 +499,4 @@ def quotient_mod_variable(algebra, name):
         p = parse_polynomial(r, algebra.names).eliminate(i)
         if p:
             rels.append(polynomial_str(p, new_names))
-    return build_algebra(AlgebraSpec(variables=new_names, relations=tuple(rels)))
+    return derived_algebra(algebra, new_names, rels)

@@ -36,10 +36,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import build_algebra, AlgebraSpec, transport, truncated_extension
 from .errors import (
     NonUnitC,
+    ParseError,
     PositionInvalid,
     PrecisionInsufficient,
     SideConditionFailed,
@@ -55,7 +57,7 @@ from .laurent import (
     entries_value_equal,
     entry_is_one,
 )
-from .linalg import RowSpace
+from .linalg import RowSpace, add_to
 from .poly import Polynomial
 
 KERZ_NOTE = ("projection assumes the class descends from the localization to the "
@@ -68,11 +70,23 @@ SHORTCUT_NOTE = ("the one-line rewrite of the first slot 1 + c s^(n+1) into "
                  "the factorization route explicitly")
 
 
+class _Fields(dict):
+    """Step position or payload; a field the rule needs but the step lacks
+    fails the step, not the checker."""
+
+    def __missing__(self, key):
+        raise PositionInvalid(f"step has no field {key!r}")
+
+
 @dataclass(frozen=True)
 class RewriteStep:
     rule: str
     position: dict
     payload: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "position", _Fields(self.position))
+        object.__setattr__(self, "payload", _Fields(self.payload))
 
     def describe(self):
         bits = dict(self.position)
@@ -102,6 +116,27 @@ class Certificate:
     claim_rhs: LaurentState
     linkage: str  # "direct" or "vanishing_start"
     annotations: tuple = field(default_factory=tuple)
+
+    @cached_property
+    def replay(self):
+        """The one run of check_step over the steps, shared by the verdict
+        and the dlog crosscheck."""
+        cstate = CheckState(self.start, "laurent", None)
+        states = [cstate]
+        for i, step in enumerate(self.steps):
+            try:
+                cstate = check_step(cstate, step)
+            except (SideConditionFailed, PositionInvalid) as exc:
+                return Replay(tuple(states), i, str(exc))
+            states.append(cstate)
+        return Replay(tuple(states), None, None)
+
+
+@dataclass(frozen=True)
+class Replay:
+    states: tuple  # CheckState before the first step and after each accepted one
+    failure: int | None  # index of the first rejected step
+    reason: str | None
 
 
 @dataclass
@@ -285,22 +320,18 @@ def check_step(cstate, step):
 
 
 def check_certificate(cert):
-    """Run all steps; valid iff every side condition holds, the final state is
-    the goal, and the claim linkage is justified."""
-    cstate = CheckState(cert.start, "laurent", None)
+    """Valid iff every side condition holds, the final state is the goal, and
+    the claim linkage is justified."""
+    run = cert.replay
+    failure = run.failure
     verdicts = []
-    failure = None
     for i, step in enumerate(cert.steps):
-        if failure is not None:
-            verdicts.append(StepVerdict(i, step.rule, False, "skipped after failure"))
-            continue
-        try:
-            cstate = check_step(cstate, step)
+        if failure is None or i < failure:
             verdicts.append(StepVerdict(i, step.rule, True, step.describe()))
-        except (SideConditionFailed, PositionInvalid) as exc:
-            failure = i
-            verdicts.append(StepVerdict(i, step.rule, False, str(exc)))
-    final_ok = failure is None and cstate.state == cert.goal
+        else:
+            verdicts.append(StepVerdict(i, step.rule, False,
+                                        run.reason if i == failure else "skipped after failure"))
+    final_ok = failure is None and run.states[-1].state == cert.goal
     claim_ok = False
     if failure is None and final_ok:
         claim_ok = _claim_linked(cert)
@@ -507,9 +538,7 @@ class ExtendedRealizer:
         for alpha in self.omega1.basis_forms():
             row = dict(wedge(self.d_sigma, alpha).coords)
             for i, v in alpha.act(self.sigma).coords.items():
-                col = self._offset + i
-                row[col] = row.get(col, Fraction(0)) - v
-            row = {k: v for k, v in row.items() if v}
+                add_to(row, self._offset + i, -v)
             if row:
                 self._z.insert(row)
         for mono in self.ring.basis:
@@ -561,12 +590,7 @@ class ExtendedRealizer:
         beta = w2.act(a1) - w1.act(a2)
         row = dict(eta.coords)
         for i, v in beta.coords.items():
-            col = self._offset + i
-            s = row.get(col, Fraction(0)) + v
-            if s:
-                row[col] = s
-            elif col in row:
-                del row[col]
+            add_to(row, self._offset + i, v)
         self._term_cache[key] = row
         return row
 
@@ -574,22 +598,14 @@ class ExtendedRealizer:
         total = {}
         for coeff, sym in state.terms:
             for colv, val in self.realize_term(sym).items():
-                s = total.get(colv, Fraction(0)) + coeff * val
-                if s:
-                    total[colv] = s
-                elif colv in total:
-                    del total[colv]
+                add_to(total, colv, coeff * val)
         return total
 
     def vectors_agree(self, v1, v2):
         """Equality of raw vectors modulo the dlog(s)-clearing subspace Z."""
         diff = dict(v1)
         for col, val in v2.items():
-            s = diff.get(col, Fraction(0)) - val
-            if s:
-                diff[col] = s
-            elif col in diff:
-                del diff[col]
+            add_to(diff, col, -val)
         return not self._z.reduce(diff)
 
     def is_zero(self, vector):
@@ -691,18 +707,12 @@ def crosscheck_dlog(cert, precision=None):
     realizer = _realizer_for(A, N)
     small_ring = truncated_extension(A, "sigma", n + 1)
 
-    cstate = CheckState(cert.start, "laurent", None)
-    prev_vec = realizer.realize_state(cstate.state)
+    run = cert.replay
+    prev_vec = realizer.realize_state(cert.start)
     prev_mode = "laurent"
     step_rows = []
     all_ok = True
-    for i, step in enumerate(cert.steps):
-        try:
-            cstate = check_step(cstate, step)
-        except (SideConditionFailed, PositionInvalid):
-            step_rows.append((i, step.rule, False))
-            all_ok = False
-            break
+    for i, (step, cstate) in enumerate(zip(cert.steps, run.states[1:])):
         if cstate.mode == "laurent":
             vec = realizer.realize_state(cstate.state)
             ok = realizer.vectors_agree(vec, prev_vec)
@@ -718,6 +728,9 @@ def crosscheck_dlog(cert, precision=None):
         prev_mode = cstate.mode
         step_rows.append((i, step.rule, ok))
         all_ok = all_ok and ok
+    if run.failure is not None:
+        step_rows.append((run.failure, cert.steps[run.failure].rule, False))
+        all_ok = False
 
     if prev_mode == "laurent":
         final_zero = realizer.is_zero(realizer.realize_state(cert.goal))
@@ -750,18 +763,17 @@ def _state_to_json(state):
     return [[str(c), _sym_to_json(s)] for c, s in state.terms]
 
 
+def _atoms_from_json(algebra, data):
+    return [(LaurentPolynomial.from_string(algebra, text), int(exp)) for text, exp in data]
+
+
 def _sym_from_json(algebra, data):
-    entries = []
-    for atoms in data:
-        entries.append(LaurentEntry(
-            algebra,
-            [(LaurentPolynomial.from_string(algebra, text), int(exp)) for text, exp in atoms]))
-    return LaurentSymbol(tuple(entries))
+    return LaurentSymbol(tuple(LaurentEntry(algebra, _atoms_from_json(algebra, atoms))
+                               for atoms in data))
 
 
-def _state_from_json(algebra, data, degree=2):
-    terms = [(Fraction(c), _sym_from_json(algebra, s)) for c, s in data]
-    return LaurentState(algebra, degree, terms)
+def _state_from_json(algebra, data):
+    return LaurentState(algebra, 2, [(Fraction(c), _sym_from_json(algebra, s)) for c, s in data])
 
 
 def certificate_to_json(cert):
@@ -796,32 +808,56 @@ def certificate_to_json(cert):
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _field(obj, key, kind, where=""):
+    """obj[key], which the certificate format requires to be of JSON type `kind`."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind):
+        raise ParseError(f"certificate field {where}{key} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _payload_value_from_json(algebra, key, value):
+    if isinstance(value, dict) and "symbol" in value:
+        return _sym_from_json(algebra, value["symbol"])
+    return _atoms_from_json(algebra, value) if key == "atoms" else value
+
+
 def certificate_from_json(text):
+    """Load a certificate written by certificate_to_json.
+
+    A document of the wrong shape raises ParseError.  A step that lacks a
+    field its rule needs still loads; the checker rejects it at that step.
+    """
     doc = json.loads(text)
-    ctx = doc["context"]
-    algebra = build_algebra(AlgebraSpec(tuple(ctx["variables"]), tuple(ctx["relations"])))
-    c = algebra.element(ctx["c"])
-    steps = []
-    for raw in doc["steps"]:
-        payload = {}
-        for k, v in raw["payload"].items():
-            if isinstance(v, dict) and "symbol" in v:
-                payload[k] = _sym_from_json(algebra, v["symbol"])
-            elif k == "atoms":
-                payload[k] = [(LaurentPolynomial.from_string(algebra, t), int(e))
-                              for t, e in v]
-            else:
-                payload[k] = v
-        steps.append(RewriteStep(raw["rule"],
-                                 {k: v for k, v in raw["position"].items()},
-                                 payload))
-    return Certificate(
-        CertContext(algebra, int(ctx["n"]), c),
-        _state_from_json(algebra, doc["start"]),
-        _state_from_json(algebra, doc["goal"]),
-        tuple(steps),
-        _state_from_json(algebra, doc["claim"]["lhs"]),
-        _state_from_json(algebra, doc["claim"]["rhs"]),
-        doc["claim"]["linkage"],
-        tuple(doc.get("annotations", ())),
-    )
+    ctx = _field(doc, "context", dict)
+    variables = _field(ctx, "variables", list, "context.")
+    relations = _field(ctx, "relations", list, "context.")
+    if not all(isinstance(x, str) for x in variables + relations):
+        raise ParseError("certificate fields context.variables and context.relations "
+                         "must hold strings")
+    n = _field(ctx, "n", int, "context.")
+    c = _field(ctx, "c", str, "context.")
+    claim = _field(doc, "claim", dict)
+    linkage = _field(claim, "linkage", str, "claim.")
+    raw_states = (_field(doc, "start", list), _field(doc, "goal", list),
+                  _field(claim, "lhs", list, "claim."), _field(claim, "rhs", list, "claim."))
+    raw_steps = _field(doc, "steps", list)
+    for i, raw in enumerate(raw_steps):
+        for key, kind in (("rule", str), ("position", dict), ("payload", dict)):
+            _field(raw, key, kind, f"steps[{i}].")
+    algebra = build_algebra(AlgebraSpec(tuple(variables), tuple(relations)))
+    try:
+        steps = tuple(
+            RewriteStep(raw["rule"], raw["position"],
+                        {k: _payload_value_from_json(algebra, k, v)
+                         for k, v in raw["payload"].items()})
+            for raw in raw_steps)
+        start, goal, lhs, rhs = (_state_from_json(algebra, data) for data in raw_states)
+        annotations = tuple(doc.get("annotations", ()))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"certificate data is malformed: {exc}") from None
+    return Certificate(CertContext(algebra, n, algebra.element(c)), start, goal, steps,
+                       lhs, rhs, linkage, annotations)

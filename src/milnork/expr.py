@@ -3,6 +3,11 @@
 Grammar: rational literals (`3`, `-2/5`), variable names
 `[a-zA-Z][a-zA-Z0-9_]*`, operators `+ - * ^` where `^` takes a nonnegative
 integer literal, and parentheses.  Whitespace is insignificant.
+
+The parser builds its value from two leaf constructors, one for rational
+literals and one for variables; the leaves' own + - * ** do the rest.  Over
+Q[vars] the leaves are Polynomials; an Algebra passes its own elements, so
+the expression is evaluated, and reduced, in the algebra.
 """
 
 import re
@@ -25,7 +30,10 @@ def tokenize(text):
             break
         pos = m.end()
         if m.group(1):
-            tokens.append(("num", Fraction(m.group(1).replace(" ", ""))))
+            try:
+                tokens.append(("num", Fraction(m.group(1).replace(" ", ""))))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {text!r}") from None
         elif m.group(2):
             tokens.append(("name", m.group(2)))
         else:
@@ -34,12 +42,13 @@ def tokenize(text):
 
 
 class _Parser:
-    def __init__(self, tokens, names, text):
+    def __init__(self, tokens, names, text, constant, variable):
         self.tokens = tokens
         self.pos = 0
-        self.names = names
         self.index = {n: i for i, n in enumerate(names)}
         self.text = text
+        self.constant = constant
+        self.variable = variable
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -96,11 +105,11 @@ class _Parser:
     def atom(self):
         kind, value = self.take()
         if kind == "num":
-            return Polynomial.constant(len(self.names), value)
+            return self.constant(value)
         if kind == "name":
             if value not in self.index:
                 raise ParseError(f"unknown variable {value!r} in {self.text!r}")
-            return Polynomial.variable(len(self.names), self.index[value])
+            return self.variable(self.index[value])
         if kind == "op" and value == "(":
             inner = self.expression()
             self.expect_op(")")
@@ -108,16 +117,24 @@ class _Parser:
         raise ParseError(f"unexpected end of expression in {self.text!r}")
 
 
-def parse_polynomial(text, names):
-    """Parse `text` into a Polynomial over the ordered variable list `names`."""
+def evaluate(text, names, constant, variable):
+    """Value of `text` built from `constant(q)` for each rational literal and
+    `variable(i)` for each occurrence of names[i]."""
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    parser = _Parser(tokens, names, text)
+    parser = _Parser(tokens, names, text, constant, variable)
     result = parser.expression()
     if parser.pos != len(tokens):
         raise ParseError(f"trailing input in {text!r}")
     return result
+
+
+def parse_polynomial(text, names):
+    """Parse `text` into a Polynomial over the ordered variable list `names`."""
+    n = len(names)
+    return evaluate(text, names, lambda q: Polynomial.constant(n, q),
+                    lambda i: Polynomial.variable(n, i))
 
 
 def monomial_str(mono, names):

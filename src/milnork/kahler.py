@@ -21,7 +21,7 @@ from itertools import combinations
 from .algebra import invert_unit, transport, truncated_extension
 from .errors import AlgebraMismatch, NameCollision, NotAUnit
 from .expr import monomial_str
-from .linalg import RowSpace
+from .linalg import RowSpace, add_to
 from .poly import Polynomial, mono_mul
 
 
@@ -79,12 +79,7 @@ class OmegaModule:
                         widx = self.wedge_index[wedge]
                         for pm, pc in partial.terms.items():
                             for bm, bc in A.reduce_mono(mono_mul(mono, pm)).items():
-                                c = self.col(A.index[bm], widx)
-                                s = row.get(c, Fraction(0)) + sign * pc * bc
-                                if s:
-                                    row[c] = s
-                                elif c in row:
-                                    del row[c]
+                                add_to(row, self.col(A.index[bm], widx), sign * pc * bc)
                     if row:
                         self._space.insert(row)
 
@@ -98,24 +93,6 @@ class OmegaModule:
 
     def basis_forms(self):
         return [DifferentialForm(self, {i: Fraction(1)}) for i in range(self.dimension)]
-
-    def free_of_reduced(self, coords):
-        return {self.basis_cols[i]: v for i, v in coords.items()}
-
-    def action_matrix(self, element):
-        """Columns of the multiplication-by-element map in the reduced basis.
-
-        Returned as a tuple of sparse columns (dicts row -> Fraction), cached
-        per element key on this module's algebra.
-        """
-        element = self.algebra.element(element)
-        cache = self.algebra._misc_cache.setdefault(("action", self.degree), {})
-        key = element.key()
-        got = cache.get(key)
-        if got is None:
-            got = tuple(dict(bform.act(element).coords) for bform in self.basis_forms())
-            cache[key] = got
-        return got
 
     def label(self, reduced_idx):
         col = self.basis_cols[reduced_idx]
@@ -146,11 +123,7 @@ class DifferentialForm:
         self._check(other)
         res = dict(self.coords)
         for i, c in other.coords.items():
-            s = res.get(i, Fraction(0)) + c
-            if s:
-                res[i] = s
-            elif i in res:
-                del res[i]
+            add_to(res, i, c)
         return DifferentialForm(self.module, res)
 
     def __neg__(self):
@@ -190,16 +163,8 @@ class DifferentialForm:
             for em, ec in element.coords.items():
                 factor = q * ec
                 for bm, bc in A.pair_product(A.index[em], mono_idx).items():
-                    c = M.col(A.index[bm], widx)
-                    s = free.get(c, Fraction(0)) + factor * bc
-                    if s:
-                        free[c] = s
-                    elif c in free:
-                        del free[c]
+                    add_to(free, M.col(A.index[bm], widx), factor * bc)
         return M.form(free)
-
-    def dense(self):
-        return [self.coords.get(i, Fraction(0)) for i in range(self.module.dimension)]
 
     def __str__(self):
         if not self.coords:
@@ -235,12 +200,7 @@ def d(x):
                 if not e:
                     continue
                 dm = tuple(v - 1 if j == i else v for j, v in enumerate(mono))
-                col = M.col(A.index[dm], M.wedge_index[(i,)])
-                s = free.get(col, Fraction(0)) + c * e
-                if s:
-                    free[col] = s
-                elif col in free:
-                    del free[col]
+                add_to(free, M.col(A.index[dm], M.wedge_index[(i,)]), c * e)
         return M.form(free)
 
     M = x.module
@@ -260,12 +220,7 @@ def d(x):
             if not sign:
                 continue
             dm = tuple(v - 1 if j == i else v for j, v in enumerate(mono))
-            c = target.col(A.index[dm], target.wedge_index[merged])
-            s = free.get(c, Fraction(0)) + q * e * sign
-            if s:
-                free[c] = s
-            elif c in free:
-                del free[c]
+            add_to(free, target.col(A.index[dm], target.wedge_index[merged]), q * e * sign)
     return target.form(free)
 
 
@@ -293,12 +248,7 @@ def wedge(f, g):
             widx = target.wedge_index[merged]
             factor = qi * qj * sign
             for bm, bc in A.pair_product(mi, mj).items():
-                c = target.col(A.index[bm], widx)
-                s = free.get(c, Fraction(0)) + factor * bc
-                if s:
-                    free[c] = s
-                elif c in free:
-                    del free[c]
+                add_to(free, target.col(A.index[bm], widx), factor * bc)
     return target.form(free)
 
 
@@ -342,12 +292,7 @@ def map_form(f, target_algebra, rename=None):
         sign = -1 if inversions & 1 else 1
         widx_t = target.wedge_index[tuple(sorted(order))]
         for bm, bc in carried.coords.items():
-            c = target.col(target_algebra.index[bm], widx_t)
-            s = free.get(c, Fraction(0)) + q * bc * sign
-            if s:
-                free[c] = s
-            elif c in free:
-                del free[c]
+            add_to(free, target.col(target_algebra.index[bm], widx_t), q * bc * sign)
     return target.form(free)
 
 

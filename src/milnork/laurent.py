@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import AlgebraMismatch, NonUnitEntry
 from .expr import parse_polynomial, polynomial_str
+from .linalg import add_to
 from .poly import Polynomial
 
 
@@ -64,12 +65,7 @@ class LaurentPolynomial:
     def __add__(self, other):
         res = dict(self.coeffs)
         for d, c in other.coeffs.items():
-            s = res.get(d)
-            s = c if s is None else s + c
-            if s:
-                res[d] = s
-            elif d in res:
-                del res[d]
+            add_to(res, d, c)
         return LaurentPolynomial(self.algebra, res)
 
     def __neg__(self):
@@ -83,17 +79,8 @@ class LaurentPolynomial:
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
                 d = d1 + d2
-                if order is not None and d >= order:
-                    continue
-                prod = c1 * c2
-                if not prod:
-                    continue
-                s = res.get(d)
-                s = prod if s is None else s + prod
-                if s:
-                    res[d] = s
-                elif d in res:
-                    del res[d]
+                if order is None or d < order:
+                    add_to(res, d, c1 * c2)
         return LaurentPolynomial(self.algebra, res)
 
     def power(self, k, order=None):
@@ -138,11 +125,10 @@ class LaurentPolynomial:
         for mono, q in p.terms.items():
             d = mono[-1]
             base = mono[:-1]
-            layer = coeffs.setdefault(d, {})
-            layer[base] = layer.get(base, Fraction(0)) + q
+            coeffs.setdefault(d, {})[base] = q
         out = {}
         for d, layer in coeffs.items():
-            out[d] = algebra.element_from_poly(Polynomial(algebra.nvars, layer))
+            out[d] = algebra.element_from_poly(Polynomial(algebra.nvars, layer, normalize=False))
         return cls(algebra, out)
 
     def __str__(self):
@@ -189,9 +175,6 @@ class LaurentEntry:
         return LaurentEntry(self.algebra,
                             [(poly.truncate(order), exp) for poly, exp in self.atoms])
 
-    def sigma_order(self):
-        return sum(exp * poly.ord() for poly, exp in self.atoms)
-
     def key(self):
         return tuple((poly.key(), exp) for poly, exp in self.atoms)
 
@@ -210,12 +193,6 @@ def entries_value_equal(e1, e2, order=None):
     n1, d1 = e1.split(order)
     n2, d2 = e2.split(order)
     return n1.mul(d2, order).coeffs == n2.mul(d1, order).coeffs
-
-
-def entry_value_is(e, poly, order=None):
-    """Does the entry collapse to the given Laurent polynomial value?"""
-    n, d = e.split(order)
-    return n.coeffs == d.mul(poly, order).coeffs
 
 
 def entries_sum_is_one(e1, e2, order=None):
@@ -283,9 +260,9 @@ class LaurentState:
             if sym.degree != degree:
                 raise AlgebraMismatch("mixed symbol degrees in a state")
             k = sym.key()
-            merged[k] = merged.get(k, Fraction(0)) + coeff
+            add_to(merged, k, coeff)
             keyed.setdefault(k, sym)
-        self.terms = tuple((merged[k], keyed[k]) for k in sorted(merged) if merged[k])
+        self.terms = tuple((merged[k], keyed[k]) for k in sorted(merged))
 
     def replace_term(self, idx, replacements):
         terms = list(self.terms)

@@ -3,9 +3,27 @@
 Rows are dicts mapping column index to a nonzero Fraction.  Pivot columns of
 a reduced echelon form are intrinsic to the row span, so the incremental
 insertion below yields the same pivots as column-major elimination.
+
+`add_to` is the one sparse-accumulate kernel: every sparse vector in the
+engine (polynomial terms, algebra coordinates, form coordinates, Laurent
+coefficients, realization vectors, echelon rows) is summed through it.
 """
 
 from fractions import Fraction
+
+
+def add_to(vec, key, value):
+    """vec[key] += value, storing no zeros: an entry that cancels is dropped."""
+    old = vec.get(key)
+    if old is None:
+        if value:
+            vec[key] = value
+        return
+    new = old + value
+    if new:
+        vec[key] = new
+    else:
+        del vec[key]
 
 
 class RowSpace:
@@ -28,11 +46,7 @@ class RowSpace:
             if not c:
                 continue
             for pcol, pval in self.pivots[col].items():
-                s = res.get(pcol, Fraction(0)) - c * pval
-                if s:
-                    res[pcol] = s
-                elif pcol in res:
-                    del res[pcol]
+                add_to(res, pcol, -c * pval)
         return res
 
     def insert(self, row):
@@ -47,23 +61,9 @@ class RowSpace:
             c = prow.get(lead)
             if c:
                 for col, val in res.items():
-                    s = prow.get(col, Fraction(0)) - c * val
-                    if s:
-                        prow[col] = s
-                    elif col in prow:
-                        del prow[col]
+                    add_to(prow, col, -c * val)
         self.pivots[lead] = res
         return lead
-
-    def contains(self, row):
-        return not self.reduce(row)
-
-
-def rank_of(rows):
-    space = RowSpace()
-    for row in rows:
-        space.insert(row)
-    return space.rank
 
 
 def express(vectors, target, ncols):
@@ -84,7 +84,3 @@ def express(vectors, target, ncols):
         if col >= ncols:
             coeffs[col - ncols] = -val
     return coeffs
-
-
-def dense_to_sparse(row):
-    return {j: Fraction(v) for j, v in enumerate(row) if v}

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraElement,
-    AlgebraSpec,
-    build_algebra,
+    derived_algebra,
     invert_unit,
     quotient_mod_variable,
     sigma_layers,
@@ -32,7 +31,7 @@ from .errors import (
     SigmaNotDesignated,
 )
 from .kahler import omega_module, wedge, dlog
-from .linalg import RowSpace, express
+from .linalg import RowSpace, add_to, express
 
 
 class SymbolEntry:
@@ -113,11 +112,9 @@ class SymbolCombination:
             if sym.degree != degree:
                 raise AlgebraMismatch("mixed symbol degrees in one combination")
             k = sym.key()
-            merged[k] = merged.get(k, Fraction(0)) + coeff
+            add_to(merged, k, coeff)
             keyed.setdefault(k, sym)
-        self.terms = tuple(
-            (merged[k], keyed[k]) for k in sorted(merged) if merged[k]
-        )
+        self.terms = tuple((merged[k], keyed[k]) for k in sorted(merged))
 
     def __add__(self, other):
         if other.algebra is not self.algebra or other.degree != self.degree:
@@ -449,8 +446,8 @@ def transport_check(B, n, p=2, lam_name="lam"):
     except MilnorkError as exc:
         raise QuotientNotLocal(f"B/{sigma_name} is not Artinian local: {exc}") from exc
 
-    Bn = build_quotient_power(B, sigma_name, n)
-    Bn1 = build_quotient_power(B, sigma_name, n + 1)
+    Bn, Bn1 = (derived_algebra(B, B.names, B.spec.relations + (f"{sigma_name}^{k}",),
+                               sigma_name) for k in (n, n + 1))
     dom = truncated_extension(Ap, lam_name, n)
 
     def tau(e, target):
@@ -540,21 +537,6 @@ def transport_check(B, n, p=2, lam_name="lam"):
         degenerate=degenerate,
         samples=samples,
     )
-
-
-def build_quotient_power(B, sigma_name, n):
-    """B/sigma^n as a fresh presented algebra."""
-    cache = B._misc_cache.setdefault("sigma_powers", {})
-    got = cache.get((sigma_name, n))
-    if got is None:
-        spec = AlgebraSpec(
-            variables=B.names,
-            relations=B.spec.relations + (f"{sigma_name}^{n}",),
-            distinguished=B.spec.distinguished,
-        )
-        got = build_algebra(spec)
-        cache[(sigma_name, n)] = got
-    return got
 
 
 def _kernel_of_map(Ap, images, codomain):

@@ -7,6 +7,8 @@ Fractions, never floats.
 
 from fractions import Fraction
 
+from .linalg import add_to
+
 
 def degrevlex_key(mono):
     # total degree first; ties broken so that the monomial with the larger
@@ -39,12 +41,8 @@ class Polynomial:
             self.terms = terms if terms is not None else {}
             return
         self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[m] = self.terms.get(m, Fraction(0)) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
+        for m, c in (terms or {}).items():
+            add_to(self.terms, m, Fraction(c))
 
     @classmethod
     def zero(cls, nvars):
@@ -77,11 +75,7 @@ class Polynomial:
     def __add__(self, other):
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) + c
-            if s:
-                res[m] = s
-            elif m in res:
-                del res[m]
+            add_to(res, m, c)
         return Polynomial(self.nvars, res, normalize=False)
 
     def __neg__(self):
@@ -99,12 +93,7 @@ class Polynomial:
         res = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = res.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    res[m] = s
-                elif m in res:
-                    del res[m]
+                add_to(res, mono_mul(m1, m2), c1 * c2)
         return Polynomial(self.nvars, res, normalize=False)
 
     __rmul__ = __mul__
@@ -125,17 +114,14 @@ class Polynomial:
         m = max(self.terms, key=degrevlex_key)
         return m, self.terms[m]
 
-    def total_degree(self):
-        return max((sum(m) for m in self.terms), default=-1)
-
     def diff(self, i):
         res = {}
         for m, c in self.terms.items():
             e = m[i]
             if e:
                 dm = tuple(x - 1 if j == i else x for j, x in enumerate(m))
-                res[dm] = res.get(dm, Fraction(0)) + c * e
-        return Polynomial(self.nvars, {m: c for m, c in res.items() if c}, normalize=False)
+                add_to(res, dm, c * e)
+        return Polynomial(self.nvars, res, normalize=False)
 
     def eliminate(self, i):
         """Set variable i to zero and drop its slot from every monomial."""
@@ -145,17 +131,6 @@ class Polynomial:
                 continue
             res[m[:i] + m[i + 1:]] = c
         return Polynomial(self.nvars - 1, res, normalize=False)
-
-    def embed(self, nvars, index_map):
-        """Reindex variable i to index_map[i] inside a ring with nvars variables."""
-        res = {}
-        for m, c in self.terms.items():
-            new = [0] * nvars
-            for i, e in enumerate(m):
-                if e:
-                    new[index_map[i]] = e
-            res[tuple(new)] = c
-        return Polynomial(nvars, res, normalize=False)
 
     def sorted_terms(self, reverse=True):
         return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=reverse)

@@ -56,7 +56,6 @@ class Tower:
 def _mat_mul(a, b):
     if not a or not b:
         return tuple(tuple() for _ in a)
-    cols_b = len(b[0])
     bt = list(zip(*b)) if b else []
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
@@ -69,15 +68,6 @@ def _mat_rank(mat):
     for row in mat:
         space.insert({j: v for j, v in enumerate(row) if v})
     return space.rank
-
-
-def _column_space(mat, nrows):
-    """RowSpace spanned by the columns (image of the map)."""
-    space = RowSpace()
-    if mat and mat[0]:
-        for j in range(len(mat[0])):
-            space.insert({i: mat[i][j] for i in range(nrows) if mat[i][j]})
-    return space
 
 
 def surjectivity_check(tower):

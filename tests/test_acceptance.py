@@ -4,7 +4,12 @@ Everything is exact: no tolerances anywhere, all comparisons are on
 Fractions, dimensions, and canonical forms.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 from milnork.algebra import AlgebraSpec, build_algebra, truncated_extension
 from milnork.certify import (
@@ -28,6 +33,9 @@ from milnork.milnor import (
 )
 from milnork.suite import _steinberg_pool, _tower_examples
 from milnork.towers import Tower, limit_dim, ml_window_check, surjectivity_check
+
+
+SUITE_RECORD_SHA256 = "2851c0bad627dd9f975a917f9d121b49644aa9b72b206bbe98bde0c194b81771"
 
 
 def _announce(num, label):
@@ -169,13 +177,21 @@ def test_criterion_8_towers():
 
 
 def test_criterion_9_determinism(tmp_path):
+    """One run in this process, one in a fresh interpreter under another hash
+    seed; both records are byte-identical and carry the pinned hash."""
+    import milnork
     from milnork.cli import main
 
-    out1, out2 = tmp_path / "run1.rec", tmp_path / "run2.rec"
+    out1 = tmp_path / "run1.rec"
     code1 = main(["suite", "all", "--format", "record", "--output", str(out1)])
-    code2 = main(["suite", "all", "--format", "record", "--output", str(out2)])
-    assert code1 == code2 == 0
-    first, second = out1.read_bytes(), out2.read_bytes()
+    src = str(Path(milnork.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run2 = subprocess.run([sys.executable, "-m", "milnork", "suite", "all", "--format", "record"],
+                          env=env, capture_output=True, check=False)
+    assert code1 == run2.returncode == 0
+    first, second = out1.read_bytes(), run2.stdout
     assert first == second
+    assert hashlib.sha256(first).hexdigest() == SUITE_RECORD_SHA256
     assert b"summary.failed=0" in first
-    _announce(9, "byte-identical machine-readable suite reports")
+    _announce(9, "byte-identical machine-readable suite reports across processes")

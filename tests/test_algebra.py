@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 from milnork.algebra import (
     AlgebraSpec,
     build_algebra,
-    exp_nilpotent,
-    include,
     invert_unit,
     is_unit,
     log_one_unit,
     normal_form,
-    project_extension,
     quotient_mod_variable,
     sigma_layers,
     transport,
@@ -28,6 +25,7 @@ from milnork.errors import (
     NotOneUnit,
     ParseError,
 )
+from milnork.expr import parse_polynomial
 
 
 def alg(variables, relations, **kw):
@@ -68,11 +66,16 @@ def test_normal_form_examples(t3, xy):
         normal_form(t3, "u + 1")
 
 
+def test_element_evaluates_in_the_algebra(t3):
+    # expanding over Q[t] before reducing would build a 3001-term polynomial
+    assert t3.element("(1+t)^3000") == t3.element("1 + 3000*t + 4498500*t^2")
+
+
 def test_normal_form_idempotent_and_linear(t3):
     e = normal_form(t3, "t^5 + 2*t^2 + 1")
     assert normal_form(t3, str(e)) == e
-    a = t3.parse("t^4 + t")
-    b = t3.parse("t^3 - 1")
+    a = parse_polynomial("t^4 + t", t3.names)
+    b = parse_polynomial("t^3 - 1", t3.names)
     lhs = t3.element_from_poly(a * 2 + b * 3)
     rhs = t3.element_from_poly(a) * 2 + t3.element_from_poly(b) * 3
     assert lhs == rhs
@@ -103,12 +106,6 @@ def test_log_one_unit():
     assert not log_one_unit(s3, s3.one)
     with pytest.raises(NotOneUnit):
         log_one_unit(s3, s3.element("2"))
-
-
-def test_log_exp_round_trip():
-    s4 = alg(["sigma"], ["sigma^4"])
-    u = s4.element("1 + sigma + 2*sigma^2")
-    assert exp_nilpotent(s4, log_one_unit(s4, u)) == u
 
 
 def test_log_multiplicative():
@@ -159,10 +156,11 @@ def test_extension_maps(t3):
     b3 = truncated_extension(t3, "sigma", 3)
     b2 = truncated_extension(t3, "sigma", 2)
     e = t3.element("1 + 2*t")
-    lifted = include(e, b3)
+    lifted = transport(e, b3)
+    assert lifted == b3.element("1 + 2*t")
     assert transport(lifted, t3) == e
     big = b3.element("1 + t*sigma + sigma^2")
-    small = project_extension(big, b2)
+    small = transport(big, b2)
     assert small == b2.element("1 + t*sigma")
     layers = sigma_layers(big)
     assert [str(x) for x in layers] == ["1", "t", "1"]

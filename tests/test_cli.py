@@ -152,6 +152,48 @@ def test_certify_rejects_corrupted_file(capsys, q_spec, tmp_path):
     assert "certificate.valid=false" in out
 
 
+def _saved_doc(capsys, q_spec, tmp_path):
+    saved = tmp_path / "cert.json"
+    assert run(capsys, "certify-eq8", "--algebra", q_spec, "--c", "1", "--n", "1",
+               "--save", str(saved))[0] == 0
+    return json.loads(saved.read_text())
+
+
+def _load_code(capsys, tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["certify-eq8", "--load", str(path), "--format", "record"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_certificate_missing_context_fields_exit_2(capsys, tmp_path):
+    code, _, err = _load_code(capsys, tmp_path, {"context": {"variables": ["t"]}})
+    assert code == 2 and "context.relations" in err
+
+
+def test_certificate_not_an_object_exit_2(capsys, tmp_path):
+    code, _, err = _load_code(capsys, tmp_path, [1, 2])
+    assert code == 2 and "input error" in err
+
+
+def test_certificate_position_list_exit_2(capsys, q_spec, tmp_path):
+    doc = _saved_doc(capsys, q_spec, tmp_path)
+    doc["steps"][0]["position"] = [0]
+    code, _, err = _load_code(capsys, tmp_path, doc)
+    assert code == 2 and "steps[0].position" in err
+
+
+def test_certificate_step_missing_mode_fails_at_step(capsys, q_spec, tmp_path):
+    doc = _saved_doc(capsys, q_spec, tmp_path)
+    idx = next(i for i, s in enumerate(doc["steps"]) if s["rule"] == "bilinearity")
+    del doc["steps"][idx]["payload"]["mode"]
+    code, out, _ = _load_code(capsys, tmp_path, doc)
+    assert code == 1
+    assert "certificate.valid=false" in out
+    assert f"certificate.failure_index={idx}" in out
+
+
 def test_tau_command(capsys, tmp_path):
     spec = tmp_path / "b.spec"
     spec.write_text("variables: t, sigma\nrelations: t^2, sigma^3, t*sigma\nsigma: sigma\n")

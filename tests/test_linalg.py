@@ -1,10 +1,21 @@
 from fractions import Fraction
 
-from milnork.linalg import RowSpace, dense_to_sparse, express, rank_of
+from milnork.linalg import RowSpace, add_to, express
+
+
+def dense_to_sparse(row):
+    return {j: Fraction(v) for j, v in enumerate(row) if v}
 
 
 def rows(*dense):
     return [dense_to_sparse(r) for r in dense]
+
+
+def rank_of(rows):
+    space = RowSpace()
+    for row in rows:
+        space.insert(row)
+    return space.rank
 
 
 def test_rank_simple():
@@ -43,3 +54,13 @@ def test_express():
 def test_express_degenerate():
     assert express([], {}, 4) == []
     assert express([], dense_to_sparse([1]), 4) is None
+
+
+def test_add_to_drops_cancelled_entries():
+    vec = {}
+    add_to(vec, 0, Fraction(0))
+    assert vec == {}
+    add_to(vec, 0, Fraction(1, 2))
+    add_to(vec, 1, Fraction(3))
+    add_to(vec, 0, Fraction(-1, 2))
+    assert vec == {1: Fraction(3)}
