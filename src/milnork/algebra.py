@@ -177,6 +177,10 @@ class Algebra:
                 add_to(coords, bm, c * bc)
         return AlgebraElement(self, coords)
 
+    def basis_element(self, i):
+        """The i-th standard monomial as an element; it is already reduced."""
+        return AlgebraElement(self, {self.basis[i]: Fraction(1)})
+
     def element(self, value):
         """Coerce an expression string, rational, or element into this algebra.
 
@@ -346,11 +350,10 @@ def build_algebra(spec):
 
     alg = Algebra(spec, gb, basis)
 
-    for mono in basis[1:]:
-        e = alg.element_from_poly(Polynomial(nvars, {mono: Fraction(1)}, normalize=False))
-        if e ** alg.dimension:
+    for i in range(1, alg.dimension):
+        if alg.basis_element(i) ** alg.dimension:
             raise NotLocal(
-                f"standard monomial {monomial_str(mono, spec.variables)} is not nilpotent")
+                f"standard monomial {monomial_str(basis[i], spec.variables)} is not nilpotent")
     return alg
 
 

@@ -50,15 +50,15 @@ from .kahler import d as kd, dlog, map_form, omega_module, wedge
 from .laurent import (
     LaurentEntry,
     LaurentPolynomial,
-    LaurentState,
-    LaurentSymbol,
+    Symbol,
+    SymbolCombination,
     entries_sum_is_one,
     entries_sum_is_zero,
     entries_value_equal,
     entry_is_one,
 )
 from .linalg import RowSpace, add_to
-from .poly import Polynomial
+from .milnor import slotwise_realize
 
 KERZ_NOTE = ("projection assumes the class descends from the localization to the "
              "power-series ring; injectivity of that restriction (Kerz) is taken "
@@ -70,12 +70,45 @@ SHORTCUT_NOTE = ("the one-line rewrite of the first slot 1 + c s^(n+1) into "
                  "the factorization route explicitly")
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_rational(value):
+    if not isinstance(value, str):
+        return False
+    try:
+        Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+_FIELD_CHECKS = {
+    **dict.fromkeys(("term", "term2", "slot", "at", "order", "m"), _is_int),
+    "slots": lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v)),
+    "mode": lambda v: isinstance(v, str),
+    "coeff": _is_rational,
+    "symbol": lambda v: isinstance(v, Symbol),
+}
+
+
 class _Fields(dict):
-    """Step position or payload; a field the rule needs but the step lacks
-    fails the step, not the checker."""
+    """Step position or payload.  A field the rule needs but the step lacks,
+    or gives with the wrong type or an unparsable value, fails the step, not
+    the checker."""
 
     def __missing__(self, key):
         raise PositionInvalid(f"step has no field {key!r}")
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if not _FIELD_CHECKS.get(key, lambda v: True)(value):
+            raise PositionInvalid(f"step field {key!r} has a bad value: {value!r}")
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
 
 
 @dataclass(frozen=True)
@@ -109,11 +142,11 @@ class CertContext:
 @dataclass(frozen=True)
 class Certificate:
     context: CertContext
-    start: LaurentState
-    goal: LaurentState
+    start: SymbolCombination
+    goal: SymbolCombination
     steps: tuple
-    claim_lhs: LaurentState
-    claim_rhs: LaurentState
+    claim_lhs: SymbolCombination
+    claim_rhs: SymbolCombination
     linkage: str  # "direct" or "vanishing_start"
     annotations: tuple = field(default_factory=tuple)
 
@@ -141,7 +174,7 @@ class Replay:
 
 @dataclass
 class CheckState:
-    state: LaurentState
+    state: SymbolCombination
     mode: str  # "laurent" | "truncated"
     order: int | None
 
@@ -180,13 +213,13 @@ class CertificateVerdict:
 
 
 def _term_at(state, idx):
-    if not isinstance(idx, int) or idx < 0 or idx >= len(state.terms):
+    if idx < 0 or idx >= len(state.terms):
         raise PositionInvalid(f"no term at index {idx}")
     return state.terms[idx]
 
 
 def _slot_at(sym, j):
-    if not isinstance(j, int) or j < 0 or j >= sym.degree:
+    if j < 0 or j >= sym.degree:
         raise PositionInvalid(f"no slot {j} in a degree-{sym.degree} symbol")
     return sym.entries[j]
 
@@ -259,7 +292,7 @@ def check_step(cstate, step):
                     raise SideConditionFailed(f"merge: slot {jj} values differ")
             merged = LaurentEntry(s1.algebra, s1.entries[j].atoms + s2.entries[j].atoms)
             terms = [(c, s) for idx, (c, s) in enumerate(state.terms) if idx not in (i1, i2)]
-            return cstate.clone(LaurentState(
+            return cstate.clone(SymbolCombination(
                 state.algebra, state.degree,
                 terms + [(c1, s1.replace(j, merged))]))
         if mode == "kill":
@@ -289,7 +322,7 @@ def check_step(cstate, step):
         entry = _slot_at(sym, pos["slot"])
         if len(entry.atoms) != 1:
             raise PositionInvalid("torsion_scale wants a single-atom entry")
-        m = int(pay["m"])
+        m = pay["m"]
         if m < 1:
             raise SideConditionFailed("torsion_scale factor must be a positive integer")
         poly, exp = entry.atoms[0]
@@ -385,7 +418,7 @@ def _entry(A, *atoms):
 
 
 def _sym(*entries):
-    return LaurentSymbol(tuple(entries))
+    return Symbol(tuple(entries))
 
 
 def _cert_pieces(algebra, c, n):
@@ -417,7 +450,7 @@ def splitting_certificate(algebra, c, n):
 
     e_w = _entry(A, (w, 1))
     e_c = _entry(A, (c0, 1))
-    start = LaurentState(A, 2, [(1, _sym(e_w, e_c))])
+    start = SymbolCombination(A, 2, [(1, _sym(e_w, e_c))])
     chain = _Chain(start)
 
     # {w, -c s^(n+1)} is a Steinberg pair: the two values sum to 1
@@ -465,7 +498,7 @@ def splitting_certificate(algebra, c, n):
     # the (n+1) {(1-s)w, s} piece cancels; the goal term remains
 
     goal_sym = _sym(_entry(A, (one_m_s, 1), (w, 1)), _entry(A, (g, 1)))
-    goal = LaurentState(A, 2, [(n + 1, goal_sym)])
+    goal = SymbolCombination(A, 2, [(n + 1, goal_sym)])
     assert chain.cstate.state == goal, "internal: splitting chain does not reach its goal"
     ctx = CertContext(algebra, n, c)
     return Certificate(ctx, start, goal, tuple(chain.steps), start, goal, "direct",
@@ -500,9 +533,9 @@ def vanishing_certificate(algebra, c, n):
                 {"atoms": [(final_poly, 1)]})
 
     goal_sym = _sym(_entry(A, (one_m_s, 1)), _entry(A, (final_poly, 1)))
-    goal = LaurentState(A, 2, [(1, goal_sym)])
+    goal = SymbolCombination(A, 2, [(1, goal_sym)])
     assert chain.cstate.state == goal, "internal: vanishing chain does not reach its goal"
-    zero = LaurentState(A, 2, [])
+    zero = SymbolCombination(A, 2, [])
     ctx = CertContext(algebra, n, c)
     return Certificate(ctx, base.start, goal, tuple(chain.steps), goal, zero,
                        "vanishing_start", annotations=(SHORTCUT_NOTE, KERZ_NOTE))
@@ -541,9 +574,8 @@ class ExtendedRealizer:
                 add_to(row, self._offset + i, -v)
             if row:
                 self._z.insert(row)
-        for mono in self.ring.basis:
-            elem = self.ring.element_from_poly(
-                Polynomial(self.ring.nvars, {mono: Fraction(1)}, normalize=False))
+        for i in range(self.ring.dimension):
+            elem = self.ring.basis_element(i)
             row = {self._offset + i: v for i, v in self.d_sigma.act(elem).coords.items()}
             if row:
                 self._z.insert(row)
@@ -608,9 +640,6 @@ class ExtendedRealizer:
             add_to(diff, col, -val)
         return not self._z.reduce(diff)
 
-    def is_zero(self, vector):
-        return not self._z.reduce(dict(vector))
-
     def eta_form(self, vector):
         """The plain Omega^2 form of a raw vector with no dlog(s) component."""
         if any(c >= self._offset for c in vector):
@@ -621,33 +650,18 @@ class ExtendedRealizer:
 
 def truncated_realize(state, ring_ext, order):
     """Honest Omega^2 realization over A[s]/s^(n+1) for truncated states."""
-    target = omega_module(ring_ext, 2)
-    total = target.form()
-    realizer_cache = {}
-    for coeff, sym in state.terms:
-        parts = []
-        for entry in sym.entries:
-            acc = omega_module(ring_ext, 1).form()
-            for poly, exp in entry.atoms:
-                if poly.ord() is None or poly.ord() < 0:
-                    raise PrecisionInsufficient("negative sigma order in truncated mode")
-                key = (poly.key(), exp)
-                f = realizer_cache.get(key)
-                if f is None:
-                    elem = ring_ext.zero
-                    sig = ring_ext.variable(ring_ext.ext_name)
-                    for dg, cf in poly.coeffs.items():
-                        if dg < order:
-                            elem = elem + transport(cf, ring_ext) * sig ** dg
-                    f = dlog(elem).scale(exp)
-                    realizer_cache[key] = f
-                acc = acc + f
-            parts.append(acc)
-        result = parts[0]
-        for p in parts[1:]:
-            result = wedge(result, p)
-        total = total + result.scale(coeff)
-    return total
+    sig = ring_ext.variable(ring_ext.ext_name)
+
+    def lifted_dlog(poly):
+        if poly.ord() is None or poly.ord() < 0:
+            raise PrecisionInsufficient("negative sigma order in truncated mode")
+        elem = ring_ext.zero
+        for dg, cf in poly.coeffs.items():
+            if dg < order:
+                elem = elem + transport(cf, ring_ext) * sig ** dg
+        return dlog(elem)
+
+    return slotwise_realize(state, ring_ext, lifted_dlog)
 
 
 @dataclass(frozen=True)
@@ -687,14 +701,9 @@ def crosscheck_dlog(cert, precision=None):
     max_span = 0
     states = [cert.start, cert.goal, cert.claim_lhs, cert.claim_rhs]
     symbols = [sym for st in states for _, sym in st.terms]
-    for step in cert.steps:
-        for value in step.payload.values():
-            if isinstance(value, LaurentSymbol):
-                symbols.append(value)
+    symbols += [v for step in cert.steps for v in step.payload.values() if isinstance(v, Symbol)]
     atom_polys = [poly for sym in symbols for entry in sym.entries for poly, _ in entry.atoms]
-    for step in cert.steps:
-        for poly, _ in step.payload.get("atoms", ()):
-            atom_polys.append(poly)
+    atom_polys += [poly for step in cert.steps for poly, _ in step.payload.get("atoms", ())]
     for poly in atom_polys:
         if poly:
             max_span = max(max_span, poly.maxdeg() - poly.ord())
@@ -733,7 +742,7 @@ def crosscheck_dlog(cert, precision=None):
         all_ok = False
 
     if prev_mode == "laurent":
-        final_zero = realizer.is_zero(realizer.realize_state(cert.goal))
+        final_zero = realizer.vectors_agree(realizer.realize_state(cert.goal), {})
     else:
         final_zero = not truncated_realize(cert.goal, small_ring, n + 1)
     return CrosscheckReport(N, tuple(step_rows), all_ok, final_zero)
@@ -768,12 +777,13 @@ def _atoms_from_json(algebra, data):
 
 
 def _sym_from_json(algebra, data):
-    return LaurentSymbol(tuple(LaurentEntry(algebra, _atoms_from_json(algebra, atoms))
-                               for atoms in data))
+    return Symbol(tuple(LaurentEntry(algebra, _atoms_from_json(algebra, atoms))
+                        for atoms in data))
 
 
 def _state_from_json(algebra, data):
-    return LaurentState(algebra, 2, [(Fraction(c), _sym_from_json(algebra, s)) for c, s in data])
+    return SymbolCombination(algebra, 2,
+                             [(Fraction(c), _sym_from_json(algebra, s)) for c, s in data])
 
 
 def certificate_to_json(cert):
@@ -781,7 +791,7 @@ def certificate_to_json(cert):
     for step in cert.steps:
         payload = {}
         for k, v in step.payload.items():
-            if isinstance(v, LaurentSymbol):
+            if isinstance(v, Symbol):
                 payload[k] = {"symbol": _sym_to_json(v)}
             elif k == "atoms":
                 payload[k] = _atoms_to_json(v)

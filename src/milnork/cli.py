@@ -22,17 +22,13 @@ from .certify import (
 )
 from .errors import MilnorkError
 from .kahler import decomposition_report, omega_module
-from .algebra import transport
 from .milnor import (
-    coefficient_samples,
-    make_symbol,
     relative_generators,
     relative_realize,
     span_check,
-    tangent_extension,
+    tangent_generators,
     tangent_realize,
     transport_check,
-    unit_samples,
 )
 from .report import Report
 from .suite import SUITE_NAMES, run_suite
@@ -70,7 +66,7 @@ def _load_algebra(path):
 
 def _emit(report, args, exit_code):
     text = report.render(args.format)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -135,17 +131,7 @@ def _cmd_theorem2(args):
 
 def _cmd_tangent_span(args):
     A = _load_algebra(args.algebra)
-    T = tangent_extension(A)
-    eps = T.variable("eps")
-    targets = []
-    for c in coefficient_samples(A):
-        first = T.one + transport(c, T) * eps
-        pool = [transport(u, T) for u in unit_samples(A)]
-        tails = [[]]
-        for _ in range(args.p - 1):
-            tails = [prev + [u] for prev in tails for u in pool]
-        for tail in tails:
-            targets.append(tangent_realize(make_symbol([first] + tail, 1)))
+    targets = [tangent_realize(g) for g in tangent_generators(A, args.p)]
     M = omega_module(A, args.p - 1)
     verdict = span_check(targets, M)
     rep = Report("tangent-span").extend(verdict.record())
@@ -265,8 +251,7 @@ def build_parser():
                          ("certify-eq8", vanishing_certificate)):
         s = subs.add_parser(cmd, help="build and verify the bundled certificate chain")
         s.add_argument("--algebra", help="algebra spec file")
-        s.add_argument("--format", choices=("text", "record"), default="text")
-        s.add_argument("--output", help="write the report to this path")
+        _add_common(s, algebra=False)
         s.add_argument("--c", help="unit coefficient expression")
         s.add_argument("--n", type=int, help="level of the relative kernel")
         s.add_argument("--precision", type=int, default=None,
@@ -282,14 +267,12 @@ def build_parser():
 
     s = subs.add_parser("tower", help="surjectivity, image chains, window limit")
     s.add_argument("--tower", required=True, help="tower input file")
-    s.add_argument("--format", choices=("text", "record"), default="text")
-    s.add_argument("--output", help="write the report to this path")
+    _add_common(s, algebra=False)
     s.set_defaults(func=_cmd_tower)
 
     s = subs.add_parser("suite", help="run a bundled verification grid")
     s.add_argument("name", choices=("all",) + SUITE_NAMES)
-    s.add_argument("--format", choices=("text", "record"), default="text")
-    s.add_argument("--output", help="write the report to this path")
+    _add_common(s, algebra=False)
     s.set_defaults(func=_cmd_suite)
 
     return parser
@@ -309,13 +292,7 @@ def main(argv=None):
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except MilnorkError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, MilnorkError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

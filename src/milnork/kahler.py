@@ -22,7 +22,7 @@ from .algebra import invert_unit, transport, truncated_extension
 from .errors import AlgebraMismatch, NameCollision, NotAUnit
 from .expr import monomial_str
 from .linalg import RowSpace, add_to
-from .poly import Polynomial, mono_mul
+from .poly import mono_mul
 
 
 def _merge_sign(left, right):
@@ -276,9 +276,7 @@ def map_form(f, target_algebra, rename=None):
     for ridx, q in f.coords.items():
         col = M.basis_cols[ridx]
         mono_idx, widx = divmod(col, nw)
-        mono_elem = src.element_from_poly(
-            Polynomial(src.nvars, {src.basis[mono_idx]: Fraction(1)}, normalize=False))
-        carried = transport(mono_elem, target_algebra, rename=rename)
+        carried = transport(src.basis_element(mono_idx), target_algebra, rename=rename)
         order = []
         for i in M.wedges[widx]:
             name = rename.get(src.names[i], src.names[i])

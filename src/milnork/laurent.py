@@ -1,5 +1,5 @@
-"""Laurent polynomials in sigma with algebra coefficients, and formal symbols
-over them.
+"""Laurent polynomials in sigma with algebra coefficients, and the formal
+symbols and symbol combinations shared by every symbol in the engine.
 
 These model the units of A[[sigma]][1/sigma] that occur in the rewrite
 chains: every atom is a Laurent polynomial whose lowest-degree coefficient is
@@ -217,8 +217,19 @@ def entry_is_one(e, order=None):
 
 
 @dataclass(frozen=True)
-class LaurentSymbol:
+class Symbol:
+    """A frozen tuple of entries over one algebra.
+
+    Entries are SymbolEntry values (formal products of algebra units) or
+    LaurentEntry values (formal products of Laurent atoms); both provide
+    `algebra`, `atoms` and `key()`.
+    """
+
     entries: tuple
+
+    def __post_init__(self):
+        if len({id(e.algebra) for e in self.entries}) > 1:
+            raise AlgebraMismatch("symbol entries over different algebras")
 
     @property
     def degree(self):
@@ -234,17 +245,17 @@ class LaurentSymbol:
     def replace(self, slot, entry):
         new = list(self.entries)
         new[slot] = entry
-        return LaurentSymbol(tuple(new))
+        return Symbol(tuple(new))
 
     def truncate(self, order):
-        return LaurentSymbol(tuple(e.truncate(order) for e in self.entries))
+        return Symbol(tuple(e.truncate(order) for e in self.entries))
 
     def __str__(self):
         return "{" + ", ".join(str(e) for e in self.entries) + "}"
 
 
-class LaurentState:
-    """Canonical Q-combination of Laurent symbols: sorted, merged, no zeros."""
+class SymbolCombination:
+    """Canonical Q-combination of symbols: merged on key, sorted, no zeros."""
 
     __slots__ = ("algebra", "degree", "terms")
 
@@ -258,7 +269,7 @@ class LaurentState:
             if not coeff:
                 continue
             if sym.degree != degree:
-                raise AlgebraMismatch("mixed symbol degrees in a state")
+                raise AlgebraMismatch("mixed symbol degrees in one combination")
             k = sym.key()
             add_to(merged, k, coeff)
             keyed.setdefault(k, sym)
@@ -267,10 +278,10 @@ class LaurentState:
     def replace_term(self, idx, replacements):
         terms = list(self.terms)
         del terms[idx]
-        return LaurentState(self.algebra, self.degree, terms + list(replacements))
+        return SymbolCombination(self.algebra, self.degree, terms + list(replacements))
 
     def with_term(self, coeff, sym):
-        return LaurentState(self.algebra, self.degree, list(self.terms) + [(coeff, sym)])
+        return SymbolCombination(self.algebra, self.degree, list(self.terms) + [(coeff, sym)])
 
     def find(self, sym_key):
         for i, (_, sym) in enumerate(self.terms):
@@ -279,17 +290,26 @@ class LaurentState:
         return None
 
     def truncate(self, order):
-        return LaurentState(self.algebra, self.degree,
-                            [(c, s.truncate(order)) for c, s in self.terms])
+        return SymbolCombination(self.algebra, self.degree,
+                                 [(c, s.truncate(order)) for c, s in self.terms])
+
+    def scale(self, q):
+        return SymbolCombination(self.algebra, self.degree,
+                                 [(c * Fraction(q), s) for c, s in self.terms])
 
     def key(self):
         return tuple((str(c), s.key()) for c, s in self.terms)
+
+    def __add__(self, other):
+        if other.algebra is not self.algebra or other.degree != self.degree:
+            raise AlgebraMismatch("combinations do not match")
+        return SymbolCombination(self.algebra, self.degree, self.terms + other.terms)
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        return isinstance(other, LaurentState) and self.key() == other.key()
+        return isinstance(other, SymbolCombination) and self.key() == other.key()
 
     def __str__(self):
         if not self.terms:

@@ -31,7 +31,8 @@ from .errors import (
     SigmaNotDesignated,
 )
 from .kahler import omega_module, wedge, dlog
-from .linalg import RowSpace, add_to, express
+from .laurent import Symbol, SymbolCombination
+from .linalg import RowSpace, express
 
 
 class SymbolEntry:
@@ -53,12 +54,11 @@ class SymbolEntry:
         self._collapsed = None
 
     def collapse(self):
+        """The product of the atom powers; a unit, as each atom is one."""
         if self._collapsed is None:
             acc = self.algebra.one
             for elem, exp in self.atoms:
                 acc = acc * (elem ** exp if exp > 0 else invert_unit(self.algebra, elem) ** (-exp))
-            if not acc.augmentation():
-                raise NonUnitEntry(f"entry {self} collapses to a non-unit")
             self._collapsed = acc
         return self._collapsed
 
@@ -66,72 +66,7 @@ class SymbolEntry:
         return self.collapse().key()
 
     def __str__(self):
-        if not self.atoms:
-            return "1"
-        return "*".join(f"({e})" + (f"^{k}" if k != 1 else "") for e, k in self.atoms)
-
-
-@dataclass(frozen=True)
-class MilnorSymbol:
-    entries: tuple
-
-    def __post_init__(self):
-        algs = {id(e.algebra) for e in self.entries}
-        if len(algs) > 1:
-            raise AlgebraMismatch("symbol entries over different algebras")
-
-    @property
-    def degree(self):
-        return len(self.entries)
-
-    @property
-    def algebra(self):
-        return self.entries[0].algebra
-
-    def key(self):
-        return tuple(e.key() for e in self.entries)
-
-    def __str__(self):
-        return "{" + ", ".join(str(e.collapse()) for e in self.entries) + "}"
-
-
-class SymbolCombination:
-    """Q-linear combination of symbols; terms merged on value-equal entries."""
-
-    __slots__ = ("algebra", "degree", "terms")
-
-    def __init__(self, algebra, degree, terms):
-        self.algebra = algebra
-        self.degree = degree
-        merged = {}
-        keyed = {}
-        for coeff, sym in terms:
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            if sym.degree != degree:
-                raise AlgebraMismatch("mixed symbol degrees in one combination")
-            k = sym.key()
-            add_to(merged, k, coeff)
-            keyed.setdefault(k, sym)
-        self.terms = tuple((merged[k], keyed[k]) for k in sorted(merged))
-
-    def __add__(self, other):
-        if other.algebra is not self.algebra or other.degree != self.degree:
-            raise AlgebraMismatch("combinations do not match")
-        return SymbolCombination(self.algebra, self.degree, self.terms + other.terms)
-
-    def scale(self, q):
-        return SymbolCombination(self.algebra, self.degree,
-                                 [(c * Fraction(q), s) for c, s in self.terms])
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{s}" for c, s in self.terms)
+        return str(self.collapse())
 
 
 def make_symbol(entries, coeff=1, algebra=None):
@@ -156,32 +91,29 @@ def make_symbol(entries, coeff=1, algebra=None):
         if algebra is None:
             raise AlgebraMismatch("need an algebra to parse string entries")
         built.append(SymbolEntry(algebra, [(algebra.element(entry), 1)]))
-    for e in built:
-        e.collapse()
-    sym = MilnorSymbol(tuple(built))
+    sym = Symbol(tuple(built))
     return SymbolCombination(sym.algebra, sym.degree, [(coeff, sym)])
 
 
-def dlog_realize(comb):
-    """Slot-wise dlog followed by wedge; Q-linear over the terms.
+def slotwise_realize(comb, ring, atom_form):
+    """Q-linear realization of a symbol combination in Omega^degree of `ring`.
 
-    Steinberg instances {a, 1-a}, {a, -a} and repeats {a, a} land on wedges
-    of proportional 1-forms and vanish exactly.
+    Each entry goes to the sum of exp * atom_form(atom) over its atoms, and
+    each symbol to the wedge of its entries' 1-forms.  atom_form is called
+    once per distinct atom key.
     """
-    A = comb.algebra
-    target = omega_module(A, comb.degree)
-    total = target.form()
+    total = omega_module(ring, comb.degree).form()
+    zero = omega_module(ring, 1).form()
     cache = {}
     for coeff, sym in comb.terms:
         parts = []
         for entry in sym.entries:
-            acc = omega_module(A, 1).form()
-            for elem, exp in entry.atoms:
-                k = elem.key()
+            acc = zero
+            for atom, exp in entry.atoms:
+                k = atom.key()
                 form = cache.get(k)
                 if form is None:
-                    form = dlog(elem)
-                    cache[k] = form
+                    form = cache[k] = atom_form(atom)
                 acc = acc + form.scale(exp)
             parts.append(acc)
         if not parts:
@@ -193,27 +125,37 @@ def dlog_realize(comb):
     return total
 
 
+def dlog_realize(comb):
+    """Slot-wise dlog followed by wedge; Q-linear over the terms.
+
+    Steinberg instances {a, 1-a}, {a, -a} and repeats {a, a} land on wedges
+    of proportional 1-forms and vanish exactly.
+    """
+    return slotwise_realize(comb, comb.algebra, dlog)
+
+
+def _coefficient_wedge(c, units):
+    """c * dlog u_1 ^ ... ^ dlog u_k over c's algebra; the 0-form c when k = 0."""
+    acc = None
+    for u in units:
+        f = dlog(u)
+        acc = f if acc is None else wedge(acc, f)
+    if acc is None:
+        acc = omega_module(c.algebra, 0).form({0: Fraction(1)})
+    return acc.act(c)
+
+
 # -- deterministic sample grids ------------------------------------------------
-
-
-def _mono_poly(algebra, mono):
-    from .poly import Polynomial
-
-    return Polynomial(algebra.nvars, {mono: Fraction(1)}, normalize=False)
-
-
-def _mono_element(algebra, mono):
-    return algebra.element_from_poly(_mono_poly(algebra, mono))
 
 
 def coefficient_samples(algebra):
     """The monomial basis as elements (the c and e grid)."""
-    return [_mono_element(algebra, mono) for mono in algebra.basis]
+    return [algebra.basis_element(i) for i in range(algebra.dimension)]
 
 
 def unit_samples(algebra):
     """Units 1 + b for non-constant basis monomials b, plus constants 2, 3."""
-    out = [algebra.one + _mono_element(algebra, mono) for mono in algebra.basis[1:]]
+    out = [algebra.one + algebra.basis_element(i) for i in range(1, algebra.dimension)]
     out.append(algebra.element(2))
     out.append(algebra.element(3))
     return out
@@ -249,9 +191,20 @@ def relative_generators(algebra, n, p, coeffs=None, units=None, sigma_name="sigm
     return gens
 
 
+def tangent_generators(algebra, p):
+    """Tangent-kernel symbols {1 + c eps, u_1, ..., u_(p-1)} over A[eps]/eps^2.
+
+    c runs over the coefficient grid and each u_i over the unit grid, in
+    deterministic order.
+    """
+    T = tangent_extension(algebra)
+    eps = T.variable("eps")
+    tails = _tuples([transport(u, T) for u in unit_samples(algebra)], p - 1)
+    return [make_symbol([T.one + transport(c, T) * eps] + list(tail), 1)
+            for c in coefficient_samples(algebra) for tail in tails]
+
+
 def _tuples(pool, k):
-    if k == 0:
-        return [()]
     out = [()]
     for _ in range(k):
         out = [prev + (u,) for prev in out for u in pool]
@@ -260,17 +213,38 @@ def _tuples(pool, k):
 
 def _first_slot_coefficient(entry, n):
     """Extract c from a first slot collapsing to 1 + c s^n; None if malformed."""
-    B = entry.algebra
     layers = sigma_layers(entry.collapse())
-    if len(layers) <= n:
+    if (len(layers) <= n or layers[0] != entry.algebra.base.one
+            or any(layers[j] for j in range(1, len(layers)) if j != n)):
         return None
-    base_one = B.base.one
-    if layers[0] != base_one:
-        return None
-    for j in range(1, len(layers)):
-        if j != n and layers[j]:
-            return None
     return layers[n]
+
+
+def _realize_generators(comb, n, vanishing=None):
+    """Sum of coeff * c * dlog u_1 ^ ... ^ dlog u_k over the base algebra for
+    the terms coeff * {1 + c s^n, u_1, ..., u_k} with s-free units u_i.
+
+    A term with a slot equal to `vanishing` contributes zero.
+    """
+    B = comb.algebra
+    s = B.ext_name
+    total = omega_module(B.base, comb.degree - 1).form()
+    for coeff, sym in comb.terms:
+        c = _first_slot_coefficient(sym.entries[0], n)
+        if c is None:
+            raise NotGeneratorShape(f"first slot of {sym} is not 1 + c*{s}^{n}")
+        units = []
+        for entry in sym.entries[1:]:
+            value = entry.collapse()
+            if value == vanishing:
+                break
+            layers = sigma_layers(value)
+            if any(layers[1:]):
+                raise NotGeneratorShape(f"slot {entry} is not {s}-free")
+            units.append(layers[0])
+        else:
+            total = total + _coefficient_wedge(c, units).scale(coeff)
+    return total
 
 
 def relative_realize(comb, n):
@@ -284,38 +258,9 @@ def relative_realize(comb, n):
     B = comb.algebra
     if B.base is None:
         raise NotGeneratorShape("combination does not live in a truncated extension")
-    A = B.base
     if B.ext_order != n + 1:
         raise NotGeneratorShape(f"expected truncation order {n + 1}, got {B.ext_order}")
-    sigma = B.variable(B.ext_name)
-    one_minus_sigma = (B.one - sigma).key()
-    target = omega_module(A, comb.degree - 1)
-    total = target.form()
-    for coeff, sym in comb.terms:
-        c = _first_slot_coefficient(sym.entries[0], n)
-        if c is None:
-            raise NotGeneratorShape(f"first slot of {sym} is not 1 + c*s^{n}")
-        rest = []
-        vanishing = False
-        for entry in sym.entries[1:]:
-            value = entry.collapse()
-            if value.key() == one_minus_sigma:
-                vanishing = True
-                break
-            layers = sigma_layers(value)
-            if any(layers[j] for j in range(1, len(layers))):
-                raise NotGeneratorShape(f"slot {entry} is neither s-free nor 1 - s")
-            rest.append(layers[0])
-        if vanishing:
-            continue
-        acc = None
-        for u in rest:
-            f = dlog(u)
-            acc = f if acc is None else wedge(acc, f)
-        if acc is None:
-            acc = omega_module(A, 0).form({0: Fraction(1)})
-        total = total + acc.act(c).scale(coeff)
-    return total
+    return _realize_generators(comb, n, B.one - B.variable(B.ext_name))
 
 
 def tangent_extension(algebra, name="eps"):
@@ -328,24 +273,7 @@ def tangent_realize(comb):
     B = comb.algebra
     if B.base is None or B.ext_order != 2:
         raise NotGeneratorShape("combination does not live in a dual-number extension")
-    A = B.base
-    target = omega_module(A, comb.degree - 1)
-    total = target.form()
-    for coeff, sym in comb.terms:
-        c = _first_slot_coefficient(sym.entries[0], 1)
-        if c is None:
-            raise NotGeneratorShape(f"first slot of {sym} is not 1 + c*eps")
-        acc = None
-        for entry in sym.entries[1:]:
-            layers = sigma_layers(entry.collapse())
-            if layers[1]:
-                raise NotGeneratorShape(f"slot {entry} is not eps-free")
-            f = dlog(layers[0])
-            acc = f if acc is None else wedge(acc, f)
-        if acc is None:
-            acc = omega_module(A, 0).form({0: Fraction(1)})
-        total = total + acc.act(c).scale(coeff)
-    return total
+    return _realize_generators(comb, 1)
 
 
 @dataclass(frozen=True)
@@ -454,10 +382,7 @@ def transport_check(B, n, p=2, lam_name="lam"):
         return transport(e, target, rename={lam_name: sigma_name})
 
     # surjectivity on monomial bases
-    images = []
-    for mono in dom.basis:
-        elem = dom.element_from_poly(_mono_poly(dom, mono))
-        images.append(tau(elem, Bn))
+    images = [tau(dom.basis_element(i), Bn) for i in range(dom.dimension)]
     space = RowSpace()
     for img in images:
         space.insert({Bn.index[m]: c for m, c in img.coords.items()})
@@ -465,11 +390,10 @@ def transport_check(B, n, p=2, lam_name="lam"):
 
     # multiplicativity of the monomial-level map
     multiplicative = True
-    for i, mi in enumerate(dom.basis):
-        ei = dom.element_from_poly(_mono_poly(dom, mi))
+    for i in range(dom.dimension):
+        ei = dom.basis_element(i)
         for j in range(i, dom.dimension):
-            ej = dom.element_from_poly(_mono_poly(dom, dom.basis[j]))
-            if tau(ei * ej, Bn) != images[i] * images[j]:
+            if tau(ei * dom.basis_element(j), Bn) != images[i] * images[j]:
                 multiplicative = False
                 break
         if not multiplicative:
@@ -478,7 +402,7 @@ def transport_check(B, n, p=2, lam_name="lam"):
     # annihilator of sigma^n / sigma^(n+1) as an A'-module
     sig_n = Bn1.variable(sigma_name) ** n
     degenerate = not bool(sig_n)
-    mult_vectors = [transport(_mono_element(Ap, mono), Bn1) * sig_n for mono in Ap.basis]
+    mult_vectors = [transport(Ap.basis_element(i), Bn1) * sig_n for i in range(Ap.dimension)]
     kernel_basis = _kernel_of_map(Ap, mult_vectors, Bn1)
 
     # the tensor target Omega^(p-1)_{A'} / (annihilator * Omega^(p-1)_{A'})
@@ -511,14 +435,9 @@ def transport_check(B, n, p=2, lam_name="lam"):
                 if cbar is None:
                     compatible = False
                     break
-                acc = None
-                for u in tail:
-                    u_bar = transport(tau(transport(u, dom_full), Bn1), Ap, drop=(sigma_name,))
-                    f = dlog(u_bar)
-                    acc = f if acc is None else wedge(acc, f)
-                if acc is None:
-                    acc = omega_module(Ap, 0).form({0: Fraction(1)})
-                routed = acc.act(cbar)
+                routed = _coefficient_wedge(cbar, [
+                    transport(tau(transport(u, dom_full), Bn1), Ap, drop=(sigma_name,))
+                    for u in tail])
                 if to_tensor(direct) != to_tensor(routed):
                     compatible = False
                     break
@@ -552,7 +471,7 @@ def _kernel_of_map(Ap, images, codomain):
         if all(col >= aug_base for col in residual):
             combo = Ap.zero
             for col, val in residual.items():
-                combo = combo + _mono_element(Ap, Ap.basis[col - aug_base]) * val
+                combo = combo + Ap.basis_element(col - aug_base) * val
             kernel.append(combo)
         else:
             space.insert(row)
@@ -569,5 +488,5 @@ def _solve_layer(Ap, mult_vectors, w, codomain):
     combo = Ap.zero
     for i, q in enumerate(coeffs):
         if q:
-            combo = combo + _mono_element(Ap, Ap.basis[i]) * q
+            combo = combo + Ap.basis_element(i) * q
     return combo

@@ -23,7 +23,7 @@ from .certify import (
 )
 from .family import builtin_algebras
 from .kahler import d, decomposition_report, map_form, omega_module
-from .laurent import LaurentEntry, LaurentPolynomial, LaurentState, LaurentSymbol
+from .laurent import LaurentEntry, LaurentPolynomial, Symbol, SymbolCombination
 from .milnor import (
     coefficient_samples,
     dlog_realize,
@@ -31,13 +31,12 @@ from .milnor import (
     relative_generators,
     relative_realize,
     span_check,
-    tangent_extension,
+    tangent_generators,
     tangent_realize,
     transport_check,
     unit_samples,
     vanishing_additivity_check,
 )
-from .poly import Polynomial
 from .towers import Tower, limit_dim, ml_window_check, surjectivity_check
 
 SUITE_NAMES = ("kahler", "milnor", "certify", "towers")
@@ -69,14 +68,8 @@ def kahler_checks():
     for name, A in fam:
         ext = truncated_extension(A, "sigma", 2)
         for alg_name, alg in ((name, A), (name + "[s]/s^2", ext)):
-            ok = True
-            for mono in alg.basis:
-                e = alg.element_from_poly(Polynomial(alg.nvars, {mono: Fraction(1)}))
-                if d(d(e)):
-                    ok = False
-            for form in omega_module(alg, 1).basis_forms():
-                if d(d(form)):
-                    ok = False
+            elements = [alg.basis_element(i) for i in range(alg.dimension)]
+            ok = not any(d(d(x)) for x in elements + omega_module(alg, 1).basis_forms())
             checks.append((f"kahler.dd_zero.{alg_name}", ok))
 
     for name, A in fam:
@@ -104,8 +97,8 @@ def kahler_checks():
         big = truncated_extension(A, "sigma", 3)
         small = truncated_extension(A, "sigma", 2)
         ok = True
-        for mono in big.basis:
-            e = big.element_from_poly(Polynomial(big.nvars, {mono: Fraction(1)}))
+        for i in range(big.dimension):
+            e = big.basis_element(i)
             lhs = map_form(d(e), small)
             rhs = d(transport(e, small))
             if lhs != rhs:
@@ -195,13 +188,7 @@ def milnor_checks():
 
     for name, A in fam:
         for p in (2, 3):
-            T = tangent_extension(A)
-            eps = T.variable("eps")
-            targets = []
-            for c in coefficient_samples(A):
-                first = T.one + transport(c, T) * eps
-                for tail in _unit_tuples(A, T, p - 1):
-                    targets.append(tangent_realize(make_symbol([first] + tail, 1)))
+            targets = [tangent_realize(g) for g in tangent_generators(A, p)]
             verdict = span_check(targets, omega_module(A, p - 1))
             checks.append((f"milnor.tangent_rank.{name}.p{p}", verdict.spans))
 
@@ -215,14 +202,6 @@ def milnor_checks():
     r3 = transport_check(B2, 3)
     checks.append(("milnor.tau.degenerate", r3.degenerate and r3.surjective))
     return checks
-
-
-def _unit_tuples(A, ext, k):
-    lifted = [transport(u, ext) for u in unit_samples(A)]
-    out = [[]]
-    for _ in range(k):
-        out = [prev + [u] for prev in out for u in lifted]
-    return out
 
 
 def certify_checks():
@@ -294,78 +273,78 @@ def rule_soundness_checks():
             u0 = LaurentPolynomial(A, {0: u})
             for j in (1, 2, 3):
                 cs = LaurentPolynomial(A, {j: u})
-                sym_st = LaurentSymbol((LaurentEntry(A, [(cs, 1)]),
-                                        LaurentEntry(A, [(one - cs, 1)])))
-                state = LaurentState(A, 2, [(1, sym_st)])
+                sym_st = Symbol((LaurentEntry(A, [(cs, 1)]),
+                                 LaurentEntry(A, [(one - cs, 1)])))
+                state = SymbolCombination(A, 2, [(1, sym_st)])
                 run("steinberg", A, state, RewriteStep(
                     "steinberg", {"term": 0}, {"mode": "remove"}))
-                run("steinberg", A, LaurentState(A, 2, []), RewriteStep(
+                run("steinberg", A, SymbolCombination(A, 2, []), RewriteStep(
                     "steinberg", {}, {"mode": "insert", "coeff": "3", "symbol": sym_st}))
 
-                sym_ma = LaurentSymbol((LaurentEntry(A, [(cs, 1)]),
-                                        LaurentEntry(A, [(-cs, 1)])))
-                run("minus_arg", A, LaurentState(A, 2, [(1, sym_ma)]), RewriteStep(
+                sym_ma = Symbol((LaurentEntry(A, [(cs, 1)]),
+                                 LaurentEntry(A, [(-cs, 1)])))
+                run("minus_arg", A, SymbolCombination(A, 2, [(1, sym_ma)]), RewriteStep(
                     "minus_arg", {"term": 0}, {"mode": "remove"}))
-                run("minus_arg", A, LaurentState(A, 2, []), RewriteStep(
+                run("minus_arg", A, SymbolCombination(A, 2, []), RewriteStep(
                     "minus_arg", {}, {"mode": "insert", "coeff": "-2", "symbol": sym_ma}))
 
                 v0 = LaurentPolynomial(A, {0: units[0]})
-                sym_bi = LaurentSymbol((LaurentEntry(A, [(u0, 1), (v0, 1)]),
-                                        LaurentEntry(A, [(one - sig, 1)])))
-                run("bilinearity", A, LaurentState(A, 2, [(2, sym_bi)]), RewriteStep(
+                sym_bi = Symbol((LaurentEntry(A, [(u0, 1), (v0, 1)]),
+                                 LaurentEntry(A, [(one - sig, 1)])))
+                run("bilinearity", A, SymbolCombination(A, 2, [(2, sym_bi)]), RewriteStep(
                     "bilinearity", {"term": 0, "slot": 0}, {"mode": "split", "at": 1}))
-                half1 = LaurentSymbol((LaurentEntry(A, [(u0, 1)]),
-                                       LaurentEntry(A, [(one - sig, 1)])))
-                half2 = LaurentSymbol((LaurentEntry(A, [(v0, 1)]),
-                                       LaurentEntry(A, [(one - sig, 1)])))
-                merged_state = LaurentState(A, 2, [(2, half1), (2, half2)])
+                half1 = Symbol((LaurentEntry(A, [(u0, 1)]),
+                                LaurentEntry(A, [(one - sig, 1)])))
+                half2 = Symbol((LaurentEntry(A, [(v0, 1)]),
+                                LaurentEntry(A, [(one - sig, 1)])))
+                merged_state = SymbolCombination(A, 2, [(2, half1), (2, half2)])
                 if half1.key() != half2.key():
                     i1 = merged_state.find(half1.key())
                     i2 = merged_state.find(half2.key())
                     run("bilinearity", A, merged_state, RewriteStep(
                         "bilinearity", {"term": i1, "term2": i2, "slot": 0},
                         {"mode": "merge"}))
-                sym_one = LaurentSymbol((LaurentEntry(A, [(one - sig, 1)]),
-                                         LaurentEntry(A, [(u0, 1), (u0, -1)])))
-                run("bilinearity", A, LaurentState(A, 2, [(1, sym_one)]), RewriteStep(
+                sym_one = Symbol((LaurentEntry(A, [(one - sig, 1)]),
+                                  LaurentEntry(A, [(u0, 1), (u0, -1)])))
+                run("bilinearity", A, SymbolCombination(A, 2, [(1, sym_one)]), RewriteStep(
                     "bilinearity", {"term": 0, "slot": 1}, {"mode": "kill"}))
-                run("bilinearity", A, LaurentState(A, 2, []), RewriteStep(
+                run("bilinearity", A, SymbolCombination(A, 2, []), RewriteStep(
                     "bilinearity", {}, {"mode": "insert", "coeff": "5",
                                         "symbol": sym_one, "slot": 1}))
 
-                sym_inv = LaurentSymbol((LaurentEntry(A, [(u0, 1)]),
-                                         LaurentEntry(A, [(one - cs, j)])))
-                run("inverse_negation", A, LaurentState(A, 2, [(1, sym_inv)]), RewriteStep(
+                sym_inv = Symbol((LaurentEntry(A, [(u0, 1)]),
+                                  LaurentEntry(A, [(one - cs, j)])))
+                run("inverse_negation", A, SymbolCombination(A, 2, [(1, sym_inv)]), RewriteStep(
                     "inverse_negation", {"term": 0, "slot": 1}, {}))
-                run("inverse_negation", A, LaurentState(A, 2, [(1, sym_inv)]), RewriteStep(
+                run("inverse_negation", A, SymbolCombination(A, 2, [(1, sym_inv)]), RewriteStep(
                     "inverse_negation", {"term": 0, "slot": 0}, {}))
 
-                sym_ts = LaurentSymbol((LaurentEntry(A, [(u0, 1)]),
-                                        LaurentEntry(A, [(one - cs, 2 * j)])))
-                run("torsion_scale", A, LaurentState(A, 2, [(1, sym_ts)]), RewriteStep(
+                sym_ts = Symbol((LaurentEntry(A, [(u0, 1)]),
+                                 LaurentEntry(A, [(one - cs, 2 * j)])))
+                run("torsion_scale", A, SymbolCombination(A, 2, [(1, sym_ts)]), RewriteStep(
                     "torsion_scale", {"term": 0, "slot": 1}, {"mode": "unpack", "m": 2}))
-                run("torsion_scale", A, LaurentState(A, 2, [(1, sym_ts)]), RewriteStep(
+                run("torsion_scale", A, SymbolCombination(A, 2, [(1, sym_ts)]), RewriteStep(
                     "torsion_scale", {"term": 0, "slot": 1}, {"mode": "pack", "m": 3}))
 
                 prod = u0.mul(one - cs)
-                sym_ef = LaurentSymbol((LaurentEntry(A, [(prod, 1)]),
-                                        LaurentEntry(A, [(one - sig, 1)])))
-                run("entry_factor", A, LaurentState(A, 2, [(1, sym_ef)]), RewriteStep(
+                sym_ef = Symbol((LaurentEntry(A, [(prod, 1)]),
+                                 LaurentEntry(A, [(one - sig, 1)])))
+                run("entry_factor", A, SymbolCombination(A, 2, [(1, sym_ef)]), RewriteStep(
                     "entry_factor", {"term": 0, "slot": 0},
                     {"atoms": [(u0, 1), (one - cs, 1)]}))
-                sym_ef2 = LaurentSymbol((LaurentEntry(A, [(u0, 1), (one - cs, 1)]),
-                                         LaurentEntry(A, [(one - sig, 1)])))
-                run("entry_factor", A, LaurentState(A, 2, [(1, sym_ef2)]), RewriteStep(
+                sym_ef2 = Symbol((LaurentEntry(A, [(u0, 1), (one - cs, 1)]),
+                                  LaurentEntry(A, [(one - sig, 1)])))
+                run("entry_factor", A, SymbolCombination(A, 2, [(1, sym_ef2)]), RewriteStep(
                     "entry_factor", {"term": 0, "slot": 0}, {"atoms": [(prod, 1)]}))
                 w = one + cs
-                sym_ei = LaurentSymbol((LaurentEntry(A, [(one - sig, 1), (w, 1)]),
-                                        LaurentEntry(A, [(one - sig, 1)])))
+                sym_ei = Symbol((LaurentEntry(A, [(one - sig, 1), (w, 1)]),
+                                 LaurentEntry(A, [(one - sig, 1)])))
                 target = (one - sig).mul(w)
-                run("entry_identity", A, LaurentState(A, 2, [(1, sym_ei)]), RewriteStep(
+                run("entry_identity", A, SymbolCombination(A, 2, [(1, sym_ei)]), RewriteStep(
                     "entry_identity", {"term": 0, "slot": 0}, {"atoms": [(target, 1)]}))
-                sym_ei2 = LaurentSymbol((LaurentEntry(A, [(target, 1)]),
-                                         LaurentEntry(A, [(one - sig, 1)])))
-                run("entry_identity", A, LaurentState(A, 2, [(1, sym_ei2)]), RewriteStep(
+                sym_ei2 = Symbol((LaurentEntry(A, [(target, 1)]),
+                                  LaurentEntry(A, [(one - sig, 1)])))
+                run("entry_identity", A, SymbolCombination(A, 2, [(1, sym_ei2)]), RewriteStep(
                     "entry_identity", {"term": 0, "slot": 0},
                     {"atoms": [(one - sig, 1), (w, 1)]}))
 
@@ -377,9 +356,9 @@ def rule_soundness_checks():
             for n in (1, 2, 3):
                 for q in (1, -3):
                     poly = one - LaurentPolynomial(A, {n: u})
-                    sym = LaurentSymbol((LaurentEntry(A, [(one - sig, 1)]),
-                                         LaurentEntry(A, [(poly, 1)])))
-                    state = LaurentState(A, 2, [(q, sym)])
+                    sym = Symbol((LaurentEntry(A, [(one - sig, 1)]),
+                                  LaurentEntry(A, [(poly, 1)])))
+                    state = SymbolCombination(A, 2, [(q, sym)])
                     counts["projection"] = counts.get("projection", 0) + 1
                     realizer = _realizer_for(A, 8)
                     before = realizer.realize_state(state)

@@ -183,20 +183,23 @@ def parse_tower_file(text):
             raise ParseError(f"line {lineno}: expected 'key: value'")
         key, value = line.split(":", 1)
         key = key.strip().lower()
-        if key == "dims":
-            dims = [int(x) for x in value.split(",") if x.strip()]
-        elif key.startswith("map"):
-            idx = int(key[3:].strip())
-            rows = []
-            for chunk in value.split(";"):
-                chunk = chunk.strip()
-                if chunk:
-                    rows.append([Fraction(x.strip()) for x in chunk.split(",")])
-                else:
-                    rows.append([])
-            raw_maps[idx] = rows
-        else:
-            raise ParseError(f"line {lineno}: unknown key {key!r}")
+        try:
+            if key == "dims":
+                dims = [int(x) for x in value.split(",") if x.strip()]
+            elif key.startswith("map"):
+                idx = int(key[3:].strip())
+                rows = []
+                for chunk in value.split(";"):
+                    chunk = chunk.strip()
+                    if chunk:
+                        rows.append([Fraction(x.strip()) for x in chunk.split(",")])
+                    else:
+                        rows.append([])
+                raw_maps[idx] = rows
+            else:
+                raise ParseError(f"line {lineno}: unknown key {key!r}")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"line {lineno}: bad number in {key!r}: {exc}") from None
     if dims is None:
         raise ParseError("missing dims line")
     maps = []

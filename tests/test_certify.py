@@ -24,8 +24,8 @@ from milnork.errors import (
 from milnork.laurent import (
     LaurentEntry,
     LaurentPolynomial,
-    LaurentState,
-    LaurentSymbol,
+    Symbol,
+    SymbolCombination,
 )
 
 
@@ -44,7 +44,7 @@ def t2():
 
 
 def _state(A, *terms):
-    return LaurentState(A, 2, list(terms))
+    return SymbolCombination(A, 2, list(terms))
 
 
 def _entry(A, *atoms):
@@ -56,7 +56,7 @@ def test_steinberg_step_spec_example(Q):
     c = Q.element(2)
     minus = LaurentPolynomial(Q, {2: -c})
     w = LaurentPolynomial.constant(Q, 1) + LaurentPolynomial(Q, {2: c})
-    sym = LaurentSymbol((_entry(Q, (minus, 1)), _entry(Q, (w, 1))))
+    sym = Symbol((_entry(Q, (minus, 1)), _entry(Q, (w, 1))))
     state = _state(Q, (1, sym))
     out = check_step(CheckState(state, "laurent", None),
                      RewriteStep("steinberg", {"term": 0}, {"mode": "remove"}))
@@ -66,7 +66,7 @@ def test_steinberg_step_spec_example(Q):
 def test_steinberg_rejects_bad_pair(Q):
     two = LaurentPolynomial.constant(Q, 2)
     three = LaurentPolynomial.constant(Q, 3)
-    sym = LaurentSymbol((_entry(Q, (two, 1)), _entry(Q, (three, 1))))
+    sym = Symbol((_entry(Q, (two, 1)), _entry(Q, (three, 1))))
     with pytest.raises(SideConditionFailed):
         check_step(CheckState(_state(Q, (1, sym)), "laurent", None),
                    RewriteStep("steinberg", {"term": 0}, {"mode": "remove"}))
@@ -79,7 +79,7 @@ def test_entry_identity_step_spec_example(Q):
     sig = LaurentPolynomial.sigma(Q)
     w = one + LaurentPolynomial(Q, {2: c})
     combined = one - sig - LaurentPolynomial(Q, {3: c}) + LaurentPolynomial(Q, {2: c})
-    sym = LaurentSymbol((_entry(Q, (combined, 1)), _entry(Q, (sig, 1))))
+    sym = Symbol((_entry(Q, (combined, 1)), _entry(Q, (sig, 1))))
     out = check_step(CheckState(_state(Q, (1, sym)), "laurent", None),
                      RewriteStep("entry_identity", {"term": 0, "slot": 0},
                                  {"atoms": [(one - sig, 1), (w, 1)]}))
@@ -90,7 +90,7 @@ def test_entry_identity_step_spec_example(Q):
 def test_entry_identity_rejects_wrong_value(Q):
     one = LaurentPolynomial.constant(Q, 1)
     sig = LaurentPolynomial.sigma(Q)
-    sym = LaurentSymbol((_entry(Q, (one - sig, 1)), _entry(Q, (sig, 1))))
+    sym = Symbol((_entry(Q, (one - sig, 1)), _entry(Q, (sig, 1))))
     with pytest.raises(SideConditionFailed):
         check_step(CheckState(_state(Q, (1, sym)), "laurent", None),
                    RewriteStep("entry_identity", {"term": 0, "slot": 0},
@@ -101,7 +101,7 @@ def test_bilinearity_split_spec_example(Q):
     one = LaurentPolynomial.constant(Q, 1)
     sig = LaurentPolynomial.sigma(Q)
     w = one + LaurentPolynomial(Q, {2: Q.element(2)})
-    sym = LaurentSymbol((_entry(Q, (one - sig, 1), (w, 1)), _entry(Q, (sig, 1))))
+    sym = Symbol((_entry(Q, (one - sig, 1), (w, 1)), _entry(Q, (sig, 1))))
     out = check_step(CheckState(_state(Q, (1, sym)), "laurent", None),
                      RewriteStep("bilinearity", {"term": 0, "slot": 0},
                                  {"mode": "split", "at": 1}))
@@ -113,7 +113,7 @@ def test_bilinearity_split_spec_example(Q):
 def test_position_guards(Q):
     one = LaurentPolynomial.constant(Q, 1)
     sig = LaurentPolynomial.sigma(Q)
-    sym = LaurentSymbol((_entry(Q, (one - sig, 1)), _entry(Q, (sig, 1))))
+    sym = Symbol((_entry(Q, (one - sig, 1)), _entry(Q, (sig, 1))))
     state = _state(Q, (1, sym))
     with pytest.raises(PositionInvalid):
         check_step(CheckState(state, "laurent", None),
@@ -126,7 +126,7 @@ def test_position_guards(Q):
 def test_projection_requires_order_zero_atoms(Q):
     sig = LaurentPolynomial.sigma(Q)
     one = LaurentPolynomial.constant(Q, 1)
-    sym = LaurentSymbol((_entry(Q, (sig, 1), ((one - sig), 1)), _entry(Q, (one - sig, 1))))
+    sym = Symbol((_entry(Q, (sig, 1), ((one - sig), 1)), _entry(Q, (one - sig, 1))))
     with pytest.raises(SideConditionFailed):
         check_step(CheckState(_state(Q, (1, sym)), "laurent", None),
                    RewriteStep("projection", {}, {"order": 2}))

@@ -226,3 +226,114 @@ def test_suite_towers_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "summary.failed=0" in out1
+
+
+def test_tower_zero_denominator_exit_2(capsys, tmp_path):
+    tower = tmp_path / "z.tower"
+    tower.write_text("dims: 1, 1\nmap 0: 1/0\n")
+    code = main(["tower", "--tower", str(tower), "--format", "record"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "input error" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.fixture()
+def xy_spec(tmp_path):
+    path = tmp_path / "xy.spec"
+    path.write_text("variables: x, y\nrelations: x^2, x*y, y^2\n")
+    return str(path)
+
+
+PHI_T3 = """report=relative-generators
+phi.n=1
+phi.p=2
+phi.count=13
+phi.gen.000=1*{sigma + 1, t + 1}
+phi.gen.001=1*{sigma + 1, t^2 + 1}
+phi.gen.002=1*{sigma + 1, 2}
+phi.gen.003=1*{sigma + 1, 3}
+phi.gen.004=1*{t*sigma + 1, t + 1}
+phi.gen.005=1*{t*sigma + 1, t^2 + 1}
+phi.gen.006=1*{t*sigma + 1, 2}
+phi.gen.007=1*{t*sigma + 1, 3}
+phi.gen.008=1*{t^2*sigma + 1, t + 1}
+phi.gen.009=1*{t^2*sigma + 1, t^2 + 1}
+phi.gen.010=1*{t^2*sigma + 1, 2}
+phi.gen.011=1*{t^2*sigma + 1, 3}
+phi.gen.012=1*{sigma + 1, -sigma + 1}
+"""
+
+PHI_XY = """report=relative-generators
+phi.n=1
+phi.p=2
+phi.count=13
+phi.gen.000=1*{sigma + 1, y + 1}
+phi.gen.001=1*{sigma + 1, x + 1}
+phi.gen.002=1*{sigma + 1, 2}
+phi.gen.003=1*{sigma + 1, 3}
+phi.gen.004=1*{y*sigma + 1, y + 1}
+phi.gen.005=1*{y*sigma + 1, x + 1}
+phi.gen.006=1*{y*sigma + 1, 2}
+phi.gen.007=1*{y*sigma + 1, 3}
+phi.gen.008=1*{x*sigma + 1, y + 1}
+phi.gen.009=1*{x*sigma + 1, x + 1}
+phi.gen.010=1*{x*sigma + 1, 2}
+phi.gen.011=1*{x*sigma + 1, 3}
+phi.gen.012=1*{sigma + 1, -sigma + 1}
+"""
+
+TANGENT_T3 = """report=tangent-span
+span.rank=0
+span.dim=0
+span.spans=true
+span.certificate=-
+"""
+
+TANGENT_XY = """report=tangent-span
+span.rank=1
+span.dim=1
+span.spans=true
+span.certificate=1
+"""
+
+
+@pytest.mark.parametrize("spec, argv, expected", [
+    ("t3_spec", ["phi", "--n", "1", "--p", "2"], PHI_T3),
+    ("xy_spec", ["phi", "--n", "1", "--p", "2"], PHI_XY),
+    ("t3_spec", ["tangent-span", "--p", "3"], TANGENT_T3),
+    ("xy_spec", ["tangent-span", "--p", "3"], TANGENT_XY),
+])
+def test_symbol_records_pinned(capsys, request, spec, argv, expected):
+    path = request.getfixturevalue(spec)
+    code, out = run(capsys, *argv, "--algebra", path, "--format", "record")
+    assert code == 0
+    assert out == expected
+
+
+@pytest.fixture()
+def t3_eq8_doc(capsys, t3_spec, tmp_path):
+    saved = tmp_path / "t3eq8.json"
+    assert run(capsys, "certify-eq8", "--algebra", t3_spec, "--c", "1+t", "--n", "2",
+               "--save", str(saved))[0] == 0
+    return json.loads(saved.read_text())
+
+
+@pytest.mark.parametrize("rule, key, value", [
+    ("bilinearity", "at", "1"),
+    ("projection", "order", "3"),
+    ("torsion_scale", "m", [2]),
+    ("steinberg", "slots", 5),
+    ("steinberg", "symbol", [1]),
+    ("torsion_scale", "m", "x"),
+    ("steinberg", "coeff", "abc"),
+])
+def test_certificate_step_field_of_wrong_type_fails_at_step(
+        capsys, tmp_path, t3_eq8_doc, rule, key, value):
+    steps = t3_eq8_doc["steps"]
+    idx = next(i for i, s in enumerate(steps)
+               if s["rule"] == rule and (key in s["payload"] or key == "slots"))
+    steps[idx]["payload"][key] = value
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert code == 1
+    assert f"certificate.failure_index={idx}\n" in out
+    assert "Traceback" not in err

@@ -8,8 +8,8 @@ from milnork.errors import NonUnitEntry
 from milnork.laurent import (
     LaurentEntry,
     LaurentPolynomial,
-    LaurentState,
-    LaurentSymbol,
+    Symbol,
+    SymbolCombination,
     entries_sum_is_one,
     entries_sum_is_zero,
     entries_value_equal,
@@ -104,10 +104,10 @@ def test_sum_side_conditions():
 def test_state_canonicalization():
     one = LaurentPolynomial.constant(T2, 1)
     s = LaurentPolynomial.sigma(T2)
-    sym = LaurentSymbol((LaurentEntry(T2, [(one - s, 1)]), LaurentEntry(T2, [(s, 1)])))
-    state = LaurentState(T2, 2, [(1, sym), (2, sym), (-3, sym)])
+    sym = Symbol((LaurentEntry(T2, [(one - s, 1)]), LaurentEntry(T2, [(s, 1)])))
+    state = SymbolCombination(T2, 2, [(1, sym), (2, sym), (-3, sym)])
     assert not state
-    state2 = LaurentState(T2, 2, [(Fraction(1, 2), sym), (Fraction(1, 2), sym)])
+    state2 = SymbolCombination(T2, 2, [(Fraction(1, 2), sym), (Fraction(1, 2), sym)])
     assert len(state2.terms) == 1 and state2.terms[0][0] == 1
 
 
