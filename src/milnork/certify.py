@@ -41,6 +41,7 @@ from functools import cached_property
 from .algebra import build_algebra, AlgebraSpec, transport, truncated_extension
 from .errors import (
     NonUnitC,
+    NonUnitEntry,
     ParseError,
     PositionInvalid,
     PrecisionInsufficient,
@@ -159,7 +160,7 @@ class Certificate:
         for i, step in enumerate(self.steps):
             try:
                 cstate = check_step(cstate, step)
-            except (SideConditionFailed, PositionInvalid) as exc:
+            except (SideConditionFailed, PositionInvalid, NonUnitEntry) as exc:
                 return Replay(tuple(states), i, str(exc))
             states.append(cstate)
         return Replay(tuple(states), None, None)
@@ -202,6 +203,7 @@ class CertificateVerdict:
         rows = [("certificate.valid", "true" if self.valid else "false")]
         if self.failure_index is not None:
             rows.append(("certificate.failure_index", self.failure_index))
+            rows.append(("certificate.failure_detail", self.steps[self.failure_index].detail))
         rows.append(("certificate.steps", len(self.steps)))
         rows.append(("certificate.final_matches_goal",
                      "true" if self.final_matches_goal else "false"))

@@ -253,11 +253,20 @@ def wedge(f, g):
 
 
 def dlog(u):
-    """dlog(u) = du * u^{-1}, a 1-form; requires u to be a unit."""
-    A = u.algebra
+    """dlog(u) = du * u^{-1}, a 1-form; requires u to be a unit.
+
+    Memoized per algebra on u's key: elements and forms are immutable, so
+    every caller may share the one form.
+    """
     if not u.augmentation():
         raise NotAUnit(f"dlog of non-unit {u}")
-    return d(u).act(invert_unit(A, u))
+    A = u.algebra
+    cache = A._misc_cache.setdefault("dlog", {})
+    key = u.key()
+    form = cache.get(key)
+    if form is None:
+        form = cache[key] = d(u).act(invert_unit(A, u))
+    return form
 
 
 def map_form(f, target_algebra, rename=None):

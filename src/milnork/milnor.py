@@ -38,7 +38,7 @@ from .linalg import RowSpace, express
 class SymbolEntry:
     """A formal product of algebra units: atoms (element, exponent)."""
 
-    __slots__ = ("algebra", "atoms", "_collapsed")
+    __slots__ = ("algebra", "atoms", "_collapsed", "_key")
 
     def __init__(self, algebra, atoms):
         self.algebra = algebra
@@ -52,6 +52,7 @@ class SymbolEntry:
                 norm.append((elem, exp))
         self.atoms = tuple(norm)
         self._collapsed = None
+        self._key = None
 
     def collapse(self):
         """The product of the atom powers; a unit, as each atom is one."""
@@ -63,10 +64,18 @@ class SymbolEntry:
         return self._collapsed
 
     def key(self):
-        return self.collapse().key()
+        if self._key is None:
+            self._key = self.collapse().key()
+        return self._key
 
     def __str__(self):
         return str(self.collapse())
+
+
+def _unit_entry(u):
+    """The single-atom entry u.  The generator families build one per slot
+    value and share it, so its value and key are computed once."""
+    return SymbolEntry(u.algebra, [(u, 1)])
 
 
 def make_symbol(entries, coeff=1, algebra=None):
@@ -81,7 +90,7 @@ def make_symbol(entries, coeff=1, algebra=None):
             built.append(entry)
             continue
         if isinstance(entry, AlgebraElement):
-            built.append(SymbolEntry(entry.algebra, [(entry, 1)]))
+            built.append(_unit_entry(entry))
             continue
         if isinstance(entry, (list, tuple)):
             if algebra is None:
@@ -90,7 +99,7 @@ def make_symbol(entries, coeff=1, algebra=None):
             continue
         if algebra is None:
             raise AlgebraMismatch("need an algebra to parse string entries")
-        built.append(SymbolEntry(algebra, [(algebra.element(entry), 1)]))
+        built.append(_unit_entry(algebra.element(entry)))
     sym = Symbol(tuple(built))
     return SymbolCombination(sym.algebra, sym.degree, [(coeff, sym)])
 
@@ -135,13 +144,22 @@ def dlog_realize(comb):
 
 
 def _coefficient_wedge(c, units):
-    """c * dlog u_1 ^ ... ^ dlog u_k over c's algebra; the 0-form c when k = 0."""
-    acc = None
-    for u in units:
-        f = dlog(u)
-        acc = f if acc is None else wedge(acc, f)
+    """c * dlog u_1 ^ ... ^ dlog u_k over c's algebra; the 0-form c when k = 0.
+
+    The wedge is memoized, like dlog, on the algebra it lives in, keyed by
+    the units' keys; only the action of c is computed per call.
+    """
+    A = units[0].algebra if units else c.algebra
+    cache = A._misc_cache.setdefault("dlog_wedges", {})
+    key = tuple(u.key() for u in units)
+    acc = cache.get(key)
     if acc is None:
-        acc = omega_module(c.algebra, 0).form({0: Fraction(1)})
+        for u in units:
+            f = dlog(u)
+            acc = f if acc is None else wedge(acc, f)
+        if acc is None:
+            acc = omega_module(A, 0).form({0: Fraction(1)})
+        cache[key] = acc
     return acc.act(c)
 
 
@@ -175,19 +193,19 @@ def relative_generators(algebra, n, p, coeffs=None, units=None, sigma_name="sigm
     sn = sigma ** n
     coeffs = coefficient_samples(algebra) if coeffs is None else [algebra.element(c) for c in coeffs]
     units = unit_samples(algebra) if units is None else [algebra.element(u) for u in units]
-    lifted = [transport(u, B) for u in units]
+    lifted = [_unit_entry(transport(u, B)) for u in units]
     gens = []
     tails = _tuples(lifted, p - 1)
     for c in coeffs:
-        first = B.one + transport(c, B) * sn
+        first = _unit_entry(B.one + transport(c, B) * sn)
         for tail in tails:
-            gens.append(make_symbol([first] + list(tail), 1))
-    one_minus = B.one - sigma
+            gens.append(make_symbol((first,) + tail, 1))
+    one_minus = _unit_entry(B.one - sigma)
     unit_coeffs = [c for c in coeffs if c.augmentation()]
     for e in unit_coeffs:
-        first = B.one + transport(e, B) * sn
+        first = _unit_entry(B.one + transport(e, B) * sn)
         for tail in _tuples(lifted, p - 2):
-            gens.append(make_symbol([first, one_minus] + list(tail), 1))
+            gens.append(make_symbol((first, one_minus) + tail, 1))
     return gens
 
 
@@ -199,9 +217,9 @@ def tangent_generators(algebra, p):
     """
     T = tangent_extension(algebra)
     eps = T.variable("eps")
-    tails = _tuples([transport(u, T) for u in unit_samples(algebra)], p - 1)
-    return [make_symbol([T.one + transport(c, T) * eps] + list(tail), 1)
-            for c in coefficient_samples(algebra) for tail in tails]
+    tails = _tuples([_unit_entry(transport(u, T)) for u in unit_samples(algebra)], p - 1)
+    firsts = [_unit_entry(T.one + transport(c, T) * eps) for c in coefficient_samples(algebra)]
+    return [make_symbol((first,) + tail, 1) for first in firsts for tail in tails]
 
 
 def _tuples(pool, k):

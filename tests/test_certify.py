@@ -199,6 +199,27 @@ def test_corrupted_certificate_rejected_at_exact_step(Q):
     assert rep.steps[-1][0] == idx and rep.steps[-1][2] is False
 
 
+def test_failure_detail_in_record_only_when_invalid(Q):
+    cert = vanishing_certificate(Q, 1, 1)
+    assert not any(key == "certificate.failure_detail"
+                   for key, _ in check_certificate(cert).record())
+    idx = next(i for i, s in enumerate(cert.steps) if s.rule == "entry_identity")
+    step = cert.steps[idx]
+    bad_atoms = [(poly + LaurentPolynomial.constant(Q, 1), exp)
+                 for poly, exp in step.payload["atoms"]]
+    bad = replace(cert, steps=tuple(
+        RewriteStep(s.rule, s.position, {**s.payload, "atoms": bad_atoms}) if i == idx else s
+        for i, s in enumerate(cert.steps)))
+    verdict = check_certificate(bad)
+    assert not verdict.valid and verdict.failure_index == idx
+    rows = verdict.record()
+    keys = [key for key, _ in rows]
+    assert keys.count("certificate.failure_detail") == 1
+    at = keys.index("certificate.failure_index")
+    assert rows[at + 1] == ("certificate.failure_detail", verdict.steps[idx].detail)
+    assert "entry_identity" in verdict.steps[idx].detail
+
+
 def test_precision_insufficient(Q):
     cert = vanishing_certificate(Q, 1, 2)
     with pytest.raises(PrecisionInsufficient):

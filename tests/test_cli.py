@@ -337,3 +337,16 @@ def test_certificate_step_field_of_wrong_type_fails_at_step(
     assert code == 1
     assert f"certificate.failure_index={idx}\n" in out
     assert "Traceback" not in err
+
+
+def test_certificate_step_with_non_unit_atom_fails_at_step(capsys, tmp_path, t3_eq8_doc):
+    # projecting to order 0 drops every atom's unit term
+    steps = t3_eq8_doc["steps"]
+    idx = next(i for i, s in enumerate(steps) if s["rule"] == "projection")
+    steps[idx]["payload"]["order"] = 0
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert code == 1
+    assert "certificate.valid=false\n" in out
+    assert f"certificate.failure_index={idx}\n" in out
+    assert "certificate.failure_detail=atom is not a unit" in out
+    assert "input error" not in err

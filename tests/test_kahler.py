@@ -163,6 +163,30 @@ def test_dlog_multiplicative():
     assert dlog(u * v) == dlog(u) + dlog(v)
 
 
+def test_dlog_memo_stays_in_its_algebra():
+    # two algebras with the same variable names: 1+t has the same key in
+    # each, yet each dlog lives in its own algebra's module
+    A = alg(["t"], ["t^3"])
+    twin = alg(["t"], ["t^3"])
+    B = alg(["t"], ["t^4"])
+    forms = [dlog(R.element("1+t")) for R in (A, twin, B)]
+    for R, f in zip((A, twin, B), forms):
+        assert f.module is omega_module(R, 1)
+    assert forms[0].coords == forms[1].coords
+    assert forms[2].coords == {0: Fraction(1), 1: Fraction(-1), 2: Fraction(1)}
+
+
+def test_dlog_repeated_calls_agree():
+    A = alg(["x", "y"], ["x^2", "x*y", "y^2"])
+    first = dlog(A.element("2 + x - y"))
+    again = dlog(A.element("2 + x - y"))
+    assert again == first
+    inverse = (A.element(2) - A.element("x") + A.element("y")) * Fraction(1, 4)
+    assert again == d(A.element("2 + x - y")).act(inverse)
+    with pytest.raises(NotAUnit):
+        dlog(A.element("x"))
+
+
 def test_functorial_projection_commutes_with_d():
     A = alg(["t"], ["t^3"])
     big = truncated_extension(A, "sigma", 3)

@@ -105,6 +105,25 @@ def test_generator_families_shape():
     assert relative_generators(Q, 1, 2, coeffs=[], units=[]) == []
 
 
+def test_realizing_a_family_inverts_each_unit_once(monkeypatch):
+    from milnork import kahler
+
+    calls = {}
+    invert = kahler.invert_unit
+
+    def counting(algebra, u):
+        calls[u.key()] = calls.get(u.key(), 0) + 1
+        return invert(algebra, u)
+
+    monkeypatch.setattr(kahler, "invert_unit", counting)
+    A = alg(["x", "y"], [f"x^{a}*y^{4 - a}" for a in range(5)])
+    gens = relative_generators(A, 2, 3)
+    verdict = span_check([relative_realize(g, 2) for g in gens], omega_module(A, 2))
+    assert (verdict.rank, verdict.dim, len(gens)) == (6, 6, 1221)
+    assert calls and max(calls.values()) == 1
+    assert len(calls) <= len(unit_samples(A))
+
+
 def test_relative_realize_examples(t3):
     B = truncated_extension(t3, "sigma", 2)
     s = make_symbol(["1 + t*sigma", "1 + t"], 1, algebra=B)
