@@ -1,83 +1,1 @@
 """Exact computer algebra for Artinian local Q-algebras and Milnor symbols."""
-
-from .algebra import (
-    Algebra,
-    AlgebraElement,
-    AlgebraSpec,
-    build_algebra,
-    invert_unit,
-    is_unit,
-    log_one_unit,
-    normal_form,
-    transport,
-    truncated_extension,
-)
-from .certify import (
-    Certificate,
-    check_certificate,
-    check_step,
-    crosscheck_dlog,
-    splitting_certificate,
-    vanishing_certificate,
-)
-from .kahler import (
-    DifferentialForm,
-    OmegaModule,
-    d,
-    decomposition_report,
-    dlog,
-    omega_module,
-    wedge,
-)
-from .laurent import Symbol, SymbolCombination
-from .milnor import (
-    SymbolEntry,
-    dlog_realize,
-    make_symbol,
-    relative_generators,
-    relative_realize,
-    span_check,
-    tangent_realize,
-    transport_check,
-)
-from .towers import Tower, limit_dim, ml_window_check, surjectivity_check
-
-__all__ = [
-    "Algebra",
-    "AlgebraElement",
-    "AlgebraSpec",
-    "Certificate",
-    "DifferentialForm",
-    "OmegaModule",
-    "Symbol",
-    "SymbolCombination",
-    "SymbolEntry",
-    "Tower",
-    "build_algebra",
-    "check_certificate",
-    "check_step",
-    "crosscheck_dlog",
-    "d",
-    "decomposition_report",
-    "dlog",
-    "dlog_realize",
-    "invert_unit",
-    "is_unit",
-    "limit_dim",
-    "log_one_unit",
-    "make_symbol",
-    "ml_window_check",
-    "normal_form",
-    "omega_module",
-    "relative_generators",
-    "relative_realize",
-    "span_check",
-    "splitting_certificate",
-    "surjectivity_check",
-    "tangent_realize",
-    "transport",
-    "transport_check",
-    "truncated_extension",
-    "vanishing_certificate",
-    "wedge",
-]

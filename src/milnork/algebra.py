@@ -357,18 +357,6 @@ def build_algebra(spec):
     return alg
 
 
-def normal_form(algebra, poly):
-    """Unique reduced representative of an expression string or Polynomial."""
-    if isinstance(poly, str):
-        return algebra.element(poly)
-    return algebra.element_from_poly(poly)
-
-
-def is_unit(algebra, e):
-    e = algebra.element(e)
-    return bool(e.augmentation())
-
-
 def invert_unit(algebra, u):
     """Exact inverse via a geometric series on the nilpotent part."""
     u = algebra.element(u)

@@ -154,33 +154,48 @@ class Certificate:
     @cached_property
     def replay(self):
         """The one run of check_step over the steps, shared by the verdict
-        and the dlog crosscheck."""
-        cstate = CheckState(self.start, "laurent", None)
-        states = [cstate]
+        and the dlog crosscheck.  A built certificate carries the run its
+        builder made; any other replays its steps here, once."""
+        run = Replay(self.start)
         for i, step in enumerate(self.steps):
             try:
-                cstate = check_step(cstate, step)
+                run.apply(step)
             except (SideConditionFailed, PositionInvalid, NonUnitEntry) as exc:
-                return Replay(tuple(states), i, str(exc))
-            states.append(cstate)
-        return Replay(tuple(states), None, None)
+                run.failure, run.reason = i, str(exc)
+                break
+        return run
 
 
-@dataclass(frozen=True)
 class Replay:
-    states: tuple  # CheckState before the first step and after each accepted one
-    failure: int | None  # index of the first rejected step
-    reason: str | None
+    """A run of check_step from a start state, grown one step at a time."""
+
+    def __init__(self, start):
+        self.states = [CheckState(start)]  # before the first step and after each accepted one
+        self.steps = []  # the accepted steps
+        self.failure = None  # index of the first rejected step
+        self.reason = None
+
+    def apply(self, step):
+        self.states.append(check_step(self.states[-1], step))
+        self.steps.append(step)
+
+    def rewrite(self, rule, position, payload):
+        self.apply(RewriteStep(rule, position, payload))
+
+    def index_of(self, sym):
+        idx = self.states[-1].state.find(sym.key())
+        if idx is None:
+            raise PositionInvalid(f"term {sym} not present in the working state")
+        return idx
 
 
 @dataclass
 class CheckState:
     state: SymbolCombination
-    mode: str  # "laurent" | "truncated"
-    order: int | None
+    order: int | None = None  # None over Laurent polynomials, the truncation after projection
 
     def clone(self, state):
-        return CheckState(state, self.mode, self.order)
+        return CheckState(state, self.order)
 
 
 @dataclass(frozen=True)
@@ -233,7 +248,7 @@ def check_step(cstate, step):
     pos, pay = step.position, step.payload
 
     if rule == "projection":
-        if cstate.mode != "laurent":
+        if order is not None:
             raise SideConditionFailed("projection applies only once, from the Laurent ring")
         trunc = pay["order"]
         for coeff, sym in state.terms:
@@ -243,7 +258,7 @@ def check_step(cstate, step):
                         raise SideConditionFailed(
                             f"atom {poly} has sigma-order {poly.ord()}; "
                             "projection needs order-zero atoms")
-        return CheckState(state.truncate(trunc), "truncated", trunc)
+        return CheckState(state.truncate(trunc), trunc)
 
     if rule == "steinberg" or rule == "minus_arg":
         want_one = rule == "steinberg"
@@ -396,25 +411,6 @@ def _claim_linked(cert):
 # -- built-in certificate chains ------------------------------------------------
 
 
-class _Chain:
-    """Builds a step list by replaying the checker on a working state."""
-
-    def __init__(self, start_state):
-        self.cstate = CheckState(start_state, "laurent", None)
-        self.steps = []
-
-    def apply(self, rule, position=None, payload=None):
-        step = RewriteStep(rule, position or {}, payload or {})
-        self.cstate = check_step(self.cstate, step)
-        self.steps.append(step)
-
-    def index_of(self, sym):
-        idx = self.cstate.state.find(sym.key())
-        if idx is None:
-            raise PositionInvalid(f"term {sym} not present in the working state")
-        return idx
-
-
 def _entry(A, *atoms):
     return LaurentEntry(A, list(atoms))
 
@@ -423,22 +419,86 @@ def _sym(*entries):
     return Symbol(tuple(entries))
 
 
-def _cert_pieces(algebra, c, n):
-    c = algebra.element(c)
+def _splitting_chain(algebra, c, n):
+    """Run the eq7 chain from {1 + c s^(n+1), c} to (n+1) {(1-s) w, g}.
+
+    Returns c as an algebra element, the run, and the Laurent polynomials
+    1, 1 - s, w = 1 + c s^(n+1) and g = w - c s^n that the goal and the eq8
+    extension are written in.
+    """
+    A = algebra
+    c = A.element(c)
     if not c.augmentation():
         raise NonUnitC("the coefficient c must be a unit of the base algebra "
                        "(split non-units by additivity first)")
-    one = LaurentPolynomial.constant(algebra, 1)
-    sig = LaurentPolynomial.sigma(algebra, 1)
-    c0 = LaurentPolynomial(algebra, {0: c})
-    w = one + LaurentPolynomial(algebra, {n + 1: c})            # 1 + c s^(n+1)
-    g = w - LaurentPolynomial(algebra, {n: c})                   # 1 + c s^(n+1) - c s^n
-    one_minus_sigma = one - sig
-    minus_c_sig = LaurentPolynomial(algebra, {n + 1: -c})        # -c s^(n+1)
-    minus_one = LaurentPolynomial.constant(algebra, -1)
-    sigma_g = sig.mul(g)                                         # s + c s^(n+2) - c s^(n+1)
-    one_minus_sigma_g = one - sigma_g
-    return c, one, sig, c0, w, g, one_minus_sigma, minus_c_sig, minus_one, one_minus_sigma_g
+    one = LaurentPolynomial.constant(A, 1)
+    sig = LaurentPolynomial.sigma(A, 1)
+    c0 = LaurentPolynomial(A, {0: c})
+    w = one + LaurentPolynomial(A, {n + 1: c})            # 1 + c s^(n+1)
+    g = w - LaurentPolynomial(A, {n: c})                   # 1 + c s^(n+1) - c s^n
+    one_m_s = one - sig
+    minus_c_sig = LaurentPolynomial(A, {n + 1: -c})        # -c s^(n+1)
+    minus_one = LaurentPolynomial.constant(A, -1)
+    sigma_g = sig.mul(g)                                   # s + c s^(n+2) - c s^(n+1)
+    one_m_sg = one - sigma_g
+
+    e_w = _entry(A, (w, 1))
+    e_c = _entry(A, (c0, 1))
+    run = Replay(SymbolCombination(A, 2, [(1, _sym(e_w, e_c))]))
+
+    # {w, -c s^(n+1)} is a Steinberg pair: the two values sum to 1
+    s_minus = _sym(e_w, _entry(A, (minus_c_sig, 1)))
+    run.rewrite("steinberg", {}, {"mode": "insert", "coeff": "-1", "symbol": s_minus})
+    # {w, (-1)^6} has a slot collapsing to 1, so it may be inserted freely;
+    # the odd power left after unpacking keeps this helper's key distinct
+    # from the start term even when c is the constant -1
+    s_sq = _sym(e_w, _entry(A, (minus_one, 6)))
+    run.rewrite("bilinearity", {}, {"mode": "insert", "coeff": "-1/2",
+                                    "symbol": s_sq, "slot": 1})
+    run.rewrite("torsion_scale", {"term": run.index_of(s_sq), "slot": 1},
+                {"mode": "unpack", "m": 2})
+    s_m1 = _sym(e_w, _entry(A, (minus_one, 3)))
+    run.rewrite("bilinearity",
+                {"term": run.index_of(s_minus), "term2": run.index_of(s_m1), "slot": 1},
+                {"mode": "merge"})
+    s_merged = _sym(e_w, _entry(A, (minus_c_sig, 1), (minus_one, 3)))
+    run.rewrite("entry_factor", {"term": run.index_of(s_merged), "slot": 1},
+                {"atoms": [(c0, 1), (sig, n + 1)]})
+    s_fact = _sym(e_w, _entry(A, (c0, 1), (sig, n + 1)))
+    run.rewrite("bilinearity", {"term": run.index_of(s_fact), "slot": 1},
+                {"mode": "split", "at": 1})
+    # the -1 {w, c} piece cancels the start term; only -1 {w, s^(n+1)} remains
+    s_pow = _sym(e_w, _entry(A, (sig, n + 1)))
+    run.rewrite("torsion_scale", {"term": run.index_of(s_pow), "slot": 1},
+                {"mode": "unpack", "m": n + 1})
+    s_sig = _sym(e_w, _entry(A, (sig, 1)))
+    run.rewrite("steinberg", {}, {"mode": "insert", "coeff": f"-{n + 1}",
+                                  "symbol": _sym(_entry(A, (one_m_s, 1)),
+                                                 _entry(A, (sig, 1)))})
+    s_oms = _sym(_entry(A, (one_m_s, 1)), _entry(A, (sig, 1)))
+    run.rewrite("bilinearity",
+                {"term": run.index_of(s_oms), "term2": run.index_of(s_sig), "slot": 0},
+                {"mode": "merge"})
+    # the merged -(n+1) {(1-s)w, s} cancels against the split of the next insert
+    s_stein = _sym(_entry(A, (one_m_sg, 1)), _entry(A, (sig, 1), (g, 1)))
+    run.rewrite("steinberg", {}, {"mode": "insert", "coeff": f"{n + 1}",
+                                  "symbol": s_stein})
+    run.rewrite("entry_identity", {"term": run.index_of(s_stein), "slot": 0},
+                {"atoms": [(one_m_s, 1), (w, 1)]})
+    s_ident = _sym(_entry(A, (one_m_s, 1), (w, 1)), _entry(A, (sig, 1), (g, 1)))
+    run.rewrite("bilinearity", {"term": run.index_of(s_ident), "slot": 1},
+                {"mode": "split", "at": 1})
+    # the (n+1) {(1-s)w, s} piece cancels; the goal term remains
+    return c, run, (one, one_m_s, w, g)
+
+
+def _built(context, run, goal, claim_lhs, claim_rhs, linkage, annotations):
+    """The certificate of a builder's run, carrying that run as its replay."""
+    assert run.states[-1].state == goal, "internal: certificate chain does not reach its goal"
+    cert = Certificate(context, run.states[0].state, goal, tuple(run.steps),
+                       claim_lhs, claim_rhs, linkage, annotations)
+    cert.__dict__["replay"] = run
+    return cert
 
 
 def splitting_certificate(algebra, c, n):
@@ -446,101 +506,40 @@ def splitting_certificate(algebra, c, n):
 
     Works in the Laurent ring, with c a unit of the base algebra.
     """
-    (c, one, sig, c0, w, g, one_m_s, minus_c_sig, minus_one,
-     one_m_sg) = _cert_pieces(algebra, c, n)
+    c, run, (one, one_m_s, w, g) = _splitting_chain(algebra, c, n)
     A = algebra
-
-    e_w = _entry(A, (w, 1))
-    e_c = _entry(A, (c0, 1))
-    start = SymbolCombination(A, 2, [(1, _sym(e_w, e_c))])
-    chain = _Chain(start)
-
-    # {w, -c s^(n+1)} is a Steinberg pair: the two values sum to 1
-    s_minus = _sym(e_w, _entry(A, (minus_c_sig, 1)))
-    chain.apply("steinberg", {}, {"mode": "insert", "coeff": "-1", "symbol": s_minus})
-    # {w, (-1)^6} has a slot collapsing to 1, so it may be inserted freely;
-    # the odd power left after unpacking keeps this helper's key distinct
-    # from the start term even when c is the constant -1
-    s_sq = _sym(e_w, _entry(A, (minus_one, 6)))
-    chain.apply("bilinearity", {}, {"mode": "insert", "coeff": "-1/2",
-                                    "symbol": s_sq, "slot": 1})
-    chain.apply("torsion_scale", {"term": chain.index_of(s_sq), "slot": 1},
-                {"mode": "unpack", "m": 2})
-    s_m1 = _sym(e_w, _entry(A, (minus_one, 3)))
-    chain.apply("bilinearity",
-                {"term": chain.index_of(s_minus), "term2": chain.index_of(s_m1), "slot": 1},
-                {"mode": "merge"})
-    s_merged = _sym(e_w, _entry(A, (minus_c_sig, 1), (minus_one, 3)))
-    chain.apply("entry_factor", {"term": chain.index_of(s_merged), "slot": 1},
-                {"atoms": [(c0, 1), (sig, n + 1)]})
-    s_fact = _sym(e_w, _entry(A, (c0, 1), (sig, n + 1)))
-    chain.apply("bilinearity", {"term": chain.index_of(s_fact), "slot": 1},
-                {"mode": "split", "at": 1})
-    # the -1 {w, c} piece cancels the start term; only -1 {w, s^(n+1)} remains
-    s_pow = _sym(e_w, _entry(A, (sig, n + 1)))
-    chain.apply("torsion_scale", {"term": chain.index_of(s_pow), "slot": 1},
-                {"mode": "unpack", "m": n + 1})
-    s_sig = _sym(e_w, _entry(A, (sig, 1)))
-    chain.apply("steinberg", {}, {"mode": "insert", "coeff": f"-{n + 1}",
-                                  "symbol": _sym(_entry(A, (one_m_s, 1)),
-                                                 _entry(A, (sig, 1)))})
-    s_oms = _sym(_entry(A, (one_m_s, 1)), _entry(A, (sig, 1)))
-    chain.apply("bilinearity",
-                {"term": chain.index_of(s_oms), "term2": chain.index_of(s_sig), "slot": 0},
-                {"mode": "merge"})
-    # the merged -(n+1) {(1-s)w, s} cancels against the split of the next insert
-    s_stein = _sym(_entry(A, (one_m_sg, 1)), _entry(A, (sig, 1), (g, 1)))
-    chain.apply("steinberg", {}, {"mode": "insert", "coeff": f"{n + 1}",
-                                  "symbol": s_stein})
-    chain.apply("entry_identity", {"term": chain.index_of(s_stein), "slot": 0},
-                {"atoms": [(one_m_s, 1), (w, 1)]})
-    s_ident = _sym(_entry(A, (one_m_s, 1), (w, 1)), _entry(A, (sig, 1), (g, 1)))
-    chain.apply("bilinearity", {"term": chain.index_of(s_ident), "slot": 1},
-                {"mode": "split", "at": 1})
-    # the (n+1) {(1-s)w, s} piece cancels; the goal term remains
-
     goal_sym = _sym(_entry(A, (one_m_s, 1), (w, 1)), _entry(A, (g, 1)))
     goal = SymbolCombination(A, 2, [(n + 1, goal_sym)])
-    assert chain.cstate.state == goal, "internal: splitting chain does not reach its goal"
-    ctx = CertContext(algebra, n, c)
-    return Certificate(ctx, start, goal, tuple(chain.steps), start, goal, "direct",
-                       annotations=(SHORTCUT_NOTE,))
+    return _built(CertContext(algebra, n, c), run, goal, run.states[0].state, goal,
+                  "direct", (SHORTCUT_NOTE,))
 
 
 def vanishing_certificate(algebra, c, n):
     """Extend the splitting chain by the projection to A[s]/s^(n+1) and conclude
     {1 - s, 1 - (n+1) c s^n} = 0 there."""
-    base = splitting_certificate(algebra, c, n)
-    (c, one, sig, c0, w, g, one_m_s, minus_c_sig, minus_one,
-     one_m_sg) = _cert_pieces(algebra, c, n)
+    c, run, (one, one_m_s, w, g) = _splitting_chain(algebra, c, n)
     A = algebra
     trunc = n + 1
 
-    chain = _Chain(base.start)
-    chain.cstate = CheckState(base.goal, "laurent", None)
-    chain.steps = list(base.steps)
-
-    chain.apply("projection", {}, {"order": trunc})
+    run.rewrite("projection", {}, {"order": trunc})
     w_proj = w.truncate(trunc)          # collapses to 1
     g_proj = g.truncate(trunc)          # 1 - c s^n
     s_after = _sym(_entry(A, (one_m_s, 1), (w_proj, 1)), _entry(A, (g_proj, 1)))
-    chain.apply("entry_factor", {"term": chain.index_of(s_after), "slot": 0},
+    run.rewrite("entry_factor", {"term": run.index_of(s_after), "slot": 0},
                 {"atoms": [(one_m_s, 1)]})
     s_clean = _sym(_entry(A, (one_m_s, 1)), _entry(A, (g_proj, 1)))
-    chain.apply("torsion_scale", {"term": chain.index_of(s_clean), "slot": 1},
+    run.rewrite("torsion_scale", {"term": run.index_of(s_clean), "slot": 1},
                 {"mode": "pack", "m": n + 1})
     s_packed = _sym(_entry(A, (one_m_s, 1)), _entry(A, (g_proj, n + 1)))
     final_poly = one - LaurentPolynomial(A, {n: c * (n + 1)})
-    chain.apply("entry_identity", {"term": chain.index_of(s_packed), "slot": 1},
+    run.rewrite("entry_identity", {"term": run.index_of(s_packed), "slot": 1},
                 {"atoms": [(final_poly, 1)]})
 
     goal_sym = _sym(_entry(A, (one_m_s, 1)), _entry(A, (final_poly, 1)))
     goal = SymbolCombination(A, 2, [(1, goal_sym)])
-    assert chain.cstate.state == goal, "internal: vanishing chain does not reach its goal"
     zero = SymbolCombination(A, 2, [])
-    ctx = CertContext(algebra, n, c)
-    return Certificate(ctx, base.start, goal, tuple(chain.steps), goal, zero,
-                       "vanishing_start", annotations=(SHORTCUT_NOTE, KERZ_NOTE))
+    return _built(CertContext(algebra, n, c), run, goal, goal, zero,
+                  "vanishing_start", (SHORTCUT_NOTE, KERZ_NOTE))
 
 
 # -- independent dlog soundness monitor -----------------------------------------
@@ -558,10 +557,7 @@ class ExtendedRealizer:
     """
 
     def __init__(self, algebra, precision, sigma_name="sigma"):
-        self.base = algebra
-        self.N = precision
         self.ring = truncated_extension(algebra, sigma_name, precision)
-        self.sigma_name = sigma_name
         self.omega1 = omega_module(self.ring, 1)
         self.omega2 = omega_module(self.ring, 2)
         self.sigma = self.ring.variable(sigma_name)
@@ -582,19 +578,6 @@ class ExtendedRealizer:
             if row:
                 self._z.insert(row)
 
-    def lift_poly(self, lp, shift):
-        """A truncation-ring element for sigma^(-shift) * lp."""
-        acc = self.ring.zero
-        for deg, coeff in lp.coeffs.items():
-            k = deg - shift
-            if k < 0:
-                raise PrecisionInsufficient("negative degree after shift")
-            if k >= self.N:
-                raise PrecisionInsufficient(
-                    f"atom needs sigma^{k}; raise the precision above {self.N}")
-            acc = acc + transport(coeff, self.ring) * (self.sigma ** k)
-        return acc
-
     def entry_dlog(self, entry):
         """Extended 1-form (omega, a) of dlog of the entry."""
         key = entry.key()
@@ -605,8 +588,7 @@ class ExtendedRealizer:
         s_part = self.ring.zero
         for poly, exp in entry.atoms:
             v = poly.ord()
-            h = self.lift_poly(poly, v)
-            omega = omega + dlog(h).scale(exp)
+            omega = omega + dlog(lift_laurent(poly, self.sigma, v)).scale(exp)
             if v:
                 s_part = s_part + self.ring.element(exp * v)
         cached = (omega, s_part)
@@ -650,18 +632,28 @@ class ExtendedRealizer:
             {self.omega2.basis_cols[i]: v for i, v in vector.items()})
 
 
-def truncated_realize(state, ring_ext, order):
+def lift_laurent(poly, sigma, shift=0):
+    """sigma^(-shift) * poly in the truncation ring A[sigma]/sigma^N of `sigma`."""
+    ring = sigma.algebra
+    N = ring.ext_order
+    acc = ring.zero
+    for deg, coeff in poly.coeffs.items():
+        k = deg - shift
+        if k >= N:
+            raise PrecisionInsufficient(
+                f"atom needs sigma^{k}; raise the precision above {N}")
+        acc = acc + transport(coeff, ring) * sigma ** k
+    return acc
+
+
+def truncated_realize(state, ring_ext):
     """Honest Omega^2 realization over A[s]/s^(n+1) for truncated states."""
     sig = ring_ext.variable(ring_ext.ext_name)
 
     def lifted_dlog(poly):
         if poly.ord() is None or poly.ord() < 0:
             raise PrecisionInsufficient("negative sigma order in truncated mode")
-        elem = ring_ext.zero
-        for dg, cf in poly.coeffs.items():
-            if dg < order:
-                elem = elem + transport(cf, ring_ext) * sig ** dg
-        return dlog(elem)
+        return dlog(lift_laurent(poly.truncate(ring_ext.ext_order), sig))
 
     return slotwise_realize(state, ring_ext, lifted_dlog)
 
@@ -720,33 +712,31 @@ def crosscheck_dlog(cert, precision=None):
 
     run = cert.replay
     prev_vec = realizer.realize_state(cert.start)
-    prev_mode = "laurent"
     step_rows = []
     all_ok = True
-    for i, (step, cstate) in enumerate(zip(cert.steps, run.states[1:])):
-        if cstate.mode == "laurent":
-            vec = realizer.realize_state(cstate.state)
+    for i, (step, before, after) in enumerate(zip(cert.steps, run.states, run.states[1:])):
+        if after.order is None:
+            vec = realizer.realize_state(after.state)
             ok = realizer.vectors_agree(vec, prev_vec)
             prev_vec = vec
         else:
-            post = truncated_realize(cstate.state, small_ring, n + 1)
-            if prev_mode == "laurent":
+            post = truncated_realize(after.state, small_ring)
+            if before.order is None:
                 eta = realizer.eta_form(prev_vec)
                 ok = eta is not None and map_form(eta, small_ring) == post
             else:
                 ok = post == prev_vec
             prev_vec = post
-        prev_mode = cstate.mode
         step_rows.append((i, step.rule, ok))
         all_ok = all_ok and ok
     if run.failure is not None:
         step_rows.append((run.failure, cert.steps[run.failure].rule, False))
         all_ok = False
 
-    if prev_mode == "laurent":
+    if run.states[-1].order is None:
         final_zero = realizer.vectors_agree(realizer.realize_state(cert.goal), {})
     else:
-        final_zero = not truncated_realize(cert.goal, small_ring, n + 1)
+        final_zero = not truncated_realize(cert.goal, small_ring)
     return CrosscheckReport(N, tuple(step_rows), all_ok, final_zero)
 
 

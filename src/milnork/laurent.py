@@ -53,9 +53,6 @@ class LaurentPolynomial:
         o = self.ord()
         return None if o is None else self.coeffs[o]
 
-    def shift(self, k):
-        return LaurentPolynomial(self.algebra, {d + k: c for d, c in self.coeffs.items()})
-
     def truncate(self, order):
         if order is None:
             return self

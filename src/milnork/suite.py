@@ -260,7 +260,7 @@ def rule_soundness_checks():
         counts[kind] = counts.get(kind, 0) + 1
         realizer = _realizer_for(algebra, precision)
         before = realizer.realize_state(state)
-        after_state = check_step(CheckState(state, "laurent", None), step).state
+        after_state = check_step(CheckState(state), step).state
         after = realizer.realize_state(after_state)
         ok = realizer.vectors_agree(before, after)
         agree[kind] = agree.get(kind, True) and ok
@@ -362,10 +362,10 @@ def rule_soundness_checks():
                     counts["projection"] = counts.get("projection", 0) + 1
                     realizer = _realizer_for(A, 8)
                     before = realizer.realize_state(state)
-                    out = check_step(CheckState(state, "laurent", None),
+                    out = check_step(CheckState(state),
                                      RewriteStep("projection", {}, {"order": n + 1}))
                     small = truncated_extension(A, "sigma", n + 1)
-                    post = truncated_realize(out.state, small, n + 1)
+                    post = truncated_realize(out.state, small)
                     eta = realizer.eta_form(before)
                     ok = eta is not None and map_form(eta, small) == post
                     agree["projection"] = agree.get("projection", True) and ok

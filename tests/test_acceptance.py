@@ -112,7 +112,7 @@ def test_criterion_5_certificates_grid():
 
                 # final claim realizes to the exact zero form in Omega^2
                 small = truncated_extension(A, "sigma", n + 1)
-                assert not truncated_realize(cert8.goal, small, n + 1)
+                assert not truncated_realize(cert8.goal, small)
                 checked += 1
 
     # negative control: corrupt one step payload, rejection at that index

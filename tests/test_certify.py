@@ -1,7 +1,9 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from milnork import certify
 from milnork.algebra import AlgebraSpec, build_algebra
 from milnork.certify import (
     CheckState,
@@ -58,7 +60,7 @@ def test_steinberg_step_spec_example(Q):
     w = LaurentPolynomial.constant(Q, 1) + LaurentPolynomial(Q, {2: c})
     sym = Symbol((_entry(Q, (minus, 1)), _entry(Q, (w, 1))))
     state = _state(Q, (1, sym))
-    out = check_step(CheckState(state, "laurent", None),
+    out = check_step(CheckState(state),
                      RewriteStep("steinberg", {"term": 0}, {"mode": "remove"}))
     assert not out.state
 
@@ -68,7 +70,7 @@ def test_steinberg_rejects_bad_pair(Q):
     three = LaurentPolynomial.constant(Q, 3)
     sym = Symbol((_entry(Q, (two, 1)), _entry(Q, (three, 1))))
     with pytest.raises(SideConditionFailed):
-        check_step(CheckState(_state(Q, (1, sym)), "laurent", None),
+        check_step(CheckState(_state(Q, (1, sym))),
                    RewriteStep("steinberg", {"term": 0}, {"mode": "remove"}))
 
 
@@ -80,7 +82,7 @@ def test_entry_identity_step_spec_example(Q):
     w = one + LaurentPolynomial(Q, {2: c})
     combined = one - sig - LaurentPolynomial(Q, {3: c}) + LaurentPolynomial(Q, {2: c})
     sym = Symbol((_entry(Q, (combined, 1)), _entry(Q, (sig, 1))))
-    out = check_step(CheckState(_state(Q, (1, sym)), "laurent", None),
+    out = check_step(CheckState(_state(Q, (1, sym))),
                      RewriteStep("entry_identity", {"term": 0, "slot": 0},
                                  {"atoms": [(one - sig, 1), (w, 1)]}))
     got = out.state.terms[0][1].entries[0]
@@ -92,7 +94,7 @@ def test_entry_identity_rejects_wrong_value(Q):
     sig = LaurentPolynomial.sigma(Q)
     sym = Symbol((_entry(Q, (one - sig, 1)), _entry(Q, (sig, 1))))
     with pytest.raises(SideConditionFailed):
-        check_step(CheckState(_state(Q, (1, sym)), "laurent", None),
+        check_step(CheckState(_state(Q, (1, sym))),
                    RewriteStep("entry_identity", {"term": 0, "slot": 0},
                                {"atoms": [(one + sig, 1)]}))
 
@@ -102,7 +104,7 @@ def test_bilinearity_split_spec_example(Q):
     sig = LaurentPolynomial.sigma(Q)
     w = one + LaurentPolynomial(Q, {2: Q.element(2)})
     sym = Symbol((_entry(Q, (one - sig, 1), (w, 1)), _entry(Q, (sig, 1))))
-    out = check_step(CheckState(_state(Q, (1, sym)), "laurent", None),
+    out = check_step(CheckState(_state(Q, (1, sym))),
                      RewriteStep("bilinearity", {"term": 0, "slot": 0},
                                  {"mode": "split", "at": 1}))
     assert len(out.state.terms) == 2
@@ -116,10 +118,10 @@ def test_position_guards(Q):
     sym = Symbol((_entry(Q, (one - sig, 1)), _entry(Q, (sig, 1))))
     state = _state(Q, (1, sym))
     with pytest.raises(PositionInvalid):
-        check_step(CheckState(state, "laurent", None),
+        check_step(CheckState(state),
                    RewriteStep("steinberg", {"term": 5}, {"mode": "remove"}))
     with pytest.raises(PositionInvalid):
-        check_step(CheckState(state, "laurent", None),
+        check_step(CheckState(state),
                    RewriteStep("nonsense", {"term": 0}, {}))
 
 
@@ -128,7 +130,7 @@ def test_projection_requires_order_zero_atoms(Q):
     one = LaurentPolynomial.constant(Q, 1)
     sym = Symbol((_entry(Q, (sig, 1), ((one - sig), 1)), _entry(Q, (one - sig, 1))))
     with pytest.raises(SideConditionFailed):
-        check_step(CheckState(_state(Q, (1, sym)), "laurent", None),
+        check_step(CheckState(_state(Q, (1, sym))),
                    RewriteStep("projection", {}, {"order": 2}))
 
 
@@ -263,3 +265,74 @@ def test_binomial_identity_instance(t2):
     poly = cert.goal.terms[0][1].entries[1].atoms[0][0]
     assert poly.coeffs[2] == t2.element(-3)
     assert crosscheck_dlog(cert).final_realization_zero
+
+
+@pytest.fixture(scope="module")
+def t3_certs():
+    t3 = alg(["t"], ["t^3"])
+    c = t3.element("1+t")
+    return splitting_certificate(t3, c, 2), vanishing_certificate(t3, c, 2)
+
+
+def _mutants(step):
+    """Every single-field perturbation that fits the step."""
+    pos, pay = dict(step.position), dict(step.payload)
+    out = []
+    if "coeff" in pay:
+        out.append((pos, {**pay, "coeff": str(Fraction(pay["coeff"]) * 2)}))
+    if "atoms" in pay:
+        (poly, exp), *rest = pay["atoms"]
+        out.append((pos, {**pay, "atoms": [(poly, exp + 1)] + rest}))
+    for key in ("m", "order"):
+        if key in pay:
+            out.append((pos, {**pay, key: pay[key] + 1}))
+    if "term" in pos:
+        out.append(({**pos, "term": pos["term"] + 1}, pay))
+    if "slot" in pos:
+        out.append(({**pos, "slot": 1 - pos["slot"]}, pay))
+    return [RewriteStep(step.rule, p, q) for p, q in out]
+
+
+def test_every_step_mutation_is_caught(t3_certs):
+    outcomes = {"at_step": 0, "later": 0, "off_goal": 0}
+    for cert in t3_certs:
+        for i, step in enumerate(cert.steps):
+            for bad_step in _mutants(step):
+                bad = replace(cert, steps=cert.steps[:i] + (bad_step,) + cert.steps[i + 1:])
+                verdict = check_certificate(bad)
+                assert not verdict.valid, (i, bad_step)
+                rows = crosscheck_dlog(bad).steps
+                failure = verdict.failure_index
+                if failure is None:
+                    assert not verdict.final_matches_goal
+                    assert all(ok for _, _, ok in rows)
+                    outcomes["off_goal"] += 1
+                    continue
+                assert failure >= i
+                assert all(ok for _, _, ok in rows[:failure]), (i, bad_step)
+                assert rows[failure:] == ((failure, bad.steps[failure].rule, False),)
+                outcomes["at_step" if failure == i else "later"] += 1
+    # a later rejection means the mutated step was itself a sound rewrite,
+    # e.g. a Steinberg insert with a doubled coefficient
+    assert outcomes == {"at_step": 43, "later": 13, "off_goal": 2}
+
+
+def test_check_step_runs_once_per_step(t3_certs, monkeypatch):
+    calls = []
+    real = certify.check_step
+
+    def counting(cstate, step):
+        calls.append(step.rule)
+        return real(cstate, step)
+
+    monkeypatch.setattr(certify, "check_step", counting)
+    t3 = t3_certs[0].context.algebra
+    c = t3.element("1+t")
+    for builder, steps in ((splitting_certificate, 12), (vanishing_certificate, 16)):
+        calls.clear()
+        cert = builder(t3, c, 2)
+        assert check_certificate(cert).valid and crosscheck_dlog(cert).all_agree
+        assert len(calls) == len(cert.steps) == steps
+        loaded = certificate_from_json(certificate_to_json(cert))
+        assert check_certificate(loaded).valid and crosscheck_dlog(loaded).all_agree
+        assert len(calls) == 2 * steps

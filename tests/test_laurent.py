@@ -37,7 +37,6 @@ def test_basic_arithmetic():
 def test_power_and_shift():
     s = LaurentPolynomial.sigma(T2)
     assert s.power(3).coeffs == {3: T2.one}
-    assert s.shift(-1).coeffs == {0: T2.one}
     one_minus = LaurentPolynomial.constant(T2, 1) - s
     sq = one_minus.power(2)
     assert sq.coeffs[1] == T2.element(-2)
