@@ -145,7 +145,7 @@ class Algebra:
         self.basis = tuple(basis)  # ascending degrevlex; basis[0] == 1
         self.index = {m: i for i, m in enumerate(self.basis)}
         self.dimension = len(self.basis)
-        self.base = None           # set by truncated_extension
+        self.base = None           # set by TruncatedExtension
         self.ext_name = None
         self.ext_order = None
         self._mono_nf = {}
@@ -408,22 +408,56 @@ def derived_algebra(parent, variables, relations, distinguished=None):
     return got
 
 
-def truncated_extension(algebra, name, order):
-    """Build A[name]/name^order with A included coordinate-wise.
+class TruncatedExtension(Algebra):
+    """B = A[s]/s^N = A (x) Q[s]/s^N, built from A's data in closed form.
 
-    The extension keeps a reference to its base, and its basis is the product
-    of the base basis with powers of the new variable.
+    G_A involves no s, so its leading terms are coprime to s^N and
+    G_A + {s^N} is already B's reduced Groebner basis; the staircase is the
+    product of A's with 1, s, ..., s^(N-1).  B keeps no product table of its
+    own: normal forms and basis products are A's, shifted by the s-exponent,
+    and zero at or above s^N.
     """
+
+    def __init__(self, base, spec, order):
+        s_power = Polynomial(base.nvars + 1, {(0,) * base.nvars + (order,): Fraction(1)},
+                             normalize=False)
+        lifted = [Polynomial(base.nvars + 1, {m + (0,): c for m, c in g.terms.items()},
+                             normalize=False) for g in base.groebner]
+        groebner = sorted(lifted + [s_power], key=lambda g: degrevlex_key(g.leading()[0]))
+        basis = sorted((a + (k,) for a in base.basis for k in range(order)), key=degrevlex_key)
+        super().__init__(spec, groebner, basis)
+        self.base, self.ext_name, self.ext_order = base, spec.distinguished, order
+        # basis index -> (index of the base monomial in A, s-exponent)
+        self._layout = tuple((base.index[m[:-1]], m[-1]) for m in self.basis)
+
+    def reduce_mono(self, mono):
+        k = mono[-1]
+        if k >= self.ext_order:
+            return {}
+        tail = mono[-1:]
+        return {m + tail: c for m, c in self.base.reduce_mono(mono[:-1]).items()}
+
+    def pair_product(self, i, j):
+        a, k = self._layout[i]
+        b, l = self._layout[j]
+        if k + l >= self.ext_order:
+            return {}
+        tail = (k + l,)
+        return {m + tail: c for m, c in self.base.pair_product(a, b).items()}
+
+
+def truncated_extension(algebra, name, order):
+    """A[name]/name^order in closed form (see TruncatedExtension), once per
+    (name, order); A is included coordinate-wise."""
     if name in algebra.names:
         raise NameCollision(f"variable {name!r} already present")
     if order < 1:
         raise InvalidSpec("truncation order must be >= 1")
-    ext = derived_algebra(algebra, algebra.names + (name,),
-                          algebra.spec.relations + (f"{name}^{order}",), name)
-    if ext.base is None:
-        if ext.dimension != algebra.dimension * order:
-            raise NotArtinian("extension basis is not the expected product basis")
-        ext.base, ext.ext_name, ext.ext_order = algebra, name, order
+    spec = AlgebraSpec(algebra.names + (name,),
+                       algebra.spec.relations + (f"{name}^{order}",), name)
+    ext = algebra._derived.get(spec)
+    if ext is None:
+        ext = algebra._derived[spec] = TruncatedExtension(algebra, spec, order)
     return ext
 
 

@@ -45,9 +45,10 @@ from .errors import (
     ParseError,
     PositionInvalid,
     PrecisionInsufficient,
+    PrecisionTooLarge,
     SideConditionFailed,
 )
-from .kahler import d as kd, dlog, map_form, omega_module, wedge
+from .kahler import dlog, map_form, omega_module, wedge
 from .laurent import (
     LaurentEntry,
     LaurentPolynomial,
@@ -156,7 +157,7 @@ class Certificate:
         """The one run of check_step over the steps, shared by the verdict
         and the dlog crosscheck.  A built certificate carries the run its
         builder made; any other replays its steps here, once."""
-        run = Replay(self.start)
+        run = Replay(self.start, sigma_budget(self.context.n))
         for i, step in enumerate(self.steps):
             try:
                 run.apply(step)
@@ -169,8 +170,9 @@ class Certificate:
 class Replay:
     """A run of check_step from a start state, grown one step at a time."""
 
-    def __init__(self, start):
-        self.states = [CheckState(start)]  # before the first step and after each accepted one
+    def __init__(self, start, budget):
+        # before the first step and after each accepted one
+        self.states = [CheckState(start, None, budget)]
         self.steps = []  # the accepted steps
         self.failure = None  # index of the first rejected step
         self.reason = None
@@ -193,9 +195,10 @@ class Replay:
 class CheckState:
     state: SymbolCombination
     order: int | None = None  # None over Laurent polynomials, the truncation after projection
+    budget: int | None = None  # see sigma_budget; None leaves a comparison unbounded
 
     def clone(self, state):
-        return CheckState(state, self.order)
+        return CheckState(state, self.order, self.budget)
 
 
 @dataclass(frozen=True)
@@ -243,7 +246,7 @@ def _slot_at(sym, j):
 
 def check_step(cstate, step):
     """Verify one step's side conditions and return the rewritten state."""
-    state, order = cstate.state, cstate.order
+    state, order, budget = cstate.state, cstate.order, cstate.budget
     rule = step.rule
     pos, pay = step.position, step.payload
 
@@ -258,7 +261,7 @@ def check_step(cstate, step):
                         raise SideConditionFailed(
                             f"atom {poly} has sigma-order {poly.ord()}; "
                             "projection needs order-zero atoms")
-        return CheckState(state.truncate(trunc), trunc)
+        return CheckState(state.truncate(trunc), trunc, budget)
 
     if rule == "steinberg" or rule == "minus_arg":
         want_one = rule == "steinberg"
@@ -267,14 +270,14 @@ def check_step(cstate, step):
         if mode == "remove":
             coeff, sym = _term_at(state, pos["term"])
             j1, j2 = pay.get("slots", (0, 1))
-            if not checker(_slot_at(sym, j1), _slot_at(sym, j2), order):
+            if not checker(_slot_at(sym, j1), _slot_at(sym, j2), order, budget):
                 raise SideConditionFailed(
                     f"{rule}: slots {j1},{j2} of {sym} do not sum to {1 if want_one else 0}")
             return cstate.clone(state.replace_term(pos["term"], []))
         if mode == "insert":
             sym = pay["symbol"]
             j1, j2 = pay.get("slots", (0, 1))
-            if not checker(_slot_at(sym, j1), _slot_at(sym, j2), order):
+            if not checker(_slot_at(sym, j1), _slot_at(sym, j2), order, budget):
                 raise SideConditionFailed(
                     f"{rule}: inserted symbol {sym} fails the side condition")
             return cstate.clone(state.with_term(Fraction(pay["coeff"]), sym))
@@ -305,7 +308,7 @@ def check_step(cstate, step):
             for jj in range(s1.degree):
                 if jj == j:
                     continue
-                if not entries_value_equal(s1.entries[jj], s2.entries[jj], order):
+                if not entries_value_equal(s1.entries[jj], s2.entries[jj], order, budget):
                     raise SideConditionFailed(f"merge: slot {jj} values differ")
             merged = LaurentEntry(s1.algebra, s1.entries[j].atoms + s2.entries[j].atoms)
             terms = [(c, s) for idx, (c, s) in enumerate(state.terms) if idx not in (i1, i2)]
@@ -314,12 +317,12 @@ def check_step(cstate, step):
                 terms + [(c1, s1.replace(j, merged))]))
         if mode == "kill":
             coeff, sym = _term_at(state, pos["term"])
-            if not entry_is_one(_slot_at(sym, pos["slot"]), order):
+            if not entry_is_one(_slot_at(sym, pos["slot"]), order, budget):
                 raise SideConditionFailed("kill: designated entry does not collapse to 1")
             return cstate.clone(state.replace_term(pos["term"], []))
         if mode == "insert":
             sym = pay["symbol"]
-            if not entry_is_one(_slot_at(sym, pay["slot"]), order):
+            if not entry_is_one(_slot_at(sym, pay["slot"]), order, budget):
                 raise SideConditionFailed("insert: designated entry does not collapse to 1")
             return cstate.clone(state.with_term(Fraction(pay["coeff"]), sym))
         raise PositionInvalid(f"unknown bilinearity mode {mode!r}")
@@ -359,7 +362,7 @@ def check_step(cstate, step):
         coeff, sym = _term_at(state, pos["term"])
         entry = _slot_at(sym, pos["slot"])
         new_entry = LaurentEntry(sym.algebra, pay["atoms"])
-        if not entries_value_equal(entry, new_entry, order):
+        if not entries_value_equal(entry, new_entry, order, budget):
             raise SideConditionFailed(
                 f"{rule}: {entry} and {new_entry} have different values"
                 + (f" mod sigma^{order}" if order else ""))
@@ -444,7 +447,7 @@ def _splitting_chain(algebra, c, n):
 
     e_w = _entry(A, (w, 1))
     e_c = _entry(A, (c0, 1))
-    run = Replay(SymbolCombination(A, 2, [(1, _sym(e_w, e_c))]))
+    run = Replay(SymbolCombination(A, 2, [(1, _sym(e_w, e_c))]), sigma_budget(n))
 
     # {w, -c s^(n+1)} is a Steinberg pair: the two values sum to 1
     s_minus = _sym(e_w, _entry(A, (minus_c_sig, 1)))
@@ -561,22 +564,38 @@ class ExtendedRealizer:
         self.omega1 = omega_module(self.ring, 1)
         self.omega2 = omega_module(self.ring, 2)
         self.sigma = self.ring.variable(sigma_name)
-        self.d_sigma = kd(self.sigma)
         self._entry_cache = {}
         self._term_cache = {}
         self._offset = self.omega2.dimension
-        self._z = RowSpace()
-        for alpha in self.omega1.basis_forms():
-            row = dict(wedge(self.d_sigma, alpha).coords)
-            for i, v in alpha.act(self.sigma).coords.items():
-                add_to(row, self._offset + i, -v)
-            if row:
-                self._z.insert(row)
-        for i in range(self.ring.dimension):
-            elem = self.ring.basis_element(i)
-            row = {self._offset + i: v for i, v in self.d_sigma.act(elem).coords.items()}
-            if row:
-                self._z.insert(row)
+        self._z = self._z_space()
+
+    def _z_space(self):
+        """Z in reduced echelon form, written down with no elimination.
+
+        Let s be the last variable.  The rows (0, b ds) are the unit vectors
+        of the ds basis forms of Omega^1; the rows (ds^alpha, -s*alpha) of
+        ds forms alpha are multiples of those.  For a basis form
+        alpha = a s^k dx with k < N-1, the row is -(a s^k dx^ds, a s^(k+1) dx):
+        both are basis forms, the first is the row's own Omega^2 column, and
+        the second has no ds.  At k = N-1 the row is zero.
+        """
+        z = RowSpace()
+        B, M1, M2 = self.ring, self.omega1, self.omega2
+        s, nw, one = B.nvars - 1, len(M1.wedges), Fraction(1)
+        for i, col in enumerate(M1.basis_cols):
+            mono_idx, widx = divmod(col, nw)
+            (j,) = M1.wedges[widx]
+            if j == s:
+                z.pivots[self._offset + i] = {self._offset + i: one}
+                continue
+            mono = B.basis[mono_idx]
+            k = mono[-1] + 1
+            if k == B.ext_order:
+                continue
+            lead = M2.col_index[M2.col(mono_idx, M2.wedge_index[(j, s)])]
+            shifted = M1.col_index[M1.col(B.index[mono[:-1] + (k,)], widx)]
+            z.pivots[lead] = {lead: one, self._offset + shifted: one}
+        return z
 
     def entry_dlog(self, entry):
         """Extended 1-form (omega, a) of dlog of the entry."""
@@ -680,6 +699,22 @@ def default_precision(n):
     return 3 * (n + 2)
 
 
+# The crosscheck's cost grows about as the square of its precision N (eq7 on
+# Q[t]/t^3 at n = 2, on one Xeon core under CPython 3.11: 1.2 s at N = 60,
+# 9.8 s at N = 170), so N is capped.  The cap admits the default precision
+# up to n = 19; the bundled suite uses N <= 18 and the benchmark N <= 42.
+MAX_PRECISION = 64
+
+
+def sigma_budget(n):
+    """The sigma-span one side of a comparison in a level-n certificate may
+    expand to: the crosscheck's default precision 3(n+2).  The widest
+    comparison of the eq7/eq8 chains spans n + 2 (1 - s(1 + c s^(n+1) - c s^n)
+    against (1 - s)(1 + c s^(n+1))), and the crosscheck cannot represent
+    atoms wider than a third of its precision anyway."""
+    return default_precision(n)
+
+
 def crosscheck_dlog(cert, precision=None):
     """Realize every intermediate state and verify each step preserves it.
 
@@ -692,6 +727,10 @@ def crosscheck_dlog(cert, precision=None):
     """
     n = cert.context.n
     N = default_precision(n) if precision is None else int(precision)
+    if N > MAX_PRECISION:
+        raise PrecisionTooLarge(
+            f"precision {N} is above the cap of {MAX_PRECISION}"
+            + (f" (the default 3(n+2) at n = {n})" if precision is None else ""))
     max_span = 0
     states = [cert.start, cert.goal, cert.claim_lhs, cert.claim_rhs]
     symbols = [sym for st in states for _, sym in st.terms]

@@ -67,3 +67,7 @@ class PositionInvalid(MilnorkError):
 
 class PrecisionInsufficient(MilnorkError):
     """The truncation order cannot represent every atom; raise the precision."""
+
+
+class PrecisionTooLarge(MilnorkError):
+    """The crosscheck ring would exceed the precision cap."""

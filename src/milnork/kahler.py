@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import invert_unit, transport, truncated_extension
+from .algebra import derived_algebra, invert_unit, transport
 from .errors import AlgebraMismatch, NameCollision, NotAUnit
 from .expr import monomial_str
 from .linalg import RowSpace, add_to
@@ -51,7 +51,10 @@ class OmegaModule:
         self.wedge_index = {w: i for i, w in enumerate(self.wedges)}
         self.free_dim = algebra.dimension * len(self.wedges)
         self._space = RowSpace()
-        self._build_relations()
+        if algebra.base is None:
+            self._build_relations()
+        else:
+            self._copy_relations()
         pivots = set(self._space.pivots)
         self.basis_cols = tuple(c for c in range(self.free_dim) if c not in pivots)
         self.col_index = {c: i for i, c in enumerate(self.basis_cols)}
@@ -82,6 +85,40 @@ class OmegaModule:
                                 add_to(row, self.col(A.index[bm], widx), sign * pc * bc)
                     if row:
                         self._space.insert(row)
+
+    def _copy_relations(self):
+        """Relation echelon form of A[s]/s^N from A's, with no elimination.
+
+        Omega^p of B = A (x) Q[s]/s^N splits over the layers s^k into
+        Omega^p_A (columns without ds) and Omega^(p-1)_A ^ ds (columns with
+        ds), and d(s^N) = N s^(N-1) ds kills every ds column of the top
+        layer.  The column relabelling keeps the order within each block,
+        and reduced echelon forms are unique, so the copies are B's.
+        """
+        if self.degree == 0 or not self.wedges:
+            return
+        B = self.algebra
+        A, N, s = B.base, B.ext_order, B.nvars - 1
+        pivots = self._space.pivots
+        nw = len(self.wedges)
+        blocks = ((omega_module(A, self.degree), ()), (omega_module(A, self.degree - 1), (s,)))
+        for k in range(N):
+            mono_cols = [B.index[a + (k,)] * nw for a in A.basis]
+            for M, tail in blocks:
+                wcols = [self.wedge_index[w + tail] for w in M.wedges]
+                if tail and k == N - 1:
+                    for base in mono_cols:
+                        for w in wcols:
+                            pivots[base + w] = {base + w: Fraction(1)}
+                    continue
+                nwa = len(M.wedges)
+
+                def relabel(col):
+                    a, w = divmod(col, nwa)
+                    return mono_cols[a] + wcols[w]
+
+                for col, row in M._space.pivots.items():
+                    pivots[relabel(col)] = {relabel(c): v for c, v in row.items()}
 
     def reduce_free(self, free_vec):
         """Canonical reduced coordinates of a free-coordinate vector."""
@@ -342,7 +379,11 @@ def decomposition_report(algebra, n, p, sigma_name="sigma"):
         raise NameCollision(f"{sigma_name!r} already a variable of the algebra")
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
-    ext = truncated_extension(algebra, sigma_name, n)
+    # the generic presentation, eliminated from scratch: with no designated
+    # sigma its spec is never truncated_extension's, so this verdict does not
+    # come from the closed form it checks
+    ext = derived_algebra(algebra, algebra.names + (sigma_name,),
+                          algebra.spec.relations + (f"{sigma_name}^{n}",))
     direct = omega_module(ext, p).dimension
     dim_line = n - 1  # dim Omega^1 of Q[s]/s^n
     name = repr(algebra)

@@ -6,7 +6,8 @@ chains: every atom is a Laurent polynomial whose lowest-degree coefficient is
 a unit of A (sigma itself included), with a formal integer exponent.
 Inverses are never expanded into series; value equality of entries is
 decided by cross-multiplying the positive- and negative-exponent parts,
-which is an exact Laurent-polynomial identity.
+which is an exact Laurent-polynomial identity.  Atoms common to both parts
+cancel first, and a `budget` bounds the sigma-span of what is expanded.
 
 A truncation order may be applied to products, which models the quotient
 A[sigma]/sigma^N after the projection step.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlgebraMismatch, NonUnitEntry
+from .errors import AlgebraMismatch, NonUnitEntry, PositionInvalid
 from .expr import parse_polynomial, polynomial_str
 from .linalg import add_to
 from .poly import Polynomial
@@ -157,16 +158,42 @@ class LaurentEntry:
             norm.append((poly, exp))
         self.atoms = tuple(norm)
 
-    def split(self, order=None):
-        """(numerator, denominator) products of the atom powers."""
-        num = LaurentPolynomial.constant(self.algebra, 1)
-        den = LaurentPolynomial.constant(self.algebra, 1)
+    def split(self, order=None, budget=None):
+        """(numerator, denominator) products of the atom powers.
+
+        Atoms are merged by key first, so a unit that occurs with both signs
+        cancels before anything is expanded.  Over the Laurent ring every
+        atom is a non-zero-divisor; mod sigma^order only the atoms of
+        sigma-order 0 are units, so only those cancel there.  A product
+        spanning more than `budget` sigma-degrees raises PositionInvalid
+        instead of being expanded.
+        """
+        pos, neg, polys = {}, {}, {}
         for poly, exp in self.atoms:
-            if exp > 0:
-                num = num.mul(poly.power(exp, order), order)
-            else:
-                den = den.mul(poly.power(-exp, order), order)
-        return num, den
+            key = poly.key()
+            polys[key] = poly
+            side = pos if exp > 0 else neg
+            side[key] = side.get(key, 0) + abs(exp)
+        for key in pos.keys() & neg.keys():
+            if order is None or polys[key].ord() == 0:
+                common = min(pos[key], neg[key])
+                pos[key] -= common
+                neg[key] -= common
+        return tuple(self._expand([(polys[k], e) for k, e in side.items() if e], order, budget)
+                     for side in (pos, neg))
+
+    def _expand(self, atoms, order, budget):
+        low = sum(exp * poly.ord() for poly, exp in atoms)
+        high = sum(exp * poly.maxdeg() for poly, exp in atoms)
+        if order is not None:
+            high = min(high, order - 1)
+        if budget is not None and high - low > budget:
+            raise PositionInvalid(f"expanding {LaurentEntry(self.algebra, atoms)} spans "
+                                  f"{high - low} sigma-degrees, over the budget of {budget}")
+        acc = LaurentPolynomial.constant(self.algebra, 1)
+        for poly, exp in atoms:
+            acc = acc.mul(poly.power(exp, order), order)
+        return acc
 
     def truncate(self, order):
         return LaurentEntry(self.algebra,
@@ -185,31 +212,31 @@ class LaurentEntry:
         return "*".join(parts)
 
 
-def entries_value_equal(e1, e2, order=None):
-    """Cross-multiplication test n1*d2 == n2*d1, exact (or mod sigma^order)."""
-    n1, d1 = e1.split(order)
-    n2, d2 = e2.split(order)
-    return n1.mul(d2, order).coeffs == n2.mul(d1, order).coeffs
+def entries_value_equal(e1, e2, order=None, budget=None):
+    """value(e1) == value(e2): the quotient e1/e2, its common atoms
+    cancelled, is one."""
+    quotient = LaurentEntry(e1.algebra, e1.atoms + tuple((p, -exp) for p, exp in e2.atoms))
+    return entry_is_one(quotient, order, budget)
 
 
-def entries_sum_is_one(e1, e2, order=None):
+def entries_sum_is_one(e1, e2, order=None, budget=None):
     """Steinberg side condition: value(e1) + value(e2) = 1."""
-    n1, d1 = e1.split(order)
-    n2, d2 = e2.split(order)
+    n1, d1 = e1.split(order, budget)
+    n2, d2 = e2.split(order, budget)
     lhs = n1.mul(d2, order) + n2.mul(d1, order)
     rhs = d1.mul(d2, order)
     return lhs.coeffs == rhs.coeffs
 
 
-def entries_sum_is_zero(e1, e2, order=None):
-    n1, d1 = e1.split(order)
-    n2, d2 = e2.split(order)
+def entries_sum_is_zero(e1, e2, order=None, budget=None):
+    n1, d1 = e1.split(order, budget)
+    n2, d2 = e2.split(order, budget)
     lhs = n1.mul(d2, order) + n2.mul(d1, order)
     return not lhs.coeffs
 
 
-def entry_is_one(e, order=None):
-    n, d = e.split(order)
+def entry_is_one(e, order=None, budget=None):
+    n, d = e.split(order, budget)
     return n.coeffs == d.coeffs
 
 

@@ -229,9 +229,22 @@ def _tuples(pool, k):
     return out
 
 
+def _slot_layers(entry):
+    """sigma_layers of the entry's value, once per distinct entry of its ring.
+
+    The generator families share each slot's entry across many symbols, so
+    realizing a family classifies every distinct entry once."""
+    cache = entry.algebra._misc_cache.setdefault("slot_layers", {})
+    key = entry.key()
+    layers = cache.get(key)
+    if layers is None:
+        layers = cache[key] = sigma_layers(entry.collapse())
+    return layers
+
+
 def _first_slot_coefficient(entry, n):
     """Extract c from a first slot collapsing to 1 + c s^n; None if malformed."""
-    layers = sigma_layers(entry.collapse())
+    layers = _slot_layers(entry)
     if (len(layers) <= n or layers[0] != entry.algebra.base.one
             or any(layers[j] for j in range(1, len(layers)) if j != n)):
         return None
@@ -242,7 +255,7 @@ def _realize_generators(comb, n, vanishing=None):
     """Sum of coeff * c * dlog u_1 ^ ... ^ dlog u_k over the base algebra for
     the terms coeff * {1 + c s^n, u_1, ..., u_k} with s-free units u_i.
 
-    A term with a slot equal to `vanishing` contributes zero.
+    A term with a slot whose key is `vanishing` contributes zero.
     """
     B = comb.algebra
     s = B.ext_name
@@ -253,10 +266,9 @@ def _realize_generators(comb, n, vanishing=None):
             raise NotGeneratorShape(f"first slot of {sym} is not 1 + c*{s}^{n}")
         units = []
         for entry in sym.entries[1:]:
-            value = entry.collapse()
-            if value == vanishing:
+            if entry.key() == vanishing:
                 break
-            layers = sigma_layers(value)
+            layers = _slot_layers(entry)
             if any(layers[1:]):
                 raise NotGeneratorShape(f"slot {entry} is not {s}-free")
             units.append(layers[0])
@@ -278,7 +290,11 @@ def relative_realize(comb, n):
         raise NotGeneratorShape("combination does not live in a truncated extension")
     if B.ext_order != n + 1:
         raise NotGeneratorShape(f"expected truncation order {n + 1}, got {B.ext_order}")
-    return _realize_generators(comb, n, B.one - B.variable(B.ext_name))
+    one_minus_s = B._misc_cache.get("one_minus_sigma")
+    if one_minus_s is None:
+        one_minus_s = B._misc_cache["one_minus_sigma"] = (
+            B.one - B.variable(B.ext_name)).key()
+    return _realize_generators(comb, n, one_minus_s)
 
 
 def tangent_extension(algebra, name="eps"):

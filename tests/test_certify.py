@@ -6,6 +6,7 @@ import pytest
 from milnork import certify
 from milnork.algebra import AlgebraSpec, build_algebra
 from milnork.certify import (
+    MAX_PRECISION,
     CheckState,
     RewriteStep,
     certificate_from_json,
@@ -21,6 +22,7 @@ from milnork.errors import (
     NonUnitC,
     PositionInvalid,
     PrecisionInsufficient,
+    PrecisionTooLarge,
     SideConditionFailed,
 )
 from milnork.laurent import (
@@ -226,6 +228,16 @@ def test_precision_insufficient(Q):
     cert = vanishing_certificate(Q, 1, 2)
     with pytest.raises(PrecisionInsufficient):
         crosscheck_dlog(cert, precision=3)
+
+
+def test_precision_above_cap_builds_no_ring(Q, monkeypatch):
+    monkeypatch.setattr(certify, "ExtendedRealizer", None)  # any realizer would fail
+    cert = vanishing_certificate(Q, 1, 2)
+    with pytest.raises(PrecisionTooLarge, match="above the cap of 64"):
+        crosscheck_dlog(cert, precision=100000)
+    with pytest.raises(PrecisionTooLarge, match=r"the default 3\(n\+2\) at n = 20"):
+        crosscheck_dlog(vanishing_certificate(Q, 1, 20))
+    assert default_precision(19) <= MAX_PRECISION < default_precision(20)
 
 
 def test_certificate_json_round_trip(t2):

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from milnork import certify
 from milnork.cli import main, parse_algebra_file
 from milnork.errors import MilnorkError
+from milnork.laurent import LaurentPolynomial
 
 
 @pytest.fixture()
@@ -128,6 +130,14 @@ def test_certify_precision_override(capsys, q_spec):
     code, _ = run(capsys, "certify-eq7", "--algebra", q_spec, "--c", "2", "--n", "1",
                   "--precision", "3")
     assert code == 2  # too small to represent the atoms
+
+
+def test_certify_precision_above_cap_exit_2(capsys, t3_spec, monkeypatch):
+    monkeypatch.setattr(certify, "ExtendedRealizer", None)  # rejected before any ring
+    code = main(["certify-eq7", "--algebra", t3_spec, "--c", "1+t", "--n", "2",
+                 "--precision", "100000"])
+    assert code == 2
+    assert "precision 100000 is above the cap of 64" in capsys.readouterr().err
 
 
 def test_certify_non_unit_c_exit_2(capsys, tmp_path):
@@ -350,3 +360,23 @@ def test_certificate_step_with_non_unit_atom_fails_at_step(capsys, tmp_path, t3_
     assert f"certificate.failure_index={idx}\n" in out
     assert "certificate.failure_detail=atom is not a unit" in out
     assert "input error" not in err
+
+
+def test_certificate_step_with_huge_power_fails_at_step(
+        capsys, tmp_path, t3_eq8_doc, monkeypatch):
+    # (1 + sigma)^3000 is short to write and 3000 sigma-degrees wide; the
+    # entry_factor comparison must reject it without expanding it
+    real_mul = LaurentPolynomial.mul
+
+    def bounded_mul(self, other, order=None):
+        out = real_mul(self, other, order)
+        assert not out or out.maxdeg() - out.ord() <= 100, "expanded a wide power"
+        return out
+
+    monkeypatch.setattr(LaurentPolynomial, "mul", bounded_mul)
+    t3_eq8_doc["steps"][4]["payload"]["atoms"] = [["1 + sigma", 3000]]
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert code == 1
+    assert "certificate.failure_index=4\n" in out
+    assert "sigma-degrees, over the budget of 12" in out
+    assert "Traceback" not in err

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milnork.algebra import AlgebraSpec, build_algebra
-from milnork.errors import NonUnitEntry
+from milnork.errors import NonUnitEntry, PositionInvalid
 from milnork.laurent import (
     LaurentEntry,
     LaurentPolynomial,
@@ -86,6 +86,28 @@ def test_cross_multiplication_equality():
     e3 = LaurentEntry(T2, [(u, 1), (u, -1)])
     assert entry_is_one(e3)
     assert not entries_value_equal(e1, LaurentEntry(T2, [(one, 1)]))
+
+
+def test_comparison_cancels_common_atoms_before_expanding():
+    one = LaurentPolynomial.constant(T2, 1)
+    s = LaurentPolynomial.sigma(T2)
+    wide = one + s
+    u = lp({0: "1+t"})
+    # (1+s)^3000 occurs on both sides: nothing of width 3000 is expanded
+    e1 = LaurentEntry(T2, [(wide, 3000), (u, 1)])
+    e2 = LaurentEntry(T2, [(u, 1), (wide, 1000), (wide, 2000)])
+    assert entries_value_equal(e1, e2, budget=0)
+    assert entry_is_one(LaurentEntry(T2, [(wide, 3000), (wide, -3000)]), budget=0)
+    with pytest.raises(PositionInvalid, match="spans 3000 sigma-degrees, over the budget of 12"):
+        entries_value_equal(e1, LaurentEntry(T2, [(u, 1)]), budget=12)
+    with pytest.raises(PositionInvalid):
+        entries_sum_is_one(e1, e2, budget=12)
+    # mod sigma^3, s is no unit: s(1+s^2) = s*1 although 1+s^2 != 1
+    u2 = one + lp({2: "1"})
+    assert entries_value_equal(LaurentEntry(T2, [(s, 1), (u2, 1)]),
+                               LaurentEntry(T2, [(s, 1), (one, 1)]), order=3)
+    assert not entries_value_equal(LaurentEntry(T2, [(u2, 1)]),
+                                   LaurentEntry(T2, [(one, 1)]), order=3)
 
 
 def test_sum_side_conditions():
