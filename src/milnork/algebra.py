@@ -394,8 +394,9 @@ def log_one_unit(algebra, u):
     return acc
 
 
-def derived_algebra(parent, variables, relations, distinguished=None):
-    """Q[variables]/(relations) built from `parent`, once per spec.
+def derived_algebra(parent, variables, relations, distinguished=None, build=build_algebra):
+    """Q[variables]/(relations) built from `parent` by `build(spec)`, once
+    per spec.
 
     The result is cached on the parent, so every caller that derives the
     same presentation from the same algebra shares one Algebra instance and
@@ -404,7 +405,7 @@ def derived_algebra(parent, variables, relations, distinguished=None):
     spec = AlgebraSpec(tuple(variables), tuple(relations), distinguished)
     got = parent._derived.get(spec)
     if got is None:
-        got = parent._derived[spec] = build_algebra(spec)
+        got = parent._derived[spec] = build(spec)
     return got
 
 
@@ -453,12 +454,9 @@ def truncated_extension(algebra, name, order):
         raise NameCollision(f"variable {name!r} already present")
     if order < 1:
         raise InvalidSpec("truncation order must be >= 1")
-    spec = AlgebraSpec(algebra.names + (name,),
-                       algebra.spec.relations + (f"{name}^{order}",), name)
-    ext = algebra._derived.get(spec)
-    if ext is None:
-        ext = algebra._derived[spec] = TruncatedExtension(algebra, spec, order)
-    return ext
+    return derived_algebra(algebra, algebra.names + (name,),
+                           algebra.spec.relations + (f"{name}^{order}",), name,
+                           lambda spec: TruncatedExtension(algebra, spec, order))
 
 
 def transport(e, target, rename=None, drop=()):

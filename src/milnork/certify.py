@@ -50,6 +50,7 @@ from .errors import (
 )
 from .kahler import dlog, map_form, omega_module, wedge
 from .laurent import (
+    EXPANSION_BUDGET,
     LaurentEntry,
     LaurentPolynomial,
     Symbol,
@@ -157,7 +158,7 @@ class Certificate:
         """The one run of check_step over the steps, shared by the verdict
         and the dlog crosscheck.  A built certificate carries the run its
         builder made; any other replays its steps here, once."""
-        run = Replay(self.start, sigma_budget(self.context.n))
+        run = Replay(self.start)
         for i, step in enumerate(self.steps):
             try:
                 run.apply(step)
@@ -170,9 +171,8 @@ class Certificate:
 class Replay:
     """A run of check_step from a start state, grown one step at a time."""
 
-    def __init__(self, start, budget):
-        # before the first step and after each accepted one
-        self.states = [CheckState(start, None, budget)]
+    def __init__(self, start):
+        self.states = [CheckState(start)]  # before the first step and after each accepted one
         self.steps = []  # the accepted steps
         self.failure = None  # index of the first rejected step
         self.reason = None
@@ -195,10 +195,9 @@ class Replay:
 class CheckState:
     state: SymbolCombination
     order: int | None = None  # None over Laurent polynomials, the truncation after projection
-    budget: int | None = None  # see sigma_budget; None leaves a comparison unbounded
 
     def clone(self, state):
-        return CheckState(state, self.order, self.budget)
+        return CheckState(state, self.order)
 
 
 @dataclass(frozen=True)
@@ -246,7 +245,7 @@ def _slot_at(sym, j):
 
 def check_step(cstate, step):
     """Verify one step's side conditions and return the rewritten state."""
-    state, order, budget = cstate.state, cstate.order, cstate.budget
+    state, order = cstate.state, cstate.order
     rule = step.rule
     pos, pay = step.position, step.payload
 
@@ -261,7 +260,7 @@ def check_step(cstate, step):
                         raise SideConditionFailed(
                             f"atom {poly} has sigma-order {poly.ord()}; "
                             "projection needs order-zero atoms")
-        return CheckState(state.truncate(trunc), trunc, budget)
+        return CheckState(state.truncate(trunc), trunc)
 
     if rule == "steinberg" or rule == "minus_arg":
         want_one = rule == "steinberg"
@@ -270,14 +269,14 @@ def check_step(cstate, step):
         if mode == "remove":
             coeff, sym = _term_at(state, pos["term"])
             j1, j2 = pay.get("slots", (0, 1))
-            if not checker(_slot_at(sym, j1), _slot_at(sym, j2), order, budget):
+            if not checker(_slot_at(sym, j1), _slot_at(sym, j2), order):
                 raise SideConditionFailed(
                     f"{rule}: slots {j1},{j2} of {sym} do not sum to {1 if want_one else 0}")
             return cstate.clone(state.replace_term(pos["term"], []))
         if mode == "insert":
             sym = pay["symbol"]
             j1, j2 = pay.get("slots", (0, 1))
-            if not checker(_slot_at(sym, j1), _slot_at(sym, j2), order, budget):
+            if not checker(_slot_at(sym, j1), _slot_at(sym, j2), order):
                 raise SideConditionFailed(
                     f"{rule}: inserted symbol {sym} fails the side condition")
             return cstate.clone(state.with_term(Fraction(pay["coeff"]), sym))
@@ -308,7 +307,7 @@ def check_step(cstate, step):
             for jj in range(s1.degree):
                 if jj == j:
                     continue
-                if not entries_value_equal(s1.entries[jj], s2.entries[jj], order, budget):
+                if not entries_value_equal(s1.entries[jj], s2.entries[jj], order):
                     raise SideConditionFailed(f"merge: slot {jj} values differ")
             merged = LaurentEntry(s1.algebra, s1.entries[j].atoms + s2.entries[j].atoms)
             terms = [(c, s) for idx, (c, s) in enumerate(state.terms) if idx not in (i1, i2)]
@@ -317,12 +316,12 @@ def check_step(cstate, step):
                 terms + [(c1, s1.replace(j, merged))]))
         if mode == "kill":
             coeff, sym = _term_at(state, pos["term"])
-            if not entry_is_one(_slot_at(sym, pos["slot"]), order, budget):
+            if not entry_is_one(_slot_at(sym, pos["slot"]), order):
                 raise SideConditionFailed("kill: designated entry does not collapse to 1")
             return cstate.clone(state.replace_term(pos["term"], []))
         if mode == "insert":
             sym = pay["symbol"]
-            if not entry_is_one(_slot_at(sym, pay["slot"]), order, budget):
+            if not entry_is_one(_slot_at(sym, pay["slot"]), order):
                 raise SideConditionFailed("insert: designated entry does not collapse to 1")
             return cstate.clone(state.with_term(Fraction(pay["coeff"]), sym))
         raise PositionInvalid(f"unknown bilinearity mode {mode!r}")
@@ -362,7 +361,7 @@ def check_step(cstate, step):
         coeff, sym = _term_at(state, pos["term"])
         entry = _slot_at(sym, pos["slot"])
         new_entry = LaurentEntry(sym.algebra, pay["atoms"])
-        if not entries_value_equal(entry, new_entry, order, budget):
+        if not entries_value_equal(entry, new_entry, order):
             raise SideConditionFailed(
                 f"{rule}: {entry} and {new_entry} have different values"
                 + (f" mod sigma^{order}" if order else ""))
@@ -447,7 +446,7 @@ def _splitting_chain(algebra, c, n):
 
     e_w = _entry(A, (w, 1))
     e_c = _entry(A, (c0, 1))
-    run = Replay(SymbolCombination(A, 2, [(1, _sym(e_w, e_c))]), sigma_budget(n))
+    run = Replay(SymbolCombination(A, 2, [(1, _sym(e_w, e_c))]))
 
     # {w, -c s^(n+1)} is a Steinberg pair: the two values sum to 1
     s_minus = _sym(e_w, _entry(A, (minus_c_sig, 1)))
@@ -699,20 +698,16 @@ def default_precision(n):
     return 3 * (n + 2)
 
 
-# The crosscheck's cost grows about as the square of its precision N (eq7 on
-# Q[t]/t^3 at n = 2, on one Xeon core under CPython 3.11: 1.2 s at N = 60,
-# 9.8 s at N = 170), so N is capped.  The cap admits the default precision
-# up to n = 19; the bundled suite uses N <= 18 and the benchmark N <= 42.
-MAX_PRECISION = 64
-
-
-def sigma_budget(n):
-    """The sigma-span one side of a comparison in a level-n certificate may
-    expand to: the crosscheck's default precision 3(n+2).  The widest
-    comparison of the eq7/eq8 chains spans n + 2 (1 - s(1 + c s^(n+1) - c s^n)
-    against (1 - s)(1 + c s^(n+1))), and the crosscheck cannot represent
-    atoms wider than a third of its precision anyway."""
-    return default_precision(n)
+# The crosscheck's cost is densest at small n, where the dlog series of
+# 1 + c s^(n+1) fills all N sigma-degrees, and grows there about as N^2:
+# eq7 at n = 2 with --precision N, on one Xeon core under CPython 3.11, takes
+# 0.7, 3.7 and 14.3 s on Q[t]/t^3 at N = 60, 128 and 240, and 1.8 and 7.4 s
+# on the ten-dimensional Q[x,y]/m^4 at N = 64 and 128.  N is capped where
+# that worst case stays under 10 s on the five algebras the benchmark
+# certifies over (Q[x,y]/m^4 is the slowest).  The cap admits the default
+# precision up to n = 40; the bundled suite uses N <= 18 and the benchmark
+# N <= 42.
+MAX_PRECISION = EXPANSION_BUDGET
 
 
 def crosscheck_dlog(cert, precision=None):

@@ -7,7 +7,7 @@ a unit of A (sigma itself included), with a formal integer exponent.
 Inverses are never expanded into series; value equality of entries is
 decided by cross-multiplying the positive- and negative-exponent parts,
 which is an exact Laurent-polynomial identity.  Atoms common to both parts
-cancel first, and a `budget` bounds the sigma-span of what is expanded.
+cancel first, and EXPANSION_BUDGET bounds what is expanded.
 
 A truncation order may be applied to products, which models the quotient
 A[sigma]/sigma^N after the projection step.
@@ -22,6 +22,15 @@ from .errors import AlgebraMismatch, NonUnitEntry, PositionInvalid
 from .expr import parse_polynomial, polynomial_str
 from .linalg import add_to
 from .poly import Polynomial
+
+
+# The most one side of a comparison may expand to: both its sigma-span and
+# its total atom exponent.  A wider side fails with PositionInvalid, so a
+# short certificate field such as (1 + sigma)^3000 or 2^1000000000 costs
+# nothing.  The value is the crosscheck's precision cap (certify.MAX_PRECISION):
+# the eq7/eq8 chains it admits (n <= 40) expand sides of span and total
+# exponent at most max(n + 2, 6).
+EXPANSION_BUDGET = 128
 
 
 class LaurentPolynomial:
@@ -158,15 +167,14 @@ class LaurentEntry:
             norm.append((poly, exp))
         self.atoms = tuple(norm)
 
-    def split(self, order=None, budget=None):
+    def split(self, order=None):
         """(numerator, denominator) products of the atom powers.
 
         Atoms are merged by key first, so a unit that occurs with both signs
         cancels before anything is expanded.  Over the Laurent ring every
         atom is a non-zero-divisor; mod sigma^order only the atoms of
-        sigma-order 0 are units, so only those cancel there.  A product
-        spanning more than `budget` sigma-degrees raises PositionInvalid
-        instead of being expanded.
+        sigma-order 0 are units, so only those cancel there.  A side over
+        EXPANSION_BUDGET raises PositionInvalid instead of being expanded.
         """
         pos, neg, polys = {}, {}, {}
         for poly, exp in self.atoms:
@@ -179,17 +187,20 @@ class LaurentEntry:
                 common = min(pos[key], neg[key])
                 pos[key] -= common
                 neg[key] -= common
-        return tuple(self._expand([(polys[k], e) for k, e in side.items() if e], order, budget)
+        return tuple(self._expand([(polys[k], e) for k, e in side.items() if e], order)
                      for side in (pos, neg))
 
-    def _expand(self, atoms, order, budget):
+    def _expand(self, atoms, order):
         low = sum(exp * poly.ord() for poly, exp in atoms)
         high = sum(exp * poly.maxdeg() for poly, exp in atoms)
         if order is not None:
             high = min(high, order - 1)
-        if budget is not None and high - low > budget:
-            raise PositionInvalid(f"expanding {LaurentEntry(self.algebra, atoms)} spans "
-                                  f"{high - low} sigma-degrees, over the budget of {budget}")
+        total = sum(exp for _, exp in atoms)
+        if max(high - low, total) > EXPANSION_BUDGET:
+            raise PositionInvalid(
+                f"expanding {LaurentEntry(self.algebra, atoms)} spans {high - low} "
+                f"sigma-degrees with total exponent {total}, over the budget of "
+                f"{EXPANSION_BUDGET}")
         acc = LaurentPolynomial.constant(self.algebra, 1)
         for poly, exp in atoms:
             acc = acc.mul(poly.power(exp, order), order)
@@ -212,31 +223,31 @@ class LaurentEntry:
         return "*".join(parts)
 
 
-def entries_value_equal(e1, e2, order=None, budget=None):
+def entries_value_equal(e1, e2, order=None):
     """value(e1) == value(e2): the quotient e1/e2, its common atoms
     cancelled, is one."""
     quotient = LaurentEntry(e1.algebra, e1.atoms + tuple((p, -exp) for p, exp in e2.atoms))
-    return entry_is_one(quotient, order, budget)
+    return entry_is_one(quotient, order)
 
 
-def entries_sum_is_one(e1, e2, order=None, budget=None):
+def entries_sum_is_one(e1, e2, order=None):
     """Steinberg side condition: value(e1) + value(e2) = 1."""
-    n1, d1 = e1.split(order, budget)
-    n2, d2 = e2.split(order, budget)
+    n1, d1 = e1.split(order)
+    n2, d2 = e2.split(order)
     lhs = n1.mul(d2, order) + n2.mul(d1, order)
     rhs = d1.mul(d2, order)
     return lhs.coeffs == rhs.coeffs
 
 
-def entries_sum_is_zero(e1, e2, order=None, budget=None):
-    n1, d1 = e1.split(order, budget)
-    n2, d2 = e2.split(order, budget)
+def entries_sum_is_zero(e1, e2, order=None):
+    n1, d1 = e1.split(order)
+    n2, d2 = e2.split(order)
     lhs = n1.mul(d2, order) + n2.mul(d1, order)
     return not lhs.coeffs
 
 
-def entry_is_one(e, order=None, budget=None):
-    n, d = e.split(order, budget)
+def entry_is_one(e, order=None):
+    n, d = e.split(order)
     return n.coeffs == d.coeffs
 
 

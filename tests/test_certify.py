@@ -233,11 +233,11 @@ def test_precision_insufficient(Q):
 def test_precision_above_cap_builds_no_ring(Q, monkeypatch):
     monkeypatch.setattr(certify, "ExtendedRealizer", None)  # any realizer would fail
     cert = vanishing_certificate(Q, 1, 2)
-    with pytest.raises(PrecisionTooLarge, match="above the cap of 64"):
+    with pytest.raises(PrecisionTooLarge, match=f"above the cap of {MAX_PRECISION}"):
         crosscheck_dlog(cert, precision=100000)
-    with pytest.raises(PrecisionTooLarge, match=r"the default 3\(n\+2\) at n = 20"):
-        crosscheck_dlog(vanishing_certificate(Q, 1, 20))
-    assert default_precision(19) <= MAX_PRECISION < default_precision(20)
+    with pytest.raises(PrecisionTooLarge, match=r"the default 3\(n\+2\) at n = 41"):
+        crosscheck_dlog(vanishing_certificate(Q, 1, 41))
+    assert default_precision(40) <= MAX_PRECISION < default_precision(41)
 
 
 def test_certificate_json_round_trip(t2):

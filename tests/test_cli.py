@@ -5,7 +5,7 @@ import pytest
 from milnork import certify
 from milnork.cli import main, parse_algebra_file
 from milnork.errors import MilnorkError
-from milnork.laurent import LaurentPolynomial
+from milnork.laurent import EXPANSION_BUDGET, LaurentPolynomial
 
 
 @pytest.fixture()
@@ -137,7 +137,7 @@ def test_certify_precision_above_cap_exit_2(capsys, t3_spec, monkeypatch):
     code = main(["certify-eq7", "--algebra", t3_spec, "--c", "1+t", "--n", "2",
                  "--precision", "100000"])
     assert code == 2
-    assert "precision 100000 is above the cap of 64" in capsys.readouterr().err
+    assert f"precision 100000 is above the cap of {certify.MAX_PRECISION}" in capsys.readouterr().err
 
 
 def test_certify_non_unit_c_exit_2(capsys, tmp_path):
@@ -362,10 +362,18 @@ def test_certificate_step_with_non_unit_atom_fails_at_step(capsys, tmp_path, t3_
     assert "input error" not in err
 
 
+@pytest.mark.parametrize("n, atoms, detail", [
+    # (1 + sigma)^3000 is short to write and 3000 sigma-degrees wide
+    (None, [["1 + sigma", 3000]], "spans 3000 sigma-degrees"),
+    # 2^1000000000 spans no sigma-degree but has a 10^9-bit coefficient
+    (None, [["2", 1000000000]], "total exponent 1000000000"),
+    # the claimed level does not widen the budget
+    (1000000, [["1 + sigma", 3000]], "spans 3000 sigma-degrees"),
+])
 def test_certificate_step_with_huge_power_fails_at_step(
-        capsys, tmp_path, t3_eq8_doc, monkeypatch):
-    # (1 + sigma)^3000 is short to write and 3000 sigma-degrees wide; the
-    # entry_factor comparison must reject it without expanding it
+        capsys, tmp_path, t3_eq8_doc, monkeypatch, n, atoms, detail):
+    # the entry_factor comparison of step 4 must reject the atoms without
+    # expanding them
     real_mul = LaurentPolynomial.mul
 
     def bounded_mul(self, other, order=None):
@@ -373,10 +381,19 @@ def test_certificate_step_with_huge_power_fails_at_step(
         assert not out or out.maxdeg() - out.ord() <= 100, "expanded a wide power"
         return out
 
+    def bounded_power(self, k, order=None):
+        assert k <= EXPANSION_BUDGET, "expanded a high power"
+        return real_power(self, k, order)
+
+    real_power = LaurentPolynomial.power
     monkeypatch.setattr(LaurentPolynomial, "mul", bounded_mul)
-    t3_eq8_doc["steps"][4]["payload"]["atoms"] = [["1 + sigma", 3000]]
+    monkeypatch.setattr(LaurentPolynomial, "power", bounded_power)
+    if n is not None:
+        t3_eq8_doc["context"]["n"] = n
+    t3_eq8_doc["steps"][4]["payload"]["atoms"] = atoms
     code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
     assert code == 1
     assert "certificate.failure_index=4\n" in out
-    assert "sigma-degrees, over the budget of 12" in out
+    assert detail in out
+    assert f"over the budget of {EXPANSION_BUDGET}" in out
     assert "Traceback" not in err

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from milnork.algebra import AlgebraSpec, build_algebra
 from milnork.errors import NonUnitEntry, PositionInvalid
 from milnork.laurent import (
+    EXPANSION_BUDGET,
     LaurentEntry,
     LaurentPolynomial,
     Symbol,
@@ -96,12 +97,20 @@ def test_comparison_cancels_common_atoms_before_expanding():
     # (1+s)^3000 occurs on both sides: nothing of width 3000 is expanded
     e1 = LaurentEntry(T2, [(wide, 3000), (u, 1)])
     e2 = LaurentEntry(T2, [(u, 1), (wide, 1000), (wide, 2000)])
-    assert entries_value_equal(e1, e2, budget=0)
-    assert entry_is_one(LaurentEntry(T2, [(wide, 3000), (wide, -3000)]), budget=0)
-    with pytest.raises(PositionInvalid, match="spans 3000 sigma-degrees, over the budget of 12"):
-        entries_value_equal(e1, LaurentEntry(T2, [(u, 1)]), budget=12)
+    assert entries_value_equal(e1, e2)
+    assert entry_is_one(LaurentEntry(T2, [(wide, 3000), (wide, -3000)]))
+    with pytest.raises(PositionInvalid, match="spans 3000 sigma-degrees"):
+        entries_value_equal(e1, LaurentEntry(T2, [(u, 1)]))
     with pytest.raises(PositionInvalid):
-        entries_sum_is_one(e1, e2, budget=12)
+        entries_sum_is_one(e1, e2)
+    # a high power of a constant spans no sigma-degree but is still bounded,
+    # truncated or not
+    two = LaurentEntry(T2, [(lp({0: "2"}), 10**9)])
+    for order in (None, 3):
+        with pytest.raises(PositionInvalid, match="total exponent 1000000000"):
+            entry_is_one(two, order)
+    # the budget itself is admitted
+    assert not entry_is_one(LaurentEntry(T2, [(wide, EXPANSION_BUDGET)]))
     # mod sigma^3, s is no unit: s(1+s^2) = s*1 although 1+s^2 != 1
     u2 = one + lp({2: "1"})
     assert entries_value_equal(LaurentEntry(T2, [(s, 1), (u2, 1)]),
