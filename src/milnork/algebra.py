@@ -23,7 +23,7 @@ from .errors import (
     NotOneUnit,
 )
 from .expr import evaluate, monomial_str, parse_polynomial, polynomial_str
-from .linalg import add_to
+from .linalg import add_to, rational
 from .poly import (
     Polynomial,
     degrevlex_key,
@@ -62,8 +62,8 @@ def _spoly(f, g):
     mf, cf = f.leading()
     mg, cg = g.leading()
     lcm = mono_lcm(mf, mg)
-    a = Polynomial(f.nvars, {mono_div(lcm, mf): Fraction(1) / cf}, normalize=False)
-    b = Polynomial(g.nvars, {mono_div(lcm, mg): Fraction(1) / cg}, normalize=False)
+    a = Polynomial(f.nvars, {mono_div(lcm, mf): rational(Fraction(1, cf))}, normalize=False)
+    b = Polynomial(g.nvars, {mono_div(lcm, mg): rational(Fraction(1, cg))}, normalize=False)
     return a * f - b * g
 
 
@@ -78,7 +78,7 @@ def _reduce_poly(p, basis):
         for (lm, lc), g in leads:
             if mono_divides(lm, mono):
                 q = mono_div(mono, lm)
-                factor = coeff / lc
+                factor = rational(Fraction(coeff, lc))
                 for gm, gc in g.terms.items():
                     t = mono_mul(gm, q)
                     if t != mono:
@@ -102,7 +102,7 @@ def _interreduce(polys):
             r = _reduce_poly(p, others) if others else p
             if r:
                 _, c = r.leading()
-                out.append(r * (Fraction(1) / c))
+                out.append(r * Fraction(1, c))
             if r.terms != p.terms:
                 changed = True
         polys = out
@@ -125,7 +125,7 @@ def buchberger(polys):
         r = _reduce_poly(_spoly(basis[i], basis[j]), basis)
         if r:
             _, c = r.leading()
-            basis.append(r * (Fraction(1) / c))
+            basis.append(r * Fraction(1, c))
             k = len(basis) - 1
             mk = basis[k].leading()[0]
             for idx in range(k):
@@ -162,9 +162,9 @@ class Algebra:
         if cached is not None:
             return cached
         if mono in self.index:
-            coords = {mono: Fraction(1)}
+            coords = {mono: 1}
         else:
-            red = _reduce_poly(Polynomial(self.nvars, {mono: Fraction(1)}, normalize=False),
+            red = _reduce_poly(Polynomial(self.nvars, {mono: 1}, normalize=False),
                                self.groebner)
             coords = dict(red.terms)
         self._mono_nf[mono] = coords
@@ -179,10 +179,12 @@ class Algebra:
 
     def basis_element(self, i):
         """The i-th standard monomial as an element; it is already reduced."""
-        return AlgebraElement(self, {self.basis[i]: Fraction(1)})
+        return AlgebraElement(self, {self.basis[i]: 1})
 
     def element(self, value):
         """Coerce an expression string, rational, or element into this algebra.
+
+        Numbers go through `rational`, so a float raises TypeError.
 
         Strings are evaluated with this algebra's arithmetic, which reduces
         after every operation, so the work is bounded by the dimension and
@@ -192,8 +194,8 @@ class Algebra:
             if value.algebra is not self:
                 raise AlgebraMismatch("element belongs to a different algebra")
             return value
-        if isinstance(value, (int, Fraction)):
-            q = Fraction(value)
+        if isinstance(value, (int, Fraction, float)):
+            q = rational(value)
             return AlgebraElement(self, {(0,) * self.nvars: q} if q else {})
         return evaluate(value, self.names, self.element,
                         lambda i: self.variable(self.names[i]))
@@ -276,11 +278,12 @@ class AlgebraElement:
         return self._check(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+        if isinstance(other, (int, Fraction, float)):
+            q = rational(other)
             if not q:
                 return AlgebraElement(self.algebra, {})
-            return AlgebraElement(self.algebra, {m: c * q for m, c in self.coords.items()})
+            return AlgebraElement(self.algebra,
+                                  {m: rational(c * q) for m, c in self.coords.items()})
         other = self._check(other)
         A = self.algebra
         res = {}
@@ -308,7 +311,7 @@ class AlgebraElement:
         return result
 
     def augmentation(self):
-        return self.coords.get((0,) * self.algebra.nvars, Fraction(0))
+        return self.coords.get((0,) * self.algebra.nvars, 0)
 
     def to_poly(self):
         return Polynomial(self.algebra.nvars, dict(self.coords), normalize=False)
@@ -363,7 +366,7 @@ def invert_unit(algebra, u):
     a = u.augmentation()
     if not a:
         raise NotAUnit(f"{u} has augmentation 0")
-    x = u * (Fraction(1) / a) - 1
+    x = u * Fraction(1, a) - 1
     acc = algebra.one
     term = algebra.one
     sign = -1
@@ -373,7 +376,7 @@ def invert_unit(algebra, u):
             break
         acc = acc + term * sign
         sign = -sign
-    return acc * (Fraction(1) / a)
+    return acc * Fraction(1, a)
 
 
 def log_one_unit(algebra, u):
@@ -390,7 +393,7 @@ def log_one_unit(algebra, u):
         k += 1
         if not term:
             break
-        acc = acc + term * (Fraction((-1) ** (k + 1), k))
+        acc = acc + term * Fraction((-1) ** (k + 1), k)
     return acc
 
 
@@ -420,7 +423,7 @@ class TruncatedExtension(Algebra):
     """
 
     def __init__(self, base, spec, order):
-        s_power = Polynomial(base.nvars + 1, {(0,) * base.nvars + (order,): Fraction(1)},
+        s_power = Polynomial(base.nvars + 1, {(0,) * base.nvars + (order,): 1},
                              normalize=False)
         lifted = [Polynomial(base.nvars + 1, {m + (0,): c for m, c in g.terms.items()},
                              normalize=False) for g in base.groebner]

@@ -60,7 +60,7 @@ from .laurent import (
     entries_value_equal,
     entry_is_one,
 )
-from .linalg import RowSpace, add_to
+from .linalg import RowSpace, add_to, rational
 from .milnor import slotwise_realize
 
 KERZ_NOTE = ("projection assumes the class descends from the localization to the "
@@ -279,7 +279,7 @@ def check_step(cstate, step):
             if not checker(_slot_at(sym, j1), _slot_at(sym, j2), order):
                 raise SideConditionFailed(
                     f"{rule}: inserted symbol {sym} fails the side condition")
-            return cstate.clone(state.with_term(Fraction(pay["coeff"]), sym))
+            return cstate.clone(state.with_term(rational(pay["coeff"]), sym))
         raise PositionInvalid(f"unknown {rule} mode {mode!r}")
 
     if rule == "bilinearity":
@@ -323,7 +323,7 @@ def check_step(cstate, step):
             sym = pay["symbol"]
             if not entry_is_one(_slot_at(sym, pay["slot"]), order):
                 raise SideConditionFailed("insert: designated entry does not collapse to 1")
-            return cstate.clone(state.with_term(Fraction(pay["coeff"]), sym))
+            return cstate.clone(state.with_term(rational(pay["coeff"]), sym))
         raise PositionInvalid(f"unknown bilinearity mode {mode!r}")
 
     if rule == "inverse_negation":
@@ -348,7 +348,7 @@ def check_step(cstate, step):
         if pay["mode"] == "pack":
             new = LaurentEntry(sym.algebra, [(poly, exp * m)])
             return cstate.clone(state.replace_term(
-                pos["term"], [(coeff / m, sym.replace(pos["slot"], new))]))
+                pos["term"], [(Fraction(coeff, m), sym.replace(pos["slot"], new))]))
         if pay["mode"] == "unpack":
             if exp % m:
                 raise SideConditionFailed(f"exponent {exp} not divisible by {m}")
@@ -580,12 +580,12 @@ class ExtendedRealizer:
         """
         z = RowSpace()
         B, M1, M2 = self.ring, self.omega1, self.omega2
-        s, nw, one = B.nvars - 1, len(M1.wedges), Fraction(1)
+        s, nw = B.nvars - 1, len(M1.wedges)
         for i, col in enumerate(M1.basis_cols):
             mono_idx, widx = divmod(col, nw)
             (j,) = M1.wedges[widx]
             if j == s:
-                z.pivots[self._offset + i] = {self._offset + i: one}
+                z.pivots[self._offset + i] = {self._offset + i: 1}
                 continue
             mono = B.basis[mono_idx]
             k = mono[-1] + 1
@@ -593,7 +593,7 @@ class ExtendedRealizer:
                 continue
             lead = M2.col_index[M2.col(mono_idx, M2.wedge_index[(j, s)])]
             shifted = M1.col_index[M1.col(B.index[mono[:-1] + (k,)], widx)]
-            z.pivots[lead] = {lead: one, self._offset + shifted: one}
+            z.pivots[lead] = {lead: 1, self._offset + shifted: 1}
         return z
 
     def entry_dlog(self, entry):
@@ -809,7 +809,7 @@ def _sym_from_json(algebra, data):
 
 def _state_from_json(algebra, data):
     return SymbolCombination(algebra, 2,
-                             [(Fraction(c), _sym_from_json(algebra, s)) for c, s in data])
+                             [(c, _sym_from_json(algebra, s)) for c, s in data])
 
 
 def certificate_to_json(cert):

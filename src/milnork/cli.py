@@ -121,9 +121,8 @@ def _cmd_phi(args):
 def _cmd_theorem2(args):
     A = _load_algebra(args.algebra)
     gens = relative_generators(A, args.n, args.p)
-    forms = [relative_realize(g, args.n) for g in gens]
     M = omega_module(A, args.p - 1)
-    verdict = span_check(forms, M)
+    verdict = span_check((relative_realize(g, args.n) for g in gens), M)
     rep = Report("relative-realization").extend(verdict.record())
     rep.add("theorem2.generators", len(gens))
     return _emit(rep, args, 0 if verdict.spans else 1)
@@ -131,9 +130,8 @@ def _cmd_theorem2(args):
 
 def _cmd_tangent_span(args):
     A = _load_algebra(args.algebra)
-    targets = [tangent_realize(g) for g in tangent_generators(A, args.p)]
     M = omega_module(A, args.p - 1)
-    verdict = span_check(targets, M)
+    verdict = span_check((tangent_realize(g) for g in tangent_generators(A, args.p)), M)
     rep = Report("tangent-span").extend(verdict.record())
     return _emit(rep, args, 0 if verdict.spans else 1)
 

@@ -11,9 +11,9 @@ the expression is evaluated, and reduced, in the algebra.
 """
 
 import re
-from fractions import Fraction
 
 from .errors import ParseError
+from .linalg import rational
 from .poly import Polynomial
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:\s*/\s*\d+)?)|([A-Za-z][A-Za-z0-9_]*)|([()+\-*^]))")
@@ -31,7 +31,7 @@ def tokenize(text):
         pos = m.end()
         if m.group(1):
             try:
-                tokens.append(("num", Fraction(m.group(1).replace(" ", ""))))
+                tokens.append(("num", rational(m.group(1).replace(" ", ""))))
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {text!r}") from None
         elif m.group(2):

@@ -15,13 +15,12 @@ flattened monomial-major so low monomials survive reduction first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .algebra import derived_algebra, invert_unit, transport
 from .errors import AlgebraMismatch, NameCollision, NotAUnit
 from .expr import monomial_str
-from .linalg import RowSpace, add_to
+from .linalg import RowSpace, add_to, rational
 from .poly import mono_mul
 
 
@@ -109,7 +108,7 @@ class OmegaModule:
                 if tail and k == N - 1:
                     for base in mono_cols:
                         for w in wcols:
-                            pivots[base + w] = {base + w: Fraction(1)}
+                            pivots[base + w] = {base + w: 1}
                     continue
                 nwa = len(M.wedges)
 
@@ -129,7 +128,7 @@ class OmegaModule:
         return DifferentialForm(self, self.reduce_free(free_vec) if free_vec else {})
 
     def basis_forms(self):
-        return [DifferentialForm(self, {i: Fraction(1)}) for i in range(self.dimension)]
+        return [DifferentialForm(self, {i: 1}) for i in range(self.dimension)]
 
     def label(self, reduced_idx):
         col = self.basis_cols[reduced_idx]
@@ -170,10 +169,10 @@ class DifferentialForm:
         return self + (-other)
 
     def scale(self, q):
-        q = Fraction(q)
+        q = rational(q)
         if not q:
             return DifferentialForm(self.module, {})
-        return DifferentialForm(self.module, {i: c * q for i, c in self.coords.items()})
+        return DifferentialForm(self.module, {i: rational(c * q) for i, c in self.coords.items()})
 
     def __eq__(self, other):
         return (isinstance(other, DifferentialForm)

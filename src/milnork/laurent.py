@@ -16,11 +16,10 @@ A[sigma]/sigma^N after the projection step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AlgebraMismatch, NonUnitEntry, PositionInvalid
 from .expr import parse_polynomial, polynomial_str
-from .linalg import add_to
+from .linalg import add_to, rational
 from .poly import Polynomial
 
 
@@ -300,7 +299,7 @@ class SymbolCombination:
         merged = {}
         keyed = {}
         for coeff, sym in terms:
-            coeff = Fraction(coeff)
+            coeff = rational(coeff)
             if not coeff:
                 continue
             if sym.degree != degree:
@@ -330,7 +329,7 @@ class SymbolCombination:
 
     def scale(self, q):
         return SymbolCombination(self.algebra, self.degree,
-                                 [(c * Fraction(q), s) for c, s in self.terms])
+                                 [(c * rational(q), s) for c, s in self.terms])
 
     def key(self):
         return tuple((str(c), s.key()) for c, s in self.terms)

@@ -1,8 +1,14 @@
 """Exact sparse linear algebra over Q.
 
-Rows are dicts mapping column index to a nonzero Fraction.  Pivot columns of
+Rows are dicts mapping column index to a nonzero rational.  Pivot columns of
 a reduced echelon form are intrinsic to the row span, so the incremental
 insertion below yields the same pivots as column-major elimination.
+
+Every stored rational is normalized by `rational`: an `int` when it is whole,
+a `Fraction` only when it is not, and never a float.  Nearly every coordinate
+the engine meets is whole, and int arithmetic is several times cheaper than
+Fraction arithmetic.  With int operands `a / b` is a float, so every division
+goes through `Fraction(a, b)` and then `rational`.
 
 `add_to` is the one sparse-accumulate kernel: every sparse vector in the
 engine (polynomial terms, algebra coordinates, form coordinates, Laurent
@@ -12,18 +18,34 @@ coefficients, realization vectors, echelon rows) is summed through it.
 from fractions import Fraction
 
 
+def rational(value):
+    """The exact rational `value` as an int when it is whole, else as a
+    Fraction.  Accepts ints, Fractions and rational strings; a float raises
+    TypeError, since its binary expansion is not the number it was meant as."""
+    if value.__class__ is int:
+        return value
+    if value.__class__ is not Fraction:
+        if isinstance(value, float):
+            raise TypeError(f"{value!r} is a float; exact arithmetic needs an int, "
+                            "a Fraction or a rational string")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def add_to(vec, key, value):
-    """vec[key] += value, storing no zeros: an entry that cancels is dropped."""
+    """vec[key] += value, storing no zeros: an entry that cancels is dropped,
+    and a whole Fraction is stored as an int."""
     old = vec.get(key)
-    if old is None:
-        if value:
-            vec[key] = value
+    if old is not None:
+        value = old + value
+        if not value:
+            del vec[key]
+            return
+    elif not value:
         return
-    new = old + value
-    if new:
-        vec[key] = new
-    else:
-        del vec[key]
+    if value.__class__ is Fraction and value.denominator == 1:
+        value = value.numerator
+    vec[key] = value
 
 
 class RowSpace:
@@ -55,8 +77,8 @@ class RowSpace:
         if not res:
             return None
         lead = min(res)
-        inv = Fraction(1) / res[lead]
-        res = {c: v * inv for c, v in res.items()}
+        inv = rational(Fraction(1, res[lead]))
+        res = {c: rational(v * inv) for c, v in res.items()}
         for prow in self.pivots.values():
             c = prow.get(lead)
             if c:
@@ -74,12 +96,12 @@ def express(vectors, target, ncols):
     space = RowSpace()
     for i, v in enumerate(vectors):
         row = dict(v)
-        row[ncols + i] = Fraction(1)
+        row[ncols + i] = 1
         space.insert(row)
     res = space.reduce(dict(target))
     if any(col < ncols and val for col, val in res.items()):
         return None
-    coeffs = [Fraction(0)] * len(vectors)
+    coeffs = [0] * len(vectors)
     for col, val in res.items():
         if col >= ncols:
             coeffs[col - ncols] = -val

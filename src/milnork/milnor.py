@@ -11,7 +11,6 @@ K(A[s]/s^(n+1)) -> K(A[s]/s^n), (c) the evaluation sending a generator
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     AlgebraElement,
@@ -158,7 +157,7 @@ def _coefficient_wedge(c, units):
             f = dlog(u)
             acc = f if acc is None else wedge(acc, f)
         if acc is None:
-            acc = omega_module(A, 0).form({0: Fraction(1)})
+            acc = omega_module(A, 0).form({0: 1})
         cache[key] = acc
     return acc.act(c)
 
@@ -327,16 +326,27 @@ class SpanVerdict:
 
 
 def span_check(targets, module):
-    """Exact rank of the span of `targets` inside `module`."""
+    """Exact rank of the span of `targets` inside `module`.
+
+    `targets` may be any iterable, such as a generator that realizes each
+    target on demand.  It is read only until the rank reaches
+    module.dimension, and not at all when that is 0: no later target can
+    raise the rank, so the witnesses, the indices of the targets that did,
+    are the same as from reading every target.
+    """
     space = RowSpace()
     witnesses = []
-    for idx, form in enumerate(targets):
-        if form.module is not module:
-            raise AlgebraMismatch("target form lives in a different module")
-        if space.insert(dict(form.coords)) is not None:
-            witnesses.append(idx)
+    dim = module.dimension
+    if dim:
+        for idx, form in enumerate(targets):
+            if form.module is not module:
+                raise AlgebraMismatch("target form lives in a different module")
+            if space.insert(dict(form.coords)) is not None:
+                witnesses.append(idx)
+                if space.rank == dim:
+                    break
     rank = space.rank
-    return SpanVerdict(rank, module.dimension, rank == module.dimension, tuple(witnesses))
+    return SpanVerdict(rank, dim, rank == dim, tuple(witnesses))
 
 
 def vanishing_additivity_check(algebra, c1, c2, n, sigma_name="sigma"):
@@ -500,7 +510,7 @@ def _kernel_of_map(Ap, images, codomain):
     kernel = []
     for idx, vec in enumerate(images):
         row = {codomain.index[m]: c for m, c in vec.coords.items()}
-        row[aug_base + idx] = Fraction(1)
+        row[aug_base + idx] = 1
         residual = space.reduce(row)
         if all(col >= aug_base for col in residual):
             combo = Ap.zero

@@ -1,13 +1,14 @@
 """Sparse multivariate polynomials over Q under a degrevlex order.
 
 Monomials are exponent tuples; the variable order is fixed by whoever owns
-the polynomial (an Algebra or a parser call).  All coefficients are exact
-Fractions, never floats.
+the polynomial (an Algebra or a parser call).  Coefficients are exact
+rationals in the engine's one representation (see `linalg.rational`): an int
+when whole, a Fraction otherwise, never a float.
 """
 
 from fractions import Fraction
 
-from .linalg import add_to
+from .linalg import add_to, rational
 
 
 def degrevlex_key(mono):
@@ -42,7 +43,7 @@ class Polynomial:
             return
         self.terms = {}
         for m, c in (terms or {}).items():
-            add_to(self.terms, m, Fraction(c))
+            add_to(self.terms, m, rational(c))
 
     @classmethod
     def zero(cls, nvars):
@@ -50,7 +51,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars, c):
-        c = Fraction(c)
+        c = rational(c)
         if not c:
             return cls.zero(nvars)
         return cls(nvars, {(0,) * nvars: c}, normalize=False)
@@ -58,7 +59,7 @@ class Polynomial:
     @classmethod
     def variable(cls, nvars, i):
         mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {mono: Fraction(1)}, normalize=False)
+        return cls(nvars, {mono: 1}, normalize=False)
 
     def __bool__(self):
         return bool(self.terms)
@@ -85,11 +86,12 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+        if isinstance(other, (int, Fraction, float)):
+            q = rational(other)
             if not q:
                 return Polynomial.zero(self.nvars)
-            return Polynomial(self.nvars, {m: c * q for m, c in self.terms.items()}, normalize=False)
+            return Polynomial(self.nvars, {m: rational(c * q) for m, c in self.terms.items()},
+                              normalize=False)
         res = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

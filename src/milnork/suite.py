@@ -144,9 +144,8 @@ def milnor_checks():
         for p in (2, 3):
             for n in range(1, 5):
                 gens = relative_generators(A, n, p)
-                forms = [relative_realize(g, n) for g in gens]
                 M = omega_module(A, p - 1)
-                verdict = span_check(forms, M)
+                verdict = span_check((relative_realize(g, n) for g in gens), M)
                 checks.append((f"milnor.rank.{name}.p{p}.n{n}", verdict.spans))
 
     for name, A in fam:
@@ -188,7 +187,7 @@ def milnor_checks():
 
     for name, A in fam:
         for p in (2, 3):
-            targets = [tangent_realize(g) for g in tangent_generators(A, p)]
+            targets = (tangent_realize(g) for g in tangent_generators(A, p))
             verdict = span_check(targets, omega_module(A, p - 1))
             checks.append((f"milnor.tangent_rank.{name}.p{p}", verdict.spans))
 

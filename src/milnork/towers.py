@@ -10,16 +10,15 @@ Mittag-Leffler hypothesis for surjective systems), or vacuously at the top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidSpec, ParseError
-from .linalg import RowSpace
+from .linalg import RowSpace, rational
 
 
 def _as_matrix(rows, nrows, ncols):
     out = []
     for r in rows:
-        row = tuple(Fraction(x) for x in r)
+        row = tuple(rational(x) for x in r)
         if len(row) != ncols:
             raise InvalidSpec("matrix row width does not match the level dimension")
         out.append(row)
@@ -49,7 +48,7 @@ class Tower:
 
     @classmethod
     def identity(cls, dim, length):
-        eye = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+        eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
         return cls.build([dim] * length, [eye] * (length - 1))
 
 
@@ -58,7 +57,7 @@ def _mat_mul(a, b):
         return tuple(tuple() for _ in a)
     bt = list(zip(*b)) if b else []
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+        tuple(rational(sum(x * y for x, y in zip(row, col))) for col in bt)
         for row in a
     )
 
@@ -157,7 +156,7 @@ def limit_dim(tower):
     space = RowSpace()
     for k, m in enumerate(tower.maps):
         for i in range(tower.dims[k]):
-            row = {offsets[k] + i: Fraction(1)}
+            row = {offsets[k] + i: 1}
             for j in range(tower.dims[k + 1]):
                 if m[i][j]:
                     row[offsets[k + 1] + j] = -m[i][j]
@@ -192,7 +191,7 @@ def parse_tower_file(text):
                 for chunk in value.split(";"):
                     chunk = chunk.strip()
                     if chunk:
-                        rows.append([Fraction(x.strip()) for x in chunk.split(",")])
+                        rows.append([rational(x.strip()) for x in chunk.split(",")])
                     else:
                         rows.append([])
                 raw_maps[idx] = rows

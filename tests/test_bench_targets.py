@@ -12,6 +12,16 @@ from pathlib import Path
 
 import pytest
 
+from milnork.algebra import build_algebra
+from milnork.kahler import omega_module
+from milnork.milnor import (
+    coefficient_samples,
+    relative_generators,
+    relative_realize,
+    span_check,
+    unit_samples,
+)
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -77,3 +87,22 @@ def test_rank_ladder_verdicts_pinned(seed):
     for name, ok, got in verdicts:
         assert ok, (name, got)
     assert {name: got[3] for name, _, got in verdicts} == RANK_WITNESSES[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(RANK_WITNESSES))
+def test_rank_ladder_verdicts_from_a_generator(seed):
+    # span_check reads realizations on demand and stops at full rank; the
+    # verdicts must be the ones pinned above from the benchmark's lists
+    workloads = _load("workloads")
+    inputs = workloads.rank_inputs(seed)
+    n = inputs["n"]
+    for job in inputs["jobs"]:
+        name, p = job["algebra"], job["p"]
+        A = build_algebra(workloads._spec(name))
+        cs, us = coefficient_samples(A), unit_samples(A)
+        gens = relative_generators(A, n, p, coeffs=[cs[i] for i in job["coeffs"]],
+                                   units=[us[i] for i in job["units"]])
+        verdict = span_check((relative_realize(g, n) for g in gens), omega_module(A, p - 1))
+        assert verdict.spans
+        assert (verdict.rank, verdict.dim, len(gens)) == workloads.RANK_EXPECTED[(name, p)]
+        assert list(verdict.certificate) == RANK_WITNESSES[seed][f"{name}.p{p}"]

@@ -127,6 +127,20 @@ def test_position_guards(Q):
                    RewriteStep("nonsense", {"term": 0}, {}))
 
 
+def test_torsion_scale_pack_divides_exactly(Q):
+    # packing m = 3 into the exponent leaves the coefficient 1/3, exactly: with
+    # int coefficients a plain `coeff / m` would be a float
+    two = LaurentPolynomial.constant(Q, 2)
+    three = LaurentPolynomial.constant(Q, 3)
+    sym = Symbol((_entry(Q, (two, 1)), _entry(Q, (three, 1))))
+    out = check_step(CheckState(_state(Q, (1, sym))),
+                     RewriteStep("torsion_scale", {"term": 0, "slot": 0},
+                                 {"mode": "pack", "m": 3}))
+    (coeff, packed), = out.state.terms
+    assert type(coeff) is Fraction and coeff == Fraction(1, 3)
+    assert packed.entries[0].atoms[0][1] == 3
+
+
 def test_projection_requires_order_zero_atoms(Q):
     sig = LaurentPolynomial.sigma(Q)
     one = LaurentPolynomial.constant(Q, 1)

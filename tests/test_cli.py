@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from milnork import certify
+from milnork import certify, cli
 from milnork.cli import main, parse_algebra_file
 from milnork.errors import MilnorkError
 from milnork.laurent import EXPANSION_BUDGET, LaurentPolynomial
@@ -97,6 +97,22 @@ def test_tangent_span(capsys, t3_spec):
                     "--format", "record")
     assert code == 0
     assert "span.spans=true" in out
+
+
+def test_span_into_a_zero_module_realizes_nothing(capsys, t3_spec, monkeypatch):
+    # Omega^6 of Q[t]/t^3 is 0: neither command realizes any of its thousands
+    # of generators
+    realized = []
+    for name in ("tangent_realize", "relative_realize"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real: realized.append(a) or real(*a))
+    code, out = run(capsys, "tangent-span", "--algebra", t3_spec, "--p", "7",
+                    "--format", "record")
+    assert code == 0 and "span.rank=0\nspan.dim=0\nspan.spans=true" in out
+    code, out = run(capsys, "theorem2", "--algebra", t3_spec, "--n", "2", "--p", "7",
+                    "--format", "record")
+    assert code == 0 and "span.dim=0" in out and "theorem2.generators=13312" in out
+    assert realized == []
 
 
 def test_certify_commands(capsys, q_spec, tmp_path):

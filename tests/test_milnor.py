@@ -9,6 +9,7 @@ from milnork.errors import (
     SigmaNotDesignated,
 )
 from milnork.kahler import map_form, omega_module
+from milnork.linalg import RowSpace
 from milnork.milnor import (
     SymbolEntry,
     coefficient_samples,
@@ -18,6 +19,7 @@ from milnork.milnor import (
     relative_realize,
     span_check,
     tangent_extension,
+    tangent_generators,
     tangent_realize,
     transport_check,
     unit_samples,
@@ -195,6 +197,27 @@ def test_span_check_edges(t3):
     M = omega_module(t3, 1)
     v = span_check([M.form()], M)
     assert not v.spans and v.rank == 0
+
+
+def test_span_check_stops_at_full_rank(t3):
+    M = omega_module(t3, 1)
+    forms = [tangent_realize(g) for g in tangent_generators(t3, 2)]
+    space, raised = RowSpace(), []
+    for idx, form in enumerate(forms):
+        if space.insert(dict(form.coords)) is not None:
+            raised.append(idx)
+    read = []
+
+    def targets():
+        for form in forms:
+            read.append(form)
+            yield form
+
+    verdict = span_check(targets(), M)
+    assert verdict.spans and verdict.certificate == tuple(raised)
+    assert len(read) == raised[-1] + 1 < len(forms)
+    read.clear()
+    assert span_check(targets(), omega_module(t3, 2)).spans and not read
 
 
 def test_additivity_identity():
