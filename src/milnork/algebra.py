@@ -20,7 +20,6 @@ from .errors import (
     NotArtinian,
     NotAUnit,
     NotLocal,
-    NotOneUnit,
 )
 from .expr import evaluate, monomial_str, parse_polynomial, polynomial_str
 from .linalg import add_to, rational
@@ -377,24 +376,6 @@ def invert_unit(algebra, u):
         acc = acc + term * sign
         sign = -sign
     return acc * Fraction(1, a)
-
-
-def log_one_unit(algebra, u):
-    """log(u) = sum (-1)^(k+1) (u-1)^k / k for a 1-unit u; finite by nilpotency."""
-    u = algebra.element(u)
-    if u.augmentation() != 1:
-        raise NotOneUnit(f"{u} has augmentation {u.augmentation()}, expected 1")
-    x = u - 1
-    acc = algebra.zero
-    term = algebra.one
-    k = 0
-    while True:
-        term = term * x
-        k += 1
-        if not term:
-            break
-        acc = acc + term * Fraction((-1) ** (k + 1), k)
-    return acc
 
 
 def derived_algebra(parent, variables, relations, distinguished=None, build=build_algebra):

@@ -55,8 +55,7 @@ from .laurent import (
     LaurentPolynomial,
     Symbol,
     SymbolCombination,
-    entries_sum_is_one,
-    entries_sum_is_zero,
+    entries_sum_is,
     entries_value_equal,
     entry_is_one,
 )
@@ -263,20 +262,19 @@ def check_step(cstate, step):
         return CheckState(state.truncate(trunc), trunc)
 
     if rule == "steinberg" or rule == "minus_arg":
-        want_one = rule == "steinberg"
-        checker = entries_sum_is_one if want_one else entries_sum_is_zero
+        target = 1 if rule == "steinberg" else 0
         mode = pay.get("mode", "remove")
         if mode == "remove":
             coeff, sym = _term_at(state, pos["term"])
             j1, j2 = pay.get("slots", (0, 1))
-            if not checker(_slot_at(sym, j1), _slot_at(sym, j2), order):
+            if not entries_sum_is(_slot_at(sym, j1), _slot_at(sym, j2), target, order):
                 raise SideConditionFailed(
-                    f"{rule}: slots {j1},{j2} of {sym} do not sum to {1 if want_one else 0}")
+                    f"{rule}: slots {j1},{j2} of {sym} do not sum to {target}")
             return cstate.clone(state.replace_term(pos["term"], []))
         if mode == "insert":
             sym = pay["symbol"]
             j1, j2 = pay.get("slots", (0, 1))
-            if not checker(_slot_at(sym, j1), _slot_at(sym, j2), order):
+            if not entries_sum_is(_slot_at(sym, j1), _slot_at(sym, j2), target, order):
                 raise SideConditionFailed(
                     f"{rule}: inserted symbol {sym} fails the side condition")
             return cstate.clone(state.with_term(rational(pay["coeff"]), sym))
@@ -434,7 +432,7 @@ def _splitting_chain(algebra, c, n):
         raise NonUnitC("the coefficient c must be a unit of the base algebra "
                        "(split non-units by additivity first)")
     one = LaurentPolynomial.constant(A, 1)
-    sig = LaurentPolynomial.sigma(A, 1)
+    sig = LaurentPolynomial.sigma(A)
     c0 = LaurentPolynomial(A, {0: c})
     w = one + LaurentPolynomial(A, {n + 1: c})            # 1 + c s^(n+1)
     g = w - LaurentPolynomial(A, {n: c})                   # 1 + c s^(n+1) - c s^n
@@ -558,11 +556,11 @@ class ExtendedRealizer:
     the clearing-denominators identification.
     """
 
-    def __init__(self, algebra, precision, sigma_name="sigma"):
-        self.ring = truncated_extension(algebra, sigma_name, precision)
+    def __init__(self, algebra, precision):
+        self.ring = truncated_extension(algebra, "sigma", precision)
         self.omega1 = omega_module(self.ring, 1)
         self.omega2 = omega_module(self.ring, 2)
-        self.sigma = self.ring.variable(sigma_name)
+        self.sigma = self.ring.variable("sigma")
         self._entry_cache = {}
         self._term_cache = {}
         self._offset = self.omega2.dimension
@@ -798,8 +796,15 @@ def _state_to_json(state):
     return [[str(c), _sym_to_json(s)] for c, s in state.terms]
 
 
+def _exponent_from_json(value):
+    if not _is_int(value):
+        raise ParseError(f"certificate atom exponent {value!r} is not an integer")
+    return value
+
+
 def _atoms_from_json(algebra, data):
-    return [(LaurentPolynomial.from_string(algebra, text), int(exp)) for text, exp in data]
+    return [(LaurentPolynomial.from_string(algebra, text), _exponent_from_json(exp))
+            for text, exp in data]
 
 
 def _sym_from_json(algebra, data):

@@ -26,7 +26,6 @@ from .milnor import (
     relative_generators,
     relative_realize,
     span_check,
-    tangent_generators,
     tangent_realize,
     transport_check,
 )
@@ -112,7 +111,7 @@ def _cmd_phi(args):
     rep = Report("relative-generators")
     rep.add("phi.n", args.n)
     rep.add("phi.p", args.p)
-    rep.add("phi.count", len(gens))
+    rep.add("phi.count", gens.size)
     for i, g in enumerate(gens):
         rep.add(f"phi.gen.{i:03d}", str(g))
     return _emit(rep, args, 0)
@@ -124,14 +123,14 @@ def _cmd_theorem2(args):
     M = omega_module(A, args.p - 1)
     verdict = span_check((relative_realize(g, args.n) for g in gens), M)
     rep = Report("relative-realization").extend(verdict.record())
-    rep.add("theorem2.generators", len(gens))
+    rep.add("theorem2.generators", gens.size)
     return _emit(rep, args, 0 if verdict.spans else 1)
 
 
 def _cmd_tangent_span(args):
     A = _load_algebra(args.algebra)
     M = omega_module(A, args.p - 1)
-    verdict = span_check((tangent_realize(g) for g in tangent_generators(A, args.p)), M)
+    verdict = span_check((tangent_realize(g) for g in relative_generators(A, 1, args.p)), M)
     rep = Report("tangent-span").extend(verdict.record())
     return _emit(rep, args, 0 if verdict.spans else 1)
 

@@ -25,10 +25,6 @@ class NotAUnit(MilnorkError):
     pass
 
 
-class NotOneUnit(MilnorkError):
-    pass
-
-
 class NameCollision(MilnorkError):
     pass
 

@@ -305,14 +305,13 @@ def dlog(u):
     return form
 
 
-def map_form(f, target_algebra, rename=None):
+def map_form(f, target_algebra):
     """Push a form along a name-matching algebra map (e.g. a truncation).
 
-    Coefficients transport by name; each d(variable) maps to d(renamed
-    variable).  Used for the functorial projection Omega^p(A[s]/s^(n+1)) ->
+    Coefficients transport by name; each d(variable) maps to d(variable).
+    Used for the functorial projection Omega^p(A[s]/s^(n+1)) ->
     Omega^p(A[s]/s^n) and for checking that projections commute with d.
     """
-    rename = rename or {}
     M = f.module
     src = M.algebra
     target = omega_module(target_algebra, M.degree)
@@ -321,10 +320,10 @@ def map_form(f, target_algebra, rename=None):
     for ridx, q in f.coords.items():
         col = M.basis_cols[ridx]
         mono_idx, widx = divmod(col, nw)
-        carried = transport(src.basis_element(mono_idx), target_algebra, rename=rename)
+        carried = transport(src.basis_element(mono_idx), target_algebra)
         order = []
         for i in M.wedges[widx]:
-            name = rename.get(src.names[i], src.names[i])
+            name = src.names[i]
             if name not in target_algebra.names:
                 raise AlgebraMismatch(f"target has no variable {name!r}")
             order.append(target_algebra.names.index(name))
@@ -366,7 +365,7 @@ class DecompositionReport:
         return rows
 
 
-def decomposition_report(algebra, n, p, sigma_name="sigma"):
+def decomposition_report(algebra, n, p):
     """Compare dim Omega^p of A[s]/s^n against the two candidate splittings.
 
     For p = 1 the comparison is against dim(Omega^1_A)*n + dim(A)*(n-1).
@@ -374,15 +373,15 @@ def decomposition_report(algebra, n, p, sigma_name="sigma"):
     one uses Omega^p_A, the corrected one Omega^(p-1)_A.  The verdict names
     whichever matches the direct computation ("match" when both do).
     """
-    if sigma_name in algebra.names:
-        raise NameCollision(f"{sigma_name!r} already a variable of the algebra")
+    if "sigma" in algebra.names:
+        raise NameCollision("'sigma' already a variable of the algebra")
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
     # the generic presentation, eliminated from scratch: with no designated
     # sigma its spec is never truncated_extension's, so this verdict does not
     # come from the closed form it checks
-    ext = derived_algebra(algebra, algebra.names + (sigma_name,),
-                          algebra.spec.relations + (f"{sigma_name}^{n}",))
+    ext = derived_algebra(algebra, algebra.names + ("sigma",),
+                          algebra.spec.relations + (f"sigma^{n}",))
     direct = omega_module(ext, p).dimension
     dim_line = n - 1  # dim Omega^1 of Q[s]/s^n
     name = repr(algebra)

@@ -15,6 +15,7 @@ A[sigma]/sigma^N after the projection step.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import AlgebraMismatch, NonUnitEntry, PositionInvalid
@@ -46,8 +47,8 @@ class LaurentPolynomial:
         return cls(algebra, {0: algebra.element(value)})
 
     @classmethod
-    def sigma(cls, algebra, degree=1):
-        return cls(algebra, {degree: algebra.one})
+    def sigma(cls, algebra):
+        return cls(algebra, {1: algebra.one})
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -111,12 +112,12 @@ class LaurentPolynomial:
     def key(self):
         return tuple(sorted((d, c.key()) for d, c in self.coeffs.items()))
 
-    def to_string(self, sigma_name="sigma"):
+    def to_string(self):
         """Expression-grammar string; requires nonnegative degrees."""
         if any(d < 0 for d in self.coeffs):
             raise ValueError("negative sigma-degree has no expression form")
         A = self.algebra
-        names = A.names + (sigma_name,)
+        names = A.names + ("sigma",)
         terms = {}
         for d, c in self.coeffs.items():
             for mono, q in c.coords.items():
@@ -124,8 +125,8 @@ class LaurentPolynomial:
         return polynomial_str(Polynomial(len(names), terms), names)
 
     @classmethod
-    def from_string(cls, algebra, text, sigma_name="sigma"):
-        names = algebra.names + (sigma_name,)
+    def from_string(cls, algebra, text):
+        names = algebra.names + ("sigma",)
         p = parse_polynomial(text, names)
         coeffs = {}
         for mono, q in p.terms.items():
@@ -157,7 +158,7 @@ class LaurentEntry:
         self.algebra = algebra
         norm = []
         for poly, exp in atoms:
-            exp = int(exp)
+            exp = operator.index(exp)
             if exp == 0:
                 continue
             if poly.algebra is not algebra:
@@ -229,20 +230,13 @@ def entries_value_equal(e1, e2, order=None):
     return entry_is_one(quotient, order)
 
 
-def entries_sum_is_one(e1, e2, order=None):
-    """Steinberg side condition: value(e1) + value(e2) = 1."""
+def entries_sum_is(e1, e2, target, order=None):
+    """value(e1) + value(e2) = target, for target 1 (the Steinberg side
+    condition) or 0 (the minus-argument one)."""
     n1, d1 = e1.split(order)
     n2, d2 = e2.split(order)
     lhs = n1.mul(d2, order) + n2.mul(d1, order)
-    rhs = d1.mul(d2, order)
-    return lhs.coeffs == rhs.coeffs
-
-
-def entries_sum_is_zero(e1, e2, order=None):
-    n1, d1 = e1.split(order)
-    n2, d2 = e2.split(order)
-    lhs = n1.mul(d2, order) + n2.mul(d1, order)
-    return not lhs.coeffs
+    return lhs.coeffs == (d1.mul(d2, order).coeffs if target else {})
 
 
 def entry_is_one(e, order=None):

@@ -10,7 +10,9 @@ K(A[s]/s^(n+1)) -> K(A[s]/s^n), (c) the evaluation sending a generator
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import (
     AlgebraElement,
@@ -44,7 +46,7 @@ class SymbolEntry:
         norm = []
         for elem, exp in atoms:
             elem = algebra.element(elem)
-            exp = int(exp)
+            exp = operator.index(exp)
             if exp and not elem.augmentation():
                 raise NonUnitEntry(f"atom {elem} is not a unit")
             if exp:
@@ -178,54 +180,53 @@ def unit_samples(algebra):
     return out
 
 
-def relative_generators(algebra, n, p, coeffs=None, units=None, sigma_name="sigma"):
-    """Generator families for the relative kernel at level n, degree p >= 2.
+def relative_generators(algebra, n, p, coeffs=None, units=None):
+    """Generator families for the relative kernel at level n, degree p >= 1.
 
     Over B = A[s]/s^(n+1): symbols {1 + c s^n, u_1, ..., u_(p-1)} for c in the
-    coefficient grid, and {1 + e s^n, 1 - s, u_2, ..., u_(p-1)} for unit e.
-    Deterministic ordering; empty grids give an empty list.
+    coefficient grid, then {1 + e s^n, 1 - s, u_2, ..., u_(p-1)} for unit e.
+    At n = 1 the first half is the tangent family over A[eps]/eps^2.  The
+    family is built as it is read, in that order; its `size` is counted.
     """
-    if p < 2:
-        raise ValueError("generator families need degree p >= 2")
-    B = truncated_extension(algebra, sigma_name, n + 1)
-    sigma = B.variable(sigma_name)
+    if p < 1:
+        raise ValueError("generator families need degree p >= 1")
+    B = truncated_extension(algebra, "sigma", n + 1)
+    sigma = B.variable("sigma")
     sn = sigma ** n
     coeffs = coefficient_samples(algebra) if coeffs is None else [algebra.element(c) for c in coeffs]
     units = unit_samples(algebra) if units is None else [algebra.element(u) for u in units]
-    lifted = [_unit_entry(transport(u, B)) for u in units]
-    gens = []
-    tails = _tuples(lifted, p - 1)
-    for c in coeffs:
-        first = _unit_entry(B.one + transport(c, B) * sn)
-        for tail in tails:
-            gens.append(make_symbol((first,) + tail, 1))
-    one_minus = _unit_entry(B.one - sigma)
-    unit_coeffs = [c for c in coeffs if c.augmentation()]
-    for e in unit_coeffs:
-        first = _unit_entry(B.one + transport(e, B) * sn)
-        for tail in _tuples(lifted, p - 2):
-            gens.append(make_symbol((first, one_minus) + tail, 1))
-    return gens
+    firsts = [_unit_entry(B.one + transport(c, B) * sn) for c in coeffs]
+    heads = [((first,), p - 1) for first in firsts]
+    if p >= 2:
+        one_minus = _unit_entry(B.one - sigma)
+        heads += [((first, one_minus), p - 2)
+                  for c, first in zip(coeffs, firsts) if c.augmentation()]
+    return GeneratorFamily(tuple(heads), tuple(_unit_entry(transport(u, B)) for u in units))
 
 
-def tangent_generators(algebra, p):
-    """Tangent-kernel symbols {1 + c eps, u_1, ..., u_(p-1)} over A[eps]/eps^2.
+@dataclass(frozen=True)
+class GeneratorFamily:
+    """The symbols head + tail, for each (head, k) in `heads` and each tail
+    of k entries from `lifted`, made on each pass from the shared entries.
 
-    c runs over the coefficient grid and each u_i over the unit grid, in
-    deterministic order.
+    `size` counts them without building any; len() is the same number
+    while it fits in sys.maxsize.
     """
-    T = tangent_extension(algebra)
-    eps = T.variable("eps")
-    tails = _tuples([_unit_entry(transport(u, T)) for u in unit_samples(algebra)], p - 1)
-    firsts = [_unit_entry(T.one + transport(c, T) * eps) for c in coefficient_samples(algebra)]
-    return [make_symbol((first,) + tail, 1) for first in firsts for tail in tails]
 
+    heads: tuple
+    lifted: tuple
 
-def _tuples(pool, k):
-    out = [()]
-    for _ in range(k):
-        out = [prev + (u,) for prev in out for u in pool]
-    return out
+    @property
+    def size(self):
+        return sum(len(self.lifted) ** k for _, k in self.heads)
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        for head, k in self.heads:
+            for tail in product(self.lifted, repeat=k):
+                yield make_symbol(head + tail, 1)
 
 
 def _slot_layers(entry):
@@ -250,32 +251,6 @@ def _first_slot_coefficient(entry, n):
     return layers[n]
 
 
-def _realize_generators(comb, n, vanishing=None):
-    """Sum of coeff * c * dlog u_1 ^ ... ^ dlog u_k over the base algebra for
-    the terms coeff * {1 + c s^n, u_1, ..., u_k} with s-free units u_i.
-
-    A term with a slot whose key is `vanishing` contributes zero.
-    """
-    B = comb.algebra
-    s = B.ext_name
-    total = omega_module(B.base, comb.degree - 1).form()
-    for coeff, sym in comb.terms:
-        c = _first_slot_coefficient(sym.entries[0], n)
-        if c is None:
-            raise NotGeneratorShape(f"first slot of {sym} is not 1 + c*{s}^{n}")
-        units = []
-        for entry in sym.entries[1:]:
-            if entry.key() == vanishing:
-                break
-            layers = _slot_layers(entry)
-            if any(layers[1:]):
-                raise NotGeneratorShape(f"slot {entry} is not {s}-free")
-            units.append(layers[0])
-        else:
-            total = total + _coefficient_wedge(c, units).scale(coeff)
-    return total
-
-
 def relative_realize(comb, n):
     """Evaluate the relative-class map on generator-shaped combinations.
 
@@ -289,24 +264,32 @@ def relative_realize(comb, n):
         raise NotGeneratorShape("combination does not live in a truncated extension")
     if B.ext_order != n + 1:
         raise NotGeneratorShape(f"expected truncation order {n + 1}, got {B.ext_order}")
+    s = B.ext_name
     one_minus_s = B._misc_cache.get("one_minus_sigma")
     if one_minus_s is None:
-        one_minus_s = B._misc_cache["one_minus_sigma"] = (
-            B.one - B.variable(B.ext_name)).key()
-    return _realize_generators(comb, n, one_minus_s)
-
-
-def tangent_extension(algebra, name="eps"):
-    """A[eps]/eps^2, the ring of dual numbers over the algebra."""
-    return truncated_extension(algebra, name, 2)
+        one_minus_s = B._misc_cache["one_minus_sigma"] = (B.one - B.variable(s)).key()
+    total = omega_module(B.base, comb.degree - 1).form()
+    for coeff, sym in comb.terms:
+        c = _first_slot_coefficient(sym.entries[0], n)
+        if c is None:
+            raise NotGeneratorShape(f"first slot of {sym} is not 1 + c*{s}^{n}")
+        units = []
+        for entry in sym.entries[1:]:
+            if entry.key() == one_minus_s:
+                break
+            layers = _slot_layers(entry)
+            if any(layers[1:]):
+                raise NotGeneratorShape(f"slot {entry} is not {s}-free")
+            units.append(layers[0])
+        else:
+            total = total + _coefficient_wedge(c, units).scale(coeff)
+    return total
 
 
 def tangent_realize(comb):
-    """Realize tangent-kernel symbols {1 + c eps, u_1, ...} as forms over the base."""
-    B = comb.algebra
-    if B.base is None or B.ext_order != 2:
-        raise NotGeneratorShape("combination does not live in a dual-number extension")
-    return _realize_generators(comb, 1)
+    """Realize tangent-kernel symbols {1 + c eps, u_1, ...} over A[eps]/eps^2
+    as forms over the base: the relative map at level 1."""
+    return relative_realize(comb, 1)
 
 
 @dataclass(frozen=True)
@@ -349,14 +332,14 @@ def span_check(targets, module):
     return SpanVerdict(rank, dim, rank == dim, tuple(witnesses))
 
 
-def vanishing_additivity_check(algebra, c1, c2, n, sigma_name="sigma"):
+def vanishing_additivity_check(algebra, c1, c2, n):
     """Exact identity splitting a sum coefficient into a product of 1-units.
 
     Verifies (1 - (n+1)(c1+c2) s^n) = (1 - (n+1) c1 s^n)(1 - (n+1) c2 s^n)
     in A[s]/s^(n+1); true for all n >= 1 because s^(2n) dies there.
     """
-    B = truncated_extension(algebra, sigma_name, n + 1)
-    sn = B.variable(sigma_name) ** n
+    B = truncated_extension(algebra, "sigma", n + 1)
+    sn = B.variable("sigma") ** n
     c1 = transport(algebra.element(c1), B)
     c2 = transport(algebra.element(c2), B)
     m = n + 1
@@ -400,15 +383,15 @@ class TransportReport:
         ]
 
 
-def transport_check(B, n, p=2, lam_name="lam"):
+def transport_check(B, n):
     """Model sigma as an element: compare the polynomial realization with the
     quotient-side realization through tau: A'[lam]/lam^n -> B/sigma^n.
 
     A' = B/sigma.  tau sends basis monomials b*lam^j to the class of
     b*sigma^j; the report checks surjectivity and multiplicativity on
-    monomial bases.  Compatibility is tested in Omega^(p-1) of A' tensored
-    with the cyclic module sigma^n/sigma^(n+1), computed as the quotient by
-    the annihilator action.
+    monomial bases.  Compatibility is tested on the degree-2 generators in
+    Omega^1 of A' tensored with the cyclic module sigma^n/sigma^(n+1),
+    computed as the quotient by the annihilator action.
     """
     sigma_name = B.spec.distinguished
     if sigma_name is None:
@@ -420,10 +403,10 @@ def transport_check(B, n, p=2, lam_name="lam"):
 
     Bn, Bn1 = (derived_algebra(B, B.names, B.spec.relations + (f"{sigma_name}^{k}",),
                                sigma_name) for k in (n, n + 1))
-    dom = truncated_extension(Ap, lam_name, n)
+    dom = truncated_extension(Ap, "lam", n)
 
     def tau(e, target):
-        return transport(e, target, rename={lam_name: sigma_name})
+        return transport(e, target, rename={"lam": sigma_name})
 
     # surjectivity on monomial bases
     images = [tau(dom.basis_element(i), Bn) for i in range(dom.dimension)]
@@ -449,8 +432,8 @@ def transport_check(B, n, p=2, lam_name="lam"):
     mult_vectors = [transport(Ap.basis_element(i), Bn1) * sig_n for i in range(Ap.dimension)]
     kernel_basis = _kernel_of_map(Ap, mult_vectors, Bn1)
 
-    # the tensor target Omega^(p-1)_{A'} / (annihilator * Omega^(p-1)_{A'})
-    M = omega_module(Ap, p - 1)
+    # the tensor target Omega^1_{A'} / (annihilator * Omega^1_{A'})
+    M = omega_module(Ap, 1)
     killed = RowSpace()
     for k in kernel_basis:
         for bform in M.basis_forms():
@@ -460,32 +443,27 @@ def transport_check(B, n, p=2, lam_name="lam"):
     def to_tensor(form):
         return killed.reduce(dict(form.coords))
 
-    # compatibility on generators {1 + c lam^n, u_1, ..., u_(p-1)}
+    # compatibility on generators {1 + c lam^n, u}
     compatible = True
     samples = 0
     if not degenerate:
-        dom_full = truncated_extension(Ap, lam_name, n + 1)
-        lam_full = dom_full.variable(lam_name)
-        tails = _tuples(unit_samples(Ap), p - 1)
-        for c in coefficient_samples(Ap):
-            first = dom_full.one + transport(c, dom_full) * lam_full ** n
-            for tail in tails:
-                samples += 1
-                sym = make_symbol([first] + [transport(u, dom_full) for u in tail], 1)
-                direct = relative_realize(sym, n)
-                # route the entries through tau and realize on the quotient side
-                w = tau(first, Bn1) - Bn1.one
-                cbar = _solve_layer(Ap, mult_vectors, w, Bn1)
-                if cbar is None:
-                    compatible = False
-                    break
-                routed = _coefficient_wedge(cbar, [
-                    transport(tau(transport(u, dom_full), Bn1), Ap, drop=(sigma_name,))
-                    for u in tail])
-                if to_tensor(direct) != to_tensor(routed):
-                    compatible = False
-                    break
-            if not compatible:
+        dom_full = truncated_extension(Ap, "lam", n + 1)
+        lam_n = dom_full.variable("lam") ** n
+        for c, u in product(coefficient_samples(Ap), unit_samples(Ap)):
+            samples += 1
+            first = dom_full.one + transport(c, dom_full) * lam_n
+            lifted = transport(u, dom_full)
+            direct = relative_realize(make_symbol([first, lifted], 1), n)
+            # route the entries through tau and realize on the quotient side
+            w = tau(first, Bn1) - Bn1.one
+            cbar = _solve_layer(Ap, mult_vectors, w, Bn1)
+            if cbar is None:
+                compatible = False
+                break
+            routed = _coefficient_wedge(
+                cbar, [transport(tau(lifted, Bn1), Ap, drop=(sigma_name,))])
+            if to_tensor(direct) != to_tensor(routed):
+                compatible = False
                 break
 
     return TransportReport(

@@ -134,8 +134,8 @@ class Polynomial:
             res[m[:i] + m[i + 1:]] = c
         return Polynomial(self.nvars - 1, res, normalize=False)
 
-    def sorted_terms(self, reverse=True):
-        return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=reverse)
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True)
 
     def __repr__(self):
         return f"Polynomial({self.terms!r})"

@@ -31,7 +31,6 @@ from .milnor import (
     relative_generators,
     relative_realize,
     span_check,
-    tangent_generators,
     tangent_realize,
     transport_check,
     unit_samples,
@@ -187,7 +186,7 @@ def milnor_checks():
 
     for name, A in fam:
         for p in (2, 3):
-            targets = (tangent_realize(g) for g in tangent_generators(A, p))
+            targets = (tangent_realize(g) for g in relative_generators(A, 1, p))
             verdict = span_check(targets, omega_module(A, p - 1))
             checks.append((f"milnor.tangent_rank.{name}.p{p}", verdict.spans))
 
@@ -266,7 +265,7 @@ def rule_soundness_checks():
 
     for name, A in _small_contexts():
         one = LaurentPolynomial.constant(A, 1)
-        sig = LaurentPolynomial.sigma(A, 1)
+        sig = LaurentPolynomial.sigma(A)
         units = unit_samples(A)
         for u in units:
             u0 = LaurentPolynomial(A, {0: u})
@@ -350,7 +349,7 @@ def rule_soundness_checks():
     # projection instances: states with order-zero atoms
     for name, A in _small_contexts():
         one = LaurentPolynomial.constant(A, 1)
-        sig = LaurentPolynomial.sigma(A, 1)
+        sig = LaurentPolynomial.sigma(A)
         for u in unit_samples(A):
             for n in (1, 2, 3):
                 for q in (1, -3):

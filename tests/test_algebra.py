@@ -7,7 +7,6 @@ from milnork.algebra import (
     AlgebraSpec,
     build_algebra,
     invert_unit,
-    log_one_unit,
     quotient_mod_variable,
     sigma_layers,
     transport,
@@ -20,7 +19,6 @@ from milnork.errors import (
     NotArtinian,
     NotAUnit,
     NotLocal,
-    NotOneUnit,
     ParseError,
 )
 from milnork.expr import parse_polynomial
@@ -94,23 +92,6 @@ def test_invert_unit(t3):
     assert invert_unit(s2, s2.element("1 - sigma")) == s2.element("1 + sigma")
     with pytest.raises(NotAUnit):
         invert_unit(t3, t3.element("t"))
-
-
-def test_log_one_unit():
-    s2 = alg(["sigma"], ["sigma^2"])
-    assert log_one_unit(s2, s2.element("1 + 3*sigma")) == s2.element("3*sigma")
-    s3 = alg(["sigma"], ["sigma^3"])
-    assert log_one_unit(s3, s3.element("1 + sigma")) == s3.element("sigma - 1/2*sigma^2")
-    assert not log_one_unit(s3, s3.one)
-    with pytest.raises(NotOneUnit):
-        log_one_unit(s3, s3.element("2"))
-
-
-def test_log_multiplicative():
-    s4 = alg(["sigma"], ["sigma^4"])
-    u = s4.element("1 + sigma")
-    v = s4.element("1 - 2*sigma^2 + sigma^3")
-    assert log_one_unit(s4, u * v) == log_one_unit(s4, u) + log_one_unit(s4, v)
 
 
 def test_not_artinian():

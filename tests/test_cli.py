@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from milnork import certify, cli
+from milnork import certify, cli, milnor
 from milnork.cli import main, parse_algebra_file
 from milnork.errors import MilnorkError
 from milnork.laurent import EXPANSION_BUDGET, LaurentPolynomial
@@ -113,6 +116,57 @@ def test_span_into_a_zero_module_realizes_nothing(capsys, t3_spec, monkeypatch):
                     "--format", "record")
     assert code == 0 and "span.dim=0" in out and "theorem2.generators=13312" in out
     assert realized == []
+
+
+def test_degree_one_verdicts(capsys, t3_spec):
+    # at p = 1 the family is {1 + c s^n} over the coefficient grid, realized
+    # in Omega^0 = A as c itself
+    code, out = run(capsys, "theorem2", "--algebra", t3_spec, "--n", "2", "--p", "1",
+                    "--format", "record")
+    assert (code, out) == (0, "report=relative-realization\nspan.rank=3\nspan.dim=3\n"
+                              "span.spans=true\nspan.certificate=0,1,2\n"
+                              "theorem2.generators=3\n")
+    code, out = run(capsys, "phi", "--algebra", t3_spec, "--n", "1", "--p", "1",
+                    "--format", "record")
+    assert (code, out) == (0, "report=relative-generators\nphi.n=1\nphi.p=1\nphi.count=3\n"
+                              "phi.gen.000=1*{sigma + 1}\nphi.gen.001=1*{t*sigma + 1}\n"
+                              "phi.gen.002=1*{t^2*sigma + 1}\n")
+    for argv in (["theorem2", "--n", "2"], ["phi", "--n", "1"], ["tangent-span"]):
+        assert run(capsys, *argv, "--algebra", t3_spec, "--p", "0")[0] == 2
+
+
+@pytest.fixture(scope="module")
+def t3_spec_shared(tmp_path_factory):
+    path = tmp_path_factory.mktemp("specs") / "t3.spec"
+    path.write_text("variables: t\nrelations: t^3\n")
+    return str(path)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 40))
+def test_families_into_a_zero_module_build_no_symbol(t3_spec_shared, p):
+    # Omega^(p-1) of Q[t]/t^3 is 0 for p >= 3, so neither command reads its
+    # family; theorem2 counts 3 * 4^(p-1) + 4^(p-2) generators without them
+    built = []
+    real = milnor.make_symbol
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    milnor.make_symbol = counting
+    try:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["tangent-span", "--algebra", t3_spec_shared, "--p", str(p),
+                         "--format", "record"]) == 0
+            assert main(["theorem2", "--algebra", t3_spec_shared, "--n", "2", "--p", str(p),
+                         "--format", "record"]) == 0
+    finally:
+        milnor.make_symbol = real
+    assert built == []
+    assert out.getvalue().count("span.rank=0\nspan.dim=0\nspan.spans=true\n") == 2
+    assert f"theorem2.generators={3 * 4 ** (p - 1) + 4 ** (p - 2)}\n" in out.getvalue()
 
 
 def test_certify_commands(capsys, q_spec, tmp_path):
@@ -376,6 +430,15 @@ def test_certificate_step_with_non_unit_atom_fails_at_step(capsys, tmp_path, t3_
     assert f"certificate.failure_index={idx}\n" in out
     assert "certificate.failure_detail=atom is not a unit" in out
     assert "input error" not in err
+
+
+@pytest.mark.parametrize("exp", [1.5, "1", True, None])
+def test_certificate_non_integer_exponent_exit_2(capsys, tmp_path, t3_eq8_doc, exp):
+    # int() would read 1.5 as 1 and "1" as 1, and the certificate would pass
+    t3_eq8_doc["steps"][4]["payload"]["atoms"][0][1] = exp
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert code == 2 and out == ""
+    assert f"certificate atom exponent {exp!r} is not an integer" in err
 
 
 @pytest.mark.parametrize("n, atoms, detail", [

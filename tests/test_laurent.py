@@ -11,8 +11,7 @@ from milnork.laurent import (
     LaurentPolynomial,
     Symbol,
     SymbolCombination,
-    entries_sum_is_one,
-    entries_sum_is_zero,
+    entries_sum_is,
     entries_value_equal,
     entry_is_one,
 )
@@ -49,6 +48,14 @@ def test_truncation_compatible_with_product():
     direct = p.mul(q, order=3)
     full = p.mul(q).truncate(3)
     assert direct.coeffs == full.coeffs
+
+
+def test_entry_exponents_must_be_integers():
+    u = lp({0: "1", 1: "t"})
+    for exp in (1.5, Fraction(3, 2), "3"):
+        with pytest.raises(TypeError):
+            LaurentEntry(T2, [(u, exp)])
+    assert LaurentEntry(T2, [(u, 2)]).atoms == ((u, 2),)
 
 
 _coeff_pool = st.sampled_from(["0", "1", "-1", "t", "1+t", "2"])
@@ -102,7 +109,7 @@ def test_comparison_cancels_common_atoms_before_expanding():
     with pytest.raises(PositionInvalid, match="spans 3000 sigma-degrees"):
         entries_value_equal(e1, LaurentEntry(T2, [(u, 1)]))
     with pytest.raises(PositionInvalid):
-        entries_sum_is_one(e1, e2)
+        entries_sum_is(e1, e2, 1)
     # a high power of a constant spans no sigma-degree but is still bounded,
     # truncated or not
     two = LaurentEntry(T2, [(lp({0: "2"}), 10**9)])
@@ -124,11 +131,11 @@ def test_sum_side_conditions():
     s = LaurentPolynomial.sigma(T2)
     e_s = LaurentEntry(T2, [(s, 1)])
     e_oms = LaurentEntry(T2, [(one - s, 1)])
-    assert entries_sum_is_one(e_s, e_oms)
-    assert entries_sum_is_one(e_oms, e_s)
+    assert entries_sum_is(e_s, e_oms, 1)
+    assert entries_sum_is(e_oms, e_s, 1)
     e_neg = LaurentEntry(T2, [(lp({1: "-1"}), 1)])
-    assert entries_sum_is_zero(e_s, e_neg)
-    assert not entries_sum_is_one(e_s, e_s)
+    assert entries_sum_is(e_s, e_neg, 0)
+    assert not entries_sum_is(e_s, e_s, 1)
 
 
 def test_state_canonicalization():

@@ -8,6 +8,7 @@ from milnork.errors import (
     NotGeneratorShape,
     SigmaNotDesignated,
 )
+from milnork.family import builtin_algebras
 from milnork.kahler import map_form, omega_module
 from milnork.linalg import RowSpace
 from milnork.milnor import (
@@ -18,8 +19,6 @@ from milnork.milnor import (
     relative_generators,
     relative_realize,
     span_check,
-    tangent_extension,
-    tangent_generators,
     tangent_realize,
     transport_check,
     unit_samples,
@@ -104,7 +103,50 @@ def test_generator_families_shape():
     p3 = relative_generators(Q, 1, 3, coeffs=["1"], units=["2"])
     degrees = {g.terms[0][1].degree for g in p3}
     assert degrees == {3}
-    assert relative_generators(Q, 1, 2, coeffs=[], units=[]) == []
+    assert list(relative_generators(Q, 1, 2, coeffs=[], units=[])) == []
+
+
+def _family_as_listed(A, n, p, coeffs, units):
+    """The family in its documented order, built by nested loops."""
+    B = truncated_extension(A, "sigma", n + 1)
+    sn = B.variable("sigma") ** n
+    lifted = [transport(u, B) for u in units]
+
+    def tails(k):
+        out = [()]
+        for _ in range(k):
+            out = [prev + (u,) for prev in out for u in lifted]
+        return out
+
+    gens = [make_symbol([B.one + transport(c, B) * sn, *tail], 1)
+            for c in coeffs for tail in tails(p - 1)]
+    if p >= 2:
+        gens += [make_symbol([B.one + transport(e, B) * sn, B.one - B.variable("sigma"), *tail], 1)
+                 for e in coeffs if e.augmentation() for tail in tails(p - 2)]
+    return gens
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_family_length_counts_what_iteration_builds(n, p):
+    for _, A in builtin_algebras():
+        cs, us = coefficient_samples(A), unit_samples(A)
+        for coeffs, units in ((None, None), ([], None), (None, []), ([], [])):
+            family = relative_generators(A, n, p, coeffs=coeffs, units=units)
+            built = list(family)
+            assert len(family) == len(built)
+            expected = _family_as_listed(A, n, p, cs if coeffs is None else coeffs,
+                                         us if units is None else units)
+            assert [g.key() for g in built] == [g.key() for g in expected]
+            assert [g.key() for g in family] == [g.key() for g in built]  # re-readable
+
+
+def test_entry_exponents_must_be_integers(t3):
+    u = t3.element("1+t")
+    for exp in (1.5, Fraction(3, 2), "3"):
+        with pytest.raises(TypeError):
+            SymbolEntry(t3, [(u, exp)])
+    assert SymbolEntry(t3, [(u, 2)]).collapse() == u * u
 
 
 def test_realizing_a_family_inverts_each_unit_once(monkeypatch):
@@ -170,7 +212,7 @@ def test_relative_ranks_spec_case(t3):
 
 
 def test_tangent_realize(t3):
-    T = tangent_extension(t3)
+    T = truncated_extension(t3, "eps", 2)
     s = make_symbol(["1 + 3*eps", "2"], 1, algebra=T)
     assert not tangent_realize(s)
     s2 = make_symbol(["1 + t*eps", "1 + t"], 1, algebra=T)
@@ -180,7 +222,7 @@ def test_tangent_realize(t3):
 
 
 def test_tangent_span_spec_example(t3):
-    T = tangent_extension(t3)
+    T = truncated_extension(t3, "eps", 2)
     eps = T.variable("eps")
     targets = []
     for c in ("1", "t", "t^2"):
@@ -201,7 +243,7 @@ def test_span_check_edges(t3):
 
 def test_span_check_stops_at_full_rank(t3):
     M = omega_module(t3, 1)
-    forms = [tangent_realize(g) for g in tangent_generators(t3, 2)]
+    forms = [tangent_realize(g) for g in relative_generators(t3, 1, 2)]
     space, raised = RowSpace(), []
     for idx, form in enumerate(forms):
         if space.insert(dict(form.coords)) is not None:
