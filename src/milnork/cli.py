@@ -111,7 +111,7 @@ def _cmd_phi(args):
     rep = Report("relative-generators")
     rep.add("phi.n", args.n)
     rep.add("phi.p", args.p)
-    rep.add("phi.count", gens.size)
+    rep.add("phi.count", len(gens))
     for i, g in enumerate(gens):
         rep.add(f"phi.gen.{i:03d}", str(g))
     return _emit(rep, args, 0)
@@ -123,7 +123,7 @@ def _cmd_theorem2(args):
     M = omega_module(A, args.p - 1)
     verdict = span_check((relative_realize(g, args.n) for g in gens), M)
     rep = Report("relative-realization").extend(verdict.record())
-    rep.add("theorem2.generators", gens.size)
+    rep.add("theorem2.generators", len(gens))
     return _emit(rep, args, 0 if verdict.spans else 1)
 
 

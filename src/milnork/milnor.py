@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, count, product
 
 from .algebra import (
     AlgebraElement,
@@ -186,12 +186,14 @@ def relative_generators(algebra, n, p, coeffs=None, units=None):
     Over B = A[s]/s^(n+1): symbols {1 + c s^n, u_1, ..., u_(p-1)} for c in the
     coefficient grid, then {1 + e s^n, 1 - s, u_2, ..., u_(p-1)} for unit e.
     At n = 1 the first half is the tangent family over A[eps]/eps^2.  The
-    family is built as it is read, in that order; its `size` is counted.
+    family is built as it is read, in that order; its len() is counted.
+    s is named by _extension_name, so A may have a variable called sigma.
     """
     if p < 1:
         raise ValueError("generator families need degree p >= 1")
-    B = truncated_extension(algebra, "sigma", n + 1)
-    sigma = B.variable("sigma")
+    s = _extension_name(algebra)
+    B = truncated_extension(algebra, s, n + 1)
+    sigma = B.variable(s)
     sn = sigma ** n
     coeffs = coefficient_samples(algebra) if coeffs is None else [algebra.element(c) for c in coeffs]
     units = unit_samples(algebra) if units is None else [algebra.element(u) for u in units]
@@ -204,24 +206,28 @@ def relative_generators(algebra, n, p, coeffs=None, units=None):
     return GeneratorFamily(tuple(heads), tuple(_unit_entry(transport(u, B)) for u in units))
 
 
+def _extension_name(algebra):
+    """The first of sigma, eps, s0, s1, ... that is not a variable of A.
+
+    s is bound in the family, so the name changes no rank or witness; only
+    printed symbols show it."""
+    names = chain(("sigma", "eps"), (f"s{i}" for i in count()))
+    return next(name for name in names if name not in algebra.names)
+
+
 @dataclass(frozen=True)
 class GeneratorFamily:
     """The symbols head + tail, for each (head, k) in `heads` and each tail
     of k entries from `lifted`, made on each pass from the shared entries.
 
-    `size` counts them without building any; len() is the same number
-    while it fits in sys.maxsize.
+    len() counts them without building any.
     """
 
     heads: tuple
     lifted: tuple
 
-    @property
-    def size(self):
-        return sum(len(self.lifted) ** k for _, k in self.heads)
-
     def __len__(self):
-        return self.size
+        return sum(len(self.lifted) ** k for _, k in self.heads)
 
     def __iter__(self):
         for head, k in self.heads:

@@ -219,6 +219,12 @@ def test_tangent_realize(t3):
     assert tangent_realize(s2).coords == {1: Fraction(1)}
     s3 = make_symbol(["1 + eps", "1 + t"], Fraction(1, 2), algebra=T)
     assert tangent_realize(s2 + s3) == tangent_realize(s2) + tangent_realize(s3)
+    # a 1 - eps slot sends the term to zero, whatever the slots after it
+    assert not tangent_realize(make_symbol(["1 + t*eps", "1 - eps"], 1, algebra=T))
+    assert not tangent_realize(make_symbol(["1 + eps", "1 - eps", "1 + t*eps"], 1, algebra=T))
+    with pytest.raises(NotGeneratorShape, match="expected truncation order 2, got 3"):
+        tangent_realize(make_symbol(["1 + eps", "2"], 1,
+                                    algebra=truncated_extension(t3, "eps", 3)))
 
 
 def test_tangent_span_spec_example(t3):
