@@ -225,10 +225,6 @@ class Algebra:
     def monomial_strings(self):
         return [monomial_str(m, self.names) or "1" for m in self.basis]
 
-    def __repr__(self):
-        rel = ", ".join(self.spec.relations) or "0"
-        return f"Algebra(Q[{', '.join(self.names)}]/({rel}), dim={self.dimension})"
-
 
 class AlgebraElement:
     __slots__ = ("algebra", "coords")
@@ -244,9 +240,6 @@ class AlgebraElement:
         return (isinstance(other, AlgebraElement)
                 and self.algebra is other.algebra
                 and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.key()))
 
     def __bool__(self):
         return bool(self.coords)
@@ -272,9 +265,6 @@ class AlgebraElement:
 
     def __sub__(self, other):
         return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return self._check(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
@@ -317,9 +307,6 @@ class AlgebraElement:
 
     def __str__(self):
         return polynomial_str(self.to_poly(), self.algebra.names)
-
-    def __repr__(self):
-        return f"<{self} in {self.algebra!r}>"
 
 
 # -- module operations --------------------------------------------------------
@@ -443,17 +430,15 @@ def truncated_extension(algebra, name, order):
                            lambda spec: TruncatedExtension(algebra, spec, order))
 
 
-def transport(e, target, rename=None, drop=()):
+def transport(e, target, drop=()):
     """Re-express `e` in `target` by matching variable names.
 
-    `rename` maps source names to target names; names in `drop` send any
-    monomial containing them to zero (quotient by those variables).
+    Names in `drop` send any monomial containing them to zero (quotient by
+    those variables).
     """
-    rename = rename or {}
     src = e.algebra
     index_map = {}
     for i, n in enumerate(src.names):
-        n = rename.get(n, n)
         if n in drop:
             index_map[i] = "drop"
         elif n in target.names:
@@ -472,8 +457,7 @@ def transport(e, target, rename=None, drop=()):
                 dead = True
                 break
             if j is None:
-                raise AlgebraMismatch(
-                    f"target has no variable {rename.get(src.names[i], src.names[i])!r}")
+                raise AlgebraMismatch(f"target has no variable {src.names[i]!r}")
             new[j] = exp
         if not dead:
             add_to(poly, tuple(new), c)

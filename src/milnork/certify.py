@@ -38,8 +38,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import build_algebra, AlgebraSpec, transport, truncated_extension
+from .algebra import AlgebraElement, AlgebraSpec, build_algebra, truncated_extension
 from .errors import (
+    AlgebraMismatch,
     NonUnitC,
     NonUnitEntry,
     ParseError,
@@ -122,12 +123,6 @@ class RewriteStep:
     def __post_init__(self):
         object.__setattr__(self, "position", _Fields(self.position))
         object.__setattr__(self, "payload", _Fields(self.payload))
-
-    def describe(self):
-        bits = dict(self.position)
-        bits.update({k: v for k, v in self.payload.items() if k not in ("symbol", "atoms")})
-        inner = ", ".join(f"{k}={v}" for k, v in bits.items())
-        return f"{self.rule}({inner})"
 
 
 @dataclass(frozen=True)
@@ -216,14 +211,13 @@ class CertificateVerdict:
     claim_ok: bool
 
     def record(self):
-        rows = [("certificate.valid", "true" if self.valid else "false")]
+        rows = [("certificate.valid", self.valid)]
         if self.failure_index is not None:
             rows.append(("certificate.failure_index", self.failure_index))
             rows.append(("certificate.failure_detail", self.steps[self.failure_index].detail))
         rows.append(("certificate.steps", len(self.steps)))
-        rows.append(("certificate.final_matches_goal",
-                     "true" if self.final_matches_goal else "false"))
-        rows.append(("certificate.claim_ok", "true" if self.claim_ok else "false"))
+        rows.append(("certificate.final_matches_goal", self.final_matches_goal))
+        rows.append(("certificate.claim_ok", self.claim_ok))
         for sv in self.steps:
             rows.append((f"certificate.step.{sv.index:02d}",
                          f"{sv.rule}:{'ok' if sv.ok else 'FAIL'}"))
@@ -377,7 +371,7 @@ def check_certificate(cert):
     verdicts = []
     for i, step in enumerate(cert.steps):
         if failure is None or i < failure:
-            verdicts.append(StepVerdict(i, step.rule, True, step.describe()))
+            verdicts.append(StepVerdict(i, step.rule, True, ""))
         else:
             verdicts.append(StepVerdict(i, step.rule, False,
                                         run.reason if i == failure else "skipped after failure"))
@@ -548,9 +542,11 @@ def vanishing_certificate(algebra, c, n):
 class ExtendedRealizer:
     """Realize Laurent states in Omega^2 of A[s]/s^N with a formal dlog(s).
 
-    A 1-form value is a pair (omega, a) meaning omega + a*dlog(s); a 2-form
-    value is (eta, beta) meaning eta + dlog(s)^beta.  The pair encoding is
-    redundant: dlog(s)^(s*alpha) equals ds^alpha, and dlog(s)^(b ds) dies.
+    A 1-form value is a pair (omega, a) meaning omega + a*dlog(s), with a
+    the integer sum of exponent * sigma-order over the entry's atoms; a
+    2-form value is (eta, beta) meaning eta + dlog(s)^beta.  The pair
+    encoding is redundant: dlog(s)^(s*alpha) equals ds^alpha, and
+    dlog(s)^(b ds) dies.
     Raw vectors are kept as computed; equality is tested modulo the row
     space Z spanned by (ds^alpha, -s*alpha) and (0, b ds), which is exactly
     the clearing-denominators identification.
@@ -560,7 +556,6 @@ class ExtendedRealizer:
         self.ring = truncated_extension(algebra, "sigma", precision)
         self.omega1 = omega_module(self.ring, 1)
         self.omega2 = omega_module(self.ring, 2)
-        self.sigma = self.ring.variable("sigma")
         self._entry_cache = {}
         self._term_cache = {}
         self._offset = self.omega2.dimension
@@ -578,9 +573,8 @@ class ExtendedRealizer:
         """
         z = RowSpace()
         B, M1, M2 = self.ring, self.omega1, self.omega2
-        s, nw = B.nvars - 1, len(M1.wedges)
-        for i, col in enumerate(M1.basis_cols):
-            mono_idx, widx = divmod(col, nw)
+        s = B.nvars - 1
+        for i, (mono_idx, widx) in enumerate(M1.layout):
             (j,) = M1.wedges[widx]
             if j == s:
                 z.pivots[self._offset + i] = {self._offset + i: 1}
@@ -601,12 +595,11 @@ class ExtendedRealizer:
         if cached is not None:
             return cached
         omega = self.omega1.form()
-        s_part = self.ring.zero
+        s_part = 0
         for poly, exp in entry.atoms:
             v = poly.ord()
-            omega = omega + dlog(lift_laurent(poly, self.sigma, v)).scale(exp)
-            if v:
-                s_part = s_part + self.ring.element(exp * v)
+            omega = omega + dlog(lift_laurent(poly, self.ring, v)).scale(exp)
+            s_part += exp * v
         cached = (omega, s_part)
         self._entry_cache[key] = cached
         return cached
@@ -619,7 +612,7 @@ class ExtendedRealizer:
             return cached
         (w1, a1), (w2, a2) = (self.entry_dlog(e) for e in sym.entries)
         eta = wedge(w1, w2)
-        beta = w2.act(a1) - w1.act(a2)
+        beta = w2.scale(a1) - w1.scale(a2)
         row = dict(eta.coords)
         for i, v in beta.coords.items():
             add_to(row, self._offset + i, v)
@@ -648,28 +641,29 @@ class ExtendedRealizer:
             {self.omega2.basis_cols[i]: v for i, v in vector.items()})
 
 
-def lift_laurent(poly, sigma, shift=0):
-    """sigma^(-shift) * poly in the truncation ring A[sigma]/sigma^N of `sigma`."""
-    ring = sigma.algebra
+def lift_laurent(poly, ring, shift=0):
+    """sigma^(-shift) * poly in the truncation ring A[sigma]/sigma^N, whose basis
+    monomials are A's with the sigma-degree appended."""
+    if poly.algebra is not ring.base:
+        raise AlgebraMismatch("atom coefficients do not live in the ring's base algebra")
     N = ring.ext_order
-    acc = ring.zero
+    coords = {}
     for deg, coeff in poly.coeffs.items():
         k = deg - shift
         if k >= N:
             raise PrecisionInsufficient(
                 f"atom needs sigma^{k}; raise the precision above {N}")
-        acc = acc + transport(coeff, ring) * sigma ** k
-    return acc
+        coords.update((m + (k,), c) for m, c in coeff.coords.items())
+    return AlgebraElement(ring, coords)
 
 
 def truncated_realize(state, ring_ext):
     """Honest Omega^2 realization over A[s]/s^(n+1) for truncated states."""
-    sig = ring_ext.variable(ring_ext.ext_name)
 
     def lifted_dlog(poly):
         if poly.ord() is None or poly.ord() < 0:
             raise PrecisionInsufficient("negative sigma order in truncated mode")
-        return dlog(lift_laurent(poly.truncate(ring_ext.ext_order), sig))
+        return dlog(lift_laurent(poly.truncate(ring_ext.ext_order), ring_ext))
 
     return slotwise_realize(state, ring_ext, lifted_dlog)
 
@@ -684,8 +678,8 @@ class CrosscheckReport:
     def record(self):
         rows = [
             ("crosscheck.precision", self.precision),
-            ("crosscheck.all_agree", "true" if self.all_agree else "false"),
-            ("crosscheck.final_zero", "true" if self.final_realization_zero else "false"),
+            ("crosscheck.all_agree", self.all_agree),
+            ("crosscheck.final_zero", self.final_realization_zero),
         ]
         for idx, rule, ok in self.steps:
             rows.append((f"crosscheck.step.{idx:02d}", f"{rule}:{'ok' if ok else 'DISAGREE'}"))
@@ -853,9 +847,10 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an in
 
 
 def _field(obj, key, kind, where=""):
-    """obj[key], which the certificate format requires to be of JSON type `kind`."""
+    """obj[key], which the certificate format requires to be of JSON type `kind`.
+    A JSON boolean is not an integer."""
     value = obj.get(key) if isinstance(obj, dict) else None
-    if not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ParseError(f"certificate field {where}{key} must be {_JSON_TYPES[kind]}")
     return value
 
@@ -889,6 +884,9 @@ def certificate_from_json(text):
     for i, raw in enumerate(raw_steps):
         for key, kind in (("rule", str), ("position", dict), ("payload", dict)):
             _field(raw, key, kind, f"steps[{i}].")
+    annotations = _field(doc, "annotations", list) if "annotations" in doc else []
+    if not all(isinstance(a, str) for a in annotations):
+        raise ParseError("certificate field annotations must hold strings")
     algebra = build_algebra(AlgebraSpec(tuple(variables), tuple(relations)))
     try:
         steps = tuple(
@@ -897,8 +895,7 @@ def certificate_from_json(text):
                          for k, v in raw["payload"].items()})
             for raw in raw_steps)
         start, goal, lhs, rhs = (_state_from_json(algebra, data) for data in raw_states)
-        annotations = tuple(doc.get("annotations", ()))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"certificate data is malformed: {exc}") from None
     return Certificate(CertContext(algebra, n, algebra.element(c)), start, goal, steps,
-                       lhs, rhs, linkage, annotations)
+                       lhs, rhs, linkage, tuple(annotations))

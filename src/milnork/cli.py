@@ -129,8 +129,9 @@ def _cmd_theorem2(args):
 
 def _cmd_tangent_span(args):
     A = _load_algebra(args.algebra)
+    gens = relative_generators(A, 1, args.p)
     M = omega_module(A, args.p - 1)
-    verdict = span_check((tangent_realize(g) for g in relative_generators(A, 1, args.p)), M)
+    verdict = span_check((tangent_realize(g) for g in gens), M)
     rep = Report("tangent-span").extend(verdict.record())
     return _emit(rep, args, 0 if verdict.spans else 1)
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import derived_algebra, invert_unit, transport
+from .algebra import AlgebraElement, derived_algebra, invert_unit, transport
 from .errors import AlgebraMismatch, NameCollision, NotAUnit
 from .expr import monomial_str
 from .linalg import RowSpace, add_to, rational
 from .poly import mono_mul
+from .report import field_rows
 
 
 def _merge_sign(left, right):
@@ -58,6 +59,8 @@ class OmegaModule:
         self.basis_cols = tuple(c for c in range(self.free_dim) if c not in pivots)
         self.col_index = {c: i for i, c in enumerate(self.basis_cols)}
         self.dimension = len(self.basis_cols)
+        # (monomial index, wedge index) of each reduced coordinate
+        self.layout = tuple(divmod(c, len(self.wedges)) for c in self.basis_cols)
 
     def col(self, mono_idx, wedge_idx):
         return mono_idx * len(self.wedges) + wedge_idx
@@ -131,16 +134,12 @@ class OmegaModule:
         return [DifferentialForm(self, {i: 1}) for i in range(self.dimension)]
 
     def label(self, reduced_idx):
-        col = self.basis_cols[reduced_idx]
-        mono_idx, widx = divmod(col, len(self.wedges))
+        mono_idx, widx = self.layout[reduced_idx]
         mono = monomial_str(self.algebra.basis[mono_idx], self.algebra.names)
         dparts = "^".join(f"d{self.algebra.names[i]}" for i in self.wedges[widx])
         if self.degree == 0:
             return mono or "1"
         return f"{mono} {dparts}".strip()
-
-    def __repr__(self):
-        return f"OmegaModule(p={self.degree}, dim={self.dimension} over {self.algebra!r})"
 
 
 @dataclass(frozen=True)
@@ -179,23 +178,14 @@ class DifferentialForm:
                 and self.module is other.module
                 and self.coords == other.coords)
 
-    def __hash__(self):
-        return hash((id(self.module), tuple(sorted(
-            (i, (c.numerator, c.denominator)) for i, c in self.coords.items()))))
-
-    def key(self):
-        return tuple(sorted((i, (c.numerator, c.denominator)) for i, c in self.coords.items()))
-
     def act(self, element):
         """Multiply by an algebra element (the A-module action)."""
         M = self.module
         A = M.algebra
         element = A.element(element)
         free = {}
-        nw = len(M.wedges)
         for ridx, q in self.coords.items():
-            col = M.basis_cols[ridx]
-            mono_idx, widx = divmod(col, nw)
+            mono_idx, widx = M.layout[ridx]
             for em, ec in element.coords.items():
                 factor = q * ec
                 for bm, bc in A.pair_product(A.index[em], mono_idx).items():
@@ -224,29 +214,18 @@ def omega_module(algebra, p):
 
 
 def d(x):
-    """Universal derivation: elements to 1-forms, p-forms to (p+1)-forms."""
-    from .algebra import AlgebraElement
+    """Universal derivation: elements to 1-forms, p-forms to (p+1)-forms.
 
+    An element is taken as its 0-form, whose coordinates are its own."""
     if isinstance(x, AlgebraElement):
         A = x.algebra
-        M = omega_module(A, 1)
-        free = {}
-        for mono, c in x.coords.items():
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                dm = tuple(v - 1 if j == i else v for j, v in enumerate(mono))
-                add_to(free, M.col(A.index[dm], M.wedge_index[(i,)]), c * e)
-        return M.form(free)
-
+        x = omega_module(A, 0).form({A.index[m]: c for m, c in x.coords.items()})
     M = x.module
     A = M.algebra
     target = omega_module(A, M.degree + 1)
     free = {}
-    nw = len(M.wedges)
     for ridx, q in x.coords.items():
-        col = M.basis_cols[ridx]
-        mono_idx, widx = divmod(col, nw)
+        mono_idx, widx = M.layout[ridx]
         mono = A.basis[mono_idx]
         wedge = M.wedges[widx]
         for i, e in enumerate(mono):
@@ -268,14 +247,11 @@ def wedge(f, g):
     A = Mf.algebra
     target = omega_module(A, Mf.degree + Mg.degree)
     free = {}
-    nwf, nwg = len(Mf.wedges), len(Mg.wedges)
     for ri, qi in f.coords.items():
-        ci = Mf.basis_cols[ri]
-        mi, wi = divmod(ci, nwf)
+        mi, wi = Mf.layout[ri]
         Si = Mf.wedges[wi]
         for rj, qj in g.coords.items():
-            cj = Mg.basis_cols[rj]
-            mj, wj = divmod(cj, nwg)
+            mj, wj = Mg.layout[rj]
             Sj = Mg.wedges[wj]
             if set(Si) & set(Sj):
                 continue
@@ -316,10 +292,8 @@ def map_form(f, target_algebra):
     src = M.algebra
     target = omega_module(target_algebra, M.degree)
     free = {}
-    nw = len(M.wedges)
     for ridx, q in f.coords.items():
-        col = M.basis_cols[ridx]
-        mono_idx, widx = divmod(col, nw)
+        mono_idx, widx = M.layout[ridx]
         carried = transport(src.basis_element(mono_idx), target_algebra)
         order = []
         for i in M.wedges[widx]:
@@ -340,7 +314,6 @@ def map_form(f, target_algebra):
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    algebra_name: str
     n: int
     p: int
     direct_dim: int
@@ -350,19 +323,7 @@ class DecompositionReport:
     verdict: str
 
     def record(self):
-        rows = [
-            ("decomposition.n", self.n),
-            ("decomposition.p", self.p),
-            ("decomposition.direct_dim", self.direct_dim),
-        ]
-        if self.eq5_dim is not None:
-            rows.append(("decomposition.eq5_dim", self.eq5_dim))
-        if self.eq6_literal_dim is not None:
-            rows.append(("decomposition.eq6_literal_dim", self.eq6_literal_dim))
-        if self.eq6_corrected_dim is not None:
-            rows.append(("decomposition.eq6_corrected_dim", self.eq6_corrected_dim))
-        rows.append(("decomposition.verdict", self.verdict))
-        return rows
+        return field_rows("decomposition", self)
 
 
 def decomposition_report(algebra, n, p):
@@ -384,11 +345,10 @@ def decomposition_report(algebra, n, p):
                           algebra.spec.relations + (f"sigma^{n}",))
     direct = omega_module(ext, p).dimension
     dim_line = n - 1  # dim Omega^1 of Q[s]/s^n
-    name = repr(algebra)
     if p == 1:
         eq5 = omega_module(algebra, 1).dimension * n + algebra.dimension * dim_line
         verdict = "match" if eq5 == direct else "neither"
-        return DecompositionReport(name, n, p, direct, eq5, None, None, verdict)
+        return DecompositionReport(n, p, direct, eq5, None, None, verdict)
     dim_p = omega_module(algebra, p).dimension
     dim_pm1 = omega_module(algebra, p - 1).dimension
     literal = dim_p * n + dim_p * dim_line
@@ -401,4 +361,4 @@ def decomposition_report(algebra, n, p):
         verdict = "literal"
     else:
         verdict = "neither"
-    return DecompositionReport(name, n, p, direct, None, literal, corrected, verdict)
+    return DecompositionReport(n, p, direct, None, literal, corrected, verdict)

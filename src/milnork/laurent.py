@@ -59,13 +59,7 @@ class LaurentPolynomial:
     def maxdeg(self):
         return max(self.coeffs) if self.coeffs else None
 
-    def lowest_coefficient(self):
-        o = self.ord()
-        return None if o is None else self.coeffs[o]
-
     def truncate(self, order):
-        if order is None:
-            return self
         return LaurentPolynomial(self.algebra,
                                  {d: c for d, c in self.coeffs.items() if d < order})
 
@@ -103,12 +97,6 @@ class LaurentPolynomial:
                 base = base.mul(base, order)
         return acc
 
-    def __eq__(self, other):
-        return isinstance(other, LaurentPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.key())
-
     def key(self):
         return tuple(sorted((d, c.key()) for d, c in self.coeffs.items()))
 
@@ -143,8 +131,7 @@ class LaurentPolynomial:
 
 
 def _check_atom(poly):
-    low = poly.lowest_coefficient()
-    if low is None or not low.augmentation():
+    if not poly or not poly.coeffs[poly.ord()].augmentation():
         raise NonUnitEntry(
             "atom is not a unit of A[[sigma]][1/sigma]: lowest coefficient must be a unit of A")
 
@@ -320,10 +307,6 @@ class SymbolCombination:
     def truncate(self, order):
         return SymbolCombination(self.algebra, self.degree,
                                  [(c, s.truncate(order)) for c, s in self.terms])
-
-    def scale(self, q):
-        return SymbolCombination(self.algebra, self.degree,
-                                 [(c * rational(q), s) for c, s in self.terms])
 
     def key(self):
         return tuple((str(c), s.key()) for c, s in self.terms)

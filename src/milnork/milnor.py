@@ -34,6 +34,7 @@ from .errors import (
 from .kahler import omega_module, wedge, dlog
 from .laurent import Symbol, SymbolCombination
 from .linalg import RowSpace, express
+from .report import field_rows
 
 
 class SymbolEntry:
@@ -109,22 +110,16 @@ def slotwise_realize(comb, ring, atom_form):
     """Q-linear realization of a symbol combination in Omega^degree of `ring`.
 
     Each entry goes to the sum of exp * atom_form(atom) over its atoms, and
-    each symbol to the wedge of its entries' 1-forms.  atom_form is called
-    once per distinct atom key.
+    each symbol to the wedge of its entries' 1-forms.
     """
     total = omega_module(ring, comb.degree).form()
     zero = omega_module(ring, 1).form()
-    cache = {}
     for coeff, sym in comb.terms:
         parts = []
         for entry in sym.entries:
             acc = zero
             for atom, exp in entry.atoms:
-                k = atom.key()
-                form = cache.get(k)
-                if form is None:
-                    form = cache[k] = atom_form(atom)
-                acc = acc + form.scale(exp)
+                acc = acc + atom_form(atom).scale(exp)
             parts.append(acc)
         if not parts:
             continue
@@ -181,7 +176,7 @@ def unit_samples(algebra):
 
 
 def relative_generators(algebra, n, p, coeffs=None, units=None):
-    """Generator families for the relative kernel at level n, degree p >= 1.
+    """Generator families for the relative kernel at level n >= 1, degree p >= 1.
 
     Over B = A[s]/s^(n+1): symbols {1 + c s^n, u_1, ..., u_(p-1)} for c in the
     coefficient grid, then {1 + e s^n, 1 - s, u_2, ..., u_(p-1)} for unit e.
@@ -189,6 +184,8 @@ def relative_generators(algebra, n, p, coeffs=None, units=None):
     family is built as it is read, in that order; its len() is counted.
     s is named by _extension_name, so A may have a variable called sigma.
     """
+    if n < 1:
+        raise ValueError("generator families need level n >= 1")
     if p < 1:
         raise ValueError("generator families need degree p >= 1")
     s = _extension_name(algebra)
@@ -309,7 +306,7 @@ class SpanVerdict:
         return [
             ("span.rank", self.rank),
             ("span.dim", self.dim),
-            ("span.spans", "true" if self.spans else "false"),
+            ("span.spans", self.spans),
             ("span.certificate", ",".join(str(i) for i in self.certificate) or "-"),
         ]
 
@@ -375,18 +372,7 @@ class TransportReport:
         return self.surjective and self.multiplicative and self.compatible
 
     def record(self):
-        return [
-            ("tau.n", self.n),
-            ("tau.base_dim", self.base_dim),
-            ("tau.target_dim", self.target_dim),
-            ("tau.surjective", "true" if self.surjective else "false"),
-            ("tau.multiplicative", "true" if self.multiplicative else "false"),
-            ("tau.kernel_dim", self.kernel_dim),
-            ("tau.tensor_target_dim", self.tensor_target_dim),
-            ("tau.compatible", "true" if self.compatible else "false"),
-            ("tau.degenerate", "true" if self.degenerate else "false"),
-            ("tau.samples", self.samples),
-        ]
+        return field_rows("tau", self)
 
 
 def transport_check(B, n):
@@ -394,10 +380,11 @@ def transport_check(B, n):
     quotient-side realization through tau: A'[lam]/lam^n -> B/sigma^n.
 
     A' = B/sigma.  tau sends basis monomials b*lam^j to the class of
-    b*sigma^j; the report checks surjectivity and multiplicativity on
-    monomial bases.  Compatibility is tested on the degree-2 generators in
-    Omega^1 of A' tensored with the cyclic module sigma^n/sigma^(n+1),
-    computed as the quotient by the annihilator action.
+    b*sigma^j; lam carries sigma's name, so tau is transport by name.  The
+    report checks surjectivity and multiplicativity on monomial bases.
+    Compatibility is tested on the degree-2 generators in Omega^1 of A'
+    tensored with the cyclic module sigma^n/sigma^(n+1), computed as the
+    quotient by the annihilator action.
     """
     sigma_name = B.spec.distinguished
     if sigma_name is None:
@@ -409,13 +396,10 @@ def transport_check(B, n):
 
     Bn, Bn1 = (derived_algebra(B, B.names, B.spec.relations + (f"{sigma_name}^{k}",),
                                sigma_name) for k in (n, n + 1))
-    dom = truncated_extension(Ap, "lam", n)
-
-    def tau(e, target):
-        return transport(e, target, rename={"lam": sigma_name})
+    dom = truncated_extension(Ap, sigma_name, n)
 
     # surjectivity on monomial bases
-    images = [tau(dom.basis_element(i), Bn) for i in range(dom.dimension)]
+    images = [transport(dom.basis_element(i), Bn) for i in range(dom.dimension)]
     space = RowSpace()
     for img in images:
         space.insert({Bn.index[m]: c for m, c in img.coords.items()})
@@ -426,7 +410,7 @@ def transport_check(B, n):
     for i in range(dom.dimension):
         ei = dom.basis_element(i)
         for j in range(i, dom.dimension):
-            if tau(ei * dom.basis_element(j), Bn) != images[i] * images[j]:
+            if transport(ei * dom.basis_element(j), Bn) != images[i] * images[j]:
                 multiplicative = False
                 break
         if not multiplicative:
@@ -453,21 +437,21 @@ def transport_check(B, n):
     compatible = True
     samples = 0
     if not degenerate:
-        dom_full = truncated_extension(Ap, "lam", n + 1)
-        lam_n = dom_full.variable("lam") ** n
+        dom_full = truncated_extension(Ap, sigma_name, n + 1)
+        lam_n = dom_full.variable(sigma_name) ** n
         for c, u in product(coefficient_samples(Ap), unit_samples(Ap)):
             samples += 1
             first = dom_full.one + transport(c, dom_full) * lam_n
             lifted = transport(u, dom_full)
             direct = relative_realize(make_symbol([first, lifted], 1), n)
             # route the entries through tau and realize on the quotient side
-            w = tau(first, Bn1) - Bn1.one
+            w = transport(first, Bn1) - Bn1.one
             cbar = _solve_layer(Ap, mult_vectors, w, Bn1)
             if cbar is None:
                 compatible = False
                 break
             routed = _coefficient_wedge(
-                cbar, [transport(tau(lifted, Bn1), Ap, drop=(sigma_name,))])
+                cbar, [transport(transport(lifted, Bn1), Ap, drop=(sigma_name,))])
             if to_tensor(direct) != to_tensor(routed):
                 compatible = False
                 break

@@ -67,12 +67,6 @@ class Polynomial:
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(self.key())
-
-    def key(self):
-        return tuple(sorted((m, (c.numerator, c.denominator)) for m, c in self.terms.items()))
-
     def __add__(self, other):
         res = dict(self.terms)
         for m, c in other.terms.items():
@@ -136,6 +130,3 @@ class Polynomial:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True)
-
-    def __repr__(self):
-        return f"Polynomial({self.terms!r})"

@@ -5,6 +5,15 @@ in construction order, with no timestamps; byte-identical across runs for
 identical inputs.  The text format is the same data laid out for reading.
 """
 
+from dataclasses import fields
+
+
+def field_rows(prefix, verdict):
+    """(prefix.field, value) for each field of a verdict dataclass, in field
+    order, skipping fields that are None."""
+    rows = ((f"{prefix}.{f.name}", getattr(verdict, f.name)) for f in fields(verdict))
+    return [(key, value) for key, value in rows if value is not None]
+
 
 class Report:
     def __init__(self, title):

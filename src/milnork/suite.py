@@ -254,9 +254,9 @@ def rule_soundness_checks():
     counts = {}
     agree = {}
 
-    def run(kind, algebra, state, step, precision=8):
+    def run(kind, algebra, state, step):
         counts[kind] = counts.get(kind, 0) + 1
-        realizer = _realizer_for(algebra, precision)
+        realizer = _realizer_for(algebra, 8)
         before = realizer.realize_state(state)
         after_state = check_step(CheckState(state), step).state
         after = realizer.realize_state(after_state)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidSpec, ParseError
 from .linalg import RowSpace, rational
+from .report import field_rows
 
 
 def _as_matrix(rows, nrows, ncols):
@@ -89,7 +90,7 @@ class LevelStabilization:
         return [
             (f"ml.level{self.level}.ranks", ",".join(str(r) for r in self.ranks) or "-"),
             (f"ml.level{self.level}.offset", self.offset if self.offset is not None else "-"),
-            (f"ml.level{self.level}.stabilized", "true" if self.stabilized else "false"),
+            (f"ml.level{self.level}.stabilized", self.stabilized),
             (f"ml.level{self.level}.reason", self.reason),
         ]
 
@@ -133,10 +134,7 @@ class LimitReport:
     stabilized: bool
 
     def record(self):
-        return [
-            ("limit.dim", self.dim),
-            ("limit.stabilized", "true" if self.stabilized else "false"),
-        ]
+        return field_rows("limit", self)
 
 
 def limit_dim(tower):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from milnork import certify
-from milnork.algebra import AlgebraSpec, build_algebra
+from milnork.algebra import AlgebraSpec, build_algebra, truncated_extension
 from milnork.certify import (
     MAX_PRECISION,
     CheckState,
@@ -15,10 +15,12 @@ from milnork.certify import (
     check_step,
     crosscheck_dlog,
     default_precision,
+    lift_laurent,
     splitting_certificate,
     vanishing_certificate,
 )
 from milnork.errors import (
+    AlgebraMismatch,
     NonUnitC,
     PositionInvalid,
     PrecisionInsufficient,
@@ -362,3 +364,16 @@ def test_check_step_runs_once_per_step(t3_certs, monkeypatch):
         loaded = certificate_from_json(certificate_to_json(cert))
         assert check_certificate(loaded).valid and crosscheck_dlog(loaded).all_agree
         assert len(calls) == 2 * steps
+
+
+def test_lift_laurent_appends_the_sigma_degree(t2):
+    ring = truncated_extension(t2, "sigma", 4)
+    poly = LaurentPolynomial(t2, {1: t2.one, 3: t2.element("2 - t")})
+    assert lift_laurent(poly, ring) == ring.element("sigma + (2 - t)*sigma^3")
+    assert lift_laurent(poly, ring, 1) == ring.element("1 + (2 - t)*sigma^2")
+    with pytest.raises(PrecisionInsufficient):
+        lift_laurent(LaurentPolynomial(t2, {4: t2.one}), ring)
+    # only A's own coefficients carry over, not those of a copy with A's names
+    twin = alg(["t"], ["t^2"])
+    with pytest.raises(AlgebraMismatch):
+        lift_laurent(LaurentPolynomial(twin, {0: twin.one}), ring)

@@ -495,3 +495,50 @@ def test_certificate_step_with_huge_power_fails_at_step(
     assert detail in out
     assert f"over the budget of {EXPANSION_BUDGET}" in out
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    # a JSON boolean is not an integer: true would load as n = 1
+    ("n", True, "certificate field context.n must be an integer"),
+    ("n", False, "certificate field context.n must be an integer"),
+    # "abc" would load as three one-character notes, an object as its keys
+    ("annotations", "abc", "certificate field annotations must be an array"),
+    ("annotations", {"a": "b"}, "certificate field annotations must be an array"),
+    ("annotations", None, "certificate field annotations must be an array"),
+    ("annotations", [1, 2], "certificate field annotations must hold strings"),
+    ("annotations", ["ok", 3], "certificate field annotations must hold strings"),
+])
+def test_certificate_json_types_exit_2(capsys, tmp_path, t3_eq8_doc, key, value, message):
+    (t3_eq8_doc["context"] if key == "n" else t3_eq8_doc)[key] = value
+    saved = tmp_path / "resaved.json"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(t3_eq8_doc))
+    code = main(["certify-eq8", "--load", str(path), "--save", str(saved)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
+    assert not saved.exists()
+
+
+def test_certificate_annotations_are_optional(capsys, tmp_path, t3_eq8_doc):
+    del t3_eq8_doc["annotations"]
+    code, out, _ = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert code == 0 and "certificate.valid=true\n" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["phi", "--n", "0", "--p", "2"], "generator families need level n >= 1"),
+    (["theorem2", "--n", "0", "--p", "2"], "generator families need level n >= 1"),
+    (["theorem2", "--n", "-1", "--p", "2"], "generator families need level n >= 1"),
+    (["phi", "--n", "2", "--p", "0"], "generator families need degree p >= 1"),
+    (["theorem2", "--n", "2", "--p", "0"], "generator families need degree p >= 1"),
+    (["tangent-span", "--p", "0"], "generator families need degree p >= 1"),
+    (["tangent-span", "--p", "-1"], "generator families need degree p >= 1"),
+])
+def test_generator_family_domain_exit_2(capsys, t3_spec, q_spec, argv, message):
+    # over Q a level-0 family used to realize nothing and exit 0
+    for spec in (t3_spec, q_spec):
+        code = main([*argv, "--algebra", spec, "--format", "record"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"input error: {message}\n"

@@ -70,10 +70,11 @@ def _inserted_z(realizer):
     """Z as the span of its defining rows, eliminated by RowSpace.insert."""
     z = RowSpace()
     off = realizer._offset
-    d_sigma = d(realizer.sigma)
+    sigma = realizer.ring.variable("sigma")
+    d_sigma = d(sigma)
     for alpha in realizer.omega1.basis_forms():
         row = dict(wedge(d_sigma, alpha).coords)
-        for i, v in alpha.act(realizer.sigma).coords.items():
+        for i, v in alpha.act(sigma).coords.items():
             add_to(row, off + i, -v)
         if row:
             z.insert(row)

@@ -130,7 +130,7 @@ def _cached_coordinates(A):
         for realizer in B._misc_cache.get("realizers", {}).values():
             for omega, s_part in realizer._entry_cache.values():
                 yield from (("entry", v) for v in omega.coords.values())
-                yield from (("entry", v) for v in s_part.coords.values())
+                yield ("entry", s_part)
             for row in realizer._term_cache.values():
                 yield from (("term", v) for v in row.values())
 
