@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, count, product
 
 from .errors import (
     AlgebraMismatch,
@@ -30,6 +30,7 @@ from .poly import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    power,
 )
 
 
@@ -287,17 +288,8 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            return invert_unit(self.algebra, self) ** (-k)
-        result = self.algebra.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        base = self if k >= 0 else invert_unit(self.algebra, self)
+        return power(base, abs(k), self.algebra.one)
 
     def augmentation(self):
         return self.coords.get((0,) * self.algebra.nvars, 0)
@@ -430,37 +422,32 @@ def truncated_extension(algebra, name, order):
                            lambda spec: TruncatedExtension(algebra, spec, order))
 
 
-def transport(e, target, drop=()):
-    """Re-express `e` in `target` by matching variable names.
+def extension_name(algebra):
+    """The first of sigma, eps, s0, s1, ... that is not a variable of A: the
+    name of s in A[s]/s^N for the generator families and the certificates.
 
-    Names in `drop` send any monomial containing them to zero (quotient by
-    those variables).
-    """
+    s is bound there, so the name changes no verdict; only printed symbols
+    and saved certificates show it."""
+    names = chain(("sigma", "eps"), (f"s{i}" for i in count()))
+    return next(name for name in names if name not in algebra.names)
+
+
+def transport(e, target):
+    """Re-express `e` in `target` by matching variable names; a variable the
+    target lacks is an error only where `e` uses it."""
     src = e.algebra
-    index_map = {}
-    for i, n in enumerate(src.names):
-        if n in drop:
-            index_map[i] = "drop"
-        elif n in target.names:
-            index_map[i] = target.names.index(n)
-        else:
-            index_map[i] = None  # only an error if the element uses it
+    index_map = [target.names.index(n) if n in target.names else None for n in src.names]
     poly = {}
     for mono, c in e.coords.items():
         new = [0] * target.nvars
-        dead = False
         for i, exp in enumerate(mono):
             if not exp:
                 continue
             j = index_map[i]
-            if j == "drop":
-                dead = True
-                break
             if j is None:
                 raise AlgebraMismatch(f"target has no variable {src.names[i]!r}")
             new[j] = exp
-        if not dead:
-            add_to(poly, tuple(new), c)
+        add_to(poly, tuple(new), c)
     return target.element_from_poly(Polynomial(target.nvars, poly, normalize=False))
 
 

@@ -38,7 +38,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import AlgebraElement, AlgebraSpec, build_algebra, truncated_extension
+from .algebra import (
+    AlgebraElement,
+    AlgebraSpec,
+    build_algebra,
+    extension_name,
+    truncated_extension,
+)
 from .errors import (
     AlgebraMismatch,
     NonUnitC,
@@ -191,7 +197,21 @@ class CheckState:
     order: int | None = None  # None over Laurent polynomials, the truncation after projection
 
     def clone(self, state):
+        if self.order is not None:
+            _order_zero(state)
         return CheckState(state, self.order)
+
+
+def _order_zero(state):
+    """What the projection needs, and what keeps every atom after it a unit of
+    A[s]/s^N: each atom has sigma-order 0."""
+    for _, sym in state.terms:
+        for entry in sym.entries:
+            for poly, _ in entry.atoms:
+                if poly.ord() != 0:
+                    raise SideConditionFailed(
+                        f"atom {poly} has sigma-order {poly.ord()}; "
+                        "projection needs order-zero atoms")
 
 
 @dataclass(frozen=True)
@@ -246,13 +266,7 @@ def check_step(cstate, step):
         if order is not None:
             raise SideConditionFailed("projection applies only once, from the Laurent ring")
         trunc = pay["order"]
-        for coeff, sym in state.terms:
-            for entry in sym.entries:
-                for poly, _ in entry.atoms:
-                    if poly.ord() != 0:
-                        raise SideConditionFailed(
-                            f"atom {poly} has sigma-order {poly.ord()}; "
-                            "projection needs order-zero atoms")
+        _order_zero(state)
         return CheckState(state.truncate(trunc), trunc)
 
     if rule == "steinberg" or rule == "minus_arg":
@@ -420,6 +434,8 @@ def _splitting_chain(algebra, c, n):
     1, 1 - s, w = 1 + c s^(n+1) and g = w - c s^n that the goal and the eq8
     extension are written in.
     """
+    if n < 1:
+        raise ValueError("certificates need level n >= 1")
     A = algebra
     c = A.element(c)
     if not c.augmentation():
@@ -553,7 +569,7 @@ class ExtendedRealizer:
     """
 
     def __init__(self, algebra, precision):
-        self.ring = truncated_extension(algebra, "sigma", precision)
+        self.ring = truncated_extension(algebra, extension_name(algebra), precision)
         self.omega1 = omega_module(self.ring, 1)
         self.omega2 = omega_module(self.ring, 2)
         self._entry_cache = {}
@@ -734,7 +750,7 @@ def crosscheck_dlog(cert, precision=None):
 
     A = cert.context.algebra
     realizer = _realizer_for(A, N)
-    small_ring = truncated_extension(A, "sigma", n + 1)
+    small_ring = truncated_extension(A, extension_name(A), n + 1)
 
     run = cert.replay
     prev_vec = realizer.realize_state(cert.start)
@@ -875,6 +891,8 @@ def certificate_from_json(text):
         raise ParseError("certificate fields context.variables and context.relations "
                          "must hold strings")
     n = _field(ctx, "n", int, "context.")
+    if n < 1:
+        raise ParseError("certificate field context.n must be >= 1")
     c = _field(ctx, "c", str, "context.")
     claim = _field(doc, "claim", dict)
     linkage = _field(claim, "linkage", str, "claim.")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import AlgebraElement, derived_algebra, invert_unit, transport
+from .algebra import AlgebraElement, derived_algebra, invert_unit
 from .errors import AlgebraMismatch, NameCollision, NotAUnit
 from .expr import monomial_str
 from .linalg import RowSpace, add_to, rational
@@ -27,20 +27,13 @@ from .report import field_rows
 
 def _merge_sign(left, right):
     """Sign of sorting the concatenation of two disjoint sorted index tuples."""
-    sign = 1
-    for r in right:
-        above = sum(1 for l in left if l > r)
-        if above & 1:
-            sign = -sign
-    return sign
+    return -1 if sum(1 for r in right for l in left if l > r) & 1 else 1
 
 
 def _insert_sign(i, wedge):
     if i in wedge:
         return 0, wedge
-    below = sum(1 for w in wedge if w < i)
-    merged = tuple(sorted(wedge + (i,)))
-    return (1 if below % 2 == 0 else -1), merged
+    return _merge_sign((i,), wedge), tuple(sorted(wedge + (i,)))
 
 
 class OmegaModule:
@@ -282,33 +275,26 @@ def dlog(u):
 
 
 def map_form(f, target_algebra):
-    """Push a form along a name-matching algebra map (e.g. a truncation).
+    """The truncation Omega^p(A[s]/s^N) -> Omega^p(A[s]/s^M), M <= N, read
+    through the layout.
 
-    Coefficients transport by name; each d(variable) maps to d(variable).
-    Used for the functorial projection Omega^p(A[s]/s^(n+1)) ->
-    Omega^p(A[s]/s^n) and for checking that projections commute with d.
+    A basis form m dw keeps its wedge: it goes to m dw when m is a basis
+    monomial of the target and to zero when m's s-degree is M or more.
+    Used for the functorial projection and for checking that projections
+    commute with d.
     """
     M = f.module
     src = M.algebra
+    if (src.base is None or src.base is not target_algebra.base
+            or src.names != target_algebra.names or src.ext_order < target_algebra.ext_order):
+        raise AlgebraMismatch("map_form maps A[s]/s^N to A[s]/s^M, M <= N, of one algebra A")
     target = omega_module(target_algebra, M.degree)
     free = {}
     for ridx, q in f.coords.items():
         mono_idx, widx = M.layout[ridx]
-        carried = transport(src.basis_element(mono_idx), target_algebra)
-        order = []
-        for i in M.wedges[widx]:
-            name = src.names[i]
-            if name not in target_algebra.names:
-                raise AlgebraMismatch(f"target has no variable {name!r}")
-            order.append(target_algebra.names.index(name))
-        if len(set(order)) != len(order):
-            continue
-        inversions = sum(1 for a in range(len(order)) for b in range(a + 1, len(order))
-                         if order[a] > order[b])
-        sign = -1 if inversions & 1 else 1
-        widx_t = target.wedge_index[tuple(sorted(order))]
-        for bm, bc in carried.coords.items():
-            add_to(free, target.col(target_algebra.index[bm], widx_t), q * bc * sign)
+        k = target_algebra.index.get(src.basis[mono_idx])
+        if k is not None:
+            free[target.col(k, widx)] = q
     return target.form(free)
 
 

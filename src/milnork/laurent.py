@@ -18,10 +18,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+from .algebra import extension_name
 from .errors import AlgebraMismatch, NonUnitEntry, PositionInvalid
 from .expr import parse_polynomial, polynomial_str
 from .linalg import add_to, rational
-from .poly import Polynomial
+from .poly import Polynomial, power
 
 
 # The most one side of a comparison may expand to: both its sigma-span and
@@ -87,25 +88,19 @@ class LaurentPolynomial:
     def power(self, k, order=None):
         if k < 0:
             raise ValueError("negative power of a Laurent polynomial")
-        acc = LaurentPolynomial.constant(self.algebra, 1)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc.mul(base, order)
-            k >>= 1
-            if k:
-                base = base.mul(base, order)
-        return acc
+        return power(self, k, LaurentPolynomial.constant(self.algebra, 1),
+                     lambda a, b: a.mul(b, order))
 
     def key(self):
         return tuple(sorted((d, c.key()) for d, c in self.coeffs.items()))
 
     def to_string(self):
-        """Expression-grammar string; requires nonnegative degrees."""
+        """Expression-grammar string, sigma named by extension_name;
+        requires nonnegative degrees."""
         if any(d < 0 for d in self.coeffs):
             raise ValueError("negative sigma-degree has no expression form")
         A = self.algebra
-        names = A.names + ("sigma",)
+        names = A.names + (extension_name(A),)
         terms = {}
         for d, c in self.coeffs.items():
             for mono, q in c.coords.items():
@@ -114,7 +109,7 @@ class LaurentPolynomial:
 
     @classmethod
     def from_string(cls, algebra, text):
-        names = algebra.names + ("sigma",)
+        names = algebra.names + (extension_name(algebra),)
         p = parse_polynomial(text, names)
         coeffs = {}
         for mono, q in p.terms.items():

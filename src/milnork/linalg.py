@@ -88,17 +88,25 @@ class RowSpace:
         return lead
 
 
-def express(vectors, target, ncols):
-    """Write `target` as a linear combination of `vectors`, or return None.
+def augmented_space(vectors, ncols):
+    """The row space of (v_i | e_i): each vector, with the unit vector e_i in
+    the columns from `ncols` on.
 
-    Augmented-column trick: track combination coefficients past `ncols`.
+    Its pivot rows at or past `ncols` are (0 | x) for a basis of the
+    relations sum x_i v_i = 0.  Reducing (w | 0) leaves (0 | -x) with
+    sum x_i v_i = w, or a column below `ncols` when w is not in the span.
     """
     space = RowSpace()
     for i, v in enumerate(vectors):
         row = dict(v)
         row[ncols + i] = 1
         space.insert(row)
-    res = space.reduce(dict(target))
+    return space
+
+
+def express(vectors, target, ncols):
+    """Write `target` as a linear combination of `vectors`, or return None."""
+    res = augmented_space(vectors, ncols).reduce(target)
     if any(col < ncols and val for col, val in res.items()):
         return None
     coeffs = [0] * len(vectors)

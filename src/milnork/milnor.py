@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain, count, product
+from itertools import product
 
 from .algebra import (
     AlgebraElement,
     derived_algebra,
-    invert_unit,
+    extension_name,
     quotient_mod_variable,
     sigma_layers,
     transport,
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .kahler import omega_module, wedge, dlog
 from .laurent import Symbol, SymbolCombination
-from .linalg import RowSpace, express
+from .linalg import RowSpace, augmented_space
 from .report import field_rows
 
 
@@ -61,7 +61,7 @@ class SymbolEntry:
         if self._collapsed is None:
             acc = self.algebra.one
             for elem, exp in self.atoms:
-                acc = acc * (elem ** exp if exp > 0 else invert_unit(self.algebra, elem) ** (-exp))
+                acc = acc * elem ** exp
             self._collapsed = acc
         return self._collapsed
 
@@ -83,8 +83,8 @@ def _unit_entry(u):
 def make_symbol(entries, coeff=1, algebra=None):
     """Single-term combination from entry data.
 
-    Each entry may be a SymbolEntry, an algebra element / expression string
-    (a single atom with exponent 1), or a list of (element, exponent) atoms.
+    Each entry may be a SymbolEntry, or an algebra element / expression string
+    (a single atom with exponent 1).
     """
     built = []
     for entry in entries:
@@ -93,11 +93,6 @@ def make_symbol(entries, coeff=1, algebra=None):
             continue
         if isinstance(entry, AlgebraElement):
             built.append(_unit_entry(entry))
-            continue
-        if isinstance(entry, (list, tuple)):
-            if algebra is None:
-                algebra = entry[0][0].algebra
-            built.append(SymbolEntry(algebra, entry))
             continue
         if algebra is None:
             raise AlgebraMismatch("need an algebra to parse string entries")
@@ -182,13 +177,13 @@ def relative_generators(algebra, n, p, coeffs=None, units=None):
     coefficient grid, then {1 + e s^n, 1 - s, u_2, ..., u_(p-1)} for unit e.
     At n = 1 the first half is the tangent family over A[eps]/eps^2.  The
     family is built as it is read, in that order; its len() is counted.
-    s is named by _extension_name, so A may have a variable called sigma.
+    s is named by extension_name, so A may have a variable called sigma.
     """
     if n < 1:
         raise ValueError("generator families need level n >= 1")
     if p < 1:
         raise ValueError("generator families need degree p >= 1")
-    s = _extension_name(algebra)
+    s = extension_name(algebra)
     B = truncated_extension(algebra, s, n + 1)
     sigma = B.variable(s)
     sn = sigma ** n
@@ -201,15 +196,6 @@ def relative_generators(algebra, n, p, coeffs=None, units=None):
         heads += [((first, one_minus), p - 2)
                   for c, first in zip(coeffs, firsts) if c.augmentation()]
     return GeneratorFamily(tuple(heads), tuple(_unit_entry(transport(u, B)) for u in units))
-
-
-def _extension_name(algebra):
-    """The first of sigma, eps, s0, s1, ... that is not a variable of A.
-
-    s is bound in the family, so the name changes no rank or witness; only
-    printed symbols show it."""
-    names = chain(("sigma", "eps"), (f"s{i}" for i in count()))
-    return next(name for name in names if name not in algebra.names)
 
 
 @dataclass(frozen=True)
@@ -416,11 +402,22 @@ def transport_check(B, n):
         if not multiplicative:
             break
 
-    # annihilator of sigma^n / sigma^(n+1) as an A'-module
+    # b -> b*sigma^n from A' to B/sigma^(n+1), eliminated once: its relations
+    # are the annihilator of sigma^n / sigma^(n+1) as an A'-module, and it
+    # solves cbar * sigma^n = w for every sample below
     sig_n = Bn1.variable(sigma_name) ** n
     degenerate = not bool(sig_n)
-    mult_vectors = [transport(Ap.basis_element(i), Bn1) * sig_n for i in range(Ap.dimension)]
-    kernel_basis = _kernel_of_map(Ap, mult_vectors, Bn1)
+    ncols = Bn1.dimension
+
+    def coords(e):
+        return {Bn1.index[m]: c for m, c in e.coords.items()}
+
+    def in_ap(row, sign):
+        return AlgebraElement(Ap, {Ap.basis[col - ncols]: sign * v for col, v in row.items()})
+
+    layer = augmented_space([coords(transport(b, Bn1) * sig_n) for b in coefficient_samples(Ap)],
+                            ncols)
+    kernel_basis = [in_ap(row, 1) for lead, row in layer.pivots.items() if lead >= ncols]
 
     # the tensor target Omega^1_{A'} / (annihilator * Omega^1_{A'})
     M = omega_module(Ap, 1)
@@ -445,13 +442,12 @@ def transport_check(B, n):
             lifted = transport(u, dom_full)
             direct = relative_realize(make_symbol([first, lifted], 1), n)
             # route the entries through tau and realize on the quotient side
-            w = transport(first, Bn1) - Bn1.one
-            cbar = _solve_layer(Ap, mult_vectors, w, Bn1)
-            if cbar is None:
+            residual = layer.reduce(coords(transport(first, Bn1) - Bn1.one))
+            if any(col < ncols for col in residual):
                 compatible = False
                 break
             routed = _coefficient_wedge(
-                cbar, [transport(transport(lifted, Bn1), Ap, drop=(sigma_name,))])
+                in_ap(residual, -1), [transport(transport(lifted, Bn1), Ap)])
             if to_tensor(direct) != to_tensor(routed):
                 compatible = False
                 break
@@ -469,36 +465,3 @@ def transport_check(B, n):
         samples=samples,
     )
 
-
-def _kernel_of_map(Ap, images, codomain):
-    """Kernel of the Q-linear map sending the i-th basis monomial of Ap to
-    images[i]; returned as a list of Ap elements (one per dependency)."""
-    aug_base = codomain.dimension
-    space = RowSpace()
-    kernel = []
-    for idx, vec in enumerate(images):
-        row = {codomain.index[m]: c for m, c in vec.coords.items()}
-        row[aug_base + idx] = 1
-        residual = space.reduce(row)
-        if all(col >= aug_base for col in residual):
-            combo = Ap.zero
-            for col, val in residual.items():
-                combo = combo + Ap.basis_element(col - aug_base) * val
-            kernel.append(combo)
-        else:
-            space.insert(row)
-    return kernel
-
-
-def _solve_layer(Ap, mult_vectors, w, codomain):
-    """Find cbar in A' with cbar * sigma^n = w in B/sigma^(n+1), or None."""
-    vectors = [{codomain.index[m]: c for m, c in vec.coords.items()} for vec in mult_vectors]
-    target = {codomain.index[m]: c for m, c in w.coords.items()}
-    coeffs = express(vectors, target, codomain.dimension)
-    if coeffs is None:
-        return None
-    combo = Ap.zero
-    for i, q in enumerate(coeffs):
-        if q:
-            combo = combo + Ap.basis_element(i) * q
-    return combo

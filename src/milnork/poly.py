@@ -6,9 +6,22 @@ rationals in the engine's one representation (see `linalg.rational`): an int
 when whole, a Fraction otherwise, never a float.
 """
 
+import operator
 from fractions import Fraction
 
 from .linalg import add_to, rational
+
+
+def power(base, k, one, mul=operator.mul):
+    """base^k for an integer k >= 0 by repeated squaring, starting from `one`."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
 
 
 def degrevlex_key(mono):
@@ -97,14 +110,7 @@ class Polynomial:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k, Polynomial.constant(self.nvars, 1))
 
     def leading(self):
         m = max(self.terms, key=degrevlex_key)

@@ -22,6 +22,7 @@ from milnork.errors import (
     ParseError,
 )
 from milnork.expr import parse_polynomial
+from milnork.poly import power
 
 
 def alg(variables, relations, **kw):
@@ -187,3 +188,23 @@ def test_ring_axioms(ca, cb, cc):
 def test_invert_involution(aug, c1, c2):
     u = _T3.element(aug) + _T3.element("t") * c1 + _T3.element("t^2") * c2
     assert invert_unit(_T3, invert_unit(_T3, u)) == u
+
+
+def test_power_by_repeated_squaring(t3):
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    assert power(3, 0, 1, mul) == 1 and calls == []
+    assert power(3, 1, 1, mul) == 3 and calls == [(1, 3)]
+    calls.clear()
+    # 5 = 0b101: two squarings and two products
+    assert power(3, 5, 1, mul) == 243 and len(calls) == 4
+    u = t3.element("1 + t")
+    assert u ** 0 == t3.one and u ** 1 == u
+    assert u ** 5 == u * u * u * u * u == t3.element("1 + 5*t + 10*t^2")
+    assert u ** -2 == invert_unit(t3, u) * invert_unit(t3, u)
+    p = parse_polynomial("1 + t", ("t",))
+    assert p ** 5 == parse_polynomial("(1 + t)*(1 + t)*(1 + t)*(1 + t)*(1 + t)", ("t",))

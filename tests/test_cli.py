@@ -542,3 +542,65 @@ def test_generator_family_domain_exit_2(capsys, t3_spec, q_spec, argv, message):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"input error: {message}\n"
+
+
+SIGMA_PAIR = [["sigma", 1], ["sigma", -1]]
+
+
+def test_step_after_projection_with_a_sigma_atom_fails_at_step(capsys, tmp_path, t3_eq8_doc):
+    # sigma * sigma^-1 keeps the entry's value, but sigma is not a unit of
+    # A[s]/s^3: the checker rejects the step, where the crosscheck used to
+    # fail with "dlog of non-unit sigma" and exit 2
+    atoms = t3_eq8_doc["goal"][0][1][0] + SIGMA_PAIR
+    t3_eq8_doc["steps"].append({"rule": "entry_factor", "position": {"term": 0, "slot": 0},
+                                "payload": {"atoms": atoms}})
+    t3_eq8_doc["goal"][0][1][0] = atoms
+    t3_eq8_doc["claim"]["lhs"] = t3_eq8_doc["goal"]
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert (code, err) == (1, "")
+    assert "certificate.failure_index=16\n" in out
+    assert "certificate.failure_detail=atom sigma has sigma-order 1;" in out
+
+
+@pytest.mark.parametrize("idx", [13, 15])
+def test_sigma_atom_after_projection_fails_at_its_step(capsys, tmp_path, t3_eq8_doc, idx):
+    # this used to fail only as "final state != goal", with no failing step
+    t3_eq8_doc["steps"][idx]["payload"]["atoms"] += SIGMA_PAIR
+    code, out, _ = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert code == 1
+    assert f"certificate.failure_index={idx}\n" in out
+    assert "certificate.failure_detail=atom sigma has sigma-order 1;" in out
+
+
+@pytest.mark.parametrize("cmd", ["certify-eq7", "certify-eq8"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_certificates_need_level_one(capsys, t3_spec, cmd, n):
+    # eq7 at n = 0 used to build and pass; the others failed on a missing term
+    code = main([cmd, "--algebra", t3_spec, "--c", "2", "--n", n])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "input error: certificates need level n >= 1\n")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_saved_certificate_needs_level_one(capsys, tmp_path, t3_eq8_doc, n):
+    t3_eq8_doc["context"]["n"] = n
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert (code, out) == (2, "")
+    assert err == "input error: certificate field context.n must be >= 1\n"
+
+
+@pytest.mark.parametrize("cmd, c, n", [("certify-eq7", "1+t", "1"), ("certify-eq8", "2", "2")])
+def test_certificates_over_an_algebra_with_a_sigma_variable(capsys, tmp_path, cmd, c, n):
+    # s takes the first free name, here eps, as in the generator families
+    spec = tmp_path / "sigma.spec"
+    spec.write_text("variables: t, sigma\nrelations: t^2, sigma^3, t*sigma\nsigma: sigma\n")
+    saved = tmp_path / "cert.json"
+    code, out = run(capsys, cmd, "--algebra", str(spec), "--c", c, "--n", n,
+                    "--format", "record", "--save", str(saved))
+    assert code == 0
+    assert "certificate.valid=true\n" in out and "crosscheck.all_agree=true\n" in out
+    claim = out.split("certificate.claim_rhs=")[0]
+    assert "eps" in claim
+    code, reloaded = run(capsys, cmd, "--load", str(saved), "--format", "record")
+    assert (code, reloaded) == (0, out.replace(f"certificate.saved={saved}\n", ""))

@@ -2,10 +2,11 @@
 
 Each case runs `cli.main` in-process and compares the exit code and the
 sha256 of stdout, in both output formats, with the values in EXPECTED.  A
-change that alters any printed byte of these 60 invocations fails here.
+change that alters any printed byte of these 86 invocations fails here.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -38,6 +39,27 @@ def _algebra_cases():
         yield name, ("certify-eq8", "--c", f"1/2-{v}", "--n", "2")
     yield "readme", ("tau", "--n", "2")
     yield "sigma4", ("tau", "--n", "2")
+    for name in FIRST:
+        yield name, ("phi", "--n", "3", "--p", "2")
+        yield name, ("theorem2", "--n", "3", "--p", "2")
+    for name in ("readme", "sigma4"):
+        yield name, ("tau", "--n", "1")
+        yield name, ("tau", "--n", "3")
+    for edit in EDITS:
+        yield "t3-eq8", ("certify-eq8", "--load", edit)
+
+
+def _projection_order_0(doc):
+    next(s for s in doc["steps"] if s["rule"] == "projection")["payload"]["order"] = 0
+
+
+def _identity_exponent(doc):
+    next(s for s in doc["steps"] if s["rule"] == "entry_identity")["payload"]["atoms"][0][1] += 1
+
+
+# edits of the saved Q[t]/t^3 eq8 certificate (c = 1+t, n = 2) read by --load
+EDITS = {"unedited": lambda doc: None, "projection-order-0": _projection_order_0,
+         "identity-exponent": _identity_exponent}
 
 
 CASES = [(spec, argv, fmt) for spec, argv in _algebra_cases() for fmt in ("text", "record")]
@@ -54,6 +76,16 @@ def run_case(tmp_path, capsys, spec, argv, fmt):
         path = tmp_path / "grid.tower"
         path.write_text(TOWER)
         full = ["tower", "--tower", str(path)]
+    elif spec == "t3-eq8":
+        (tmp_path / "t3.spec").write_text(SPECS["t3"])
+        path = tmp_path / "t3eq8.json"
+        assert main(["certify-eq8", "--algebra", str(tmp_path / "t3.spec"), "--c", "1+t",
+                     "--n", "2", "--save", str(path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        EDITS[argv[2]](doc)
+        path.write_text(json.dumps(doc))
+        full = [argv[0], "--load", str(path)]
     else:
         path = tmp_path / f"{spec}.spec"
         path.write_text(SPECS[spec])
@@ -124,6 +156,32 @@ EXPECTED = {
     "sigma4 tau --n 2 record": (0, "ed21d89ca3c74345188d724b51ccdd1dd4dc75957a69ccf2506522bbca6402e2"),
     "tower tower text": (0, "8769fc53492ba2142fa77b60bb14d2776a9d9f91ac3171f61f10f8f76cb8a724"),
     "tower tower record": (0, "b022f76d8af138fe90eaf9a179542133594d44e3ee348a12c2362f3318a04a6a"),
+    "t3 phi --n 3 --p 2 text": (0, "89911e1545090f153f957f2ef62d3faa2b12b50d0c5d207fdb4bea7384b3ef74"),
+    "t3 phi --n 3 --p 2 record": (0, "f989511a80314a3914231d991d260812826ce17276c706156ba24d8aca3ffde2"),
+    "t3 theorem2 --n 3 --p 2 text": (0, "e124bc85de3f66fe7e3e2e775f63c7e373ae57c154cfa650cd44381c114c2106"),
+    "t3 theorem2 --n 3 --p 2 record": (0, "1f255a04b66717cf9ffcb9723f707ab2b3cd5c2d9dd4e78863af35af46062a9b"),
+    "xy phi --n 3 --p 2 text": (0, "64944d499c2b4ed9a23d2d79f6047817978f3caaf4d1069312c63563c2ef11ae"),
+    "xy phi --n 3 --p 2 record": (0, "f4a0f895ce7188ac6775f5ac434fa6bf3cdefeb245187581b7c28808b2513461"),
+    "xy theorem2 --n 3 --p 2 text": (0, "2f4bbb40a4248a7869bfba84d8b2109ef99f876ac13a5fe8812111203f64cc73"),
+    "xy theorem2 --n 3 --p 2 record": (0, "0f40a50cb06a9f9f201858c4acf1c69b3d962c917603308393c819274b66f71a"),
+    "nonmono phi --n 3 --p 2 text": (0, "3751127d3df22e988ccc4ea9b7914585a77013357a6a3694021c2fb5b8976d4f"),
+    "nonmono phi --n 3 --p 2 record": (0, "a7c2eda6201b24d02f6708b60822b93e976ffc04bff30cdf0d8579fd3e6f874c"),
+    "nonmono theorem2 --n 3 --p 2 text": (0, "53f582acdaa039be33d6f69ceffeb17964f5953aa40bc4d5f85a6dab778bacc1"),
+    "nonmono theorem2 --n 3 --p 2 record": (0, "db33a433a43c69c997e4657b204692a659f5c98de06b61f5c85d57e80ad38300"),
+    "readme tau --n 1 text": (0, "8825360b5a24917626ed9a4522003a96f505d29102e72178b9d96aa482f2634b"),
+    "readme tau --n 1 record": (0, "e31578d2cd9b47492a46ce1927b78db919236f0022d14afdaa0846290f4a850f"),
+    "readme tau --n 3 text": (0, "79238cae8a8c4f1b1e01a0b35f1fa52d83f221aab92a3edfd12a4f60d5e53e94"),
+    "readme tau --n 3 record": (0, "6df6f74e40781111ca1588d4624acb1bce00cbcffa964928d72e6ce5823fd01a"),
+    "sigma4 tau --n 1 text": (0, "2b15263b749286758607749c733c487cdf084bb6c26d7fc957e67eaeb4a0bed0"),
+    "sigma4 tau --n 1 record": (0, "db5dc33439dc83ac8a9e55d7ac607008b0abe5d3152159c706a686851b9f50ea"),
+    "sigma4 tau --n 3 text": (0, "9b05968972eaa2d41e8c3896e4bde70ad5bbf06a6c40a2960256bac79a7fb4b6"),
+    "sigma4 tau --n 3 record": (0, "4943440ccbe14caeb4085f7a56b0ff59702b685c641e15882e85bf67fd6ba005"),
+    "t3-eq8 certify-eq8 --load unedited text": (0, "7c4ede5eceb5230ac69bc61dac4b373b0d65387c45c35f6976d42f45f066ff34"),
+    "t3-eq8 certify-eq8 --load unedited record": (0, "1f7b44fe2392b959c5a878729f87d951d9c7af13b38028106ade1050d4518a35"),
+    "t3-eq8 certify-eq8 --load projection-order-0 text": (1, "706c0d198388ddf7e938d57e696a0fa8aafbfdf953070f6f4503d9892d5c4b29"),
+    "t3-eq8 certify-eq8 --load projection-order-0 record": (1, "95ad58e21587b4e6c52ba64f0077b618f167267b82be5018fbe954ec55068ce6"),
+    "t3-eq8 certify-eq8 --load identity-exponent text": (1, "4d39589c2d1a8e1601b3491d75216f5b755a19be836cea2a972edb5fcd280957"),
+    "t3-eq8 certify-eq8 --load identity-exponent record": (1, "7786f80e7f590806617778acb95977454ba255c54173783d65ff6a60b06a365c"),
 }
 
 

@@ -262,3 +262,19 @@ def test_form_printing_round_trips_visually():
     f = dlog(A.element("1+t"))
     assert str(f) == "(1)*[dt] + (-1)*[t dt]"
     assert str(omega_module(A, 1).form()) == "0"
+
+
+def test_map_form_only_truncates():
+    A = alg(["t"], ["t^3"])
+    big = truncated_extension(A, "sigma", 3)
+    f = dlog(big.element("1 + t*sigma"))
+    assert map_form(f, truncated_extension(A, "sigma", 2)) == dlog(
+        truncated_extension(A, "sigma", 2).element("1 + t*sigma"))
+    # A itself, another extension name, another base, a longer truncation
+    for target in (A, truncated_extension(A, "eps", 2),
+                   truncated_extension(alg(["t"], ["t^2"]), "sigma", 2),
+                   truncated_extension(A, "sigma", 4)):
+        with pytest.raises(AlgebraMismatch):
+            map_form(f, target)
+    with pytest.raises(AlgebraMismatch):
+        map_form(dlog(A.element("1 + t")), A)

@@ -155,3 +155,11 @@ def test_string_round_trip():
     assert back.coeffs == p.coeffs
     with pytest.raises(ValueError):
         lp({-1: "1"}).to_string()
+
+
+def test_power_under_an_order_truncates_every_product():
+    one_plus = lp({0: "1", 1: "1"})
+    assert one_plus.power(5, 3).coeffs == {0: T2.one, 1: T2.element(5), 2: T2.element(10)}
+    assert one_plus.power(0, 3).coeffs == {0: T2.one}
+    # order 1 keeps only the constant term of each partial product
+    assert lp({0: "1 + t", 2: "1"}).power(5, 1).coeffs == {0: T2.element("1 + 5*t")}

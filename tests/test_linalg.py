@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from milnork.linalg import RowSpace, add_to, express
+from milnork.linalg import RowSpace, add_to, augmented_space, express
 
 
 def dense_to_sparse(row):
@@ -64,3 +64,17 @@ def test_add_to_drops_cancelled_entries():
     add_to(vec, 1, Fraction(3))
     add_to(vec, 0, Fraction(-1, 2))
     assert vec == {1: Fraction(3)}
+
+
+def test_augmented_space_relations_and_solve():
+    vecs = rows([1, 0, 1], [0, 1, 1], [1, 1, 2])
+    space = augmented_space(vecs, 3)
+    # v0 + v1 - v2 = 0 is the one relation: the one pivot row past column 3
+    assert [row for lead, row in space.pivots.items() if lead >= 3] == [{3: 1, 4: 1, 5: -1}]
+    # reducing (w | 0) leaves (0 | -x) with sum x_i v_i = w
+    residual = space.reduce(dense_to_sparse([2, 1, 3]))
+    assert min(residual) >= 3
+    x = [-residual.get(3 + i, 0) for i in range(3)]
+    assert [sum(x[i] * vecs[i].get(j, 0) for i in range(3)) for j in range(3)] == [2, 1, 3]
+    # outside the span a column below 3 is left
+    assert min(space.reduce(dense_to_sparse([1, 0, 0]))) < 3
