@@ -228,14 +228,19 @@ class Algebra:
 
 
 class AlgebraElement:
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra", "coords", "_key")
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
         self.coords = coords
+        self._key = None
 
     def key(self):
-        return tuple(sorted((m, (c.numerator, c.denominator)) for m, c in self.coords.items()))
+        """Computed once: an element, its coords included, is never changed."""
+        if self._key is None:
+            self._key = tuple(sorted((m, (c.numerator, c.denominator))
+                                     for m, c in self.coords.items()))
+        return self._key
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement)

@@ -26,9 +26,9 @@ check_step verifies the side conditions exactly before rewriting:
 
 States before the projection step live over exact Laurent polynomials; after
 it, all products are truncated.  The independent soundness monitor
-crosscheck_dlog realizes every intermediate state in a high-precision
-truncation ring, tracking dlog(sigma) as an extra formal direction, and
-verifies that each step preserves the realization exactly.
+crosscheck_dlog realizes every intermediate state as an honest 2-form, a
+symbol {e1, e2} as sigma * dlog e1 ^ dlog e2 in a high-precision truncation
+ring, and verifies that each step preserves the form exactly.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .errors import (
     PrecisionTooLarge,
     SideConditionFailed,
 )
-from .kahler import dlog, map_form, omega_module, wedge
+from .kahler import DifferentialForm, dlog, map_form, omega_module, wedge
 from .laurent import (
     EXPANSION_BUDGET,
     LaurentEntry,
@@ -66,8 +66,7 @@ from .laurent import (
     entries_value_equal,
     entry_is_one,
 )
-from .linalg import RowSpace, add_to, rational
-from .milnor import slotwise_realize
+from .linalg import add_to, rational
 
 KERZ_NOTE = ("projection assumes the class descends from the localization to the "
              "power-series ring; injectivity of that restriction (Kerz) is taken "
@@ -556,56 +555,45 @@ def vanishing_certificate(algebra, c, n):
 
 
 class ExtendedRealizer:
-    """Realize Laurent states in Omega^2 of A[s]/s^N with a formal dlog(s).
+    """Realize Laurent states honestly in Omega^2 of R = A[s]/s^(N+1).
 
-    A 1-form value is a pair (omega, a) meaning omega + a*dlog(s), with a
-    the integer sum of exponent * sigma-order over the entry's atoms; a
-    2-form value is (eta, beta) meaning eta + dlog(s)^beta.  The pair
-    encoding is redundant: dlog(s)^(s*alpha) equals ds^alpha, and
-    dlog(s)^(b ds) dies.
-    Raw vectors are kept as computed; equality is tested modulo the row
-    space Z spanned by (ds^alpha, -s*alpha) and (0, b ds), which is exactly
-    the clearing-denominators identification.
+    A symbol {e1, e2} goes to s * dlog e1 ^ dlog e2.  Writing each entry's
+    atoms with s^v factored out, dlog e = omega + a * dlog(s), with omega a
+    1-form of R and a the integer sum of exponent * v, so that
+
+        s * dlog e1 ^ dlog e2 = s * (omega1 ^ omega2) + (a2 omega1 - a1 omega2) ^ ds,
+
+    as dlog(s) ^ dlog(s) = 0.  This is a form of R, and two states agree
+    exactly when their forms are equal.  Only the s-degrees below N of
+    omega matter: s * s^N and s^N ds both die in R.
     """
 
     def __init__(self, algebra, precision):
-        self.ring = truncated_extension(algebra, extension_name(algebra), precision)
+        self.ring = truncated_extension(algebra, extension_name(algebra), precision + 1)
         self.omega1 = omega_module(self.ring, 1)
         self.omega2 = omega_module(self.ring, 2)
         self._entry_cache = {}
         self._term_cache = {}
-        self._offset = self.omega2.dimension
-        self._z = self._z_space()
+        # s * (m dw) and (m dw) ^ ds for each basis form m dw, read through
+        # the layout.  R's relations are A's copied to each s-layer, so the
+        # image is again a basis form, unless it lands on s^(N+1) or on the
+        # ds layer that d(s^(N+1)) = (N+1) s^N ds kills: then it is None.
+        R, M2 = self.ring, self.omega2
+        s = R.nvars - 1
 
-    def _z_space(self):
-        """Z in reduced echelon form, written down with no elimination.
+        def image(M, mono_idx, widx, shift, tail):
+            mono = R.basis[mono_idx]
+            k = R.index.get(mono[:-1] + (mono[-1] + shift,))
+            w = M.wedges[widx] + tail
+            if k is None or w not in M2.wedge_index:
+                return None
+            return M2.col_index.get(M2.col(k, M2.wedge_index[w]))
 
-        Let s be the last variable.  The rows (0, b ds) are the unit vectors
-        of the ds basis forms of Omega^1; the rows (ds^alpha, -s*alpha) of
-        ds forms alpha are multiples of those.  For a basis form
-        alpha = a s^k dx with k < N-1, the row is -(a s^k dx^ds, a s^(k+1) dx):
-        both are basis forms, the first is the row's own Omega^2 column, and
-        the second has no ds.  At k = N-1 the row is zero.
-        """
-        z = RowSpace()
-        B, M1, M2 = self.ring, self.omega1, self.omega2
-        s = B.nvars - 1
-        for i, (mono_idx, widx) in enumerate(M1.layout):
-            (j,) = M1.wedges[widx]
-            if j == s:
-                z.pivots[self._offset + i] = {self._offset + i: 1}
-                continue
-            mono = B.basis[mono_idx]
-            k = mono[-1] + 1
-            if k == B.ext_order:
-                continue
-            lead = M2.col_index[M2.col(mono_idx, M2.wedge_index[(j, s)])]
-            shifted = M1.col_index[M1.col(B.index[mono[:-1] + (k,)], widx)]
-            z.pivots[lead] = {lead: 1, self._offset + shifted: 1}
-        return z
+        self._times_s = tuple(image(M2, m, w, 1, ()) for m, w in M2.layout)
+        self._wedge_ds = tuple(image(self.omega1, m, w, 0, (s,)) for m, w in self.omega1.layout)
 
     def entry_dlog(self, entry):
-        """Extended 1-form (omega, a) of dlog of the entry."""
+        """(omega, a) with dlog of the entry = omega + a * dlog(s)."""
         key = entry.key()
         cached = self._entry_cache.get(key)
         if cached is not None:
@@ -621,40 +609,28 @@ class ExtendedRealizer:
         return cached
 
     def realize_term(self, sym):
-        """Raw combined vector (eta, beta) for a degree-2 symbol."""
+        """Coordinates of s * dlog e1 ^ dlog e2 for a degree-2 symbol."""
         key = sym.key()
         cached = self._term_cache.get(key)
         if cached is not None:
             return cached
         (w1, a1), (w2, a2) = (self.entry_dlog(e) for e in sym.entries)
-        eta = wedge(w1, w2)
-        beta = w2.scale(a1) - w1.scale(a2)
-        row = dict(eta.coords)
-        for i, v in beta.coords.items():
-            add_to(row, self._offset + i, v)
+        row = {}
+        for images, form in ((self._times_s, wedge(w1, w2)),
+                             (self._wedge_ds, w1.scale(a2) - w2.scale(a1))):
+            for i, v in form.coords.items():
+                j = images[i]
+                if j is not None:
+                    add_to(row, j, v)
         self._term_cache[key] = row
         return row
 
     def realize_state(self, state):
         total = {}
         for coeff, sym in state.terms:
-            for colv, val in self.realize_term(sym).items():
-                add_to(total, colv, coeff * val)
-        return total
-
-    def vectors_agree(self, v1, v2):
-        """Equality of raw vectors modulo the dlog(s)-clearing subspace Z."""
-        diff = dict(v1)
-        for col, val in v2.items():
-            add_to(diff, col, -val)
-        return not self._z.reduce(diff)
-
-    def eta_form(self, vector):
-        """The plain Omega^2 form of a raw vector with no dlog(s) component."""
-        if any(c >= self._offset for c in vector):
-            return None
-        return self.omega2.form(
-            {self.omega2.basis_cols[i]: v for i, v in vector.items()})
+            for col, val in self.realize_term(sym).items():
+                add_to(total, col, coeff * val)
+        return DifferentialForm(self.omega2, total)
 
 
 def lift_laurent(poly, ring, shift=0):
@@ -671,17 +647,6 @@ def lift_laurent(poly, ring, shift=0):
                 f"atom needs sigma^{k}; raise the precision above {N}")
         coords.update((m + (k,), c) for m, c in coeff.coords.items())
     return AlgebraElement(ring, coords)
-
-
-def truncated_realize(state, ring_ext):
-    """Honest Omega^2 realization over A[s]/s^(n+1) for truncated states."""
-
-    def lifted_dlog(poly):
-        if poly.ord() is None or poly.ord() < 0:
-            raise PrecisionInsufficient("negative sigma order in truncated mode")
-        return dlog(lift_laurent(poly.truncate(ring_ext.ext_order), ring_ext))
-
-    return slotwise_realize(state, ring_ext, lifted_dlog)
 
 
 @dataclass(frozen=True)
@@ -708,25 +673,25 @@ def default_precision(n):
 
 # The crosscheck's cost is densest at small n, where the dlog series of
 # 1 + c s^(n+1) fills all N sigma-degrees, and grows there about as N^2:
-# eq7 at n = 2 with --precision N, on one Xeon core under CPython 3.11, takes
-# 0.7, 3.7 and 14.3 s on Q[t]/t^3 at N = 60, 128 and 240, and 1.8 and 7.4 s
-# on the ten-dimensional Q[x,y]/m^4 at N = 64 and 128.  N is capped where
-# that worst case stays under 10 s on the five algebras the benchmark
-# certifies over (Q[x,y]/m^4 is the slowest).  The cap admits the default
-# precision up to n = 40; the bundled suite uses N <= 18 and the benchmark
-# N <= 42.
+# eq7 at n = 2 with --precision N, on one Xeon core under CPython 3.11,
+# takes 0.2-0.3 and 1.0-1.3 s on Q[t]/t^3 at N = 64 and 128, and 0.5-0.6
+# and 2.0-2.1 s on the ten-dimensional Q[x,y]/m^4 (timed inside the
+# process).  N is capped where that worst case stays under 10 s on the five
+# algebras the benchmark certifies over (Q[x,y]/m^4 is the slowest).  The
+# cap admits the default precision up to n = 40; the bundled suite uses
+# N <= 18 and the benchmark N <= 42.
 MAX_PRECISION = EXPANSION_BUDGET
 
 
 def crosscheck_dlog(cert, precision=None):
     """Realize every intermediate state and verify each step preserves it.
 
-    Laurent-mode states are realized in A[s]/s^N with dlog(s) tracked
-    symbolically; truncated-mode states in the honest ring A[s]/s^(n+1).
-    Projection steps require the pre-state to have no dlog(s) component and
-    compare the functorial image with the post-state realization.  A step
-    whose side condition fails during the replay is reported as the first
-    disagreeing step.
+    Every state is realized by one ExtendedRealizer, a symbol {e1, e2} as
+    s * dlog e1 ^ dlog e2 in Omega^2 of A[s]/s^(N+1); the factor s clears
+    the dlog(s) that atoms of nonzero s-order bring.  Truncated-mode states
+    are compared after map_form to A[s]/s^(n+2), and the projection step
+    compares the two states' forms there.  A step whose side condition
+    fails during the replay is reported as the first disagreeing step.
     """
     n = cert.context.n
     N = default_precision(n) if precision is None else int(precision)
@@ -750,35 +715,31 @@ def crosscheck_dlog(cert, precision=None):
 
     A = cert.context.algebra
     realizer = _realizer_for(A, N)
-    small_ring = truncated_extension(A, extension_name(A), n + 1)
+    # a truncated state's form, read in A[s]/s^(n+2): s * is injective on
+    # Omega^2 of A[s]/s^(n+1), so equality there is equality of the states
+    small_ring = truncated_extension(A, extension_name(A), n + 2)
+
+    def realize(state, order):
+        form = realizer.realize_state(state)
+        return form if order is None else map_form(form, small_ring)
 
     run = cert.replay
-    prev_vec = realizer.realize_state(cert.start)
+    prev = realizer.realize_state(cert.start)
     step_rows = []
     all_ok = True
     for i, (step, before, after) in enumerate(zip(cert.steps, run.states, run.states[1:])):
-        if after.order is None:
-            vec = realizer.realize_state(after.state)
-            ok = realizer.vectors_agree(vec, prev_vec)
-            prev_vec = vec
-        else:
-            post = truncated_realize(after.state, small_ring)
-            if before.order is None:
-                eta = realizer.eta_form(prev_vec)
-                ok = eta is not None and map_form(eta, small_ring) == post
-            else:
-                ok = post == prev_vec
-            prev_vec = post
+        form = realize(after.state, after.order)
+        if after.order != before.order:
+            prev = map_form(prev, small_ring)
+        ok = form == prev
+        prev = form
         step_rows.append((i, step.rule, ok))
         all_ok = all_ok and ok
     if run.failure is not None:
         step_rows.append((run.failure, cert.steps[run.failure].rule, False))
         all_ok = False
 
-    if run.states[-1].order is None:
-        final_zero = realizer.vectors_agree(realizer.realize_state(cert.goal), {})
-    else:
-        final_zero = not truncated_realize(cert.goal, small_ring)
+    final_zero = not realize(cert.goal, run.states[-1].order)
     return CrosscheckReport(N, tuple(step_rows), all_ok, final_zero)
 
 

@@ -250,7 +250,8 @@ def build_parser():
         s = subs.add_parser(cmd, help="build and verify the bundled certificate chain")
         s.add_argument("--algebra", help="algebra spec file")
         _add_common(s, algebra=False)
-        s.add_argument("--c", help="unit coefficient expression")
+        s.add_argument("--c", help="unit coefficient expression; one that starts "
+                                   "with '-' is written --c=-1+t")
         s.add_argument("--n", type=int, help="level of the relative kernel")
         s.add_argument("--precision", type=int, default=None,
                        help="crosscheck truncation order (default 3(n+2))")

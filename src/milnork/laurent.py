@@ -37,11 +37,12 @@ EXPANSION_BUDGET = 128
 class LaurentPolynomial:
     """Map sigma-degree -> algebra element; degrees may be negative."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "coeffs", "_key")
 
     def __init__(self, algebra, coeffs):
         self.algebra = algebra
         self.coeffs = {d: c for d, c in coeffs.items() if c}
+        self._key = None
 
     @classmethod
     def constant(cls, algebra, value):
@@ -92,7 +93,10 @@ class LaurentPolynomial:
                      lambda a, b: a.mul(b, order))
 
     def key(self):
-        return tuple(sorted((d, c.key()) for d, c in self.coeffs.items()))
+        """Computed once: a polynomial, its coeffs included, is never changed."""
+        if self._key is None:
+            self._key = tuple(sorted((d, c.key()) for d, c in self.coeffs.items()))
+        return self._key
 
     def to_string(self):
         """Expression-grammar string, sigma named by extension_name;

@@ -101,20 +101,23 @@ def make_symbol(entries, coeff=1, algebra=None):
     return SymbolCombination(sym.algebra, sym.degree, [(coeff, sym)])
 
 
-def slotwise_realize(comb, ring, atom_form):
-    """Q-linear realization of a symbol combination in Omega^degree of `ring`.
+def dlog_realize(comb):
+    """Slot-wise dlog followed by wedge; Q-linear over the terms.
 
-    Each entry goes to the sum of exp * atom_form(atom) over its atoms, and
-    each symbol to the wedge of its entries' 1-forms.
+    Each entry goes to the sum of exp * dlog(atom) over its atoms, and each
+    symbol to the wedge of its entries' 1-forms.  Steinberg instances
+    {a, 1-a}, {a, -a} and repeats {a, a} land on wedges of proportional
+    1-forms and vanish exactly.
     """
-    total = omega_module(ring, comb.degree).form()
-    zero = omega_module(ring, 1).form()
+    A = comb.algebra
+    total = omega_module(A, comb.degree).form()
+    zero = omega_module(A, 1).form()
     for coeff, sym in comb.terms:
         parts = []
         for entry in sym.entries:
             acc = zero
             for atom, exp in entry.atoms:
-                acc = acc + atom_form(atom).scale(exp)
+                acc = acc + dlog(atom).scale(exp)
             parts.append(acc)
         if not parts:
             continue
@@ -123,15 +126,6 @@ def slotwise_realize(comb, ring, atom_form):
             result = wedge(result, part)
         total = total + result.scale(coeff)
     return total
-
-
-def dlog_realize(comb):
-    """Slot-wise dlog followed by wedge; Q-linear over the terms.
-
-    Steinberg instances {a, 1-a}, {a, -a} and repeats {a, a} land on wedges
-    of proportional 1-forms and vanish exactly.
-    """
-    return slotwise_realize(comb, comb.algebra, dlog)
 
 
 def _coefficient_wedge(c, units):
@@ -441,13 +435,13 @@ def transport_check(B, n):
             first = dom_full.one + transport(c, dom_full) * lam_n
             lifted = transport(u, dom_full)
             direct = relative_realize(make_symbol([first, lifted], 1), n)
-            # route the entries through tau and realize on the quotient side
+            # route the first entry through tau and realize on the quotient
+            # side; u, s-free, is its own image there
             residual = layer.reduce(coords(transport(first, Bn1) - Bn1.one))
             if any(col < ncols for col in residual):
                 compatible = False
                 break
-            routed = _coefficient_wedge(
-                in_ap(residual, -1), [transport(transport(lifted, Bn1), Ap)])
+            routed = _coefficient_wedge(in_ap(residual, -1), [u])
             if to_tensor(direct) != to_tensor(routed):
                 compatible = False
                 break

@@ -18,7 +18,6 @@ from .certify import (
     check_step,
     crosscheck_dlog,
     splitting_certificate,
-    truncated_realize,
     vanishing_certificate,
 )
 from .family import builtin_algebras
@@ -260,7 +259,7 @@ def rule_soundness_checks():
         before = realizer.realize_state(state)
         after_state = check_step(CheckState(state), step).state
         after = realizer.realize_state(after_state)
-        ok = realizer.vectors_agree(before, after)
+        ok = before == after
         agree[kind] = agree.get(kind, True) and ok
 
     for name, A in _small_contexts():
@@ -362,10 +361,9 @@ def rule_soundness_checks():
                     before = realizer.realize_state(state)
                     out = check_step(CheckState(state),
                                      RewriteStep("projection", {}, {"order": n + 1}))
-                    small = truncated_extension(A, "sigma", n + 1)
-                    post = truncated_realize(out.state, small)
-                    eta = realizer.eta_form(before)
-                    ok = eta is not None and map_form(eta, small) == post
+                    small = truncated_extension(A, "sigma", n + 2)
+                    post = map_form(realizer.realize_state(out.state), small)
+                    ok = map_form(before, small) == post
                     agree["projection"] = agree.get("projection", True) and ok
 
     for kind in ("bilinearity", "steinberg", "minus_arg", "inverse_negation",

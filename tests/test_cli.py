@@ -236,6 +236,15 @@ def test_certify_non_unit_c_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_certify_negative_c_needs_equals(capsys, t3_spec):
+    # argparse reads a separate value that starts with '-' as an option
+    code, out = run(capsys, "certify-eq7", "--algebra", t3_spec, "--c=-1+t", "--n", "1",
+                    "--format", "record")
+    assert code == 0 and "certificate.valid=true" in out
+    code, _ = run(capsys, "certify-eq7", "--algebra", t3_spec, "--c", "-1+t", "--n", "1")
+    assert code == 2
+
+
 def test_certify_rejects_corrupted_file(capsys, q_spec, tmp_path):
     saved = tmp_path / "cert.json"
     assert run(capsys, "certify-eq8", "--algebra", q_spec, "--c", "1", "--n", "1",

@@ -1,10 +1,11 @@
 """The closed form of A[s]/s^N against the generic construction.
 
-truncated_extension builds B = A[s]/s^N, its Omega^p relation echelon forms
-and the crosscheck realizer's Z space from A's data.  Each piece must equal
-what Buchberger, relation elimination and RowSpace.insert give on the same
-presentation, exactly: reduced echelon forms are unique, so the pivot rows
-themselves are compared, not only their count.
+truncated_extension builds B = A[s]/s^N and its Omega^p relation echelon
+forms from A's data, and the crosscheck realizer reads s * and ds ^ through
+the layout.  Each piece must equal what Buchberger, relation elimination,
+the module action and the wedge give on the same presentation, exactly:
+reduced echelon forms are unique, so the pivot rows themselves are
+compared, not only their count.
 """
 
 from itertools import product
@@ -15,7 +16,7 @@ from milnork.algebra import AlgebraSpec, TruncatedExtension, build_algebra, trun
 from milnork.certify import ExtendedRealizer
 from milnork.family import builtin_algebras
 from milnork.kahler import OmegaModule, d, decomposition_report, omega_module, wedge
-from milnork.linalg import RowSpace, add_to
+from milnork.linalg import RowSpace
 from test_bench_targets import _load
 
 NAMED = (list(builtin_algebras())
@@ -66,30 +67,67 @@ def test_nested_extension_matches_generic():
         assert omega_module(B, p)._space.pivots == OmegaModule(G, p)._space.pivots
 
 
-def _inserted_z(realizer):
-    """Z as the span of its defining rows, eliminated by RowSpace.insert."""
-    z = RowSpace()
-    off = realizer._offset
-    sigma = realizer.ring.variable("sigma")
-    d_sigma = d(sigma)
-    for alpha in realizer.omega1.basis_forms():
-        row = dict(wedge(d_sigma, alpha).coords)
-        for i, v in alpha.act(sigma).coords.items():
-            add_to(row, off + i, -v)
-        if row:
-            z.insert(row)
-    for i in range(realizer.ring.dimension):
-        row = {off + i: v for i, v in d_sigma.act(realizer.ring.basis_element(i)).coords.items()}
-        if row:
-            z.insert(row)
-    return z.pivots
+def _layout_read(images, form):
+    return {images[i]: v for i, v in form.coords.items() if images[i] is not None}
 
 
 @pytest.mark.parametrize("A", ALGEBRAS, ids=IDS)
-def test_realizer_z_matches_insert(A):
+def test_realizer_layout_read_matches_act_and_wedge(A):
+    """The realizer's s * eta and beta ^ ds (= -ds ^ beta), read through the
+    layout, against the module action and the wedge with d(s) in Omega(R)."""
     for N in (1, 2, 3, 5, 12):
         realizer = ExtendedRealizer(A, N)
-        assert realizer._z.pivots == _inserted_z(realizer), N
+        s = realizer.ring.variable(realizer.ring.ext_name)
+        for eta in realizer.omega2.basis_forms():
+            assert _layout_read(realizer._times_s, eta) == eta.act(s).coords, N
+        for beta in realizer.omega1.basis_forms():
+            assert _layout_read(realizer._wedge_ds, beta) == wedge(beta, d(s)).coords, N
+
+
+def _lift(form, module):
+    """A form of A[s]/s^N written on the same (monomial, wedge) columns of
+    `module`, over A[s]/s^(N+1); not a map of forms, but s * and ds ^ of it are."""
+    src, dst = form.module, module.algebra
+    free = {}
+    for i, v in form.coords.items():
+        mono_idx, widx = src.layout[i]
+        free[module.col(dst.index[src.algebra.basis[mono_idx]], widx)] = v
+    return module.form(free)
+
+
+@pytest.mark.parametrize("A", ALGEBRAS, ids=IDS)
+def test_honest_form_kernel_is_z(A):
+    """(eta, beta) -> s * eta + ds ^ beta, from Omega^2 + Omega^1 of
+    A[s]/s^N to Omega^2(A[s]/s^(N+1)), has kernel exactly Z: the span of
+    (ds ^ alpha, -s * alpha) and (0, b ds), the rows by which the pair
+    encoding eta + dlog(s) ^ beta is redundant."""
+    for N in (1, 2, 3, 5, 12):
+        realizer = ExtendedRealizer(A, N)
+        R = realizer.ring
+        B = truncated_extension(A, R.ext_name, N)
+        M1, M2 = omega_module(B, 1), omega_module(B, 2)
+        s_big, s = R.variable(R.ext_name), B.variable(R.ext_name)
+        ds_big, ds = d(s_big), d(s)
+
+        def honest(eta, beta):
+            return (_lift(eta, realizer.omega2).act(s_big)
+                    + wedge(ds_big, _lift(beta, realizer.omega1)))
+
+        z = RowSpace()
+        for alpha in M1.basis_forms():
+            eta, beta = wedge(ds, alpha), -alpha.act(s)
+            assert not honest(eta, beta), N
+            z.insert({**eta.coords, **{M2.dimension + i: v for i, v in beta.coords.items()}})
+        for i in range(B.dimension):
+            beta = ds.act(B.basis_element(i))
+            assert not honest(M2.form(), beta), N
+            z.insert({M2.dimension + j: v for j, v in beta.coords.items()})
+        image = RowSpace()
+        for eta in M2.basis_forms():
+            image.insert(dict(honest(eta, M1.form()).coords))
+        for beta in M1.basis_forms():
+            image.insert(dict(honest(M2.form(), beta).coords))
+        assert image.rank == M2.dimension + M1.dimension - z.rank, N
 
 
 def test_decomposition_uses_the_generic_ring(monkeypatch):
