@@ -9,6 +9,7 @@ observable results.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, product
@@ -223,6 +224,11 @@ class Algebra:
             self._pair_cache[(i, j)] = cached
         return cached
 
+    def live_pairs(self, left, right):
+        """Each entry of `left` (a tuple led by a basis index) with the
+        entries of `right` it may multiply to nonzero: here all of them."""
+        return ((a, right) for a in left)
+
     def monomial_strings(self):
         return [monomial_str(m, self.names) or "1" for m in self.basis]
 
@@ -282,13 +288,14 @@ class AlgebraElement:
         other = self._check(other)
         A = self.algebra
         res = {}
-        for m1, c1 in self.coords.items():
-            i = A.index[m1]
-            for m2, c2 in other.coords.items():
+        left = [(A.index[m], c) for m, c in self.coords.items()]
+        right = [(A.index[m], c) for m, c in other.coords.items()]
+        for (i, c1), live in A.live_pairs(left, right):
+            for j, c2 in live:
                 factor = c1 * c2
-                for bm, bc in A.pair_product(i, A.index[m2]).items():
+                for bm, bc in A.pair_product(i, j).items():
                     add_to(res, bm, factor * bc)
-        return AlgebraElement(self.algebra, res)
+        return AlgebraElement(A, res)
 
     __rmul__ = __mul__
 
@@ -398,6 +405,16 @@ class TruncatedExtension(Algebra):
         self.base, self.ext_name, self.ext_order = base, spec.distinguished, order
         # basis index -> (index of the base monomial in A, s-exponent)
         self._layout = tuple((base.index[m[:-1]], m[-1]) for m in self.basis)
+        self._s_degree = tuple(k for _, k in self._layout)
+
+    def live_pairs(self, left, right):
+        """`right` in ascending s-degree, cut for each entry of `left` before
+        the first entry whose s-degree, added to its own, reaches N: every
+        pair past the cut multiplies to zero."""
+        deg, N = self._s_degree, self.ext_order
+        right = sorted(right, key=lambda e: deg[e[0]])
+        degrees = [deg[e[0]] for e in right]
+        return ((a, right[:bisect_left(degrees, N - deg[a[0]])]) for a in left)
 
     def reduce_mono(self, mono):
         k = mono[-1]
@@ -433,8 +450,11 @@ def extension_name(algebra):
 
     s is bound there, so the name changes no verdict; only printed symbols
     and saved certificates show it."""
-    names = chain(("sigma", "eps"), (f"s{i}" for i in count()))
-    return next(name for name in names if name not in algebra.names)
+    cache = algebra._misc_cache
+    if "extension_name" not in cache:
+        names = chain(("sigma", "eps"), (f"s{i}" for i in count()))
+        cache["extension_name"] = next(name for name in names if name not in algebra.names)
+    return cache["extension_name"]
 
 
 def transport(e, target):

@@ -674,12 +674,12 @@ def default_precision(n):
 # The crosscheck's cost is densest at small n, where the dlog series of
 # 1 + c s^(n+1) fills all N sigma-degrees, and grows there about as N^2:
 # eq7 at n = 2 with --precision N, on one Xeon core under CPython 3.11,
-# takes 0.2-0.3 and 1.0-1.3 s on Q[t]/t^3 at N = 64 and 128, and 0.5-0.6
-# and 2.0-2.1 s on the ten-dimensional Q[x,y]/m^4 (timed inside the
-# process).  N is capped where that worst case stays under 10 s on the five
-# algebras the benchmark certifies over (Q[x,y]/m^4 is the slowest).  The
-# cap admits the default precision up to n = 40; the bundled suite uses
-# N <= 18 and the benchmark N <= 42.
+# takes 0.15-0.16 and 0.28-0.45 s on Q[t]/t^3 at N = 64 and 128, and
+# 0.24-0.26 and 0.49-0.72 s on the ten-dimensional Q[x,y]/m^4 (timed
+# inside the process).  N is capped where that worst case stays under 10 s
+# on the five algebras the benchmark certifies over (Q[x,y]/m^4 is the
+# slowest).  The cap admits the default precision up to n = 40; the bundled
+# suite uses N <= 18 and the benchmark N <= 42.
 MAX_PRECISION = EXPANSION_BUDGET
 
 

@@ -15,6 +15,7 @@ flattened monomial-major so low monomials survive reduction first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .algebra import AlgebraElement, derived_algebra, invert_unit
@@ -30,10 +31,15 @@ def _merge_sign(left, right):
     return -1 if sum(1 for r in right for l in left if l > r) & 1 else 1
 
 
-def _insert_sign(i, wedge):
-    if i in wedge:
-        return 0, wedge
-    return _merge_sign((i,), wedge), tuple(sorted(wedge + (i,)))
+@cache
+def wedge_table(nvars, p, q):
+    """(sign, merged wedge index) of the i-th p-wedge ^ the j-th q-wedge, in
+    OmegaModule.wedges order, or None when they share a differential."""
+    merged = {w: k for k, w in enumerate(combinations(range(nvars), p + q))}
+    return tuple(tuple(None if set(a) & set(b)
+                       else (_merge_sign(a, b), merged[tuple(sorted(a + b))])
+                       for b in combinations(range(nvars), q))
+                 for a in combinations(range(nvars), p))
 
 
 class OmegaModule:
@@ -62,19 +68,17 @@ class OmegaModule:
         A = self.algebra
         if self.degree == 0 or not self.wedges:
             return
+        table = wedge_table(A.nvars, 1, self.degree - 1)
         for g in A.groebner:
             # dF as a vector of polynomial coefficients per variable
             partials = [g.diff(i) for i in range(A.nvars)]
-            for sub in combinations(range(A.nvars), self.degree - 1):
+            for cells in zip(*table):  # dx_i ^ one (degree-1)-wedge, for each i
                 for mono in A.basis:
                     row = {}
-                    for i, partial in enumerate(partials):
-                        if not partial.terms:
+                    for partial, cell in zip(partials, cells):
+                        if not cell:
                             continue
-                        sign, wedge = _insert_sign(i, sub)
-                        if not sign:
-                            continue
-                        widx = self.wedge_index[wedge]
+                        sign, widx = cell
                         for pm, pc in partial.terms.items():
                             for bm, bc in A.reduce_mono(mono_mul(mono, pm)).items():
                                 add_to(row, self.col(A.index[bm], widx), sign * pc * bc)
@@ -216,19 +220,17 @@ def d(x):
     M = x.module
     A = M.algebra
     target = omega_module(A, M.degree + 1)
+    table = wedge_table(A.nvars, 1, M.degree)
     free = {}
     for ridx, q in x.coords.items():
         mono_idx, widx = M.layout[ridx]
         mono = A.basis[mono_idx]
-        wedge = M.wedges[widx]
         for i, e in enumerate(mono):
-            if not e:
+            if not (e and table[i][widx]):
                 continue
-            sign, merged = _insert_sign(i, wedge)
-            if not sign:
-                continue
+            sign, merged = table[i][widx]
             dm = tuple(v - 1 if j == i else v for j, v in enumerate(mono))
-            add_to(free, target.col(A.index[dm], target.wedge_index[merged]), q * e * sign)
+            add_to(free, target.col(A.index[dm], merged), q * e * sign)
     return target.form(free)
 
 
@@ -239,18 +241,16 @@ def wedge(f, g):
         raise AlgebraMismatch("wedge of forms over different algebras")
     A = Mf.algebra
     target = omega_module(A, Mf.degree + Mg.degree)
+    table = wedge_table(A.nvars, Mf.degree, Mg.degree)
     free = {}
-    for ri, qi in f.coords.items():
-        mi, wi = Mf.layout[ri]
-        Si = Mf.wedges[wi]
-        for rj, qj in g.coords.items():
-            mj, wj = Mg.layout[rj]
-            Sj = Mg.wedges[wj]
-            if set(Si) & set(Sj):
+    left = [Mf.layout[ri] + (qi,) for ri, qi in f.coords.items()]
+    right = [Mg.layout[rj] + (qj,) for rj, qj in g.coords.items()]
+    for (mi, wi, qi), live in A.live_pairs(left, right):
+        row = table[wi]
+        for mj, wj, qj in live:
+            if not row[wj]:
                 continue
-            sign = _merge_sign(Si, Sj)
-            merged = tuple(sorted(Si + Sj))
-            widx = target.wedge_index[merged]
+            sign, widx = row[wj]
             factor = qi * qj * sign
             for bm, bc in A.pair_product(mi, mj).items():
                 add_to(free, target.col(A.index[bm], widx), factor * bc)

@@ -8,14 +8,28 @@ reduced echelon forms are unique, so the pivot rows themselves are
 compared, not only their count.
 """
 
+import random
 from itertools import product
 
 import pytest
 
-from milnork.algebra import AlgebraSpec, TruncatedExtension, build_algebra, truncated_extension
+from milnork.algebra import (
+    AlgebraElement,
+    AlgebraSpec,
+    TruncatedExtension,
+    build_algebra,
+    truncated_extension,
+)
 from milnork.certify import ExtendedRealizer
 from milnork.family import builtin_algebras
-from milnork.kahler import OmegaModule, d, decomposition_report, omega_module, wedge
+from milnork.kahler import (
+    DifferentialForm,
+    OmegaModule,
+    d,
+    decomposition_report,
+    omega_module,
+    wedge,
+)
 from milnork.linalg import RowSpace
 from test_bench_targets import _load
 
@@ -65,6 +79,34 @@ def test_nested_extension_matches_generic():
     _assert_same_ring(B, G)
     for p in (1, 2, 3):
         assert omega_module(B, p)._space.pivots == OmegaModule(G, p)._space.pivots
+
+
+def _sparse(rng, dim):
+    return {i: rng.choice((-3, -2, -1, 1, 2, 3)) for i in rng.sample(range(dim), min(dim, 6))}
+
+
+@pytest.mark.parametrize("A", ALGEBRAS, ids=IDS)
+def test_graded_products_match_generic(A):
+    """Products and wedges over B, which stop at the truncation, against the
+    generic presentation, which visits every pair."""
+    for N in (1, 2, 3, 5):
+        B, G = truncated_extension(A, "sigma", N), _generic(A, "sigma", N)
+        assert G.base is None
+        rng = random.Random(N * 1000 + B.dimension)
+        for _ in range(6):
+            f, g = _sparse(rng, B.dimension), _sparse(rng, B.dimension)
+            b, c = ({B.basis[i]: v for i, v in x.items()} for x in (f, g))
+            product_b = AlgebraElement(B, b) * AlgebraElement(B, c)
+            assert product_b.coords == (AlgebraElement(G, b) * AlgebraElement(G, c)).coords, N
+        for p, q in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1)):
+            (PB, QB), (PG, QG) = ((omega_module(R, p), omega_module(R, q)) for R in (B, G))
+            if not (PB.dimension and QB.dimension):
+                continue
+            for _ in range(4):
+                f, g = _sparse(rng, PB.dimension), _sparse(rng, QB.dimension)
+                want = wedge(DifferentialForm(PG, f), DifferentialForm(QG, g))
+                got = wedge(DifferentialForm(PB, f), DifferentialForm(QB, g))
+                assert got.coords == want.coords, (N, p, q)
 
 
 def _layout_read(images, form):

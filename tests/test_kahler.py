@@ -1,16 +1,27 @@
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
-from milnork.algebra import AlgebraSpec, build_algebra, transport, truncated_extension
+from milnork import cli, kahler
+from milnork.algebra import (
+    AlgebraSpec,
+    TruncatedExtension,
+    build_algebra,
+    transport,
+    truncated_extension,
+)
 from milnork.errors import AlgebraMismatch, NameCollision, NotAUnit
 from milnork.kahler import (
+    _merge_sign,
     d,
     decomposition_report,
     dlog,
     map_form,
     omega_module,
     wedge,
+    wedge_table,
 )
 
 
@@ -134,6 +145,71 @@ def test_wedge_alternates_and_distributes():
     g = fx + fy
     assert wedge(g, fy) == wedge(fx, fy) + wedge(fy, fy)
     assert wedge(fx, fy).coords == {0: Fraction(1)}
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_wedge_table_is_merge_sign_and_sorted_merge(n):
+    for p in range(n + 1):
+        for q in range(n + 1):
+            merged = list(combinations(range(n), p + q))
+            table = wedge_table(n, p, q)
+            for i, a in enumerate(combinations(range(n), p)):
+                for j, b in enumerate(combinations(range(n), q)):
+                    want = None if set(a) & set(b) else (
+                        _merge_sign(a, b), merged.index(tuple(sorted(a + b))))
+                    assert table[i][j] == want, (n, p, q, a, b)
+
+
+def _count_kernel_work(monkeypatch):
+    """Counters for pair products at or above s^N, _merge_sign calls and the
+    wedge-table cells built; the table cache starts empty."""
+    counts = {"dead": 0, "signs": 0, "tables": set()}
+    pair_product, merge_sign, table = (TruncatedExtension.pair_product, kahler._merge_sign,
+                                       kahler.wedge_table)
+
+    def counted_pair_product(self, i, j):
+        counts["dead"] += self._layout[i][1] + self._layout[j][1] >= self.ext_order
+        return pair_product(self, i, j)
+
+    def counted_merge_sign(left, right):
+        counts["signs"] += 1
+        return merge_sign(left, right)
+
+    def recorded_table(nvars, p, q):
+        counts["tables"].add((nvars, p, q))
+        return table(nvars, p, q)
+
+    monkeypatch.setattr(TruncatedExtension, "pair_product", counted_pair_product)
+    monkeypatch.setattr(kahler, "_merge_sign", counted_merge_sign)
+    monkeypatch.setattr(kahler, "wedge_table", recorded_table)
+    table.cache_clear()
+    return counts
+
+
+def test_cap_run_skips_vanishing_pairs(monkeypatch, tmp_path, capsys):
+    """The crosscheck at the precision cap: products over A[s]/s^N stop at
+    the truncation, and each wedge sign is computed once, in its table."""
+    counts = _count_kernel_work(monkeypatch)
+    spec = tmp_path / "t3.spec"
+    spec.write_text("variables: t\nrelations: t^3\n")
+    assert cli.main(["certify-eq7", "--algebra", str(spec), "--c", "1+t", "--n", "2",
+                     "--precision", "128"]) == 0
+    capsys.readouterr()
+    assert counts["dead"] <= 100  # 133,686 with no graded stop
+    cells = sum(comb(n, p) * comb(n, q) for n, p, q in counts["tables"])
+    assert 0 < counts["signs"] <= cells
+
+
+def test_truncated_mul_and_wedge_make_no_dead_products(monkeypatch):
+    B = truncated_extension(alg(["x", "y"], ["x^2", "x*y", "y^2"]), "sigma", 4)
+    f, g = (sum((B.basis_element(i) * (i + k) for i in range(B.dimension)), B.zero)
+            for k in (1, -2))
+    df, dg = d(f), d(g)
+    dx_g = d(B.variable("x")).act(g)
+    counts = _count_kernel_work(monkeypatch)
+    assert f * g and wedge(df, dg)
+    wedge(dx_g, wedge(df, dg))
+    assert counts["dead"] == 0
 
 
 def test_wedge_mismatch():
