@@ -2,7 +2,8 @@
 
 Each case runs `cli.main` in-process and compares the exit code and the
 sha256 of stdout, in both output formats, with the values in EXPECTED.  A
-change that alters any printed byte of these 86 invocations fails here.
+change that alters any printed byte of these 86 invocations fails here, and
+so does one that alters any byte of the 24 certificates `--save` writes.
 """
 
 import hashlib
@@ -188,3 +189,55 @@ EXPECTED = {
 @pytest.mark.parametrize("spec, argv, fmt", CASES, ids=[case_id(*c) for c in CASES])
 def test_output_pinned(tmp_path, capsys, spec, argv, fmt):
     assert run_case(tmp_path, capsys, spec, argv, fmt) == EXPECTED[case_id(spec, argv, fmt)]
+
+
+# Saved certificates, pinned byte for byte: stdout shows only the path, and a
+# change of term order (AlgebraElement.key) would otherwise alter the JSON
+# that --save writes, and so break certificates saved by an earlier version.
+SAVE_SPECS = {
+    "t3": SPECS["t3"],
+    "m4": "variables: x, y\nrelations: x^4, x^3*y, x^2*y^2, x*y^3, y^4\n",
+    "nonmono": SPECS["nonmono"],
+}
+SAVE_CASES = [(name, command, c.format(v="t" if name == "t3" else "x"), n)
+              for name in SAVE_SPECS for command in ("certify-eq7", "certify-eq8")
+              for n in (1, 2) for c in ("1+{v}", "1/2-{v}")]
+
+SAVED = {
+"t3 certify-eq7 --c 1+t --n 1": "e453fc1c9013c1b1a82726111a02c0f8c149e375c078bafdef0b264743df2dd5",
+    "t3 certify-eq7 --c 1/2-t --n 1": "e8fcdb51a1c5cefb02923969aab5c588322110b6b030fab4127b5c4d845b796d",
+    "t3 certify-eq7 --c 1+t --n 2": "8a166d74ee492362e16e10222454a67bd4635ae4ee3e99c3ba2b314a2db8c2db",
+    "t3 certify-eq7 --c 1/2-t --n 2": "5ce7ea6f4ce35f3e48c00a59d33c753baec2485c4987010a3f59fddf538db38a",
+    "t3 certify-eq8 --c 1+t --n 1": "29b816eceab63302a9d4b8d33f0eb4e18a102d91905667c8e27e40ebde50467d",
+    "t3 certify-eq8 --c 1/2-t --n 1": "5ca76494fd88bbcaee35d2c14d2f4e85710056bf06d3fc47a043cf6ea04ef7d7",
+    "t3 certify-eq8 --c 1+t --n 2": "61c220a62d69e1fff41479689abbc77867cb597d9f43d36877c8410341f9a181",
+    "t3 certify-eq8 --c 1/2-t --n 2": "122b50d2ceb0d299aa10079db62b412ef3b253983972e236338f6bd33617b84b",
+    "m4 certify-eq7 --c 1+x --n 1": "3dbe1cb5a96d0c1b35850bf242ada0884151527f886f5687bb163eb0a9d93821",
+    "m4 certify-eq7 --c 1/2-x --n 1": "7014b3b8c249d9258d101f13a0cb530a4742d95f2357c9a330a721945a23de1b",
+    "m4 certify-eq7 --c 1+x --n 2": "e95f29344b85cd84529c90ad1da34b9b82f00a1b4ceb42c03e1903aa15c2f596",
+    "m4 certify-eq7 --c 1/2-x --n 2": "ac871f4fbf7390ca252d08bc86d0089be62b4595fb3583bf0707ed18c3edf997",
+    "m4 certify-eq8 --c 1+x --n 1": "0c8930fedf6c255679d904a4c145a9d2e057550a1698e4a47224c610ddcf6e45",
+    "m4 certify-eq8 --c 1/2-x --n 1": "ce2c5b6bb364555c871293720b15f6488f19bd9f278eb114516921fd47d6c954",
+    "m4 certify-eq8 --c 1+x --n 2": "037a9926aca5dbfa906715f97852ef56b29c863246b6c6f59de5bb031dc4b947",
+    "m4 certify-eq8 --c 1/2-x --n 2": "3fa2010d8353c02be69f576597e4de5069b6bbf2cf59d03dd894559f0d90dec2",
+    "nonmono certify-eq7 --c 1+x --n 1": "ae260e26488a9b564b392039f43f368475819dfcc8c89e924a0c9bed8dc0cc84",
+    "nonmono certify-eq7 --c 1/2-x --n 1": "80463208547f25dedbc7e1bed973ca6f66b2ae85475a46a25ff57290c00c3bdb",
+    "nonmono certify-eq7 --c 1+x --n 2": "2b9a5d63aa6e7da036fa923e06110310a85866f9428cf4db3b57a11eb86af2f2",
+    "nonmono certify-eq7 --c 1/2-x --n 2": "0495253f72f77e687a1f71f47fe6b18157ddd2ef65b6896742d2eef94aaf8c3c",
+    "nonmono certify-eq8 --c 1+x --n 1": "14cf151479adcab1021f19ac7ec1ef81ed635e6d55c90d8f89c034345c96f54e",
+    "nonmono certify-eq8 --c 1/2-x --n 1": "ef661cee0bd9e7057342cede75bae836f7e17e12762e1a6e21783c05de9e937b",
+    "nonmono certify-eq8 --c 1+x --n 2": "b0c328f9e137d97280f0e76a07a430fcd32c8e5485025029910fe806037d050f",
+    "nonmono certify-eq8 --c 1/2-x --n 2": "9320d351815181778883c0786b54f004fe0f6e77a9d201500da2bba3683e1502",
+}
+
+
+@pytest.mark.parametrize("name, command, c, n", SAVE_CASES,
+                         ids=[f"{name} {command} --c {c} --n {n}" for name, command, c, n in SAVE_CASES])
+def test_saved_certificate_pinned(tmp_path, capsys, name, command, c, n):
+    spec, path = tmp_path / f"{name}.spec", tmp_path / "saved.json"
+    spec.write_text(SAVE_SPECS[name])
+    assert main([command, "--algebra", str(spec), "--c", c, "--n", str(n),
+                 "--save", str(path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == SAVED[f"{name} {command} --c {c} --n {n}"]
