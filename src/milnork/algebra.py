@@ -2,9 +2,9 @@
 
 An Algebra is a quotient Q[x_1,...,x_m]/I with a reduced degrevlex Groebner
 basis, a finite staircase monomial basis, and nilpotent augmentation ideal.
-Elements are coordinate vectors over the monomial basis.  Everything is
-immutable after construction; per-instance memo caches never change
-observable results.
+Elements are coordinate vectors over the monomial basis, keyed by basis
+index as forms and echelon rows are.  Everything is immutable after
+construction; per-instance memo caches never change observable results.
 """
 
 from __future__ import annotations
@@ -158,29 +158,29 @@ class Algebra:
     # -- construction helpers -------------------------------------------------
 
     def reduce_mono(self, mono):
-        """Normal-form coordinates of a raw monomial (memoized)."""
+        """Normal-form coordinates, by basis index, of a raw monomial (memoized)."""
         cached = self._mono_nf.get(mono)
         if cached is not None:
             return cached
         if mono in self.index:
-            coords = {mono: 1}
+            coords = {self.index[mono]: 1}
         else:
             red = _reduce_poly(Polynomial(self.nvars, {mono: 1}, normalize=False),
                                self.groebner)
-            coords = dict(red.terms)
+            coords = {self.index[m]: c for m, c in red.terms.items()}
         self._mono_nf[mono] = coords
         return coords
 
     def element_from_poly(self, p):
         coords = {}
         for mono, c in p.terms.items():
-            for bm, bc in self.reduce_mono(mono).items():
-                add_to(coords, bm, c * bc)
+            for i, bc in self.reduce_mono(mono).items():
+                add_to(coords, i, c * bc)
         return AlgebraElement(self, coords)
 
     def basis_element(self, i):
         """The i-th standard monomial as an element; it is already reduced."""
-        return AlgebraElement(self, {self.basis[i]: 1})
+        return AlgebraElement(self, {i: 1})
 
     def element(self, value):
         """Coerce an expression string, rational, or element into this algebra.
@@ -197,7 +197,7 @@ class Algebra:
             return value
         if isinstance(value, (int, Fraction, float)):
             q = rational(value)
-            return AlgebraElement(self, {(0,) * self.nvars: q} if q else {})
+            return AlgebraElement(self, {0: q} if q else {})
         return evaluate(value, self.names, self.element,
                         lambda i: self.variable(self.names[i]))
 
@@ -242,10 +242,11 @@ class AlgebraElement:
         self._key = None
 
     def key(self):
-        """Computed once: an element, its coords included, is never changed."""
+        """Sorted by basis monomial, as term order and saved certificates are.
+        Computed once: an element, its coords included, is never changed."""
         if self._key is None:
-            self._key = tuple(sorted((m, (c.numerator, c.denominator))
-                                     for m, c in self.coords.items()))
+            self._key = tuple(sorted((self.algebra.basis[i], (c.numerator, c.denominator))
+                                     for i, c in self.coords.items()))
         return self._key
 
     def __eq__(self, other):
@@ -288,13 +289,11 @@ class AlgebraElement:
         other = self._check(other)
         A = self.algebra
         res = {}
-        left = [(A.index[m], c) for m, c in self.coords.items()]
-        right = [(A.index[m], c) for m, c in other.coords.items()]
-        for (i, c1), live in A.live_pairs(left, right):
+        for (i, c1), live in A.live_pairs(self.coords.items(), other.coords.items()):
             for j, c2 in live:
                 factor = c1 * c2
-                for bm, bc in A.pair_product(i, j).items():
-                    add_to(res, bm, factor * bc)
+                for k, bc in A.pair_product(i, j).items():
+                    add_to(res, k, factor * bc)
         return AlgebraElement(A, res)
 
     __rmul__ = __mul__
@@ -304,13 +303,12 @@ class AlgebraElement:
         return power(base, abs(k), self.algebra.one)
 
     def augmentation(self):
-        return self.coords.get((0,) * self.algebra.nvars, 0)
-
-    def to_poly(self):
-        return Polynomial(self.algebra.nvars, dict(self.coords), normalize=False)
+        return self.coords.get(0, 0)  # basis[0] == 1
 
     def __str__(self):
-        return polynomial_str(self.to_poly(), self.algebra.names)
+        A = self.algebra
+        return polynomial_str(Polynomial(A.nvars, {A.basis[i]: c for i, c in self.coords.items()},
+                                         normalize=False), A.names)
 
 
 # -- module operations --------------------------------------------------------
@@ -403,9 +401,15 @@ class TruncatedExtension(Algebra):
         basis = sorted((a + (k,) for a in base.basis for k in range(order)), key=degrevlex_key)
         super().__init__(spec, groebner, basis)
         self.base, self.ext_name, self.ext_order = base, spec.distinguished, order
-        # basis index -> (index of the base monomial in A, s-exponent)
+        # basis index -> (index of the base monomial in A, s-exponent) and, in
+        # _place[k][a], back: the one pair of layout tables, read only here
         self._layout = tuple((base.index[m[:-1]], m[-1]) for m in self.basis)
         self._s_degree = tuple(k for _, k in self._layout)
+        self._place = tuple(tuple(self.index[m + (k,)] for m in base.basis) for k in range(order))
+
+    def layer(self, k):
+        """The basis indices of B in layer s^k, in the order of A's basis."""
+        return self._place[k]
 
     def live_pairs(self, left, right):
         """`right` in ascending s-degree, cut for each entry of `left` before
@@ -420,16 +424,16 @@ class TruncatedExtension(Algebra):
         k = mono[-1]
         if k >= self.ext_order:
             return {}
-        tail = mono[-1:]
-        return {m + tail: c for m, c in self.base.reduce_mono(mono[:-1]).items()}
+        place = self._place[k]
+        return {place[a]: c for a, c in self.base.reduce_mono(mono[:-1]).items()}
 
     def pair_product(self, i, j):
         a, k = self._layout[i]
         b, l = self._layout[j]
         if k + l >= self.ext_order:
             return {}
-        tail = (k + l,)
-        return {m + tail: c for m, c in self.base.pair_product(a, b).items()}
+        place = self._place[k + l]
+        return {place[ab]: c for ab, c in self.base.pair_product(a, b).items()}
 
 
 def truncated_extension(algebra, name, order):
@@ -463,9 +467,9 @@ def transport(e, target):
     src = e.algebra
     index_map = [target.names.index(n) if n in target.names else None for n in src.names]
     poly = {}
-    for mono, c in e.coords.items():
+    for idx, c in e.coords.items():
         new = [0] * target.nvars
-        for i, exp in enumerate(mono):
+        for i, exp in enumerate(src.basis[idx]):
             if not exp:
                 continue
             j = index_map[i]
@@ -484,11 +488,19 @@ def sigma_layers(e):
     B = e.algebra
     if B.base is None:
         raise AlgebraMismatch("element does not live in a truncated extension")
-    A = B.base
     layers = [dict() for _ in range(B.ext_order)]
-    for mono, c in e.coords.items():
-        layers[mono[-1]][mono[:-1]] = c
-    return [AlgebraElement(A, layer) for layer in layers]
+    for i, c in e.coords.items():
+        a, k = B._layout[i]
+        layers[k][a] = c
+    return [AlgebraElement(B.base, layer) for layer in layers]
+
+
+def from_sigma_layers(B, layers):
+    """sum c_k sigma^k in B from {k: c_k}, 0 <= k < N: the inverse of sigma_layers."""
+    if any(c.algebra is not B.base for c in layers.values()):
+        raise AlgebraMismatch("layer coefficients do not live in the base algebra")
+    return AlgebraElement(B, {B._place[k][a]: v for k, c in layers.items()
+                              for a, v in c.coords.items()})
 
 
 def quotient_mod_variable(algebra, name):

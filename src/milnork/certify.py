@@ -39,14 +39,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import (
-    AlgebraElement,
     AlgebraSpec,
     build_algebra,
     extension_name,
+    from_sigma_layers,
     truncated_extension,
 )
 from .errors import (
-    AlgebraMismatch,
     NonUnitC,
     NonUnitEntry,
     ParseError,
@@ -55,7 +54,7 @@ from .errors import (
     PrecisionTooLarge,
     SideConditionFailed,
 )
-from .kahler import DifferentialForm, dlog, map_form, omega_module, wedge
+from .kahler import DifferentialForm, d, dlog, map_form, omega_module, wedge
 from .laurent import (
     EXPANSION_BUDGET,
     LaurentEntry,
@@ -86,7 +85,7 @@ def _is_rational(value):
     if not isinstance(value, str):
         return False
     try:
-        Fraction(value)
+        rational(value)
     except (ValueError, ZeroDivisionError):
         return False
     return True
@@ -563,34 +562,19 @@ class ExtendedRealizer:
 
         s * dlog e1 ^ dlog e2 = s * (omega1 ^ omega2) + (a2 omega1 - a1 omega2) ^ ds,
 
-    as dlog(s) ^ dlog(s) = 0.  This is a form of R, and two states agree
-    exactly when their forms are equal.  Only the s-degrees below N of
-    omega matter: s * s^N and s^N ds both die in R.
+    as dlog(s) ^ dlog(s) = 0.  This is a form of R, built with the kernel's
+    own act and wedge, and two states agree exactly when their forms are
+    equal.
     """
 
     def __init__(self, algebra, precision):
         self.ring = truncated_extension(algebra, extension_name(algebra), precision + 1)
         self.omega1 = omega_module(self.ring, 1)
         self.omega2 = omega_module(self.ring, 2)
+        self.s = self.ring.variable(self.ring.ext_name)
+        self.ds = d(self.s)
         self._entry_cache = {}
         self._term_cache = {}
-        # s * (m dw) and (m dw) ^ ds for each basis form m dw, read through
-        # the layout.  R's relations are A's copied to each s-layer, so the
-        # image is again a basis form, unless it lands on s^(N+1) or on the
-        # ds layer that d(s^(N+1)) = (N+1) s^N ds kills: then it is None.
-        R, M2 = self.ring, self.omega2
-        s = R.nvars - 1
-
-        def image(M, mono_idx, widx, shift, tail):
-            mono = R.basis[mono_idx]
-            k = R.index.get(mono[:-1] + (mono[-1] + shift,))
-            w = M.wedges[widx] + tail
-            if k is None or w not in M2.wedge_index:
-                return None
-            return M2.col_index.get(M2.col(k, M2.wedge_index[w]))
-
-        self._times_s = tuple(image(M2, m, w, 1, ()) for m, w in M2.layout)
-        self._wedge_ds = tuple(image(self.omega1, m, w, 0, (s,)) for m, w in self.omega1.layout)
 
     def entry_dlog(self, entry):
         """(omega, a) with dlog of the entry = omega + a * dlog(s)."""
@@ -611,18 +595,11 @@ class ExtendedRealizer:
     def realize_term(self, sym):
         """Coordinates of s * dlog e1 ^ dlog e2 for a degree-2 symbol."""
         key = sym.key()
-        cached = self._term_cache.get(key)
-        if cached is not None:
-            return cached
-        (w1, a1), (w2, a2) = (self.entry_dlog(e) for e in sym.entries)
-        row = {}
-        for images, form in ((self._times_s, wedge(w1, w2)),
-                             (self._wedge_ds, w1.scale(a2) - w2.scale(a1))):
-            for i, v in form.coords.items():
-                j = images[i]
-                if j is not None:
-                    add_to(row, j, v)
-        self._term_cache[key] = row
+        row = self._term_cache.get(key)
+        if row is None:
+            (w1, a1), (w2, a2) = (self.entry_dlog(e) for e in sym.entries)
+            form = wedge(w1, w2).act(self.s) + wedge(w1.scale(a2) - w2.scale(a1), self.ds)
+            row = self._term_cache[key] = form.coords
         return row
 
     def realize_state(self, state):
@@ -634,19 +611,13 @@ class ExtendedRealizer:
 
 
 def lift_laurent(poly, ring, shift=0):
-    """sigma^(-shift) * poly in the truncation ring A[sigma]/sigma^N, whose basis
-    monomials are A's with the sigma-degree appended."""
-    if poly.algebra is not ring.base:
-        raise AlgebraMismatch("atom coefficients do not live in the ring's base algebra")
-    N = ring.ext_order
-    coords = {}
-    for deg, coeff in poly.coeffs.items():
-        k = deg - shift
-        if k >= N:
-            raise PrecisionInsufficient(
-                f"atom needs sigma^{k}; raise the precision above {N}")
-        coords.update((m + (k,), c) for m, c in coeff.coords.items())
-    return AlgebraElement(ring, coords)
+    """sigma^(-shift) * poly in the truncation ring A[sigma]/sigma^N, for an
+    atom poly of sigma-order at least `shift`."""
+    k = poly.maxdeg() - shift
+    if k >= ring.ext_order:
+        raise PrecisionInsufficient(
+            f"atom needs sigma^{k}; raise the precision above {ring.ext_order}")
+    return from_sigma_layers(ring, {deg - shift: c for deg, c in poly.coeffs.items()})
 
 
 @dataclass(frozen=True)
@@ -674,9 +645,9 @@ def default_precision(n):
 # The crosscheck's cost is densest at small n, where the dlog series of
 # 1 + c s^(n+1) fills all N sigma-degrees, and grows there about as N^2:
 # eq7 at n = 2 with --precision N, on one Xeon core under CPython 3.11,
-# takes 0.15-0.16 and 0.28-0.45 s on Q[t]/t^3 at N = 64 and 128, and
-# 0.24-0.26 and 0.49-0.72 s on the ten-dimensional Q[x,y]/m^4 (timed
-# inside the process).  N is capped where that worst case stays under 10 s
+# takes 0.07-0.12 and 0.29-0.44 s on Q[t]/t^3 at N = 64 and 128, and
+# 0.10-0.19 and 0.43-0.82 s on the ten-dimensional Q[x,y]/m^4 (the
+# crosscheck alone, timed inside the process, 14 runs each).  N is capped where that worst case stays under 10 s
 # on the five algebras the benchmark certifies over (Q[x,y]/m^4 is the
 # slowest).  The cap admits the default precision up to n = 40; the bundled
 # suite uses N <= 18 and the benchmark N <= 42.
@@ -699,15 +670,12 @@ def crosscheck_dlog(cert, precision=None):
         raise PrecisionTooLarge(
             f"precision {N} is above the cap of {MAX_PRECISION}"
             + (f" (the default 3(n+2) at n = {n})" if precision is None else ""))
-    max_span = 0
     states = [cert.start, cert.goal, cert.claim_lhs, cert.claim_rhs]
     symbols = [sym for st in states for _, sym in st.terms]
     symbols += [v for step in cert.steps for v in step.payload.values() if isinstance(v, Symbol)]
     atom_polys = [poly for sym in symbols for entry in sym.entries for poly, _ in entry.atoms]
     atom_polys += [poly for step in cert.steps for poly, _ in step.payload.get("atoms", ())]
-    for poly in atom_polys:
-        if poly:
-            max_span = max(max_span, poly.maxdeg() - poly.ord())
+    max_span = max((poly.span() for poly in atom_polys), default=0)
     if N < max(max_span + 1, 2) or N < 3 * max_span:
         raise PrecisionInsufficient(
             f"precision {N} too small for atoms of sigma-span {max_span}; "

@@ -31,7 +31,7 @@ def tokenize(text):
         pos = m.end()
         if m.group(1):
             try:
-                tokens.append(("num", rational(m.group(1).replace(" ", ""))))
+                tokens.append(("num", rational("".join(m.group(1).split()))))
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {text!r}") from None
         elif m.group(2):

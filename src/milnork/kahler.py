@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from .algebra import AlgebraElement, derived_algebra, invert_unit
-from .errors import AlgebraMismatch, NameCollision, NotAUnit
+from .algebra import AlgebraElement, derived_algebra, extension_name, invert_unit
+from .errors import AlgebraMismatch, NotAUnit
 from .expr import monomial_str
 from .linalg import RowSpace, add_to, rational
 from .poly import mono_mul
@@ -80,8 +80,8 @@ class OmegaModule:
                             continue
                         sign, widx = cell
                         for pm, pc in partial.terms.items():
-                            for bm, bc in A.reduce_mono(mono_mul(mono, pm)).items():
-                                add_to(row, self.col(A.index[bm], widx), sign * pc * bc)
+                            for k, bc in A.reduce_mono(mono_mul(mono, pm)).items():
+                                add_to(row, self.col(k, widx), sign * pc * bc)
                     if row:
                         self._space.insert(row)
 
@@ -102,7 +102,7 @@ class OmegaModule:
         nw = len(self.wedges)
         blocks = ((omega_module(A, self.degree), ()), (omega_module(A, self.degree - 1), (s,)))
         for k in range(N):
-            mono_cols = [B.index[a + (k,)] * nw for a in A.basis]
+            mono_cols = [i * nw for i in B.layer(k)]
             for M, tail in blocks:
                 wcols = [self.wedge_index[w + tail] for w in M.wedges]
                 if tail and k == N - 1:
@@ -183,10 +183,10 @@ class DifferentialForm:
         free = {}
         for ridx, q in self.coords.items():
             mono_idx, widx = M.layout[ridx]
-            for em, ec in element.coords.items():
+            for i, ec in element.coords.items():
                 factor = q * ec
-                for bm, bc in A.pair_product(A.index[em], mono_idx).items():
-                    add_to(free, M.col(A.index[bm], widx), factor * bc)
+                for k, bc in A.pair_product(i, mono_idx).items():
+                    add_to(free, M.col(k, widx), factor * bc)
         return M.form(free)
 
     def __str__(self):
@@ -215,8 +215,7 @@ def d(x):
 
     An element is taken as its 0-form, whose coordinates are its own."""
     if isinstance(x, AlgebraElement):
-        A = x.algebra
-        x = omega_module(A, 0).form({A.index[m]: c for m, c in x.coords.items()})
+        x = omega_module(x.algebra, 0).form(x.coords)
     M = x.module
     A = M.algebra
     target = omega_module(A, M.degree + 1)
@@ -229,8 +228,9 @@ def d(x):
             if not (e and table[i][widx]):
                 continue
             sign, merged = table[i][widx]
-            dm = tuple(v - 1 if j == i else v for j, v in enumerate(mono))
-            add_to(free, target.col(A.index[dm], merged), q * e * sign)
+            # m / x_i, a basis monomial: its normal form is itself
+            for k, c in A.reduce_mono(mono[:i] + (e - 1,) + mono[i + 1:]).items():
+                add_to(free, target.col(k, merged), q * e * sign * c)
     return target.form(free)
 
 
@@ -252,8 +252,8 @@ def wedge(f, g):
                 continue
             sign, widx = row[wj]
             factor = qi * qj * sign
-            for bm, bc in A.pair_product(mi, mj).items():
-                add_to(free, target.col(A.index[bm], widx), factor * bc)
+            for k, bc in A.pair_product(mi, mj).items():
+                add_to(free, target.col(k, widx), factor * bc)
     return target.form(free)
 
 
@@ -320,15 +320,13 @@ def decomposition_report(algebra, n, p):
     one uses Omega^p_A, the corrected one Omega^(p-1)_A.  The verdict names
     whichever matches the direct computation ("match" when both do).
     """
-    if "sigma" in algebra.names:
-        raise NameCollision("'sigma' already a variable of the algebra")
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
     # the generic presentation, eliminated from scratch: with no designated
     # sigma its spec is never truncated_extension's, so this verdict does not
-    # come from the closed form it checks
-    ext = derived_algebra(algebra, algebra.names + ("sigma",),
-                          algebra.spec.relations + (f"sigma^{n}",))
+    # come from the closed form it checks; s is named by extension_name
+    s = extension_name(algebra)
+    ext = derived_algebra(algebra, algebra.names + (s,), algebra.spec.relations + (f"{s}^{n}",))
     direct = omega_module(ext, p).dimension
     dim_line = n - 1  # dim Omega^1 of Q[s]/s^n
     if p == 1:

@@ -19,8 +19,8 @@ import operator
 from dataclasses import dataclass
 
 from .algebra import extension_name
-from .errors import AlgebraMismatch, NonUnitEntry, PositionInvalid
-from .expr import parse_polynomial, polynomial_str
+from .errors import AlgebraMismatch, NonUnitEntry, ParseError, PositionInvalid
+from .expr import evaluate, polynomial_str
 from .linalg import add_to, rational
 from .poly import Polynomial, power
 
@@ -105,28 +105,44 @@ class LaurentPolynomial:
             raise ValueError("negative sigma-degree has no expression form")
         A = self.algebra
         names = A.names + (extension_name(A),)
-        terms = {}
-        for d, c in self.coeffs.items():
-            for mono, q in c.coords.items():
-                terms[mono + (d,)] = q
+        terms = {A.basis[i] + (d,): q for d, c in self.coeffs.items() for i, q in c.coords.items()}
         return polynomial_str(Polynomial(len(names), terms), names)
+
+    def span(self):
+        return self.maxdeg() - self.ord() if self.coeffs else 0
+
+    # the expression grammar's * and ^, for from_string: a result wider than
+    # EXPANSION_BUDGET sigma-degrees is refused before it is expanded
+    def __mul__(self, other):
+        _within_budget(self.span() + other.span())
+        return self.mul(other)
+
+    def __pow__(self, k):
+        _within_budget(self.span() * k)
+        return self.power(k)
 
     @classmethod
     def from_string(cls, algebra, text):
+        """`text` evaluated over A[sigma], sigma named by extension_name, with
+        each coefficient reduced in A after every operation; a product or
+        power over EXPANSION_BUDGET sigma-degrees wide raises ParseError."""
         names = algebra.names + (extension_name(algebra),)
-        p = parse_polynomial(text, names)
-        coeffs = {}
-        for mono, q in p.terms.items():
-            d = mono[-1]
-            base = mono[:-1]
-            coeffs.setdefault(d, {})[base] = q
-        out = {}
-        for d, layer in coeffs.items():
-            out[d] = algebra.element_from_poly(Polynomial(algebra.nvars, layer, normalize=False))
-        return cls(algebra, out)
+
+        def variable(i):
+            if i == algebra.nvars:
+                return cls.sigma(algebra)
+            return cls(algebra, {0: algebra.variable(names[i])})
+
+        return evaluate(text, names, lambda q: cls.constant(algebra, q), variable)
 
     def __str__(self):
         return self.to_string()
+
+
+def _within_budget(span):
+    if span > EXPANSION_BUDGET:
+        raise ParseError(f"expression spans {span} sigma-degrees, over the budget of "
+                         f"{EXPANSION_BUDGET}")
 
 
 def _check_atom(poly):

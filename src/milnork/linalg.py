@@ -15,20 +15,32 @@ engine (polynomial terms, algebra coordinates, form coordinates, Laurent
 coefficients, realization vectors, echelon rows) is summed through it.
 """
 
+import re
 from fractions import Fraction
+
+# the expression grammar's rational literal: the one number grammar of every input
+_LITERAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
 def rational(value):
     """The exact rational `value` as an int when it is whole, else as a
-    Fraction.  Accepts ints, Fractions and rational strings; a float raises
-    TypeError, since its binary expansion is not the number it was meant as."""
+    Fraction.  Accepts ints, Fractions and literals such as ` -2/5 `; any
+    other string, such as `1.5`, `1_0` or the nine characters `1e9000000`,
+    raises ValueError.  A float raises TypeError, since its binary expansion
+    is not the number it was meant as."""
     if value.__class__ is int:
         return value
     if value.__class__ is not Fraction:
         if isinstance(value, float):
             raise TypeError(f"{value!r} is a float; exact arithmetic needs an int, "
                             "a Fraction or a rational string")
-        value = Fraction(value)
+        if isinstance(value, str):
+            literal = _LITERAL.fullmatch(value)
+            if literal is None:
+                raise ValueError(f"{value!r} is not a rational literal such as 3 or -2/5")
+            value = Fraction(int(literal[1]), int(literal[2] or 1))
+        else:
+            value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -102,15 +114,3 @@ def augmented_space(vectors, ncols):
         row[ncols + i] = 1
         space.insert(row)
     return space
-
-
-def express(vectors, target, ncols):
-    """Write `target` as a linear combination of `vectors`, or return None."""
-    res = augmented_space(vectors, ncols).reduce(target)
-    if any(col < ncols and val for col, val in res.items()):
-        return None
-    coeffs = [0] * len(vectors)
-    for col, val in res.items():
-        if col >= ncols:
-            coeffs[col - ncols] = -val
-    return coeffs

@@ -321,8 +321,9 @@ def vanishing_additivity_check(algebra, c1, c2, n):
     Verifies (1 - (n+1)(c1+c2) s^n) = (1 - (n+1) c1 s^n)(1 - (n+1) c2 s^n)
     in A[s]/s^(n+1); true for all n >= 1 because s^(2n) dies there.
     """
-    B = truncated_extension(algebra, "sigma", n + 1)
-    sn = B.variable("sigma") ** n
+    s = extension_name(algebra)
+    B = truncated_extension(algebra, s, n + 1)
+    sn = B.variable(s) ** n
     c1 = transport(algebra.element(c1), B)
     c2 = transport(algebra.element(c2), B)
     m = n + 1
@@ -382,7 +383,7 @@ def transport_check(B, n):
     images = [transport(dom.basis_element(i), Bn) for i in range(dom.dimension)]
     space = RowSpace()
     for img in images:
-        space.insert({Bn.index[m]: c for m, c in img.coords.items()})
+        space.insert(img.coords)
     surjective = space.rank == Bn.dimension
 
     # multiplicativity of the monomial-level map
@@ -403,13 +404,10 @@ def transport_check(B, n):
     degenerate = not bool(sig_n)
     ncols = Bn1.dimension
 
-    def coords(e):
-        return {Bn1.index[m]: c for m, c in e.coords.items()}
-
     def in_ap(row, sign):
-        return AlgebraElement(Ap, {Ap.basis[col - ncols]: sign * v for col, v in row.items()})
+        return AlgebraElement(Ap, {col - ncols: sign * v for col, v in row.items()})
 
-    layer = augmented_space([coords(transport(b, Bn1) * sig_n) for b in coefficient_samples(Ap)],
+    layer = augmented_space([(transport(b, Bn1) * sig_n).coords for b in coefficient_samples(Ap)],
                             ncols)
     kernel_basis = [in_ap(row, 1) for lead, row in layer.pivots.items() if lead >= ncols]
 
@@ -437,7 +435,7 @@ def transport_check(B, n):
             direct = relative_realize(make_symbol([first, lifted], 1), n)
             # route the first entry through tau and realize on the quotient
             # side; u, s-free, is its own image there
-            residual = layer.reduce(coords(transport(first, Bn1) - Bn1.one))
+            residual = layer.reduce((transport(first, Bn1) - Bn1.one).coords)
             if any(col < ncols for col in residual):
                 compatible = False
                 break

@@ -169,7 +169,7 @@ _coords = st.lists(
 def _mk(cs):
     from milnork.algebra import AlgebraElement
 
-    return AlgebraElement(_T3, {m: c for m, c in zip(_T3.basis, cs) if c})
+    return AlgebraElement(_T3, {i: c for i, c in enumerate(cs) if c})
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -345,6 +345,14 @@ def test_tower_zero_denominator_exit_2(capsys, tmp_path):
     assert "input error" in captured.err and "Traceback" not in captured.err
 
 
+def test_tower_number_outside_the_literal_grammar_exit_2(capsys, tmp_path):
+    # Fraction(str) would read these nine characters as a nine-million-digit int
+    tower = tmp_path / "e.tower"
+    tower.write_text("dims: 1, 1\nmap 0: 1e9000000\n")
+    code = main(["tower", "--tower", str(tower), "--format", "record"])
+    assert code == 2 and "bad number" in capsys.readouterr().err
+
+
 @pytest.fixture()
 def xy_spec(tmp_path):
     path = tmp_path / "xy.spec"
@@ -458,6 +466,24 @@ def test_certificate_step_with_non_unit_atom_fails_at_step(capsys, tmp_path, t3_
     assert f"certificate.failure_index={idx}\n" in out
     assert "certificate.failure_detail=atom is not a unit" in out
     assert "input error" not in err
+
+
+def _big_state_coeff(doc):
+    doc["start"][0][0] = "1e9000000"
+
+
+def _big_step_coeff(doc):
+    next(s for s in doc["steps"] if "coeff" in s["payload"])["payload"]["coeff"] = "1e9000000"
+
+
+@pytest.mark.parametrize("edit, want", [(_big_state_coeff, 2), (_big_step_coeff, 1)])
+def test_certificate_number_outside_the_literal_grammar(capsys, tmp_path, t3_eq8_doc, edit, want):
+    # nine characters that Fraction(str) would expand to nine million digits
+    edit(t3_eq8_doc)
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert code == want and "Traceback" not in err
+    if want == 1:
+        assert "bad value: '1e9000000'" in out
 
 
 @pytest.mark.parametrize("exp", [1.5, "1", True, None])

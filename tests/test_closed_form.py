@@ -1,8 +1,8 @@
 """The closed form of A[s]/s^N against the generic construction.
 
 truncated_extension builds B = A[s]/s^N and its Omega^p relation echelon
-forms from A's data, and the crosscheck realizer reads s * and ds ^ through
-the layout.  Each piece must equal what Buchberger, relation elimination,
+forms from A's data, copied layer by layer, so s * and ds ^ send basis forms
+to basis forms.  Each piece must equal what Buchberger, relation elimination,
 the module action and the wedge give on the same presentation, exactly:
 reduced echelon forms are unique, so the pivot rows themselves are
 compared, not only their count.
@@ -95,9 +95,8 @@ def test_graded_products_match_generic(A):
         rng = random.Random(N * 1000 + B.dimension)
         for _ in range(6):
             f, g = _sparse(rng, B.dimension), _sparse(rng, B.dimension)
-            b, c = ({B.basis[i]: v for i, v in x.items()} for x in (f, g))
-            product_b = AlgebraElement(B, b) * AlgebraElement(B, c)
-            assert product_b.coords == (AlgebraElement(G, b) * AlgebraElement(G, c)).coords, N
+            product_b = AlgebraElement(B, f) * AlgebraElement(B, g)
+            assert product_b.coords == (AlgebraElement(G, f) * AlgebraElement(G, g)).coords, N
         for p, q in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1)):
             (PB, QB), (PG, QG) = ((omega_module(R, p), omega_module(R, q)) for R in (B, G))
             if not (PB.dimension and QB.dimension):
@@ -109,21 +108,39 @@ def test_graded_products_match_generic(A):
                 assert got.coords == want.coords, (N, p, q)
 
 
+def _layout_images(M, M2, shift, tail):
+    """For each basis form m dw of M, the reduced index in M2 of the free
+    coordinate (m s^shift) d(w + tail), or None when that is no basis form."""
+    R = M.algebra
+    images = []
+    for mono_idx, widx in M.layout:
+        mono = R.basis[mono_idx]
+        k = R.index.get(mono[:-1] + (mono[-1] + shift,))
+        w = M.wedges[widx] + tail
+        ok = k is not None and w in M2.wedge_index
+        images.append(M2.col_index.get(M2.col(k, M2.wedge_index[w])) if ok else None)
+    return images
+
+
 def _layout_read(images, form):
     return {images[i]: v for i, v in form.coords.items() if images[i] is not None}
 
 
 @pytest.mark.parametrize("A", ALGEBRAS, ids=IDS)
 def test_realizer_layout_read_matches_act_and_wedge(A):
-    """The realizer's s * eta and beta ^ ds (= -ds ^ beta), read through the
-    layout, against the module action and the wedge with d(s) in Omega(R)."""
+    """In the realizer's ring R = A[s]/s^(N+1), s * eta and beta ^ ds, which
+    the realizer forms with act and wedge, are read off the layout: R's
+    relations are A's copied to each s-layer, so a basis form goes to a basis
+    form, or to zero on s^(N+1) and on the ds layer that d(s^(N+1)) kills."""
     for N in (1, 2, 3, 5, 12):
         realizer = ExtendedRealizer(A, N)
-        s = realizer.ring.variable(realizer.ring.ext_name)
-        for eta in realizer.omega2.basis_forms():
-            assert _layout_read(realizer._times_s, eta) == eta.act(s).coords, N
-        for beta in realizer.omega1.basis_forms():
-            assert _layout_read(realizer._wedge_ds, beta) == wedge(beta, d(s)).coords, N
+        M1, M2, s = realizer.omega1, realizer.omega2, realizer.s
+        times_s = _layout_images(M2, M2, 1, ())
+        wedge_ds = _layout_images(M1, M2, 0, (realizer.ring.nvars - 1,))
+        for eta in M2.basis_forms():
+            assert _layout_read(times_s, eta) == eta.act(s).coords, N
+        for beta in M1.basis_forms():
+            assert _layout_read(wedge_ds, beta) == wedge(beta, d(s)).coords, N
 
 
 def _lift(form, module):

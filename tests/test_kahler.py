@@ -12,7 +12,7 @@ from milnork.algebra import (
     transport,
     truncated_extension,
 )
-from milnork.errors import AlgebraMismatch, NameCollision, NotAUnit
+from milnork.errors import AlgebraMismatch, NotAUnit
 from milnork.kahler import (
     _merge_sign,
     d,
@@ -313,10 +313,13 @@ def test_decomposition_p3_uses_next_lower_degree():
         assert rep.eq6_literal_dim == 0 and rep.verdict == "corrected"
 
 
-def test_decomposition_name_collision():
-    A = alg(["sigma"], ["sigma^2"])
-    with pytest.raises(NameCollision):
-        decomposition_report(A, 2, 1)
+def test_decomposition_over_a_sigma_variable():
+    # s is named by extension_name, so a variable called sigma is only a name
+    A, T = alg(["sigma"], ["sigma^2"]), alg(["t"], ["t^2"])
+    for n in (1, 2, 3):
+        for p in (1, 2, 3):
+            assert decomposition_report(A, n, p) == decomposition_report(T, n, p), (n, p)
+    assert decomposition_report(A, 3, 2).verdict == "corrected"
 
 
 def test_action_matrices_respect_multiplication():

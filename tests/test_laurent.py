@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from milnork import algebra, laurent, linalg, poly
 from milnork.algebra import AlgebraSpec, build_algebra
-from milnork.errors import NonUnitEntry, PositionInvalid
+from milnork.errors import NonUnitEntry, ParseError, PositionInvalid
 from milnork.laurent import (
     EXPANSION_BUDGET,
     LaurentEntry,
@@ -155,6 +156,36 @@ def test_string_round_trip():
     assert back.coeffs == p.coeffs
     with pytest.raises(ValueError):
         lp({-1: "1"}).to_string()
+
+
+T3 = build_algebra(AlgebraSpec(("t",), ("t^3",)))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("(1+t)^100000", {0: "1 + 100000*t + 4999950000*t^2"}),
+    ("sigma^200", {200: "1"}),  # span 0: nothing to expand
+    ("(1+t+sigma)^160", None),
+    ("(1+t+sigma)^300", None),
+    ("((1+sigma)^12)^12", None),
+])
+def test_from_string_work_is_bounded(monkeypatch, text, value):
+    """A short string costs a bounded number of sparse accumulations, each
+    counted through add_to; a product or power over the budget is refused."""
+    want = value and {d: T3.element(c) for d, c in value.items()}
+    calls = []
+
+    def counted(vec, key, c):
+        calls.append(None)
+        assert len(calls) < 5000, "parsing expanded the expression"
+        linalg.add_to(vec, key, c)
+
+    for module in (algebra, laurent, poly):
+        monkeypatch.setattr(module, "add_to", counted)
+    if value is None:
+        with pytest.raises(ParseError, match=f"over the budget of {EXPANSION_BUDGET}"):
+            LaurentPolynomial.from_string(T3, text)
+    else:
+        assert LaurentPolynomial.from_string(T3, text).coeffs == want
 
 
 def test_power_under_an_order_truncates_every_product():

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from milnork.linalg import RowSpace, add_to, augmented_space, express
+from milnork.linalg import RowSpace, add_to, augmented_space
 
 
 def dense_to_sparse(row):
@@ -41,19 +41,6 @@ def test_insert_reports_pivot():
     assert space.insert(dense_to_sparse([0, 3, 1])) == 1
     assert space.insert(dense_to_sparse([0, 6, 2])) is None
     assert space.rank == 1
-
-
-def test_express():
-    vecs = rows([1, 0, 1], [0, 1, 1])
-    target = dense_to_sparse([2, 3, 5])
-    coeffs = express(vecs, target, 3)
-    assert coeffs == [Fraction(2), Fraction(3)]
-    assert express(vecs, dense_to_sparse([0, 0, 1]), 3) is None
-
-
-def test_express_degenerate():
-    assert express([], {}, 4) == []
-    assert express([], dense_to_sparse([1]), 4) is None
 
 
 def test_add_to_drops_cancelled_entries():

@@ -198,8 +198,7 @@ def test_relative_realize_degree_one(t3):
     s = make_symbol(["1 + t*sigma"], 1, algebra=B)
     f = relative_realize(s, 1)
     assert f.module.degree == 0
-    expected = omega_module(t3, 0).form(
-        {t3.index[m]: c for m, c in t3.element("t").coords.items()})
+    expected = omega_module(t3, 0).form(t3.element("t").coords)
     assert f == expected
 
 

@@ -43,6 +43,14 @@ def test_rational_normalizes():
     assert type(rational("1/2")) is Fraction
 
 
+def test_rational_reads_only_the_literal_grammar():
+    assert rational(" -2/5 ") == Fraction(-2, 5) and rational("+3\n") == 3
+    # Fraction(str) reads all of these, 1e9000000 as a nine-million-digit int
+    for text in ("1.5", "1_0", "1e9000000", "1 / 2", "", "x"):
+        with pytest.raises(ValueError):
+            rational(text)
+
+
 def test_rational_refuses_a_float():
     with pytest.raises(TypeError):
         rational(0.5)
