@@ -154,6 +154,11 @@ class Algebra:
         self._omega_cache = {}
         self._derived = {}  # spec -> algebra, see derived_algebra
         self._misc_cache = {}
+        # the product view: basis[i] is ring.basis[a] * s^k for (a, k) = _layout[i],
+        # and _place[k][a] == i.  A plain algebra is its own ring at s-degree 0.
+        self.ring = self
+        self._layout = tuple((i, 0) for i in range(self.dimension))
+        self._place = (tuple(range(self.dimension)),)
 
     # -- construction helpers -------------------------------------------------
 
@@ -288,12 +293,15 @@ class AlgebraElement:
                                   {m: rational(c * q) for m, c in self.coords.items()})
         other = self._check(other)
         A = self.algebra
+        ring, layout, place = A.ring, A._layout, A._place
         res = {}
         for (i, c1), live in A.live_pairs(self.coords.items(), other.coords.items()):
+            a, k = layout[i]
             for j, c2 in live:
-                factor = c1 * c2
-                for k, bc in A.pair_product(i, j).items():
-                    add_to(res, k, factor * bc)
+                b, l = layout[j]
+                factor, row = c1 * c2, place[k + l]
+                for ab, bc in ring.pair_product(a, b).items():
+                    add_to(res, row[ab], factor * bc)
         return AlgebraElement(A, res)
 
     __rmul__ = __mul__
@@ -349,11 +357,20 @@ def build_algebra(spec):
 
 
 def invert_unit(algebra, u):
-    """Exact inverse via a geometric series on the nilpotent part."""
+    """Exact inverse: over A[s]/s^N by s-adic division in A, v_0 = u_0^(-1) and
+    v_m = -v_0 * sum u_j v_(m-j) over the nonzero layers u_j, 1 <= j <= m;
+    elsewhere by a geometric series on the nilpotent part."""
     u = algebra.element(u)
     a = u.augmentation()
     if not a:
         raise NotAUnit(f"{u} has augmentation 0")
+    if algebra.base is not None:
+        u0, *rest = sigma_layers(u)
+        v = [invert_unit(algebra.base, u0)]
+        live = [(j, -(v[0] * c)) for j, c in enumerate(rest, 1) if c]  # -v_0 u_j
+        for m in range(1, algebra.ext_order):
+            v.append(sum((w * v[m - j] for j, w in live if j <= m and v[m - j]), algebra.base.zero))
+        return from_sigma_layers(algebra, dict(enumerate(v)))
     x = u * Fraction(1, a) - 1
     acc = algebra.one
     term = algebra.one
@@ -388,8 +405,8 @@ class TruncatedExtension(Algebra):
     G_A involves no s, so its leading terms are coprime to s^N and
     G_A + {s^N} is already B's reduced Groebner basis; the staircase is the
     product of A's with 1, s, ..., s^(N-1).  B keeps no product table of its
-    own: normal forms and basis products are A's, shifted by the s-exponent,
-    and zero at or above s^N.
+    own: its ring is A, so normal forms and basis products are A's, placed at
+    the sum of the s-exponents, and zero at or above s^N.
     """
 
     def __init__(self, base, spec, order):
@@ -400,25 +417,18 @@ class TruncatedExtension(Algebra):
         groebner = sorted(lifted + [s_power], key=lambda g: degrevlex_key(g.leading()[0]))
         basis = sorted((a + (k,) for a in base.basis for k in range(order)), key=degrevlex_key)
         super().__init__(spec, groebner, basis)
-        self.base, self.ext_name, self.ext_order = base, spec.distinguished, order
-        # basis index -> (index of the base monomial in A, s-exponent) and, in
-        # _place[k][a], back: the one pair of layout tables, read only here
+        self.base, self.ring, self.ext_name, self.ext_order = base, base, spec.distinguished, order
         self._layout = tuple((base.index[m[:-1]], m[-1]) for m in self.basis)
-        self._s_degree = tuple(k for _, k in self._layout)
         self._place = tuple(tuple(self.index[m + (k,)] for m in base.basis) for k in range(order))
-
-    def layer(self, k):
-        """The basis indices of B in layer s^k, in the order of A's basis."""
-        return self._place[k]
 
     def live_pairs(self, left, right):
         """`right` in ascending s-degree, cut for each entry of `left` before
         the first entry whose s-degree, added to its own, reaches N: every
         pair past the cut multiplies to zero."""
-        deg, N = self._s_degree, self.ext_order
-        right = sorted(right, key=lambda e: deg[e[0]])
-        degrees = [deg[e[0]] for e in right]
-        return ((a, right[:bisect_left(degrees, N - deg[a[0]])]) for a in left)
+        layout, N = self._layout, self.ext_order
+        right = sorted(right, key=lambda e: layout[e[0]][1])
+        degrees = [layout[e[0]][1] for e in right]
+        return ((a, right[:bisect_left(degrees, N - layout[a[0]][1])]) for a in left)
 
     def reduce_mono(self, mono):
         k = mono[-1]
@@ -426,14 +436,6 @@ class TruncatedExtension(Algebra):
             return {}
         place = self._place[k]
         return {place[a]: c for a, c in self.base.reduce_mono(mono[:-1]).items()}
-
-    def pair_product(self, i, j):
-        a, k = self._layout[i]
-        b, l = self._layout[j]
-        if k + l >= self.ext_order:
-            return {}
-        place = self._place[k + l]
-        return {place[ab]: c for ab, c in self.base.pair_product(a, b).items()}
 
 
 def truncated_extension(algebra, name, order):

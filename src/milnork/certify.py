@@ -643,14 +643,14 @@ def default_precision(n):
 
 
 # The crosscheck's cost is densest at small n, where the dlog series of
-# 1 + c s^(n+1) fills all N sigma-degrees, and grows there about as N^2:
-# eq7 at n = 2 with --precision N, on one Xeon core under CPython 3.11,
-# takes 0.07-0.12 and 0.29-0.44 s on Q[t]/t^3 at N = 64 and 128, and
-# 0.10-0.19 and 0.43-0.82 s on the ten-dimensional Q[x,y]/m^4 (the
-# crosscheck alone, timed inside the process, 14 runs each).  N is capped where that worst case stays under 10 s
-# on the five algebras the benchmark certifies over (Q[x,y]/m^4 is the
-# slowest).  The cap admits the default precision up to n = 40; the bundled
-# suite uses N <= 18 and the benchmark N <= 42.
+# 1 + c s^(n+1) fills all N sigma-degrees, and grows there nearly as N^2 (2.8-3.1
+# times from N = 32 to 64, 3.8 from 64 to 128): eq7 at n = 2 with --precision N,
+# on one Xeon core under CPython 3.11, takes 0.017-0.019 and 0.063-0.071 s on Q[t]/t^3
+# at N = 64 and 128, and 0.030-0.036 and 0.115-0.125 s on the ten-dimensional
+# Q[x,y]/m^4 (the crosscheck alone, timed inside the process, 14 runs each).  N is
+# capped where that worst case stays under 10 s on the five algebras the benchmark
+# certifies over (Q[x,y]/m^4 is the slowest).  The cap admits the default precision up
+# to n = 40; the bundled suite uses N <= 18 and the benchmark N <= 42.
 MAX_PRECISION = EXPANSION_BUDGET
 
 

@@ -20,8 +20,9 @@ from .certify import (
     splitting_certificate,
     vanishing_certificate,
 )
-from .errors import MilnorkError
+from .errors import MilnorkError, ParseError
 from .kahler import decomposition_report, omega_module
+from .linalg import whole
 from .milnor import (
     relative_generators,
     relative_realize,
@@ -51,7 +52,10 @@ def parse_algebra_file(text):
     if "order" in data:
         if sigma is None:
             raise MilnorkError("algebra file: 'order' needs a 'sigma' entry")
-        order = int(data["order"])
+        try:
+            order = whole(data["order"])
+        except ValueError as exc:
+            raise ParseError(f"algebra file: bad order: {exc}") from None
         if order < 1:
             raise MilnorkError("algebra file: order must be >= 1")
         relations = relations + (f"{sigma}^{order}",)

@@ -102,22 +102,15 @@ class OmegaModule:
         nw = len(self.wedges)
         blocks = ((omega_module(A, self.degree), ()), (omega_module(A, self.degree - 1), (s,)))
         for k in range(N):
-            mono_cols = [i * nw for i in B.layer(k)]
             for M, tail in blocks:
                 wcols = [self.wedge_index[w + tail] for w in M.wedges]
+                cols = [i * nw + w for i in B._place[k] for w in wcols]
                 if tail and k == N - 1:
-                    for base in mono_cols:
-                        for w in wcols:
-                            pivots[base + w] = {base + w: 1}
+                    for c in cols:
+                        pivots[c] = {c: 1}
                     continue
-                nwa = len(M.wedges)
-
-                def relabel(col):
-                    a, w = divmod(col, nwa)
-                    return mono_cols[a] + wcols[w]
-
                 for col, row in M._space.pivots.items():
-                    pivots[relabel(col)] = {relabel(c): v for c, v in row.items()}
+                    pivots[cols[col]] = {cols[c]: v for c, v in row.items()}
 
     def reduce_free(self, free_vec):
         """Canonical reduced coordinates of a free-coordinate vector."""
@@ -176,17 +169,26 @@ class DifferentialForm:
                 and self.coords == other.coords)
 
     def act(self, element):
-        """Multiply by an algebra element (the A-module action)."""
+        """Multiply by an algebra element (the A-module action), through the
+        algebra's product view; a pair at or past the truncation is skipped."""
         M = self.module
         A = M.algebra
         element = A.element(element)
+        if not (self.coords and element.coords):
+            return M.form()
+        ring, layout, place = A.ring, A._layout, A._place
+        N, nw = len(place), len(M.wedges)
         free = {}
         for ridx, q in self.coords.items():
             mono_idx, widx = M.layout[ridx]
+            b, l = layout[mono_idx]
             for i, ec in element.coords.items():
-                factor = q * ec
-                for k, bc in A.pair_product(i, mono_idx).items():
-                    add_to(free, M.col(k, widx), factor * bc)
+                a, k = layout[i]
+                if k + l >= N:
+                    continue
+                factor, row = q * ec, place[k + l]
+                for ab, bc in ring.pair_product(a, b).items():
+                    add_to(free, row[ab] * nw + widx, factor * bc)  # M.col
         return M.form(free)
 
     def __str__(self):
@@ -242,18 +244,21 @@ def wedge(f, g):
     A = Mf.algebra
     target = omega_module(A, Mf.degree + Mg.degree)
     table = wedge_table(A.nvars, Mf.degree, Mg.degree)
+    ring, layout, place, nw = A.ring, A._layout, A._place, len(target.wedges)
     free = {}
     left = [Mf.layout[ri] + (qi,) for ri, qi in f.coords.items()]
     right = [Mg.layout[rj] + (qj,) for rj, qj in g.coords.items()]
     for (mi, wi, qi), live in A.live_pairs(left, right):
-        row = table[wi]
+        signs = table[wi]
+        a, k = layout[mi]
         for mj, wj, qj in live:
-            if not row[wj]:
+            if not signs[wj]:
                 continue
-            sign, widx = row[wj]
-            factor = qi * qj * sign
-            for k, bc in A.pair_product(mi, mj).items():
-                add_to(free, target.col(k, widx), factor * bc)
+            sign, widx = signs[wj]
+            b, l = layout[mj]
+            factor, row = qi * qj * sign, place[k + l]
+            for ab, bc in ring.pair_product(a, b).items():
+                add_to(free, row[ab] * nw + widx, factor * bc)  # target.col
     return target.form(free)
 
 

@@ -111,38 +111,58 @@ class LaurentPolynomial:
     def span(self):
         return self.maxdeg() - self.ord() if self.coeffs else 0
 
-    # the expression grammar's * and ^, for from_string: a result wider than
-    # EXPANSION_BUDGET sigma-degrees is refused before it is expanded
-    def __mul__(self, other):
-        _within_budget(self.span() + other.span())
-        return self.mul(other)
-
-    def __pow__(self, k):
-        _within_budget(self.span() * k)
-        return self.power(k)
-
     @classmethod
     def from_string(cls, algebra, text):
         """`text` evaluated over A[sigma], sigma named by extension_name, with
-        each coefficient reduced in A after every operation; a product or
-        power over EXPANSION_BUDGET sigma-degrees wide raises ParseError."""
+        each coefficient reduced in A after every operation.  Each product and
+        power is charged the sigma-span of its result, and the one whose charge
+        passes EXPANSION_BUDGET for the string raises ParseError unexpanded."""
         names = algebra.names + (extension_name(algebra),)
+        meter = [0]
 
         def variable(i):
             if i == algebra.nvars:
-                return cls.sigma(algebra)
-            return cls(algebra, {0: algebra.variable(names[i])})
+                return _Metered(cls.sigma(algebra), meter)
+            return _Metered(cls(algebra, {0: algebra.variable(names[i])}), meter)
 
-        return evaluate(text, names, lambda q: cls.constant(algebra, q), variable)
+        return evaluate(text, names, lambda q: _Metered(cls.constant(algebra, q), meter),
+                        variable).value
 
     def __str__(self):
         return self.to_string()
 
 
-def _within_budget(span):
-    if span > EXPANSION_BUDGET:
-        raise ParseError(f"expression spans {span} sigma-degrees, over the budget of "
-                         f"{EXPANSION_BUDGET}")
+class _Metered:
+    """A value inside one from_string call.  All of them share one meter, so
+    every product and power in the string is charged against one budget."""
+
+    __slots__ = ("value", "meter")
+
+    def __init__(self, value, meter):
+        self.value, self.meter = value, meter
+
+    def _charge(self, span):
+        self.meter[0] += span
+        if self.meter[0] > EXPANSION_BUDGET:
+            raise ParseError(f"expression spans {self.meter[0]} sigma-degrees in its products "
+                             f"and powers, over the budget of {EXPANSION_BUDGET}")
+
+    def __add__(self, other):
+        return _Metered(self.value + other.value, self.meter)
+
+    def __sub__(self, other):
+        return _Metered(self.value - other.value, self.meter)
+
+    def __neg__(self):
+        return _Metered(-self.value, self.meter)
+
+    def __mul__(self, other):
+        self._charge(self.value.span() + other.value.span())
+        return _Metered(self.value.mul(other.value), self.meter)
+
+    def __pow__(self, k):
+        self._charge(self.value.span() * k)
+        return _Metered(self.value.power(k), self.meter)
 
 
 def _check_atom(poly):

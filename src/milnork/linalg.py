@@ -44,6 +44,14 @@ def rational(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def whole(value):
+    """`rational(value)` when it is whole; `1/2` or `1_0`, say, raise ValueError."""
+    q = rational(value)
+    if q.__class__ is not int:
+        raise ValueError(f"{value!r} is not a whole number")
+    return q
+
+
 def add_to(vec, key, value):
     """vec[key] += value, storing no zeros: an entry that cancels is dropped,
     and a whole Fraction is stored as an int."""

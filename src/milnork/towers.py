@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidSpec, ParseError
-from .linalg import RowSpace, rational
+from .linalg import RowSpace, rational, whole
 from .report import field_rows
 
 
@@ -182,9 +182,9 @@ def parse_tower_file(text):
         key = key.strip().lower()
         try:
             if key == "dims":
-                dims = [int(x) for x in value.split(",") if x.strip()]
+                dims = [whole(x.strip()) for x in value.split(",") if x.strip()]
             elif key.startswith("map"):
-                idx = int(key[3:].strip())
+                idx = whole(key[3:])
                 rows = []
                 for chunk in value.split(";"):
                     chunk = chunk.strip()

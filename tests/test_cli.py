@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from milnork import certify, cli, milnor
 from milnork.cli import main, parse_algebra_file
-from milnork.errors import MilnorkError
+from milnork.errors import MilnorkError, ParseError
 from milnork.laurent import EXPANSION_BUDGET, LaurentPolynomial
+from milnork.towers import parse_tower_file
 
 
 @pytest.fixture()
@@ -343,6 +344,39 @@ def test_tower_zero_denominator_exit_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert "input error" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    # int() reads 1_0 as 10: a ten-dimensional level
+    "dims: 1_0, 1\nmap 0: " + "; ".join(["1"] * 10) + "\n",
+    "dims: 1, 1\nmap 0_0: 1\n",
+    "dims: 1/2, 1\nmap 0: 1\n",
+])
+def test_tower_integer_fields_are_whole_literals(capsys, tmp_path, text):
+    tower = tmp_path / "w.tower"
+    tower.write_text(text)
+    code = main(["tower", "--tower", str(tower), "--format", "record"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "input error: line" in captured.err and "Traceback" not in captured.err
+    with pytest.raises(ParseError):
+        parse_tower_file(text)
+
+
+@pytest.mark.parametrize("order", ["1_0", "3/2", "2.0", ""])
+def test_algebra_file_order_is_a_whole_literal(capsys, tmp_path, order):
+    text = f"variables: x, s\nrelations: x^2\nsigma: s\norder: {order}\n"
+    with pytest.raises(ParseError, match="bad order"):
+        parse_algebra_file(text)
+    spec = tmp_path / "o.spec"
+    spec.write_text(text)
+    assert main(["algebra-info", "--algebra", str(spec)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_algebra_file_order_reads_the_literal_grammar():
+    assert "s^10" in parse_algebra_file("variables: s\nsigma: s\norder: 10\n").relations
+    assert "s^2" in parse_algebra_file("variables: s\nsigma: s\norder: 4/2\n").relations
 
 
 def test_tower_number_outside_the_literal_grammar_exit_2(capsys, tmp_path):

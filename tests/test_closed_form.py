@@ -9,6 +9,7 @@ compared, not only their count.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -18,6 +19,9 @@ from milnork.algebra import (
     AlgebraSpec,
     TruncatedExtension,
     build_algebra,
+    from_sigma_layers,
+    invert_unit,
+    sigma_layers,
     truncated_extension,
 )
 from milnork.certify import ExtendedRealizer
@@ -30,7 +34,7 @@ from milnork.kahler import (
     omega_module,
     wedge,
 )
-from milnork.linalg import RowSpace
+from milnork.linalg import RowSpace, rational
 from test_bench_targets import _load
 
 NAMED = (list(builtin_algebras())
@@ -54,7 +58,8 @@ def _assert_same_ring(B, G):
         assert B.reduce_mono(mono) == G.reduce_mono(mono), mono
     for i in range(B.dimension):
         for j in range(B.dimension):
-            assert B.pair_product(i, j) == G.pair_product(i, j)
+            got = B.basis_element(i) * B.basis_element(j)
+            assert got.coords == (G.basis_element(i) * G.basis_element(j)).coords
 
 
 @pytest.mark.parametrize("A", ALGEBRAS, ids=IDS)
@@ -106,6 +111,69 @@ def test_graded_products_match_generic(A):
                 want = wedge(DifferentialForm(PG, f), DifferentialForm(QG, g))
                 got = wedge(DifferentialForm(PB, f), DifferentialForm(QB, g))
                 assert got.coords == want.coords, (N, p, q)
+
+
+def _dense(rng, dim):
+    return {i: rng.choice((-3, -2, -1, 1, 2, 3)) for i in range(dim)}
+
+
+@pytest.mark.parametrize("A", ALGEBRAS, ids=IDS)
+def test_dense_action_matches_generic(A):
+    """act over B, which skips each pair at or past the truncation, against
+    the generic presentation, on forms and elements with every coordinate."""
+    for N in (1, 2, 3, 5):
+        B, G = truncated_extension(A, "sigma", N), _generic(A, "sigma", N)
+        rng = random.Random(N * 1000 + B.dimension)
+        e = _dense(rng, B.dimension)
+        for p in (0, 1, 2):
+            PB, PG = omega_module(B, p), omega_module(G, p)
+            f = _dense(rng, PB.dimension)
+            got = DifferentialForm(PB, f).act(AlgebraElement(B, e))
+            assert got.coords == DifferentialForm(PG, f).act(AlgebraElement(G, e)).coords, (N, p)
+
+
+def _geometric_inverse(u):
+    """The reference inverse: the geometric series on the nilpotent part,
+    summed by products in the whole ring."""
+    B = u.algebra
+    a = u.augmentation()
+    minus_x = B.one - u * Fraction(1, a)
+    acc = term = B.one
+    while term:
+        term = term * minus_x
+        acc = acc + term
+    return acc * Fraction(1, a)
+
+
+def _unit(B, rng):
+    """A unit of B = A[s]/s^N with nonzero layers s^0, s^1 and two more
+    (fewer when N < 3), each a constant plus up to two more basis
+    coordinates of A, with fractional coefficients."""
+    A = B.base
+
+    def layer():
+        support = {0, *rng.sample(range(A.dimension), min(2, A.dimension))}
+        return AlgebraElement(A, {i: rational(Fraction(rng.choice((-3, -1, 1, 2, 5)),
+                                                       rng.choice((1, 2, 3, 7))))
+                                  for i in support})
+
+    degrees = {0, 1, *rng.sample(range(1, B.ext_order), 2)} if B.ext_order > 2 else range(B.ext_order)
+    return from_sigma_layers(B, {k: layer() for k in degrees})
+
+
+@pytest.mark.parametrize("A", ALGEBRAS, ids=IDS)
+def test_inverse_by_division_in_a_matches_geometric_series(A):
+    """invert_unit over B divides layer by layer in A; the inverse is
+    unique, so its coordinates are the reference series' exactly."""
+    for N in (1, 2, 3, 5, 12, 43):
+        B = truncated_extension(A, "sigma", N)
+        rng = random.Random(N * 1000 + A.dimension)
+        for _ in range(2):
+            u = _unit(B, rng)
+            assert A.dimension == 1 or len(sigma_layers(u)[0].coords) > 1, N
+            v = invert_unit(B, u)
+            assert u * v == B.one, N
+            assert v.coords == _geometric_inverse(u).coords, N
 
 
 def _layout_images(M, M2, shift, tail):

@@ -160,16 +160,41 @@ def test_wedge_table_is_merge_sign_and_sorted_merge(n):
                     assert table[i][j] == want, (n, p, q, a, b)
 
 
-def _count_kernel_work(monkeypatch):
-    """Counters for pair products at or above s^N, _merge_sign calls and the
-    wedge-table cells built; the table cache starts empty."""
-    counts = {"dead": 0, "signs": 0, "tables": set()}
-    pair_product, merge_sign, table = (TruncatedExtension.pair_product, kahler._merge_sign,
-                                       kahler.wedge_table)
+class _Placed(int):
+    """A ring index of a basis element of A[s]/s^N that remembers its s-degree."""
 
-    def counted_pair_product(self, i, j):
-        counts["dead"] += self._layout[i][1] + self._layout[j][1] >= self.ext_order
-        return pair_product(self, i, j)
+    def __new__(cls, index, degree):
+        self = super().__new__(cls, index)
+        self.degree = degree
+        return self
+
+
+class _CountingRing:
+    """The ring A of an A[s]/s^N, counting the pairs its product loops
+    multiply and the dead ones among them: s-degrees adding up to N or more."""
+
+    def __init__(self, ring, order, counts):
+        self.ring, self.order, self.counts = ring, order, counts
+
+    def pair_product(self, a, b):
+        self.counts["pairs"] += 1
+        self.counts["dead"] += a.degree + b.degree >= self.order
+        return self.ring.pair_product(a, b)
+
+
+def _count_kernel_work(monkeypatch):
+    """Counters for the pairs multiplied over A[s]/s^N (each truncated
+    algebra built from here on reads A through a _CountingRing), the dead
+    ones among them, _merge_sign calls and the wedge-table cells built; the
+    table cache starts empty."""
+    counts = {"pairs": 0, "dead": 0, "signs": 0, "tables": set()}
+    init, merge_sign, table = (TruncatedExtension.__init__, kahler._merge_sign,
+                               kahler.wedge_table)
+
+    def counted_init(self, base, spec, order):
+        init(self, base, spec, order)
+        self._layout = tuple((_Placed(a, k), k) for a, k in self._layout)
+        self.ring = _CountingRing(self.ring, order, counts)
 
     def counted_merge_sign(left, right):
         counts["signs"] += 1
@@ -179,7 +204,7 @@ def _count_kernel_work(monkeypatch):
         counts["tables"].add((nvars, p, q))
         return table(nvars, p, q)
 
-    monkeypatch.setattr(TruncatedExtension, "pair_product", counted_pair_product)
+    monkeypatch.setattr(TruncatedExtension, "__init__", counted_init)
     monkeypatch.setattr(kahler, "_merge_sign", counted_merge_sign)
     monkeypatch.setattr(kahler, "wedge_table", recorded_table)
     table.cache_clear()
@@ -188,28 +213,31 @@ def _count_kernel_work(monkeypatch):
 
 def test_cap_run_skips_vanishing_pairs(monkeypatch, tmp_path, capsys):
     """The crosscheck at the precision cap: products over A[s]/s^N stop at
-    the truncation, and each wedge sign is computed once, in its table."""
+    the truncation, the inverse divides layer by layer in A, and each wedge
+    sign is computed once, in its table."""
     counts = _count_kernel_work(monkeypatch)
     spec = tmp_path / "t3.spec"
     spec.write_text("variables: t\nrelations: t^3\n")
     assert cli.main(["certify-eq7", "--algebra", str(spec), "--c", "1+t", "--n", "2",
                      "--precision", "128"]) == 0
     capsys.readouterr()
-    assert counts["dead"] <= 100  # 133,686 with no graded stop
+    assert counts["dead"] == 0  # 86 before act skipped them, 133,686 with no graded stop
+    # 132,305 pairs; 234,555 when the inverse is a geometric series in A[s]/s^N
+    assert 0 < counts["pairs"] <= 150_000
     cells = sum(comb(n, p) * comb(n, q) for n, p, q in counts["tables"])
     assert 0 < counts["signs"] <= cells
 
 
 def test_truncated_mul_and_wedge_make_no_dead_products(monkeypatch):
+    counts = _count_kernel_work(monkeypatch)
     B = truncated_extension(alg(["x", "y"], ["x^2", "x*y", "y^2"]), "sigma", 4)
     f, g = (sum((B.basis_element(i) * (i + k) for i in range(B.dimension)), B.zero)
             for k in (1, -2))
     df, dg = d(f), d(g)
     dx_g = d(B.variable("x")).act(g)
-    counts = _count_kernel_work(monkeypatch)
     assert f * g and wedge(df, dg)
     wedge(dx_g, wedge(df, dg))
-    assert counts["dead"] == 0
+    assert counts["pairs"] and counts["dead"] == 0
 
 
 def test_wedge_mismatch():

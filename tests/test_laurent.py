@@ -188,6 +188,32 @@ def test_from_string_work_is_bounded(monkeypatch, text, value):
         assert LaurentPolynomial.from_string(T3, text).coeffs == want
 
 
+def test_from_string_charges_one_budget_per_string(monkeypatch):
+    """Every product and power of one string is charged against one budget:
+    four powers, each within it alone, are refused together, and nothing is
+    multiplied after the charge that spends it."""
+    one = "(1+t+sigma)^128"
+    products = []
+    real_mul = LaurentPolynomial.mul
+
+    def counted(self, other, order=None):
+        products.append(None)
+        return real_mul(self, other, order)
+
+    monkeypatch.setattr(LaurentPolynomial, "mul", counted)
+    LaurentPolynomial.from_string(T3, one)
+    single = len(products)
+    products.clear()
+    with pytest.raises(ParseError, match=f"spans 256 .* over the budget of {EXPANSION_BUDGET}"):
+        LaurentPolynomial.from_string(T3, "+".join([one] * 4))
+    assert len(products) == single  # the second power is refused unexpanded
+    half = "(1+sigma)^64"
+    assert LaurentPolynomial.from_string(T3, f"{half} + {half}").coeffs[64] == T3.element(2)
+    for text in (f"{half} * {half}", f"{half} + (1+sigma)^65", f"({half})^2"):
+        with pytest.raises(ParseError, match=f"over the budget of {EXPANSION_BUDGET}"):
+            LaurentPolynomial.from_string(T3, text)
+
+
 def test_power_under_an_order_truncates_every_product():
     one_plus = lp({0: "1", 1: "1"})
     assert one_plus.power(5, 3).coeffs == {0: T2.one, 1: T2.element(5), 2: T2.element(10)}
