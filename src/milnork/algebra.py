@@ -9,7 +9,6 @@ construction; per-instance memo caches never change observable results.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, product
@@ -156,8 +155,9 @@ class Algebra:
         self._misc_cache = {}
         # the product view: basis[i] is ring.basis[a] * s^k for (a, k) = _layout[i],
         # and _place[k][a] == i.  A plain algebra is its own ring at s-degree 0.
+        # An element is its 0-form: coordinate i is (basis index i, wedge 0).
         self.ring = self
-        self._layout = tuple((i, 0) for i in range(self.dimension))
+        self._layout = self._scalars = tuple((i, 0) for i in range(self.dimension))
         self._place = (tuple(range(self.dimension)),)
 
     # -- construction helpers -------------------------------------------------
@@ -229,10 +229,29 @@ class Algebra:
             self._pair_cache[(i, j)] = cached
         return cached
 
-    def live_pairs(self, left, right):
-        """Each entry of `left` (a tuple led by a basis index) with the
-        entries of `right` it may multiply to nonzero: here all of them."""
-        return ((a, right) for a in left)
+    def _product(self, left, left_layout, right, right_layout, cells, width):
+        """The free vector of left * right: the one product loop, of elements,
+        the module action and wedges.  An operand's coordinates are read through
+        its layout as (basis index, wedge index); a wedge pair's cell is (sign,
+        target wedge index), or None, and the target has `width` wedges.  A pair
+        whose s-degrees reach the truncation is skipped before it multiplies."""
+        ring, layout, place, N = self.ring, self._layout, self._place, len(self._place)
+        free = {}
+        for i, c1 in left.items():
+            mi, wi = left_layout[i]
+            a, k = layout[mi]
+            signs = cells[wi]
+            for j, c2 in right.items():
+                mj, wj = right_layout[j]
+                b, l = layout[mj]
+                cell = signs[wj]
+                if cell is None or k + l >= N:
+                    continue
+                sign, widx = cell
+                factor, row = sign * c1 * c2, place[k + l]
+                for ab, bc in ring.pair_product(a, b).items():
+                    add_to(free, row[ab] * width + widx, factor * bc)
+        return free
 
     def monomial_strings(self):
         return [monomial_str(m, self.names) or "1" for m in self.basis]
@@ -293,16 +312,8 @@ class AlgebraElement:
                                   {m: rational(c * q) for m, c in self.coords.items()})
         other = self._check(other)
         A = self.algebra
-        ring, layout, place = A.ring, A._layout, A._place
-        res = {}
-        for (i, c1), live in A.live_pairs(self.coords.items(), other.coords.items()):
-            a, k = layout[i]
-            for j, c2 in live:
-                b, l = layout[j]
-                factor, row = c1 * c2, place[k + l]
-                for ab, bc in ring.pair_product(a, b).items():
-                    add_to(res, row[ab], factor * bc)
-        return AlgebraElement(A, res)
+        return AlgebraElement(A, A._product(self.coords, A._scalars, other.coords, A._scalars,
+                                            (((1, 0),),), 1))  # 0-form ^ 0-form
 
     __rmul__ = __mul__
 
@@ -420,15 +431,6 @@ class TruncatedExtension(Algebra):
         self.base, self.ring, self.ext_name, self.ext_order = base, base, spec.distinguished, order
         self._layout = tuple((base.index[m[:-1]], m[-1]) for m in self.basis)
         self._place = tuple(tuple(self.index[m + (k,)] for m in base.basis) for k in range(order))
-
-    def live_pairs(self, left, right):
-        """`right` in ascending s-degree, cut for each entry of `left` before
-        the first entry whose s-degree, added to its own, reaches N: every
-        pair past the cut multiplies to zero."""
-        layout, N = self._layout, self.ext_order
-        right = sorted(right, key=lambda e: layout[e[0]][1])
-        degrees = [layout[e[0]][1] for e in right]
-        return ((a, right[:bisect_left(degrees, N - layout[a[0]][1])]) for a in left)
 
     def reduce_mono(self, mono):
         k = mono[-1]

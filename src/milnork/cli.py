@@ -223,30 +223,30 @@ def build_parser():
 
     s = subs.add_parser("omega", help="dimension and basis of Omega^p")
     _add_common(s)
-    s.add_argument("--p", type=int, required=True)
+    s.add_argument("--p", type=whole, required=True)
     s.set_defaults(func=_cmd_omega)
 
     s = subs.add_parser("decomposition", help="splitting dimensions for Omega^p of A[s]/s^n")
     _add_common(s)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--p", type=int, required=True)
+    s.add_argument("--n", type=whole, required=True)
+    s.add_argument("--p", type=whole, required=True)
     s.set_defaults(func=_cmd_decomposition)
 
     s = subs.add_parser("phi", help="generator families for the relative kernel")
     _add_common(s)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--p", type=int, required=True)
+    s.add_argument("--n", type=whole, required=True)
+    s.add_argument("--p", type=whole, required=True)
     s.set_defaults(func=_cmd_phi)
 
     s = subs.add_parser("theorem2", help="span rank of realized relative generators")
     _add_common(s)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--p", type=int, required=True)
+    s.add_argument("--n", type=whole, required=True)
+    s.add_argument("--p", type=whole, required=True)
     s.set_defaults(func=_cmd_theorem2)
 
     s = subs.add_parser("tangent-span", help="span rank of realized tangent symbols")
     _add_common(s)
-    s.add_argument("--p", type=int, required=True)
+    s.add_argument("--p", type=whole, required=True)
     s.set_defaults(func=_cmd_tangent_span)
 
     for cmd, builder in (("certify-eq7", splitting_certificate),
@@ -256,8 +256,8 @@ def build_parser():
         _add_common(s, algebra=False)
         s.add_argument("--c", help="unit coefficient expression; one that starts "
                                    "with '-' is written --c=-1+t")
-        s.add_argument("--n", type=int, help="level of the relative kernel")
-        s.add_argument("--precision", type=int, default=None,
+        s.add_argument("--n", type=whole, help="level of the relative kernel")
+        s.add_argument("--precision", type=whole, default=None,
                        help="crosscheck truncation order (default 3(n+2))")
         s.add_argument("--save", help="write the certificate as JSON")
         s.add_argument("--load", help="check a saved certificate instead of building one")
@@ -265,7 +265,7 @@ def build_parser():
 
     s = subs.add_parser("tau", help="transport checks for sigma inside the algebra")
     _add_common(s)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=whole, required=True)
     s.set_defaults(func=_cmd_tau)
 
     s = subs.add_parser("tower", help="surjectivity, image chains, window limit")

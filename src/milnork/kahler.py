@@ -169,27 +169,16 @@ class DifferentialForm:
                 and self.coords == other.coords)
 
     def act(self, element):
-        """Multiply by an algebra element (the A-module action), through the
-        algebra's product view; a pair at or past the truncation is skipped."""
+        """Multiply by an algebra element, the A-module action.  An element is
+        its 0-form, for `d`, `act` and `*` alike, so this is the kernel's
+        wedge of that 0-form with self."""
         M = self.module
         A = M.algebra
         element = A.element(element)
         if not (self.coords and element.coords):
             return M.form()
-        ring, layout, place = A.ring, A._layout, A._place
-        N, nw = len(place), len(M.wedges)
-        free = {}
-        for ridx, q in self.coords.items():
-            mono_idx, widx = M.layout[ridx]
-            b, l = layout[mono_idx]
-            for i, ec in element.coords.items():
-                a, k = layout[i]
-                if k + l >= N:
-                    continue
-                factor, row = q * ec, place[k + l]
-                for ab, bc in ring.pair_product(a, b).items():
-                    add_to(free, row[ab] * nw + widx, factor * bc)  # M.col
-        return M.form(free)
+        return M.form(A._product(element.coords, A._scalars, self.coords, M.layout,
+                                 wedge_table(A.nvars, 0, M.degree), len(M.wedges)))
 
     def __str__(self):
         if not self.coords:
@@ -243,23 +232,8 @@ def wedge(f, g):
         raise AlgebraMismatch("wedge of forms over different algebras")
     A = Mf.algebra
     target = omega_module(A, Mf.degree + Mg.degree)
-    table = wedge_table(A.nvars, Mf.degree, Mg.degree)
-    ring, layout, place, nw = A.ring, A._layout, A._place, len(target.wedges)
-    free = {}
-    left = [Mf.layout[ri] + (qi,) for ri, qi in f.coords.items()]
-    right = [Mg.layout[rj] + (qj,) for rj, qj in g.coords.items()]
-    for (mi, wi, qi), live in A.live_pairs(left, right):
-        signs = table[wi]
-        a, k = layout[mi]
-        for mj, wj, qj in live:
-            if not signs[wj]:
-                continue
-            sign, widx = signs[wj]
-            b, l = layout[mj]
-            factor, row = qi * qj * sign, place[k + l]
-            for ab, bc in ring.pair_product(a, b).items():
-                add_to(free, row[ab] * nw + widx, factor * bc)  # target.col
-    return target.form(free)
+    return target.form(A._product(f.coords, Mf.layout, g.coords, Mg.layout,
+                                  wedge_table(A.nvars, Mf.degree, Mg.degree), len(target.wedges)))
 
 
 def dlog(u):

@@ -379,6 +379,25 @@ def test_algebra_file_order_reads_the_literal_grammar():
     assert "s^2" in parse_algebra_file("variables: s\nsigma: s\norder: 4/2\n").relations
 
 
+@pytest.mark.parametrize("argv", [
+    # int() reads 1_0 as 10
+    ["omega", "--p", "1_0"],
+    ["theorem2", "--n", "1_0", "--p", "2"],
+    ["certify-eq8", "--c", "2", "--n", "1", "--precision", "1_0"],
+])
+def test_cli_integers_are_whole_literals(capsys, t3_spec, argv):
+    code = main([argv[0], "--algebra", t3_spec] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "invalid whole value: '1_0'" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_integers_read_the_literal_grammar(capsys, t3_spec):
+    code, out = run(capsys, "theorem2", "--algebra", t3_spec, "--n", "2", "--p", "2")
+    assert code == 0 and out
+    assert run(capsys, "theorem2", "--algebra", t3_spec, "--n", "4/2", "--p", "2") == (code, out)
+
+
 def test_tower_number_outside_the_literal_grammar_exit_2(capsys, tmp_path):
     # Fraction(str) would read these nine characters as a nine-million-digit int
     tower = tmp_path / "e.tower"

@@ -93,24 +93,28 @@ def _sparse(rng, dim):
 @pytest.mark.parametrize("A", ALGEBRAS, ids=IDS)
 def test_graded_products_match_generic(A):
     """Products and wedges over B, which stop at the truncation, against the
-    generic presentation, which visits every pair."""
+    generic presentation, which visits every pair; an element is its 0-form
+    for `*` and `act` too."""
     for N in (1, 2, 3, 5):
         B, G = truncated_extension(A, "sigma", N), _generic(A, "sigma", N)
         assert G.base is None
         rng = random.Random(N * 1000 + B.dimension)
+        zero_forms = omega_module(B, 0)
         for _ in range(6):
             f, g = _sparse(rng, B.dimension), _sparse(rng, B.dimension)
-            product_b = AlgebraElement(B, f) * AlgebraElement(B, g)
-            assert product_b.coords == (AlgebraElement(G, f) * AlgebraElement(G, g)).coords, N
-        for p, q in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1)):
+            e, e2 = AlgebraElement(B, f), AlgebraElement(B, g)
+            assert (e * e2).coords == (AlgebraElement(G, f) * AlgebraElement(G, g)).coords, N
+            assert (e * e2).coords == wedge(zero_forms.form(f), zero_forms.form(g)).coords, N
+        for p, q in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 1)):
             (PB, QB), (PG, QG) = ((omega_module(R, p), omega_module(R, q)) for R in (B, G))
             if not (PB.dimension and QB.dimension):
                 continue
             for _ in range(4):
-                f, g = _sparse(rng, PB.dimension), _sparse(rng, QB.dimension)
-                want = wedge(DifferentialForm(PG, f), DifferentialForm(QG, g))
-                got = wedge(DifferentialForm(PB, f), DifferentialForm(QB, g))
-                assert got.coords == want.coords, (N, p, q)
+                f = DifferentialForm(PB, _sparse(rng, PB.dimension))
+                g = DifferentialForm(QB, _sparse(rng, QB.dimension))
+                want = wedge(DifferentialForm(PG, f.coords), DifferentialForm(QG, g.coords))
+                assert wedge(f, g).coords == want.coords, (N, p, q)
+                assert f.act(e) == wedge(zero_forms.form(e.coords), f), (N, p)
 
 
 def _dense(rng, dim):
