@@ -741,19 +741,31 @@ def _exponent_from_json(value):
     return value
 
 
-def _atoms_from_json(algebra, data):
-    return [(LaurentPolynomial.from_string(algebra, text), _exponent_from_json(exp))
+def _atom_from_json(algebra, text, parsed):
+    """An atom string's polynomial, parsed once per document: `parsed` maps
+    each string met to its LaurentPolynomial, immutable and so shared.  A
+    value that is no string goes to the parser, which rejects it."""
+    if not isinstance(text, str):
+        return LaurentPolynomial.from_string(algebra, text)
+    poly = parsed.get(text)
+    if poly is None:
+        poly = parsed[text] = LaurentPolynomial.from_string(algebra, text)
+    return poly
+
+
+def _atoms_from_json(algebra, data, parsed):
+    return [(_atom_from_json(algebra, text, parsed), _exponent_from_json(exp))
             for text, exp in data]
 
 
-def _sym_from_json(algebra, data):
-    return Symbol(tuple(LaurentEntry(algebra, _atoms_from_json(algebra, atoms))
+def _sym_from_json(algebra, data, parsed):
+    return Symbol(tuple(LaurentEntry(algebra, _atoms_from_json(algebra, atoms, parsed))
                         for atoms in data))
 
 
-def _state_from_json(algebra, data):
+def _state_from_json(algebra, data, parsed):
     return SymbolCombination(algebra, 2,
-                             [(c, _sym_from_json(algebra, s)) for c, s in data])
+                             [(c, _sym_from_json(algebra, s, parsed)) for c, s in data])
 
 
 def certificate_to_json(cert):
@@ -800,10 +812,10 @@ def _field(obj, key, kind, where=""):
     return value
 
 
-def _payload_value_from_json(algebra, key, value):
+def _payload_value_from_json(algebra, key, value, parsed):
     if isinstance(value, dict) and "symbol" in value:
-        return _sym_from_json(algebra, value["symbol"])
-    return _atoms_from_json(algebra, value) if key == "atoms" else value
+        return _sym_from_json(algebra, value["symbol"], parsed)
+    return _atoms_from_json(algebra, value, parsed) if key == "atoms" else value
 
 
 def certificate_from_json(text):
@@ -835,13 +847,15 @@ def certificate_from_json(text):
     if not all(isinstance(a, str) for a in annotations):
         raise ParseError("certificate field annotations must hold strings")
     algebra = build_algebra(AlgebraSpec(tuple(variables), tuple(relations)))
+    parsed = {}
     try:
         steps = tuple(
             RewriteStep(raw["rule"], raw["position"],
-                        {k: _payload_value_from_json(algebra, k, v)
+                        {k: _payload_value_from_json(algebra, k, v, parsed)
                          for k, v in raw["payload"].items()})
             for raw in raw_steps)
-        start, goal, lhs, rhs = (_state_from_json(algebra, data) for data in raw_states)
+        start, goal, lhs, rhs = (_state_from_json(algebra, data, parsed)
+                                 for data in raw_states)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"certificate data is malformed: {exc}") from None
     return Certificate(CertContext(algebra, n, algebra.element(c)), start, goal, steps,

@@ -1,12 +1,17 @@
 """Kahler differential modules of presented Artinian local Q-algebras.
 
-Omega^p is presented as the free module over the algebra on p-fold wedges of
-the variable differentials, modulo the submodule generated by dF wedged with
-every (p-1)-wedge for F in the reduced Groebner basis, saturated by all
-standard monomials.  Basis extraction is exact sparse row reduction with the
-deterministic pivot rule from linalg; the reduced basis consists of the
-non-pivot free coordinates, so every form has one canonical coordinate
+Omega^p of a presented algebra is the free module over the algebra on p-fold
+wedges of the variable differentials, modulo the submodule generated by dF
+wedged with every (p-1)-wedge for F in the reduced Groebner basis, saturated
+by all standard monomials.  Basis extraction is exact sparse row reduction
+with the deterministic pivot rule from linalg; the reduced basis consists of
+the non-pivot free coordinates, so every form has one canonical coordinate
 vector.
+
+Omega^p of B = A[s]/s^N stores no relation row.  Each layer s^k of it is
+Omega^p_A plus Omega^(p-1)_A ^ ds, so its basis columns are the layer images
+of A's, and a column outside them is reduced by the module of A whose block
+it lies in.
 
 Free coordinates are indexed by (basis monomial, wedge index set) pairs,
 flattened monomial-major so low monomials survive reduction first.
@@ -49,17 +54,19 @@ class OmegaModule:
         self.wedges = tuple(combinations(range(algebra.nvars), degree))
         self.wedge_index = {w: i for i, w in enumerate(self.wedges)}
         self.free_dim = algebra.dimension * len(self.wedges)
-        self._space = RowSpace()
+        # (monomial index, wedge index) of each reduced coordinate
         if algebra.base is None:
+            self._space = RowSpace()
             self._build_relations()
+            pivots = self._space.pivots
+            self.layout = tuple(divmod(c, len(self.wedges))
+                                for c in range(self.free_dim) if c not in pivots)
         else:
-            self._copy_relations()
-        pivots = set(self._space.pivots)
-        self.basis_cols = tuple(c for c in range(self.free_dim) if c not in pivots)
+            self._space = None
+            self.layout = self._graded_layout()
+        self.basis_cols = tuple(self.col(*cell) for cell in self.layout)
         self.col_index = {c: i for i, c in enumerate(self.basis_cols)}
         self.dimension = len(self.basis_cols)
-        # (monomial index, wedge index) of each reduced coordinate
-        self.layout = tuple(divmod(c, len(self.wedges)) for c in self.basis_cols)
 
     def col(self, mono_idx, wedge_idx):
         return mono_idx * len(self.wedges) + wedge_idx
@@ -85,37 +92,50 @@ class OmegaModule:
                     if row:
                         self._space.insert(row)
 
-    def _copy_relations(self):
-        """Relation echelon form of A[s]/s^N from A's, with no elimination.
-
-        Omega^p of B = A (x) Q[s]/s^N splits over the layers s^k into
-        Omega^p_A (columns without ds) and Omega^(p-1)_A ^ ds (columns with
-        ds), and d(s^N) = N s^(N-1) ds kills every ds column of the top
-        layer.  The column relabelling keeps the order within each block,
-        and reduced echelon forms are unique, so the copies are B's.
-        """
-        if self.degree == 0 or not self.wedges:
-            return
+    def _graded_layout(self):
+        """The layout of Omega^p of B = A[s]/s^N from A's modules, with no
+        elimination.  Over each layer s^k it is Omega^p_A (block 0) plus
+        Omega^(p-1)_A ^ ds (block 1); d(s^N) = N s^(N-1) ds kills block 1 of
+        the top layer.  Sets _blocks, (module of A, its wedges' indices here)
+        per block, and _back, (block, wedge index in A) per wedge here."""
         B = self.algebra
-        A, N, s = B.base, B.ext_order, B.nvars - 1
-        pivots = self._space.pivots
-        nw = len(self.wedges)
-        blocks = ((omega_module(A, self.degree), ()), (omega_module(A, self.degree - 1), (s,)))
-        for k in range(N):
-            for M, tail in blocks:
-                wcols = [self.wedge_index[w + tail] for w in M.wedges]
-                cols = [i * nw + w for i in B._place[k] for w in wcols]
-                if tail and k == N - 1:
-                    for c in cols:
-                        pivots[c] = {c: 1}
-                    continue
-                for col, row in M._space.pivots.items():
-                    pivots[cols[col]] = {cols[c]: v for c, v in row.items()}
+        blocks = [(omega_module(B.base, self.degree), ())]
+        if self.degree:
+            blocks.append((omega_module(B.base, self.degree - 1), (B.nvars - 1,)))
+        self._blocks = tuple((M, tuple(self.wedge_index[w + tail] for w in M.wedges))
+                             for M, tail in blocks)
+        self._back = {wb: (b, w) for b, (_, wmap) in enumerate(self._blocks)
+                      for w, wb in enumerate(wmap)}
+        return tuple(sorted((B._place[k][a], wmap[w])
+                            for b, (M, wmap) in enumerate(self._blocks)
+                            for k in range(B.ext_order - b)  # block 1 stops below s^(N-1)
+                            for a, w in M.layout))
 
     def reduce_free(self, free_vec):
         """Canonical reduced coordinates of a free-coordinate vector."""
-        residual = self._space.reduce(free_vec)
-        return {self.col_index[c]: v for c, v in residual.items() if v}
+        if self._space is not None:
+            residual = self._space.reduce(free_vec)
+            return {self.col_index[c]: v for c, v in residual.items() if v}
+        # over A[s]/s^N: a column off the basis is reduced by its block's
+        # module of A, whose rows are fully reduced, and placed back in its layer
+        B, nw, col_index = self.algebra, len(self.wedges), self.col_index
+        out = {}
+        for c, v in free_vec.items():
+            idx = col_index.get(c)
+            if idx is not None:
+                add_to(out, idx, v)
+                continue
+            i, wb = divmod(c, nw)
+            a, k = B._layout[i]
+            b, w = self._back[wb]
+            if b and k == B.ext_order - 1:
+                continue  # s^(N-1) ds, a multiple of d(s^N)
+            M, wmap = self._blocks[b]
+            place = B._place[k]
+            for j, q in M.reduce_free({M.col(a, w): v}).items():
+                a2, w2 = M.layout[j]
+                add_to(out, col_index[place[a2] * nw + wmap[w2]], q)
+        return out
 
     def form(self, free_vec=None):
         return DifferentialForm(self, self.reduce_free(free_vec) if free_vec else {})
@@ -132,7 +152,7 @@ class OmegaModule:
         return f"{mono} {dparts}".strip()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DifferentialForm:
     module: OmegaModule
     coords: dict

@@ -1,3 +1,5 @@
+import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from milnork.certify import (
 from milnork.errors import (
     AlgebraMismatch,
     NonUnitC,
+    ParseError,
     PositionInvalid,
     PrecisionInsufficient,
     PrecisionTooLarge,
@@ -264,6 +267,47 @@ def test_certificate_json_round_trip(t2):
     verdict = check_certificate(loaded)
     assert verdict.valid
     assert crosscheck_dlog(loaded).all_agree
+
+
+def _atom_pairs(node):
+    """Every [text, exponent] atom pair of a certificate document, in place."""
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from _atom_pairs(value)
+    elif isinstance(node, list):
+        if len(node) == 2 and isinstance(node[0], str) and type(node[1]) is int:
+            yield node
+        else:
+            for value in node:
+                yield from _atom_pairs(value)
+
+
+def test_certificate_json_parses_each_atom_string_once(monkeypatch):
+    m2 = alg(["x", "y"], ["x^2", "x*y", "y^2"])
+    text = certificate_to_json(vanishing_certificate(m2, m2.element("1 + x"), 2))
+    atoms = [pair[0] for pair in _atom_pairs(json.loads(text))]
+    assert len(atoms) > len(set(atoms)), "the document should repeat atom strings"
+    parsed, from_string = [], LaurentPolynomial.from_string
+    monkeypatch.setattr(LaurentPolynomial, "from_string", staticmethod(
+        lambda algebra, atom: parsed.append(atom) or from_string(algebra, atom)))
+    loaded = certificate_from_json(text)
+    assert sorted(parsed) == sorted(set(atoms))
+    assert certificate_to_json(loaded) == text
+
+
+def test_certificate_json_repeated_malformed_atom_raises_the_same_parse_error(t2):
+    doc = json.loads(certificate_to_json(vanishing_certificate(t2, t2.element("1+t"), 2)))
+    (common, count), = Counter(pair[0] for pair in _atom_pairs(doc)).most_common(1)
+    assert count > 1
+    bad = "1 + (t"
+    with pytest.raises(ParseError) as direct:
+        LaurentPolynomial.from_string(t2, bad)
+    for pair in _atom_pairs(doc):
+        if pair[0] == common:
+            pair[0] = bad
+    with pytest.raises(ParseError) as loaded:
+        certificate_from_json(json.dumps(doc))
+    assert str(loaded.value) == str(direct.value)
 
 
 def test_certificate_annotations_mention_projection_assumption(Q):

@@ -1,11 +1,12 @@
 """The closed form of A[s]/s^N against the generic construction.
 
-truncated_extension builds B = A[s]/s^N and its Omega^p relation echelon
-forms from A's data, copied layer by layer, so s * and ds ^ send basis forms
-to basis forms.  Each piece must equal what Buchberger, relation elimination,
-the module action and the wedge give on the same presentation, exactly:
-reduced echelon forms are unique, so the pivot rows themselves are
-compared, not only their count.
+truncated_extension builds B = A[s]/s^N from A's data, and Omega^p of B is
+a graded view of A's modules, layer by layer, that stores no relation row;
+so s * and ds ^ send basis forms to basis forms.  Each piece must equal what
+Buchberger, relation elimination, the module action and the wedge give on
+the same presentation, exactly: the basis columns, the layout and the
+reduced coordinates of every free unit vector are compared, and those
+coordinates determine the reduced echelon form.
 """
 
 import random
@@ -62,6 +63,25 @@ def _assert_same_ring(B, G):
             assert got.coords == (G.basis_element(i) * G.basis_element(j)).coords
 
 
+def _sparse(rng, dim):
+    return {i: rng.choice((-3, -2, -1, 1, 2, 3)) for i in rng.sample(range(dim), min(dim, 6))}
+
+
+def _assert_same_module(closed, generic, rng):
+    """Omega^p of B against relation elimination on the generic presentation,
+    coordinate by coordinate: the same basis columns and layout, and the same
+    reduced coordinates of every free unit vector and of random sparse vectors."""
+    assert closed._space is None and generic._space is not None
+    assert closed.free_dim == generic.free_dim
+    assert closed.basis_cols == generic.basis_cols
+    assert closed.layout == generic.layout
+    for c in range(closed.free_dim):
+        assert closed.reduce_free({c: 1}) == generic.reduce_free({c: 1}), c
+    for _ in range(8):
+        vec = _sparse(rng, closed.free_dim)
+        assert closed.reduce_free(vec) == generic.reduce_free(vec), vec
+
+
 @pytest.mark.parametrize("A", ALGEBRAS, ids=IDS)
 def test_ring_and_omega_match_generic(A):
     for N in (1, 2, 5, 12):
@@ -70,10 +90,9 @@ def test_ring_and_omega_match_generic(A):
         assert B.groebner == G.groebner and B.basis == G.basis, N
         if N <= 5:
             _assert_same_ring(B, G)
-        for p in (1, 2, 3):
-            closed, generic = omega_module(B, p), OmegaModule(G, p)
-            assert closed._space.pivots == generic._space.pivots, (N, p)
-            assert closed.basis_cols == generic.basis_cols, (N, p)
+        rng = random.Random(N * 1000 + B.dimension)
+        for p in (0, 1, 2, 3):
+            _assert_same_module(omega_module(B, p), OmegaModule(G, p), rng)
 
 
 def test_nested_extension_matches_generic():
@@ -82,12 +101,9 @@ def test_nested_extension_matches_generic():
     B = truncated_extension(inner, "eps", 2)
     G = build_algebra(AlgebraSpec(("t", "sigma", "eps"), ("t^3", "sigma^3", "eps^2"), "eps"))
     _assert_same_ring(B, G)
-    for p in (1, 2, 3):
-        assert omega_module(B, p)._space.pivots == OmegaModule(G, p)._space.pivots
-
-
-def _sparse(rng, dim):
-    return {i: rng.choice((-3, -2, -1, 1, 2, 3)) for i in rng.sample(range(dim), min(dim, 6))}
+    rng = random.Random(7)
+    for p in (0, 1, 2, 3):
+        _assert_same_module(omega_module(B, p), OmegaModule(G, p), rng)
 
 
 @pytest.mark.parametrize("A", ALGEBRAS, ids=IDS)
@@ -263,12 +279,31 @@ def test_honest_form_kernel_is_z(A):
 
 def test_decomposition_uses_the_generic_ring(monkeypatch):
     def closed_form_used(self):
-        raise AssertionError("decomposition_report built Omega^p in closed form")
+        raise AssertionError("decomposition_report built Omega^p as a graded view")
 
-    monkeypatch.setattr(OmegaModule, "_copy_relations", closed_form_used)
+    monkeypatch.setattr(OmegaModule, "_graded_layout", closed_form_used)
     XY = build_algebra(AlgebraSpec(("x", "y"), ("x^2", "x*y", "y^2")))
     rep = decomposition_report(XY, 3, 2)
     assert rep.verdict == "corrected" and rep.direct_dim == rep.eq6_corrected_dim
     (generic,) = XY._derived.values()
     assert not isinstance(generic, TruncatedExtension)
     assert truncated_extension(XY, "sigma", 3) is not generic
+
+
+def test_graded_modules_store_no_rows(monkeypatch):
+    """Omega^1 and Omega^2 of A[s]/s^N eliminate nothing and hold no echelon
+    row, so the rows held are A's own at every N."""
+    m4 = build_algebra(AlgebraSpec(*_load("workloads").ALGEBRAS["Q[x,y]/m^4"]))
+    a_rows = sum(omega_module(m4, p)._space.rank for p in (0, 1, 2))
+    inserts, insert = [], RowSpace.insert
+    monkeypatch.setattr(RowSpace, "insert",
+                        lambda space, row: inserts.append(row) or insert(space, row))
+    for N in (43, 128):
+        B = truncated_extension(m4, "sigma", N)
+        for p in (1, 2):
+            M = omega_module(B, p)
+            assert M._space is None and M.dimension < M.free_dim, (N, p)
+        assert not inserts, N
+        held = sum(M._space.rank for R in (m4, B) for M in R._omega_cache.values()
+                   if M._space is not None)
+        assert held == a_rows, N

@@ -130,7 +130,8 @@ def _cached_coordinates(A):
             for coords in getattr(B, name).values():
                 yield from ((name, v) for v in coords.values())
         for M in B._omega_cache.values():
-            for row in M._space.pivots.values():
+            # a module over A[s]/s^N stores no rows; it reduces through A's
+            for row in (M._space.pivots.values() if M._space is not None else ()):
                 yield from (("pivots", v) for v in row.values())
         for name in ("dlog", "dlog_wedges"):
             for form in B._misc_cache.get(name, {}).values():
