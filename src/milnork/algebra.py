@@ -336,13 +336,16 @@ class AlgebraElement:
 def build_algebra(spec):
     """Construct the Algebra for `spec`; staircase basis under degrevlex.
 
-    Raises NotArtinian when the staircase is infinite and NotLocal when some
-    non-constant standard monomial fails to be nilpotent.
+    Raises NotArtinian when the staircase is infinite and NotLocal when the
+    relations generate the unit ideal or some non-constant standard monomial
+    fails to be nilpotent.
     """
     nvars = len(spec.variables)
     rels = [parse_polynomial(r, spec.variables) for r in spec.relations]
     gb = buchberger(rels)
     leads = [g.leading()[0] for g in gb]
+    if any(sum(m) == 0 for m in leads):
+        raise NotLocal("the relations generate the unit ideal")
 
     bounds = []
     for i in range(nvars):

@@ -18,7 +18,8 @@ class NotArtinian(MilnorkError):
 
 
 class NotLocal(MilnorkError):
-    """Some non-constant standard monomial is not nilpotent."""
+    """The relations generate the unit ideal, or some non-constant standard
+    monomial is not nilpotent."""
 
 
 class NotAUnit(MilnorkError):

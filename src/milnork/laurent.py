@@ -270,9 +270,8 @@ def entry_is_one(e, order=None):
 class Symbol:
     """A frozen tuple of entries over one algebra.
 
-    Entries are SymbolEntry values (formal products of algebra units) or
-    LaurentEntry values (formal products of Laurent atoms); both provide
-    `algebra`, `atoms` and `key()`.
+    Entries are algebra units (AlgebraElement values) or LaurentEntry values
+    (formal products of Laurent atoms); both provide `algebra` and `key()`.
     """
 
     entries: tuple

@@ -1,5 +1,6 @@
 """Milnor symbols over the test algebras and their dlog realization.
 
+A symbol {u_1, ..., u_p} holds the units u_i of one algebra themselves.
 Symbols are formal: no quotient group is ever constructed.  The computable
 content is (a) the dlog realization into Omega^p, which kills the defining
 relations exactly, (b) generator families for the relative kernel of
@@ -10,7 +11,6 @@ K(A[s]/s^(n+1)) -> K(A[s]/s^n), (c) the evaluation sending a generator
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -37,94 +37,37 @@ from .linalg import RowSpace, augmented_space
 from .report import field_rows
 
 
-class SymbolEntry:
-    """A formal product of algebra units: atoms (element, exponent)."""
-
-    __slots__ = ("algebra", "atoms", "_collapsed", "_key")
-
-    def __init__(self, algebra, atoms):
-        self.algebra = algebra
-        norm = []
-        for elem, exp in atoms:
-            elem = algebra.element(elem)
-            exp = operator.index(exp)
-            if exp and not elem.augmentation():
-                raise NonUnitEntry(f"atom {elem} is not a unit")
-            if exp:
-                norm.append((elem, exp))
-        self.atoms = tuple(norm)
-        self._collapsed = None
-        self._key = None
-
-    def collapse(self):
-        """The product of the atom powers; a unit, as each atom is one."""
-        if self._collapsed is None:
-            acc = self.algebra.one
-            for elem, exp in self.atoms:
-                acc = acc * elem ** exp
-            self._collapsed = acc
-        return self._collapsed
-
-    def key(self):
-        if self._key is None:
-            self._key = self.collapse().key()
-        return self._key
-
-    def __str__(self):
-        return str(self.collapse())
+def _check_unit(u):
+    if not u.augmentation():
+        raise NonUnitEntry(f"entry {u} is not a unit")
+    return u
 
 
-def _unit_entry(u):
-    """The single-atom entry u.  The generator families build one per slot
-    value and share it, so its value and key are computed once."""
-    return SymbolEntry(u.algebra, [(u, 1)])
-
-
-def make_symbol(entries, coeff=1, algebra=None):
-    """Single-term combination from entry data.
-
-    Each entry may be a SymbolEntry, or an algebra element / expression string
-    (a single atom with exponent 1).
-    """
-    built = []
-    for entry in entries:
-        if isinstance(entry, SymbolEntry):
-            built.append(entry)
-            continue
-        if isinstance(entry, AlgebraElement):
-            built.append(_unit_entry(entry))
-            continue
-        if algebra is None:
-            raise AlgebraMismatch("need an algebra to parse string entries")
-        built.append(_unit_entry(algebra.element(entry)))
-    sym = Symbol(tuple(built))
+def make_symbol(units, coeff=1):
+    """The single-term combination coeff * {u_1, ..., u_k} of algebra units."""
+    sym = Symbol(tuple(_check_unit(u) for u in units))
     return SymbolCombination(sym.algebra, sym.degree, [(coeff, sym)])
 
 
-def dlog_realize(comb):
-    """Slot-wise dlog followed by wedge; Q-linear over the terms.
+def _dlog_wedge(algebra, units):
+    """dlog u_1 ^ ... ^ dlog u_k over `algebra`; the 0-form 1 when k = 0."""
+    acc = None
+    for u in units:
+        f = dlog(u)
+        acc = f if acc is None else wedge(acc, f)
+    return omega_module(algebra, 0).form({0: 1}) if acc is None else acc
 
-    Each entry goes to the sum of exp * dlog(atom) over its atoms, and each
-    symbol to the wedge of its entries' 1-forms.  Steinberg instances
-    {a, 1-a}, {a, -a} and repeats {a, a} land on wedges of proportional
-    1-forms and vanish exactly.
+
+def dlog_realize(comb):
+    """{u_1, ..., u_p} goes to dlog u_1 ^ ... ^ dlog u_p; Q-linear over the terms.
+
+    Steinberg instances {a, 1-a}, {a, -a} and repeats {a, a} land on wedges
+    of proportional 1-forms and vanish exactly.
     """
     A = comb.algebra
     total = omega_module(A, comb.degree).form()
-    zero = omega_module(A, 1).form()
     for coeff, sym in comb.terms:
-        parts = []
-        for entry in sym.entries:
-            acc = zero
-            for atom, exp in entry.atoms:
-                acc = acc + dlog(atom).scale(exp)
-            parts.append(acc)
-        if not parts:
-            continue
-        result = parts[0]
-        for part in parts[1:]:
-            result = wedge(result, part)
-        total = total + result.scale(coeff)
+        total = total + _dlog_wedge(A, sym.entries).scale(coeff)
     return total
 
 
@@ -134,17 +77,12 @@ def _coefficient_wedge(c, units):
     The wedge is memoized, like dlog, on the algebra it lives in, keyed by
     the units' keys; only the action of c is computed per call.
     """
-    A = units[0].algebra if units else c.algebra
+    A = c.algebra
     cache = A._misc_cache.setdefault("dlog_wedges", {})
     key = tuple(u.key() for u in units)
     acc = cache.get(key)
     if acc is None:
-        for u in units:
-            f = dlog(u)
-            acc = f if acc is None else wedge(acc, f)
-        if acc is None:
-            acc = omega_module(A, 0).form({0: 1})
-        cache[key] = acc
+        acc = cache[key] = _dlog_wedge(A, units)
     return acc.act(c)
 
 
@@ -183,23 +121,25 @@ def relative_generators(algebra, n, p, coeffs=None, units=None):
     sn = sigma ** n
     coeffs = coefficient_samples(algebra) if coeffs is None else [algebra.element(c) for c in coeffs]
     units = unit_samples(algebra) if units is None else [algebra.element(u) for u in units]
-    firsts = [_unit_entry(B.one + transport(c, B) * sn) for c in coeffs]
+    firsts = [B.one + transport(c, B) * sn for c in coeffs]  # units, as n >= 1
     heads = [((first,), p - 1) for first in firsts]
     if p >= 2:
-        one_minus = _unit_entry(B.one - sigma)
+        one_minus = B.one - sigma
         heads += [((first, one_minus), p - 2)
                   for c, first in zip(coeffs, firsts) if c.augmentation()]
-    return GeneratorFamily(tuple(heads), tuple(_unit_entry(transport(u, B)) for u in units))
+    return GeneratorFamily(B, tuple(heads), tuple(_check_unit(transport(u, B)) for u in units))
 
 
 @dataclass(frozen=True)
 class GeneratorFamily:
-    """The symbols head + tail, for each (head, k) in `heads` and each tail
-    of k entries from `lifted`, made on each pass from the shared entries.
+    """The symbols head + tail over B, for each (head, k) in `heads` and
+    each tail of k units from `lifted`, made on each pass from the shared
+    units, which were checked once when the family was built.
 
     len() counts them without building any.
     """
 
+    algebra: object
     heads: tuple
     lifted: tuple
 
@@ -209,24 +149,24 @@ class GeneratorFamily:
     def __iter__(self):
         for head, k in self.heads:
             for tail in product(self.lifted, repeat=k):
-                yield make_symbol(head + tail, 1)
+                yield SymbolCombination(self.algebra, len(head) + k, [(1, Symbol(head + tail))])
 
 
 def _slot_layers(entry):
-    """sigma_layers of the entry's value, once per distinct entry of its ring.
+    """sigma_layers of the entry, once per distinct entry of its ring.
 
-    The generator families share each slot's entry across many symbols, so
-    realizing a family classifies every distinct entry once."""
+    The generator families share each slot's unit across many symbols, so
+    realizing a family classifies every distinct unit once."""
     cache = entry.algebra._misc_cache.setdefault("slot_layers", {})
     key = entry.key()
     layers = cache.get(key)
     if layers is None:
-        layers = cache[key] = sigma_layers(entry.collapse())
+        layers = cache[key] = sigma_layers(entry)
     return layers
 
 
 def _first_slot_coefficient(entry, n):
-    """Extract c from a first slot collapsing to 1 + c s^n; None if malformed."""
+    """Extract c from a first slot equal to 1 + c s^n; None if malformed."""
     layers = _slot_layers(entry)
     if (len(layers) <= n or layers[0] != entry.algebra.base.one
             or any(layers[j] for j in range(1, len(layers)) if j != n)):
@@ -367,6 +307,8 @@ def transport_check(B, n):
     tensored with the cyclic module sigma^n/sigma^(n+1), computed as the
     quotient by the annihilator action.
     """
+    if n < 1:
+        raise ValueError("transport checks need n >= 1")
     sigma_name = B.spec.distinguished
     if sigma_name is None:
         raise SigmaNotDesignated("the algebra does not designate a sigma variable")

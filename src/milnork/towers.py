@@ -168,7 +168,8 @@ def parse_tower_file(text):
     """Tower input: a `dims:` line then one `map k:` line per adjacent pair.
 
     Matrix rows are separated by `;`, entries by `,`; entries are rational
-    literals.  Map k sends level k+1 to level k.
+    literals.  Map k sends level k+1 to level k; a map onto a level of
+    dimension 0 has 0 rows, written as an empty line.  Each key occurs once.
     """
     dims = None
     raw_maps = {}
@@ -182,9 +183,13 @@ def parse_tower_file(text):
         key = key.strip().lower()
         try:
             if key == "dims":
+                if dims is not None:
+                    raise ParseError(f"line {lineno}: repeated dims line")
                 dims = [whole(x.strip()) for x in value.split(",") if x.strip()]
             elif key.startswith("map"):
                 idx = whole(key[3:])
+                if idx in raw_maps:
+                    raise ParseError(f"line {lineno}: repeated map {idx}")
                 rows = []
                 for chunk in value.split(";"):
                     chunk = chunk.strip()
@@ -199,12 +204,17 @@ def parse_tower_file(text):
             raise ParseError(f"line {lineno}: bad number in {key!r}: {exc}") from None
     if dims is None:
         raise ParseError("missing dims line")
+    extra = sorted(set(raw_maps) - set(range(len(dims) - 1)))
+    if extra:
+        raise ParseError(f"map {extra[0]} is out of range for {len(dims)} levels")
     maps = []
     for k in range(len(dims) - 1):
         if k not in raw_maps:
             raise ParseError(f"missing map {k}")
         rows = raw_maps[k]
         if dims[k] == 0:
+            if rows != [[]]:
+                raise ParseError(f"map {k} onto a level of dimension 0 must be empty")
             rows = []
         maps.append(rows)
     try:

@@ -168,13 +168,13 @@ def test_families_into_a_zero_module_build_no_symbol(t3_spec_shared, p):
     # family; theorem2 counts 3 * 4^(p-1) + 4^(p-2) generators without them
     # (p = 31 is the largest p whose count len() can return)
     built = []
-    real = milnor.make_symbol
+    real = milnor.Symbol
 
     def counting(*args, **kwargs):
         built.append(args)
         return real(*args, **kwargs)
 
-    milnor.make_symbol = counting
+    milnor.Symbol = counting
     try:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -183,7 +183,7 @@ def test_families_into_a_zero_module_build_no_symbol(t3_spec_shared, p):
             assert main(["theorem2", "--algebra", t3_spec_shared, "--n", "2", "--p", str(p),
                          "--format", "record"]) == 0
     finally:
-        milnor.make_symbol = real
+        milnor.Symbol = real
     assert built == []
     assert out.getvalue().count("span.rank=0\nspan.dim=0\nspan.spans=true\n") == 2
     assert f"theorem2.generators={3 * 4 ** (p - 1) + 4 ** (p - 2)}\n" in out.getvalue()
@@ -692,3 +692,70 @@ def test_certificates_over_an_algebra_with_a_sigma_variable(capsys, tmp_path, cm
     assert "eps" in claim
     code, reloaded = run(capsys, cmd, "--load", str(saved), "--format", "record")
     assert (code, reloaded) == (0, out.replace(f"certificate.saved={saved}\n", ""))
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra-info"], ["omega", "--p", "1"], ["decomposition", "--n", "1", "--p", "1"],
+    ["phi", "--n", "1", "--p", "2"], ["theorem2", "--n", "1", "--p", "2"],
+    ["tangent-span", "--p", "2"], ["certify-eq7", "--c", "1", "--n", "1"],
+    ["certify-eq8", "--c", "1", "--n", "1"], ["tau", "--n", "1"],
+])
+@pytest.mark.parametrize("spec_text", [
+    "variables: t\nrelations: 1\n",
+    "variables: t\nrelations: 2, t^3\n",
+    "variables:\nrelations: 1\n",
+    "variables: t, sigma\nrelations: t^2, t - 1, sigma^2\nsigma: sigma\n",
+])
+def test_zero_ring_is_not_local(capsys, tmp_path, argv, spec_text):
+    # the relations generate the unit ideal: the quotient is the zero ring,
+    # which used to crash the symbol commands and pass the others
+    spec = tmp_path / "zero.spec"
+    spec.write_text(spec_text)
+    code = main([*argv, "--algebra", str(spec), "--format", "record"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "input error: the relations generate the unit ideal\n"
+
+
+def test_saved_certificate_over_the_zero_ring_exit_2(capsys, tmp_path, t3_eq8_doc):
+    t3_eq8_doc["context"]["relations"] = ["1"]
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert (code, out) == (2, "")
+    assert err == "input error: the relations generate the unit ideal\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_tau_needs_level_one(capsys, tmp_path, n):
+    # --n 0 used to fail inside the engine on a truncation order, --n -1 on
+    # an exponent of a generated relation
+    spec = tmp_path / "b.spec"
+    spec.write_text("variables: t, sigma\nrelations: t^2, sigma^3, t*sigma\nsigma: sigma\n")
+    code = main(["tau", "--algebra", str(spec), "--n", n, "--format", "record"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "input error: transport checks need n >= 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dims: 2, 2\ndims: 1, 1\nmap 0: 1\n", "line 2: repeated dims line"),
+    ("dims: 1, 1\nmap 0: 1\nmap 0: 2\n", "line 3: repeated map 0"),
+    ("dims: 1, 1\nmap 0: 1\nmap 1: 2\n", "map 1 is out of range for 2 levels"),
+    ("dims: 1\nmap 0: 1\n", "map 0 is out of range for 1 levels"),
+    ("dims: 0, 2\nmap 0: 1, 0\n", "map 0 onto a level of dimension 0 must be empty"),
+    ("dims: 0, 2\nmap 0: ;\n", "map 0 onto a level of dimension 0 must be empty"),
+])
+def test_malformed_tower_file_exit_2(capsys, tmp_path, text, message):
+    # each of these used to load: the last line won, or the map was dropped
+    tower = tmp_path / "bad.tower"
+    tower.write_text(text)
+    code = main(["tower", "--tower", str(tower), "--format", "record"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"input error: {message}\n"
+
+
+def test_tower_map_onto_a_zero_level_is_an_empty_line(capsys, tmp_path):
+    tower = tmp_path / "z.tower"
+    tower.write_text("dims: 0, 2\nmap 0:\n")
+    code, out = run(capsys, "tower", "--tower", str(tower), "--format", "record")
+    assert code == 0 and "limit.dim=2" in out

@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from milnork.algebra import AlgebraSpec, build_algebra, transport, truncated_extension
+from milnork.algebra import (
+    AlgebraElement,
+    AlgebraSpec,
+    build_algebra,
+    transport,
+    truncated_extension,
+)
 from milnork.errors import (
     NonUnitEntry,
     NotGeneratorShape,
@@ -12,7 +18,6 @@ from milnork.family import builtin_algebras
 from milnork.kahler import map_form, omega_module
 from milnork.linalg import RowSpace
 from milnork.milnor import (
-    SymbolEntry,
     coefficient_samples,
     dlog_realize,
     make_symbol,
@@ -36,25 +41,21 @@ def t3():
 
 
 def test_make_symbol_guards(t3):
-    s = make_symbol(["1+t", "2"], 1, algebra=t3)
+    u, two = t3.element("1+t"), t3.element("2")
+    s = make_symbol([u, two], Fraction(1, 2))
     assert len(s.terms) == 1 and s.terms[0][1].degree == 2
-    with pytest.raises(NonUnitEntry):
-        make_symbol(["t", "1+t"], 1, algebra=t3)
-
-
-def test_formal_product_entries(t3):
-    entry = SymbolEntry(t3, [(t3.element("1+t"), 1), (t3.element("2"), -1)])
-    s = make_symbol([entry, "3"], Fraction(1, 2), algebra=t3)
-    value = entry.collapse()
-    assert value * t3.element("2") == t3.element("1+t")
     assert s.terms[0][0] == Fraction(1, 2)
+    assert s.terms[0][1].entries == (u, two)
+    with pytest.raises(NonUnitEntry):
+        make_symbol([t3.element("t"), u])
 
 
 def test_combination_merges_value_equal_terms(t3):
-    a = make_symbol(["1+t", "2"], 1, algebra=t3)
-    entry = SymbolEntry(t3, [(t3.element("2"), 1), (t3.element("2"), -1),
-                             (t3.element("1+t"), 1)])
-    b = make_symbol([entry, "2"], -1, algebra=t3)
+    a = make_symbol([t3.element("1+t"), t3.element("2")], 1)
+    # equal units, reached through other arithmetic
+    u = t3.element("2") * t3.element("1/2") * t3.element("1+t")
+    b = make_symbol([u, t3.element("4 - 2")], -1)
+    assert u is not a.terms[0][1].entries[0]
     assert not (a + b)
 
 
@@ -69,7 +70,7 @@ def test_steinberg_and_friends_vanish(t3):
 def test_spec_vanishing_example():
     A = alg(["t"], ["t^2"])
     B = truncated_extension(A, "sigma", 2)
-    s = make_symbol(["1 + t*sigma", "1 - sigma"], 1, algebra=B)
+    s = make_symbol([B.element("1 + t*sigma"), B.element("1 - sigma")], 1)
     assert not dlog_realize(s)
 
 
@@ -141,12 +142,19 @@ def test_family_length_counts_what_iteration_builds(n, p):
             assert [g.key() for g in family] == [g.key() for g in built]  # re-readable
 
 
-def test_entry_exponents_must_be_integers(t3):
-    u = t3.element("1+t")
-    for exp in (1.5, Fraction(3, 2), "3"):
-        with pytest.raises(TypeError):
-            SymbolEntry(t3, [(u, exp)])
-    assert SymbolEntry(t3, [(u, 2)]).collapse() == u * u
+def test_family_units_are_checked_when_it_is_built(t3):
+    with pytest.raises(NonUnitEntry):
+        relative_generators(t3, 1, 2, units=["t"])
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 3)])
+def test_family_entries_are_units_of_the_extension(t3, n, p):
+    family = relative_generators(t3, n, p)
+    B = truncated_extension(t3, "sigma", n + 1)
+    for g in family:
+        (_, sym), = g.terms
+        assert all(isinstance(e, AlgebraElement) and e.algebra is B and e.augmentation()
+                   for e in sym.entries)
 
 
 def test_realizing_a_family_inverts_each_unit_once(monkeypatch):
@@ -170,32 +178,32 @@ def test_realizing_a_family_inverts_each_unit_once(monkeypatch):
 
 def test_relative_realize_examples(t3):
     B = truncated_extension(t3, "sigma", 2)
-    s = make_symbol(["1 + t*sigma", "1 + t"], 1, algebra=B)
+    s = make_symbol([B.element("1 + t*sigma"), B.element("1 + t")], 1)
     f = relative_realize(s, 1)
     assert f.coords == {1: Fraction(1)}  # t * dlog(1+t) = t dt
-    s0 = make_symbol(["1 + sigma", "2"], 1, algebra=B)
+    s0 = make_symbol([B.element("1 + sigma"), B.element("2")], 1)
     assert not relative_realize(s0, 1)
-    sv = make_symbol(["1 + sigma", "1 - sigma"], 1, algebra=B)
+    sv = make_symbol([B.element("1 + sigma"), B.element("1 - sigma")], 1)
     assert not relative_realize(sv, 1)
 
 
 def test_relative_realize_rejects_bad_shapes(t3):
     B = truncated_extension(t3, "sigma", 2)
     with pytest.raises(NotGeneratorShape):
-        relative_realize(make_symbol(["1 + t", "2"], 1, algebra=B), 1)
+        relative_realize(make_symbol([B.element("1 + t"), B.element("2")], 1), 1)
     with pytest.raises(NotGeneratorShape):
-        relative_realize(make_symbol(["1 + t*sigma", "1 + sigma"], 1, algebra=B), 1)
+        relative_realize(make_symbol([B.element("1 + t*sigma"), B.element("1 + sigma")], 1), 1)
     with pytest.raises(NotGeneratorShape):
-        relative_realize(make_symbol(["1+t", "2"], 1, algebra=t3), 1)
+        relative_realize(make_symbol([t3.element("1+t"), t3.element("2")], 1), 1)
     B3 = truncated_extension(t3, "sigma", 3)
     with pytest.raises(NotGeneratorShape):
-        relative_realize(make_symbol(["1 + t*sigma^2", "2"], 1, algebra=B3), 1)
+        relative_realize(make_symbol([B3.element("1 + t*sigma^2"), B3.element("2")], 1), 1)
 
 
 def test_relative_realize_degree_one(t3):
     # degree-1 classes land in Omega^0 = A as the leading coefficient itself
     B = truncated_extension(t3, "sigma", 2)
-    s = make_symbol(["1 + t*sigma"], 1, algebra=B)
+    s = make_symbol([B.element("1 + t*sigma")], 1)
     f = relative_realize(s, 1)
     assert f.module.degree == 0
     expected = omega_module(t3, 0).form(t3.element("t").coords)
@@ -212,18 +220,19 @@ def test_relative_ranks_spec_case(t3):
 
 def test_tangent_realize(t3):
     T = truncated_extension(t3, "eps", 2)
-    s = make_symbol(["1 + 3*eps", "2"], 1, algebra=T)
+    s = make_symbol([T.element("1 + 3*eps"), T.element("2")], 1)
     assert not tangent_realize(s)
-    s2 = make_symbol(["1 + t*eps", "1 + t"], 1, algebra=T)
+    s2 = make_symbol([T.element("1 + t*eps"), T.element("1 + t")], 1)
     assert tangent_realize(s2).coords == {1: Fraction(1)}
-    s3 = make_symbol(["1 + eps", "1 + t"], Fraction(1, 2), algebra=T)
+    s3 = make_symbol([T.element("1 + eps"), T.element("1 + t")], Fraction(1, 2))
     assert tangent_realize(s2 + s3) == tangent_realize(s2) + tangent_realize(s3)
     # a 1 - eps slot sends the term to zero, whatever the slots after it
-    assert not tangent_realize(make_symbol(["1 + t*eps", "1 - eps"], 1, algebra=T))
-    assert not tangent_realize(make_symbol(["1 + eps", "1 - eps", "1 + t*eps"], 1, algebra=T))
+    assert not tangent_realize(make_symbol([T.element("1 + t*eps"), T.element("1 - eps")], 1))
+    assert not tangent_realize(make_symbol([T.element("1 + eps"), T.element("1 - eps"),
+                                            T.element("1 + t*eps")], 1))
+    T3 = truncated_extension(t3, "eps", 3)
     with pytest.raises(NotGeneratorShape, match="expected truncation order 2, got 3"):
-        tangent_realize(make_symbol(["1 + eps", "2"], 1,
-                                    algebra=truncated_extension(t3, "eps", 3)))
+        tangent_realize(make_symbol([T3.element("1 + eps"), T3.element("2")], 1))
 
 
 def test_tangent_span_spec_example(t3):
