@@ -4,11 +4,14 @@ An Algebra is a quotient Q[x_1,...,x_m]/I with a reduced degrevlex Groebner
 basis, a finite staircase monomial basis, and nilpotent augmentation ideal.
 Elements are coordinate vectors over the monomial basis, keyed by basis
 index as forms and echelon rows are.  Everything is immutable after
-construction; per-instance memo caches never change observable results.
+construction.  What is derived from an algebra (its Omega^p, derived
+algebras, dlog forms, certificate realizers) is built once per algebra by
+`Algebra.memo(table, key, build, *args)`, so callers share one immutable result.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, product
@@ -148,17 +151,26 @@ class Algebra:
         self.base = None           # set by TruncatedExtension
         self.ext_name = None
         self.ext_order = None
+        # the structure constants stay plain dicts, not memo tables: the product
+        # loop reads them on every basis pair, too often for a closure per call
         self._mono_nf = {}
         self._pair_cache = {}
-        self._omega_cache = {}
-        self._derived = {}  # spec -> algebra, see derived_algebra
-        self._misc_cache = {}
+        self._memo = defaultdict(dict)  # table -> {key: value}, see memo
         # the product view: basis[i] is ring.basis[a] * s^k for (a, k) = _layout[i],
         # and _place[k][a] == i.  A plain algebra is its own ring at s-degree 0.
         # An element is its 0-form: coordinate i is (basis index i, wedge 0).
         self.ring = self
         self._layout = self._scalars = tuple((i, 0) for i in range(self.dimension))
         self._place = (tuple(range(self.dimension)),)
+
+    def memo(self, table, key, build, *args):
+        """build(*args), never None, computed once per (table, key) on this algebra.
+        Hot callers pass the builder and its arguments: a closure is made per call."""
+        entries = self._memo[table]
+        got = entries.get(key)
+        if got is None:
+            entries[key] = got = build(*args)
+        return got
 
     # -- construction helpers -------------------------------------------------
 
@@ -400,17 +412,10 @@ def invert_unit(algebra, u):
 
 def derived_algebra(parent, variables, relations, distinguished=None, build=build_algebra):
     """Q[variables]/(relations) built from `parent` by `build(spec)`, once
-    per spec.
-
-    The result is cached on the parent, so every caller that derives the
-    same presentation from the same algebra shares one Algebra instance and
-    its memo caches.
-    """
+    per spec on the parent's memo, so every caller that derives the same
+    presentation from the same algebra shares one Algebra and its memos."""
     spec = AlgebraSpec(tuple(variables), tuple(relations), distinguished)
-    got = parent._derived.get(spec)
-    if got is None:
-        got = parent._derived[spec] = build(spec)
-    return got
+    return parent.memo("derived", spec, build, spec)
 
 
 class TruncatedExtension(Algebra):
@@ -461,11 +466,9 @@ def extension_name(algebra):
 
     s is bound there, so the name changes no verdict; only printed symbols
     and saved certificates show it."""
-    cache = algebra._misc_cache
-    if "extension_name" not in cache:
-        names = chain(("sigma", "eps"), (f"s{i}" for i in count()))
-        cache["extension_name"] = next(name for name in names if name not in algebra.names)
-    return cache["extension_name"]
+    return algebra.memo("extension_name", algebra.names, lambda: next(
+        name for name in chain(("sigma", "eps"), (f"s{i}" for i in count()))
+        if name not in algebra.names))
 
 
 def transport(e, target):

@@ -573,34 +573,24 @@ class ExtendedRealizer:
         self.omega2 = omega_module(self.ring, 2)
         self.s = self.ring.variable(self.ring.ext_name)
         self.ds = d(self.s)
-        self._entry_cache = {}
-        self._term_cache = {}
 
     def entry_dlog(self, entry):
-        """(omega, a) with dlog of the entry = omega + a * dlog(s)."""
-        key = entry.key()
-        cached = self._entry_cache.get(key)
-        if cached is not None:
-            return cached
-        omega = self.omega1.form()
-        s_part = 0
-        for poly, exp in entry.atoms:
-            v = poly.ord()
-            omega = omega + dlog(lift_laurent(poly, self.ring, v)).scale(exp)
-            s_part += exp * v
-        cached = (omega, s_part)
-        self._entry_cache[key] = cached
-        return cached
+        """(omega, a) with dlog of the entry = omega + a * dlog(s), once per entry."""
+        def build():
+            omega, s_part = self.omega1.form(), 0
+            for poly, exp in entry.atoms:
+                v = poly.ord()
+                omega = omega + dlog(lift_laurent(poly, self.ring, v)).scale(exp)
+                s_part += exp * v
+            return omega, s_part
+        return self.ring.memo("entry_dlog", entry.key(), build)
 
     def realize_term(self, sym):
-        """Coordinates of s * dlog e1 ^ dlog e2 for a degree-2 symbol."""
-        key = sym.key()
-        row = self._term_cache.get(key)
-        if row is None:
+        """Coordinates of s * dlog e1 ^ dlog e2 for a degree-2 symbol, once per symbol."""
+        def build():
             (w1, a1), (w2, a2) = (self.entry_dlog(e) for e in sym.entries)
-            form = wedge(w1, w2).act(self.s) + wedge(w1.scale(a2) - w2.scale(a1), self.ds)
-            row = self._term_cache[key] = form.coords
-        return row
+            return (wedge(w1, w2).act(self.s) + wedge(w1.scale(a2) - w2.scale(a1), self.ds)).coords
+        return self.ring.memo("term", sym.key(), build)
 
     def realize_state(self, state):
         total = {}
@@ -682,7 +672,7 @@ def crosscheck_dlog(cert, precision=None):
             f"need at least {max(3 * max_span, max_span + 1)}")
 
     A = cert.context.algebra
-    realizer = _realizer_for(A, N)
+    realizer = shared_realizer(A, N)
     # a truncated state's form, read in A[s]/s^(n+2): s * is injective on
     # Omega^2 of A[s]/s^(n+1), so equality there is equality of the states
     small_ring = truncated_extension(A, extension_name(A), n + 2)
@@ -711,13 +701,9 @@ def crosscheck_dlog(cert, precision=None):
     return CrosscheckReport(N, tuple(step_rows), all_ok, final_zero)
 
 
-def _realizer_for(algebra, N):
-    cache = algebra._misc_cache.setdefault("realizers", {})
-    got = cache.get(N)
-    if got is None:
-        got = ExtendedRealizer(algebra, N)
-        cache[N] = got
-    return got
+def shared_realizer(algebra, precision):
+    """The one ExtendedRealizer of the algebra at this precision."""
+    return algebra.memo("realizer", precision, ExtendedRealizer, algebra, precision)
 
 
 # -- certificate (de)serialization ----------------------------------------------
@@ -824,7 +810,10 @@ def certificate_from_json(text):
     A document of the wrong shape raises ParseError.  A step that lacks a
     field its rule needs still loads; the checker rejects it at that step.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ParseError("certificate JSON is nested too deeply") from None
     ctx = _field(doc, "context", dict)
     variables = _field(ctx, "variables", list, "context.")
     relations = _field(ctx, "relations", list, "context.")

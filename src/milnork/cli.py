@@ -36,7 +36,7 @@ from .towers import limit_dim, ml_window_check, parse_tower_file, surjectivity_c
 
 
 def parse_algebra_file(text):
-    """Key/value algebra spec: variables, relations, optional sigma and order."""
+    """Key/value algebra spec: variables, relations, optional sigma and order, once each."""
     data = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -45,7 +45,12 @@ def parse_algebra_file(text):
         if ":" not in line:
             raise MilnorkError(f"algebra file line {lineno}: expected 'key: value'")
         key, value = line.split(":", 1)
-        data[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key not in ("variables", "relations", "sigma", "order"):
+            raise ParseError(f"algebra file line {lineno}: unknown key {key!r}")
+        if key in data:
+            raise ParseError(f"algebra file line {lineno}: repeated key {key!r}")
+        data[key] = value.strip()
     variables = tuple(v.strip() for v in data.get("variables", "").split(",") if v.strip())
     relations = tuple(r.strip() for r in data.get("relations", "").split(",") if r.strip())
     sigma = data.get("sigma") or None
@@ -295,7 +300,7 @@ def main(argv=None):
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, MilnorkError, ValueError) as exc:
+    except (OSError, MilnorkError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

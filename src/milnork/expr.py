@@ -1,8 +1,8 @@
 """Parser and printer for the expression grammar.
 
-Grammar: rational literals (`3`, `-2/5`), variable names
-`[a-zA-Z][a-zA-Z0-9_]*`, operators `+ - * ^` where `^` takes a nonnegative
-integer literal, and parentheses.  Whitespace is insignificant.
+Grammar: rational literals (`3`, `-2/5`), variable names `[a-zA-Z][a-zA-Z0-9_]*`,
+operators `+ - * ^` where `^` takes a nonnegative integer literal, and
+parentheses nested at most MAX_NESTING deep.  Whitespace is insignificant.
 
 The parser builds its value from two leaf constructors, one for rational
 literals and one for variables; the leaves' own + - * ** do the rest.  Over
@@ -15,6 +15,9 @@ import re
 from .errors import ParseError
 from .linalg import rational
 from .poly import Polynomial
+
+# five parser frames per parenthesis, well inside the default recursion limit
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:\s*/\s*\d+)?)|([A-Za-z][A-Za-z0-9_]*)|([()+\-*^]))")
 
@@ -44,7 +47,7 @@ def tokenize(text):
 class _Parser:
     def __init__(self, tokens, names, text, constant, variable):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = self.depth = 0
         self.index = {n: i for i, n in enumerate(names)}
         self.text = text
         self.constant = constant
@@ -85,11 +88,11 @@ class _Parser:
                 return result
 
     def factor(self):
-        kind, value = self.peek()
-        if kind == "op" and value == "-":
+        negate = False
+        while self.peek() == ("op", "-"):  # a loop, so no sign chain recurses
             self.pos += 1
-            return -self.factor()
-        return self.power()
+            negate = not negate
+        return -self.power() if negate else self.power()
 
     def power(self):
         base = self.atom()
@@ -111,8 +114,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r} in {self.text!r}")
             return self.variable(self.index[value])
         if kind == "op" and value == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} in {self.text!r}")
             inner = self.expression()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected end of expression in {self.text!r}")
 

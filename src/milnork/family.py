@@ -3,6 +3,8 @@
 The list is versioned: additions are appended, existing entries never change.
 """
 
+from functools import cache
+
 from .algebra import AlgebraSpec, build_algebra
 
 _SPECS = (
@@ -14,12 +16,8 @@ _SPECS = (
     ("Q[x,y]/(x^2,xy,y^2,y^3)", ("x", "y"), ("x^2", "x*y", "y^2", "y^3")),
 )
 
-_cache = None
 
-
+@cache
 def builtin_algebras():
     """Ordered (name, algebra) pairs; the algebra objects are shared."""
-    global _cache
-    if _cache is None:
-        _cache = tuple((name, build_algebra(AlgebraSpec(v, r))) for name, v, r in _SPECS)
-    return _cache
+    return tuple((name, build_algebra(AlgebraSpec(v, r))) for name, v, r in _SPECS)

@@ -211,14 +211,10 @@ class DifferentialForm:
 
 
 def omega_module(algebra, p):
-    """Omega^p of the algebra over Q (cached per algebra instance)."""
+    """Omega^p of the algebra over Q, built once per algebra."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    cached = algebra._omega_cache.get(p)
-    if cached is None:
-        cached = OmegaModule(algebra, p)
-        algebra._omega_cache[p] = cached
-    return cached
+    return algebra.memo("omega", p, OmegaModule, algebra, p)
 
 
 def d(x):
@@ -265,12 +261,7 @@ def dlog(u):
     if not u.augmentation():
         raise NotAUnit(f"dlog of non-unit {u}")
     A = u.algebra
-    cache = A._misc_cache.setdefault("dlog", {})
-    key = u.key()
-    form = cache.get(key)
-    if form is None:
-        form = cache[key] = d(u).act(invert_unit(A, u))
-    return form
+    return A.memo("dlog", u.key(), lambda: d(u).act(invert_unit(A, u)))
 
 
 def map_form(f, target_algebra):

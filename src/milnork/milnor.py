@@ -78,12 +78,7 @@ def _coefficient_wedge(c, units):
     the units' keys; only the action of c is computed per call.
     """
     A = c.algebra
-    cache = A._misc_cache.setdefault("dlog_wedges", {})
-    key = tuple(u.key() for u in units)
-    acc = cache.get(key)
-    if acc is None:
-        acc = cache[key] = _dlog_wedge(A, units)
-    return acc.act(c)
+    return A.memo("dlog_wedges", tuple(u.key() for u in units), _dlog_wedge, A, units).act(c)
 
 
 # -- deterministic sample grids ------------------------------------------------
@@ -157,12 +152,7 @@ def _slot_layers(entry):
 
     The generator families share each slot's unit across many symbols, so
     realizing a family classifies every distinct unit once."""
-    cache = entry.algebra._misc_cache.setdefault("slot_layers", {})
-    key = entry.key()
-    layers = cache.get(key)
-    if layers is None:
-        layers = cache[key] = sigma_layers(entry)
-    return layers
+    return entry.algebra.memo("slot_layers", entry.key(), sigma_layers, entry)
 
 
 def _first_slot_coefficient(entry, n):
@@ -172,6 +162,10 @@ def _first_slot_coefficient(entry, n):
             or any(layers[j] for j in range(1, len(layers)) if j != n)):
         return None
     return layers[n]
+
+
+def _one_minus_key(B, s):
+    return (B.one - B.variable(s)).key()
 
 
 def relative_realize(comb, n):
@@ -188,9 +182,7 @@ def relative_realize(comb, n):
     if B.ext_order != n + 1:
         raise NotGeneratorShape(f"expected truncation order {n + 1}, got {B.ext_order}")
     s = B.ext_name
-    one_minus_s = B._misc_cache.get("one_minus_sigma")
-    if one_minus_s is None:
-        one_minus_s = B._misc_cache["one_minus_sigma"] = (B.one - B.variable(s)).key()
+    one_minus_s = B.memo("one_minus", s, _one_minus_key, B, s)
     total = omega_module(B.base, comb.degree - 1).form()
     for coeff, sym in comb.terms:
         c = _first_slot_coefficient(sym.entries[0], n)

@@ -13,10 +13,10 @@ from .algebra import AlgebraSpec, build_algebra, transport, truncated_extension
 from .certify import (
     CheckState,
     RewriteStep,
-    _realizer_for,
     check_certificate,
     check_step,
     crosscheck_dlog,
+    shared_realizer,
     splitting_certificate,
     vanishing_certificate,
 )
@@ -255,7 +255,7 @@ def rule_soundness_checks():
 
     def run(kind, algebra, state, step):
         counts[kind] = counts.get(kind, 0) + 1
-        realizer = _realizer_for(algebra, 8)
+        realizer = shared_realizer(algebra, 8)
         before = realizer.realize_state(state)
         after_state = check_step(CheckState(state), step).state
         after = realizer.realize_state(after_state)
@@ -357,7 +357,7 @@ def rule_soundness_checks():
                                   LaurentEntry(A, [(poly, 1)])))
                     state = SymbolCombination(A, 2, [(q, sym)])
                     counts["projection"] = counts.get("projection", 0) + 1
-                    realizer = _realizer_for(A, 8)
+                    realizer = shared_realizer(A, 8)
                     before = realizer.realize_state(state)
                     out = check_step(CheckState(state),
                                      RewriteStep("projection", {}, {"order": n + 1}))

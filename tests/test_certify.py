@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from milnork import certify
-from milnork.algebra import AlgebraSpec, build_algebra, truncated_extension
+from milnork import certify, kahler
+from milnork.algebra import Algebra, AlgebraSpec, build_algebra, truncated_extension
 from milnork.certify import (
     MAX_PRECISION,
     CheckState,
@@ -30,6 +30,7 @@ from milnork.errors import (
     PrecisionTooLarge,
     SideConditionFailed,
 )
+from milnork.kahler import OmegaModule
 from milnork.laurent import (
     LaurentEntry,
     LaurentPolynomial,
@@ -195,6 +196,34 @@ def test_crosscheck_agreement(Q, t2):
         assert rep.all_agree
         assert rep.final_realization_zero
         assert rep.precision == default_precision(n)
+
+
+def test_repeated_crosscheck_builds_nothing(monkeypatch):
+    """Everything a crosscheck derives from its algebra is built once, on the
+    algebras' memos: each (table, key) is built once in the first crosscheck,
+    and a second one at the same precision, of an equal certificate, builds
+    no realizer, module or algebra, no new dlog and no memo entry at all."""
+    A = alg(["x", "y"], ["x^2", "y^2"])
+    first, second = (vanishing_certificate(A, A.element("1 + x"), 2) for _ in range(2))
+    second.replay  # the checker's replay is the certificate's own
+    builds, memo = Counter(), Algebra.memo
+    monkeypatch.setattr(Algebra, "memo", lambda self, table, key, build, *args: memo(
+        self, table, key, lambda: builds.update([(id(self), table, key)]) or build(*args)))
+    report = crosscheck_dlog(first)
+    assert report.all_agree and max(builds.values()) == 1
+    assert {table for _, table, _ in builds} >= {"realizer", "derived", "omega", "dlog",
+                                                 "entry_dlog", "term"}
+
+    built = Counter()
+    for cls in (certify.ExtendedRealizer, OmegaModule, Algebra):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _cls=cls, _init=init: (
+            built.update([_cls.__name__]), _init(self, *args))[1])
+    d = kahler.d
+    monkeypatch.setattr(kahler, "d", lambda x: built.update(["d"]) or d(x))
+    before = builds.copy()
+    assert crosscheck_dlog(second) == report
+    assert not built and builds == before
 
 
 def test_crosscheck_tracks_laurent_only_chain(Q):

@@ -759,3 +759,87 @@ def test_tower_map_onto_a_zero_level_is_an_empty_line(capsys, tmp_path):
     tower.write_text("dims: 0, 2\nmap 0:\n")
     code, out = run(capsys, "tower", "--tower", str(tower), "--format", "record")
     assert code == 0 and "limit.dim=2" in out
+
+
+@pytest.mark.parametrize("option", ["--algebra", "--tower", "--load", "--output", "--save"])
+def test_a_directory_path_is_an_input_error(capsys, tmp_path, t3_spec, option):
+    # an IsADirectoryError traceback with exit 1 before; any OSError is an input error
+    argv = {"--algebra": ["omega", "--algebra", str(tmp_path), "--p", "1"],
+            "--tower": ["tower", "--tower", str(tmp_path)],
+            "--load": ["certify-eq8", "--load", str(tmp_path)],
+            "--output": ["omega", "--algebra", t3_spec, "--p", "1", "--output", str(tmp_path)],
+            "--save": ["certify-eq8", "--algebra", t3_spec, "--c", "2", "--n", "1",
+                       "--save", str(tmp_path)]}[option]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: ") and "Is a directory" in captured.err
+
+
+def _nested(text, depth):
+    return "(" * depth + text + ")" * depth
+
+
+@pytest.mark.parametrize("depth, code", [(100, 0), (101, 2), (200, 2)])
+def test_nested_parentheses_in_c(capsys, t3_spec, depth, code):
+    # 200 levels raised RecursionError (exit 1, traceback) before
+    got = main(["certify-eq8", "--algebra", t3_spec, "--c", _nested("1+t", depth), "--n", "1",
+                "--format", "record"])
+    captured = capsys.readouterr()
+    assert got == code
+    if code:
+        assert captured.err.startswith("input error: parentheses nested deeper than 100 in ")
+
+
+def test_a_run_of_minus_signs_is_a_loop(capsys, t3_spec):
+    # 2,000 signs raised RecursionError (exit 1, traceback) before; an even run is +
+    argv = ["certify-eq8", "--algebra", t3_spec, "--n", "1", "--format", "record"]
+    assert run(capsys, *argv, "--c=" + "-" * 2000 + "2") == run(capsys, *argv, "--c", "2")
+    code, out = run(capsys, *argv, "--c=" + "-" * 2001 + "2")
+    assert code == 0 and out == run(capsys, *argv, "--c=-2")[1]
+
+
+def test_nested_spec_relation_exit_2(capsys, tmp_path):
+    spec = tmp_path / "deep.spec"
+    spec.write_text(f"variables: t\nrelations: {_nested('t', 400)}^3\n")
+    code = main(["algebra-info", "--algebra", str(spec)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("input error: parentheses nested deeper than 100 in ")
+
+
+@pytest.mark.parametrize("where", ["document", "atom", "c"])
+def test_deeply_nested_certificate_exit_2(capsys, tmp_path, t3_eq8_doc, where):
+    path = tmp_path / "deep.json"
+    if where == "document":
+        # json.loads itself raised RecursionError here before
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        message = "certificate JSON is nested too deeply"
+    else:
+        if where == "atom":
+            t3_eq8_doc["start"][0][1][0][0][0] = _nested("1+t", 200)
+        else:
+            t3_eq8_doc["context"]["c"] = _nested("1+t", 200)
+        path.write_text(json.dumps(t3_eq8_doc))
+        message = "parentheses nested deeper than 100"
+    code = main(["certify-eq8", "--load", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("variables: t\nrelations: t^3\nrelations: t^2\n", "line 3: repeated key 'relations'"),
+    ("variables: t\nvariables: t\nrelations: t^3\n", "line 2: repeated key 'variables'"),
+    ("variables: s\nrelations: s^3\nsigma: s\nSigma: s\n", "line 4: repeated key 'sigma'"),
+    ("variables: s\nrelations: s^3\nsigmaa: s\n", "line 3: unknown key 'sigmaa'"),
+    ("variables: t\nrelation: t^3\n", "line 2: unknown key 'relation'"),
+])
+def test_malformed_spec_file_exit_2(capsys, tmp_path, text, message):
+    # each of these loaded as another algebra with exit 0 before
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text)
+    code = main(["algebra-info", "--algebra", str(spec), "--format", "record"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"input error: algebra file {message}\n"

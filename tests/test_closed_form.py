@@ -285,7 +285,7 @@ def test_decomposition_uses_the_generic_ring(monkeypatch):
     XY = build_algebra(AlgebraSpec(("x", "y"), ("x^2", "x*y", "y^2")))
     rep = decomposition_report(XY, 3, 2)
     assert rep.verdict == "corrected" and rep.direct_dim == rep.eq6_corrected_dim
-    (generic,) = XY._derived.values()
+    (generic,) = XY._memo["derived"].values()
     assert not isinstance(generic, TruncatedExtension)
     assert truncated_extension(XY, "sigma", 3) is not generic
 
@@ -304,6 +304,6 @@ def test_graded_modules_store_no_rows(monkeypatch):
             M = omega_module(B, p)
             assert M._space is None and M.dimension < M.free_dim, (N, p)
         assert not inserts, N
-        held = sum(M._space.rank for R in (m4, B) for M in R._omega_cache.values()
+        held = sum(M._space.rank for R in (m4, B) for M in R._memo["omega"].values()
                    if M._space is not None)
         assert held == a_rows, N

@@ -118,7 +118,7 @@ def _algebras(A):
         B = todo.pop()
         if all(B is not seen for seen in found):
             found.append(B)
-            todo.extend(B._derived.values())
+            todo.extend(B._memo.get("derived", {}).values())
     return found
 
 
@@ -129,19 +129,20 @@ def _cached_coordinates(A):
         for name in ("_mono_nf", "_pair_cache"):
             for coords in getattr(B, name).values():
                 yield from ((name, v) for v in coords.values())
-        for M in B._omega_cache.values():
+        memo = B._memo
+        for M in memo.get("omega", {}).values():
             # a module over A[s]/s^N stores no rows; it reduces through A's
             for row in (M._space.pivots.values() if M._space is not None else ()):
                 yield from (("pivots", v) for v in row.values())
         for name in ("dlog", "dlog_wedges"):
-            for form in B._misc_cache.get(name, {}).values():
+            for form in memo.get(name, {}).values():
                 yield from ((name, v) for v in form.coords.values())
-        for realizer in B._misc_cache.get("realizers", {}).values():
-            for omega, s_part in realizer._entry_cache.values():
-                yield from (("entry", v) for v in omega.coords.values())
-                yield ("entry", s_part)
-            for row in realizer._term_cache.values():
-                yield from (("term", v) for v in row.values())
+        # the realizers' entry and term tables live on their rings' memos
+        for omega, s_part in memo.get("entry_dlog", {}).values():
+            yield from (("entry", v) for v in omega.coords.values())
+            yield ("entry", s_part)
+        for row in memo.get("term", {}).values():
+            yield from (("term", v) for v in row.values())
 
 
 def test_cached_coordinates_are_int_or_proper_fraction():
