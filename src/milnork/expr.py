@@ -22,6 +22,11 @@ MAX_NESTING = 100
 _TOKEN = re.compile(r"\s*(?:(\d+(?:\s*/\s*\d+)?)|([A-Za-z][A-Za-z0-9_]*)|([()+\-*^]))")
 
 
+def _quote(text, limit=60):
+    """repr(text), or of its first `limit` characters and its length when longer."""
+    return repr(text) if len(text) <= limit else f"{text[:limit]!r}… ({len(text)} characters)"
+
+
 def tokenize(text):
     tokens = []
     pos = 0
@@ -29,14 +34,14 @@ def tokenize(text):
         m = _TOKEN.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
+                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} in {_quote(text)}")
             break
         pos = m.end()
         if m.group(1):
             try:
                 tokens.append(("num", rational("".join(m.group(1).split()))))
             except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {text!r}") from None
+                raise ParseError(f"zero denominator in {_quote(text)}") from None
         elif m.group(2):
             tokens.append(("name", m.group(2)))
         else:
@@ -64,7 +69,7 @@ class _Parser:
     def expect_op(self, op):
         kind, value = self.take()
         if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r} in {self.text!r}")
+            raise ParseError(f"expected {op!r} in {_quote(self.text)}")
 
     def expression(self):
         result = self.term()
@@ -101,7 +106,7 @@ class _Parser:
             self.pos += 1
             ekind, evalue = self.take()
             if ekind != "num" or evalue.denominator != 1 or evalue < 0:
-                raise ParseError(f"exponent must be a nonnegative integer in {self.text!r}")
+                raise ParseError(f"exponent must be a nonnegative integer in {_quote(self.text)}")
             return base ** int(evalue)
         return base
 
@@ -111,17 +116,18 @@ class _Parser:
             return self.constant(value)
         if kind == "name":
             if value not in self.index:
-                raise ParseError(f"unknown variable {value!r} in {self.text!r}")
+                raise ParseError(f"unknown variable {value!r} in {_quote(self.text)}")
             return self.variable(self.index[value])
         if kind == "op" and value == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} in {self.text!r}")
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} in "
+                                 f"{_quote(self.text)}")
             inner = self.expression()
             self.expect_op(")")
             self.depth -= 1
             return inner
-        raise ParseError(f"unexpected end of expression in {self.text!r}")
+        raise ParseError(f"unexpected end of expression in {_quote(self.text)}")
 
 
 def evaluate(text, names, constant, variable):
@@ -133,7 +139,7 @@ def evaluate(text, names, constant, variable):
     parser = _Parser(tokens, names, text, constant, variable)
     result = parser.expression()
     if parser.pos != len(tokens):
-        raise ParseError(f"trailing input in {text!r}")
+        raise ParseError(f"trailing input in {_quote(text)}")
     return result
 
 

@@ -324,6 +324,13 @@ class SymbolCombination:
             keyed.setdefault(k, sym)
         self.terms = tuple((merged[k], keyed[k]) for k in sorted(merged))
 
+    @classmethod
+    def one_term(cls, algebra, degree, sym):
+        """1 * sym of the given degree: one term is already merged and sorted."""
+        comb = cls.__new__(cls)
+        comb.algebra, comb.degree, comb.terms = algebra, degree, ((1, sym),)
+        return comb
+
     def replace_term(self, idx, replacements):
         terms = list(self.terms)
         del terms[idx]

@@ -143,29 +143,23 @@ class GeneratorFamily:
 
     def __iter__(self):
         for head, k in self.heads:
+            degree = len(head) + k
             for tail in product(self.lifted, repeat=k):
-                yield SymbolCombination(self.algebra, len(head) + k, [(1, Symbol(head + tail))])
+                yield SymbolCombination.one_term(self.algebra, degree, Symbol(head + tail))
 
 
-def _slot_layers(entry):
-    """sigma_layers of the entry, once per distinct entry of its ring.
-
-    The generator families share each slot's unit across many symbols, so
-    realizing a family classifies every distinct unit once."""
-    return entry.algebra.memo("slot_layers", entry.key(), sigma_layers, entry)
-
-
-def _first_slot_coefficient(entry, n):
-    """Extract c from a first slot equal to 1 + c s^n; None if malformed."""
-    layers = _slot_layers(entry)
-    if (len(layers) <= n or layers[0] != entry.algebra.base.one
-            or any(layers[j] for j in range(1, len(layers)) if j != n)):
-        return None
-    return layers[n]
-
-
-def _one_minus_key(B, s):
-    return (B.one - B.variable(s)).key()
+def _classify_slot(entry):
+    """(c, unit, one_minus) for a slot of B = A[s]/s^(n+1): c when the entry
+    is 1 + c s^n, the unit over A when it is s-free (each None otherwise),
+    and whether the entry is 1 - s.  relative_realize memoizes it on B, so
+    a family, which shares each slot's unit across many symbols, classifies
+    every distinct entry once."""
+    B = entry.algebra
+    layers = sigma_layers(entry)
+    one, n = B.base.one, B.ext_order - 1
+    first = layers[0] == one and not any(layers[1:n])
+    return (layers[n] if first else None, None if any(layers[1:]) else layers[0],
+            layers[:2] == [one, -one][:n + 1] and not any(layers[2:]))
 
 
 def relative_realize(comb, n):
@@ -181,24 +175,27 @@ def relative_realize(comb, n):
         raise NotGeneratorShape("combination does not live in a truncated extension")
     if B.ext_order != n + 1:
         raise NotGeneratorShape(f"expected truncation order {n + 1}, got {B.ext_order}")
-    s = B.ext_name
-    one_minus_s = B.memo("one_minus", s, _one_minus_key, B, s)
-    total = omega_module(B.base, comb.degree - 1).form()
+    total = None
     for coeff, sym in comb.terms:
-        c = _first_slot_coefficient(sym.entries[0], n)
+        first = sym.entries[0]
+        if first.algebra is not B:
+            raise AlgebraMismatch(f"symbol {sym} does not live in the combination's algebra")
+        c = B.memo("slots", first.key(), _classify_slot, first)[0]
         if c is None:
-            raise NotGeneratorShape(f"first slot of {sym} is not 1 + c*{s}^{n}")
+            raise NotGeneratorShape(f"first slot of {sym} is not 1 + c*{B.ext_name}^{n}")
         units = []
         for entry in sym.entries[1:]:
-            if entry.key() == one_minus_s:
+            _, unit, one_minus = B.memo("slots", entry.key(), _classify_slot, entry)
+            if one_minus:
                 break
-            layers = _slot_layers(entry)
-            if any(layers[1:]):
-                raise NotGeneratorShape(f"slot {entry} is not {s}-free")
-            units.append(layers[0])
+            if unit is None:
+                raise NotGeneratorShape(f"slot {entry} is not {B.ext_name}-free")
+            units.append(unit)
         else:
-            total = total + _coefficient_wedge(c, units).scale(coeff)
-    return total
+            form = _coefficient_wedge(c, units)
+            form = form if coeff == 1 else form.scale(coeff)
+            total = form if total is None else total + form
+    return omega_module(B.base, comb.degree - 1).form() if total is None else total
 
 
 def tangent_realize(comb):

@@ -6,6 +6,7 @@ rank-ladder workload's verdicts, witness lists included, are pinned here so
 that a speedup on the theorem2 path cannot change them unnoticed.
 """
 
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
@@ -106,3 +107,32 @@ def test_rank_ladder_verdicts_from_a_generator(seed):
         assert verdict.spans
         assert (verdict.rank, verdict.dim, len(gens)) == workloads.RANK_EXPECTED[(name, p)]
         assert list(verdict.certificate) == RANK_WITNESSES[seed][f"{name}.p{p}"]
+
+
+# sha256 over every realized form of the rank-ladder jobs at seeds 1 and 2,
+# one line "seed|job|generator index|module degree|sorted coords" per form;
+# RANK_WITNESSES sees only the rank increments, this sees every form
+REALIZED_FORMS = (23674, "d64b41d4fa0ffd5926a5c34a490fb726e1573ad00d2757cb1e55bce0c6c3e14a")
+
+
+def test_rank_ladder_realized_forms_pinned():
+    workloads = _load("workloads")
+    digest = hashlib.sha256()
+    count = 0
+    for seed in sorted(RANK_WITNESSES):
+        inputs = workloads.rank_inputs(seed)
+        n = inputs["n"]
+        for job in inputs["jobs"]:
+            name, p = job["algebra"], job["p"]
+            A = build_algebra(workloads._spec(name))
+            cs, us = coefficient_samples(A), unit_samples(A)
+            gens = relative_generators(A, n, p, coeffs=[cs[i] for i in job["coeffs"]],
+                                       units=[us[i] for i in job["units"]])
+            module = omega_module(A, p - 1)
+            for idx, g in enumerate(gens):
+                form = relative_realize(g, n)
+                assert form.module is module
+                coords = ",".join(f"{k}:{v}" for k, v in sorted(form.coords.items()))
+                digest.update(f"{seed}|{name}.p{p}|{idx}|{form.module.degree}|{coords}\n".encode())
+                count += 1
+    assert (count, digest.hexdigest()) == REALIZED_FORMS

@@ -808,6 +808,16 @@ def test_nested_spec_relation_exit_2(capsys, tmp_path):
     assert captured.err.startswith("input error: parentheses nested deeper than 100 in ")
 
 
+def test_nested_spec_relation_error_is_short(capsys, tmp_path):
+    # the message quoted all 803 characters of the relation, 857 bytes in all
+    spec = tmp_path / "deep.spec"
+    spec.write_text(f"variables: t\nrelations: {_nested('t', 400)}^3\n")
+    assert main(["algebra-info", "--algebra", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: parentheses nested deeper than 100 in ")
+    assert len(err.encode()) < 200 and err.rstrip().endswith("… (803 characters)")
+
+
 @pytest.mark.parametrize("where", ["document", "atom", "c"])
 def test_deeply_nested_certificate_exit_2(capsys, tmp_path, t3_eq8_doc, where):
     path = tmp_path / "deep.json"

@@ -68,3 +68,18 @@ def test_printer_canonical_examples():
     assert polynomial_str(p("x + 1"), ("x", "y")) == "x + 1"
     assert polynomial_str(p("-x^2 + x"), ("x", "y")) == "-x^2 + x"
     assert polynomial_str(p("0"), ("x", "y")) == "0"
+
+
+def test_errors_quote_at_most_sixty_characters():
+    short = "x + " * 14 + "q"  # 57 characters: quoted whole, as before
+    with pytest.raises(ParseError) as err:
+        p(short)
+    assert str(err.value) == f"unknown variable 'q' in {short!r}"
+    long = "x + " * 200 + "q"
+    with pytest.raises(ParseError) as err:
+        p(long)
+    assert str(err.value) == f"unknown variable 'q' in {long[:60]!r}… (801 characters)"
+    for text in ("x + " * 30 + "$", "1/0 + " * 20, "x y " * 20, "(" * 101 + "x"):
+        with pytest.raises(ParseError) as err:
+            p(text)
+        assert f"… ({len(text)} characters)" in str(err.value) and len(str(err.value)) < 120

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from milnork.algebra import (
+    Algebra,
     AlgebraElement,
     AlgebraSpec,
     build_algebra,
@@ -10,12 +11,14 @@ from milnork.algebra import (
     truncated_extension,
 )
 from milnork.errors import (
+    AlgebraMismatch,
     NonUnitEntry,
     NotGeneratorShape,
     SigmaNotDesignated,
 )
 from milnork.family import builtin_algebras
 from milnork.kahler import map_form, omega_module
+from milnork.laurent import Symbol, SymbolCombination
 from milnork.linalg import RowSpace
 from milnork.milnor import (
     coefficient_samples,
@@ -188,16 +191,85 @@ def test_relative_realize_examples(t3):
 
 
 def test_relative_realize_rejects_bad_shapes(t3):
+    # one case per path, each with its exact message
     B = truncated_extension(t3, "sigma", 2)
-    with pytest.raises(NotGeneratorShape):
-        relative_realize(make_symbol([B.element("1 + t"), B.element("2")], 1), 1)
-    with pytest.raises(NotGeneratorShape):
-        relative_realize(make_symbol([B.element("1 + t*sigma"), B.element("1 + sigma")], 1), 1)
-    with pytest.raises(NotGeneratorShape):
-        relative_realize(make_symbol([t3.element("1+t"), t3.element("2")], 1), 1)
     B3 = truncated_extension(t3, "sigma", 3)
-    with pytest.raises(NotGeneratorShape):
-        relative_realize(make_symbol([B3.element("1 + t*sigma^2"), B3.element("2")], 1), 1)
+    cases = [
+        (make_symbol([B.element("1 + t"), B.element("2")], 1),
+         "first slot of {t + 1, 2} is not 1 + c*sigma^1"),
+        (make_symbol([B.element("1 + t*sigma"), B.element("1 + sigma")], 1),
+         "slot sigma + 1 is not sigma-free"),
+        (make_symbol([t3.element("1+t"), t3.element("2")], 1),
+         "combination does not live in a truncated extension"),
+        (make_symbol([B3.element("1 + t*sigma^2"), B3.element("2")], 1),
+         "expected truncation order 2, got 3"),
+    ]
+    for comb, message in cases:
+        with pytest.raises(NotGeneratorShape) as err:
+            relative_realize(comb, 1)
+        assert str(err.value) == message
+
+
+def test_relative_realize_rejects_a_symbol_of_another_ring(t3):
+    # its slots would be read at that ring's level, not at n
+    B, B3 = truncated_extension(t3, "sigma", 2), truncated_extension(t3, "sigma", 3)
+    for first in ("1 + t*sigma", "1 + t*sigma^2"):
+        comb = SymbolCombination(B, 2, [(1, Symbol((B3.element(first), B3.element("1 + t"))))])
+        with pytest.raises(AlgebraMismatch, match="does not live in the combination's algebra"):
+            relative_realize(comb, 1)
+
+
+def test_relative_realize_scales_and_adds_terms(t3):
+    B = truncated_extension(t3, "sigma", 2)
+    a = make_symbol([B.element("1 + t*sigma"), B.element("1 + t")], 1)
+    b = make_symbol([B.element("1 + 2*sigma"), B.element("1 - t")], 1)
+    fa, fb = relative_realize(a, 1), relative_realize(b, 1)
+    assert fa and fb
+    scaled = make_symbol([B.element("1 + t*sigma"), B.element("1 + t")], Fraction(3, 2))
+    assert relative_realize(scaled, 1) == fa.scale(Fraction(3, 2))
+    assert len((a + b).terms) == 2
+    assert relative_realize(a + b, 1) == fa + fb
+
+
+def test_relative_realize_skipping_every_term_gives_the_zero_form(t3):
+    B = truncated_extension(t3, "sigma", 2)
+    one_minus = B.element("1 - sigma")
+    comb = (make_symbol([B.element("1 + t*sigma"), one_minus], 1)
+            + make_symbol([B.element("1 + sigma"), one_minus], 2))
+    for c in (comb, SymbolCombination(B, 2, [])):
+        f = relative_realize(c, 1)
+        assert not f.coords and f.module is omega_module(t3, 1)
+
+
+def test_family_symbols_equal_the_general_construction(t3):
+    gens = relative_generators(t3, 2, 2)
+    for g in gens:
+        (_, sym), = g.terms
+        plain = SymbolCombination(gens.algebra, 2, [(1, sym)])
+        assert g.terms == plain.terms and g == plain
+        assert type(g.terms[0][0]) is type(plain.terms[0][0])
+
+
+def test_realizing_a_family_classifies_each_slot_once(monkeypatch):
+    # one memo lookup per slot and one for the wedge; the family's ring-level
+    # data is not looked up per generator
+    A = alg(["x", "y", "z"], [f"x^{a}*y^{b}*z^{4 - a - b}"
+                              for a in range(5) for b in range(5 - a)])
+    gens = relative_generators(A, 2, 3)
+    calls = []
+    memo = Algebra.memo
+
+    def counting(self, table, *args):
+        calls.append(table)
+        return memo(self, table, *args)
+
+    monkeypatch.setattr(Algebra, "memo", counting)
+    forms = [relative_realize(g, 2) for g in gens]
+    assert len(forms) == 8841
+    assert len(calls) <= 4.2 * len(forms)
+    B = gens.algebra
+    assert "slot_layers" not in B._memo and "one_minus" not in B._memo
+    assert len(B._memo["slots"]) == 42  # 20 first slots, 1 - s and 21 units
 
 
 def test_relative_realize_degree_one(t3):
