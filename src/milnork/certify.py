@@ -28,7 +28,9 @@ States before the projection step live over exact Laurent polynomials; after
 it, all products are truncated.  The independent soundness monitor
 crosscheck_dlog realizes every intermediate state as an honest 2-form, a
 symbol {e1, e2} as sigma * dlog e1 ^ dlog e2 in a high-precision truncation
-ring, and verifies that each step preserves the form exactly.
+ring, and verifies that each step preserves the form exactly.  That
+comparison is Replay.agreement, the one loop shared with the suite's
+rule-soundness grid, which runs each of its instances as a one-step replay.
 """
 
 from __future__ import annotations
@@ -187,6 +189,25 @@ class Replay:
         if idx is None:
             raise PositionInvalid(f"term {sym} not present in the working state")
         return idx
+
+    def agreement(self, realizer, small_ring):
+        """Per accepted step, whether it preserves the realized 2-form exactly.
+
+        Each state is realized once.  A truncated state's form is read in
+        small_ring through map_form, and so is the Laurent form before the
+        projection, when the two are compared.
+        """
+        prev = realizer.realize_state(self.states[0].state)
+        agrees = []
+        for before, after in zip(self.states, self.states[1:]):
+            form = realizer.realize_state(after.state)
+            if after.order is not None:
+                form = map_form(form, small_ring)
+            if after.order != before.order:
+                prev = map_form(prev, small_ring)
+            agrees.append(form == prev)
+            prev = form
+        return agrees
 
 
 @dataclass
@@ -417,14 +438,6 @@ def _claim_linked(cert):
 # -- built-in certificate chains ------------------------------------------------
 
 
-def _entry(A, *atoms):
-    return LaurentEntry(A, list(atoms))
-
-
-def _sym(*entries):
-    return Symbol(tuple(entries))
-
-
 def _splitting_chain(algebra, c, n):
     """Run the eq7 chain from {1 + c s^(n+1), c} to (n+1) {(1-s) w, g}.
 
@@ -450,50 +463,47 @@ def _splitting_chain(algebra, c, n):
     sigma_g = sig.mul(g)                                   # s + c s^(n+2) - c s^(n+1)
     one_m_sg = one - sigma_g
 
-    e_w = _entry(A, (w, 1))
-    e_c = _entry(A, (c0, 1))
-    run = Replay(SymbolCombination(A, 2, [(1, _sym(e_w, e_c))]))
+    run = Replay(SymbolCombination(A, 2, [(1, Symbol.from_atoms(A, ([(w, 1)], [(c0, 1)])))]))
 
     # {w, -c s^(n+1)} is a Steinberg pair: the two values sum to 1
-    s_minus = _sym(e_w, _entry(A, (minus_c_sig, 1)))
+    s_minus = Symbol.from_atoms(A, ([(w, 1)], [(minus_c_sig, 1)]))
     run.rewrite("steinberg", {}, {"mode": "insert", "coeff": "-1", "symbol": s_minus})
     # {w, (-1)^6} has a slot collapsing to 1, so it may be inserted freely;
     # the odd power left after unpacking keeps this helper's key distinct
     # from the start term even when c is the constant -1
-    s_sq = _sym(e_w, _entry(A, (minus_one, 6)))
+    s_sq = Symbol.from_atoms(A, ([(w, 1)], [(minus_one, 6)]))
     run.rewrite("bilinearity", {}, {"mode": "insert", "coeff": "-1/2",
                                     "symbol": s_sq, "slot": 1})
     run.rewrite("torsion_scale", {"term": run.index_of(s_sq), "slot": 1},
                 {"mode": "unpack", "m": 2})
-    s_m1 = _sym(e_w, _entry(A, (minus_one, 3)))
+    s_m1 = Symbol.from_atoms(A, ([(w, 1)], [(minus_one, 3)]))
     run.rewrite("bilinearity",
                 {"term": run.index_of(s_minus), "term2": run.index_of(s_m1), "slot": 1},
                 {"mode": "merge"})
-    s_merged = _sym(e_w, _entry(A, (minus_c_sig, 1), (minus_one, 3)))
+    s_merged = Symbol.from_atoms(A, ([(w, 1)], [(minus_c_sig, 1), (minus_one, 3)]))
     run.rewrite("entry_factor", {"term": run.index_of(s_merged), "slot": 1},
                 {"atoms": [(c0, 1), (sig, n + 1)]})
-    s_fact = _sym(e_w, _entry(A, (c0, 1), (sig, n + 1)))
+    s_fact = Symbol.from_atoms(A, ([(w, 1)], [(c0, 1), (sig, n + 1)]))
     run.rewrite("bilinearity", {"term": run.index_of(s_fact), "slot": 1},
                 {"mode": "split", "at": 1})
     # the -1 {w, c} piece cancels the start term; only -1 {w, s^(n+1)} remains
-    s_pow = _sym(e_w, _entry(A, (sig, n + 1)))
+    s_pow = Symbol.from_atoms(A, ([(w, 1)], [(sig, n + 1)]))
     run.rewrite("torsion_scale", {"term": run.index_of(s_pow), "slot": 1},
                 {"mode": "unpack", "m": n + 1})
-    s_sig = _sym(e_w, _entry(A, (sig, 1)))
+    s_sig = Symbol.from_atoms(A, ([(w, 1)], [(sig, 1)]))
+    s_oms = Symbol.from_atoms(A, ([(one_m_s, 1)], [(sig, 1)]))
     run.rewrite("steinberg", {}, {"mode": "insert", "coeff": f"-{n + 1}",
-                                  "symbol": _sym(_entry(A, (one_m_s, 1)),
-                                                 _entry(A, (sig, 1)))})
-    s_oms = _sym(_entry(A, (one_m_s, 1)), _entry(A, (sig, 1)))
+                                  "symbol": s_oms})
     run.rewrite("bilinearity",
                 {"term": run.index_of(s_oms), "term2": run.index_of(s_sig), "slot": 0},
                 {"mode": "merge"})
     # the merged -(n+1) {(1-s)w, s} cancels against the split of the next insert
-    s_stein = _sym(_entry(A, (one_m_sg, 1)), _entry(A, (sig, 1), (g, 1)))
+    s_stein = Symbol.from_atoms(A, ([(one_m_sg, 1)], [(sig, 1), (g, 1)]))
     run.rewrite("steinberg", {}, {"mode": "insert", "coeff": f"{n + 1}",
                                   "symbol": s_stein})
     run.rewrite("entry_identity", {"term": run.index_of(s_stein), "slot": 0},
                 {"atoms": [(one_m_s, 1), (w, 1)]})
-    s_ident = _sym(_entry(A, (one_m_s, 1), (w, 1)), _entry(A, (sig, 1), (g, 1)))
+    s_ident = Symbol.from_atoms(A, ([(one_m_s, 1), (w, 1)], [(sig, 1), (g, 1)]))
     run.rewrite("bilinearity", {"term": run.index_of(s_ident), "slot": 1},
                 {"mode": "split", "at": 1})
     # the (n+1) {(1-s)w, s} piece cancels; the goal term remains
@@ -516,7 +526,7 @@ def splitting_certificate(algebra, c, n):
     """
     c, run, (one, one_m_s, w, g) = _splitting_chain(algebra, c, n)
     A = algebra
-    goal_sym = _sym(_entry(A, (one_m_s, 1), (w, 1)), _entry(A, (g, 1)))
+    goal_sym = Symbol.from_atoms(A, ([(one_m_s, 1), (w, 1)], [(g, 1)]))
     goal = SymbolCombination(A, 2, [(n + 1, goal_sym)])
     return _built(CertContext(algebra, n, c), run, goal, run.states[0].state, goal,
                   "direct", (SHORTCUT_NOTE,))
@@ -532,18 +542,18 @@ def vanishing_certificate(algebra, c, n):
     run.rewrite("projection", {}, {"order": trunc})
     w_proj = w.truncate(trunc)          # collapses to 1
     g_proj = g.truncate(trunc)          # 1 - c s^n
-    s_after = _sym(_entry(A, (one_m_s, 1), (w_proj, 1)), _entry(A, (g_proj, 1)))
+    s_after = Symbol.from_atoms(A, ([(one_m_s, 1), (w_proj, 1)], [(g_proj, 1)]))
     run.rewrite("entry_factor", {"term": run.index_of(s_after), "slot": 0},
                 {"atoms": [(one_m_s, 1)]})
-    s_clean = _sym(_entry(A, (one_m_s, 1)), _entry(A, (g_proj, 1)))
+    s_clean = Symbol.from_atoms(A, ([(one_m_s, 1)], [(g_proj, 1)]))
     run.rewrite("torsion_scale", {"term": run.index_of(s_clean), "slot": 1},
                 {"mode": "pack", "m": n + 1})
-    s_packed = _sym(_entry(A, (one_m_s, 1)), _entry(A, (g_proj, n + 1)))
+    s_packed = Symbol.from_atoms(A, ([(one_m_s, 1)], [(g_proj, n + 1)]))
     final_poly = one - LaurentPolynomial(A, {n: c * (n + 1)})
     run.rewrite("entry_identity", {"term": run.index_of(s_packed), "slot": 1},
                 {"atoms": [(final_poly, 1)]})
 
-    goal_sym = _sym(_entry(A, (one_m_s, 1)), _entry(A, (final_poly, 1)))
+    goal_sym = Symbol.from_atoms(A, ([(one_m_s, 1)], [(final_poly, 1)]))
     goal = SymbolCombination(A, 2, [(1, goal_sym)])
     zero = SymbolCombination(A, 2, [])
     return _built(CertContext(algebra, n, c), run, goal, goal, zero,
@@ -649,9 +659,9 @@ def crosscheck_dlog(cert, precision=None):
 
     Every state is realized by one ExtendedRealizer, a symbol {e1, e2} as
     s * dlog e1 ^ dlog e2 in Omega^2 of A[s]/s^(N+1); the factor s clears
-    the dlog(s) that atoms of nonzero s-order bring.  Truncated-mode states
-    are compared after map_form to A[s]/s^(n+2), and the projection step
-    compares the two states' forms there.  A step whose side condition
+    the dlog(s) that atoms of nonzero s-order bring.  The certificate's
+    replay compares consecutive forms through Replay.agreement, reading
+    truncated-mode states in A[s]/s^(n+2).  A step whose side condition
     fails during the replay is reported as the first disagreeing step.
     """
     n = cert.context.n
@@ -677,28 +687,14 @@ def crosscheck_dlog(cert, precision=None):
     # Omega^2 of A[s]/s^(n+1), so equality there is equality of the states
     small_ring = truncated_extension(A, extension_name(A), n + 2)
 
-    def realize(state, order):
-        form = realizer.realize_state(state)
-        return form if order is None else map_form(form, small_ring)
-
     run = cert.replay
-    prev = realizer.realize_state(cert.start)
-    step_rows = []
-    all_ok = True
-    for i, (step, before, after) in enumerate(zip(cert.steps, run.states, run.states[1:])):
-        form = realize(after.state, after.order)
-        if after.order != before.order:
-            prev = map_form(prev, small_ring)
-        ok = form == prev
-        prev = form
-        step_rows.append((i, step.rule, ok))
-        all_ok = all_ok and ok
+    step_rows = [(i, step.rule, ok) for i, (step, ok)
+                 in enumerate(zip(run.steps, run.agreement(realizer, small_ring)))]
     if run.failure is not None:
         step_rows.append((run.failure, cert.steps[run.failure].rule, False))
-        all_ok = False
-
-    final_zero = not realize(cert.goal, run.states[-1].order)
-    return CrosscheckReport(N, tuple(step_rows), all_ok, final_zero)
+    goal = realizer.realize_state(cert.goal)
+    final_zero = not (goal if run.states[-1].order is None else map_form(goal, small_ring))
+    return CrosscheckReport(N, tuple(step_rows), all(ok for _, _, ok in step_rows), final_zero)
 
 
 def shared_realizer(algebra, precision):
@@ -719,39 +715,6 @@ def _sym_to_json(sym):
 
 def _state_to_json(state):
     return [[str(c), _sym_to_json(s)] for c, s in state.terms]
-
-
-def _exponent_from_json(value):
-    if not _is_int(value):
-        raise ParseError(f"certificate atom exponent {value!r} is not an integer")
-    return value
-
-
-def _atom_from_json(algebra, text, parsed):
-    """An atom string's polynomial, parsed once per document: `parsed` maps
-    each string met to its LaurentPolynomial, immutable and so shared.  A
-    value that is no string goes to the parser, which rejects it."""
-    if not isinstance(text, str):
-        return LaurentPolynomial.from_string(algebra, text)
-    poly = parsed.get(text)
-    if poly is None:
-        poly = parsed[text] = LaurentPolynomial.from_string(algebra, text)
-    return poly
-
-
-def _atoms_from_json(algebra, data, parsed):
-    return [(_atom_from_json(algebra, text, parsed), _exponent_from_json(exp))
-            for text, exp in data]
-
-
-def _sym_from_json(algebra, data, parsed):
-    return Symbol(tuple(LaurentEntry(algebra, _atoms_from_json(algebra, atoms, parsed))
-                        for atoms in data))
-
-
-def _state_from_json(algebra, data, parsed):
-    return SymbolCombination(algebra, 2,
-                             [(c, _sym_from_json(algebra, s, parsed)) for c, s in data])
 
 
 def certificate_to_json(cert):
@@ -798,12 +761,6 @@ def _field(obj, key, kind, where=""):
     return value
 
 
-def _payload_value_from_json(algebra, key, value, parsed):
-    if isinstance(value, dict) and "symbol" in value:
-        return _sym_from_json(algebra, value["symbol"], parsed)
-    return _atoms_from_json(algebra, value, parsed) if key == "atoms" else value
-
-
 def certificate_from_json(text):
     """Load a certificate written by certificate_to_json.
 
@@ -836,15 +793,40 @@ def certificate_from_json(text):
     if not all(isinstance(a, str) for a in annotations):
         raise ParseError("certificate field annotations must hold strings")
     algebra = build_algebra(AlgebraSpec(tuple(variables), tuple(relations)))
-    parsed = {}
+    parsed = {}  # each atom string met, to its LaurentPolynomial: immutable, so shared
+
+    def atoms(data):
+        """(polynomial, exponent) pairs.  An atom string is parsed once per
+        document; a value that is no string goes to the parser, which rejects it."""
+        pairs = []
+        for text, exp in data:
+            if not isinstance(text, str):
+                poly = LaurentPolynomial.from_string(algebra, text)
+            elif text in parsed:
+                poly = parsed[text]
+            else:
+                poly = parsed[text] = LaurentPolynomial.from_string(algebra, text)
+            if not _is_int(exp):
+                raise ParseError(f"certificate atom exponent {exp!r} is not an integer")
+            pairs.append((poly, exp))
+        return pairs
+
+    def symbol(data):
+        return Symbol.from_atoms(algebra, (atoms(entry) for entry in data))
+
+    def payload(key, value):
+        if isinstance(value, dict) and "symbol" in value:
+            return symbol(value["symbol"])
+        return atoms(value) if key == "atoms" else value
+
     try:
         steps = tuple(
             RewriteStep(raw["rule"], raw["position"],
-                        {k: _payload_value_from_json(algebra, k, v, parsed)
-                         for k, v in raw["payload"].items()})
+                        {k: payload(k, v) for k, v in raw["payload"].items()})
             for raw in raw_steps)
-        start, goal, lhs, rhs = (_state_from_json(algebra, data, parsed)
-                                 for data in raw_states)
+        start, goal, lhs, rhs = (
+            SymbolCombination(algebra, 2, [(c, symbol(s)) for c, s in data])
+            for data in raw_states)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"certificate data is malformed: {exc}") from None
     return Certificate(CertContext(algebra, n, algebra.element(c)), start, goal, steps,

@@ -21,6 +21,7 @@ from .certify import (
     vanishing_certificate,
 )
 from .errors import MilnorkError, ParseError
+from .expr import polynomial_str
 from .kahler import decomposition_report, omega_module
 from .linalg import whole
 from .milnor import (
@@ -43,7 +44,7 @@ def parse_algebra_file(text):
         if not line:
             continue
         if ":" not in line:
-            raise MilnorkError(f"algebra file line {lineno}: expected 'key: value'")
+            raise ParseError(f"algebra file line {lineno}: expected 'key: value'")
         key, value = line.split(":", 1)
         key = key.strip().lower()
         if key not in ("variables", "relations", "sigma", "order"):
@@ -56,13 +57,13 @@ def parse_algebra_file(text):
     sigma = data.get("sigma") or None
     if "order" in data:
         if sigma is None:
-            raise MilnorkError("algebra file: 'order' needs a 'sigma' entry")
+            raise ParseError("algebra file: 'order' needs a 'sigma' entry")
         try:
             order = whole(data["order"])
         except ValueError as exc:
             raise ParseError(f"algebra file: bad order: {exc}") from None
         if order < 1:
-            raise MilnorkError("algebra file: order must be >= 1")
+            raise ParseError("algebra file: order must be >= 1")
         relations = relations + (f"{sigma}^{order}",)
     return AlgebraSpec(variables=variables, relations=relations, distinguished=sigma)
 
@@ -88,8 +89,6 @@ def _cmd_algebra_info(args):
     rep.add("algebra.variables", ",".join(A.names) or "-")
     rep.add("algebra.dimension", A.dimension)
     rep.add("algebra.basis", ";".join(A.monomial_strings()))
-    from .expr import polynomial_str
-
     rep.add("algebra.groebner", ";".join(polynomial_str(g, A.names) for g in A.groebner) or "0")
     rep.add("algebra.sigma", A.spec.distinguished or "-")
     return _emit(rep, args, 0)

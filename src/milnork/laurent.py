@@ -280,6 +280,12 @@ class Symbol:
         if len({id(e.algebra) for e in self.entries}) > 1:
             raise AlgebraMismatch("symbol entries over different algebras")
 
+    @classmethod
+    def from_atoms(cls, algebra, atom_lists):
+        """The symbol of LaurentEntry values over `algebra`, one per atom list,
+        each built before the next list is read."""
+        return cls(tuple(LaurentEntry(algebra, atoms) for atoms in atom_lists))
+
     @property
     def degree(self):
         return len(self.entries)

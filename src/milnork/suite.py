@@ -7,14 +7,14 @@ produce byte-identical records.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import AlgebraSpec, build_algebra, transport, truncated_extension
 from .certify import (
-    CheckState,
+    Replay,
     RewriteStep,
     check_certificate,
-    check_step,
     crosscheck_dlog,
     shared_realizer,
     splitting_certificate,
@@ -22,7 +22,7 @@ from .certify import (
 )
 from .family import builtin_algebras
 from .kahler import d, decomposition_report, map_form, omega_module
-from .laurent import LaurentEntry, LaurentPolynomial, Symbol, SymbolCombination
+from .laurent import LaurentPolynomial, Symbol, SymbolCombination
 from .milnor import (
     coefficient_samples,
     dlog_realize,
@@ -228,7 +228,6 @@ def certify_checks():
                  for poly, exp in step.payload["atoms"]]
     bad_steps[broken_idx] = RewriteStep(step.rule, step.position,
                                         {**step.payload, "atoms": bad_atoms})
-    from dataclasses import replace
     bad = replace(cert, steps=tuple(bad_steps))
     vb = check_certificate(bad)
     xb = crosscheck_dlog(bad)
@@ -248,19 +247,14 @@ def _small_contexts():
 
 def rule_soundness_checks():
     """Deterministic instance grids: each accepted step preserves the dlog
-    realization exactly (>= 50 instances per rule kind)."""
-    checks = []
-    counts = {}
+    realization exactly (>= 50 instances per rule kind).  Every instance is a
+    one-step replay, compared by the crosscheck's own Replay.agreement."""
     agree = {}
 
-    def run(kind, algebra, state, step):
-        counts[kind] = counts.get(kind, 0) + 1
-        realizer = shared_realizer(algebra, 8)
-        before = realizer.realize_state(state)
-        after_state = check_step(CheckState(state), step).state
-        after = realizer.realize_state(after_state)
-        ok = before == after
-        agree[kind] = agree.get(kind, True) and ok
+    def run(A, terms, rule, position, payload, small_ring=None):
+        replay = Replay(SymbolCombination(A, 2, terms))
+        replay.rewrite(rule, position, payload)
+        agree.setdefault(rule, []).extend(replay.agreement(shared_realizer(A, 8), small_ring))
 
     for name, A in _small_contexts():
         one = LaurentPolynomial.constant(A, 1)
@@ -270,107 +264,67 @@ def rule_soundness_checks():
             u0 = LaurentPolynomial(A, {0: u})
             for j in (1, 2, 3):
                 cs = LaurentPolynomial(A, {j: u})
-                sym_st = Symbol((LaurentEntry(A, [(cs, 1)]),
-                                 LaurentEntry(A, [(one - cs, 1)])))
-                state = SymbolCombination(A, 2, [(1, sym_st)])
-                run("steinberg", A, state, RewriteStep(
-                    "steinberg", {"term": 0}, {"mode": "remove"}))
-                run("steinberg", A, SymbolCombination(A, 2, []), RewriteStep(
-                    "steinberg", {}, {"mode": "insert", "coeff": "3", "symbol": sym_st}))
+                sym_st = Symbol.from_atoms(A, ([(cs, 1)], [(one - cs, 1)]))
+                run(A, [(1, sym_st)], "steinberg", {"term": 0}, {"mode": "remove"})
+                run(A, [], "steinberg", {}, {"mode": "insert", "coeff": "3", "symbol": sym_st})
 
-                sym_ma = Symbol((LaurentEntry(A, [(cs, 1)]),
-                                 LaurentEntry(A, [(-cs, 1)])))
-                run("minus_arg", A, SymbolCombination(A, 2, [(1, sym_ma)]), RewriteStep(
-                    "minus_arg", {"term": 0}, {"mode": "remove"}))
-                run("minus_arg", A, SymbolCombination(A, 2, []), RewriteStep(
-                    "minus_arg", {}, {"mode": "insert", "coeff": "-2", "symbol": sym_ma}))
+                sym_ma = Symbol.from_atoms(A, ([(cs, 1)], [(-cs, 1)]))
+                run(A, [(1, sym_ma)], "minus_arg", {"term": 0}, {"mode": "remove"})
+                run(A, [], "minus_arg", {}, {"mode": "insert", "coeff": "-2", "symbol": sym_ma})
 
                 v0 = LaurentPolynomial(A, {0: units[0]})
-                sym_bi = Symbol((LaurentEntry(A, [(u0, 1), (v0, 1)]),
-                                 LaurentEntry(A, [(one - sig, 1)])))
-                run("bilinearity", A, SymbolCombination(A, 2, [(2, sym_bi)]), RewriteStep(
-                    "bilinearity", {"term": 0, "slot": 0}, {"mode": "split", "at": 1}))
-                half1 = Symbol((LaurentEntry(A, [(u0, 1)]),
-                                LaurentEntry(A, [(one - sig, 1)])))
-                half2 = Symbol((LaurentEntry(A, [(v0, 1)]),
-                                LaurentEntry(A, [(one - sig, 1)])))
+                sym_bi = Symbol.from_atoms(A, ([(u0, 1), (v0, 1)], [(one - sig, 1)]))
+                run(A, [(2, sym_bi)], "bilinearity", {"term": 0, "slot": 0},
+                    {"mode": "split", "at": 1})
+                half1 = Symbol.from_atoms(A, ([(u0, 1)], [(one - sig, 1)]))
+                half2 = Symbol.from_atoms(A, ([(v0, 1)], [(one - sig, 1)]))
                 merged_state = SymbolCombination(A, 2, [(2, half1), (2, half2)])
                 if half1.key() != half2.key():
                     i1 = merged_state.find(half1.key())
                     i2 = merged_state.find(half2.key())
-                    run("bilinearity", A, merged_state, RewriteStep(
-                        "bilinearity", {"term": i1, "term2": i2, "slot": 0},
-                        {"mode": "merge"}))
-                sym_one = Symbol((LaurentEntry(A, [(one - sig, 1)]),
-                                  LaurentEntry(A, [(u0, 1), (u0, -1)])))
-                run("bilinearity", A, SymbolCombination(A, 2, [(1, sym_one)]), RewriteStep(
-                    "bilinearity", {"term": 0, "slot": 1}, {"mode": "kill"}))
-                run("bilinearity", A, SymbolCombination(A, 2, []), RewriteStep(
-                    "bilinearity", {}, {"mode": "insert", "coeff": "5",
-                                        "symbol": sym_one, "slot": 1}))
+                    run(A, merged_state.terms, "bilinearity",
+                        {"term": i1, "term2": i2, "slot": 0}, {"mode": "merge"})
+                sym_one = Symbol.from_atoms(A, ([(one - sig, 1)], [(u0, 1), (u0, -1)]))
+                run(A, [(1, sym_one)], "bilinearity", {"term": 0, "slot": 1}, {"mode": "kill"})
+                run(A, [], "bilinearity", {}, {"mode": "insert", "coeff": "5",
+                                               "symbol": sym_one, "slot": 1})
 
-                sym_inv = Symbol((LaurentEntry(A, [(u0, 1)]),
-                                  LaurentEntry(A, [(one - cs, j)])))
-                run("inverse_negation", A, SymbolCombination(A, 2, [(1, sym_inv)]), RewriteStep(
-                    "inverse_negation", {"term": 0, "slot": 1}, {}))
-                run("inverse_negation", A, SymbolCombination(A, 2, [(1, sym_inv)]), RewriteStep(
-                    "inverse_negation", {"term": 0, "slot": 0}, {}))
+                sym_inv = Symbol.from_atoms(A, ([(u0, 1)], [(one - cs, j)]))
+                run(A, [(1, sym_inv)], "inverse_negation", {"term": 0, "slot": 1}, {})
+                run(A, [(1, sym_inv)], "inverse_negation", {"term": 0, "slot": 0}, {})
 
-                sym_ts = Symbol((LaurentEntry(A, [(u0, 1)]),
-                                 LaurentEntry(A, [(one - cs, 2 * j)])))
-                run("torsion_scale", A, SymbolCombination(A, 2, [(1, sym_ts)]), RewriteStep(
-                    "torsion_scale", {"term": 0, "slot": 1}, {"mode": "unpack", "m": 2}))
-                run("torsion_scale", A, SymbolCombination(A, 2, [(1, sym_ts)]), RewriteStep(
-                    "torsion_scale", {"term": 0, "slot": 1}, {"mode": "pack", "m": 3}))
+                sym_ts = Symbol.from_atoms(A, ([(u0, 1)], [(one - cs, 2 * j)]))
+                run(A, [(1, sym_ts)], "torsion_scale", {"term": 0, "slot": 1},
+                    {"mode": "unpack", "m": 2})
+                run(A, [(1, sym_ts)], "torsion_scale", {"term": 0, "slot": 1},
+                    {"mode": "pack", "m": 3})
 
                 prod = u0.mul(one - cs)
-                sym_ef = Symbol((LaurentEntry(A, [(prod, 1)]),
-                                 LaurentEntry(A, [(one - sig, 1)])))
-                run("entry_factor", A, SymbolCombination(A, 2, [(1, sym_ef)]), RewriteStep(
-                    "entry_factor", {"term": 0, "slot": 0},
-                    {"atoms": [(u0, 1), (one - cs, 1)]}))
-                sym_ef2 = Symbol((LaurentEntry(A, [(u0, 1), (one - cs, 1)]),
-                                  LaurentEntry(A, [(one - sig, 1)])))
-                run("entry_factor", A, SymbolCombination(A, 2, [(1, sym_ef2)]), RewriteStep(
-                    "entry_factor", {"term": 0, "slot": 0}, {"atoms": [(prod, 1)]}))
+                sym_ef = Symbol.from_atoms(A, ([(prod, 1)], [(one - sig, 1)]))
+                run(A, [(1, sym_ef)], "entry_factor", {"term": 0, "slot": 0},
+                    {"atoms": [(u0, 1), (one - cs, 1)]})
+                sym_ef2 = Symbol.from_atoms(A, ([(u0, 1), (one - cs, 1)], [(one - sig, 1)]))
+                run(A, [(1, sym_ef2)], "entry_factor", {"term": 0, "slot": 0},
+                    {"atoms": [(prod, 1)]})
                 w = one + cs
-                sym_ei = Symbol((LaurentEntry(A, [(one - sig, 1), (w, 1)]),
-                                 LaurentEntry(A, [(one - sig, 1)])))
+                sym_ei = Symbol.from_atoms(A, ([(one - sig, 1), (w, 1)], [(one - sig, 1)]))
                 target = (one - sig).mul(w)
-                run("entry_identity", A, SymbolCombination(A, 2, [(1, sym_ei)]), RewriteStep(
-                    "entry_identity", {"term": 0, "slot": 0}, {"atoms": [(target, 1)]}))
-                sym_ei2 = Symbol((LaurentEntry(A, [(target, 1)]),
-                                  LaurentEntry(A, [(one - sig, 1)])))
-                run("entry_identity", A, SymbolCombination(A, 2, [(1, sym_ei2)]), RewriteStep(
-                    "entry_identity", {"term": 0, "slot": 0},
-                    {"atoms": [(one - sig, 1), (w, 1)]}))
+                run(A, [(1, sym_ei)], "entry_identity", {"term": 0, "slot": 0},
+                    {"atoms": [(target, 1)]})
+                sym_ei2 = Symbol.from_atoms(A, ([(target, 1)], [(one - sig, 1)]))
+                run(A, [(1, sym_ei2)], "entry_identity", {"term": 0, "slot": 0},
+                    {"atoms": [(one - sig, 1), (w, 1)]})
 
-    # projection instances: states with order-zero atoms
-    for name, A in _small_contexts():
-        one = LaurentPolynomial.constant(A, 1)
-        sig = LaurentPolynomial.sigma(A)
-        for u in unit_samples(A):
-            for n in (1, 2, 3):
+                # projection of order-zero atoms, both forms read in A[s]/s^(j+2)
+                sym_pr = Symbol.from_atoms(A, ([(one - sig, 1)], [(one - cs, 1)]))
                 for q in (1, -3):
-                    poly = one - LaurentPolynomial(A, {n: u})
-                    sym = Symbol((LaurentEntry(A, [(one - sig, 1)]),
-                                  LaurentEntry(A, [(poly, 1)])))
-                    state = SymbolCombination(A, 2, [(q, sym)])
-                    counts["projection"] = counts.get("projection", 0) + 1
-                    realizer = shared_realizer(A, 8)
-                    before = realizer.realize_state(state)
-                    out = check_step(CheckState(state),
-                                     RewriteStep("projection", {}, {"order": n + 1}))
-                    small = truncated_extension(A, "sigma", n + 2)
-                    post = map_form(realizer.realize_state(out.state), small)
-                    ok = map_form(before, small) == post
-                    agree["projection"] = agree.get("projection", True) and ok
+                    run(A, [(q, sym_pr)], "projection", {}, {"order": j + 1},
+                        truncated_extension(A, "sigma", j + 2))
 
-    for kind in ("bilinearity", "steinberg", "minus_arg", "inverse_negation",
-                 "torsion_scale", "entry_factor", "entry_identity", "projection"):
-        checks.append((f"certify.rule_soundness.{kind}",
-                       agree.get(kind, False) and counts.get(kind, 0) >= 50))
-    return checks
+    return [(f"certify.rule_soundness.{kind}",
+             len(agree.get(kind, ())) >= 50 and all(agree[kind]))
+            for kind in ("bilinearity", "steinberg", "minus_arg", "inverse_negation",
+                         "torsion_scale", "entry_factor", "entry_identity", "projection")]
 
 
 def _tower_examples():

@@ -10,6 +10,7 @@ from milnork.algebra import Algebra, AlgebraSpec, build_algebra, truncated_exten
 from milnork.certify import (
     MAX_PRECISION,
     CheckState,
+    Replay,
     RewriteStep,
     certificate_from_json,
     certificate_to_json,
@@ -450,3 +451,79 @@ def test_lift_laurent_appends_the_sigma_degree(t2):
     twin = alg(["t"], ["t^2"])
     with pytest.raises(AlgebraMismatch):
         lift_laurent(LaurentPolynomial(twin, {0: twin.one}), ring)
+
+
+def _rejections(Q):
+    """(start state, order, step, error, message): one case per checker refusal."""
+    one = LaurentPolynomial.constant(Q, 1)
+    sig = LaurentPolynomial.sigma(Q)
+    two = LaurentPolynomial.constant(Q, 2)
+    three = LaurentPolynomial.constant(Q, 3)
+    plain = Symbol((_entry(Q, (one - sig, 1)), _entry(Q, (two, 1))))
+    pair = Symbol((_entry(Q, (two, 1), (three, 1)), _entry(Q, (one - sig, 1))))
+    empty = _state(Q)
+    return [
+        (_state(Q, (1, plain)), 2, RewriteStep("projection", {}, {"order": 2}),
+         SideConditionFailed, "projection applies only once, from the Laurent ring"),
+        (empty, None, RewriteStep("steinberg", {}, {"mode": "insert", "coeff": "1",
+                                                    "symbol": plain}),
+         SideConditionFailed, f"steinberg: inserted symbol {plain} fails the side condition"),
+        (_state(Q, (1, plain)), None,
+         RewriteStep("bilinearity", {"term": 0, "slot": 1}, {"mode": "kill"}),
+         SideConditionFailed, "kill: designated entry does not collapse to 1"),
+        (empty, None, RewriteStep("bilinearity", {}, {"mode": "insert", "coeff": "1",
+                                                      "symbol": plain, "slot": 1}),
+         SideConditionFailed, "insert: designated entry does not collapse to 1"),
+        (_state(Q, (1, pair)), None, RewriteStep("inverse_negation", {"term": 0, "slot": 0}, {}),
+         PositionInvalid, "inverse_negation wants a single-atom entry"),
+        (_state(Q, (1, pair)), None,
+         RewriteStep("torsion_scale", {"term": 0, "slot": 0}, {"mode": "pack", "m": 2}),
+         PositionInvalid, "torsion_scale wants a single-atom entry"),
+        (_state(Q, (1, plain)), None,
+         RewriteStep("torsion_scale", {"term": 0, "slot": 1}, {"mode": "unpack", "m": 0}),
+         SideConditionFailed, "torsion_scale factor must be a positive integer"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_checker_refusals_name_their_condition(Q, case):
+    state, order, step, error, message = _rejections(Q)[case]
+    with pytest.raises(error) as exc:
+        check_step(CheckState(state, order), step)
+    assert str(exc.value) == message
+
+
+def test_replay_index_of_a_missing_term(Q):
+    sym = Symbol((_entry(Q, (LaurentPolynomial.sigma(Q), 1)),
+                  _entry(Q, (LaurentPolynomial.constant(Q, 2), 1))))
+    with pytest.raises(PositionInvalid) as exc:
+        Replay(_state(Q)).index_of(sym)
+    assert str(exc.value) == f"term {sym} not present in the working state"
+
+
+def _unlinked(Q, case):
+    """A certificate whose chain reaches its goal but whose claim it does not justify."""
+    if case == "start_not_visibly_zero":
+        # one projection step; no entry of the projected start collapses to 1
+        one = LaurentPolynomial.constant(Q, 1)
+        sig = LaurentPolynomial.sigma(Q)
+        start = _state(Q, (1, Symbol((_entry(Q, (one - sig, 1)),
+                                      _entry(Q, (one - sig - sig, 1))))))
+        return certify.Certificate(certify.CertContext(Q, 1, Q.one), start, start,
+                                   (RewriteStep("projection", {}, {"order": 2}),),
+                                   start, _state(Q), "vanishing_start")
+    eq7, eq8 = splitting_certificate(Q, 2, 1), vanishing_certificate(Q, 1, 1)
+    return {
+        "unknown_linkage": replace(eq8, linkage="transitive"),
+        "nonzero_rhs": replace(eq8, claim_rhs=eq8.goal),
+        "no_projection": replace(eq7, linkage="vanishing_start", claim_lhs=eq7.goal,
+                                 claim_rhs=_state(Q)),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["unknown_linkage", "nonzero_rhs", "no_projection",
+                                  "start_not_visibly_zero"])
+def test_unjustified_claim_linkage_is_refused(Q, case):
+    verdict = check_certificate(_unlinked(Q, case))
+    assert verdict.failure_index is None and verdict.final_matches_goal
+    assert verdict.claim_ok is False and verdict.valid is False

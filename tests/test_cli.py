@@ -208,6 +208,17 @@ def test_certify_commands(capsys, q_spec, tmp_path):
     assert "certificate.valid=true" in out
 
 
+def test_certify_valid_but_disagreeing_crosscheck_exit_1(capsys, q_spec, monkeypatch):
+    monkeypatch.setattr(cli, "crosscheck_dlog", lambda cert, precision=None: (
+        certify.CrosscheckReport(6, ((0, "steinberg", False),), False, True)))
+    code, out = run(capsys, "certify-eq7", "--algebra", q_spec, "--c", "2", "--n", "1",
+                    "--format", "record")
+    assert code == 1
+    assert "certificate.valid=true\n" in out
+    assert "crosscheck.all_agree=false\n" in out
+    assert "crosscheck.step.00=steinberg:DISAGREE\n" in out
+
+
 def test_certify_needs_args(capsys, q_spec):
     code, _ = run(capsys, "certify-eq7", "--algebra", q_spec)
     assert code == 2
@@ -372,6 +383,21 @@ def test_algebra_file_order_is_a_whole_literal(capsys, tmp_path, order):
     spec.write_text(text)
     assert main(["algebra-info", "--algebra", str(spec)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("variables: t\nbad line\n", "algebra file line 2: expected 'key: value'"),
+    ("variables: t\norder: 2\n", "algebra file: 'order' needs a 'sigma' entry"),
+    ("variables: s\nsigma: s\norder: 0\n", "algebra file: order must be >= 1"),
+])
+def test_spec_file_errors_are_parse_errors(capsys, tmp_path, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file(text)
+    assert str(exc.value) == message
+    spec = tmp_path / "e.spec"
+    spec.write_text(text)
+    assert main(["algebra-info", "--algebra", str(spec)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_algebra_file_order_reads_the_literal_grammar():
@@ -546,6 +572,38 @@ def test_certificate_non_integer_exponent_exit_2(capsys, tmp_path, t3_eq8_doc, e
     code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
     assert code == 2 and out == ""
     assert f"certificate atom exponent {exp!r} is not an integer" in err
+
+
+def _non_string_step_atom(doc):
+    doc["steps"][4]["payload"]["atoms"][0] = [5, 1]
+
+
+def _non_string_state_atom(doc):
+    doc["start"][0][1][0][0] = [5, 1]
+
+
+def _non_string_variable(doc):
+    doc["context"]["variables"] = [5]
+
+
+def _non_string_relation(doc):
+    doc["context"]["relations"] = ["t^3", None]
+
+
+@pytest.mark.parametrize("edit, err", [
+    # an atom text that is no string goes to the parser, which rejects it
+    (_non_string_step_atom,
+     "input error: certificate data is malformed: object of type 'int' has no len()\n"),
+    (_non_string_state_atom,
+     "input error: certificate data is malformed: object of type 'int' has no len()\n"),
+    (_non_string_variable, "input error: certificate fields context.variables and "
+                           "context.relations must hold strings\n"),
+    (_non_string_relation, "input error: certificate fields context.variables and "
+                           "context.relations must hold strings\n"),
+])
+def test_certificate_non_string_field_exit_2(capsys, tmp_path, t3_eq8_doc, edit, err):
+    edit(t3_eq8_doc)
+    assert _load_code(capsys, tmp_path, t3_eq8_doc) == (2, "", err)
 
 
 @pytest.mark.parametrize("n, atoms, detail", [
