@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count, product
+from itertools import count, product
 
 from .errors import (
     AlgebraMismatch,
@@ -466,9 +466,10 @@ def extension_name(algebra):
 
     s is bound there, so the name changes no verdict; only printed symbols
     and saved certificates show it."""
-    return algebra.memo("extension_name", algebra.names, lambda: next(
-        name for name in chain(("sigma", "eps"), (f"s{i}" for i in count()))
-        if name not in algebra.names))
+    for name in ("sigma", "eps"):
+        if name not in algebra.names:
+            return name
+    return next(f"s{i}" for i in count() if f"s{i}" not in algebra.names)
 
 
 def transport(e, target):

@@ -25,12 +25,13 @@ check_step verifies the side conditions exactly before rewriting:
                   re-prove
 
 States before the projection step live over exact Laurent polynomials; after
-it, all products are truncated.  The independent soundness monitor
-crosscheck_dlog realizes every intermediate state as an honest 2-form, a
-symbol {e1, e2} as sigma * dlog e1 ^ dlog e2 in a high-precision truncation
-ring, and verifies that each step preserves the form exactly.  That
-comparison is Replay.agreement, the one loop shared with the suite's
-rule-soundness grid, which runs each of its instances as a one-step replay.
+it, all products are truncated.  check_certificate reads its verdict from the
+one replay of the steps.  The independent soundness monitor crosscheck_dlog
+realizes every intermediate state as an honest 2-form, a symbol {e1, e2} as
+sigma * dlog e1 ^ dlog e2 in a high-precision truncation ring, and verifies
+that each step preserves the form exactly.  That comparison is
+Replay.agreement, the one loop shared with the suite's rule-soundness grid,
+which runs each of its instances as a one-step replay.
 """
 
 from __future__ import annotations
@@ -182,13 +183,17 @@ class Replay:
         self.steps.append(step)
 
     def rewrite(self, rule, position, payload):
-        self.apply(RewriteStep(rule, position, payload))
-
-    def index_of(self, sym):
-        idx = self.states[-1].state.find(sym.key())
-        if idx is None:
-            raise PositionInvalid(f"term {sym} not present in the working state")
-        return idx
+        """Apply a step built here.  A term of `position` may be named by its
+        entries' atom lists; the step records that term's index."""
+        state = self.states[-1].state
+        named = {}
+        for key in ("term", "term2"):
+            if key in position and not isinstance(position[key], int):
+                sym = Symbol.from_atoms(state.algebra, position[key])
+                named[key] = state.find(sym.key())
+                if named[key] is None:
+                    raise PositionInvalid(f"term {sym} not present in the working state")
+        self.apply(RewriteStep(rule, {**position, **named}, payload))
 
     def agreement(self, realizer, small_ring):
         """Per accepted step, whether it preserves the realized 2-form exactly.
@@ -234,32 +239,30 @@ def _order_zero(state):
 
 
 @dataclass(frozen=True)
-class StepVerdict:
-    index: int
-    rule: str
-    ok: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class CertificateVerdict:
-    steps: tuple
-    valid: bool
+    rules: tuple  # the rule of every step, in order
     failure_index: int | None
+    failure_detail: str | None
     final_matches_goal: bool
     claim_ok: bool
+
+    @property
+    def valid(self):
+        return self.failure_index is None and self.final_matches_goal and self.claim_ok
 
     def record(self):
         rows = [("certificate.valid", self.valid)]
         if self.failure_index is not None:
             rows.append(("certificate.failure_index", self.failure_index))
-            rows.append(("certificate.failure_detail", self.steps[self.failure_index].detail))
-        rows.append(("certificate.steps", len(self.steps)))
+            rows.append(("certificate.failure_detail", self.failure_detail))
+        rows.append(("certificate.steps", len(self.rules)))
         rows.append(("certificate.final_matches_goal", self.final_matches_goal))
         rows.append(("certificate.claim_ok", self.claim_ok))
-        for sv in self.steps:
-            rows.append((f"certificate.step.{sv.index:02d}",
-                         f"{sv.rule}:{'ok' if sv.ok else 'FAIL'}"))
+        # the rejected step and every step after it read FAIL
+        accepted = len(self.rules) if self.failure_index is None else self.failure_index
+        for i, rule in enumerate(self.rules):
+            rows.append((f"certificate.step.{i:02d}",
+                         f"{rule}:{'ok' if i < accepted else 'FAIL'}"))
         return rows
 
 
@@ -398,22 +401,11 @@ def check_step(cstate, step):
 
 def check_certificate(cert):
     """Valid iff every side condition holds, the final state is the goal, and
-    the claim linkage is justified."""
+    the claim linkage is justified.  The verdict is read from the replay."""
     run = cert.replay
-    failure = run.failure
-    verdicts = []
-    for i, step in enumerate(cert.steps):
-        if failure is None or i < failure:
-            verdicts.append(StepVerdict(i, step.rule, True, ""))
-        else:
-            verdicts.append(StepVerdict(i, step.rule, False,
-                                        run.reason if i == failure else "skipped after failure"))
-    final_ok = failure is None and run.states[-1].state == cert.goal
-    claim_ok = False
-    if failure is None and final_ok:
-        claim_ok = _claim_linked(cert)
-    return CertificateVerdict(tuple(verdicts), failure is None and final_ok and claim_ok,
-                              failure, final_ok, claim_ok)
+    final_ok = run.failure is None and run.states[-1].state == cert.goal
+    return CertificateVerdict(tuple(step.rule for step in cert.steps), run.failure,
+                              run.reason, final_ok, final_ok and _claim_linked(cert))
 
 
 def _claim_linked(cert):
@@ -466,45 +458,40 @@ def _splitting_chain(algebra, c, n):
     run = Replay(SymbolCombination(A, 2, [(1, Symbol.from_atoms(A, ([(w, 1)], [(c0, 1)])))]))
 
     # {w, -c s^(n+1)} is a Steinberg pair: the two values sum to 1
-    s_minus = Symbol.from_atoms(A, ([(w, 1)], [(minus_c_sig, 1)]))
-    run.rewrite("steinberg", {}, {"mode": "insert", "coeff": "-1", "symbol": s_minus})
+    minus = ([(w, 1)], [(minus_c_sig, 1)])
+    run.rewrite("steinberg", {}, {"mode": "insert", "coeff": "-1",
+                                  "symbol": Symbol.from_atoms(A, minus)})
     # {w, (-1)^6} has a slot collapsing to 1, so it may be inserted freely;
     # the odd power left after unpacking keeps this helper's key distinct
     # from the start term even when c is the constant -1
-    s_sq = Symbol.from_atoms(A, ([(w, 1)], [(minus_one, 6)]))
+    sq = ([(w, 1)], [(minus_one, 6)])
     run.rewrite("bilinearity", {}, {"mode": "insert", "coeff": "-1/2",
-                                    "symbol": s_sq, "slot": 1})
-    run.rewrite("torsion_scale", {"term": run.index_of(s_sq), "slot": 1},
-                {"mode": "unpack", "m": 2})
-    s_m1 = Symbol.from_atoms(A, ([(w, 1)], [(minus_one, 3)]))
+                                    "symbol": Symbol.from_atoms(A, sq), "slot": 1})
+    run.rewrite("torsion_scale", {"term": sq, "slot": 1}, {"mode": "unpack", "m": 2})
     run.rewrite("bilinearity",
-                {"term": run.index_of(s_minus), "term2": run.index_of(s_m1), "slot": 1},
+                {"term": minus, "term2": ([(w, 1)], [(minus_one, 3)]), "slot": 1},
                 {"mode": "merge"})
-    s_merged = Symbol.from_atoms(A, ([(w, 1)], [(minus_c_sig, 1), (minus_one, 3)]))
-    run.rewrite("entry_factor", {"term": run.index_of(s_merged), "slot": 1},
+    run.rewrite("entry_factor",
+                {"term": ([(w, 1)], [(minus_c_sig, 1), (minus_one, 3)]), "slot": 1},
                 {"atoms": [(c0, 1), (sig, n + 1)]})
-    s_fact = Symbol.from_atoms(A, ([(w, 1)], [(c0, 1), (sig, n + 1)]))
-    run.rewrite("bilinearity", {"term": run.index_of(s_fact), "slot": 1},
+    run.rewrite("bilinearity", {"term": ([(w, 1)], [(c0, 1), (sig, n + 1)]), "slot": 1},
                 {"mode": "split", "at": 1})
     # the -1 {w, c} piece cancels the start term; only -1 {w, s^(n+1)} remains
-    s_pow = Symbol.from_atoms(A, ([(w, 1)], [(sig, n + 1)]))
-    run.rewrite("torsion_scale", {"term": run.index_of(s_pow), "slot": 1},
+    run.rewrite("torsion_scale", {"term": ([(w, 1)], [(sig, n + 1)]), "slot": 1},
                 {"mode": "unpack", "m": n + 1})
-    s_sig = Symbol.from_atoms(A, ([(w, 1)], [(sig, 1)]))
-    s_oms = Symbol.from_atoms(A, ([(one_m_s, 1)], [(sig, 1)]))
+    oms = ([(one_m_s, 1)], [(sig, 1)])
     run.rewrite("steinberg", {}, {"mode": "insert", "coeff": f"-{n + 1}",
-                                  "symbol": s_oms})
-    run.rewrite("bilinearity",
-                {"term": run.index_of(s_oms), "term2": run.index_of(s_sig), "slot": 0},
+                                  "symbol": Symbol.from_atoms(A, oms)})
+    run.rewrite("bilinearity", {"term": oms, "term2": ([(w, 1)], [(sig, 1)]), "slot": 0},
                 {"mode": "merge"})
     # the merged -(n+1) {(1-s)w, s} cancels against the split of the next insert
-    s_stein = Symbol.from_atoms(A, ([(one_m_sg, 1)], [(sig, 1), (g, 1)]))
+    stein = ([(one_m_sg, 1)], [(sig, 1), (g, 1)])
     run.rewrite("steinberg", {}, {"mode": "insert", "coeff": f"{n + 1}",
-                                  "symbol": s_stein})
-    run.rewrite("entry_identity", {"term": run.index_of(s_stein), "slot": 0},
+                                  "symbol": Symbol.from_atoms(A, stein)})
+    run.rewrite("entry_identity", {"term": stein, "slot": 0},
                 {"atoms": [(one_m_s, 1), (w, 1)]})
-    s_ident = Symbol.from_atoms(A, ([(one_m_s, 1), (w, 1)], [(sig, 1), (g, 1)]))
-    run.rewrite("bilinearity", {"term": run.index_of(s_ident), "slot": 1},
+    run.rewrite("bilinearity",
+                {"term": ([(one_m_s, 1), (w, 1)], [(sig, 1), (g, 1)]), "slot": 1},
                 {"mode": "split", "at": 1})
     # the (n+1) {(1-s)w, s} piece cancels; the goal term remains
     return c, run, (one, one_m_s, w, g)
@@ -542,15 +529,12 @@ def vanishing_certificate(algebra, c, n):
     run.rewrite("projection", {}, {"order": trunc})
     w_proj = w.truncate(trunc)          # collapses to 1
     g_proj = g.truncate(trunc)          # 1 - c s^n
-    s_after = Symbol.from_atoms(A, ([(one_m_s, 1), (w_proj, 1)], [(g_proj, 1)]))
-    run.rewrite("entry_factor", {"term": run.index_of(s_after), "slot": 0},
+    run.rewrite("entry_factor", {"term": ([(one_m_s, 1), (w_proj, 1)], [(g_proj, 1)]), "slot": 0},
                 {"atoms": [(one_m_s, 1)]})
-    s_clean = Symbol.from_atoms(A, ([(one_m_s, 1)], [(g_proj, 1)]))
-    run.rewrite("torsion_scale", {"term": run.index_of(s_clean), "slot": 1},
+    run.rewrite("torsion_scale", {"term": ([(one_m_s, 1)], [(g_proj, 1)]), "slot": 1},
                 {"mode": "pack", "m": n + 1})
-    s_packed = Symbol.from_atoms(A, ([(one_m_s, 1)], [(g_proj, n + 1)]))
     final_poly = one - LaurentPolynomial(A, {n: c * (n + 1)})
-    run.rewrite("entry_identity", {"term": run.index_of(s_packed), "slot": 1},
+    run.rewrite("entry_identity", {"term": ([(one_m_s, 1)], [(g_proj, n + 1)]), "slot": 1},
                 {"atoms": [(final_poly, 1)]})
 
     goal_sym = Symbol.from_atoms(A, ([(one_m_s, 1)], [(final_poly, 1)]))
@@ -797,12 +781,12 @@ def certificate_from_json(text):
 
     def atoms(data):
         """(polynomial, exponent) pairs.  An atom string is parsed once per
-        document; a value that is no string goes to the parser, which rejects it."""
+        document."""
         pairs = []
         for text, exp in data:
             if not isinstance(text, str):
-                poly = LaurentPolynomial.from_string(algebra, text)
-            elif text in parsed:
+                raise ParseError(f"certificate atom {text!r} is not a string")
+            if text in parsed:
                 poly = parsed[text]
             else:
                 poly = parsed[text] = LaurentPolynomial.from_string(algebra, text)

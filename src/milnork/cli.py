@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 on success and valid verdicts, 1 when a verdict fails
-(certificate invalid, span or transport check false), 2 on input or usage
-errors.  Reports are deterministic; the record format never carries
-timestamps.
+Each command takes the algebra of --algebra (None when the command has no
+such option or is given --load) and the arguments, and returns (report,
+holds).  main alone checks usage, loads the spec, writes the report to
+stdout or --output, and picks the exit code: 0 when the verdict holds, 1
+when it fails (certificate invalid, span or transport check false), 2 on
+input or usage errors.  Usage errors are raised before any file is read.
+Reports are deterministic; the record format never carries timestamps.
 """
 
 from __future__ import annotations
@@ -68,53 +71,31 @@ def parse_algebra_file(text):
     return AlgebraSpec(variables=variables, relations=relations, distinguished=sigma)
 
 
-def _load_algebra(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_algebra(parse_algebra_file(fh.read()))
-
-
-def _emit(report, args, exit_code):
-    text = report.render(args.format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return exit_code
-
-
-def _cmd_algebra_info(args):
-    A = _load_algebra(args.algebra)
+def _cmd_algebra_info(A, args):
     rep = Report("algebra-info")
     rep.add("algebra.variables", ",".join(A.names) or "-")
     rep.add("algebra.dimension", A.dimension)
     rep.add("algebra.basis", ";".join(A.monomial_strings()))
     rep.add("algebra.groebner", ";".join(polynomial_str(g, A.names) for g in A.groebner) or "0")
     rep.add("algebra.sigma", A.spec.distinguished or "-")
-    return _emit(rep, args, 0)
+    return rep, True
 
 
-def _cmd_omega(args):
-    if args.p < 0:
-        raise _Usage("--p must be nonnegative")
-    A = _load_algebra(args.algebra)
+def _cmd_omega(A, args):
     M = omega_module(A, args.p)
     rep = Report(f"omega^{args.p}")
     rep.add("omega.p", args.p)
     rep.add("omega.dim", M.dimension)
     rep.add("omega.basis", ";".join(M.label(i) for i in range(M.dimension)) or "-")
-    return _emit(rep, args, 0)
+    return rep, True
 
 
-def _cmd_decomposition(args):
-    A = _load_algebra(args.algebra)
+def _cmd_decomposition(A, args):
     out = decomposition_report(A, args.n, args.p)
-    rep = Report("decomposition").extend(out.record())
-    return _emit(rep, args, 0 if out.verdict != "neither" else 1)
+    return Report("decomposition").extend(out.record()), out.verdict != "neither"
 
 
-def _cmd_phi(args):
-    A = _load_algebra(args.algebra)
+def _cmd_phi(A, args):
     gens = relative_generators(A, args.n, args.p)
     rep = Report("relative-generators")
     rep.add("phi.n", args.n)
@@ -122,62 +103,54 @@ def _cmd_phi(args):
     rep.add("phi.count", len(gens))
     for i, g in enumerate(gens):
         rep.add(f"phi.gen.{i:03d}", str(g))
-    return _emit(rep, args, 0)
+    return rep, True
 
 
-def _cmd_theorem2(args):
-    A = _load_algebra(args.algebra)
+def _cmd_theorem2(A, args):
     gens = relative_generators(A, args.n, args.p)
     M = omega_module(A, args.p - 1)
     verdict = span_check((relative_realize(g, args.n) for g in gens), M)
     rep = Report("relative-realization").extend(verdict.record())
     rep.add("theorem2.generators", len(gens))
-    return _emit(rep, args, 0 if verdict.spans else 1)
+    return rep, verdict.spans
 
 
-def _cmd_tangent_span(args):
-    A = _load_algebra(args.algebra)
+def _cmd_tangent_span(A, args):
     gens = relative_generators(A, 1, args.p)
     M = omega_module(A, args.p - 1)
     verdict = span_check((tangent_realize(g) for g in gens), M)
-    rep = Report("tangent-span").extend(verdict.record())
-    return _emit(rep, args, 0 if verdict.spans else 1)
+    return Report("tangent-span").extend(verdict.record()), verdict.spans
 
 
-def _cmd_certify(args, builder):
+def _cmd_certify(A, args, builder):
     if args.load:
         with open(args.load, "r", encoding="utf-8") as fh:
             cert = certificate_from_json(fh.read())
     else:
-        A = _load_algebra(args.algebra)
-        c = A.element(args.c)
-        cert = builder(A, c, args.n)
+        cert = builder(A, A.element(args.c), args.n)
     verdict = check_certificate(cert)
     rep = Report("certificate")
     rep.add("certificate.claim_lhs", str(cert.claim_lhs))
     rep.add("certificate.claim_rhs", str(cert.claim_rhs))
     rep.extend(verdict.record())
-    code = 0 if verdict.valid else 1
-    if verdict.valid:
+    holds = verdict.valid
+    if holds:
         cross = crosscheck_dlog(cert, precision=args.precision)
         rep.extend(cross.record())
-        if not cross.all_agree:
-            code = 1
+        holds = cross.all_agree
     if args.save:
         with open(args.save, "w", encoding="utf-8") as fh:
             fh.write(certificate_to_json(cert))
         rep.add("certificate.saved", args.save)
-    return _emit(rep, args, code)
+    return rep, holds
 
 
-def _cmd_tau(args):
-    A = _load_algebra(args.algebra)
+def _cmd_tau(A, args):
     out = transport_check(A, args.n)
-    rep = Report("tau-transport").extend(out.record())
-    return _emit(rep, args, 0 if out.ok else 1)
+    return Report("tau-transport").extend(out.record()), out.ok
 
 
-def _cmd_tower(args):
+def _cmd_tower(A, args):
     with open(args.tower, "r", encoding="utf-8") as fh:
         tower = parse_tower_file(fh.read())
     rep = Report("tower")
@@ -188,10 +161,10 @@ def _cmd_tower(args):
     for level in ml_window_check(tower):
         rep.extend(level.record())
     rep.extend(limit_dim(tower).record())
-    return _emit(rep, args, 0)
+    return rep, True
 
 
-def _cmd_suite(args):
+def _cmd_suite(A, args):
     checks, passed, failed = run_suite(args.name)
     rep = Report(f"suite:{args.name}")
     for cname, ok in checks:
@@ -199,11 +172,7 @@ def _cmd_suite(args):
     rep.add("summary.checks", len(checks))
     rep.add("summary.passed", passed)
     rep.add("summary.failed", failed)
-    return _emit(rep, args, 0 if failed == 0 else 1)
-
-
-class _Usage(Exception):
-    pass
+    return rep, failed == 0
 
 
 def _add_common(sub, algebra=True):
@@ -265,7 +234,7 @@ def build_parser():
                        help="crosscheck truncation order (default 3(n+2))")
         s.add_argument("--save", help="write the certificate as JSON")
         s.add_argument("--load", help="check a saved certificate instead of building one")
-        s.set_defaults(func=lambda a, b=builder: _cmd_certify(a, b))
+        s.set_defaults(func=lambda A, a, b=builder: _cmd_certify(A, a, b))
 
     s = subs.add_parser("tau", help="transport checks for sigma inside the algebra")
     _add_common(s)
@@ -291,14 +260,28 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    try:
-        if args.command in ("certify-eq7", "certify-eq8") and not args.load:
-            if not (args.algebra and args.c is not None and args.n is not None):
-                raise _Usage("certify needs --algebra, --c and --n (or --load)")
-        return args.func(args)
-    except _Usage as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    usage = None
+    if args.command in ("certify-eq7", "certify-eq8") and not args.load:
+        if not (args.algebra and args.c is not None and args.n is not None):
+            usage = "certify needs --algebra, --c and --n (or --load)"
+    if args.command == "omega" and args.p < 0:
+        usage = "--p must be nonnegative"
+    if usage:
+        print(f"usage error: {usage}", file=sys.stderr)
         return 2
+    try:
+        A = None
+        if getattr(args, "algebra", None) and not getattr(args, "load", None):
+            with open(args.algebra, "r", encoding="utf-8") as fh:
+                A = build_algebra(parse_algebra_file(fh.read()))
+        report, holds = args.func(A, args)
+        text = report.render(args.format)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0 if holds else 1
     except (OSError, MilnorkError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

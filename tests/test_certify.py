@@ -246,7 +246,7 @@ def test_corrupted_certificate_rejected_at_exact_step(Q):
     verdict = check_certificate(bad)
     assert not verdict.valid
     assert verdict.failure_index == idx
-    assert verdict.steps[idx].ok is False
+    assert (f"certificate.step.{idx:02d}", "entry_identity:FAIL") in verdict.record()
     rep = crosscheck_dlog(bad)
     assert not rep.all_agree
     assert rep.steps[-1][0] == idx and rep.steps[-1][2] is False
@@ -269,8 +269,8 @@ def test_failure_detail_in_record_only_when_invalid(Q):
     keys = [key for key, _ in rows]
     assert keys.count("certificate.failure_detail") == 1
     at = keys.index("certificate.failure_index")
-    assert rows[at + 1] == ("certificate.failure_detail", verdict.steps[idx].detail)
-    assert "entry_identity" in verdict.steps[idx].detail
+    assert rows[at + 1] == ("certificate.failure_detail", verdict.failure_detail)
+    assert "entry_identity" in verdict.failure_detail
 
 
 def test_precision_insufficient(Q):
@@ -493,12 +493,21 @@ def test_checker_refusals_name_their_condition(Q, case):
     assert str(exc.value) == message
 
 
-def test_replay_index_of_a_missing_term(Q):
-    sym = Symbol((_entry(Q, (LaurentPolynomial.sigma(Q), 1)),
-                  _entry(Q, (LaurentPolynomial.constant(Q, 2), 1))))
+def test_replay_rewrite_names_terms_by_their_atom_lists(Q):
+    one_m_s = LaurentPolynomial.constant(Q, 1) - LaurentPolynomial.sigma(Q)
+    two, three = (([(one_m_s, 1)], [(LaurentPolynomial.constant(Q, k), 1)]) for k in (2, 3))
+    start = _state(Q, *((1, Symbol.from_atoms(Q, atoms)) for atoms in (two, three)))
+    run = Replay(start)
+    run.rewrite("bilinearity", {"term": three, "term2": two, "slot": 1}, {"mode": "merge"})
+    (step,) = run.steps
+    assert step.position == {"term": start.find(Symbol.from_atoms(Q, three).key()),
+                             "term2": start.find(Symbol.from_atoms(Q, two).key()), "slot": 1}
+    # a term the working state lacks is refused, and no step is recorded
     with pytest.raises(PositionInvalid) as exc:
-        Replay(_state(Q)).index_of(sym)
-    assert str(exc.value) == f"term {sym} not present in the working state"
+        run.rewrite("bilinearity", {"term": two, "slot": 1}, {"mode": "kill"})
+    assert str(exc.value) == (f"term {Symbol.from_atoms(Q, two)} "
+                              "not present in the working state")
+    assert run.steps == [step]
 
 
 def _unlinked(Q, case):

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from milnork import certify, cli, milnor
+from milnork import certify, cli, kahler, milnor
 from milnork.cli import main, parse_algebra_file
 from milnork.errors import MilnorkError, ParseError
 from milnork.laurent import EXPANSION_BUDGET, LaurentPolynomial
@@ -217,6 +217,39 @@ def test_certify_valid_but_disagreeing_crosscheck_exit_1(capsys, q_spec, monkeyp
     assert "certificate.valid=true\n" in out
     assert "crosscheck.all_agree=false\n" in out
     assert "crosscheck.step.00=steinberg:DISAGREE\n" in out
+
+
+def _short_span(targets, module):
+    return milnor.SpanVerdict(1, 2, False, (0,))
+
+
+@pytest.mark.parametrize("argv, name, verdict, row", [
+    (["theorem2", "--n", "1", "--p", "2"], "span_check", _short_span, "span.spans=false\n"),
+    (["tangent-span", "--p", "2"], "span_check", _short_span, "span.spans=false\n"),
+    (["tau", "--n", "2"], "transport_check",
+     lambda A, n: milnor.TransportReport(n, 3, 3, True, True, 0, 1, False, False, 1),
+     "tau.compatible=false\n"),
+    (["decomposition", "--n", "2", "--p", "2"], "decomposition_report",
+     lambda A, n, p: kahler.DecompositionReport(n, p, 5, None, 4, 6, "neither"),
+     "decomposition.verdict=neither\n"),
+], ids=["theorem2", "tangent-span", "tau", "decomposition"])
+def test_failing_verdict_exit_1(capsys, t3_spec, monkeypatch, argv, name, verdict, row):
+    monkeypatch.setattr(cli, name, verdict)
+    code, out = run(capsys, argv[0], "--algebra", t3_spec, *argv[1:], "--format", "record")
+    assert code == 1 and row in out
+
+
+def test_suite_with_a_failed_check_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", lambda name: ([("a", True), ("b", False)], 1, 1))
+    code, out = run(capsys, "suite", "towers", "--format", "record")
+    assert code == 1
+    assert "check.b=fail\n" in out and "summary.failed=1\n" in out
+
+
+def test_usage_error_before_reading_the_spec(capsys):
+    code = main(["omega", "--algebra", "/nonexistent.spec", "--p", "-1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "usage error: --p must be nonnegative\n")
 
 
 def test_certify_needs_args(capsys, q_spec):
@@ -591,11 +624,8 @@ def _non_string_relation(doc):
 
 
 @pytest.mark.parametrize("edit, err", [
-    # an atom text that is no string goes to the parser, which rejects it
-    (_non_string_step_atom,
-     "input error: certificate data is malformed: object of type 'int' has no len()\n"),
-    (_non_string_state_atom,
-     "input error: certificate data is malformed: object of type 'int' has no len()\n"),
+    (_non_string_step_atom, "input error: certificate atom 5 is not a string\n"),
+    (_non_string_state_atom, "input error: certificate atom 5 is not a string\n"),
     (_non_string_variable, "input error: certificate fields context.variables and "
                            "context.relations must hold strings\n"),
     (_non_string_relation, "input error: certificate fields context.variables and "

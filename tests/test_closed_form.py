@@ -40,7 +40,11 @@ from test_bench_targets import _load
 
 NAMED = (list(builtin_algebras())
          + [(name, build_algebra(AlgebraSpec(v, r)))
-            for name, (v, r) in _load("workloads").ALGEBRAS.items()])
+            for name, (v, r) in _load("workloads").ALGEBRAS.items()]
+         # structure constants that are not integers: 3/2, and -2/15 and 1/5
+         + [(name, build_algebra(AlgebraSpec(("x", "y"), r))) for name, r in (
+             ("rational-a", ("x^2 - 3/2*y^2", "x*y")),
+             ("rational-b", ("x^2 + 2/3*x*y - y^3", "y^2 - 5*x*y", "x^3")))])
 ALGEBRAS = [A for _, A in NAMED]
 IDS = [name for name, _ in NAMED]
 
