@@ -51,6 +51,8 @@ from .algebra import (
 from .errors import (
     NonUnitC,
     NonUnitEntry,
+    NotASplittingChain,
+    OutOfDomain,
     ParseError,
     PositionInvalid,
     PrecisionInsufficient,
@@ -196,7 +198,8 @@ class Replay:
         self.apply(RewriteStep(rule, {**position, **named}, payload))
 
     def agreement(self, realizer, small_ring):
-        """Per accepted step, whether it preserves the realized 2-form exactly.
+        """Per accepted step, whether it preserves the realized 2-form exactly,
+        and the last state's form.
 
         Each state is realized once.  A truncated state's form is read in
         small_ring through map_form, and so is the Laurent form before the
@@ -212,7 +215,7 @@ class Replay:
                 prev = map_form(prev, small_ring)
             agrees.append(form == prev)
             prev = form
-        return agrees
+        return agrees, prev
 
 
 @dataclass
@@ -430,30 +433,45 @@ def _claim_linked(cert):
 # -- built-in certificate chains ------------------------------------------------
 
 
-def _splitting_chain(algebra, c, n):
-    """Run the eq7 chain from {1 + c s^(n+1), c} to (n+1) {(1-s) w, g}.
+def _eq7_goal(A, c, n):
+    """The eq7 goal (n+1) {(1-s) w, g}, and the Laurent polynomials 1 - s,
+    w = 1 + c s^(n+1) and g = w - c s^n that it is written in."""
+    one = LaurentPolynomial.constant(A, 1)
+    one_m_s = one - LaurentPolynomial.sigma(A)
+    w = one + LaurentPolynomial(A, {n + 1: c})
+    g = w - LaurentPolynomial(A, {n: c})
+    goal_sym = Symbol.from_atoms(A, ([(one_m_s, 1), (w, 1)], [(g, 1)]))
+    return SymbolCombination(A, 2, [(n + 1, goal_sym)]), (one_m_s, w, g)
 
-    Returns c as an algebra element, the run, and the Laurent polynomials
-    1, 1 - s, w = 1 + c s^(n+1) and g = w - c s^n that the goal and the eq8
-    extension are written in.
+
+def _built(context, run, goal, claim_lhs, claim_rhs, linkage, annotations):
+    """The certificate of a builder's run, carrying that run as its replay."""
+    assert run.states[-1].state == goal, "internal: certificate chain does not reach its goal"
+    cert = Certificate(context, run.states[0].state, goal, tuple(run.steps),
+                       claim_lhs, claim_rhs, linkage, annotations)
+    cert.__dict__["replay"] = run
+    return cert
+
+
+def splitting_certificate(algebra, c, n):
+    """Chain deriving {1 + c s^(n+1), c} = (n+1) {(1-s)(1+c s^(n+1)), 1+c s^(n+1)-c s^n}.
+
+    Works in the Laurent ring, with c a unit of the base algebra.  This is the
+    one writer of the eq7 steps; vanishing_from extends its replay.
     """
     if n < 1:
-        raise ValueError("certificates need level n >= 1")
+        raise OutOfDomain("certificates need level n >= 1")
     A = algebra
     c = A.element(c)
     if not c.augmentation():
         raise NonUnitC("the coefficient c must be a unit of the base algebra "
                        "(split non-units by additivity first)")
-    one = LaurentPolynomial.constant(A, 1)
+    goal, (one_m_s, w, g) = _eq7_goal(A, c, n)
     sig = LaurentPolynomial.sigma(A)
     c0 = LaurentPolynomial(A, {0: c})
-    w = one + LaurentPolynomial(A, {n + 1: c})            # 1 + c s^(n+1)
-    g = w - LaurentPolynomial(A, {n: c})                   # 1 + c s^(n+1) - c s^n
-    one_m_s = one - sig
     minus_c_sig = LaurentPolynomial(A, {n + 1: -c})        # -c s^(n+1)
     minus_one = LaurentPolynomial.constant(A, -1)
-    sigma_g = sig.mul(g)                                   # s + c s^(n+2) - c s^(n+1)
-    one_m_sg = one - sigma_g
+    one_m_sg = LaurentPolynomial.constant(A, 1) - sig.mul(g)  # 1 - s - c s^(n+2) + c s^(n+1)
 
     run = Replay(SymbolCombination(A, 2, [(1, Symbol.from_atoms(A, ([(w, 1)], [(c0, 1)])))]))
 
@@ -494,36 +512,27 @@ def _splitting_chain(algebra, c, n):
                 {"term": ([(one_m_s, 1), (w, 1)], [(sig, 1), (g, 1)]), "slot": 1},
                 {"mode": "split", "at": 1})
     # the (n+1) {(1-s)w, s} piece cancels; the goal term remains
-    return c, run, (one, one_m_s, w, g)
-
-
-def _built(context, run, goal, claim_lhs, claim_rhs, linkage, annotations):
-    """The certificate of a builder's run, carrying that run as its replay."""
-    assert run.states[-1].state == goal, "internal: certificate chain does not reach its goal"
-    cert = Certificate(context, run.states[0].state, goal, tuple(run.steps),
-                       claim_lhs, claim_rhs, linkage, annotations)
-    cert.__dict__["replay"] = run
-    return cert
-
-
-def splitting_certificate(algebra, c, n):
-    """Chain deriving {1 + c s^(n+1), c} = (n+1) {(1-s)(1+c s^(n+1)), 1+c s^(n+1)-c s^n}.
-
-    Works in the Laurent ring, with c a unit of the base algebra.
-    """
-    c, run, (one, one_m_s, w, g) = _splitting_chain(algebra, c, n)
-    A = algebra
-    goal_sym = Symbol.from_atoms(A, ([(one_m_s, 1), (w, 1)], [(g, 1)]))
-    goal = SymbolCombination(A, 2, [(n + 1, goal_sym)])
     return _built(CertContext(algebra, n, c), run, goal, run.states[0].state, goal,
                   "direct", (SHORTCUT_NOTE,))
 
 
-def vanishing_certificate(algebra, c, n):
-    """Extend the splitting chain by the projection to A[s]/s^(n+1) and conclude
-    {1 - s, 1 - (n+1) c s^n} = 0 there."""
-    c, run, (one, one_m_s, w, g) = _splitting_chain(algebra, c, n)
-    A = algebra
+def vanishing_from(splitting):
+    """Extend a checked eq7 chain by the projection to A[s]/s^(n+1) and conclude
+    {1 - s, 1 - (n+1) c s^n} = 0 there.
+
+    The new replay starts as a copy of the eq7 replay's states and steps, so
+    the shared chain is checked once; the eq7 certificate is left as it was.
+    """
+    A, n, c = splitting.context.algebra, splitting.context.n, splitting.context.c
+    run7 = splitting.replay
+    if not (splitting.linkage == "direct" and run7.failure is None
+            and run7.states[-1].state == splitting.goal == _eq7_goal(A, c, n)[0]):
+        raise NotASplittingChain("only a checked eq7 chain that reaches its goal extends to eq8")
+    # the new steps reuse the goal's own 1 - s, w and g: eq8 holds one copy of each
+    ((_, sym),) = splitting.goal.terms
+    ((one_m_s, _), (w, _)), ((g, _),) = (entry.atoms for entry in sym.entries)
+    run = Replay(splitting.start)
+    run.states, run.steps = list(run7.states), list(run7.steps)
     trunc = n + 1
 
     run.rewrite("projection", {}, {"order": trunc})
@@ -533,15 +542,20 @@ def vanishing_certificate(algebra, c, n):
                 {"atoms": [(one_m_s, 1)]})
     run.rewrite("torsion_scale", {"term": ([(one_m_s, 1)], [(g_proj, 1)]), "slot": 1},
                 {"mode": "pack", "m": n + 1})
-    final_poly = one - LaurentPolynomial(A, {n: c * (n + 1)})
+    final_poly = LaurentPolynomial.constant(A, 1) - LaurentPolynomial(A, {n: c * (n + 1)})
     run.rewrite("entry_identity", {"term": ([(one_m_s, 1)], [(g_proj, n + 1)]), "slot": 1},
                 {"atoms": [(final_poly, 1)]})
 
     goal_sym = Symbol.from_atoms(A, ([(one_m_s, 1)], [(final_poly, 1)]))
     goal = SymbolCombination(A, 2, [(1, goal_sym)])
     zero = SymbolCombination(A, 2, [])
-    return _built(CertContext(algebra, n, c), run, goal, goal, zero,
+    return _built(splitting.context, run, goal, goal, zero,
                   "vanishing_start", (SHORTCUT_NOTE, KERZ_NOTE))
+
+
+def vanishing_certificate(algebra, c, n):
+    """The eq8 certificate: the eq7 chain extended by vanishing_from."""
+    return vanishing_from(splitting_certificate(algebra, c, n))
 
 
 # -- independent dlog soundness monitor -----------------------------------------
@@ -672,13 +686,14 @@ def crosscheck_dlog(cert, precision=None):
     small_ring = truncated_extension(A, extension_name(A), n + 2)
 
     run = cert.replay
-    step_rows = [(i, step.rule, ok) for i, (step, ok)
-                 in enumerate(zip(run.steps, run.agreement(realizer, small_ring)))]
+    agrees, final = run.agreement(realizer, small_ring)
+    step_rows = [(i, step.rule, ok) for i, (step, ok) in enumerate(zip(run.steps, agrees))]
     if run.failure is not None:
         step_rows.append((run.failure, cert.steps[run.failure].rule, False))
-    goal = realizer.realize_state(cert.goal)
-    final_zero = not (goal if run.states[-1].order is None else map_form(goal, small_ring))
-    return CrosscheckReport(N, tuple(step_rows), all(ok for _, _, ok in step_rows), final_zero)
+    if run.states[-1].state != cert.goal:  # else the last state's form is the goal's
+        final = realizer.realize_state(cert.goal)
+        final = final if run.states[-1].order is None else map_form(final, small_ring)
+    return CrosscheckReport(N, tuple(step_rows), all(ok for _, _, ok in step_rows), not final)
 
 
 def shared_realizer(algebra, precision):

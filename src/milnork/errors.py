@@ -22,6 +22,10 @@ class NotLocal(MilnorkError):
     monomial is not nilpotent."""
 
 
+class OutOfDomain(MilnorkError):
+    """A level n or degree p below the least one the construction is defined for."""
+
+
 class NotAUnit(MilnorkError):
     pass
 
@@ -60,6 +64,10 @@ class SideConditionFailed(MilnorkError):
 
 class PositionInvalid(MilnorkError):
     pass
+
+
+class NotASplittingChain(MilnorkError):
+    """A certificate extended to eq8 is not an eq7 chain whose replay reaches its goal."""
 
 
 class PrecisionInsufficient(MilnorkError):

@@ -28,6 +28,7 @@ from .errors import (
     MilnorkError,
     NonUnitEntry,
     NotGeneratorShape,
+    OutOfDomain,
     QuotientNotLocal,
     SigmaNotDesignated,
 )
@@ -107,9 +108,9 @@ def relative_generators(algebra, n, p, coeffs=None, units=None):
     s is named by extension_name, so A may have a variable called sigma.
     """
     if n < 1:
-        raise ValueError("generator families need level n >= 1")
+        raise OutOfDomain("generator families need level n >= 1")
     if p < 1:
-        raise ValueError("generator families need degree p >= 1")
+        raise OutOfDomain("generator families need degree p >= 1")
     s = extension_name(algebra)
     B = truncated_extension(algebra, s, n + 1)
     sigma = B.variable(s)
@@ -297,7 +298,7 @@ def transport_check(B, n):
     quotient by the annihilator action.
     """
     if n < 1:
-        raise ValueError("transport checks need n >= 1")
+        raise OutOfDomain("transport checks need n >= 1")
     sigma_name = B.spec.distinguished
     if sigma_name is None:
         raise SigmaNotDesignated("the algebra does not designate a sigma variable")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from dataclasses import replace
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from milnork import certify, kahler
+from milnork import certify, kahler, suite
 from milnork.algebra import Algebra, AlgebraSpec, build_algebra, truncated_extension
 from milnork.certify import (
     MAX_PRECISION,
@@ -21,10 +22,12 @@ from milnork.certify import (
     lift_laurent,
     splitting_certificate,
     vanishing_certificate,
+    vanishing_from,
 )
 from milnork.errors import (
     AlgebraMismatch,
     NonUnitC,
+    NotASplittingChain,
     ParseError,
     PositionInvalid,
     PrecisionInsufficient,
@@ -32,12 +35,14 @@ from milnork.errors import (
     SideConditionFailed,
 )
 from milnork.kahler import OmegaModule
+from milnork.family import builtin_algebras
 from milnork.laurent import (
     LaurentEntry,
     LaurentPolynomial,
     Symbol,
     SymbolCombination,
 )
+from milnork.milnor import unit_samples
 
 
 def alg(variables, relations):
@@ -438,6 +443,114 @@ def test_check_step_runs_once_per_step(t3_certs, monkeypatch):
         loaded = certificate_from_json(certificate_to_json(cert))
         assert check_certificate(loaded).valid and crosscheck_dlog(loaded).all_agree
         assert len(calls) == 2 * steps
+
+
+def _counting_check_step(monkeypatch):
+    calls = []
+    real = certify.check_step
+    monkeypatch.setattr(certify, "check_step",
+                        lambda cstate, step: calls.append(step.rule) or real(cstate, step))
+    return calls
+
+
+def test_suite_checks_each_eq7_chain_once(monkeypatch):
+    # eq8 extends the eq7 certificate's replay, so its 12 shared steps are
+    # not checked again: 69 triples * 12 fewer calls than the 2,436 of a
+    # suite that builds eq8 from scratch
+    calls = _counting_check_step(monkeypatch)
+    assert all(ok for _, ok in suite.certify_checks())
+    assert len(calls) == 1608
+
+
+# sha256 of certificate_to_json over the suite's 69 (algebra, n, c) triples,
+# eq7 and eq8 in turn, recorded before eq8 was built from eq7
+SUITE_EQ7_SHA = "1a9f7654690a5ea37e3f1f06b3f8833c47418d8a225441bcf709abbfc9c6e86c"
+SUITE_EQ8_SHA = "641e6f3914298789650c266b83ae3efd9e69b91f1d45c3b4fbd2decc50fe1f79"
+
+
+def test_suite_certificates_keep_their_bytes():
+    eq7, eq8, extended = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    triples = 0
+    for _, A in builtin_algebras():
+        for n in (1, 2, 3):
+            for c in unit_samples(A):
+                cert7 = splitting_certificate(A, c, n)
+                text7 = certificate_to_json(cert7)
+                eq7.update(text7.encode())
+                eq8.update(certificate_to_json(vanishing_certificate(A, c, n)).encode())
+                extended.update(certificate_to_json(vanishing_from(cert7)).encode())
+                assert certificate_to_json(cert7) == text7
+                triples += 1
+    assert triples == 69
+    assert eq7.hexdigest() == SUITE_EQ7_SHA
+    assert eq8.hexdigest() == extended.hexdigest() == SUITE_EQ8_SHA
+
+
+def test_extension_leaves_the_eq7_certificate_alone(t3_certs, monkeypatch):
+    cert7 = t3_certs[0]
+    run7 = cert7.replay
+    states, steps, text = list(run7.states), list(run7.steps), certificate_to_json(cert7)
+    calls = _counting_check_step(monkeypatch)
+    cert8 = vanishing_from(cert7)
+    assert calls == ["projection", "entry_factor", "torsion_scale", "entry_identity"]
+    assert cert7.replay is run7 and run7.states == states and run7.steps == steps
+    assert certificate_to_json(cert7) == text
+    assert cert8.steps[:12] == cert7.steps and cert8.replay.states[:13] == states
+    # the new steps reuse the eq7 goal's own polynomials rather than copies
+    one_m_s = cert7.goal.terms[0][1].entries[0].atoms[0][0]
+    assert cert8.steps[13].payload["atoms"][0][0] is one_m_s
+    assert certificate_to_json(cert8) == certificate_to_json(t3_certs[1])
+    assert check_certificate(cert8).valid and crosscheck_dlog(cert8).final_realization_zero
+
+
+def test_a_loaded_eq7_certificate_extends_like_a_built_one(t3_certs):
+    loaded = certificate_from_json(certificate_to_json(t3_certs[0]))
+    cert8 = vanishing_from(loaded)
+    assert check_certificate(cert8).valid
+    assert certificate_to_json(cert8) == certificate_to_json(t3_certs[1])
+
+
+def _not_extensible(t3_certs, case):
+    eq7, eq8 = t3_certs
+    if case == "eq8":
+        return eq8
+    if case == "not_direct":
+        return replace(eq7, linkage="vanishing_start")
+    doc = json.loads(certificate_to_json(eq7))
+    if case == "corrupted_step":
+        # torsion_scale unpacks by 3 where 2 divides the exponent: step 2 fails
+        doc["steps"][2]["payload"]["m"] = 3
+    else:  # off_goal: a valid chain whose goal is not the one it reaches
+        doc["goal"][0][0] = "4"
+    return certificate_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("case", ["eq8", "not_direct", "corrupted_step", "off_goal"])
+def test_extension_refuses_what_is_not_a_checked_eq7_chain(t3_certs, case):
+    cert = _not_extensible(t3_certs, case)
+    with pytest.raises(NotASplittingChain) as exc:
+        vanishing_from(cert)
+    assert str(exc.value) == "only a checked eq7 chain that reaches its goal extends to eq8"
+
+
+def test_crosscheck_reads_final_zero_from_the_replay(t3_certs, monkeypatch):
+    realized = Counter()
+    realize = certify.ExtendedRealizer.realize_state
+    monkeypatch.setattr(certify.ExtendedRealizer, "realize_state", lambda self, state: (
+        realized.update([state.key()]), realize(self, state))[1])
+    for cert in t3_certs:
+        realized.clear()
+        report = crosscheck_dlog(cert)
+        # one realization per state, the goal's is the last state's
+        assert sum(realized.values()) == len(cert.steps) + 1
+        assert report.all_agree
+    assert report.final_realization_zero
+    # a chain that stops short realizes the goal on its own
+    bad = replace(t3_certs[1], steps=t3_certs[1].steps[:-1])
+    realized.clear()
+    report = crosscheck_dlog(bad)
+    assert sum(realized.values()) == len(bad.steps) + 2 and realized[bad.goal.key()] == 1
+    assert report.all_agree and report.final_realization_zero
 
 
 def test_lift_laurent_appends_the_sigma_degree(t2):

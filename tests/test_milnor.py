@@ -14,8 +14,10 @@ from milnork.errors import (
     AlgebraMismatch,
     NonUnitEntry,
     NotGeneratorShape,
+    OutOfDomain,
     SigmaNotDesignated,
 )
+from milnork.certify import splitting_certificate, vanishing_certificate
 from milnork.family import builtin_algebras
 from milnork.kahler import map_form, omega_module
 from milnork.laurent import Symbol, SymbolCombination
@@ -382,3 +384,18 @@ def test_transport_check_spec_cases():
 def test_transport_check_requires_sigma(t3):
     with pytest.raises(SigmaNotDesignated):
         transport_check(t3, 1)
+
+
+def test_level_and_degree_checks_are_typed(t3):
+    B = alg(["t", "sigma"], ["t^2", "sigma^3", "t*sigma"], distinguished="sigma")
+    cases = [
+        (lambda: relative_generators(t3, 0, 2), "generator families need level n >= 1"),
+        (lambda: relative_generators(t3, 2, 0), "generator families need degree p >= 1"),
+        (lambda: transport_check(B, 0), "transport checks need n >= 1"),
+        (lambda: splitting_certificate(t3, 2, 0), "certificates need level n >= 1"),
+        (lambda: vanishing_certificate(t3, 2, -1), "certificates need level n >= 1"),
+    ]
+    for call, message in cases:
+        with pytest.raises(OutOfDomain) as exc:
+            call()
+        assert str(exc.value) == message
