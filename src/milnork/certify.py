@@ -357,49 +357,38 @@ def check_step(cstate, step):
             return cstate.clone(state.with_term(rational(pay["coeff"]), sym))
         raise PositionInvalid(f"unknown bilinearity mode {mode!r}")
 
-    if rule == "inverse_negation":
-        coeff, sym = _term_at(state, pos["term"])
-        entry = _slot_at(sym, pos["slot"])
-        if len(entry.atoms) != 1:
-            raise PositionInvalid("inverse_negation wants a single-atom entry")
-        poly, exp = entry.atoms[0]
-        new_entry = LaurentEntry(sym.algebra, [(poly, -exp)])
-        return cstate.clone(state.replace_term(
-            pos["term"], [(-coeff, sym.replace(pos["slot"], new_entry))]))
-
-    if rule == "torsion_scale":
-        coeff, sym = _term_at(state, pos["term"])
-        entry = _slot_at(sym, pos["slot"])
-        if len(entry.atoms) != 1:
-            raise PositionInvalid("torsion_scale wants a single-atom entry")
-        m = pay["m"]
-        if m < 1:
-            raise SideConditionFailed("torsion_scale factor must be a positive integer")
-        poly, exp = entry.atoms[0]
-        if pay["mode"] == "pack":
-            new = LaurentEntry(sym.algebra, [(poly, exp * m)])
-            return cstate.clone(state.replace_term(
-                pos["term"], [(Fraction(coeff, m), sym.replace(pos["slot"], new))]))
-        if pay["mode"] == "unpack":
-            if exp % m:
-                raise SideConditionFailed(f"exponent {exp} not divisible by {m}")
-            new = LaurentEntry(sym.algebra, [(poly, exp // m)])
-            return cstate.clone(state.replace_term(
-                pos["term"], [(coeff * m, sym.replace(pos["slot"], new))]))
-        raise PositionInvalid(f"unknown torsion_scale mode {pay['mode']!r}")
-
+    if rule not in ("inverse_negation", "torsion_scale", "entry_factor", "entry_identity"):
+        raise PositionInvalid(f"unknown rule {rule!r}")
+    coeff, sym = _term_at(state, pos["term"])
+    entry = _slot_at(sym, pos["slot"])
     if rule in ("entry_factor", "entry_identity"):
-        coeff, sym = _term_at(state, pos["term"])
-        entry = _slot_at(sym, pos["slot"])
         new_entry = LaurentEntry(sym.algebra, pay["atoms"])
         if not entries_value_equal(entry, new_entry, order):
             raise SideConditionFailed(
                 f"{rule}: {entry} and {new_entry} have different values"
                 + (f" mod sigma^{order}" if order else ""))
-        return cstate.clone(state.replace_term(
-            pos["term"], [(coeff, sym.replace(pos["slot"], new_entry))]))
-
-    raise PositionInvalid(f"unknown rule {rule!r}")
+    else:
+        if len(entry.atoms) != 1:
+            raise PositionInvalid(f"{rule} wants a single-atom entry")
+        poly, exp = entry.atoms[0]
+        if rule == "inverse_negation":
+            coeff, exp = -coeff, -exp
+        else:
+            m = pay["m"]
+            if m < 1:
+                raise SideConditionFailed("torsion_scale factor must be a positive integer")
+            mode = pay["mode"]
+            if mode == "pack":
+                coeff, exp = Fraction(coeff, m), exp * m
+            elif mode == "unpack":
+                if exp % m:
+                    raise SideConditionFailed(f"exponent {exp} not divisible by {m}")
+                coeff, exp = coeff * m, exp // m
+            else:
+                raise PositionInvalid(f"unknown torsion_scale mode {mode!r}")
+        new_entry = LaurentEntry(sym.algebra, [(poly, exp)])
+    return cstate.clone(state.replace_term(
+        pos["term"], [(coeff, sym.replace(pos["slot"], new_entry))]))
 
 
 def check_certificate(cert):
@@ -813,6 +802,11 @@ def certificate_from_json(text):
     def symbol(data):
         return Symbol.from_atoms(algebra, (atoms(entry) for entry in data))
 
+    def coefficient(value):
+        if not _is_rational(value):
+            raise ParseError(f"certificate coefficient {value!r} is not a rational string")
+        return value
+
     def payload(key, value):
         if isinstance(value, dict) and "symbol" in value:
             return symbol(value["symbol"])
@@ -824,7 +818,7 @@ def certificate_from_json(text):
                         {k: payload(k, v) for k, v in raw["payload"].items()})
             for raw in raw_steps)
         start, goal, lhs, rhs = (
-            SymbolCombination(algebra, 2, [(c, symbol(s)) for c, s in data])
+            SymbolCombination(algebra, 2, [(coefficient(c), symbol(s)) for c, s in data])
             for data in raw_states)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"certificate data is malformed: {exc}") from None

@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Each command takes the algebra of --algebra (None when the command has no
-such option or is given --load) and the arguments, and returns (report,
-holds).  main alone checks usage, loads the spec, writes the report to
-stdout or --output, and picks the exit code: 0 when the verdict holds, 1
-when it fails (certificate invalid, span or transport check false), 2 on
-input or usage errors.  Usage errors are raised before any file is read.
-Reports are deterministic; the record format never carries timestamps.
+_COMMANDS declares every command once: its name, function, help and
+arguments, in the order --help lists them.  A command's function takes the
+algebra of --algebra (None when the command has no such option or is given
+--load) and the arguments, and returns (report, holds).  main alone checks
+usage, loads the spec, writes the report to stdout or --output, and picks
+the exit code: 0 when the verdict holds, 1 when it fails (certificate
+invalid, span or transport check false), 2 on input or usage errors.
+Usage errors are raised before any file is read.  Reports are
+deterministic; the record format never carries timestamps.
 """
 
 from __future__ import annotations
@@ -175,12 +177,45 @@ def _cmd_suite(A, args):
     return rep, failed == 0
 
 
-def _add_common(sub, algebra=True):
-    if algebra:
-        sub.add_argument("--algebra", required=True, help="algebra spec file")
-    sub.add_argument("--format", choices=("text", "record"), default="text",
-                     help="output format (default: text)")
-    sub.add_argument("--output", help="write the report to this path instead of stdout")
+_ALGEBRA = ("--algebra", {"required": True, "help": "algebra spec file"})
+_REPORT = (("--format", {"choices": ("text", "record"), "default": "text",
+                         "help": "output format (default: text)"}),
+           ("--output", {"help": "write the report to this path instead of stdout"}))
+_N = ("--n", {"type": whole, "required": True})
+_P = ("--p", {"type": whole, "required": True})
+_CERTIFY = (
+    ("--algebra", {"help": "algebra spec file"}), *_REPORT,
+    ("--c", {"help": "unit coefficient expression; one that starts with '-' is written "
+                     "--c=-1+t"}),
+    ("--n", {"type": whole, "help": "level of the relative kernel"}),
+    ("--precision", {"type": whole, "default": None,
+                     "help": "crosscheck truncation order (default 3(n+2))"}),
+    ("--save", {"help": "write the certificate as JSON"}),
+    ("--load", {"help": "check a saved certificate instead of building one"}))
+
+_COMMANDS = (
+    ("algebra-info", _cmd_algebra_info, "basis, dimension, Groebner data",
+     (_ALGEBRA, *_REPORT)),
+    ("omega", _cmd_omega, "dimension and basis of Omega^p", (_ALGEBRA, *_REPORT, _P)),
+    ("decomposition", _cmd_decomposition, "splitting dimensions for Omega^p of A[s]/s^n",
+     (_ALGEBRA, *_REPORT, _N, _P)),
+    ("phi", _cmd_phi, "generator families for the relative kernel",
+     (_ALGEBRA, *_REPORT, _N, _P)),
+    ("theorem2", _cmd_theorem2, "span rank of realized relative generators",
+     (_ALGEBRA, *_REPORT, _N, _P)),
+    ("tangent-span", _cmd_tangent_span, "span rank of realized tangent symbols",
+     (_ALGEBRA, *_REPORT, _P)),
+    ("certify-eq7", lambda A, args: _cmd_certify(A, args, splitting_certificate),
+     "build and verify the bundled certificate chain", _CERTIFY),
+    ("certify-eq8", lambda A, args: _cmd_certify(A, args, vanishing_certificate),
+     "build and verify the bundled certificate chain", _CERTIFY),
+    ("tau", _cmd_tau, "transport checks for sigma inside the algebra",
+     (_ALGEBRA, *_REPORT, _N)),
+    ("tower", _cmd_tower, "surjectivity, image chains, window limit",
+     (("--tower", {"required": True, "help": "tower input file"}), *_REPORT)),
+    ("suite", _cmd_suite, "run a bundled verification grid",
+     (("name", {"choices": ("all",) + SUITE_NAMES}), *_REPORT)),
+)
 
 
 def build_parser():
@@ -189,68 +224,11 @@ def build_parser():
         description="Exact computer algebra for truncated local Q-algebras, "
                     "differential forms, symbol realizations, and certificates.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("algebra-info", help="basis, dimension, Groebner data")
-    _add_common(s)
-    s.set_defaults(func=_cmd_algebra_info)
-
-    s = subs.add_parser("omega", help="dimension and basis of Omega^p")
-    _add_common(s)
-    s.add_argument("--p", type=whole, required=True)
-    s.set_defaults(func=_cmd_omega)
-
-    s = subs.add_parser("decomposition", help="splitting dimensions for Omega^p of A[s]/s^n")
-    _add_common(s)
-    s.add_argument("--n", type=whole, required=True)
-    s.add_argument("--p", type=whole, required=True)
-    s.set_defaults(func=_cmd_decomposition)
-
-    s = subs.add_parser("phi", help="generator families for the relative kernel")
-    _add_common(s)
-    s.add_argument("--n", type=whole, required=True)
-    s.add_argument("--p", type=whole, required=True)
-    s.set_defaults(func=_cmd_phi)
-
-    s = subs.add_parser("theorem2", help="span rank of realized relative generators")
-    _add_common(s)
-    s.add_argument("--n", type=whole, required=True)
-    s.add_argument("--p", type=whole, required=True)
-    s.set_defaults(func=_cmd_theorem2)
-
-    s = subs.add_parser("tangent-span", help="span rank of realized tangent symbols")
-    _add_common(s)
-    s.add_argument("--p", type=whole, required=True)
-    s.set_defaults(func=_cmd_tangent_span)
-
-    for cmd, builder in (("certify-eq7", splitting_certificate),
-                         ("certify-eq8", vanishing_certificate)):
-        s = subs.add_parser(cmd, help="build and verify the bundled certificate chain")
-        s.add_argument("--algebra", help="algebra spec file")
-        _add_common(s, algebra=False)
-        s.add_argument("--c", help="unit coefficient expression; one that starts "
-                                   "with '-' is written --c=-1+t")
-        s.add_argument("--n", type=whole, help="level of the relative kernel")
-        s.add_argument("--precision", type=whole, default=None,
-                       help="crosscheck truncation order (default 3(n+2))")
-        s.add_argument("--save", help="write the certificate as JSON")
-        s.add_argument("--load", help="check a saved certificate instead of building one")
-        s.set_defaults(func=lambda A, a, b=builder: _cmd_certify(A, a, b))
-
-    s = subs.add_parser("tau", help="transport checks for sigma inside the algebra")
-    _add_common(s)
-    s.add_argument("--n", type=whole, required=True)
-    s.set_defaults(func=_cmd_tau)
-
-    s = subs.add_parser("tower", help="surjectivity, image chains, window limit")
-    s.add_argument("--tower", required=True, help="tower input file")
-    _add_common(s, algebra=False)
-    s.set_defaults(func=_cmd_tower)
-
-    s = subs.add_parser("suite", help="run a bundled verification grid")
-    s.add_argument("name", choices=("all",) + SUITE_NAMES)
-    _add_common(s, algebra=False)
-    s.set_defaults(func=_cmd_suite)
-
+    for name, func, help_text, arguments in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(func=func)
     return parser
 
 

@@ -24,7 +24,7 @@ from functools import cache
 from itertools import combinations
 
 from .algebra import AlgebraElement, derived_algebra, extension_name, invert_unit
-from .errors import AlgebraMismatch, NotAUnit
+from .errors import AlgebraMismatch, NotAUnit, OutOfDomain
 from .expr import monomial_str
 from .linalg import RowSpace, add_to, rational
 from .poly import mono_mul
@@ -311,7 +311,7 @@ def decomposition_report(algebra, n, p):
     whichever matches the direct computation ("match" when both do).
     """
     if n < 1 or p < 1:
-        raise ValueError("need n >= 1 and p >= 1")
+        raise OutOfDomain("need n >= 1 and p >= 1")
     # the generic presentation, eliminated from scratch: with no designated
     # sigma its spec is never truncated_extension's, so this verdict does not
     # come from the closed form it checks; s is named by extension_name
@@ -319,14 +319,13 @@ def decomposition_report(algebra, n, p):
     ext = derived_algebra(algebra, algebra.names + (s,), algebra.spec.relations + (f"{s}^{n}",))
     direct = omega_module(ext, p).dimension
     dim_line = n - 1  # dim Omega^1 of Q[s]/s^n
-    if p == 1:
-        eq5 = omega_module(algebra, 1).dimension * n + algebra.dimension * dim_line
-        verdict = "match" if eq5 == direct else "neither"
-        return DecompositionReport(n, p, direct, eq5, None, None, verdict)
     dim_p = omega_module(algebra, p).dimension
     dim_pm1 = omega_module(algebra, p - 1).dimension
-    literal = dim_p * n + dim_p * dim_line
     corrected = dim_p * n + dim_pm1 * dim_line
+    if p == 1:  # Omega^0_A = A, so eq5 is the corrected formula
+        verdict = "match" if corrected == direct else "neither"
+        return DecompositionReport(n, p, direct, corrected, None, None, verdict)
+    literal = dim_p * n + dim_p * dim_line
     if direct == corrected and direct == literal:
         verdict = "match"
     elif direct == corrected:

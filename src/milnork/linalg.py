@@ -69,10 +69,12 @@ def add_to(vec, key, value):
 
 
 class RowSpace:
-    """Incrementally maintained reduced row echelon form."""
+    """Incrementally maintained reduced row echelon form, of `rows` to start."""
 
-    def __init__(self):
+    def __init__(self, rows=()):
         self.pivots = {}  # pivot column -> fully reduced monic row
+        for row in rows:
+            self.insert(row)
 
     @property
     def rank(self):
@@ -116,9 +118,4 @@ def augmented_space(vectors, ncols):
     relations sum x_i v_i = 0.  Reducing (w | 0) leaves (0 | -x) with
     sum x_i v_i = w, or a column below `ncols` when w is not in the span.
     """
-    space = RowSpace()
-    for i, v in enumerate(vectors):
-        row = dict(v)
-        row[ncols + i] = 1
-        space.insert(row)
-    return space
+    return RowSpace({**v, ncols + i: 1} for i, v in enumerate(vectors))

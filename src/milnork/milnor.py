@@ -313,10 +313,7 @@ def transport_check(B, n):
 
     # surjectivity on monomial bases
     images = [transport(dom.basis_element(i), Bn) for i in range(dom.dimension)]
-    space = RowSpace()
-    for img in images:
-        space.insert(img.coords)
-    surjective = space.rank == Bn.dimension
+    surjective = RowSpace(img.coords for img in images).rank == Bn.dimension
 
     # multiplicativity of the monomial-level map
     multiplicative = True
@@ -345,10 +342,8 @@ def transport_check(B, n):
 
     # the tensor target Omega^1_{A'} / (annihilator * Omega^1_{A'})
     M = omega_module(Ap, 1)
-    killed = RowSpace()
-    for k in kernel_basis:
-        for bform in M.basis_forms():
-            killed.insert(dict(bform.act(k).coords))
+    killed = RowSpace(dict(bform.act(k).coords) for k in kernel_basis
+                      for bform in M.basis_forms())
     tensor_dim = M.dimension - killed.rank
 
     def to_tensor(form):

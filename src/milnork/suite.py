@@ -277,14 +277,11 @@ def rule_soundness_checks():
                 sym_bi = Symbol.from_atoms(A, ([(u0, 1), (v0, 1)], [(one - sig, 1)]))
                 run(A, [(2, sym_bi)], "bilinearity", {"term": 0, "slot": 0},
                     {"mode": "split", "at": 1})
-                half1 = Symbol.from_atoms(A, ([(u0, 1)], [(one - sig, 1)]))
-                half2 = Symbol.from_atoms(A, ([(v0, 1)], [(one - sig, 1)]))
-                merged_state = SymbolCombination(A, 2, [(2, half1), (2, half2)])
-                if half1.key() != half2.key():
-                    i1 = merged_state.find(half1.key())
-                    i2 = merged_state.find(half2.key())
-                    run(A, merged_state.terms, "bilinearity",
-                        {"term": i1, "term2": i2, "slot": 0}, {"mode": "merge"})
+                half1 = ([(u0, 1)], [(one - sig, 1)])
+                half2 = ([(v0, 1)], [(one - sig, 1)])
+                if u0.key() != v0.key():
+                    run(A, [(2, Symbol.from_atoms(A, h)) for h in (half1, half2)], "bilinearity",
+                        {"term": half1, "term2": half2, "slot": 0}, {"mode": "merge"})
                 sym_one = Symbol.from_atoms(A, ([(one - sig, 1)], [(u0, 1), (u0, -1)]))
                 run(A, [(1, sym_one)], "bilinearity", {"term": 0, "slot": 1}, {"mode": "kill"})
                 run(A, [], "bilinearity", {}, {"mode": "insert", "coeff": "5",

@@ -64,10 +64,7 @@ def _mat_mul(a, b):
 
 
 def _mat_rank(mat):
-    space = RowSpace()
-    for row in mat:
-        space.insert({j: v for j, v in enumerate(row) if v})
-    return space.rank
+    return RowSpace({j: v for j, v in enumerate(row) if v} for row in mat).rank
 
 
 def surjectivity_check(tower):

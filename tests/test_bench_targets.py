@@ -136,3 +136,15 @@ def test_rank_ladder_realized_forms_pinned():
                 digest.update(f"{seed}|{name}.p{p}|{idx}|{form.module.degree}|{coords}\n".encode())
                 count += 1
     assert (count, digest.hexdigest()) == REALIZED_FORMS
+
+
+def test_certify_ladder_verdicts_hold():
+    # eq7 and eq8 at n = 2, 8 and 12 on the benchmark's five algebras: no
+    # other test builds them there, so a broken verdict would otherwise show
+    # first in the benchmark's own correctness gate
+    workloads = _load("workloads")
+    spans = _load("calltrace").Spans(None)
+    verdicts = workloads.certify_run(workloads.certify_inputs(5), spans)
+    assert len(verdicts) == 30
+    for name, ok, got in verdicts:
+        assert ok, (name, got)

@@ -49,6 +49,11 @@ def test_omega_command(capsys, t3_spec):
     assert "omega.dim=2" in out
 
 
+def test_omega_degree_zero_is_the_algebra(capsys, t3_spec):
+    code, out = run(capsys, "omega", "--algebra", t3_spec, "--p", "0", "--format", "record")
+    assert (code, out) == (0, "report=omega^0\nomega.p=0\nomega.dim=3\nomega.basis=1;t;t^2\n")
+
+
 def test_omega_rejects_negative_p(capsys, t3_spec):
     code, _ = run(capsys, "omega", "--algebra", t3_spec, "--p", "-1")
     assert code == 2
@@ -71,11 +76,34 @@ def test_bad_algebra_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_spec_file_blank_lines_and_comments_are_skipped(capsys, tmp_path):
+    # the README's example spec, with blank and comment-only lines added
+    plain = tmp_path / "plain.spec"
+    plain.write_text("variables: t, sigma\nrelations: t^2, sigma^3, t*sigma\n"
+                     "sigma: sigma\norder: 3\n")
+    commented = tmp_path / "commented.spec"
+    commented.write_text("# t and the distinguished sigma\n\nvariables: t, sigma\n"
+                         "relations: t^2, sigma^3, t*sigma\n   \n"
+                         "sigma: sigma      # optional: designates the (last) distinguished "
+                         "variable\n# next: the truncation\n"
+                         "order: 3          # optional: appends the relation sigma^3\n\n")
+    assert parse_algebra_file(commented.read_text()) == parse_algebra_file(plain.read_text())
+    outs = [run(capsys, "algebra-info", "--algebra", str(path), "--format", "record")
+            for path in (plain, commented)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
 def test_algebra_info(capsys, t3_spec):
     code, out = run(capsys, "algebra-info", "--algebra", t3_spec, "--format", "record")
     assert code == 0
     assert "algebra.dimension=3" in out
     assert "algebra.basis=1;t;t^2" in out
+
+
+def test_decomposition_domain_exit_2(capsys, t3_spec):
+    code = main(["decomposition", "--algebra", t3_spec, "--n", "0", "--p", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "input error: need n >= 1 and p >= 1\n")
 
 
 def test_decomposition_command(capsys, t3_spec):
@@ -152,6 +180,23 @@ def test_families_over_an_algebra_with_a_sigma_variable(capsys, tmp_path):
     code, out = run(capsys, "phi", "--algebra", str(spec), "--n", "1", "--p", "1",
                     "--format", "record")
     assert code == 0 and "phi.gen.000=1*{eps + 1}\n" in out
+
+
+def test_s0_names_s_when_sigma_and_eps_are_variables(capsys, tmp_path):
+    # extension_name falls back to s0; a certificate saved in s0 loads back
+    spec = tmp_path / "sigma_eps.spec"
+    spec.write_text("variables: t, sigma, eps\n"
+                    "relations: t^2, sigma^2, eps^2, t*sigma, t*eps, sigma*eps\n")
+    code, out = run(capsys, "phi", "--algebra", str(spec), "--n", "1", "--p", "1",
+                    "--format", "record")
+    assert code == 0 and "phi.gen.000=1*{s0 + 1}\n" in out
+    saved = tmp_path / "cert.json"
+    code, out = run(capsys, "certify-eq8", "--algebra", str(spec), "--c", "2", "--n", "2",
+                    "--format", "record", "--save", str(saved))
+    assert code == 0 and "certificate.claim_lhs=1*{(-s0 + 1), (-6*s0^2 + 1)}\n" in out
+    assert "certificate.valid=true\n" in out and "crosscheck.all_agree=true\n" in out
+    code, reloaded = run(capsys, "certify-eq8", "--load", str(saved), "--format", "record")
+    assert (code, reloaded) == (0, out.replace(f"certificate.saved={saved}\n", ""))
 
 
 @pytest.fixture(scope="module")
@@ -623,6 +668,19 @@ def _non_string_relation(doc):
     doc["context"]["relations"] = ["t^3", None]
 
 
+def _boolean_state_coeff(doc):
+    # true used to load as 1, and the certificate passed
+    doc["start"][0][0] = True
+
+
+def _integer_state_coeff(doc):
+    doc["start"][0][0] = 1
+
+
+def _list_state_coeff(doc):
+    doc["start"][0][0] = [1]
+
+
 @pytest.mark.parametrize("edit, err", [
     (_non_string_step_atom, "input error: certificate atom 5 is not a string\n"),
     (_non_string_state_atom, "input error: certificate atom 5 is not a string\n"),
@@ -630,6 +688,9 @@ def _non_string_relation(doc):
                            "context.relations must hold strings\n"),
     (_non_string_relation, "input error: certificate fields context.variables and "
                            "context.relations must hold strings\n"),
+    (_boolean_state_coeff, "input error: certificate coefficient True is not a rational string\n"),
+    (_integer_state_coeff, "input error: certificate coefficient 1 is not a rational string\n"),
+    (_list_state_coeff, "input error: certificate coefficient [1] is not a rational string\n"),
 ])
 def test_certificate_non_string_field_exit_2(capsys, tmp_path, t3_eq8_doc, edit, err):
     edit(t3_eq8_doc)

@@ -19,7 +19,7 @@ from milnork.errors import (
 )
 from milnork.certify import splitting_certificate, vanishing_certificate
 from milnork.family import builtin_algebras
-from milnork.kahler import map_form, omega_module
+from milnork.kahler import decomposition_report, map_form, omega_module
 from milnork.laurent import Symbol, SymbolCombination
 from milnork.linalg import RowSpace
 from milnork.milnor import (
@@ -394,6 +394,7 @@ def test_level_and_degree_checks_are_typed(t3):
         (lambda: transport_check(B, 0), "transport checks need n >= 1"),
         (lambda: splitting_certificate(t3, 2, 0), "certificates need level n >= 1"),
         (lambda: vanishing_certificate(t3, 2, -1), "certificates need level n >= 1"),
+        (lambda: decomposition_report(t3, 0, 1), "need n >= 1 and p >= 1"),
     ]
     for call, message in cases:
         with pytest.raises(OutOfDomain) as exc:
