@@ -11,8 +11,7 @@ algebras, dlog forms, certificate realizers) is built once per algebra by
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from itertools import count, product
 
@@ -37,28 +36,25 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """Presentation data: ordered variables, relation expressions, optional sigma."""
+class AlgebraSpec(namedtuple("AlgebraSpec", "variables relations distinguished")):
+    """Presentation data: ordered variables, relation expressions, optional sigma.
+    Equal and hashable by value, as the key of the "derived" memo."""
 
-    variables: tuple
-    relations: tuple
-    distinguished: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = tuple(self.variables)
-        object.__setattr__(self, "variables", names)
-        object.__setattr__(self, "relations", tuple(self.relations))
+    def __new__(cls, variables, relations, distinguished=None):
+        names, relations = tuple(variables), tuple(relations)
         if len(set(names)) != len(names):
             raise InvalidSpec("variable names must be unique")
         for n in names:
             if not n:
                 raise InvalidSpec("variable names must be nonempty")
-        if self.distinguished is not None:
-            if self.distinguished not in names:
-                raise InvalidSpec(f"distinguished variable {self.distinguished!r} not declared")
-            if names[-1] != self.distinguished:
+        if distinguished is not None:
+            if distinguished not in names:
+                raise InvalidSpec(f"distinguished variable {distinguished!r} not declared")
+            if names[-1] != distinguished:
                 raise InvalidSpec("the distinguished variable must be last in the order")
+        return super().__new__(cls, names, relations, distinguished)
 
 
 def _spoly(f, g):

@@ -37,7 +37,7 @@ which runs each of its instances as a one-step replay.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -123,38 +123,27 @@ class _Fields(dict):
         return self[key] if key in self else default
 
 
-@dataclass(frozen=True)
 class RewriteStep:
-    rule: str
-    position: dict
-    payload: dict
+    __slots__ = ("rule", "position", "payload")
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", _Fields(self.position))
-        object.__setattr__(self, "payload", _Fields(self.payload))
+    def __init__(self, rule, position, payload):
+        self.rule, self.position, self.payload = rule, _Fields(position), _Fields(payload)
 
 
-@dataclass(frozen=True)
-class CertContext:
-    algebra: object
-    n: int
-    c: object  # unit of the base algebra
+class CertContext(namedtuple("CertContext", "algebra n c")):
+    """c: a unit of the base algebra."""
+
+    __slots__ = ()
 
     @property
     def truncation(self):
         return self.n + 1
 
 
-@dataclass(frozen=True)
-class Certificate:
-    context: CertContext
-    start: SymbolCombination
-    goal: SymbolCombination
-    steps: tuple
-    claim_lhs: SymbolCombination
-    claim_rhs: SymbolCombination
-    linkage: str  # "direct" or "vanishing_start"
-    annotations: tuple = field(default_factory=tuple)
+class Certificate(namedtuple("Certificate", "context start goal steps claim_lhs claim_rhs "
+                                            "linkage annotations", defaults=((),))):
+    """linkage: "direct" or "vanishing_start".  No __slots__: the instance dict
+    caches the replay, and a copy made by _replace replays its own steps."""
 
     @cached_property
     def replay(self):
@@ -218,10 +207,12 @@ class Replay:
         return agrees, prev
 
 
-@dataclass
 class CheckState:
-    state: SymbolCombination
-    order: int | None = None  # None over Laurent polynomials, the truncation after projection
+    __slots__ = ("state", "order")
+
+    def __init__(self, state, order=None):
+        self.state = state
+        self.order = order  # None over Laurent polynomials, the truncation after projection
 
     def clone(self, state):
         if self.order is not None:
@@ -241,13 +232,11 @@ def _order_zero(state):
                         "projection needs order-zero atoms")
 
 
-@dataclass(frozen=True)
-class CertificateVerdict:
-    rules: tuple  # the rule of every step, in order
-    failure_index: int | None
-    failure_detail: str | None
-    final_matches_goal: bool
-    claim_ok: bool
+class CertificateVerdict(namedtuple("CertificateVerdict", "rules failure_index failure_detail "
+                                                          "final_matches_goal claim_ok")):
+    """rules: the rule of every step, in order."""
+
+    __slots__ = ()
 
     @property
     def valid(self):
@@ -607,12 +596,11 @@ def lift_laurent(poly, ring, shift=0):
     return from_sigma_layers(ring, {deg - shift: c for deg, c in poly.coeffs.items()})
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    precision: int
-    steps: tuple  # per-step (index, rule, agrees)
-    all_agree: bool
-    final_realization_zero: bool
+class CrosscheckReport(namedtuple("CrosscheckReport",
+                                   "precision steps all_agree final_realization_zero")):
+    """steps: per step, (index, rule, agrees)."""
+
+    __slots__ = ()
 
     def record(self):
         rows = [
@@ -802,10 +790,13 @@ def certificate_from_json(text):
     def symbol(data):
         return Symbol.from_atoms(algebra, (atoms(entry) for entry in data))
 
-    def coefficient(value):
-        if not _is_rational(value):
-            raise ParseError(f"certificate coefficient {value!r} is not a rational string")
-        return value
+    def term(t):
+        if not (isinstance(t, list) and len(t) == 2 and isinstance(t[1], list)
+                and all(isinstance(entry, list) for entry in t[1])):
+            raise ParseError(f"certificate state term {t!r} is not a [coefficient, symbol] pair")
+        if not _is_rational(t[0]):
+            raise ParseError(f"certificate coefficient {t[0]!r} is not a rational string")
+        return t[0], symbol(t[1])
 
     def payload(key, value):
         if isinstance(value, dict) and "symbol" in value:
@@ -818,7 +809,7 @@ def certificate_from_json(text):
                         {k: payload(k, v) for k, v in raw["payload"].items()})
             for raw in raw_steps)
         start, goal, lhs, rhs = (
-            SymbolCombination(algebra, 2, [(coefficient(c), symbol(s)) for c, s in data])
+            SymbolCombination(algebra, 2, [term(t) for t in data])
             for data in raw_states)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"certificate data is malformed: {exc}") from None

@@ -19,7 +19,7 @@ flattened monomial-major so low monomials survive reduction first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import combinations
 
@@ -152,10 +152,11 @@ class OmegaModule:
         return f"{mono} {dparts}".strip()
 
 
-@dataclass(frozen=True, slots=True)
 class DifferentialForm:
-    module: OmegaModule
-    coords: dict
+    __slots__ = ("module", "coords")
+
+    def __init__(self, module, coords):
+        self.module, self.coords = module, coords
 
     def __bool__(self):
         return bool(self.coords)
@@ -288,15 +289,9 @@ def map_form(f, target_algebra):
     return target.form(free)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    n: int
-    p: int
-    direct_dim: int
-    eq5_dim: int | None
-    eq6_literal_dim: int | None
-    eq6_corrected_dim: int | None
-    verdict: str
+class DecompositionReport(namedtuple("DecompositionReport", "n p direct_dim eq5_dim "
+                                      "eq6_literal_dim eq6_corrected_dim verdict")):
+    __slots__ = ()
 
     def record(self):
         return field_rows("decomposition", self)

@@ -16,7 +16,6 @@ A[sigma]/sigma^N after the projection step.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .algebra import extension_name
 from .errors import AlgebraMismatch, NonUnitEntry, ParseError, PositionInvalid
@@ -266,7 +265,6 @@ def entry_is_one(e, order=None):
     return n.coeffs == d.coeffs
 
 
-@dataclass(frozen=True)
 class Symbol:
     """A frozen tuple of entries over one algebra.
 
@@ -274,11 +272,15 @@ class Symbol:
     (formal products of Laurent atoms); both provide `algebra` and `key()`.
     """
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if len({id(e.algebra) for e in self.entries}) > 1:
+    def __init__(self, entries):
+        if len({id(e.algebra) for e in entries}) > 1:
             raise AlgebraMismatch("symbol entries over different algebras")
+        self.entries = entries
+
+    def __eq__(self, other):
+        return isinstance(other, Symbol) and self.entries == other.entries
 
     @classmethod
     def from_atoms(cls, algebra, atom_lists):

@@ -11,7 +11,7 @@ K(A[s]/s^(n+1)) -> K(A[s]/s^n), (c) the evaluation sending a generator
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .algebra import (
@@ -126,7 +126,6 @@ def relative_generators(algebra, n, p, coeffs=None, units=None):
     return GeneratorFamily(B, tuple(heads), tuple(_check_unit(transport(u, B)) for u in units))
 
 
-@dataclass(frozen=True)
 class GeneratorFamily:
     """The symbols head + tail over B, for each (head, k) in `heads` and
     each tail of k units from `lifted`, made on each pass from the shared
@@ -135,9 +134,10 @@ class GeneratorFamily:
     len() counts them without building any.
     """
 
-    algebra: object
-    heads: tuple
-    lifted: tuple
+    __slots__ = ("algebra", "heads", "lifted")
+
+    def __init__(self, algebra, heads, lifted):
+        self.algebra, self.heads, self.lifted = algebra, heads, lifted
 
     def __len__(self):
         return sum(len(self.lifted) ** k for _, k in self.heads)
@@ -205,12 +205,10 @@ def tangent_realize(comb):
     return relative_realize(comb, 1)
 
 
-@dataclass(frozen=True)
-class SpanVerdict:
-    rank: int
-    dim: int
-    spans: bool
-    certificate: tuple  # indices of targets forming a basis of the span
+class SpanVerdict(namedtuple("SpanVerdict", "rank dim spans certificate")):
+    """certificate: the indices of targets forming a basis of the span."""
+
+    __slots__ = ()
 
     def record(self):
         return [
@@ -265,18 +263,10 @@ def vanishing_additivity_check(algebra, c1, c2, n):
 # -- transport of the isomorphism to sigma inside the algebra ------------------
 
 
-@dataclass(frozen=True)
-class TransportReport:
-    n: int
-    base_dim: int
-    target_dim: int
-    surjective: bool
-    multiplicative: bool
-    kernel_dim: int
-    tensor_target_dim: int
-    compatible: bool
-    degenerate: bool
-    samples: int
+class TransportReport(namedtuple("TransportReport",
+                                  "n base_dim target_dim surjective multiplicative kernel_dim "
+                                  "tensor_target_dim compatible degenerate samples")):
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -7,7 +7,6 @@ produce byte-identical records.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import AlgebraSpec, build_algebra, transport, truncated_extension
@@ -229,7 +228,7 @@ def certify_checks():
                  for poly, exp in step.payload["atoms"]]
     bad_steps[broken_idx] = RewriteStep(step.rule, step.position,
                                         {**step.payload, "atoms": bad_atoms})
-    bad = replace(cert, steps=tuple(bad_steps))
+    bad = cert._replace(steps=tuple(bad_steps))
     vb = check_certificate(bad)
     xb = crosscheck_dlog(bad)
     first_bad = next((i for i, r, ok in xb.steps if not ok), None)

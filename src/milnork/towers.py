@@ -9,7 +9,7 @@ Mittag-Leffler hypothesis for surjective systems), or vacuously at the top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidSpec, ParseError
 from .linalg import RowSpace, rational, whole
@@ -28,10 +28,10 @@ def _as_matrix(rows, nrows, ncols):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Tower:
-    dims: tuple
-    maps: tuple  # maps[k]: level k+1 -> level k, shape (dims[k], dims[k+1])
+class Tower(namedtuple("Tower", "dims maps")):
+    """Level dimensions, and maps[k]: level k+1 -> level k, shape (dims[k], dims[k+1])."""
+
+    __slots__ = ()
 
     @classmethod
     def build(cls, dims, maps):
@@ -75,13 +75,14 @@ def surjectivity_check(tower):
     return out
 
 
-@dataclass(frozen=True)
-class LevelStabilization:
-    level: int
-    ranks: tuple       # rank of the image from level k+j, j = 1..window
-    offset: int | None  # first j-1 with rank equal to the window-end rank
-    stabilized: bool
-    reason: str        # vacuous | witnessed | surjective | not-stabilized
+class LevelStabilization(namedtuple("LevelStabilization",
+                                     "level ranks offset stabilized reason")):
+    """The image chain into one level: ranks, the rank of the image from level
+    k+j, j = 1..window; offset, the first j-1 with rank equal to the
+    window-end rank, or None; reason, one of vacuous | witnessed | surjective
+    | not-stabilized."""
+
+    __slots__ = ()
 
     def record(self):
         return [
@@ -125,10 +126,8 @@ def ml_window_check(tower):
     return reports
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    dim: int
-    stabilized: bool
+class LimitReport(namedtuple("LimitReport", "dim stabilized")):
+    __slots__ = ()
 
     def record(self):
         return field_rows("limit", self)

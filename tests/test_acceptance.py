@@ -8,7 +8,6 @@ import hashlib
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from milnork.algebra import AlgebraSpec, build_algebra
@@ -121,7 +120,7 @@ def test_criterion_5_certificates_grid():
     step = cert.steps[idx]
     bad_atoms = [(poly + LaurentPolynomial.constant(Q, 1), exp)
                  for poly, exp in step.payload["atoms"]]
-    bad = replace(cert, steps=tuple(
+    bad = cert._replace(steps=tuple(
         RewriteStep(s.rule, s.position, {**s.payload, "atoms": bad_atoms}) if i == idx else s
         for i, s in enumerate(cert.steps)))
     verdict = check_certificate(bad)

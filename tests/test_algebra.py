@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from milnork.algebra import (
     AlgebraSpec,
     build_algebra,
+    derived_algebra,
     invert_unit,
     quotient_mod_variable,
     sigma_layers,
@@ -114,6 +115,15 @@ def test_spec_validation():
         AlgebraSpec(("x",), (), distinguished="y")
     with pytest.raises(InvalidSpec):
         AlgebraSpec(("sigma", "x"), (), distinguished="sigma")
+
+
+def test_spec_is_equal_and_hashed_by_value(t3):
+    """A spec is the key of the "derived" memo: a list and a tuple of the same
+    names are one key, and so one derived algebra."""
+    a, b = AlgebraSpec(("t",), ["t^3"]), AlgebraSpec(["t"], ("t^3",))
+    assert a == b and hash(a) == hash(b)
+    assert (derived_algebra(t3, ("t", "s"), ["t^3", "s^2"])
+            is derived_algebra(t3, ["t", "s"], ("t^3", "s^2")))
 
 
 def test_truncated_extension(t3):

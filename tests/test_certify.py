@@ -1,7 +1,6 @@
 import hashlib
 import json
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,7 +41,7 @@ from milnork.laurent import (
     Symbol,
     SymbolCombination,
 )
-from milnork.milnor import unit_samples
+from milnork.milnor import SpanVerdict, unit_samples
 
 
 def alg(variables, relations):
@@ -245,7 +244,7 @@ def test_corrupted_certificate_rejected_at_exact_step(Q):
     step = cert.steps[idx]
     bad_atoms = [(poly + LaurentPolynomial.constant(Q, 1), exp)
                  for poly, exp in step.payload["atoms"]]
-    bad = replace(cert, steps=tuple(
+    bad = cert._replace(steps=tuple(
         RewriteStep(s.rule, s.position, {**s.payload, "atoms": bad_atoms}) if i == idx else s
         for i, s in enumerate(cert.steps)))
     verdict = check_certificate(bad)
@@ -265,7 +264,7 @@ def test_failure_detail_in_record_only_when_invalid(Q):
     step = cert.steps[idx]
     bad_atoms = [(poly + LaurentPolynomial.constant(Q, 1), exp)
                  for poly, exp in step.payload["atoms"]]
-    bad = replace(cert, steps=tuple(
+    bad = cert._replace(steps=tuple(
         RewriteStep(s.rule, s.position, {**s.payload, "atoms": bad_atoms}) if i == idx else s
         for i, s in enumerate(cert.steps)))
     verdict = check_certificate(bad)
@@ -381,6 +380,30 @@ def t3_certs():
     return splitting_certificate(t3, c, 2), vanishing_certificate(t3, c, 2)
 
 
+def test_a_replaced_certificate_replays_its_own_steps(t3_certs):
+    """_replace copies the fields, not the cached replay: a copy with one
+    corrupted step fails at that step, and the original keeps its builder's run."""
+    eq8 = t3_certs[1]
+    run = eq8.replay
+    idx = next(i for i, s in enumerate(eq8.steps) if s.rule == "entry_identity")
+    step = eq8.steps[idx]
+    one = LaurentPolynomial.constant(eq8.context.algebra, 1)
+    bad_step = RewriteStep(step.rule, step.position, {
+        **step.payload, "atoms": [(poly + one, exp) for poly, exp in step.payload["atoms"]]})
+    bad = eq8._replace(steps=eq8.steps[:idx] + (bad_step,) + eq8.steps[idx + 1:])
+    assert bad.replay is not run and bad.replay.failure == idx
+    assert check_certificate(bad).failure_index == idx
+    assert eq8.replay is run and run.failure is None and check_certificate(eq8).valid
+
+
+def test_record_fields_are_read_only(t3_certs):
+    for record, field in ((SpanVerdict(1, 2, False, (0,)), "rank"),
+                          (AlgebraSpec(("t",), ("t^3",)), "relations"),
+                          (t3_certs[1], "steps")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def _mutants(step):
     """Every single-field perturbation that fits the step."""
     pos, pay = dict(step.position), dict(step.payload)
@@ -405,7 +428,7 @@ def test_every_step_mutation_is_caught(t3_certs):
     for cert in t3_certs:
         for i, step in enumerate(cert.steps):
             for bad_step in _mutants(step):
-                bad = replace(cert, steps=cert.steps[:i] + (bad_step,) + cert.steps[i + 1:])
+                bad = cert._replace(steps=cert.steps[:i] + (bad_step,) + cert.steps[i + 1:])
                 verdict = check_certificate(bad)
                 assert not verdict.valid, (i, bad_step)
                 rows = crosscheck_dlog(bad).steps
@@ -515,7 +538,7 @@ def _not_extensible(t3_certs, case):
     if case == "eq8":
         return eq8
     if case == "not_direct":
-        return replace(eq7, linkage="vanishing_start")
+        return eq7._replace(linkage="vanishing_start")
     doc = json.loads(certificate_to_json(eq7))
     if case == "corrupted_step":
         # torsion_scale unpacks by 3 where 2 divides the exponent: step 2 fails
@@ -546,7 +569,7 @@ def test_crosscheck_reads_final_zero_from_the_replay(t3_certs, monkeypatch):
         assert report.all_agree
     assert report.final_realization_zero
     # a chain that stops short realizes the goal on its own
-    bad = replace(t3_certs[1], steps=t3_certs[1].steps[:-1])
+    bad = t3_certs[1]._replace(steps=t3_certs[1].steps[:-1])
     realized.clear()
     report = crosscheck_dlog(bad)
     assert sum(realized.values()) == len(bad.steps) + 2 and realized[bad.goal.key()] == 1
@@ -636,10 +659,10 @@ def _unlinked(Q, case):
                                    start, _state(Q), "vanishing_start")
     eq7, eq8 = splitting_certificate(Q, 2, 1), vanishing_certificate(Q, 1, 1)
     return {
-        "unknown_linkage": replace(eq8, linkage="transitive"),
-        "nonzero_rhs": replace(eq8, claim_rhs=eq8.goal),
-        "no_projection": replace(eq7, linkage="vanishing_start", claim_lhs=eq7.goal,
-                                 claim_rhs=_state(Q)),
+        "unknown_linkage": eq8._replace(linkage="transitive"),
+        "nonzero_rhs": eq8._replace(claim_rhs=eq8.goal),
+        "no_projection": eq7._replace(linkage="vanishing_start", claim_lhs=eq7.goal,
+                                      claim_rhs=_state(Q)),
     }[case]
 
 

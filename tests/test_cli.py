@@ -681,6 +681,22 @@ def _list_state_coeff(doc):
     doc["start"][0][0] = [1]
 
 
+def _short_state_term(doc):
+    doc["start"] = [["1"]]
+
+
+def _scalar_state_term(doc):
+    doc["start"] = [5]
+
+
+def _scalar_state_symbol(doc):
+    doc["start"] = [["1", 5]]
+
+
+def _scalar_state_entry(doc):
+    doc["start"] = [["1", [5]]]
+
+
 @pytest.mark.parametrize("edit, err", [
     (_non_string_step_atom, "input error: certificate atom 5 is not a string\n"),
     (_non_string_state_atom, "input error: certificate atom 5 is not a string\n"),
@@ -691,6 +707,14 @@ def _list_state_coeff(doc):
     (_boolean_state_coeff, "input error: certificate coefficient True is not a rational string\n"),
     (_integer_state_coeff, "input error: certificate coefficient 1 is not a rational string\n"),
     (_list_state_coeff, "input error: certificate coefficient [1] is not a rational string\n"),
+    (_short_state_term, "input error: certificate state term ['1'] is not a "
+                        "[coefficient, symbol] pair\n"),
+    (_scalar_state_term, "input error: certificate state term 5 is not a "
+                         "[coefficient, symbol] pair\n"),
+    (_scalar_state_symbol, "input error: certificate state term ['1', 5] is not a "
+                           "[coefficient, symbol] pair\n"),
+    (_scalar_state_entry, "input error: certificate state term ['1', [5]] is not a "
+                          "[coefficient, symbol] pair\n"),
 ])
 def test_certificate_non_string_field_exit_2(capsys, tmp_path, t3_eq8_doc, edit, err):
     edit(t3_eq8_doc)

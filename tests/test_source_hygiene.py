@@ -1,7 +1,10 @@
 """Source hygiene of the milnork package, read with ast alone: every import
-is used, every definition is referenced, and imports sit at module level."""
+is used, every definition is referenced, imports sit at module level and none
+is of dataclasses.  One more test imports the package cold, in a subprocess."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +97,27 @@ def test_no_import_inside_a_function(path):
               for inner in ast.walk(node)
               if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert not nested
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    """Every CLI command pays the package import, and dataclasses costs most of
+    it: it loads inspect, ast, dis and tokenize, and compiles each class's
+    methods at import.  Records are namedtuples or __slots__ classes."""
+    tree = _tree(path)
+    modules = [(node.lineno, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [(node.lineno, node.module) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert not [f"{path.name}:{line}" for line, name in modules
+                if name.split(".")[0] == "dataclasses"]
+
+
+def test_cold_import_loads_no_introspection_modules():
+    """-S keeps site-packages' .pth imports out of the check."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import milnork.cli, milnork.suite; "
+            "print(*(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.split() == []
