@@ -35,6 +35,8 @@ from .poly import (
     power,
 )
 
+ONE_COORDS = {0: 1}  # the coordinates of 1 in every algebra: basis[0] == 1
+
 
 class AlgebraSpec(namedtuple("AlgebraSpec", "variables relations distinguished")):
     """Presentation data: ordered variables, relation expressions, optional sigma.
@@ -319,6 +321,8 @@ class AlgebraElement:
             return AlgebraElement(self.algebra,
                                   {m: rational(c * q) for m, c in self.coords.items()})
         other = self._check(other)
+        if other.coords == ONE_COORDS or self.coords == ONE_COORDS:  # no work for a factor 1:
+            return self if other.coords == ONE_COORDS else other  # elements never change
         A = self.algebra
         return AlgebraElement(A, A._product(self.coords, A._scalars, other.coords, A._scalars,
                                             (((1, 0),),), 1))  # 0-form ^ 0-form

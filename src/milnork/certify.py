@@ -168,6 +168,7 @@ class Replay:
         self.steps = []  # the accepted steps
         self.failure = None  # index of the first rejected step
         self.reason = None
+        self.agreed = None  # ((realizer, small_ring), agrees, last form) of the last agreement
 
     def apply(self, step):
         self.states.append(check_step(self.states[-1], step))
@@ -192,18 +193,21 @@ class Replay:
 
         Each state is realized once.  A truncated state's form is read in
         small_ring through map_form, and so is the Laurent form before the
-        projection, when the two are compared.
+        projection, when the two are compared.  A call with the realizer and
+        small ring of the last one resumes after the steps that one compared.
         """
-        prev = realizer.realize_state(self.states[0].state)
-        agrees = []
-        for before, after in zip(self.states, self.states[1:]):
+        rings, agrees, prev = self.agreed or (None, (), None)
+        if rings != (realizer, small_ring):
+            agrees, prev = (), realizer.realize_state(self.states[0].state)
+        for before, after in zip(self.states[len(agrees):], self.states[len(agrees) + 1:]):
             form = realizer.realize_state(after.state)
             if after.order is not None:
                 form = map_form(form, small_ring)
             if after.order != before.order:
                 prev = map_form(prev, small_ring)
-            agrees.append(form == prev)
+            agrees += (form == prev,)
             prev = form
+        self.agreed = ((realizer, small_ring), agrees, prev)
         return agrees, prev
 
 
@@ -498,8 +502,8 @@ def vanishing_from(splitting):
     """Extend a checked eq7 chain by the projection to A[s]/s^(n+1) and conclude
     {1 - s, 1 - (n+1) c s^n} = 0 there.
 
-    The new replay starts as a copy of the eq7 replay's states and steps, so
-    the shared chain is checked once; the eq7 certificate is left as it was.
+    The new replay copies the eq7 replay's states, steps and agreement record,
+    so the shared chain is checked and crosschecked once; eq7 is left as it was.
     """
     A, n, c = splitting.context.algebra, splitting.context.n, splitting.context.c
     run7 = splitting.replay
@@ -510,7 +514,7 @@ def vanishing_from(splitting):
     ((_, sym),) = splitting.goal.terms
     ((one_m_s, _), (w, _)), ((g, _),) = (entry.atoms for entry in sym.entries)
     run = Replay(splitting.start)
-    run.states, run.steps = list(run7.states), list(run7.steps)
+    run.states, run.steps, run.agreed = list(run7.states), list(run7.steps), run7.agreed
     trunc = n + 1
 
     run.rewrite("projection", {}, {"order": trunc})
@@ -634,10 +638,10 @@ def crosscheck_dlog(cert, precision=None):
 
     Every state is realized by one ExtendedRealizer, a symbol {e1, e2} as
     s * dlog e1 ^ dlog e2 in Omega^2 of A[s]/s^(N+1); the factor s clears
-    the dlog(s) that atoms of nonzero s-order bring.  The certificate's
-    replay compares consecutive forms through Replay.agreement, reading
-    truncated-mode states in A[s]/s^(n+2).  A step whose side condition
-    fails during the replay is reported as the first disagreeing step.
+    the dlog(s) that atoms of nonzero s-order bring.  Replay.agreement
+    compares consecutive forms, truncated states read in A[s]/s^(n+2), and
+    resumes where the replay's last crosscheck at this precision ended (eq8
+    after its eq7).  A step the replay rejects is the first disagreeing step.
     """
     n = cert.context.n
     N = default_precision(n) if precision is None else int(precision)
@@ -774,20 +778,22 @@ def certificate_from_json(text):
     def atoms(data):
         """(polynomial, exponent) pairs.  An atom string is parsed once per
         document."""
+        if not (isinstance(data, list) and all(isinstance(a, list) and len(a) == 2 for a in data)):
+            raise ParseError(f"certificate atoms {data!r} are not [string, integer] pairs")
         pairs = []
         for text, exp in data:
             if not isinstance(text, str):
                 raise ParseError(f"certificate atom {text!r} is not a string")
-            if text in parsed:
-                poly = parsed[text]
-            else:
-                poly = parsed[text] = LaurentPolynomial.from_string(algebra, text)
+            if text not in parsed:
+                parsed[text] = LaurentPolynomial.from_string(algebra, text)
             if not _is_int(exp):
                 raise ParseError(f"certificate atom exponent {exp!r} is not an integer")
-            pairs.append((poly, exp))
+            pairs.append((parsed[text], exp))
         return pairs
 
     def symbol(data):
+        if not isinstance(data, list):
+            raise ParseError(f"certificate symbol {data!r} is not an array of atom arrays")
         return Symbol.from_atoms(algebra, (atoms(entry) for entry in data))
 
     def term(t):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 
-from .algebra import extension_name
+from .algebra import ONE_COORDS, extension_name
 from .errors import AlgebraMismatch, NonUnitEntry, ParseError, PositionInvalid
 from .expr import evaluate, polynomial_str
 from .linalg import add_to, rational
@@ -77,6 +77,9 @@ class LaurentPolynomial:
         return self + (-other)
 
     def mul(self, other, order=None):
+        rest = self if other._is_one() else other if self._is_one() else None
+        if rest is not None and other.algebra is self.algebra:  # a factor 1 does no work
+            return rest if order is None else rest.truncate(order)
         res = {}
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
@@ -90,6 +93,9 @@ class LaurentPolynomial:
             raise ValueError("negative power of a Laurent polynomial")
         return power(self, k, LaurentPolynomial.constant(self.algebra, 1),
                      lambda a, b: a.mul(b, order))
+
+    def _is_one(self):
+        return len(self.coeffs) == 1 and 0 in self.coeffs and self.coeffs[0].coords == ONE_COORDS
 
     def key(self):
         """Computed once: a polynomial, its coeffs included, is never changed."""

@@ -142,6 +142,20 @@ def test_truncated_extension(t3):
         truncated_extension(t3, "t", 2)
 
 
+def test_a_factor_one_is_the_other_operand(t3):
+    """Multiplying by 1 does no work: elements are never changed, so the
+    product is the other operand itself, over A and over A[s]/s^N alike, and
+    it equals what the product loop would give."""
+    ext = truncated_extension(t3, "sigma", 4)
+    for A, text in ((t3, "1 + 2*t - 1/3*t^2"), (ext, "1/2 + t*sigma - sigma^3"), (ext, "0")):
+        x = A.element(text)
+        assert x * A.one is x and A.one * x is x
+        looped = A._product(x.coords, A._scalars, A.one.coords, A._scalars, (((1, 0),),), 1)
+        assert looped == x.coords
+    with pytest.raises(AlgebraMismatch):
+        t3.one * ext.one
+
+
 def test_extension_maps(t3):
     b3 = truncated_extension(t3, "sigma", 3)
     b2 = truncated_extension(t3, "sigma", 2)

@@ -697,6 +697,18 @@ def _scalar_state_entry(doc):
     doc["start"] = [["1", [5]]]
 
 
+def _short_state_atom(doc):
+    doc["start"] = [["1", [[["1"]]]]]
+
+
+def _scalar_step_symbol(doc):
+    doc["steps"][0]["payload"]["symbol"] = {"symbol": 5}
+
+
+def _scalar_step_atoms(doc):
+    doc["steps"][4]["payload"]["atoms"] = 5
+
+
 @pytest.mark.parametrize("edit, err", [
     (_non_string_step_atom, "input error: certificate atom 5 is not a string\n"),
     (_non_string_state_atom, "input error: certificate atom 5 is not a string\n"),
@@ -715,6 +727,10 @@ def _scalar_state_entry(doc):
                            "[coefficient, symbol] pair\n"),
     (_scalar_state_entry, "input error: certificate state term ['1', [5]] is not a "
                           "[coefficient, symbol] pair\n"),
+    (_short_state_atom, "input error: certificate atoms [['1']] are not "
+                        "[string, integer] pairs\n"),
+    (_scalar_step_symbol, "input error: certificate symbol 5 is not an array of atom arrays\n"),
+    (_scalar_step_atoms, "input error: certificate atoms 5 are not [string, integer] pairs\n"),
 ])
 def test_certificate_non_string_field_exit_2(capsys, tmp_path, t3_eq8_doc, edit, err):
     edit(t3_eq8_doc)

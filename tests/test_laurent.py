@@ -51,6 +51,30 @@ def test_truncation_compatible_with_product():
     assert direct.coeffs == full.coeffs
 
 
+def _product_loop(p, q, order=None):
+    """The coefficients of p * q, summed pair by pair."""
+    res = {}
+    for d1, c1 in p.coeffs.items():
+        for d2, c2 in q.coeffs.items():
+            if order is None or d1 + d2 < order:
+                res[d1 + d2] = res.get(d1 + d2, T2.zero) + c1 * c2
+    return LaurentPolynomial(T2, res).coeffs
+
+
+def test_a_factor_one_is_the_other_side():
+    """A constant-1 side hands back the other side, truncated when an order
+    is given, and that equals the pair-by-pair product."""
+    one = LaurentPolynomial.constant(T2, 1)
+    p = lp({-1: "2", 0: "1+t", 1: "2", 3: "t", 5: "1"})
+    for a, b in ((p, one), (one, p), (one, one)):
+        other = b if a is one else a
+        assert a.mul(b) is other and a.mul(b).coeffs == _product_loop(a, b)
+        for order in (-1, 0, 2, 4, 6, 9):
+            assert a.mul(b, order).coeffs == _product_loop(a, b, order)
+            assert a.mul(b, order).coeffs == other.truncate(order).coeffs
+    assert p.mul(one, 4).maxdeg() == 3 and one.mul(p, 0).coeffs == {-1: T2.element(2)}
+
+
 def test_entry_exponents_must_be_integers():
     u = lp({0: "1", 1: "t"})
     for exp in (1.5, Fraction(3, 2), "3"):

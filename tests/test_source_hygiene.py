@@ -1,6 +1,7 @@
 """Source hygiene of the milnork package, read with ast alone: every import
-is used, every definition is referenced, imports sit at module level and none
-is of dataclasses.  One more test imports the package cold, in a subprocess."""
+is used, every definition is referenced, imports sit at module level, none
+is of dataclasses, and no value is changed in place.  One more test imports
+the package cold, in a subprocess."""
 
 import ast
 import subprocess
@@ -121,3 +122,56 @@ def test_cold_import_loads_no_introspection_modules():
     done = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                           capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout.split() == []
+
+
+# the fields of values that are shared once built: element and form coords,
+# Laurent coeffs, entry atoms, symbol entries, polynomial and combination terms
+IMMUTABLE_FIELDS = {"coords", "coeffs", "atoms", "entries", "terms"}
+MUTATORS = {"update", "pop", "popitem", "clear", "setdefault", "append", "extend"}
+
+
+def _field_owner(node):
+    """x, when node is x.<field> of IMMUTABLE_FIELDS or a subscript of one."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute) and node.attr in IMMUTABLE_FIELDS:
+        return node.value
+    return None
+
+
+def _changed_in_place(node):
+    """The expressions that `node` changes in place: the subscripts an
+    assignment writes, what `del` or an augmented assignment targets, the
+    receiver of a mutating method, and the vector `add_to` accumulates into."""
+    if isinstance(node, ast.Assign):
+        return [t for target in node.targets for t in ast.walk(target)
+                if isinstance(t, ast.Subscript) and isinstance(t.ctx, ast.Store)]
+    if isinstance(node, ast.AugAssign):
+        return [node.target]
+    if isinstance(node, ast.Delete):
+        return node.targets
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in MUTATORS:
+            return [func.value]
+        if isinstance(func, ast.Name) and func.id == "add_to" and node.args:
+            return [node.args[0]]
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_value_is_changed_in_place(path):
+    """Products by 1 hand back the other operand, and memo tables, cached keys
+    and replays share values, all on the rule that a value is never changed
+    after it is built.  Only an __init__ may fill its own self.<field>."""
+    tree = _tree(path)
+    building = {id(node) for init in ast.walk(tree)
+                if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+                for node in ast.walk(init)}
+    changed = []
+    for node in ast.walk(tree):
+        for owner in map(_field_owner, _changed_in_place(node)):
+            own = id(node) in building and isinstance(owner, ast.Name) and owner.id == "self"
+            if owner is not None and not own:
+                changed.append(f"{path.name}:{node.lineno}")
+    assert not changed
