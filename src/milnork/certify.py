@@ -59,6 +59,7 @@ from .errors import (
     PrecisionTooLarge,
     SideConditionFailed,
 )
+from .expr import quote
 from .kahler import DifferentialForm, d, dlog, map_form, omega_module, wedge
 from .laurent import (
     EXPANSION_BUDGET,
@@ -101,7 +102,7 @@ _FIELD_CHECKS = {
     "slots": lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v)),
     "mode": lambda v: isinstance(v, str),
     "coeff": _is_rational,
-    "symbol": lambda v: isinstance(v, Symbol),
+    "symbol": lambda v: isinstance(v, Symbol) and v.degree == 2,
 }
 
 
@@ -116,7 +117,7 @@ class _Fields(dict):
     def __getitem__(self, key):
         value = super().__getitem__(key)
         if not _FIELD_CHECKS.get(key, lambda v: True)(value):
-            raise PositionInvalid(f"step field {key!r} has a bad value: {value!r}")
+            raise PositionInvalid(f"step field {key!r} has a bad value: {quote(value)}")
         return value
 
     def get(self, key, default=None):
@@ -304,7 +305,7 @@ def check_step(cstate, step):
                 raise SideConditionFailed(
                     f"{rule}: inserted symbol {sym} fails the side condition")
             return cstate.clone(state.with_term(rational(pay["coeff"]), sym))
-        raise PositionInvalid(f"unknown {rule} mode {mode!r}")
+        raise PositionInvalid(f"unknown {rule} mode {quote(mode)}")
 
     if rule == "bilinearity":
         mode = pay["mode"]
@@ -348,10 +349,10 @@ def check_step(cstate, step):
             if not entry_is_one(_slot_at(sym, pay["slot"]), order):
                 raise SideConditionFailed("insert: designated entry does not collapse to 1")
             return cstate.clone(state.with_term(rational(pay["coeff"]), sym))
-        raise PositionInvalid(f"unknown bilinearity mode {mode!r}")
+        raise PositionInvalid(f"unknown bilinearity mode {quote(mode)}")
 
     if rule not in ("inverse_negation", "torsion_scale", "entry_factor", "entry_identity"):
-        raise PositionInvalid(f"unknown rule {rule!r}")
+        raise PositionInvalid(f"unknown rule {quote(rule)}")
     coeff, sym = _term_at(state, pos["term"])
     entry = _slot_at(sym, pos["slot"])
     if rule in ("entry_factor", "entry_identity"):
@@ -378,7 +379,7 @@ def check_step(cstate, step):
                     raise SideConditionFailed(f"exponent {exp} not divisible by {m}")
                 coeff, exp = coeff * m, exp // m
             else:
-                raise PositionInvalid(f"unknown torsion_scale mode {mode!r}")
+                raise PositionInvalid(f"unknown torsion_scale mode {quote(mode)}")
         new_entry = LaurentEntry(sym.algebra, [(poly, exp)])
     return cstate.clone(state.replace_term(
         pos["term"], [(coeff, sym.replace(pos["slot"], new_entry))]))
@@ -686,7 +687,7 @@ def shared_realizer(algebra, precision):
 
 
 def _atoms_to_json(atoms):
-    return [[poly.to_string(), exp] for poly, exp in atoms]
+    return [[str(poly), exp] for poly, exp in atoms]
 
 
 def _sym_to_json(sym):
@@ -779,29 +780,29 @@ def certificate_from_json(text):
         """(polynomial, exponent) pairs.  An atom string is parsed once per
         document."""
         if not (isinstance(data, list) and all(isinstance(a, list) and len(a) == 2 for a in data)):
-            raise ParseError(f"certificate atoms {data!r} are not [string, integer] pairs")
+            raise ParseError(f"certificate atoms {quote(data)} are not [string, integer] pairs")
         pairs = []
         for text, exp in data:
             if not isinstance(text, str):
-                raise ParseError(f"certificate atom {text!r} is not a string")
+                raise ParseError(f"certificate atom {quote(text)} is not a string")
             if text not in parsed:
                 parsed[text] = LaurentPolynomial.from_string(algebra, text)
             if not _is_int(exp):
-                raise ParseError(f"certificate atom exponent {exp!r} is not an integer")
+                raise ParseError(f"certificate atom exponent {quote(exp)} is not an integer")
             pairs.append((parsed[text], exp))
         return pairs
 
     def symbol(data):
         if not isinstance(data, list):
-            raise ParseError(f"certificate symbol {data!r} is not an array of atom arrays")
+            raise ParseError(f"certificate symbol {quote(data)} is not an array of atom arrays")
         return Symbol.from_atoms(algebra, (atoms(entry) for entry in data))
 
     def term(t):
         if not (isinstance(t, list) and len(t) == 2 and isinstance(t[1], list)
                 and all(isinstance(entry, list) for entry in t[1])):
-            raise ParseError(f"certificate state term {t!r} is not a [coefficient, symbol] pair")
+            raise ParseError(f"certificate state term {quote(t)} is not a [coefficient, symbol] pair")
         if not _is_rational(t[0]):
-            raise ParseError(f"certificate coefficient {t[0]!r} is not a rational string")
+            raise ParseError(f"certificate coefficient {quote(t[0])} is not a rational string")
         return t[0], symbol(t[1])
 
     def payload(key, value):
@@ -809,15 +810,10 @@ def certificate_from_json(text):
             return symbol(value["symbol"])
         return atoms(value) if key == "atoms" else value
 
-    try:
-        steps = tuple(
-            RewriteStep(raw["rule"], raw["position"],
-                        {k: payload(k, v) for k, v in raw["payload"].items()})
-            for raw in raw_steps)
-        start, goal, lhs, rhs = (
-            SymbolCombination(algebra, 2, [term(t) for t in data])
-            for data in raw_states)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"certificate data is malformed: {exc}") from None
+    steps = tuple(RewriteStep(raw["rule"], raw["position"],
+                              {k: payload(k, v) for k, v in raw["payload"].items()})
+                  for raw in raw_steps)
+    start, goal, lhs, rhs = (SymbolCombination(algebra, 2, [term(t) for t in data])
+                             for data in raw_states)
     return Certificate(CertContext(algebra, n, algebra.element(c)), start, goal, steps,
                        lhs, rhs, linkage, tuple(annotations))

@@ -263,7 +263,3 @@ def main(argv=None):
     except (OSError, MilnorkError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -50,10 +50,6 @@ class SigmaNotDesignated(MilnorkError):
     pass
 
 
-class QuotientNotLocal(MilnorkError):
-    pass
-
-
 class NonUnitC(MilnorkError):
     pass
 

@@ -22,9 +22,11 @@ MAX_NESTING = 100
 _TOKEN = re.compile(r"\s*(?:(\d+(?:\s*/\s*\d+)?)|([A-Za-z][A-Za-z0-9_]*)|([()+\-*^]))")
 
 
-def _quote(text, limit=60):
-    """repr(text), or of its first `limit` characters and its length when longer."""
-    return repr(text) if len(text) <= limit else f"{text[:limit]!r}… ({len(text)} characters)"
+def quote(value, limit=60):
+    """repr(value), bounded: past `limit` characters, a string shows the repr of its
+    first `limit` and another value the first `limit` of its repr, then the length."""
+    text, show = (value, repr) if isinstance(value, str) else (repr(value), str)
+    return show(text) if len(text) <= limit else f"{show(text[:limit])}… ({len(text)} characters)"
 
 
 def tokenize(text):
@@ -34,14 +36,14 @@ def tokenize(text):
         m = _TOKEN.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} in {_quote(text)}")
+                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} in {quote(text)}")
             break
         pos = m.end()
         if m.group(1):
             try:
                 tokens.append(("num", rational("".join(m.group(1).split()))))
             except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {_quote(text)}") from None
+                raise ParseError(f"zero denominator in {quote(text)}") from None
         elif m.group(2):
             tokens.append(("name", m.group(2)))
         else:
@@ -69,7 +71,7 @@ class _Parser:
     def expect_op(self, op):
         kind, value = self.take()
         if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r} in {_quote(self.text)}")
+            raise ParseError(f"expected {op!r} in {quote(self.text)}")
 
     def expression(self):
         result = self.term()
@@ -106,7 +108,7 @@ class _Parser:
             self.pos += 1
             ekind, evalue = self.take()
             if ekind != "num" or evalue.denominator != 1 or evalue < 0:
-                raise ParseError(f"exponent must be a nonnegative integer in {_quote(self.text)}")
+                raise ParseError(f"exponent must be a nonnegative integer in {quote(self.text)}")
             return base ** int(evalue)
         return base
 
@@ -116,18 +118,18 @@ class _Parser:
             return self.constant(value)
         if kind == "name":
             if value not in self.index:
-                raise ParseError(f"unknown variable {value!r} in {_quote(self.text)}")
+                raise ParseError(f"unknown variable {value!r} in {quote(self.text)}")
             return self.variable(self.index[value])
         if kind == "op" and value == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING} in "
-                                 f"{_quote(self.text)}")
+                                 f"{quote(self.text)}")
             inner = self.expression()
             self.expect_op(")")
             self.depth -= 1
             return inner
-        raise ParseError(f"unexpected end of expression in {_quote(self.text)}")
+        raise ParseError(f"unexpected end of expression in {quote(self.text)}")
 
 
 def evaluate(text, names, constant, variable):
@@ -139,7 +141,7 @@ def evaluate(text, names, constant, variable):
     parser = _Parser(tokens, names, text, constant, variable)
     result = parser.expression()
     if parser.pos != len(tokens):
-        raise ParseError(f"trailing input in {_quote(text)}")
+        raise ParseError(f"trailing input in {quote(text)}")
     return result
 
 

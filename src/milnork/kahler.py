@@ -213,8 +213,6 @@ class DifferentialForm:
 
 def omega_module(algebra, p):
     """Omega^p of the algebra over Q, built once per algebra."""
-    if p < 0:
-        raise ValueError("degree must be nonnegative")
     return algebra.memo("omega", p, OmegaModule, algebra, p)
 
 

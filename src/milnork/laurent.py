@@ -34,7 +34,7 @@ EXPANSION_BUDGET = 128
 
 
 class LaurentPolynomial:
-    """Map sigma-degree -> algebra element; degrees may be negative."""
+    """Map sigma-degree -> algebra element; degrees are nonnegative."""
 
     __slots__ = ("algebra", "coeffs", "_key")
 
@@ -89,9 +89,10 @@ class LaurentPolynomial:
         return LaurentPolynomial(self.algebra, res)
 
     def power(self, k, order=None):
-        if k < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        return power(self, k, LaurentPolynomial.constant(self.algebra, 1),
+        """self^k, truncated below sigma^order when it is given: degrees are
+        nonnegative, so the factors may be truncated first."""
+        base = self if order is None else self.truncate(order)
+        return power(base, k, lambda: LaurentPolynomial.constant(self.algebra, 1),
                      lambda a, b: a.mul(b, order))
 
     def _is_one(self):
@@ -103,11 +104,8 @@ class LaurentPolynomial:
             self._key = tuple(sorted((d, c.key()) for d, c in self.coeffs.items()))
         return self._key
 
-    def to_string(self):
-        """Expression-grammar string, sigma named by extension_name;
-        requires nonnegative degrees."""
-        if any(d < 0 for d in self.coeffs):
-            raise ValueError("negative sigma-degree has no expression form")
+    def __str__(self):
+        """Expression-grammar string, sigma named by extension_name."""
         A = self.algebra
         names = A.names + (extension_name(A),)
         terms = {A.basis[i] + (d,): q for d, c in self.coeffs.items() for i, q in c.coords.items()}
@@ -132,9 +130,6 @@ class LaurentPolynomial:
 
         return evaluate(text, names, lambda q: _Metered(cls.constant(algebra, q), meter),
                         variable).value
-
-    def __str__(self):
-        return self.to_string()
 
 
 class _Metered:
@@ -188,8 +183,6 @@ class LaurentEntry:
             exp = operator.index(exp)
             if exp == 0:
                 continue
-            if poly.algebra is not algebra:
-                raise AlgebraMismatch("atom coefficients live in a different algebra")
             _check_atom(poly)
             norm.append((poly, exp))
         self.atoms = tuple(norm)
@@ -228,10 +221,11 @@ class LaurentEntry:
                 f"expanding {LaurentEntry(self.algebra, atoms)} spans {high - low} "
                 f"sigma-degrees with total exponent {total}, over the budget of "
                 f"{EXPANSION_BUDGET}")
-        acc = LaurentPolynomial.constant(self.algebra, 1)
+        acc = None
         for poly, exp in atoms:
-            acc = acc.mul(poly.power(exp, order), order)
-        return acc
+            factor = poly.power(exp, order)
+            acc = factor if acc is None else acc.mul(factor, order)
+        return LaurentPolynomial.constant(self.algebra, 1) if acc is None else acc
 
     def truncate(self, order):
         return LaurentEntry(self.algebra,
@@ -285,9 +279,6 @@ class Symbol:
             raise AlgebraMismatch("symbol entries over different algebras")
         self.entries = entries
 
-    def __eq__(self, other):
-        return isinstance(other, Symbol) and self.entries == other.entries
-
     @classmethod
     def from_atoms(cls, algebra, atom_lists):
         """The symbol of LaurentEntry values over `algebra`, one per atom list,
@@ -315,6 +306,8 @@ class Symbol:
 
     def __str__(self):
         return "{" + ", ".join(str(e) for e in self.entries) + "}"
+
+    __repr__ = __str__  # a bad step field prints the same on every run
 
 
 class SymbolCombination:

@@ -84,13 +84,10 @@ class RowSpace:
         """Return the residual of `row` modulo the current span (row unchanged)."""
         res = dict(row)
         for col in sorted(res):
-            if col not in self.pivots:
-                continue
-            c = res.get(col)
-            if not c:
-                continue
-            for pcol, pval in self.pivots[col].items():
-                add_to(res, pcol, -c * pval)
+            if col in self.pivots:  # a pivot row is zero at every other pivot column,
+                c = res[col]  # so res[col] is row[col] still
+                for pcol, pval in self.pivots[col].items():
+                    add_to(res, pcol, -c * pval)
         return res
 
     def insert(self, row):

@@ -13,15 +13,18 @@ from .linalg import add_to, rational
 
 
 def power(base, k, one, mul=operator.mul):
-    """base^k for an integer k >= 0 by repeated squaring, starting from `one`."""
-    result = one
+    """base^k for an integer k >= 0 by repeated squaring, seeded with its first
+    factor; `one()` builds the value only for k = 0."""
+    if k < 0:
+        raise ValueError("negative power")
+    result = None
     while k:
         if k & 1:
-            result = mul(result, base)
+            result = base if result is None else mul(result, base)
         k >>= 1
         if k:
             base = mul(base, base)
-    return result
+    return one() if result is None else result
 
 
 def degrevlex_key(mono):
@@ -59,15 +62,9 @@ class Polynomial:
             add_to(self.terms, m, rational(c))
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars, {}, normalize=False)
-
-    @classmethod
     def constant(cls, nvars, c):
         c = rational(c)
-        if not c:
-            return cls.zero(nvars)
-        return cls(nvars, {(0,) * nvars: c}, normalize=False)
+        return cls(nvars, {(0,) * nvars: c} if c else {}, normalize=False)
 
     @classmethod
     def variable(cls, nvars, i):
@@ -95,8 +92,6 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
             q = rational(other)
-            if not q:
-                return Polynomial.zero(self.nvars)
             return Polynomial(self.nvars, {m: rational(c * q) for m, c in self.terms.items()},
                               normalize=False)
         res = {}
@@ -108,9 +103,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        return power(self, k, Polynomial.constant(self.nvars, 1))
+        return power(self, k, lambda: Polynomial.constant(self.nvars, 1))
 
     def leading(self):
         m = max(self.terms, key=degrevlex_key)

@@ -221,11 +221,14 @@ def test_power_by_repeated_squaring(t3):
         calls.append((a, b))
         return a * b
 
-    assert power(3, 0, 1, mul) == 1 and calls == []
-    assert power(3, 1, 1, mul) == 3 and calls == [(1, 3)]
-    calls.clear()
-    # 5 = 0b101: two squarings and two products
-    assert power(3, 5, 1, mul) == 243 and len(calls) == 4
+    assert power(3, 0, lambda: 1, mul) == 1 and calls == []
+    # seeded with the first factor: k = 1 multiplies nothing, and 5 = 0b101
+    # takes two squarings and one product
+    assert power(3, 1, lambda: 1, mul) == 3 and calls == []
+    assert power(3, 5, lambda: 1, mul) == 243 and calls == [(3, 3), (9, 9), (3, 81)]
+    # a negative k would shift forever; it is refused before the loop
+    with pytest.raises(ValueError, match="negative power"):
+        power(3, -1, lambda: 1, mul)
     u = t3.element("1 + t")
     assert u ** 0 == t3.one and u ** 1 == u
     assert u ** 5 == u * u * u * u * u == t3.element("1 + 5*t + 10*t^2")

@@ -401,6 +401,17 @@ def test_tau_command(capsys, tmp_path):
     assert "tau.compatible=true" in out
 
 
+def test_tau_not_multiplicative_exit_1(capsys, tmp_path):
+    # over Q[t,s]/(t^2 - s, s^2) with sigma = s, tau(t) * tau(t) = s is not tau(t^2) = 0
+    spec = tmp_path / "b.spec"
+    spec.write_text("variables: t, s\nrelations: t^2 - s, s^2\nsigma: s\n")
+    code, out = run(capsys, "tau", "--algebra", str(spec), "--n", "2", "--format", "record")
+    assert (code, out) == (1, "report=tau-transport\ntau.n=2\ntau.base_dim=4\ntau.target_dim=4\n"
+                              "tau.surjective=true\ntau.multiplicative=false\ntau.kernel_dim=2\n"
+                              "tau.tensor_target_dim=0\ntau.compatible=true\ntau.degenerate=true\n"
+                              "tau.samples=0\n")
+
+
 def test_tower_command(capsys, tmp_path):
     tower = tmp_path / "t.tower"
     tower.write_text("dims: 2, 2, 2\nmap 0: 1, 0; 0, 1\nmap 1: 1, 0; 0, 1\n")
@@ -599,6 +610,7 @@ def t3_eq8_doc(capsys, t3_spec, tmp_path):
     ("steinberg", "symbol", [1]),
     ("torsion_scale", "m", "x"),
     ("steinberg", "coeff", "abc"),
+    ("steinberg", "symbol", {"symbol": [[["1 + t", 1]]] * 3}),
 ])
 def test_certificate_step_field_of_wrong_type_fails_at_step(
         capsys, tmp_path, t3_eq8_doc, rule, key, value):
@@ -610,6 +622,45 @@ def test_certificate_step_field_of_wrong_type_fails_at_step(
     assert code == 1
     assert f"certificate.failure_index={idx}\n" in out
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entries, shown", [
+    (1, "{(t*sigma^3 + sigma^3 + 1)}"),
+    (3, "{(t*sigma^3 + sigma^3 + 1), (-t*sigma^3 - sigma^3), (t + 1)}"),
+    (40, "{(t*sigma^3 + sigma^3 + 1), (-t*sigma^3 - sigma^3), (t + 1),… (393 characters)"),
+])
+def test_payload_symbol_of_degree_other_than_two_fails_at_its_step(
+        capsys, tmp_path, t3_eq8_doc, entries, shown):
+    # a 3-entry symbol used to escape the replay, exit 2: mixed symbol degrees
+    symbol = t3_eq8_doc["steps"][0]["payload"]["symbol"]["symbol"]
+    symbol[:] = (symbol + [[["1 + t", 1]]] * entries)[:entries]
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert (code, err) == (1, "")
+    assert ("certificate.failure_index=0\n"
+            f"certificate.failure_detail=step field 'symbol' has a bad value: {shown}\n") in out
+
+
+def test_certificate_atom_of_exponent_zero_is_dropped(capsys, tmp_path, t3_eq8_doc):
+    t3_eq8_doc["start"][0][1][1].append(["1 + t", 0])
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert (code, err) == (0, "") and "certificate.valid=true\n" in out
+
+
+def test_certificate_entry_without_atoms_is_one(capsys, tmp_path, t3_eq8_doc):
+    t3_eq8_doc["claim"]["lhs"][0][1][0] = []
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert (code, err) == (1, "")
+    assert "certificate.claim_lhs=1*{1, (-3*t*sigma^2 - 3*sigma^2 + 1)}\n" in out
+    assert "certificate.claim_ok=false\n" in out
+
+
+def test_certificate_quotes_a_long_value_bounded(capsys, tmp_path, t3_eq8_doc):
+    # 2,000 atoms and one short one: the whole entry used to be quoted, 28 KB
+    t3_eq8_doc["start"][0][1][0] += [["1 + t", 1]] * 2000 + [["1"]]
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert (code, out) == (2, "") and len(err.encode()) < 1024
+    assert err == ("input error: certificate atoms [['t*sigma^3 + sigma^3 + 1', 1], ['1 + t', 1], "
+                   "['1 + t', 1],… (28039 characters) are not [string, integer] pairs\n")
 
 
 def test_certificate_step_with_non_unit_atom_fails_at_step(capsys, tmp_path, t3_eq8_doc):
@@ -709,6 +760,14 @@ def _scalar_step_atoms(doc):
     doc["steps"][4]["payload"]["atoms"] = 5
 
 
+def _empty_variable_name(doc):
+    doc["context"]["variables"] = [""]
+
+
+def _three_entry_state_term(doc):
+    doc["start"][0][1].append([["1 + t", 1]])
+
+
 @pytest.mark.parametrize("edit, err", [
     (_non_string_step_atom, "input error: certificate atom 5 is not a string\n"),
     (_non_string_state_atom, "input error: certificate atom 5 is not a string\n"),
@@ -731,6 +790,8 @@ def _scalar_step_atoms(doc):
                         "[string, integer] pairs\n"),
     (_scalar_step_symbol, "input error: certificate symbol 5 is not an array of atom arrays\n"),
     (_scalar_step_atoms, "input error: certificate atoms 5 are not [string, integer] pairs\n"),
+    (_empty_variable_name, "input error: variable names must be nonempty\n"),
+    (_three_entry_state_term, "input error: mixed symbol degrees in one combination\n"),
 ])
 def test_certificate_non_string_field_exit_2(capsys, tmp_path, t3_eq8_doc, edit, err):
     edit(t3_eq8_doc)

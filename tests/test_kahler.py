@@ -247,6 +247,18 @@ def test_wedge_mismatch():
         wedge(d(A.element("t")), d(B.element("t")))
 
 
+def test_forms_of_two_algebras_do_not_meet():
+    A = alg(["t"], ["t^3"])
+    B = alg(["t"], ["t^2"])
+    dt = d(A.element("t"))
+    with pytest.raises(AlgebraMismatch, match="element belongs to a different algebra"):
+        dt.act(B.element("1 + t"))
+    with pytest.raises(AlgebraMismatch, match="forms live in different modules"):
+        dt + d(B.element("t"))
+    with pytest.raises(AlgebraMismatch, match="forms live in different modules"):
+        dt + d(dt)  # one algebra, two degrees
+
+
 def test_dlog_examples():
     A = alg(["t"], ["t^3"])
     f = dlog(A.element("1+t"))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from milnork import algebra, laurent, linalg, poly
 from milnork.algebra import AlgebraSpec, build_algebra
-from milnork.errors import NonUnitEntry, ParseError, PositionInvalid
+from milnork.errors import AlgebraMismatch, NonUnitEntry, ParseError, PositionInvalid
 from milnork.laurent import (
     EXPANSION_BUDGET,
     LaurentEntry,
@@ -26,12 +26,12 @@ def lp(coeffs):
 
 def test_basic_arithmetic():
     p = lp({0: "1", 1: "t"})
-    q = lp({-1: "2"})
-    assert (p + q).coeffs[-1] == T2.element("2")
+    q = lp({2: "2"})
+    assert (p + q).coeffs[2] == T2.element("2")
     prod = p.mul(q)
-    assert prod.coeffs[-1] == T2.element("2")
-    assert prod.coeffs[0] == T2.element("2*t")
-    assert p.ord() == 0 and q.ord() == -1
+    assert prod.coeffs[2] == T2.element("2")
+    assert prod.coeffs[3] == T2.element("2*t")
+    assert p.ord() == 0 and q.ord() == 2
     assert (p - p).coeffs == {}
 
 
@@ -65,14 +65,14 @@ def test_a_factor_one_is_the_other_side():
     """A constant-1 side hands back the other side, truncated when an order
     is given, and that equals the pair-by-pair product."""
     one = LaurentPolynomial.constant(T2, 1)
-    p = lp({-1: "2", 0: "1+t", 1: "2", 3: "t", 5: "1"})
+    p = lp({0: "2", 1: "1+t", 2: "2", 4: "t", 6: "1"})
     for a, b in ((p, one), (one, p), (one, one)):
         other = b if a is one else a
         assert a.mul(b) is other and a.mul(b).coeffs == _product_loop(a, b)
-        for order in (-1, 0, 2, 4, 6, 9):
+        for order in (0, 1, 3, 5, 7, 10):
             assert a.mul(b, order).coeffs == _product_loop(a, b, order)
             assert a.mul(b, order).coeffs == other.truncate(order).coeffs
-    assert p.mul(one, 4).maxdeg() == 3 and one.mul(p, 0).coeffs == {-1: T2.element(2)}
+    assert p.mul(one, 5).maxdeg() == 4 and one.mul(p, 1).coeffs == {0: T2.element(2)}
 
 
 def test_entry_exponents_must_be_integers():
@@ -173,13 +173,23 @@ def test_state_canonicalization():
     assert len(state2.terms) == 1 and state2.terms[0][0] == 1
 
 
+def test_symbols_and_combinations_stay_in_one_algebra():
+    e2 = LaurentEntry(T2, [(LaurentPolynomial.sigma(T2), 1)])
+    e3 = LaurentEntry(T3, [(LaurentPolynomial.sigma(T3), 1)])
+    with pytest.raises(AlgebraMismatch, match="symbol entries over different algebras"):
+        Symbol((e2, e3))
+    comb2 = SymbolCombination(T2, 2, [(1, Symbol((e2, e2)))])
+    assert (comb2 + comb2).key() == SymbolCombination(T2, 2, [(2, Symbol((e2, e2)))]).key()
+    for other in (SymbolCombination(T3, 2, [(1, Symbol((e3, e3)))]),
+                  SymbolCombination(T2, 1, [(1, Symbol((e2,)))])):
+        with pytest.raises(AlgebraMismatch, match="combinations do not match"):
+            comb2 + other
+
+
 def test_string_round_trip():
     p = lp({0: "1+t", 2: "-1/2"})
-    text = p.to_string()
-    back = LaurentPolynomial.from_string(T2, text)
+    back = LaurentPolynomial.from_string(T2, str(p))
     assert back.coeffs == p.coeffs
-    with pytest.raises(ValueError):
-        lp({-1: "1"}).to_string()
 
 
 T3 = build_algebra(AlgebraSpec(("t",), ("t^3",)))
@@ -244,3 +254,10 @@ def test_power_under_an_order_truncates_every_product():
     assert one_plus.power(0, 3).coeffs == {0: T2.one}
     # order 1 keeps only the constant term of each partial product
     assert lp({0: "1 + t", 2: "1"}).power(5, 1).coeffs == {0: T2.element("1 + 5*t")}
+    # seeded with the first factor, k = 1 and a single-atom side multiply
+    # nothing and still come back truncated; an empty side is the constant 1
+    wide = lp({0: "1", 3: "t"})
+    assert wide.power(1, 2).coeffs == {0: T2.one}
+    assert [side.coeffs for side in LaurentEntry(T2, [(wide, 1)]).split(2)] == [{0: T2.one}] * 2
+    assert [side.coeffs for side in LaurentEntry(T2, [(wide, -1)]).split()] == [{0: T2.one},
+                                                                                 wide.coeffs]

@@ -327,6 +327,8 @@ def test_span_check_edges(t3):
     M = omega_module(t3, 1)
     v = span_check([M.form()], M)
     assert not v.spans and v.rank == 0
+    with pytest.raises(AlgebraMismatch, match="target form lives in a different module"):
+        span_check([omega_module(alg(["t"], ["t^4"]), 1).form()], M)
 
 
 def test_span_check_stops_at_full_rank(t3):
