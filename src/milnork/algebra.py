@@ -59,78 +59,82 @@ class AlgebraSpec(namedtuple("AlgebraSpec", "variables relations distinguished")
         return super().__new__(cls, names, relations, distinguished)
 
 
+def _monic(p):
+    """(leading monomial, p made monic): the one place a leading term is computed.
+    The reduction helpers below take and return such pairs."""
+    m, c = p.leading()
+    return m, (p if c == 1 else p * Fraction(1, c))
+
+
 def _spoly(f, g):
-    mf, cf = f.leading()
-    mg, cg = g.leading()
+    """The S-polynomial of two monic (leading monomial, polynomial) pairs."""
+    (mf, f), (mg, g) = f, g
     lcm = mono_lcm(mf, mg)
-    a = Polynomial(f.nvars, {mono_div(lcm, mf): rational(Fraction(1, cf))}, normalize=False)
-    b = Polynomial(g.nvars, {mono_div(lcm, mg): rational(Fraction(1, cg))}, normalize=False)
+    a = Polynomial(f.nvars, {mono_div(lcm, mf): 1}, normalize=False)
+    b = Polynomial(g.nvars, {mono_div(lcm, mg): 1}, normalize=False)
     return a * f - b * g
 
 
-def _reduce_poly(p, basis):
-    """Remainder of p under multivariate division by `basis` (degrevlex)."""
+def _reduce_poly(p, leads):
+    """Remainder of p under multivariate division (degrevlex) by the monic
+    polynomials of `leads`, (leading monomial, polynomial) pairs."""
     work = dict(p.terms)
     rem = {}
-    leads = [(g.leading(), g) for g in basis]
     while work:
         mono = max(work, key=degrevlex_key)
         coeff = work.pop(mono)
-        for (lm, lc), g in leads:
+        for lm, g in leads:
             if mono_divides(lm, mono):
                 q = mono_div(mono, lm)
-                factor = rational(Fraction(coeff, lc))
                 for gm, gc in g.terms.items():
                     t = mono_mul(gm, q)
                     if t != mono:
-                        add_to(work, t, -factor * gc)
+                        add_to(work, t, -coeff * gc)
                 break
         else:
             rem[mono] = coeff
     return Polynomial(p.nvars, rem, normalize=False)
 
 
-def _interreduce(polys):
-    """Minimal reduced generating set, monic, sorted by leading monomial."""
-    polys = [p for p in polys if p]
+def _interreduce(leads):
+    """Minimal reduced generating set of monic (leading monomial, polynomial)
+    pairs, sorted by leading monomial."""
     changed = True
     while changed:
         changed = False
-        polys.sort(key=lambda p: degrevlex_key(p.leading()[0]))
+        leads.sort(key=lambda lead: degrevlex_key(lead[0]))
         out = []
-        for i, p in enumerate(polys):
-            others = out + polys[i + 1:]
+        for i, (m, p) in enumerate(leads):
+            others = out + leads[i + 1:]
             r = _reduce_poly(p, others) if others else p
+            if r.terms == p.terms:
+                out.append((m, p))
+                continue
+            changed = True
             if r:
-                _, c = r.leading()
-                out.append(r * Fraction(1, c))
-            if r.terms != p.terms:
-                changed = True
-        polys = out
-    return polys
+                out.append(_monic(r))
+        leads = out
+    return leads
 
 
 def buchberger(polys):
-    """Reduced degrevlex Groebner basis with deterministic S-pair ordering."""
-    basis = _interreduce(list(polys))
-    pairs = sorted(
-        ((sum(mono_lcm(basis[i].leading()[0], basis[j].leading()[0])), i, j)
-         for i in range(len(basis)) for j in range(i)),
-    )
+    """Reduced degrevlex Groebner basis, as monic (leading monomial, polynomial)
+    pairs sorted by leading monomial, with deterministic S-pair ordering."""
+    basis = _interreduce([_monic(p) for p in polys if p])
+    pairs = sorted((sum(mono_lcm(basis[i][0], basis[j][0])), i, j)
+                   for i in range(len(basis)) for j in range(i))
     while pairs:
         _, i, j = pairs.pop(0)
-        mi, _ = basis[i].leading()
-        mj, _ = basis[j].leading()
+        (mi, f), (mj, g) = basis[i], basis[j]
         if mono_lcm(mi, mj) == mono_mul(mi, mj):
             continue  # coprime leading terms: S-polynomial reduces to zero
+        if len(f.terms) == 1 and len(g.terms) == 1:
+            continue  # two monic monomials: the S-polynomial is zero
         r = _reduce_poly(_spoly(basis[i], basis[j]), basis)
         if r:
-            _, c = r.leading()
-            basis.append(r * Fraction(1, c))
-            k = len(basis) - 1
-            mk = basis[k].leading()[0]
-            for idx in range(k):
-                pairs.append((sum(mono_lcm(basis[idx].leading()[0], mk)), k, idx))
+            basis.append(_monic(r))
+            k, mk = len(basis) - 1, basis[-1][0]
+            pairs.extend((sum(mono_lcm(basis[idx][0], mk)), k, idx) for idx in range(k))
             pairs.sort()
     return _interreduce(basis)
 
@@ -138,11 +142,14 @@ def buchberger(polys):
 class Algebra:
     """A presented Artinian local Q-algebra with computed monomial basis."""
 
-    def __init__(self, spec, groebner, basis):
+    def __init__(self, spec, groebner, basis, leads=None):
         self.spec = spec
         self.names = spec.variables
         self.nvars = len(self.names)
         self.groebner = tuple(groebner)
+        # reduce_mono's divisors, (leading monomial, polynomial) per Groebner
+        # element; None on a TruncatedExtension, which reduces through its base
+        self._leads = leads
         self.basis = tuple(basis)  # ascending degrevlex; basis[0] == 1
         self.index = {m: i for i, m in enumerate(self.basis)}
         self.dimension = len(self.basis)
@@ -181,7 +188,7 @@ class Algebra:
             coords = {self.index[mono]: 1}
         else:
             red = _reduce_poly(Polynomial(self.nvars, {mono: 1}, normalize=False),
-                               self.groebner)
+                               self._leads)
             coords = {self.index[m]: c for m, c in red.terms.items()}
         self._mono_nf[mono] = coords
         return coords
@@ -353,7 +360,7 @@ def build_algebra(spec):
     nvars = len(spec.variables)
     rels = [parse_polynomial(r, spec.variables) for r in spec.relations]
     gb = buchberger(rels)
-    leads = [g.leading()[0] for g in gb]
+    leads = [m for m, _ in gb]
     if any(sum(m) == 0 for m in leads):
         raise NotLocal("the relations generate the unit ideal")
 
@@ -371,9 +378,19 @@ def build_algebra(spec):
             basis.append(exps)
     basis.sort(key=degrevlex_key)
 
-    alg = Algebra(spec, gb, basis)
+    alg = Algebra(spec, [g for _, g in gb], basis, tuple(gb))
 
+    # Only the degree-1 standard monomials, basis[1], basis[2], ..., are tried.
+    # A standard monomial that is not nilpotent has a variable factor that is
+    # not (a product of commuting nilpotents is nilpotent); that variable
+    # divides a standard monomial, so it is standard too, and it comes earlier
+    # in ascending degrevlex, its degree being lower.  And x^dimension != 0
+    # exactly when x is not nilpotent: multiplication by a nilpotent x is a
+    # nilpotent operator on a space of that dimension.  So the first failure
+    # named here is the first standard monomial that is not nilpotent.
     for i in range(1, alg.dimension):
+        if sum(basis[i]) > 1:
+            break
         if alg.basis_element(i) ** alg.dimension:
             raise NotLocal(
                 f"standard monomial {monomial_str(basis[i], spec.variables)} is not nilpotent")

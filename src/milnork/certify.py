@@ -314,7 +314,7 @@ def check_step(cstate, step):
             entry = _slot_at(sym, pos["slot"])
             k = pay["at"]
             if not (0 < k < len(entry.atoms)):
-                raise PositionInvalid(f"cannot split {len(entry.atoms)} atoms at {k}")
+                raise PositionInvalid(f"cannot split {len(entry.atoms)} atoms at {quote(k)}")
             left = LaurentEntry(sym.algebra, entry.atoms[:k])
             right = LaurentEntry(sym.algebra, entry.atoms[k:])
             return cstate.clone(state.replace_term(
@@ -328,7 +328,7 @@ def check_step(cstate, step):
             c1, s1 = _term_at(state, i1)
             c2, s2 = _term_at(state, i2)
             if c1 != c2:
-                raise SideConditionFailed(f"merge: coefficients {c1} and {c2} differ")
+                raise SideConditionFailed(f"merge: coefficients {quote(c1)} and {quote(c2)} differ")
             for jj in range(s1.degree):
                 if jj == j:
                     continue
@@ -376,7 +376,7 @@ def check_step(cstate, step):
                 coeff, exp = Fraction(coeff, m), exp * m
             elif mode == "unpack":
                 if exp % m:
-                    raise SideConditionFailed(f"exponent {exp} not divisible by {m}")
+                    raise SideConditionFailed(f"exponent {quote(exp)} not divisible by {quote(m)}")
                 coeff, exp = coeff * m, exp // m
             else:
                 raise PositionInvalid(f"unknown torsion_scale mode {quote(mode)}")
@@ -650,12 +650,13 @@ def crosscheck_dlog(cert, precision=None):
         raise PrecisionTooLarge(
             f"precision {N} is above the cap of {MAX_PRECISION}"
             + (f" (the default 3(n+2) at n = {n})" if precision is None else ""))
-    states = [cert.start, cert.goal, cert.claim_lhs, cert.claim_rhs]
-    symbols = [sym for st in states for _, sym in st.terms]
-    symbols += [v for step in cert.steps for v in step.payload.values() if isinstance(v, Symbol)]
-    atom_polys = [poly for sym in symbols for entry in sym.entries for poly, _ in entry.atoms]
-    atom_polys += [poly for step in cert.steps for poly, _ in step.payload.get("atoms", ())]
-    max_span = max((poly.span() for poly in atom_polys), default=0)
+    # the spans of what is realized: the replay's states, the goal and the claim
+    # sides; a payload atom that reaches no state is never realized
+    run = cert.replay
+    states = [st.state for st in run.states] + [cert.goal, cert.claim_lhs, cert.claim_rhs]
+    symbols = {id(sym): sym for st in states for _, sym in st.terms}.values()
+    max_span = max((poly.span() for sym in symbols for entry in sym.entries
+                    for poly, _ in entry.atoms), default=0)
     if N < max(max_span + 1, 2) or N < 3 * max_span:
         raise PrecisionInsufficient(
             f"precision {N} too small for atoms of sigma-span {max_span}; "
@@ -667,7 +668,6 @@ def crosscheck_dlog(cert, precision=None):
     # Omega^2 of A[s]/s^(n+1), so equality there is equality of the states
     small_ring = truncated_extension(A, extension_name(A), n + 2)
 
-    run = cert.replay
     agrees, final = run.agreement(realizer, small_ring)
     step_rows = [(i, step.rule, ok) for i, (step, ok) in enumerate(zip(run.steps, agrees))]
     if run.failure is not None:

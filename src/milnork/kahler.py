@@ -27,7 +27,6 @@ from .algebra import AlgebraElement, derived_algebra, extension_name, invert_uni
 from .errors import AlgebraMismatch, NotAUnit, OutOfDomain
 from .expr import monomial_str
 from .linalg import RowSpace, add_to, rational
-from .poly import mono_mul
 from .report import field_rows
 
 
@@ -72,23 +71,30 @@ class OmegaModule:
         return mono_idx * len(self.wedges) + wedge_idx
 
     def _build_relations(self):
+        """The rows m * (dg ^ w): g in the Groebner basis, w a (p-1)-wedge, m a
+        basis monomial, read from A's pair table.  A partial of g is already in
+        normal form, as the basis is reduced: g's other terms are standard, and
+        so are their divisors; and m / x_i, m g's leading monomial, is standard,
+        since a leading monomial that divided it would divide m.  Reduction is a
+        ring map, so these are the rows of the raw products."""
         A = self.algebra
         if self.degree == 0 or not self.wedges:
             return
         table = wedge_table(A.nvars, 1, self.degree - 1)
         for g in A.groebner:
-            # dF as a vector of polynomial coefficients per variable
-            partials = [g.diff(i) for i in range(A.nvars)]
+            partials = [{A.index[m]: c for m, c in g.diff(i).terms.items()}
+                        for i in range(A.nvars)]
             for cells in zip(*table):  # dx_i ^ one (degree-1)-wedge, for each i
-                for mono in A.basis:
-                    row = {}
-                    for partial, cell in zip(partials, cells):
-                        if not cell:
-                            continue
+                dgw = []  # dg ^ w as (basis index, target wedge index, coefficient)
+                for partial, cell in zip(partials, cells):
+                    if cell:
                         sign, widx = cell
-                        for pm, pc in partial.terms.items():
-                            for k, bc in A.reduce_mono(mono_mul(mono, pm)).items():
-                                add_to(row, self.col(k, widx), sign * pc * bc)
+                        dgw += [(k, widx, sign * c) for k, c in partial.items()]
+                for m in range(A.dimension):
+                    row = {}
+                    for k, widx, c in dgw:
+                        for j, bc in A.pair_product(m, k).items():
+                            add_to(row, self.col(j, widx), c * bc)
                     if row:
                         self._space.insert(row)
 

@@ -106,6 +106,16 @@ def test_not_local():
         alg(["x"], ["x^2 - x"])
     with pytest.raises(NotLocal):
         alg(["x"], ["x^2 - 1"])
+    # the first standard monomial, ascending degrevlex, that is not nilpotent is
+    # named; it is a variable, though not always basis[1]
+    for variables, relations, name in [
+        (["x", "y"], ["y^2", "x^2 - x"], "x"),  # basis 1, y, x, x*y
+        (["x", "y", "z"], ["x^2", "y^2", "z^3 - z^2", "x*z", "y*z"], "z"),
+        (["x", "y", "z"], ["x^2 - x", "y^2", "z^2", "x*y", "x*z", "y*z"], "x"),  # basis 1, z, y, x
+    ]:
+        with pytest.raises(NotLocal) as exc:
+            alg(variables, relations)
+        assert str(exc.value) == f"standard monomial {name} is not nilpotent"
 
 
 def test_spec_validation():

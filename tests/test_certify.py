@@ -708,10 +708,24 @@ def _rejections(Q):
         (_state(Q, (1, plain)), None,
          RewriteStep("torsion_scale", {"term": 0, "slot": 1}, {"mode": "unpack", "m": 0}),
          SideConditionFailed, "torsion_scale factor must be a positive integer"),
+        # the numbers in a detail are quoted: a short one prints as it is, a
+        # long one as its first 60 digits and its length (all 401 digits before)
+        (_state(Q, (1, plain)), None,
+         RewriteStep("torsion_scale", {"term": 0, "slot": 1}, {"mode": "unpack", "m": 10 ** 400}),
+         SideConditionFailed, f"exponent 1 not divisible by {_BIG}"),
+        (_state(Q, (1, pair)), None,
+         RewriteStep("bilinearity", {"term": 0, "slot": 0}, {"mode": "split", "at": 10 ** 400}),
+         PositionInvalid, f"cannot split 2 atoms at {_BIG}"),
+        (_state(Q, (10 ** 400, plain), (Fraction(1, 2), pair)), None,
+         RewriteStep("bilinearity", {"term": 0, "term2": 1, "slot": 0}, {"mode": "merge"}),
+         SideConditionFailed, f"merge: coefficients {_BIG} and 1/2 differ"),
     ]
 
 
-@pytest.mark.parametrize("case", range(7))
+_BIG = "1" + "0" * 59 + "… (401 characters)"  # 10^400, quoted
+
+
+@pytest.mark.parametrize("case", range(10))
 def test_checker_refusals_name_their_condition(Q, case):
     state, order, step, error, message = _rejections(Q)[case]
     with pytest.raises(error) as exc:

@@ -640,6 +640,34 @@ def test_payload_symbol_of_degree_other_than_two_fails_at_its_step(
             f"certificate.failure_detail=step field 'symbol' has a bad value: {shown}\n") in out
 
 
+@pytest.mark.parametrize("key, value", [
+    ("junk", {"symbol": [[["1 + sigma^50", 1]], [["1", 1]]]}),
+    ("atoms", [["1 + sigma^50", 1]]),
+])
+def test_a_payload_field_the_rule_ignores_leaves_the_crosscheck_alone(
+        capsys, tmp_path, t3_eq8_doc, key, value):
+    # the crosscheck used to size its precision from every payload field, and
+    # exit 2: precision 12 too small for atoms of sigma-span 50; need at least 150
+    step = next(s for s in t3_eq8_doc["steps"] if s["rule"] == "torsion_scale")
+    step["payload"][key] = value
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert (code, err) == (0, "")
+    for row in ("certificate.valid=true", "crosscheck.precision=12", "crosscheck.all_agree=true"):
+        assert row + "\n" in out
+
+
+def test_certificate_detail_quotes_a_huge_number(capsys, tmp_path, t3_eq8_doc):
+    # all 401 digits of m were printed
+    steps = t3_eq8_doc["steps"]
+    idx = next(i for i, s in enumerate(steps)
+               if s["rule"] == "torsion_scale" and s["payload"]["mode"] == "unpack")
+    steps[idx]["payload"]["m"] = 10 ** 400
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert (code, err) == (1, "")
+    assert (f"certificate.failure_index={idx}\ncertificate.failure_detail=exponent "
+            f"6 not divisible by 1{'0' * 59}… (401 characters)\n") in out
+
+
 def test_certificate_atom_of_exponent_zero_is_dropped(capsys, tmp_path, t3_eq8_doc):
     t3_eq8_doc["start"][0][1][1].append(["1 + t", 0])
     code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
