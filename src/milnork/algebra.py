@@ -142,14 +142,14 @@ def buchberger(polys):
 class Algebra:
     """A presented Artinian local Q-algebra with computed monomial basis."""
 
-    def __init__(self, spec, groebner, basis, leads=None):
+    def __init__(self, spec, basis, leads):
         self.spec = spec
         self.names = spec.variables
         self.nvars = len(self.names)
-        self.groebner = tuple(groebner)
-        # reduce_mono's divisors, (leading monomial, polynomial) per Groebner
-        # element; None on a TruncatedExtension, which reduces through its base
-        self._leads = leads
+        # (leading monomial, polynomial) per Groebner element, sorted: reduce_mono's
+        # divisors, and what an extension sorts by (a TruncatedExtension's too)
+        self._leads = tuple(leads)
+        self.groebner = tuple(g for _, g in self._leads)
         self.basis = tuple(basis)  # ascending degrevlex; basis[0] == 1
         self.index = {m: i for i, m in enumerate(self.basis)}
         self.dimension = len(self.basis)
@@ -170,7 +170,7 @@ class Algebra:
 
     def memo(self, table, key, build, *args):
         """build(*args), never None, computed once per (table, key) on this algebra.
-        Hot callers pass the builder and its arguments: a closure is made per call."""
+        Callers pass the builder and its arguments, not a closure made per call."""
         entries = self._memo[table]
         got = entries.get(key)
         if got is None:
@@ -243,6 +243,12 @@ class Algebra:
             cached = self.reduce_mono(mono_mul(self.basis[i], self.basis[j]))
             self._pair_cache[(i, j)] = cached
         return cached
+
+    def _mul(self, left, right):
+        """Coordinates of left * right, the kernel on two 0-forms; a factor 1 returns the other."""
+        if left == ONE_COORDS or right == ONE_COORDS:
+            return right if left == ONE_COORDS else left
+        return self._product(left, self._scalars, right, self._scalars, (((1, 0),),), 1)
 
     def _product(self, left, left_layout, right, right_layout, cells, width):
         """The free vector of left * right: the one product loop, of elements,
@@ -328,9 +334,7 @@ class AlgebraElement:
         other = self._check(other)
         if other.coords == ONE_COORDS or self.coords == ONE_COORDS:  # no work for a factor 1:
             return self if other.coords == ONE_COORDS else other  # elements never change
-        A = self.algebra
-        return AlgebraElement(A, A._product(self.coords, A._scalars, other.coords, A._scalars,
-                                            (((1, 0),),), 1))  # 0-form ^ 0-form
+        return AlgebraElement(self.algebra, self.algebra._mul(self.coords, other.coords))
 
     __rmul__ = __mul__
 
@@ -378,7 +382,7 @@ def build_algebra(spec):
             basis.append(exps)
     basis.sort(key=degrevlex_key)
 
-    alg = Algebra(spec, [g for _, g in gb], basis, tuple(gb))
+    alg = Algebra(spec, basis, gb)
 
     # Only the degree-1 standard monomials, basis[1], basis[2], ..., are tried.
     # A standard monomial that is not nilpotent has a variable factor that is
@@ -400,29 +404,32 @@ def build_algebra(spec):
 def invert_unit(algebra, u):
     """Exact inverse: over A[s]/s^N by s-adic division in A, v_0 = u_0^(-1) and
     v_m = -v_0 * sum u_j v_(m-j) over the nonzero layers u_j, 1 <= j <= m;
-    elsewhere by a geometric series on the nilpotent part."""
+    elsewhere by a geometric series on the nilpotent part.  Both sum coordinate
+    vectors through the one product kernel, A._mul, and make one element."""
     u = algebra.element(u)
     a = u.augmentation()
     if not a:
         raise NotAUnit(f"{u} has augmentation 0")
     if algebra.base is not None:
-        u0, *rest = sigma_layers(u)
-        v = [invert_unit(algebra.base, u0)]
-        live = [(j, -(v[0] * c)) for j, c in enumerate(rest, 1) if c]  # -v_0 u_j
+        A, (u0, *rest) = algebra.base, sigma_layers(u)
+        v = [invert_unit(A, u0).coords]
+        live = [(j, {i: -q for i, q in A._mul(v[0], c.coords).items()})  # -v_0 u_j
+                for j, c in enumerate(rest, 1) if c]
         for m in range(1, algebra.ext_order):
-            v.append(sum((w * v[m - j] for j, w in live if j <= m and v[m - j]), algebra.base.zero))
-        return from_sigma_layers(algebra, dict(enumerate(v)))
-    x = u * Fraction(1, a) - 1
-    acc = algebra.one
-    term = algebra.one
-    sign = -1
-    while True:
-        term = term * x
-        if not term:
-            break
-        acc = acc + term * sign
-        sign = -sign
-    return acc * Fraction(1, a)
+            v.append({})
+            for j, w in live:
+                if j <= m and v[m - j]:
+                    for i, c in A._mul(w, v[m - j]).items():
+                        add_to(v[m], i, c)
+        return AlgebraElement(algebra, {algebra._place[k][i]: c for k, vk in enumerate(v)
+                                        for i, c in vk.items()})
+    x = {i: rational(Fraction(c, a)) for i, c in u.coords.items() if i}  # u / a - 1
+    acc, term, sign = dict(ONE_COORDS), x, -1
+    while term:
+        for i, c in term.items():
+            add_to(acc, i, sign * c)
+        term, sign = algebra._mul(term, x), -sign
+    return AlgebraElement(algebra, {i: rational(Fraction(c, a)) for i, c in acc.items()})
 
 
 def derived_algebra(parent, variables, relations, distinguished=None, build=build_algebra):
@@ -444,13 +451,13 @@ class TruncatedExtension(Algebra):
     """
 
     def __init__(self, base, spec, order):
-        s_power = Polynomial(base.nvars + 1, {(0,) * base.nvars + (order,): 1},
-                             normalize=False)
-        lifted = [Polynomial(base.nvars + 1, {m + (0,): c for m, c in g.terms.items()},
-                             normalize=False) for g in base.groebner]
-        groebner = sorted(lifted + [s_power], key=lambda g: degrevlex_key(g.leading()[0]))
+        s_power = (0,) * base.nvars + (order,)  # s^N, its own leading monomial
+        leads = sorted([(lm + (0,), {m + (0,): c for m, c in g.terms.items()})
+                        for lm, g in base._leads] + [(s_power, {s_power: 1})],
+                       key=lambda lead: degrevlex_key(lead[0]))
         basis = sorted((a + (k,) for a in base.basis for k in range(order)), key=degrevlex_key)
-        super().__init__(spec, groebner, basis)
+        super().__init__(spec, basis, [(lm, Polynomial(base.nvars + 1, terms, normalize=False))
+                                       for lm, terms in leads])
         self.base, self.ring, self.ext_name, self.ext_order = base, base, spec.distinguished, order
         self._layout = tuple((base.index[m[:-1]], m[-1]) for m in self.basis)
         self._place = tuple(tuple(self.index[m + (k,)] for m in base.basis) for k in range(order))

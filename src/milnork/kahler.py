@@ -186,6 +186,8 @@ class DifferentialForm:
 
     def scale(self, q):
         q = rational(q)
+        if q == 1:
+            return self  # a factor 1 does no work: forms never change
         if not q:
             return DifferentialForm(self.module, {})
         return DifferentialForm(self.module, {i: rational(c * q) for i, c in self.coords.items()})
@@ -265,8 +267,11 @@ def dlog(u):
     """
     if not u.augmentation():
         raise NotAUnit(f"dlog of non-unit {u}")
-    A = u.algebra
-    return A.memo("dlog", u.key(), lambda: d(u).act(invert_unit(A, u)))
+    return u.algebra.memo("dlog", u.key(), _dlog, u)
+
+
+def _dlog(u):
+    return d(u).act(invert_unit(u.algebra, u))
 
 
 def map_form(f, target_algebra):

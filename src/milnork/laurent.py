@@ -174,10 +174,11 @@ def _check_atom(poly):
 class LaurentEntry:
     """Formal product of atoms (LaurentPolynomial, integer exponent)."""
 
-    __slots__ = ("algebra", "atoms")
+    __slots__ = ("algebra", "atoms", "_key")
 
     def __init__(self, algebra, atoms):
         self.algebra = algebra
+        self._key = None
         norm = []
         for poly, exp in atoms:
             exp = operator.index(exp)
@@ -232,7 +233,10 @@ class LaurentEntry:
                             [(poly.truncate(order), exp) for poly, exp in self.atoms])
 
     def key(self):
-        return tuple((poly.key(), exp) for poly, exp in self.atoms)
+        """Computed once: an entry, its atoms included, is never changed."""
+        if self._key is None:
+            self._key = tuple((poly.key(), exp) for poly, exp in self.atoms)
+        return self._key
 
     def __str__(self):
         if not self.atoms:
@@ -272,12 +276,13 @@ class Symbol:
     (formal products of Laurent atoms); both provide `algebra` and `key()`.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_key")
 
     def __init__(self, entries):
         if len({id(e.algebra) for e in entries}) > 1:
             raise AlgebraMismatch("symbol entries over different algebras")
         self.entries = entries
+        self._key = None
 
     @classmethod
     def from_atoms(cls, algebra, atom_lists):
@@ -294,7 +299,10 @@ class Symbol:
         return self.entries[0].algebra
 
     def key(self):
-        return tuple(e.key() for e in self.entries)
+        """Computed once: a symbol, its entries included, is never changed."""
+        if self._key is None:
+            self._key = tuple(e.key() for e in self.entries)
+        return self._key
 
     def replace(self, slot, entry):
         new = list(self.entries)

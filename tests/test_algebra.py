@@ -79,6 +79,13 @@ def test_normal_form_idempotent_and_linear(t3):
     assert lhs == rhs
 
 
+def test_arithmetic_coerces_numbers_and_strings(t3):
+    """An operand that is not an element is read by Algebra.element."""
+    u = t3.element("1 + t")
+    assert u - 1 == t3.element("t") and 2 + u == t3.element("3 + t")
+    assert u * "t" == t3.element("t + t^2") and u - "t" == t3.one
+
+
 def test_unit_detection(t3, xy):
     assert t3.element("1+t").augmentation()
     assert not t3.element("t").augmentation()

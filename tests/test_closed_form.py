@@ -200,6 +200,53 @@ def test_inverse_by_division_in_a_matches_geometric_series(A):
             assert v.coords == _geometric_inverse(u).coords, N
 
 
+AUGMENTATIONS = (1, 2, Fraction(-1, 2), Fraction(1, 3))
+
+
+def _units_with(B, rng):
+    """For each augmentation above, a unit of B = A[s]/s^N with several live
+    s-layers, scaled to it, and 1 + s times such a unit, whose s^0 layer is 1."""
+    s = B.variable(B.ext_name)
+    for aug in AUGMENTATIONS:
+        u = _unit(B, rng)
+        u = u * (Fraction(aug) / u.augmentation())
+        assert u.augmentation() == aug
+        yield u
+        yield B.one + s * u
+
+
+@pytest.mark.parametrize("A", ALGEBRAS, ids=IDS)
+def test_inverse_times_the_unit_is_one(A):
+    """invert_unit(B, u) * u == 1 over B = A[s]/s^N, N <= 16, and over A."""
+    rng = random.Random(A.dimension)
+    for N in (1, 2, 4, 9, 16):
+        B = truncated_extension(A, "sigma", N)
+        for u in _units_with(B, rng):
+            assert invert_unit(B, u) * u == B.one, (N, str(u))
+            assert u * invert_unit(B, u) == B.one, (N, str(u))
+    for u in _units_with(truncated_extension(A, "sigma", 1), rng):
+        u0 = sigma_layers(u)[0]  # a unit of A
+        assert invert_unit(A, u0) * u0 == A.one, str(u0)
+
+
+def test_inverse_makes_no_element_product_per_term(monkeypatch):
+    """invert_unit sums coordinate vectors through the one product kernel:
+    over A[s]/s^16 it makes no AlgebraElement product, where an element
+    product per series term made more of them with every s-layer."""
+    A = dict(NAMED)["rational-b"]
+    B = truncated_extension(A, "sigma", 16)
+    units = list(_units_with(B, random.Random(16)))
+    calls = []
+    mul = AlgebraElement.__mul__
+    monkeypatch.setattr(AlgebraElement, "__mul__",
+                        lambda self, other: calls.append(1) or mul(self, other))
+    inverses = [invert_unit(B, u) for u in units]
+    assert calls == []
+    monkeypatch.undo()
+    for u, v in zip(units, inverses):
+        assert u * v == B.one
+
+
 def _layout_images(M, M2, shift, tail):
     """For each basis form m dw of M, the reduced index in M2 of the free
     coordinate (m s^shift) d(w + tail), or None when that is no basis form."""

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from milnork import poly
-from milnork.algebra import AlgebraSpec, build_algebra
+from milnork.algebra import AlgebraSpec, build_algebra, truncated_extension
 from milnork.expr import parse_polynomial, polynomial_str
 from milnork.family import _SPECS
 from milnork.kahler import omega_module
@@ -106,3 +106,24 @@ def test_construction_computes_each_leading_term_once(monkeypatch):
     calls.clear()
     assert (omega_module(A, 1).dimension, omega_module(A, 2).dimension) == (45, 36)
     assert calls == []
+
+
+def test_truncated_extensions_sort_by_leading_pairs(monkeypatch):
+    """A[s]/s^N, and an extension of one, sort their Groebner basis by the
+    base's (leading monomial, polynomial) pairs, computing no leading term,
+    into the order the generic construction gives."""
+    A = build_algebra(AlgebraSpec(*PINS["rational-b"]))
+    calls = []
+    leading = Polynomial.leading
+    monkeypatch.setattr(poly.Polynomial, "leading", lambda self: calls.append(1) or leading(self))
+    inner = truncated_extension(A, "sigma", 3)
+    outer = truncated_extension(inner, "eps", 2)
+    assert calls == []
+    monkeypatch.undo()
+    generic = build_algebra(AlgebraSpec(("x", "y", "sigma", "eps"),
+                                        PINS["rational-b"][1] + ("sigma^3", "eps^2"), "eps"))
+    for B in (inner, outer):
+        assert [lm for lm, _ in B._leads] == [_lead(g) for g in B.groebner]
+    assert outer.groebner == generic.groebner
+    printed = [polynomial_str(g, outer.names) for g in outer.groebner]
+    assert printed == ["eps^2", "x*y - 1/5*y^2", "x^2 + 2/15*y^2", "sigma^3", "y^3"]

@@ -303,6 +303,18 @@ def test_dlog_repeated_calls_agree():
         dlog(A.element("x"))
 
 
+def test_scale_by_one_is_the_form_itself():
+    """Forms never change, so a factor 1 hands back the form; a factor 0 still
+    gives the zero form of the form's module."""
+    A = alg(["x", "y"], ["x^2", "x*y", "y^2"])
+    f = dlog(A.element("2 + x - y"))
+    assert f and f.scale(1) is f and f.scale(Fraction(1)) is f and f.scale("1") is f
+    zero = f.scale(0)
+    assert not zero and zero.module is f.module and zero == omega_module(A, 1).form()
+    half = f.scale(Fraction(1, 2))
+    assert half is not f and half + half == f
+
+
 def test_functorial_projection_commutes_with_d():
     A = alg(["t"], ["t^3"])
     big = truncated_extension(A, "sigma", 3)

@@ -173,6 +173,22 @@ def test_state_canonicalization():
     assert len(state2.terms) == 1 and state2.terms[0][0] == 1
 
 
+def test_symbol_and_entry_keys_are_computed_once():
+    """A symbol and an entry never change, so each computes its key once: a
+    second call returns the same object, equal to the key of a rebuilt value."""
+    s = LaurentPolynomial.sigma(T2)
+    atoms = [[(lp({0: "1", 1: "t"}), 2), (s, -1)], [(lp({0: "2", 2: "t"}), 1)]]
+    sym = Symbol.from_atoms(T2, atoms)
+    assert sym.key() is sym.key()
+    for entry in sym.entries:
+        assert entry.key() is entry.key()
+    rebuilt = Symbol.from_atoms(T2, atoms)
+    assert rebuilt.key() == sym.key()
+    assert [e.key() for e in rebuilt.entries] == [e.key() for e in sym.entries]
+    swapped = sym.replace(0, sym.entries[1])
+    assert swapped.key() == Symbol((rebuilt.entries[1], rebuilt.entries[1])).key() != sym.key()
+
+
 def test_symbols_and_combinations_stay_in_one_algebra():
     e2 = LaurentEntry(T2, [(LaurentPolynomial.sigma(T2), 1)])
     e3 = LaurentEntry(T3, [(LaurentPolynomial.sigma(T3), 1)])

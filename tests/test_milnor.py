@@ -95,6 +95,31 @@ def test_slot_multiplicativity_and_antisymmetry(t3):
     assert dlog_realize(make_symbol([u, v], 1)) == -dlog_realize(make_symbol([v, u], 1))
 
 
+# algebras where Omega^2 != 0, with three units each: the compared sides of
+# multiplicativity and antisymmetry are 2-forms that need not vanish
+OMEGA2_NONZERO = {
+    "xy-m4": ((("x", "y"), tuple(f"x^{a}*y^{4 - a}" for a in range(5))), 6,
+              ("1 + x", "2 - y^2 + x*y", "3 + y - x^2")),
+    "xyz-squares": ((("x", "y", "z"), ("x^2", "y^2", "z^2")), 6,
+                    ("1 + x + y*z", "2 - y", "3 + z - x*y")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OMEGA2_NONZERO))
+def test_slot_multiplicativity_and_antisymmetry_where_omega2_is_nonzero(name):
+    """Where Omega^2 = 0 both sides are always the zero form, so a realizer
+    that adds a fixed 2-form passes; here at least one side is nonzero."""
+    (variables, relations), omega2_dim, units = OMEGA2_NONZERO[name]
+    A = alg(variables, relations)
+    assert omega_module(A, 2).dimension == omega2_dim
+    u, v, w = (A.element(text) for text in units)
+    lhs = dlog_realize(make_symbol([u * v, w], 1))
+    assert lhs == dlog_realize(make_symbol([u, w], 1)) + dlog_realize(make_symbol([v, w], 1))
+    uv = dlog_realize(make_symbol([u, v], 1))
+    assert uv == -dlog_realize(make_symbol([v, u], 1))
+    assert lhs and uv
+
+
 def test_realize_is_linear(t3):
     u, v = t3.element("1+t"), t3.element("2")
     s1 = make_symbol([u, v], Fraction(2, 3))

@@ -175,3 +175,96 @@ def test_no_value_is_changed_in_place(path):
             if owner is not None and not own:
                 changed.append(f"{path.name}:{node.lineno}")
     assert not changed
+
+
+def _is_self_key(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "_key"
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def _is_key_unset(test):
+    """`self._key is None`."""
+    return (isinstance(test, ast.Compare) and _is_self_key(test.left)
+            and [type(op) for op in test.ops] == [ast.Is]
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None)
+
+
+def _key_writes(node, function=None, guarded=False):
+    """(line, allowed) of each write to a `_key` attribute under node: an
+    assignment, augmented or not, a `del` or a setattr naming "_key".  Allowed
+    are `self._key = None` in __init__, and `self._key = ...` in key() under
+    `if self._key is None`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _key_writes(child, getattr(child, "name", None))
+            continue
+        targets = []
+        if isinstance(child, ast.Assign):
+            targets = child.targets
+        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+            targets = [child.target]
+        elif isinstance(child, ast.Delete):
+            targets = child.targets
+        written = [t for target in targets for t in ast.walk(target)
+                   if isinstance(t, ast.Attribute) and t.attr == "_key"]
+        if written:
+            value = getattr(child, "value", None)  # a del has none
+            init = (function == "__init__" and isinstance(value, ast.Constant)
+                    and value.value is None)
+            allowed = (isinstance(child, ast.Assign) and all(map(_is_self_key, written))
+                       and (init or (function == "key" and guarded)))
+            yield child.lineno, allowed
+        if (isinstance(child, ast.Call) and any(isinstance(a, ast.Constant) and a.value == "_key"
+                                                for a in child.args)):
+            yield child.lineno, False
+        if isinstance(child, ast.If) and _is_key_unset(child.test):
+            for stmt in child.body:
+                yield from _key_writes(ast.Module([stmt], []), function, True)
+            for stmt in child.orelse:
+                yield from _key_writes(ast.Module([stmt], []), function, guarded)
+        else:
+            yield from _key_writes(child, function, guarded)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_key_caches_are_written_once(path):
+    """A value that keys itself keeps its key in `_key`: None from __init__,
+    then set once, in key(), under `if self._key is None`.  A reset or an
+    unguarded write elsewhere would let a shared value's key change."""
+    assert [f"{path.name}:{line}" for line, allowed in _key_writes(_tree(path))
+            if not allowed] == []
+
+
+def test_key_writes_are_found():
+    """The checker sees each kind of write it rules on."""
+    source = '''
+class Keyed:
+    def __init__(self):
+        self._key = None
+
+    def key(self):
+        if self._key is None:
+            self._key = 1
+        return self._key
+
+    def reset(self, other):
+        self._key = None
+        other._key = None
+
+    def unguarded(self):
+        self._key = 2
+        del self._key
+        setattr(self, "_key", 3)
+
+
+class ElseBranch:
+    def key(self):
+        if self._key is None:
+            pass
+        else:
+            self._key = 4
+'''
+    writes = list(_key_writes(ast.parse(source)))
+    assert writes == [(4, True), (8, True), (12, False), (13, False), (16, False),
+                      (17, False), (18, False), (26, False)]
