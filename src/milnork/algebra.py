@@ -24,7 +24,7 @@ from .errors import (
     NotLocal,
 )
 from .expr import evaluate, monomial_str, parse_polynomial, polynomial_str
-from .linalg import add_to, rational
+from .linalg import Vector, add_to, rational
 from .poly import (
     Polynomial,
     degrevlex_key,
@@ -278,7 +278,7 @@ class Algebra:
         return [monomial_str(m, self.names) or "1" for m in self.basis]
 
 
-class AlgebraElement:
+class AlgebraElement(Vector, space="algebra"):
     __slots__ = ("algebra", "coords", "_key")
 
     def __init__(self, algebra, coords):
@@ -294,43 +294,10 @@ class AlgebraElement:
                                      for i, c in self.coords.items()))
         return self._key
 
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraElement)
-                and self.algebra is other.algebra
-                and self.coords == other.coords)
-
-    def __bool__(self):
-        return bool(self.coords)
-
     def _check(self, other):
-        if not isinstance(other, AlgebraElement):
-            other = self.algebra.element(other)
-        elif other.algebra is not self.algebra:
-            raise AlgebraMismatch("elements from different algebras")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        res = dict(self.coords)
-        for m, c in other.coords.items():
-            add_to(res, m, c)
-        return AlgebraElement(self.algebra, res)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, {m: -c for m, c in self.coords.items()})
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
+        return self.algebra.element(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float)):
-            q = rational(other)
-            if not q:
-                return AlgebraElement(self.algebra, {})
-            return AlgebraElement(self.algebra,
-                                  {m: rational(c * q) for m, c in self.coords.items()})
         other = self._check(other)
         if other.coords == ONE_COORDS or self.coords == ONE_COORDS:  # no work for a factor 1:
             return self if other.coords == ONE_COORDS else other  # elements never change
@@ -432,12 +399,12 @@ def invert_unit(algebra, u):
     return AlgebraElement(algebra, {i: rational(Fraction(c, a)) for i, c in acc.items()})
 
 
-def derived_algebra(parent, variables, relations, distinguished=None, build=build_algebra):
-    """Q[variables]/(relations) built from `parent` by `build(spec)`, once
+def derived_algebra(parent, variables, relations, distinguished=None, build=build_algebra, *args):
+    """Q[variables]/(relations) built from `parent` by `build(spec, *args)`, once
     per spec on the parent's memo, so every caller that derives the same
     presentation from the same algebra shares one Algebra and its memos."""
     spec = AlgebraSpec(tuple(variables), tuple(relations), distinguished)
-    return parent.memo("derived", spec, build, spec)
+    return parent.memo("derived", spec, build, spec, *args)
 
 
 class TruncatedExtension(Algebra):
@@ -450,7 +417,7 @@ class TruncatedExtension(Algebra):
     the sum of the s-exponents, and zero at or above s^N.
     """
 
-    def __init__(self, base, spec, order):
+    def __init__(self, spec, base, order):
         s_power = (0,) * base.nvars + (order,)  # s^N, its own leading monomial
         leads = sorted([(lm + (0,), {m + (0,): c for m, c in g.terms.items()})
                         for lm, g in base._leads] + [(s_power, {s_power: 1})],
@@ -477,7 +444,7 @@ def truncated_extension(algebra, name, order):
         raise NameCollision(f"variable {name!r} already present")
     return derived_algebra(algebra, algebra.names + (name,),
                            algebra.spec.relations + (f"{name}^{order}",), name,
-                           lambda spec: TruncatedExtension(algebra, spec, order))
+                           TruncatedExtension, algebra, order)
 
 
 def extension_name(algebra):

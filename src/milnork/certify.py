@@ -92,7 +92,7 @@ def _is_rational(value):
         return False
     try:
         rational(value)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         return False
     return True
 
@@ -151,7 +151,7 @@ class Certificate(namedtuple("Certificate", "context start goal steps claim_lhs 
         """The one run of check_step over the steps, shared by the verdict
         and the dlog crosscheck.  A built certificate carries the run its
         builder made; any other replays its steps here, once."""
-        run = Replay(self.start)
+        run = Replay(self.start, self.context.truncation)
         for i, step in enumerate(self.steps):
             try:
                 run.apply(step)
@@ -162,9 +162,11 @@ class Certificate(namedtuple("Certificate", "context start goal steps claim_lhs 
 
 
 class Replay:
-    """A run of check_step from a start state, grown one step at a time."""
+    """A run of check_step from a start state, grown one step at a time.  Given
+    a truncation, as a certificate's n + 1, it projects to that order only."""
 
-    def __init__(self, start):
+    def __init__(self, start, truncation=None):
+        self.truncation = truncation
         self.states = [CheckState(start)]  # before the first step and after each accepted one
         self.steps = []  # the accepted steps
         self.failure = None  # index of the first rejected step
@@ -172,7 +174,11 @@ class Replay:
         self.agreed = None  # ((realizer, small_ring), agrees, last form) of the last agreement
 
     def apply(self, step):
-        self.states.append(check_step(self.states[-1], step))
+        after = check_step(self.states[-1], step)
+        if step.rule == "projection" and self.truncation not in (None, after.order):
+            raise SideConditionFailed(f"projection to sigma^{after.order}, but the context "
+                                      f"truncates at sigma^{self.truncation} (n + 1)")
+        self.states.append(after)
         self.steps.append(step)
 
     def rewrite(self, rule, position, payload):
@@ -514,9 +520,9 @@ def vanishing_from(splitting):
     # the new steps reuse the goal's own 1 - s, w and g: eq8 holds one copy of each
     ((_, sym),) = splitting.goal.terms
     ((one_m_s, _), (w, _)), ((g, _),) = (entry.atoms for entry in sym.entries)
-    run = Replay(splitting.start)
-    run.states, run.steps, run.agreed = list(run7.states), list(run7.steps), run7.agreed
     trunc = n + 1
+    run = Replay(splitting.start, trunc)
+    run.states, run.steps, run.agreed = list(run7.states), list(run7.steps), run7.agreed
 
     run.rewrite("projection", {}, {"order": trunc})
     w_proj = w.truncate(trunc)          # collapses to 1
@@ -525,7 +531,7 @@ def vanishing_from(splitting):
                 {"atoms": [(one_m_s, 1)]})
     run.rewrite("torsion_scale", {"term": ([(one_m_s, 1)], [(g_proj, 1)]), "slot": 1},
                 {"mode": "pack", "m": n + 1})
-    final_poly = LaurentPolynomial.constant(A, 1) - LaurentPolynomial(A, {n: c * (n + 1)})
+    final_poly = LaurentPolynomial.constant(A, 1) - LaurentPolynomial(A, {n: c.scale(n + 1)})
     run.rewrite("entry_identity", {"term": ([(one_m_s, 1)], [(g_proj, n + 1)]), "slot": 1},
                 {"atoms": [(final_poly, 1)]})
 
@@ -567,21 +573,23 @@ class ExtendedRealizer:
 
     def entry_dlog(self, entry):
         """(omega, a) with dlog of the entry = omega + a * dlog(s), once per entry."""
-        def build():
-            omega, s_part = self.omega1.form(), 0
-            for poly, exp in entry.atoms:
-                v = poly.ord()
-                omega = omega + dlog(lift_laurent(poly, self.ring, v)).scale(exp)
-                s_part += exp * v
-            return omega, s_part
-        return self.ring.memo("entry_dlog", entry.key(), build)
+        return self.ring.memo("entry_dlog", entry.key(), self._entry_dlog, entry)
+
+    def _entry_dlog(self, entry):
+        omega, s_part = self.omega1.form(), 0
+        for poly, exp in entry.atoms:
+            v = poly.ord()
+            omega = omega + dlog(lift_laurent(poly, self.ring, v)).scale(exp)
+            s_part += exp * v
+        return omega, s_part
 
     def realize_term(self, sym):
         """Coordinates of s * dlog e1 ^ dlog e2 for a degree-2 symbol, once per symbol."""
-        def build():
-            (w1, a1), (w2, a2) = (self.entry_dlog(e) for e in sym.entries)
-            return (wedge(w1, w2).act(self.s) + wedge(w1.scale(a2) - w2.scale(a1), self.ds)).coords
-        return self.ring.memo("term", sym.key(), build)
+        return self.ring.memo("term", sym.key(), self._realize_term, sym)
+
+    def _realize_term(self, sym):
+        (w1, a1), (w2, a2) = (self.entry_dlog(e) for e in sym.entries)
+        return (wedge(w1, w2).act(self.s) + wedge(w1.scale(a2) - w2.scale(a1), self.ds)).coords
 
     def realize_state(self, state):
         total = {}
@@ -657,10 +665,10 @@ def crosscheck_dlog(cert, precision=None):
     symbols = {id(sym): sym for st in states for _, sym in st.terms}.values()
     max_span = max((poly.span() for sym in symbols for entry in sym.entries
                     for poly, _ in entry.atoms), default=0)
-    if N < max(max_span + 1, 2) or N < 3 * max_span:
+    need = max(2, 3 * max_span)  # 3 * span >= span + 1 once span >= 1
+    if N < need:
         raise PrecisionInsufficient(
-            f"precision {N} too small for atoms of sigma-span {max_span}; "
-            f"need at least {max(3 * max_span, max_span + 1)}")
+            f"precision {N} too small for atoms of sigma-span {max_span}; need at least {need}")
 
     A = cert.context.algebra
     realizer = shared_realizer(A, N)

@@ -5,15 +5,17 @@ operators `+ - * ^` where `^` takes a nonnegative integer literal, and
 parentheses nested at most MAX_NESTING deep.  Whitespace is insignificant.
 
 The parser builds its value from two leaf constructors, one for rational
-literals and one for variables; the leaves' own + - * ** do the rest.  Over
+literals and one for variables; the leaves' own + and - do the rest, and
+their * and ** unless the caller passes its own product and power.  Over
 Q[vars] the leaves are Polynomials; an Algebra passes its own elements, so
 the expression is evaluated, and reduced, in the algebra.
 """
 
+import operator
 import re
 
 from .errors import ParseError
-from .linalg import rational
+from .linalg import ZeroDenominator, rational
 from .poly import Polynomial
 
 # five parser frames per parenthesis, well inside the default recursion limit
@@ -43,7 +45,7 @@ def tokenize(text):
         if m.group(1):
             try:
                 tokens.append(("num", rational("".join(m.group(1).split()))))
-            except ZeroDivisionError:
+            except ZeroDenominator:
                 raise ParseError(f"zero denominator in {quote(text)}") from None
         elif m.group(2):
             tokens.append(("name", m.group(2)))
@@ -53,13 +55,14 @@ def tokenize(text):
 
 
 class _Parser:
-    def __init__(self, tokens, names, text, constant, variable):
+    def __init__(self, tokens, names, text, constant, variable, multiply, raise_to):
         self.tokens = tokens
         self.pos = self.depth = 0
         self.index = {n: i for i, n in enumerate(names)}
         self.text = text
         self.constant = constant
         self.variable = variable
+        self.multiply, self.raise_to = multiply, raise_to
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -91,7 +94,7 @@ class _Parser:
             kind, value = self.peek()
             if kind == "op" and value == "*":
                 self.pos += 1
-                result = result * self.factor()
+                result = self.multiply(result, self.factor())
             else:
                 return result
 
@@ -110,7 +113,7 @@ class _Parser:
             ekind, evalue = self.take()
             if ekind != "num" or evalue.denominator != 1 or evalue < 0:
                 raise ParseError(f"exponent must be a nonnegative integer in {quote(self.text)}")
-            return base ** int(evalue)
+            return self.raise_to(base, int(evalue))
         return base
 
     def atom(self):
@@ -133,13 +136,14 @@ class _Parser:
         raise ParseError(f"unexpected end of expression in {quote(self.text)}")
 
 
-def evaluate(text, names, constant, variable):
+def evaluate(text, names, constant, variable, multiply=operator.mul, raise_to=operator.pow):
     """Value of `text` built from `constant(q)` for each rational literal and
-    `variable(i)` for each occurrence of names[i]."""
+    `variable(i)` for each occurrence of names[i], with `multiply(a, b)` for
+    each product and `raise_to(a, k)` for each power."""
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    parser = _Parser(tokens, names, text, constant, variable)
+    parser = _Parser(tokens, names, text, constant, variable, multiply, raise_to)
     result = parser.expression()
     if parser.pos != len(tokens):
         raise ParseError(f"trailing input in {quote(text)}")

@@ -26,7 +26,7 @@ from itertools import combinations
 from .algebra import AlgebraElement, derived_algebra, extension_name, invert_unit
 from .errors import AlgebraMismatch, NotAUnit, OutOfDomain
 from .expr import monomial_str
-from .linalg import RowSpace, add_to, rational
+from .linalg import RowSpace, Vector, add_to
 from .report import field_rows
 
 
@@ -158,44 +158,16 @@ class OmegaModule:
         return f"{mono} {dparts}".strip()
 
 
-class DifferentialForm:
+class DifferentialForm(Vector, space="module"):
     __slots__ = ("module", "coords")
 
     def __init__(self, module, coords):
         self.module, self.coords = module, coords
 
-    def __bool__(self):
-        return bool(self.coords)
-
     def _check(self, other):
         if self.module is not other.module:
             raise AlgebraMismatch("forms live in different modules")
-
-    def __add__(self, other):
-        self._check(other)
-        res = dict(self.coords)
-        for i, c in other.coords.items():
-            add_to(res, i, c)
-        return DifferentialForm(self.module, res)
-
-    def __neg__(self):
-        return DifferentialForm(self.module, {i: -c for i, c in self.coords.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, q):
-        q = rational(q)
-        if q == 1:
-            return self  # a factor 1 does no work: forms never change
-        if not q:
-            return DifferentialForm(self.module, {})
-        return DifferentialForm(self.module, {i: rational(c * q) for i, c in self.coords.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, DifferentialForm)
-                and self.module is other.module
-                and self.coords == other.coords)
+        return other
 
     def act(self, element):
         """Multiply by an algebra element, the A-module action.  An element is

@@ -121,48 +121,23 @@ class LaurentPolynomial:
         power is charged the sigma-span of its result, and the one whose charge
         passes EXPANSION_BUDGET for the string raises ParseError unexpanded."""
         names = algebra.names + (extension_name(algebra),)
-        meter = [0]
+        spent = [0]  # every product and power in the string is charged against one budget
+
+        def charged(span, op, *operands):
+            spent[0] += span
+            if spent[0] > EXPANSION_BUDGET:
+                raise ParseError(f"expression spans {spent[0]} sigma-degrees in its products "
+                                 f"and powers, over the budget of {EXPANSION_BUDGET}")
+            return op(*operands)
 
         def variable(i):
             if i == algebra.nvars:
-                return _Metered(cls.sigma(algebra), meter)
-            return _Metered(cls(algebra, {0: algebra.variable(names[i])}), meter)
+                return cls.sigma(algebra)
+            return cls(algebra, {0: algebra.variable(names[i])})
 
-        return evaluate(text, names, lambda q: _Metered(cls.constant(algebra, q), meter),
-                        variable).value
-
-
-class _Metered:
-    """A value inside one from_string call.  All of them share one meter, so
-    every product and power in the string is charged against one budget."""
-
-    __slots__ = ("value", "meter")
-
-    def __init__(self, value, meter):
-        self.value, self.meter = value, meter
-
-    def _charge(self, span):
-        self.meter[0] += span
-        if self.meter[0] > EXPANSION_BUDGET:
-            raise ParseError(f"expression spans {self.meter[0]} sigma-degrees in its products "
-                             f"and powers, over the budget of {EXPANSION_BUDGET}")
-
-    def __add__(self, other):
-        return _Metered(self.value + other.value, self.meter)
-
-    def __sub__(self, other):
-        return _Metered(self.value - other.value, self.meter)
-
-    def __neg__(self):
-        return _Metered(-self.value, self.meter)
-
-    def __mul__(self, other):
-        self._charge(self.value.span() + other.value.span())
-        return _Metered(self.value.mul(other.value), self.meter)
-
-    def __pow__(self, k):
-        self._charge(self.value.span() * k)
-        return _Metered(self.value.power(k), self.meter)
+        return evaluate(text, names, lambda q: cls.constant(algebra, q), variable,
+                        lambda a, b: charged(a.span() + b.span(), cls.mul, a, b),
+                        lambda a, k: charged(a.span() * k, cls.power, a, k))
 
 
 def _check_atom(poly):

@@ -13,6 +13,8 @@ goes through `Fraction(a, b)` and then `rational`.
 `add_to` is the one sparse-accumulate kernel: every sparse vector in the
 engine (polynomial terms, algebra coordinates, form coordinates, Laurent
 coefficients, realization vectors, echelon rows) is summed through it.
+`Vector` is the one copy of the value arithmetic, + - == and scalar
+multiples, that algebra elements and differential forms share.
 """
 
 import re
@@ -22,12 +24,17 @@ from fractions import Fraction
 _LITERAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
+class ZeroDenominator(ValueError):
+    """A literal such as 1/0: a ValueError, like every other bad number."""
+
+
 def rational(value):
     """The exact rational `value` as an int when it is whole, else as a
     Fraction.  Accepts ints, Fractions and literals such as ` -2/5 `; any
     other string, such as `1.5`, `1_0` or the nine characters `1e9000000`,
-    raises ValueError.  A float raises TypeError, since its binary expansion
-    is not the number it was meant as."""
+    raises ValueError, and `1/0` its subclass ZeroDenominator.  A float
+    raises TypeError, since its binary expansion is not the number it was
+    meant as."""
     if value.__class__ is int:
         return value
     if value.__class__ is not Fraction:
@@ -38,7 +45,10 @@ def rational(value):
             literal = _LITERAL.fullmatch(value)
             if literal is None:
                 raise ValueError(f"{value!r} is not a rational literal such as 3 or -2/5")
-            value = Fraction(int(literal[1]), int(literal[2] or 1))
+            num, den = int(literal[1]), int(literal[2] or 1)
+            if not den:
+                raise ZeroDenominator(f"{value!r} has a zero denominator")
+            value = Fraction(num, den)
         else:
             value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
@@ -66,6 +76,50 @@ def add_to(vec, key, value):
     if value.__class__ is Fraction and value.denominator == 1:
         value = value.numerator
     vec[key] = value
+
+
+class Vector:
+    """A value that is a sparse coordinate vector over one space, never
+    changed once built: an algebra element over its algebra, a form over its
+    module.  A subclass names the slot that holds its space, as in
+    `class AlgebraElement(Vector, space="algebra")`, takes (space, coords) in
+    __init__, and defines `_check(other)`, which returns `other` as a value
+    of the same space or raises."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, space):
+        cls._space = vars(cls)[space]  # the subclass's own slot, read under one name
+
+    def __bool__(self):
+        return bool(self.coords)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and other._space is self._space
+                and self.coords == other.coords)
+
+    def __add__(self, other):
+        other = self._check(other)
+        res = dict(self.coords)
+        for i, c in other.coords.items():
+            add_to(res, i, c)
+        return self.__class__(self._space, res)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self.__class__(self._space, {i: -c for i, c in self.coords.items()})
+
+    def __sub__(self, other):
+        return self + -self._check(other)
+
+    def scale(self, q):
+        """q * self for a rational q; a factor 1 does no work, as values never change."""
+        q = rational(q)
+        if q == 1:
+            return self
+        return self.__class__(self._space, {i: rational(c * q) for i, c in self.coords.items()}
+                              if q else {})
 
 
 class RowSpace:

@@ -253,8 +253,8 @@ def vanishing_additivity_check(algebra, c1, c2, n):
     c1 = transport(algebra.element(c1), B)
     c2 = transport(algebra.element(c2), B)
     m = n + 1
-    lhs = B.one - (c1 + c2) * m * sn
-    rhs = (B.one - c1 * m * sn) * (B.one - c2 * m * sn)
+    lhs = B.one - (c1 + c2).scale(m) * sn
+    rhs = (B.one - c1.scale(m) * sn) * (B.one - c2.scale(m) * sn)
     return lhs == rhs
 
 

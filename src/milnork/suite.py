@@ -45,7 +45,7 @@ def _steinberg_pool(algebra):
     out = []
     for q in (2, 3, Fraction(1, 2), -1):
         for u in unit_samples(algebra):
-            a = u * q
+            a = u.scale(q)
             if (algebra.one - a).augmentation():
                 out.append(a)
     return out

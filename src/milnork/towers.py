@@ -196,7 +196,7 @@ def parse_tower_file(text):
                 raw_maps[idx] = rows
             else:
                 raise ParseError(f"line {lineno}: unknown key {key!r}")
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ParseError(f"line {lineno}: bad number in {key!r}: {exc}") from None
     if dims is None:
         raise ParseError("missing dims line")

@@ -443,8 +443,9 @@ def test_every_step_mutation_is_caught(t3_certs):
                 assert rows[failure:] == ((failure, bad.steps[failure].rule, False),)
                 outcomes["at_step" if failure == i else "later"] += 1
     # a later rejection means the mutated step was itself a sound rewrite,
-    # e.g. a Steinberg insert with a doubled coefficient
-    assert outcomes == {"at_step": 43, "later": 13, "off_goal": 2}
+    # e.g. a Steinberg insert with a doubled coefficient; a projection to
+    # order n + 2 is refused at its own step, as only n + 1 is the context's
+    assert outcomes == {"at_step": 44, "later": 12, "off_goal": 2}
 
 
 def test_check_step_runs_once_per_step(t3_certs, monkeypatch):

@@ -311,6 +311,21 @@ def test_certify_precision_override(capsys, q_spec):
     assert code == 2  # too small to represent the atoms
 
 
+def test_precision_requirement_is_the_one_it_quotes(capsys, tmp_path, t3_eq8_doc):
+    # every atom of sigma-span 0: the requirement is 2, where the message
+    # used to ask for 1 while refusing it
+    state = [["1", [[["1 + t", 1]], [["2", 1]]]]]
+    t3_eq8_doc.update(start=state, goal=state, steps=[],
+                      claim={"lhs": state, "rhs": state, "linkage": "direct"})
+    path = tmp_path / "still.json"
+    path.write_text(json.dumps(t3_eq8_doc))
+    for precision, code in (("1", 2), ("2", 0)):
+        assert main(["certify-eq8", "--load", str(path), "--precision", precision]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else "input error: precision 1 too small for atoms "
+                       "of sigma-span 0; need at least 2\n")
+
+
 def test_certify_precision_above_cap_exit_2(capsys, t3_spec, monkeypatch):
     monkeypatch.setattr(certify, "ExtendedRealizer", None)  # rejected before any ring
     code = main(["certify-eq7", "--algebra", t3_spec, "--c", "1+t", "--n", "2",
@@ -492,6 +507,28 @@ def test_spec_file_errors_are_parse_errors(capsys, tmp_path, text, message):
 def test_algebra_file_order_reads_the_literal_grammar():
     assert "s^10" in parse_algebra_file("variables: s\nsigma: s\norder: 10\n").relations
     assert "s^2" in parse_algebra_file("variables: s\nsigma: s\norder: 4/2\n").relations
+
+
+@pytest.mark.parametrize("argv", [
+    ["omega", "--p", "1/0"],
+    ["theorem2", "--n", "1/0", "--p", "1"],
+    ["certify-eq7", "--c", "1+t", "--n", "2", "--precision", "1/0"],
+])
+def test_a_zero_denominator_in_a_cli_integer_is_a_usage_error(capsys, t3_spec, argv):
+    # each used to end in ZeroDivisionError: Fraction(1, 0)
+    code = main([argv[0], "--algebra", t3_spec] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "invalid whole value: '1/0'" in captured.err and "Traceback" not in captured.err
+
+
+def test_a_zero_denominator_in_a_spec_order_is_an_input_error(capsys, tmp_path):
+    spec = tmp_path / "z.spec"
+    spec.write_text("variables: t\nrelations: t^3\nsigma: t\norder: 1/0\n")
+    assert main(["algebra-info", "--algebra", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "Traceback" not in captured.err
+    assert captured.err == "input error: algebra file: bad order: '1/0' has a zero denominator\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -926,6 +963,38 @@ def test_step_after_projection_with_a_sigma_atom_fails_at_step(capsys, tmp_path,
     assert (code, err) == (1, "")
     assert "certificate.failure_index=16\n" in out
     assert "certificate.failure_detail=atom sigma has sigma-order 1;" in out
+
+
+def _false_claim(doc):
+    """Project to sigma^1 and claim {1 - s, 1 - 3(1+t)s} = 0 over Q[t]/t^3 at n = 2,
+    which is false; the projection's order used to go unchecked, so this was
+    valid and only the crosscheck disagreed."""
+    _projection(doc)["payload"]["order"] = 1
+    atom = "-3*t*sigma - 3*sigma + 1"
+    doc["steps"][-1]["payload"]["atoms"][0][0] = atom
+    doc["goal"][0][1][1][0][0] = atom
+    doc["claim"]["lhs"] = doc["goal"]
+
+
+def _projection(doc):
+    return next(s for s in doc["steps"] if s["rule"] == "projection")
+
+
+@pytest.mark.parametrize("edit, order", [
+    (_false_claim, 1),
+    # projecting to sigma^2 used to be valid (exit 0); to sigma^4 failed at step 13
+    (lambda doc: _projection(doc)["payload"].update(order=2), 2),
+    (lambda doc: _projection(doc)["payload"].update(order=4), 4),
+], ids=["false-claim", "order-2", "order-4"])
+def test_a_projection_to_another_order_than_n_plus_1_fails_at_its_step(
+        capsys, tmp_path, t3_eq8_doc, edit, order):
+    edit(t3_eq8_doc)
+    code, out, err = _load_code(capsys, tmp_path, t3_eq8_doc)
+    assert (code, err) == (1, "")
+    assert "certificate.valid=false\ncertificate.failure_index=12\n" in out
+    assert (f"certificate.failure_detail=projection to sigma^{order}, but the context "
+            "truncates at sigma^3 (n + 1)\n") in out
+    assert "crosscheck." not in out
 
 
 @pytest.mark.parametrize("idx", [13, 15])

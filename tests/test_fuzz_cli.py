@@ -1,4 +1,4 @@
-"""Fuzz the three input grammars through the CLI.
+"""Fuzz the three input grammars, and the whole-number options, through the CLI.
 
 Every input, well-formed or not, must end in exit code 0, 1 or 2; an
 exception escaping `main` fails the test.
@@ -79,26 +79,54 @@ def _spec_text(draw):
             relations.append(f"{draw(st.sampled_from(names))}^{draw(st.integers(1, 6))}")
         else:
             relations.append(" + ".join(term() for _ in range(draw(st.integers(1, 3)))))
-    extra = draw(_mostly(st.sampled_from(["", "sigma: y\n", "sigma: y\norder: 2\n",
-                                          "sigma: x\norder: 0\n", "order: 3\n"]), _JUNK))
-    return f"variables: {', '.join(names)}\nrelations: {', '.join(relations)}\n{extra}"
+    extra = draw(_mostly(st.sampled_from(["", "sigma: y\n", "sigma: y\norder: {}\n",
+                                          "sigma: x\norder: {}\n", "order: {}\n"]), _JUNK))
+    return (f"variables: {', '.join(names)}\nrelations: {', '.join(relations)}\n"
+            + extra.replace("{}", draw(_NUMBER)))
 
 
 @FUZZ
 @given(text=_spec_text())
+@example(text="variables: t\nrelations: t^3\nsigma: t\norder: 1/0\n")
 def test_fuzz_algebra_spec(workdir, text):
     path = workdir / "fuzz.spec"
     path.write_text(text, encoding="utf-8")
     _exit_code(["algebra-info", "--algebra", str(path), "--format", "record"])
 
 
-# (c) the Q[t]/t^3 eq8 certificate with one step field replaced
+# (c) whole-number options of the fast commands over Q[t]/t^3
 @pytest.fixture(scope="module")
-def eq8_doc(workdir):
+def t3_spec(workdir):
     spec = workdir / "t3.spec"
     spec.write_text("variables: t\nrelations: t^3\n")
+    return str(spec)
+
+
+@st.composite
+def _whole_argv(draw):
+    command = draw(st.sampled_from(["omega", "decomposition", "certify-eq7"]))
+    options = {"omega": ("--p",), "decomposition": ("--n", "--p"),
+               "certify-eq7": ("--n", "--precision")}[command]
+    argv = [command] + (["--c", "1+t"] if command == "certify-eq7" else [])
+    for option in options:
+        argv += [option, draw(_NUMBER)]
+    return argv
+
+
+@FUZZ
+@given(argv=_whole_argv())
+@example(argv=["omega", "--p", "1/0"])
+@example(argv=["theorem2", "--n", "1/0", "--p", "1"])
+@example(argv=["certify-eq7", "--c", "1+t", "--n", "2", "--precision", "1/0"])
+def test_fuzz_whole_number_options(t3_spec, argv):
+    _exit_code(argv + ["--algebra", t3_spec, "--format", "record"])
+
+
+# (d) the Q[t]/t^3 eq8 certificate with one step field replaced
+@pytest.fixture(scope="module")
+def eq8_doc(workdir, t3_spec):
     saved = workdir / "t3eq8.json"
-    assert _exit_code(["certify-eq8", "--algebra", str(spec), "--c", "1+t", "--n", "2",
+    assert _exit_code(["certify-eq8", "--algebra", t3_spec, "--c", "1+t", "--n", "2",
                        "--save", str(saved)]) == 0
     return saved.read_text()
 

@@ -100,7 +100,8 @@ def test_scalar_multiples_store_whole_values_as_int(t3):
     half = t3.element("1/2 + 3/2*t")
     form = dlog(t3.element("1 + t")).scale(Fraction(1, 2))
     poly = Polynomial(1, {(0,): Fraction(1, 2), (1,): Fraction(3, 2)})
-    for coords in ((half * 2).coords, form.scale(2).coords, (poly * 2).terms):
+    for coords in ((half * 2).coords, half.scale(2).coords, form.scale(2).coords,
+                   (poly * 2).terms):
         assert coords and all(type(v) is int for v in coords.values()), coords
 
 

@@ -10,6 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from milnork.algebra import AlgebraElement
+from milnork.kahler import DifferentialForm
+from milnork.linalg import Vector
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "milnork"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -268,3 +272,63 @@ class ElseBranch:
     writes = list(_key_writes(ast.parse(source)))
     assert writes == [(4, True), (8, True), (12, False), (13, False), (16, False),
                       (17, False), (18, False), (26, False)]
+
+
+def _closure_builders(tree):
+    """Lines of the `.memo(...)` calls that pass a lambda, or a function the
+    calling function defines, rather than a module-level builder or a method."""
+    lines = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        local = {node.name for node in ast.walk(func)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not func}
+        local |= {target.id for node in ast.walk(func)
+                  if isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda)
+                  for target in node.targets if isinstance(target, ast.Name)}
+        for call in ast.walk(func):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "memo"
+                    and any(isinstance(arg, ast.Lambda)
+                            or isinstance(arg, ast.Name) and arg.id in local
+                            for arg in call.args)):
+                lines.add(call.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_memo_builders_are_not_closures(path):
+    """A memo hit should cost a lookup: a closure passed to `memo` is made on
+    every call, hit or miss.  Callers pass a builder and its arguments."""
+    assert [f"{path.name}:{line}" for line in _closure_builders(_tree(path))] == []
+
+
+def test_closure_builders_are_found():
+    source = '''
+def build(x):
+    return x
+
+
+class Realizer:
+    def hit(self, A, x):
+        return A.memo("t", x, build, x) or A.memo("t", x, self.hit, A, x)
+
+    def closure(self, A, x):
+        def make():
+            return x
+        return A.memo("t", x, make)
+
+    def lam(self, A, x):
+        made = lambda: x
+        return A.memo("t", x, lambda: x) or A.memo("u", x, made)
+'''
+    assert _closure_builders(ast.parse(source)) == [13, 17]
+
+
+def test_value_classes_share_one_arithmetic():
+    """Elements and forms take + - == and scalar multiples from linalg.Vector;
+    neither keeps a copy of its own."""
+    shared = {"__bool__", "__eq__", "__add__", "__radd__", "__neg__", "__sub__", "scale"}
+    assert shared <= vars(Vector).keys()
+    for cls in (AlgebraElement, DifferentialForm):
+        assert issubclass(cls, Vector) and not shared & vars(cls).keys(), cls
