@@ -63,22 +63,22 @@ def _monic(p):
     """(leading monomial, p made monic): the one place a leading term is computed.
     The reduction helpers below take and return such pairs."""
     m, c = p.leading()
-    return m, (p if c == 1 else p * Fraction(1, c))
+    return m, p.scale(Fraction(1, c))
 
 
 def _spoly(f, g):
     """The S-polynomial of two monic (leading monomial, polynomial) pairs."""
     (mf, f), (mg, g) = f, g
     lcm = mono_lcm(mf, mg)
-    a = Polynomial(f.nvars, {mono_div(lcm, mf): 1}, normalize=False)
-    b = Polynomial(g.nvars, {mono_div(lcm, mg): 1}, normalize=False)
+    a = Polynomial(f.nvars, {mono_div(lcm, mf): 1})
+    b = Polynomial(g.nvars, {mono_div(lcm, mg): 1})
     return a * f - b * g
 
 
 def _reduce_poly(p, leads):
     """Remainder of p under multivariate division (degrevlex) by the monic
     polynomials of `leads`, (leading monomial, polynomial) pairs."""
-    work = dict(p.terms)
+    work = dict(p.coords)
     rem = {}
     while work:
         mono = max(work, key=degrevlex_key)
@@ -86,14 +86,14 @@ def _reduce_poly(p, leads):
         for lm, g in leads:
             if mono_divides(lm, mono):
                 q = mono_div(mono, lm)
-                for gm, gc in g.terms.items():
+                for gm, gc in g.coords.items():
                     t = mono_mul(gm, q)
                     if t != mono:
                         add_to(work, t, -coeff * gc)
                 break
         else:
             rem[mono] = coeff
-    return Polynomial(p.nvars, rem, normalize=False)
+    return Polynomial(p.nvars, rem)
 
 
 def _interreduce(leads):
@@ -107,7 +107,7 @@ def _interreduce(leads):
         for i, (m, p) in enumerate(leads):
             others = out + leads[i + 1:]
             r = _reduce_poly(p, others) if others else p
-            if r.terms == p.terms:
+            if r == p:
                 out.append((m, p))
                 continue
             changed = True
@@ -128,7 +128,7 @@ def buchberger(polys):
         (mi, f), (mj, g) = basis[i], basis[j]
         if mono_lcm(mi, mj) == mono_mul(mi, mj):
             continue  # coprime leading terms: S-polynomial reduces to zero
-        if len(f.terms) == 1 and len(g.terms) == 1:
+        if len(f.coords) == 1 and len(g.coords) == 1:
             continue  # two monic monomials: the S-polynomial is zero
         r = _reduce_poly(_spoly(basis[i], basis[j]), basis)
         if r:
@@ -187,15 +187,15 @@ class Algebra:
         if mono in self.index:
             coords = {self.index[mono]: 1}
         else:
-            red = _reduce_poly(Polynomial(self.nvars, {mono: 1}, normalize=False),
+            red = _reduce_poly(Polynomial(self.nvars, {mono: 1}),
                                self._leads)
-            coords = {self.index[m]: c for m, c in red.terms.items()}
+            coords = {self.index[m]: c for m, c in red.coords.items()}
         self._mono_nf[mono] = coords
         return coords
 
     def element_from_poly(self, p):
         coords = {}
-        for mono, c in p.terms.items():
+        for mono, c in p.coords.items():
             for i, bc in self.reduce_mono(mono).items():
                 add_to(coords, i, c * bc)
         return AlgebraElement(self, coords)
@@ -226,10 +226,6 @@ class Algebra:
     @property
     def one(self):
         return self.element(1)
-
-    @property
-    def zero(self):
-        return AlgebraElement(self, {})
 
     def variable(self, name):
         return self.element_from_poly(Polynomial.variable(self.nvars, self.names.index(name)))
@@ -314,8 +310,8 @@ class AlgebraElement(Vector, space="algebra"):
 
     def __str__(self):
         A = self.algebra
-        return polynomial_str(Polynomial(A.nvars, {A.basis[i]: c for i, c in self.coords.items()},
-                                         normalize=False), A.names)
+        terms = {A.basis[i]: c for i, c in self.coords.items()}
+        return polynomial_str(Polynomial(A.nvars, terms), A.names)
 
 
 # -- module operations --------------------------------------------------------
@@ -419,11 +415,11 @@ class TruncatedExtension(Algebra):
 
     def __init__(self, spec, base, order):
         s_power = (0,) * base.nvars + (order,)  # s^N, its own leading monomial
-        leads = sorted([(lm + (0,), {m + (0,): c for m, c in g.terms.items()})
+        leads = sorted([(lm + (0,), {m + (0,): c for m, c in g.coords.items()})
                         for lm, g in base._leads] + [(s_power, {s_power: 1})],
                        key=lambda lead: degrevlex_key(lead[0]))
         basis = sorted((a + (k,) for a in base.basis for k in range(order)), key=degrevlex_key)
-        super().__init__(spec, basis, [(lm, Polynomial(base.nvars + 1, terms, normalize=False))
+        super().__init__(spec, basis, [(lm, Polynomial(base.nvars + 1, terms))
                                        for lm, terms in leads])
         self.base, self.ring, self.ext_name, self.ext_order = base, base, spec.distinguished, order
         self._layout = tuple((base.index[m[:-1]], m[-1]) for m in self.basis)
@@ -475,7 +471,7 @@ def transport(e, target):
                 raise AlgebraMismatch(f"target has no variable {src.names[i]!r}")
             new[j] = exp
         add_to(poly, tuple(new), c)
-    return target.element_from_poly(Polynomial(target.nvars, poly, normalize=False))
+    return target.element_from_poly(Polynomial(target.nvars, poly))
 
 
 def sigma_layers(e):

@@ -606,7 +606,7 @@ def lift_laurent(poly, ring, shift=0):
     if k >= ring.ext_order:
         raise PrecisionInsufficient(
             f"atom needs sigma^{k}; raise the precision above {ring.ext_order}")
-    return from_sigma_layers(ring, {deg - shift: c for deg, c in poly.coeffs.items()})
+    return from_sigma_layers(ring, {deg - shift: c for deg, c in poly.coords.items()})
 
 
 class CrosscheckReport(namedtuple("CrosscheckReport",

@@ -47,6 +47,8 @@ def tokenize(text):
                 tokens.append(("num", rational("".join(m.group(1).split()))))
             except ZeroDenominator:
                 raise ParseError(f"zero denominator in {quote(text)}") from None
+            except ValueError as exc:  # a literal over the interpreter's digit limit
+                raise ParseError(f"{exc} in {quote(text)}") from None
         elif m.group(2):
             tokens.append(("name", m.group(2)))
         else:
@@ -169,7 +171,7 @@ def monomial_str(mono, names):
 
 def polynomial_str(p, names):
     """Canonical printer; output re-parses to the same polynomial."""
-    if not p.terms:
+    if not p:
         return "0"
     pieces = []
     for mono, coeff in p.sorted_terms():

@@ -82,7 +82,7 @@ class OmegaModule:
             return
         table = wedge_table(A.nvars, 1, self.degree - 1)
         for g in A.groebner:
-            partials = [{A.index[m]: c for m, c in g.diff(i).terms.items()}
+            partials = [{A.index[m]: c for m, c in g.diff(i).coords.items()}
                         for i in range(A.nvars)]
             for cells in zip(*table):  # dx_i ^ one (degree-1)-wedge, for each i
                 dgw = []  # dg ^ w as (basis index, target wedge index, coefficient)

@@ -20,7 +20,7 @@ import operator
 from .algebra import ONE_COORDS, extension_name
 from .errors import AlgebraMismatch, NonUnitEntry, ParseError, PositionInvalid
 from .expr import evaluate, polynomial_str
-from .linalg import add_to, rational
+from .linalg import Vector, add_to, rational
 from .poly import Polynomial, power
 
 
@@ -33,14 +33,14 @@ from .poly import Polynomial, power
 EXPANSION_BUDGET = 128
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(Vector, space="algebra"):
     """Map sigma-degree -> algebra element; degrees are nonnegative."""
 
-    __slots__ = ("algebra", "coeffs", "_key")
+    __slots__ = ("algebra", "coords", "_key")
 
-    def __init__(self, algebra, coeffs):
+    def __init__(self, algebra, coords):
         self.algebra = algebra
-        self.coeffs = {d: c for d, c in coeffs.items() if c}
+        self.coords = {d: c for d, c in coords.items() if c}
         self._key = None
 
     @classmethod
@@ -51,38 +51,23 @@ class LaurentPolynomial:
     def sigma(cls, algebra):
         return cls(algebra, {1: algebra.one})
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def ord(self):
-        return min(self.coeffs) if self.coeffs else None
+        return min(self.coords) if self.coords else None
 
     def maxdeg(self):
-        return max(self.coeffs) if self.coeffs else None
+        return max(self.coords) if self.coords else None
 
     def truncate(self, order):
         return LaurentPolynomial(self.algebra,
-                                 {d: c for d, c in self.coeffs.items() if d < order})
-
-    def __add__(self, other):
-        res = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            add_to(res, d, c)
-        return LaurentPolynomial(self.algebra, res)
-
-    def __neg__(self):
-        return LaurentPolynomial(self.algebra, {d: -c for d, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+                                 {d: c for d, c in self.coords.items() if d < order})
 
     def mul(self, other, order=None):
         rest = self if other._is_one() else other if self._is_one() else None
         if rest is not None and other.algebra is self.algebra:  # a factor 1 does no work
             return rest if order is None else rest.truncate(order)
         res = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
+        for d1, c1 in self.coords.items():
+            for d2, c2 in other.coords.items():
                 d = d1 + d2
                 if order is None or d < order:
                     add_to(res, d, c1 * c2)
@@ -96,23 +81,23 @@ class LaurentPolynomial:
                      lambda a, b: a.mul(b, order))
 
     def _is_one(self):
-        return len(self.coeffs) == 1 and 0 in self.coeffs and self.coeffs[0].coords == ONE_COORDS
+        return len(self.coords) == 1 and 0 in self.coords and self.coords[0].coords == ONE_COORDS
 
     def key(self):
-        """Computed once: a polynomial, its coeffs included, is never changed."""
+        """Computed once: a polynomial, its coords included, is never changed."""
         if self._key is None:
-            self._key = tuple(sorted((d, c.key()) for d, c in self.coeffs.items()))
+            self._key = tuple(sorted((d, c.key()) for d, c in self.coords.items()))
         return self._key
 
     def __str__(self):
         """Expression-grammar string, sigma named by extension_name."""
         A = self.algebra
         names = A.names + (extension_name(A),)
-        terms = {A.basis[i] + (d,): q for d, c in self.coeffs.items() for i, q in c.coords.items()}
+        terms = {A.basis[i] + (d,): q for d, c in self.coords.items() for i, q in c.coords.items()}
         return polynomial_str(Polynomial(len(names), terms), names)
 
     def span(self):
-        return self.maxdeg() - self.ord() if self.coeffs else 0
+        return self.maxdeg() - self.ord() if self.coords else 0
 
     @classmethod
     def from_string(cls, algebra, text):
@@ -141,7 +126,7 @@ class LaurentPolynomial:
 
 
 def _check_atom(poly):
-    if not poly or not poly.coeffs[poly.ord()].augmentation():
+    if not poly or not poly.coords[poly.ord()].augmentation():
         raise NonUnitEntry(
             "atom is not a unit of A[[sigma]][1/sigma]: lowest coefficient must be a unit of A")
 
@@ -236,12 +221,12 @@ def entries_sum_is(e1, e2, target, order=None):
     n1, d1 = e1.split(order)
     n2, d2 = e2.split(order)
     lhs = n1.mul(d2, order) + n2.mul(d1, order)
-    return lhs.coeffs == (d1.mul(d2, order).coeffs if target else {})
+    return lhs == d1.mul(d2, order) if target else not lhs
 
 
 def entry_is_one(e, order=None):
     n, d = e.split(order)
-    return n.coeffs == d.coeffs
+    return n == d
 
 
 class Symbol:
@@ -341,11 +326,6 @@ class SymbolCombination:
 
     def key(self):
         return tuple((str(c), s.key()) for c, s in self.terms)
-
-    def __add__(self, other):
-        if other.algebra is not self.algebra or other.degree != self.degree:
-            raise AlgebraMismatch("combinations do not match")
-        return SymbolCombination(self.algebra, self.degree, self.terms + other.terms)
 
     def __bool__(self):
         return bool(self.terms)

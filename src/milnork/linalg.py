@@ -4,7 +4,7 @@ Rows are dicts mapping column index to a nonzero rational.  Pivot columns of
 a reduced echelon form are intrinsic to the row span, so the incremental
 insertion below yields the same pivots as column-major elimination.
 
-Every stored rational is normalized by `rational`: an `int` when it is whole,
+Every stored rational takes one form, given by `rational`: an `int` when whole,
 a `Fraction` only when it is not, and never a float.  Nearly every coordinate
 the engine meets is whole, and int arithmetic is several times cheaper than
 Fraction arithmetic.  With int operands `a / b` is a float, so every division
@@ -14,10 +14,12 @@ goes through `Fraction(a, b)` and then `rational`.
 engine (polynomial terms, algebra coordinates, form coordinates, Laurent
 coefficients, realization vectors, echelon rows) is summed through it.
 `Vector` is the one copy of the value arithmetic, + - == and scalar
-multiples, that algebra elements and differential forms share.
+multiples, that polynomials, algebra elements, differential forms and
+Laurent polynomials share.
 """
 
 import re
+import sys
 from fractions import Fraction
 
 # the expression grammar's rational literal: the one number grammar of every input
@@ -32,25 +34,27 @@ def rational(value):
     """The exact rational `value` as an int when it is whole, else as a
     Fraction.  Accepts ints, Fractions and literals such as ` -2/5 `; any
     other string, such as `1.5`, `1_0` or the nine characters `1e9000000`,
-    raises ValueError, and `1/0` its subclass ZeroDenominator.  A float
-    raises TypeError, since its binary expansion is not the number it was
-    meant as."""
+    raises ValueError, and `1/0` its subclass ZeroDenominator.  Any other
+    type raises TypeError: a float, since its binary expansion is not the
+    number it was meant as, and a bool or a Decimal, which no input passes."""
     if value.__class__ is int:
         return value
-    if value.__class__ is not Fraction:
-        if isinstance(value, float):
-            raise TypeError(f"{value!r} is a float; exact arithmetic needs an int, "
-                            "a Fraction or a rational string")
-        if isinstance(value, str):
-            literal = _LITERAL.fullmatch(value)
-            if literal is None:
-                raise ValueError(f"{value!r} is not a rational literal such as 3 or -2/5")
+    if isinstance(value, str):
+        literal = _LITERAL.fullmatch(value)
+        if literal is None:
+            raise ValueError(f"{value!r} is not a rational literal such as 3 or -2/5")
+        try:
             num, den = int(literal[1]), int(literal[2] or 1)
-            if not den:
-                raise ZeroDenominator(f"{value!r} has a zero denominator")
-            value = Fraction(num, den)
-        else:
-            value = Fraction(value)
+        except ValueError:  # a part longer than the interpreter converts
+            digits = max(len(literal[1].lstrip("+-")), len(literal[2] or ""))
+            raise ValueError(f"a number literal of {digits} digits is over the limit of "
+                             f"{sys.get_int_max_str_digits()} digits") from None
+        if not den:
+            raise ZeroDenominator(f"{value!r} has a zero denominator")
+        value = Fraction(num, den)
+    elif value.__class__ is not Fraction:
+        raise TypeError(f"{value!r} is a {type(value).__name__}; exact arithmetic needs an "
+                        "int, a Fraction or a rational string")
     return value.numerator if value.denominator == 1 else value
 
 
@@ -80,11 +84,14 @@ def add_to(vec, key, value):
 
 class Vector:
     """A value that is a sparse coordinate vector over one space, never
-    changed once built: an algebra element over its algebra, a form over its
-    module.  A subclass names the slot that holds its space, as in
-    `class AlgebraElement(Vector, space="algebra")`, takes (space, coords) in
-    __init__, and defines `_check(other)`, which returns `other` as a value
-    of the same space or raises."""
+    changed once built: a polynomial over its number of variables, an algebra
+    element over its algebra, a form over its module, a Laurent polynomial
+    over its algebra.  A subclass names the slot that holds its space, as in
+    `class AlgebraElement(Vector, space="algebra")`, and takes (space, coords)
+    in __init__.  `_check(other)` returns `other` as a value of the same
+    space or raises; a subclass that coerces or guards overrides it.
+    `scale` needs rational coordinates, which a Laurent polynomial, whose
+    coordinates are elements, does not have."""
 
     __slots__ = ()
 
@@ -95,8 +102,11 @@ class Vector:
         return bool(self.coords)
 
     def __eq__(self, other):
-        return (other.__class__ is self.__class__ and other._space is self._space
+        return (other.__class__ is self.__class__ and other._space == self._space
                 and self.coords == other.coords)
+
+    def _check(self, other):
+        return other
 
     def __add__(self, other):
         other = self._check(other)

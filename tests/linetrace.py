@@ -47,9 +47,6 @@ ALLOWED = {
     ("milnor.py", "if to_tensor(direct) != to_tensor(routed):", "break"): _INCOMPATIBLE,
     ("suite.py", 'elif name == "towers":', 'raise ValueError(f"unknown suite {name!r}")'):
         "the CLI's choices reject an unknown suite name before run_suite is called",
-    ("linalg.py", "if isinstance(value, str):", "value = Fraction(value)"):
-        "the engine passes rational only ints, Fractions and strings; another number "
-        "type (bool, Decimal) reaches it only from a direct API call",
 }
 
 

@@ -74,7 +74,7 @@ def test_normal_form_idempotent_and_linear(t3):
     assert t3.element(str(e)) == e
     a = parse_polynomial("t^4 + t", t3.names)
     b = parse_polynomial("t^3 - 1", t3.names)
-    lhs = t3.element_from_poly(a * 2 + b * 3)
+    lhs = t3.element_from_poly(a.scale(2) + b.scale(3))
     rhs = t3.element_from_poly(a) * 2 + t3.element_from_poly(b) * 3
     assert lhs == rhs
 

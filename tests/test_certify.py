@@ -186,7 +186,7 @@ def test_vanishing_certificate_grid(Q, t2, n):
         # the final claim carries 1 - (n+1) c s^n
         claim_entry = cert.claim_lhs.terms[0][1].entries[1]
         poly = claim_entry.atoms[0][0]
-        assert poly.coeffs[n] == -(n + 1) * c
+        assert poly.coords[n] == -(n + 1) * c
 
 
 def test_vanishing_claim_matches_spec_binomial(Q):
@@ -369,7 +369,7 @@ def test_binomial_identity_instance(t2):
     cert = vanishing_certificate(t2, 1, 2)
     assert check_certificate(cert).valid
     poly = cert.goal.terms[0][1].entries[1].atoms[0][0]
-    assert poly.coeffs[2] == t2.element(-3)
+    assert poly.coords[2] == t2.element(-3)
     assert crosscheck_dlog(cert).final_realization_zero
 
 

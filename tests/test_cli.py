@@ -531,6 +531,34 @@ def test_a_zero_denominator_in_a_spec_order_is_an_input_error(capsys, tmp_path):
     assert captured.err == "input error: algebra file: bad order: '1/0' has a zero denominator\n"
 
 
+_LONG = "9" * 5000  # past the interpreter's 4,300-digit limit for int(str)
+
+
+@pytest.mark.parametrize("where, prefix", [
+    ("c", "input error: a number literal of 5000 digits is over the limit of 4300 digits "
+          "in '1+99999"),
+    ("order", "input error: algebra file: bad order: a number literal of 5000 digits"),
+    ("tower", "input error: line 2: bad number in 'map 0': a number literal of 5000 digits"),
+])
+def test_a_literal_over_the_digit_limit_is_an_input_error(capsys, tmp_path, t3_spec, where,
+                                                          prefix):
+    # each used to print Python's own message, which names sys.set_int_max_str_digits
+    path = tmp_path / "long"
+    if where == "c":
+        argv = ["certify-eq7", "--algebra", t3_spec, "--c", "1+" + _LONG, "--n", "2"]
+    elif where == "order":
+        path.write_text(f"variables: t\nrelations: t^3\nsigma: t\norder: {_LONG}\n")
+        argv = ["algebra-info", "--algebra", str(path)]
+    else:
+        path.write_text(f"dims: 1, 1\nmap 0: {_LONG}\n")
+        argv = ["tower", "--tower", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith(prefix) and "Traceback" not in captured.err
+    assert "set_int_max_str_digits" not in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     # int() reads 1_0 as 10
     ["omega", "--p", "1_0"],

@@ -12,29 +12,29 @@ def p(text, names=("x", "y")):
 
 def test_rational_literals():
     q = p("3")
-    assert q.terms == {(0, 0): Fraction(3)}
+    assert q.coords == {(0, 0): Fraction(3)}
     q = p("-2/5")
-    assert q.terms == {(0, 0): Fraction(-2, 5)}
+    assert q.coords == {(0, 0): Fraction(-2, 5)}
     q = p("2 / 4")
-    assert q.terms == {(0, 0): Fraction(1, 2)}
+    assert q.coords == {(0, 0): Fraction(1, 2)}
 
 
 def test_precedence_and_power():
     q = p("1 + 2*x^2")
-    assert q.terms == {(0, 0): Fraction(1), (2, 0): Fraction(2)}
+    assert q.coords == {(0, 0): Fraction(1), (2, 0): Fraction(2)}
     q = p("-x^2")
-    assert q.terms == {(2, 0): Fraction(-1)}
+    assert q.coords == {(2, 0): Fraction(-1)}
     q = p("(1+x)*(1-x)")
-    assert q.terms == {(0, 0): Fraction(1), (2, 0): Fraction(-1)}
+    assert q.coords == {(0, 0): Fraction(1), (2, 0): Fraction(-1)}
 
 
 def test_whitespace_insignificant():
-    assert p("x*y + 2").terms == p("  x * y+2 ").terms
+    assert p("x*y + 2").coords == p("  x * y+2 ").coords
 
 
 def test_unary_minus_nests():
-    assert p("--x").terms == p("x").terms
-    assert p("1 - -x").terms == p("1 + x").terms
+    assert p("--x").coords == p("x").coords
+    assert p("1 - -x").coords == p("1 + x").coords
 
 
 def test_parse_errors():
@@ -61,7 +61,7 @@ def test_printer_round_trip():
     for text in cases:
         q = p(text)
         printed = polynomial_str(q, ("x", "y"))
-        assert parse_polynomial(printed, ("x", "y")).terms == q.terms
+        assert parse_polynomial(printed, ("x", "y")).coords == q.coords
 
 
 def test_printer_canonical_examples():

@@ -231,7 +231,7 @@ def test_cap_run_skips_vanishing_pairs(monkeypatch, tmp_path, capsys):
 def test_truncated_mul_and_wedge_make_no_dead_products(monkeypatch):
     counts = _count_kernel_work(monkeypatch)
     B = truncated_extension(alg(["x", "y"], ["x^2", "x*y", "y^2"]), "sigma", 4)
-    f, g = (sum((B.basis_element(i) * (i + k) for i in range(B.dimension)), B.zero)
+    f, g = (sum((B.basis_element(i) * (i + k) for i in range(B.dimension)), B.element(0))
             for k in (1, -2))
     df, dg = d(f), d(g)
     dx_g = d(B.variable("x")).act(g)

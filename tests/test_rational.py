@@ -6,6 +6,8 @@ and every way a number enters the engine goes through it.
 """
 
 import json
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -58,6 +60,21 @@ def test_rational_refuses_a_float():
         rational(2.0)
 
 
+def test_rational_accepts_exactly_int_fraction_and_str():
+    for value in (True, Decimal("1"), 0.5):
+        with pytest.raises(TypeError, match="an int, a Fraction or a rational string"):
+            rational(value)
+
+
+def test_rational_names_the_digit_limit_of_a_long_literal():
+    limit = sys.get_int_max_str_digits()
+    for text in ("9" * (limit + 700), "1/" + "9" * (limit + 700)):
+        with pytest.raises(ValueError) as err:
+            rational(text)
+        assert str(err.value) == (f"a number literal of {limit + 700} digits is over the "
+                                  f"limit of {limit} digits")
+
+
 def test_add_to_stores_a_whole_sum_as_int():
     vec = {0: Fraction(1, 2)}
     add_to(vec, 0, Fraction(1, 2))
@@ -68,9 +85,9 @@ def test_add_to_stores_a_whole_sum_as_int():
 
 def test_polynomial_refuses_a_float():
     with pytest.raises(TypeError):
-        Polynomial(1, {(1,): 0.5})
+        Polynomial.constant(1, 0.5)
     with pytest.raises(TypeError):
-        Polynomial.variable(1, 0) * 0.5
+        Polynomial.variable(1, 0).scale(0.5)
 
 
 def test_element_refuses_a_float(t3):
@@ -101,7 +118,7 @@ def test_scalar_multiples_store_whole_values_as_int(t3):
     form = dlog(t3.element("1 + t")).scale(Fraction(1, 2))
     poly = Polynomial(1, {(0,): Fraction(1, 2), (1,): Fraction(3, 2)})
     for coords in ((half * 2).coords, half.scale(2).coords, form.scale(2).coords,
-                   (poly * 2).terms):
+                   poly.scale(2).coords):
         assert coords and all(type(v) is int for v in coords.values()), coords
 
 

@@ -12,7 +12,9 @@ import pytest
 
 from milnork.algebra import AlgebraElement
 from milnork.kahler import DifferentialForm
+from milnork.laurent import LaurentPolynomial
 from milnork.linalg import Vector
+from milnork.poly import Polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "milnork"
@@ -128,9 +130,9 @@ def test_cold_import_loads_no_introspection_modules():
     assert done.stdout.split() == []
 
 
-# the fields of values that are shared once built: element and form coords,
-# Laurent coeffs, entry atoms, symbol entries, polynomial and combination terms
-IMMUTABLE_FIELDS = {"coords", "coeffs", "atoms", "entries", "terms"}
+# the fields of values that are shared once built: polynomial, element, form
+# and Laurent coords, entry atoms, symbol entries and combination terms
+IMMUTABLE_FIELDS = {"coords", "atoms", "entries", "terms"}
 MUTATORS = {"update", "pop", "popitem", "clear", "setdefault", "append", "extend"}
 
 
@@ -326,9 +328,9 @@ class Realizer:
 
 
 def test_value_classes_share_one_arithmetic():
-    """Elements and forms take + - == and scalar multiples from linalg.Vector;
-    neither keeps a copy of its own."""
+    """Polynomials, elements, forms and Laurent polynomials take + - == and
+    scalar multiples from linalg.Vector; none keeps a copy of its own."""
     shared = {"__bool__", "__eq__", "__add__", "__radd__", "__neg__", "__sub__", "scale"}
     assert shared <= vars(Vector).keys()
-    for cls in (AlgebraElement, DifferentialForm):
+    for cls in (Polynomial, AlgebraElement, DifferentialForm, LaurentPolynomial):
         assert issubclass(cls, Vector) and not shared & vars(cls).keys(), cls
