@@ -30,13 +30,14 @@ one replay of the steps.  The independent soundness monitor crosscheck_dlog
 realizes every intermediate state as an honest 2-form, a symbol {e1, e2} as
 sigma * dlog e1 ^ dlog e2 in a high-precision truncation ring, and verifies
 that each step preserves the form exactly.  That comparison is
-Replay.agreement, the one loop shared with the suite's rule-soundness grid,
-which runs each of its instances as a one-step replay.
+ExtendedRealizer.agreement, the one loop shared with the suite's
+rule-soundness grid, which runs each of its instances as a one-step replay.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -58,8 +59,8 @@ from .errors import (
     PrecisionInsufficient,
     PrecisionTooLarge,
     SideConditionFailed,
+    quote,
 )
-from .expr import quote
 from .kahler import DifferentialForm, d, dlog, map_form, omega_module, wedge
 from .laurent import (
     EXPANSION_BUDGET,
@@ -171,7 +172,6 @@ class Replay:
         self.steps = []  # the accepted steps
         self.failure = None  # index of the first rejected step
         self.reason = None
-        self.agreed = None  # ((realizer, small_ring), agrees, last form) of the last agreement
 
     def apply(self, step):
         after = check_step(self.states[-1], step)
@@ -193,29 +193,6 @@ class Replay:
                 if named[key] is None:
                     raise PositionInvalid(f"term {sym} not present in the working state")
         self.apply(RewriteStep(rule, {**position, **named}, payload))
-
-    def agreement(self, realizer, small_ring):
-        """Per accepted step, whether it preserves the realized 2-form exactly,
-        and the last state's form.
-
-        Each state is realized once.  A truncated state's form is read in
-        small_ring through map_form, and so is the Laurent form before the
-        projection, when the two are compared.  A call with the realizer and
-        small ring of the last one resumes after the steps that one compared.
-        """
-        rings, agrees, prev = self.agreed or (None, (), None)
-        if rings != (realizer, small_ring):
-            agrees, prev = (), realizer.realize_state(self.states[0].state)
-        for before, after in zip(self.states[len(agrees):], self.states[len(agrees) + 1:]):
-            form = realizer.realize_state(after.state)
-            if after.order is not None:
-                form = map_form(form, small_ring)
-            if after.order != before.order:
-                prev = map_form(prev, small_ring)
-            agrees += (form == prev,)
-            prev = form
-        self.agreed = ((realizer, small_ring), agrees, prev)
-        return agrees, prev
 
 
 class CheckState:
@@ -509,8 +486,8 @@ def vanishing_from(splitting):
     """Extend a checked eq7 chain by the projection to A[s]/s^(n+1) and conclude
     {1 - s, 1 - (n+1) c s^n} = 0 there.
 
-    The new replay copies the eq7 replay's states, steps and agreement record,
-    so the shared chain is checked and crosschecked once; eq7 is left as it was.
+    The new replay copies the eq7 replay's states and steps, so the shared
+    chain is checked once; eq7 is left as it was.
     """
     A, n, c = splitting.context.algebra, splitting.context.n, splitting.context.c
     run7 = splitting.replay
@@ -522,7 +499,7 @@ def vanishing_from(splitting):
     ((one_m_s, _), (w, _)), ((g, _),) = (entry.atoms for entry in sym.entries)
     trunc = n + 1
     run = Replay(splitting.start, trunc)
-    run.states, run.steps, run.agreed = list(run7.states), list(run7.steps), run7.agreed
+    run.states, run.steps = list(run7.states), list(run7.steps)
 
     run.rewrite("projection", {}, {"order": trunc})
     w_proj = w.truncate(trunc)          # collapses to 1
@@ -598,6 +575,25 @@ class ExtendedRealizer:
                 add_to(total, col, coeff * val)
         return DifferentialForm(self.omega2, total)
 
+    def agreement(self, states, small_ring):
+        """Per step between consecutive checked states, whether it preserves
+        the realized 2-form exactly.
+
+        Each state is realized once.  A truncated state's form is read in
+        small_ring through map_form, and so is the Laurent form before the
+        projection, when the two are compared.
+        """
+        agrees, prev = [], self.realize_state(states[0].state)
+        for before, after in zip(states, states[1:]):
+            form = self.realize_state(after.state)
+            if after.order is not None:
+                form = map_form(form, small_ring)
+            if after.order != before.order:
+                prev = map_form(prev, small_ring)
+            agrees.append(form == prev)
+            prev = form
+        return agrees
+
 
 def lift_laurent(poly, ring, shift=0):
     """sigma^(-shift) * poly in the truncation ring A[sigma]/sigma^N, for an
@@ -647,13 +643,14 @@ def crosscheck_dlog(cert, precision=None):
 
     Every state is realized by one ExtendedRealizer, a symbol {e1, e2} as
     s * dlog e1 ^ dlog e2 in Omega^2 of A[s]/s^(N+1); the factor s clears
-    the dlog(s) that atoms of nonzero s-order bring.  Replay.agreement
+    the dlog(s) that atoms of nonzero s-order bring.  The realizer's agreement
     compares consecutive forms, truncated states read in A[s]/s^(n+2), and
-    resumes where the replay's last crosscheck at this precision ended (eq8
-    after its eq7).  A step the replay rejects is the first disagreeing step.
+    the goal is realized for final_zero.  Nothing is kept between calls.  A
+    step the replay rejects is the first disagreeing step.  The precision is
+    an integer; a float raises TypeError.
     """
     n = cert.context.n
-    N = default_precision(n) if precision is None else int(precision)
+    N = default_precision(n) if precision is None else operator.index(precision)
     if N > MAX_PRECISION:
         raise PrecisionTooLarge(
             f"precision {N} is above the cap of {MAX_PRECISION}"
@@ -676,13 +673,12 @@ def crosscheck_dlog(cert, precision=None):
     # Omega^2 of A[s]/s^(n+1), so equality there is equality of the states
     small_ring = truncated_extension(A, extension_name(A), n + 2)
 
-    agrees, final = run.agreement(realizer, small_ring)
+    agrees = realizer.agreement(run.states, small_ring)
     step_rows = [(i, step.rule, ok) for i, (step, ok) in enumerate(zip(run.steps, agrees))]
     if run.failure is not None:
         step_rows.append((run.failure, cert.steps[run.failure].rule, False))
-    if run.states[-1].state != cert.goal:  # else the last state's form is the goal's
-        final = realizer.realize_state(cert.goal)
-        final = final if run.states[-1].order is None else map_form(final, small_ring)
+    final = realizer.realize_state(cert.goal)
+    final = final if run.states[-1].order is None else map_form(final, small_ring)
     return CrosscheckReport(N, tuple(step_rows), all(ok for _, _, ok in step_rows), not final)
 
 

@@ -1,4 +1,12 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the bounded quote their messages use."""
+
+
+def quote(value):
+    """repr of a string or str of another value, bounded: past 60 characters,
+    a string shows the repr of its first 60 and another value the first 60 of
+    its str, then the length.  The str of a JSON value is its repr."""
+    text, show = (value, repr) if isinstance(value, str) else (str(value), str)
+    return show(text) if len(text) <= 60 else f"{show(text[:60])}… ({len(text)} characters)"
 
 
 class MilnorkError(Exception):

@@ -14,7 +14,7 @@ the expression is evaluated, and reduced, in the algebra.
 import operator
 import re
 
-from .errors import ParseError
+from .errors import ParseError, quote
 from .linalg import ZeroDenominator, rational
 from .poly import Polynomial
 
@@ -22,14 +22,6 @@ from .poly import Polynomial
 MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:\s*/\s*\d+)?)|([A-Za-z][A-Za-z0-9_]*)|([()+\-*^]))")
-
-
-def quote(value, limit=60):
-    """repr of a string or str of another value, bounded: past `limit` characters,
-    a string shows the repr of its first `limit` and another value the first
-    `limit` of its str, then the length.  The str of a JSON value is its repr."""
-    text, show = (value, repr) if isinstance(value, str) else (str(value), str)
-    return show(text) if len(text) <= limit else f"{show(text[:limit])}… ({len(text)} characters)"
 
 
 def tokenize(text):

@@ -22,6 +22,8 @@ import re
 import sys
 from fractions import Fraction
 
+from .errors import quote
+
 # the expression grammar's rational literal: the one number grammar of every input
 _LITERAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
@@ -42,7 +44,7 @@ def rational(value):
     if isinstance(value, str):
         literal = _LITERAL.fullmatch(value)
         if literal is None:
-            raise ValueError(f"{value!r} is not a rational literal such as 3 or -2/5")
+            raise ValueError(f"{quote(value)} is not a rational literal such as 3 or -2/5")
         try:
             num, den = int(literal[1]), int(literal[2] or 1)
         except ValueError:  # a part longer than the interpreter converts
@@ -50,11 +52,11 @@ def rational(value):
             raise ValueError(f"a number literal of {digits} digits is over the limit of "
                              f"{sys.get_int_max_str_digits()} digits") from None
         if not den:
-            raise ZeroDenominator(f"{value!r} has a zero denominator")
+            raise ZeroDenominator(f"{quote(value)} has a zero denominator")
         value = Fraction(num, den)
     elif value.__class__ is not Fraction:
-        raise TypeError(f"{value!r} is a {type(value).__name__}; exact arithmetic needs an "
-                        "int, a Fraction or a rational string")
+        raise TypeError(f"{quote(value)} is a {type(value).__name__}; exact arithmetic needs "
+                        "an int, a Fraction or a rational string")
     return value.numerator if value.denominator == 1 else value
 
 
@@ -62,7 +64,7 @@ def whole(value):
     """`rational(value)` when it is whole; `1/2` or `1_0`, say, raise ValueError."""
     q = rational(value)
     if q.__class__ is not int:
-        raise ValueError(f"{value!r} is not a whole number")
+        raise ValueError(f"{quote(value)} is not a whole number")
     return q
 
 

@@ -248,13 +248,13 @@ def _small_contexts():
 def rule_soundness_checks():
     """Deterministic instance grids: each accepted step preserves the dlog
     realization exactly (>= 50 instances per rule kind).  Every instance is a
-    one-step replay, compared by the crosscheck's own Replay.agreement."""
+    one-step replay, compared by the crosscheck's own ExtendedRealizer.agreement."""
     agree = {}
 
     def run(A, terms, rule, position, payload, small_ring=None):
         replay = Replay(SymbolCombination(A, 2, terms))
         replay.rewrite(rule, position, payload)
-        agree.setdefault(rule, []).extend(replay.agreement(shared_realizer(A, 8), small_ring)[0])
+        agree.setdefault(rule, []).extend(shared_realizer(A, 8).agreement(replay.states, small_ring))
 
     for name, A in _small_contexts():
         one = LaurentPolynomial.constant(A, 1)

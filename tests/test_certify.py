@@ -283,6 +283,15 @@ def test_precision_insufficient(Q):
         crosscheck_dlog(cert, precision=3)
 
 
+def test_precision_must_be_an_integer(Q):
+    # int() read 12.7 as 12, and "12" as 12
+    cert = vanishing_certificate(Q, 1, 2)
+    for precision in (12.7, 12.0, Fraction(25, 2), "12"):
+        with pytest.raises(TypeError):
+            crosscheck_dlog(cert, precision=precision)
+    assert crosscheck_dlog(cert, precision=12) == crosscheck_dlog(cert)
+
+
 def test_precision_above_cap_builds_no_ring(Q, monkeypatch):
     monkeypatch.setattr(certify, "ExtendedRealizer", None)  # any realizer would fail
     cert = vanishing_certificate(Q, 1, 2)
@@ -557,21 +566,19 @@ def test_extension_refuses_what_is_not_a_checked_eq7_chain(t3_certs, case):
     assert str(exc.value) == "only a checked eq7 chain that reaches its goal extends to eq8"
 
 
-def test_crosscheck_reads_final_zero_from_the_replay(t3_certs, monkeypatch):
+def test_crosscheck_realizes_each_state_then_the_goal(t3_certs, monkeypatch):
     realized = Counter()
     realize = certify.ExtendedRealizer.realize_state
     monkeypatch.setattr(certify.ExtendedRealizer, "realize_state", lambda self, state: (
         realized.update([state.key()]), realize(self, state))[1])
-    # copies replay afresh, so no earlier crosscheck of the fixture's
-    # certificates is resumed
-    for cert in (cert._replace() for cert in t3_certs):
+    for cert in t3_certs:
         realized.clear()
         report = crosscheck_dlog(cert)
-        # one realization per state, the goal's is the last state's
-        assert sum(realized.values()) == len(cert.steps) + 1
+        # one realization per state, then the goal's, though it is the last state
+        assert sum(realized.values()) == len(cert.steps) + 2 and realized[cert.goal.key()] == 2
         assert report.all_agree
     assert report.final_realization_zero
-    # a chain that stops short realizes the goal on its own
+    # a chain that stops short realizes the same count, the goal once
     bad = t3_certs[1]._replace(steps=t3_certs[1].steps[:-1])
     realized.clear()
     report = crosscheck_dlog(bad)
@@ -587,34 +594,38 @@ def _counting_realize_state(monkeypatch):
     return realized
 
 
-def test_eq8_crosscheck_resumes_where_the_eq7_crosscheck_ended(monkeypatch):
-    """vanishing_from copies the eq7 replay's agreement record, so the eq8
-    crosscheck realizes only its 4 new states.  A reloaded certificate and a
-    crosscheck at another precision start from nothing, with the same rows."""
+def test_eq8_crosscheck_does_not_depend_on_earlier_crosschecks(monkeypatch):
+    """The crosscheck keeps nothing between calls: an extended eq8 certificate
+    gives the same report and realizes each state and then the goal, with or
+    without an eq7 crosscheck before it, twice in a row, after a reload and
+    at another precision."""
     t3 = alg(["t"], ["t^3"])
-    cert7 = splitting_certificate(t3, t3.element("1+t"), 2)
     realized = _counting_realize_state(monkeypatch)
-    report7 = crosscheck_dlog(cert7)
-    assert report7.all_agree and len(realized) == 13
-    realized.clear()
-    assert crosscheck_dlog(cert7) == report7 and not realized  # nothing left to compare
-    cert8 = vanishing_from(cert7)
-    report8 = crosscheck_dlog(cert8)
-    assert len(realized) == 4 and report8.all_agree and report8.final_realization_zero
+
+    def crosscheck(cert, precision=None):
+        realized.clear()
+        report = crosscheck_dlog(cert, precision)
+        assert len(realized) == len(cert.steps) + 2
+        return report
+
+    report8 = crosscheck(vanishing_certificate(t3, t3.element("1+t"), 2))
+    assert report8.all_agree and report8.final_realization_zero
     assert [row[0] for row in report8.steps] == list(range(16))
-    realized.clear()
-    loaded = certificate_from_json(certificate_to_json(cert8))
-    assert crosscheck_dlog(loaded) == report8 and len(realized) == 17
-    realized.clear()
-    wider = crosscheck_dlog(cert8, precision=default_precision(2) + 1)
-    assert len(realized) == 17 and wider.steps == report8.steps and wider.all_agree
-    realized.clear()  # the record holds the last agreement only
-    assert crosscheck_dlog(cert8) == report8 and len(realized) == 17
+    cert7 = splitting_certificate(t3, t3.element("1+t"), 2)
+    assert crosscheck(cert7).all_agree
+    cert8 = vanishing_from(cert7)
+    assert crosscheck(cert8) == report8
+    assert crosscheck(cert8) == report8
+    assert crosscheck(certificate_from_json(certificate_to_json(cert8))) == report8
+    wider = crosscheck(cert8, default_precision(2) + 1)
+    assert wider.steps == report8.steps and wider.all_agree and wider.final_realization_zero
+    assert crosscheck(cert8) == report8
 
 
 def test_a_corrupted_extension_step_still_disagrees(monkeypatch):
-    """A _replace copy of an extended eq8 certificate has its own replay and
-    no agreement record: a corrupted extension step reads DISAGREE there."""
+    """A _replace copy of an extended eq8 certificate replays its own steps,
+    even after the original's eq7 and eq8 crosschecks: a corrupted extension
+    step reads DISAGREE there."""
     t3 = alg(["t"], ["t^3"])
     cert7 = splitting_certificate(t3, t3.element("1+t"), 2)
     crosscheck_dlog(cert7)
@@ -661,10 +672,11 @@ def test_suite_certify_multiplies_nothing_by_one(suite_certify_work):
     assert suite_certify_work[0] == 0
 
 
-def test_suite_certify_realizes_each_shared_state_once(suite_certify_work):
-    # 3,036 before the eq8 crosscheck resumed after the eq7 one: 69 triples x 13
-    # shared states fewer
-    assert suite_certify_work[1] == 2139
+def test_suite_certify_realizes_each_state_once_per_crosscheck(suite_certify_work):
+    # 2,139 while the eq8 crosscheck resumed where the eq7 one ended; without
+    # that record the 69 triples realize their 13 shared states again (3,036),
+    # and each of their 138 crosschecks, which reach the goal, realizes it too
+    assert suite_certify_work[1] == 3174
 
 
 def test_lift_laurent_appends_the_sigma_degree(t2):

@@ -559,6 +559,22 @@ def test_a_literal_over_the_digit_limit_is_an_input_error(capsys, tmp_path, t3_s
     assert "set_int_max_str_digits" not in captured.err
 
 
+@pytest.mark.parametrize("where", ["order", "tower"])
+def test_a_long_bad_number_is_quoted_bounded(capsys, tmp_path, where):
+    # rational quoted the whole value: 10,085 and 10,091 bytes of stderr
+    path = tmp_path / "bad"
+    if where == "order":
+        path.write_text(f"variables: t\nrelations: t^3\nsigma: t\norder: {'x' * 10000}\n")
+        argv = ["algebra-info", "--algebra", str(path)]
+    else:
+        path.write_text(f"dims: 1, 1\nmap 0: {'1.' * 5000}\n")
+        argv = ["tower", "--tower", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out and "Traceback" not in captured.err
+    assert len(captured.err.encode()) < 300 and "… (10000 characters)" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     # int() reads 1_0 as 10
     ["omega", "--p", "1_0"],

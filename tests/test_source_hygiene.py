@@ -1,7 +1,8 @@
 """Source hygiene of the milnork package, read with ast alone: every import
 is used, every definition is referenced, imports sit at module level, none
-is of dataclasses, and no value is changed in place.  One more test imports
-the package cold, in a subprocess."""
+is of dataclasses, no value is changed in place, and the certificate checker
+reads nothing of the crosscheck or the builders.  One more test imports the
+package cold, in a subprocess."""
 
 import ast
 import subprocess
@@ -334,3 +335,73 @@ def test_value_classes_share_one_arithmetic():
     assert shared <= vars(Vector).keys()
     for cls in (Polynomial, AlgebraElement, DifferentialForm, LaurentPolynomial):
         assert issubclass(cls, Vector) and not shared & vars(cls).keys(), cls
+
+
+CERTIFY = PACKAGE / "certify.py"
+# each role of certify.py after the checker begins at its banner comment
+CERTIFY_BANNERS = {"builder": "# -- built-in certificate chains",
+                   "crosscheck": "# -- independent dlog soundness monitor",
+                   "codec": "# -- certificate (de)serialization"}
+# the JSON loader builds what the checker checks, so it is part of the checker
+LOADER = {"_JSON_TYPES", "_field", "certificate_from_json"}
+
+
+def _certify_roles(tree, source):
+    """{name: (role, names it reads)} of each top-level definition of certify.py.
+    A definition's role is that of the last banner above it; the definitions
+    above the first banner, and the loader, are the checker."""
+    starts = [(line, role) for line, text in enumerate(source.splitlines(), 1)
+              for role, banner in CERTIFY_BANNERS.items() if text.startswith(banner)]
+    assert [role for _, role in starts] == list(CERTIFY_BANNERS)
+    roles = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        role = next((role for line, role in reversed(starts) if line < node.lineno), "checker")
+        reads = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                 and isinstance(n.ctx, ast.Load)}
+        roles.update((name, ("checker" if name in LOADER else role, reads)) for name in names)
+    return roles
+
+
+def _trust_breaches(source):
+    """Reads across certify.py's trust boundary: a name imported from .kahler
+    read outside the crosscheck, and a builder or crosscheck name read by the
+    checker."""
+    tree = ast.parse(source)
+    kahler = {alias.asname or alias.name for node in tree.body
+              if isinstance(node, ast.ImportFrom) and node.module == "kahler"
+              for alias in node.names}
+    roles = _certify_roles(tree, source)
+    untrusted = {name for name, (role, _) in roles.items() if role in ("builder", "crosscheck")}
+    breaches = []
+    for name, (role, reads) in roles.items():
+        if role != "crosscheck":
+            breaches += [f"{name} reads {read}" for read in sorted(reads & kahler)]
+        if role == "checker":
+            breaches += [f"{name} reads {read}" for read in sorted(reads & untrusted)]
+    return breaches
+
+
+def test_the_checker_reads_no_crosscheck_or_builder_name():
+    """certificate.valid depends on the checker alone: the crosscheck, the one
+    user of Kaehler forms, and the builders stay outside it."""
+    assert _trust_breaches(CERTIFY.read_text(encoding="utf-8")) == []
+
+
+def test_trust_breaches_are_found():
+    source = CERTIFY.read_text(encoding="utf-8")
+    planted = {"def check_certificate(cert):\n": "map_form, crosscheck_dlog, vanishing_from",
+               "def vanishing_from(splitting):\n": "wedge",
+               "def certificate_from_json(text):\n": "default_precision"}
+    for line, reads in planted.items():
+        assert source.count(line) == 1
+        source = source.replace(line, f"{line}    {reads}\n")
+    assert _trust_breaches(source) == [
+        "check_certificate reads map_form", "check_certificate reads crosscheck_dlog",
+        "check_certificate reads vanishing_from", "vanishing_from reads wedge",
+        "certificate_from_json reads default_precision"]
