@@ -156,10 +156,10 @@ class Algebra:
         self.base = None           # set by TruncatedExtension
         self.ext_name = None
         self.ext_order = None
-        # the structure constants stay plain dicts, not memo tables: the product
-        # loop reads them on every basis pair, too often for a closure per call
+        # plain tables, not memo tables: the product loop reads them on every basis
+        # pair.  A row of _products is made on first use, an entry is None until filled
         self._mono_nf = {}
-        self._pair_cache = {}
+        self._products = defaultdict(lambda n=self.dimension: [None] * n)
         self._memo = defaultdict(dict)  # table -> {key: value}, see memo
         # the product view: basis[i] is ring.basis[a] * s^k for (a, k) = _layout[i],
         # and _place[k][a] == i.  A plain algebra is its own ring at s-degree 0.
@@ -231,14 +231,13 @@ class Algebra:
         return self.element_from_poly(Polynomial.variable(self.nvars, self.names.index(name)))
 
     def pair_product(self, i, j):
-        """Coordinates of basis[i] * basis[j] (memoized, symmetric)."""
-        if i > j:
-            i, j = j, i
-        cached = self._pair_cache.get((i, j))
-        if cached is None:
-            cached = self.reduce_mono(mono_mul(self.basis[i], self.basis[j]))
-            self._pair_cache[(i, j)] = cached
-        return cached
+        """basis[i] * basis[j] as (basis index, coefficient) terms: the entry of
+        the product table, filled on first use in both orders, as it is symmetric."""
+        terms = self._products[i][j]
+        if terms is None:
+            terms = tuple(self.reduce_mono(mono_mul(self.basis[i], self.basis[j])).items())
+            self._products[i][j] = self._products[j][i] = terms
+        return terms
 
     def _mul(self, left, right):
         """Coordinates of left * right, the kernel on two 0-forms; a factor 1 returns the other."""
@@ -248,16 +247,17 @@ class Algebra:
 
     def _product(self, left, left_layout, right, right_layout, cells, width):
         """The free vector of left * right: the one product loop, of elements,
-        the module action and wedges.  An operand's coordinates are read through
-        its layout as (basis index, wedge index); a wedge pair's cell is (sign,
-        target wedge index), or None, and the target has `width` wedges.  A pair
-        whose s-degrees reach the truncation is skipped before it multiplies."""
+        the module action and wedges, reading basis products from the ring's
+        table.  An operand's coordinates are read through its layout as (basis
+        index, wedge index); a wedge pair's cell is (sign, target wedge index),
+        or None, and the target has `width` wedges.  A pair whose s-degrees
+        reach the truncation is skipped before it multiplies."""
         ring, layout, place, N = self.ring, self._layout, self._place, len(self._place)
-        free = {}
+        products, free = ring._products, {}
         for i, c1 in left.items():
             mi, wi = left_layout[i]
             a, k = layout[mi]
-            signs = cells[wi]
+            signs, row = cells[wi], products[a]
             for j, c2 in right.items():
                 mj, wj = right_layout[j]
                 b, l = layout[mj]
@@ -265,9 +265,9 @@ class Algebra:
                 if cell is None or k + l >= N:
                     continue
                 sign, widx = cell
-                factor, row = sign * c1 * c2, place[k + l]
-                for ab, bc in ring.pair_product(a, b).items():
-                    add_to(free, row[ab] * width + widx, factor * bc)
+                factor, target, terms = sign * c1 * c2, place[k + l], row[b]
+                for ab, bc in ring.pair_product(a, b) if terms is None else terms:
+                    add_to(free, target[ab] * width + widx, factor * bc)
         return free
 
     def monomial_strings(self):
@@ -408,9 +408,10 @@ class TruncatedExtension(Algebra):
 
     G_A involves no s, so its leading terms are coprime to s^N and
     G_A + {s^N} is already B's reduced Groebner basis; the staircase is the
-    product of A's with 1, s, ..., s^(N-1).  B keeps no product table of its
-    own: its ring is A, so normal forms and basis products are A's, placed at
-    the sum of the s-exponents, and zero at or above s^N.
+    product of A's with 1, s, ..., s^(N-1), ordered as a s^k by (deg a + k, -k,
+    index of a), degrevlex with s last.  B's ring is A: normal forms and basis
+    products are A's, from A's product table, placed at the sum of the
+    s-exponents, and zero at or above s^N.
     """
 
     def __init__(self, spec, base, order):
@@ -418,12 +419,15 @@ class TruncatedExtension(Algebra):
         leads = sorted([(lm + (0,), {m + (0,): c for m, c in g.coords.items()})
                         for lm, g in base._leads] + [(s_power, {s_power: 1})],
                        key=lambda lead: degrevlex_key(lead[0]))
-        basis = sorted((a + (k,) for a in base.basis for k in range(order)), key=degrevlex_key)
-        super().__init__(spec, basis, [(lm, Polynomial(base.nvars + 1, terms))
-                                       for lm, terms in leads])
+        layout = tuple((a, -neg_k) for _, neg_k, a in sorted(
+            (sum(m) + k, -k, a) for a, m in enumerate(base.basis) for k in range(order)))
+        super().__init__(spec, [base.basis[a] + (k,) for a, k in layout],
+                         [(lm, Polynomial(base.nvars + 1, terms)) for lm, terms in leads])
         self.base, self.ring, self.ext_name, self.ext_order = base, base, spec.distinguished, order
-        self._layout = tuple((base.index[m[:-1]], m[-1]) for m in self.basis)
-        self._place = tuple(tuple(self.index[m + (k,)] for m in base.basis) for k in range(order))
+        place = [[None] * base.dimension for _ in range(order)]
+        for i, (a, k) in enumerate(layout):
+            place[k][a] = i
+        self._layout, self._place = layout, tuple(map(tuple, place))
 
     def reduce_mono(self, mono):
         k = mono[-1]

@@ -177,18 +177,26 @@ def _cmd_suite(A, args):
     return rep, failed == 0
 
 
+def _whole(text):
+    """`whole` as an option type: argparse would print a bad value in full."""
+    try:
+        return whole(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid whole value: {exc}") from None
+
+
 _ALGEBRA = ("--algebra", {"required": True, "help": "algebra spec file"})
 _REPORT = (("--format", {"choices": ("text", "record"), "default": "text",
                          "help": "output format (default: text)"}),
            ("--output", {"help": "write the report to this path instead of stdout"}))
-_N = ("--n", {"type": whole, "required": True})
-_P = ("--p", {"type": whole, "required": True})
+_N = ("--n", {"type": _whole, "required": True})
+_P = ("--p", {"type": _whole, "required": True})
 _CERTIFY = (
     ("--algebra", {"help": "algebra spec file"}), *_REPORT,
     ("--c", {"help": "unit coefficient expression; one that starts with '-' is written "
                      "--c=-1+t"}),
-    ("--n", {"type": whole, "help": "level of the relative kernel"}),
-    ("--precision", {"type": whole, "default": None,
+    ("--n", {"type": _whole, "help": "level of the relative kernel"}),
+    ("--precision", {"type": _whole, "default": None,
                      "help": "crosscheck truncation order (default 3(n+2))"}),
     ("--save", {"help": "write the certificate as JSON"}),
     ("--load", {"help": "check a saved certificate instead of building one"}))

@@ -53,17 +53,16 @@ class OmegaModule:
         self.wedges = tuple(combinations(range(algebra.nvars), degree))
         self.wedge_index = {w: i for i, w in enumerate(self.wedges)}
         self.free_dim = algebra.dimension * len(self.wedges)
-        # (monomial index, wedge index) of each reduced coordinate
         if algebra.base is None:
             self._space = RowSpace()
             self._build_relations()
             pivots = self._space.pivots
-            self.layout = tuple(divmod(c, len(self.wedges))
-                                for c in range(self.free_dim) if c not in pivots)
+            self.basis_cols = tuple(c for c in range(self.free_dim) if c not in pivots)
         else:
             self._space = None
-            self.layout = self._graded_layout()
-        self.basis_cols = tuple(self.col(*cell) for cell in self.layout)
+            self.basis_cols = self._graded_layout()
+        # (monomial index, wedge index) of each reduced coordinate
+        self.layout = tuple(divmod(c, len(self.wedges)) for c in self.basis_cols)
         self.col_index = {c: i for i, c in enumerate(self.basis_cols)}
         self.dimension = len(self.basis_cols)
 
@@ -72,7 +71,7 @@ class OmegaModule:
 
     def _build_relations(self):
         """The rows m * (dg ^ w): g in the Groebner basis, w a (p-1)-wedge, m a
-        basis monomial, read from A's pair table.  A partial of g is already in
+        basis monomial, read from A's product table.  A partial of g is already in
         normal form, as the basis is reduced: g's other terms are standard, and
         so are their divisors; and m / x_i, m g's leading monomial, is standard,
         since a leading monomial that divided it would divide m.  Reduction is a
@@ -93,14 +92,14 @@ class OmegaModule:
                 for m in range(A.dimension):
                     row = {}
                     for k, widx, c in dgw:
-                        for j, bc in A.pair_product(m, k).items():
+                        for j, bc in A.pair_product(m, k):
                             add_to(row, self.col(j, widx), c * bc)
                     if row:
                         self._space.insert(row)
 
     def _graded_layout(self):
-        """The layout of Omega^p of B = A[s]/s^N from A's modules, with no
-        elimination.  Over each layer s^k it is Omega^p_A (block 0) plus
+        """The basis columns of Omega^p of B = A[s]/s^N from A's modules, sorted,
+        with no elimination.  Over each layer s^k it is Omega^p_A (block 0) plus
         Omega^(p-1)_A ^ ds (block 1); d(s^N) = N s^(N-1) ds kills block 1 of
         the top layer.  Sets _blocks, (module of A, its wedges' indices here)
         per block, and _back, (block, wedge index in A) per wedge here."""
@@ -112,7 +111,8 @@ class OmegaModule:
                              for M, tail in blocks)
         self._back = {wb: (b, w) for b, (_, wmap) in enumerate(self._blocks)
                       for w, wb in enumerate(wmap)}
-        return tuple(sorted((B._place[k][a], wmap[w])
+        nw = len(self.wedges)
+        return tuple(sorted(B._place[k][a] * nw + wmap[w]
                             for b, (M, wmap) in enumerate(self._blocks)
                             for k in range(B.ext_order - b)  # block 1 stops below s^(N-1)
                             for a, w in M.layout))
@@ -153,9 +153,7 @@ class OmegaModule:
         mono_idx, widx = self.layout[reduced_idx]
         mono = monomial_str(self.algebra.basis[mono_idx], self.algebra.names)
         dparts = "^".join(f"d{self.algebra.names[i]}" for i in self.wedges[widx])
-        if self.degree == 0:
-            return mono or "1"
-        return f"{mono} {dparts}".strip()
+        return f"{mono} {dparts}".strip() or "1"  # only a 0-form has no dparts
 
 
 class DifferentialForm(Vector, space="module"):
@@ -176,8 +174,6 @@ class DifferentialForm(Vector, space="module"):
         M = self.module
         A = M.algebra
         element = A.element(element)
-        if not (self.coords and element.coords):
-            return M.form()
         return M.form(A._product(element.coords, A._scalars, self.coords, M.layout,
                                  wedge_table(A.nvars, 0, M.degree), len(M.wedges)))
 
@@ -199,16 +195,14 @@ def omega_module(algebra, p):
 def d(x):
     """Universal derivation: elements to 1-forms, p-forms to (p+1)-forms.
 
-    An element is taken as its 0-form, whose coordinates are its own."""
-    if isinstance(x, AlgebraElement):
-        x = omega_module(x.algebra, 0).form(x.coords)
-    M = x.module
-    A = M.algebra
-    target = omega_module(A, M.degree + 1)
-    table = wedge_table(A.nvars, 1, M.degree)
+    An element is its 0-form, read through _scalars as in `act`: no Omega^0 is built."""
+    A, degree, layout = ((x.algebra, 0, x.algebra._scalars) if isinstance(x, AlgebraElement)
+                         else (x.module.algebra, x.module.degree, x.module.layout))
+    target = omega_module(A, degree + 1)
+    table = wedge_table(A.nvars, 1, degree)
     free = {}
     for ridx, q in x.coords.items():
-        mono_idx, widx = M.layout[ridx]
+        mono_idx, widx = layout[ridx]
         mono = A.basis[mono_idx]
         for i, e in enumerate(mono):
             if not (e and table[i][widx]):

@@ -576,6 +576,21 @@ def test_a_long_bad_number_is_quoted_bounded(capsys, tmp_path, where):
 
 
 @pytest.mark.parametrize("argv", [
+    ["omega", "--p"],
+    ["theorem2", "--p", "2", "--n"],
+    ["certify-eq7", "--c", "1+t", "--n", "2", "--precision"],
+])
+def test_a_long_bad_whole_option_is_quoted_bounded(capsys, t3_spec, argv):
+    # argparse quoted the whole value: 10,174 bytes of stderr for --p
+    code = main([argv[0], "--algebra", t3_spec] + argv[1:] + ["x" * 10000])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out and "Traceback" not in captured.err
+    message = captured.err.splitlines()[-1]  # after the usage lines
+    assert len(captured.err.encode()) < 600 and len(message.encode()) < 300
+    assert "… (10000 characters) is not a rational literal such as 3 or -2/5" in message
+
+
+@pytest.mark.parametrize("argv", [
     # int() reads 1_0 as 10
     ["omega", "--p", "1_0"],
     ["theorem2", "--n", "1_0", "--p", "2"],

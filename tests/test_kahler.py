@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -6,6 +7,7 @@ import pytest
 
 from milnork import cli, kahler
 from milnork.algebra import (
+    AlgebraElement,
     AlgebraSpec,
     TruncatedExtension,
     build_algebra,
@@ -13,7 +15,9 @@ from milnork.algebra import (
     truncated_extension,
 )
 from milnork.errors import AlgebraMismatch, NotAUnit
+from milnork.poly import mono_mul
 from milnork.kahler import (
+    DifferentialForm,
     _merge_sign,
     d,
     decomposition_report,
@@ -169,16 +173,38 @@ class _Placed(int):
         return self
 
 
+class _CountingTable:
+    """A's product table seen from an A[s]/s^N: each entry the kernel reads
+    is a pair it multiplies, and a dead one when the s-degrees of the two
+    factors add up to N or more."""
+
+    def __init__(self, products, order, counts):
+        self.products, self.order, self.counts = products, order, counts
+
+    def __getitem__(self, a):
+        return _CountingRow(self.products[a], a, self)
+
+
+class _CountingRow:
+    def __init__(self, row, a, table):
+        self.row, self.a, self.table = row, a, table
+
+    def __getitem__(self, b):
+        counts = self.table.counts
+        counts["pairs"] += 1
+        counts["dead"] += self.a.degree + b.degree >= self.table.order
+        return self.row[b]
+
+
 class _CountingRing:
-    """The ring A of an A[s]/s^N, counting the pairs its product loops
-    multiply and the dead ones among them: s-degrees adding up to N or more."""
+    """The ring A of an A[s]/s^N, whose product table counts the pairs its
+    product loops multiply: the kernel reads each one from the table once,
+    and pair_product only fills an entry on first use."""
 
     def __init__(self, ring, order, counts):
-        self.ring, self.order, self.counts = ring, order, counts
+        self.ring, self._products = ring, _CountingTable(ring._products, order, counts)
 
     def pair_product(self, a, b):
-        self.counts["pairs"] += 1
-        self.counts["dead"] += a.degree + b.degree >= self.order
         return self.ring.pair_product(a, b)
 
 
@@ -238,6 +264,100 @@ def test_truncated_mul_and_wedge_make_no_dead_products(monkeypatch):
     assert f * g and wedge(df, dg)
     wedge(dx_g, wedge(df, dg))
     assert counts["pairs"] and counts["dead"] == 0
+
+
+def _reference(A, f, f_cells, g, g_cells, target, skipped):
+    """The free vector of f * g in `target`, pair by pair: each pair of basis
+    monomials multiplied by mono_mul and reduced by reduce_mono, each pair of
+    wedges signed by counting inversions.  f_cells and g_cells give each
+    coordinate as (basis index, wedge tuple); a pair sharing a differential
+    is skipped and counted in skipped[0]."""
+    free = {}
+    for i, c1 in f.items():
+        m1, a = f_cells[i]
+        for j, c2 in g.items():
+            m2, b = g_cells[j]
+            if set(a) & set(b):
+                skipped[0] += 1
+                continue
+            sign = (-1) ** sum(1 for x in a for y in b if x > y)
+            merged = target.wedge_index[tuple(sorted(a + b))]
+            for t, c in A.reduce_mono(mono_mul(A.basis[m1], A.basis[m2])).items():
+                col = t * len(target.wedges) + merged
+                free[col] = free.get(col, 0) + sign * c1 * c2 * c
+    return {col: v for col, v in free.items() if v}
+
+
+def _cells(M):
+    return [(m, M.wedges[w]) for m, w in M.layout]
+
+
+def _kernel_algebras():
+    A = alg(["x", "y"], ["x^2 - 3/2*y^2", "x*y"])  # x^2 reduces to 3/2 y^2
+    B = truncated_extension(A, "sigma", 3)
+    return {"plain": A, "truncated": B, "nested": truncated_extension(B, "eps", 2)}
+
+
+def _assert_stored_exactly(coords):
+    for v in coords.values():
+        assert v and (type(v) is int or v.denominator != 1), v
+
+
+@pytest.mark.parametrize("name", ["plain", "truncated", "nested"])
+def test_kernel_matches_a_pair_by_pair_reference(name):
+    """`*`, `act` and `wedge` against products built pair by pair from
+    reduce_mono(mono_mul(...)): over a plain algebra, over A[s]/s^N, whose
+    kernel reads A's product table, and over (A[s]/s^N)[t]/t^M, whose ring is
+    itself a truncated extension.  The results and the table store no zero
+    and each whole value as an int."""
+    R = _kernel_algebras()[name]
+    rng = random.Random(R.dimension)
+    values = (-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3))
+
+    def sparse(dim):
+        return {i: rng.choice(values) for i in rng.sample(range(dim), min(4, dim))}
+
+    scalars = [(i, ()) for i in range(R.dimension)]
+    zero_forms = omega_module(R, 0)
+    f, g = R.element("x + y"), R.element("2*x - 3*y")
+    assert not f * g  # 2x^2 - 3y^2 = 0: two pairs cancel
+    elements = [f, g] + [AlgebraElement(R, sparse(R.dimension)) for _ in range(4)]
+    forms = {p: [d(f), d(g)] if p == 1 else [] for p in range(3)}
+    for p in range(3):
+        M = omega_module(R, p)
+        forms[p] += [DifferentialForm(M, sparse(M.dimension)) for _ in range(3)]
+    skipped, fractions = [0], 0
+    for e in elements:
+        for e2 in elements:
+            got = e * e2
+            assert got.coords == _reference(R, e.coords, scalars, e2.coords, scalars,
+                                             zero_forms, skipped)
+            _assert_stored_exactly(got.coords)
+        for p, group in forms.items():
+            M = omega_module(R, p)
+            for form in group:
+                got = form.act(e)
+                assert got.coords == M.form(_reference(R, e.coords, scalars, form.coords,
+                                                       _cells(M), M, skipped)).coords
+                _assert_stored_exactly(got.coords)
+                fractions += any(type(v) is Fraction for v in got.coords.values())
+    for p, group in forms.items():
+        for q, group2 in forms.items():
+            if p + q > 2:
+                continue
+            Mp, Mq, target = omega_module(R, p), omega_module(R, q), omega_module(R, p + q)
+            for form in group:
+                for form2 in group2:
+                    got = wedge(form, form2)
+                    assert got.coords == target.form(_reference(
+                        R, form.coords, _cells(Mp), form2.coords, _cells(Mq), target,
+                        skipped)).coords
+                    _assert_stored_exactly(got.coords)
+    assert not wedge(d(f) + d(g), d(f) + d(g))  # dx ^ dy + dy ^ dx = 0
+    assert skipped[0] and fractions  # shared differentials met, Fractions produced
+    for row in R.ring._products.values():
+        for terms in row:
+            _assert_stored_exactly(dict(terms or ()))
 
 
 def test_wedge_mismatch():

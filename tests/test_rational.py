@@ -144,9 +144,11 @@ def _cached_coordinates(A):
     """(cache, coordinate) for every coordinate in the memo caches of A and
     of the algebras derived from it."""
     for B in _algebras(A):
-        for name in ("_mono_nf", "_pair_cache"):
-            for coords in getattr(B, name).values():
-                yield from ((name, v) for v in coords.values())
+        for coords in B._mono_nf.values():
+            yield from (("_mono_nf", v) for v in coords.values())
+        # the product table: rows of (index, coefficient) terms, None where unfilled
+        for row in B._products.values():
+            yield from (("_products", v) for terms in row if terms for _, v in terms)
         memo = B._memo
         for M in memo.get("omega", {}).values():
             # a module over A[s]/s^N stores no rows; it reduces through A's
@@ -178,6 +180,6 @@ def test_cached_coordinates_are_int_or_proper_fraction():
             assert type(value) is int or (type(value) is Fraction and value.denominator != 1), (
                 cache, value)
             seen.setdefault(cache, set()).add(type(value))
-    assert set(seen) == {"_mono_nf", "_pair_cache", "pivots", "dlog", "dlog_wedges",
+    assert set(seen) == {"_mono_nf", "_products", "pivots", "dlog", "dlog_wedges",
                          "entry", "term"}
     assert set.union(*seen.values()) == {int, Fraction}
