@@ -151,7 +151,6 @@ class Algebra:
         self._leads = tuple(leads)
         self.groebner = tuple(g for _, g in self._leads)
         self.basis = tuple(basis)  # ascending degrevlex; basis[0] == 1
-        self.index = {m: i for i, m in enumerate(self.basis)}
         self.dimension = len(self.basis)
         self.base = None           # set by TruncatedExtension
         self.ext_name = None
@@ -167,6 +166,10 @@ class Algebra:
         self.ring = self
         self._layout = self._scalars = tuple((i, 0) for i in range(self.dimension))
         self._place = (tuple(range(self.dimension)),)
+
+    @property
+    def index(self):  # basis monomial -> basis index, made on first use; A[s]/s^N never needs it
+        return self.memo("index", None, dict, zip(self.basis, count()))
 
     def memo(self, table, key, build, *args):
         """build(*args), never None, computed once per (table, key) on this algebra.

@@ -41,6 +41,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 from .algebra import (
     AlgebraSpec,
@@ -690,34 +691,48 @@ def shared_realizer(algebra, precision):
 # -- certificate (de)serialization ----------------------------------------------
 
 
-def _atoms_to_json(atoms):
-    return [[str(poly), exp] for poly, exp in atoms]
-
-
-def _sym_to_json(sym):
-    return [_atoms_to_json(e.atoms) for e in sym.entries]
-
-
 def _state_to_json(state):
-    return [[str(c), _sym_to_json(s)] for c, s in state.terms]
+    return [[str(c), [entry.atoms for entry in s.entries]] for c, s in state.terms]
+
+
+def _write(value, out, indent=0):
+    """Append value to out as json.dumps(value, indent=1, sort_keys=True)
+    writes it, with one call per nesting level: strings through json's C
+    encoder, a payload Symbol as {"symbol": its entries' atom lists} and an
+    atom as its string.  A dict is read by its sorted items, so a loaded
+    step's fields are written back as they are, never checked."""
+    kind = value.__class__
+    if kind is str or kind is LaurentPolynomial:
+        out.append(encode_basestring_ascii(str(value)))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is Symbol:
+        _write({"symbol": [entry.atoms for entry in value.entries]}, out, indent)
+    elif not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))  # a bool, None or a float, by json's own rules
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    else:
+        pad = "\n" + " " * (indent + 1)
+        is_dict = isinstance(value, dict)
+        sep = ("{" if is_dict else "[") + pad
+        for item in sorted(value.items()) if is_dict else value:
+            if is_dict:
+                sep += encode_basestring_ascii(item[0]) + ": "
+                item = item[1]
+            out.append(sep)
+            _write(item, out, indent + 1)
+            sep = "," + pad
+        out.append(pad[:-1] + ("}" if is_dict else "]"))
 
 
 def certificate_to_json(cert):
-    steps = []
-    for step in cert.steps:
-        payload = {}
-        for k, v in step.payload.items():
-            if isinstance(v, Symbol):
-                payload[k] = {"symbol": _sym_to_json(v)}
-            elif k == "atoms":
-                payload[k] = _atoms_to_json(v)
-            else:
-                payload[k] = v
-        steps.append({"rule": step.rule, "position": step.position, "payload": payload})
+    """The certificate's JSON: the bytes of json.dumps(doc, indent=1,
+    sort_keys=True), written by _write."""
     doc = {
         "context": {
-            "variables": list(cert.context.algebra.names),
-            "relations": list(cert.context.algebra.spec.relations),
+            "variables": cert.context.algebra.names,
+            "relations": cert.context.algebra.spec.relations,
             "n": cert.context.n,
             "c": str(cert.context.c),
         },
@@ -728,10 +743,13 @@ def certificate_to_json(cert):
         },
         "start": _state_to_json(cert.start),
         "goal": _state_to_json(cert.goal),
-        "steps": steps,
-        "annotations": list(cert.annotations),
+        "steps": [{"rule": step.rule, "position": step.position, "payload": step.payload}
+                  for step in cert.steps],
+        "annotations": cert.annotations,
     }
-    return json.dumps(doc, indent=1, sort_keys=True)
+    out = []
+    _write(doc, out)
+    return "".join(out)
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}

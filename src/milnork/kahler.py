@@ -258,9 +258,9 @@ def map_form(f, target_algebra):
     free = {}
     for ridx, q in f.coords.items():
         mono_idx, widx = M.layout[ridx]
-        k = target_algebra.index.get(src.basis[mono_idx])
-        if k is not None:
-            free[target.col(k, widx)] = q
+        a, k = src._layout[mono_idx]
+        if k < target_algebra.ext_order:
+            free[target.col(target_algebra._place[k][a], widx)] = q
     return target.form(free)
 
 

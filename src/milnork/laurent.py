@@ -36,12 +36,12 @@ EXPANSION_BUDGET = 128
 class LaurentPolynomial(Vector, space="algebra"):
     """Map sigma-degree -> algebra element; degrees are nonnegative."""
 
-    __slots__ = ("algebra", "coords", "_key")
+    __slots__ = ("algebra", "coords", "_key", "_str")
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
         self.coords = {d: c for d, c in coords.items() if c}
-        self._key = None
+        self._key = self._str = None
 
     @classmethod
     def constant(cls, algebra, value):
@@ -90,11 +90,15 @@ class LaurentPolynomial(Vector, space="algebra"):
         return self._key
 
     def __str__(self):
-        """Expression-grammar string, sigma named by extension_name."""
-        A = self.algebra
-        names = A.names + (extension_name(A),)
-        terms = {A.basis[i] + (d,): q for d, c in self.coords.items() for i, q in c.coords.items()}
-        return polynomial_str(Polynomial(len(names), terms), names)
+        """Expression-grammar string, sigma named by extension_name.  Printed
+        once, as the key is computed once."""
+        if self._str is None:
+            A = self.algebra
+            names = A.names + (extension_name(A),)
+            terms = {A.basis[i] + (d,): q for d, c in self.coords.items()
+                     for i, q in c.coords.items()}
+            self._str = polynomial_str(Polynomial(len(names), terms), names)
+        return self._str
 
     def span(self):
         return self.maxdeg() - self.ord() if self.coords else 0

@@ -71,12 +71,9 @@ def kahler_checks():
             checks.append((f"kahler.dd_zero.{alg_name}", ok))
 
     for name, A in fam:
-        ok = True
         samples = unit_samples(A) + coefficient_samples(A)
         pairs = [(samples[i], samples[(i * 3 + 1) % len(samples)]) for i in range(len(samples))]
-        for a, b in pairs:
-            if d(a * b) != d(b).act(a) + d(a).act(b):
-                ok = False
+        ok = all(d(a * b) == d(b).act(a) + d(a).act(b) for a, b in pairs)
         checks.append((f"kahler.leibniz.{name}", ok))
 
     for name, A in fam:
@@ -94,13 +91,8 @@ def kahler_checks():
     for name, A in fam:
         big = truncated_extension(A, "sigma", 3)
         small = truncated_extension(A, "sigma", 2)
-        ok = True
-        for i in range(big.dimension):
-            e = big.basis_element(i)
-            lhs = map_form(d(e), small)
-            rhs = d(transport(e, small))
-            if lhs != rhs:
-                ok = False
+        ok = all(map_form(d(e), small) == d(transport(e, small))
+                 for e in map(big.basis_element, range(big.dimension)))
         checks.append((f"kahler.functorial_d.{name}", ok))
     return checks
 
@@ -109,20 +101,11 @@ def milnor_checks():
     checks = []
     fam = builtin_algebras()
 
-    count = 0
-    all_zero = True
-    for name, A in fam:
-        for a in _steinberg_pool(A):
-            one_minus = A.one - a
-            s1 = make_symbol([a, one_minus], 1)
-            s2 = make_symbol([a, -a], 1)
-            s3 = make_symbol([a, a], 1)
-            for s in (s1, s2, s3):
-                count += 1
-                if dlog_realize(s):
-                    all_zero = False
-    checks.append(("milnor.steinberg_kills", all_zero))
-    checks.append(("milnor.steinberg_grid_size", count >= 100))
+    # {a, 1 - a}, {a, -a} and {a, a} for each a of every Steinberg pool
+    pool = [(A, a) for _, A in fam for a in _steinberg_pool(A)]
+    checks.append(("milnor.steinberg_kills", not any(
+        dlog_realize(make_symbol([a, b], 1)) for A, a in pool for b in (A.one - a, -a, a))))
+    checks.append(("milnor.steinberg_grid_size", 3 * len(pool) >= 100))
 
     for name, A in fam[:4]:
         us = unit_samples(A)
@@ -379,12 +362,9 @@ def towers_checks():
     zrep = limit_dim(zero)
     checks.append(("towers.zero_flagged", zrep.dim == 3 and not zrep.stabilized))
 
-    ok_pattern = True
     examples = _tower_examples()
-    for i, T in enumerate(examples):
-        rep = limit_dim(T)
-        if rep.dim != T.dims[-1] or not rep.stabilized:
-            ok_pattern = False
+    ok_pattern = all(rep.dim == T.dims[-1] and rep.stabilized
+                     for T, rep in zip(examples, map(limit_dim, examples)))
     checks.append(("towers.iso_tail_pattern", ok_pattern and len(examples) == 10))
 
     inj = Tower.build([2, 2], [[[1, 0], [0, 1]]])
@@ -395,21 +375,11 @@ def towers_checks():
 
 
 def run_suite(name):
-    """Run one suite (or all); returns (checks, passed, failed)."""
-    if name == "all":
-        checks = []
-        for sub in SUITE_NAMES:
-            checks.extend(run_suite(sub)[0])
-    elif name == "kahler":
-        checks = kahler_checks()
-    elif name == "milnor":
-        checks = milnor_checks()
-    elif name == "certify":
-        checks = certify_checks()
-    elif name == "towers":
-        checks = towers_checks()
-    else:
-        raise ValueError(f"unknown suite {name!r}")
-    checks = sorted(checks)
+    """Run one suite (or all); returns (checks, passed, failed).  The suite
+    functions are looked up at each call, as the benchmark rebinds them."""
+    suites = {"kahler": kahler_checks, "milnor": milnor_checks, "certify": certify_checks,
+              "towers": towers_checks}
+    checks = sorted(check for sub in (SUITE_NAMES if name == "all" else (name,))
+                    for check in suites[sub]())
     passed = sum(1 for _, ok in checks if ok)
     return checks, passed, len(checks) - passed

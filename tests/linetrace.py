@@ -45,8 +45,6 @@ ALLOWED = {
     ("milnor.py", "if to_tensor(direct) != to_tensor(routed):", "compatible = False"):
         _INCOMPATIBLE,
     ("milnor.py", "if to_tensor(direct) != to_tensor(routed):", "break"): _INCOMPATIBLE,
-    ("suite.py", 'elif name == "towers":', 'raise ValueError(f"unknown suite {name!r}")'):
-        "the CLI's choices reject an unknown suite name before run_suite is called",
 }
 
 

@@ -1,11 +1,14 @@
 import hashlib
+import importlib.util
 import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from milnork import certify, kahler, suite
+from milnork import certify, kahler, laurent, suite
 from milnork.algebra import Algebra, AlgebraSpec, build_algebra, truncated_extension
 from milnork.certify import (
     MAX_PRECISION,
@@ -789,3 +792,142 @@ def test_unjustified_claim_linkage_is_refused(Q, case):
     verdict = check_certificate(_unlinked(Q, case))
     assert verdict.failure_index is None and verdict.final_matches_goal
     assert verdict.claim_ok is False and verdict.valid is False
+
+
+# -- the certificate writer ---------------------------------------------------
+
+
+def _reference_doc(cert):
+    """The certificate's document in plain JSON values, as the file format
+    describes it: atoms as [string, exponent], a payload symbol as
+    {"symbol": its entries' atom lists}, every other field as it is."""
+    def atoms(pairs):
+        return [[str(poly), exp] for poly, exp in pairs]
+
+    def symbol(sym):
+        return [atoms(entry.atoms) for entry in sym.entries]
+
+    def state(comb):
+        return [[str(c), symbol(sym)] for c, sym in comb.terms]
+
+    def payload(key, value):
+        if isinstance(value, Symbol):
+            return {"symbol": symbol(value)}
+        return atoms(value) if key == "atoms" else value
+
+    A = cert.context.algebra
+    return {
+        "context": {"variables": list(A.names), "relations": list(A.spec.relations),
+                    "n": cert.context.n, "c": str(cert.context.c)},
+        "claim": {"lhs": state(cert.claim_lhs), "rhs": state(cert.claim_rhs),
+                  "linkage": cert.linkage},
+        "start": state(cert.start),
+        "goal": state(cert.goal),
+        "steps": [{"rule": step.rule, "position": step.position,
+                   "payload": {k: payload(k, v) for k, v in step.payload.items()}}
+                  for step in cert.steps],
+        "annotations": list(cert.annotations),
+    }
+
+
+def _ladder_certificates(seed):
+    """The certify-ladder benchmark's certificates at this seed, built."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for job in workloads.certify_inputs(seed)["jobs"]:
+        A = build_algebra(workloads._spec(job["algebra"]))
+        builder = getattr(certify, workloads.CERT_BUILDERS[job["eq"]])
+        yield builder(A, job["c"], job["n"])
+
+
+def test_ladder_certificates_are_written_as_json_dumps_writes_them():
+    certs = list(_ladder_certificates(5))
+    assert len(certs) == 30
+    for cert in certs:
+        text = certificate_to_json(cert)
+        assert text == json.dumps(_reference_doc(cert), indent=1, sort_keys=True)
+        assert certificate_to_json(certificate_from_json(text)) == text
+
+
+# step fields the checker never reads, of every JSON kind, and a position of
+# the wrong type, which a read by key would refuse
+ODD_FIELDS = {"yes": True, "no": False, "none": None, "half": 1.5, "minus_zero": -0.0,
+              "huge": 1e300, "text": "Milnor–Kähler \"K₂\"\n\t\\ é \u2028 \U0001d53d",
+              "empty_object": {}, "empty_array": [],
+              "nested": {"b": [1, {"a": [[], {}], "c": None}], "a": {"z": 0.25, "y": "\x00"}}}
+
+
+def test_loaded_odd_fields_are_written_as_json_dumps_writes_them(t2):
+    doc = json.loads(certificate_to_json(vanishing_certificate(t2, t2.element("1+t"), 2)))
+    for step in doc["steps"]:
+        step["payload"].update(ODD_FIELDS)
+        step["position"]["extra"] = ODD_FIELDS["nested"]
+    doc["steps"][0]["position"]["term"] = "x"
+    loaded = certificate_from_json(json.dumps(doc))
+    with pytest.raises(PositionInvalid):
+        loaded.steps[0].position["term"]
+    assert certificate_to_json(loaded) == json.dumps(doc, indent=1, sort_keys=True)
+
+
+def _written(value):
+    out = []
+    certify._write(value, out)
+    return "".join(out)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=25)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(value=_JSON_VALUES)
+def test_the_writer_writes_what_json_dumps_writes(value):
+    assert _written(value) == json.dumps(value, indent=1, sort_keys=True)
+
+
+def _atoms_of(cert):
+    """Every atom object of the certificate's states and step payloads."""
+    entries = [entry for comb in (cert.start, cert.goal, cert.claim_lhs, cert.claim_rhs)
+               for _, sym in comb.terms for entry in sym.entries]
+    pairs = [pair for entry in entries for pair in entry.atoms]
+    for step in cert.steps:
+        for key, value in step.payload.items():
+            if isinstance(value, Symbol):
+                pairs += [pair for entry in value.entries for pair in entry.atoms]
+            elif key == "atoms":
+                pairs += value
+    return {id(poly): poly for poly, _ in pairs}
+
+
+def _counting_polynomial_str(monkeypatch):
+    calls, real = [], laurent.polynomial_str
+    monkeypatch.setattr(laurent, "polynomial_str",
+                        lambda p, names: calls.append(p) or real(p, names))
+    return calls
+
+
+def test_each_atom_is_printed_once(monkeypatch):
+    m2 = alg(["x", "y"], ["x^2", "x*y", "y^2"])
+    cert = vanishing_certificate(m2, m2.element("1 + x"), 2)
+    calls = _counting_polynomial_str(monkeypatch)
+    text = certificate_to_json(cert)
+    atoms = _atoms_of(cert)
+    assert len(calls) == len(atoms) < sum(text.count(str(p)) for p in atoms.values())
+    assert certificate_to_json(cert) == text
+    str(cert.claim_lhs), str(cert.claim_rhs)  # the CLI's claim rows
+    assert len(calls) == len(atoms)
+
+
+def test_a_loaded_atom_is_printed_from_its_value_not_its_text(t2, monkeypatch):
+    """An atom written 1+t loads, and saves as t + 1: the loader keeps no text."""
+    text = certificate_to_json(vanishing_certificate(t2, t2.element("1+t"), 2))
+    assert '"t + 1"' in text
+    loaded = certificate_from_json(text.replace('"t + 1"', '"1+t"'))
+    calls = _counting_polynomial_str(monkeypatch)
+    assert certificate_to_json(loaded) == text
+    assert len(calls) == len(_atoms_of(loaded))

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1242,6 +1246,33 @@ def test_deeply_nested_certificate_exit_2(capsys, tmp_path, t3_eq8_doc, where):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert message in captured.err
+
+
+def _python(*argv):
+    """A fresh interpreter on this checkout's sources; the deep-payload test
+    depends on the stack depth at which the CLI runs, which pytest would add to."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("depth, code", [(984, 0), (985, 2)])
+def test_a_deep_step_payload_saves_as_it_loaded(tmp_path, t3_eq8_doc, depth, code):
+    """Under CPython 3.11's recursion limit of 1000, `python -m milnork`
+    loads a step payload 984 lists deep and refuses one 985 deep.  What it
+    loads it saves, one writer call per level, with the bytes of
+    json.dumps(indent=1, sort_keys=True)."""
+    t3_eq8_doc["steps"][0]["payload"]["deep"] = "DEEP"
+    path, saved = tmp_path / "deep.json", tmp_path / "saved.json"
+    path.write_text(json.dumps(t3_eq8_doc).replace('"DEEP"', "[" * depth + "]" * depth))
+    done = _python("-m", "milnork", "certify-eq8", "--load", str(path), "--save", str(saved))
+    assert done.returncode == code, done.stderr[-500:]
+    if code:
+        assert done.stderr == "input error: certificate JSON is nested too deeply\n"
+        return
+    dumped = _python("-c", "import json, sys; sys.stdout.write(json.dumps("
+                     "json.load(open(sys.argv[1])), indent=1, sort_keys=True))", str(path))
+    assert dumped.returncode == 0 and saved.read_text() == dumped.stdout
 
 
 @pytest.mark.parametrize("text, message", [

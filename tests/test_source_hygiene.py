@@ -1,8 +1,8 @@
 """Source hygiene of the milnork package, read with ast alone: every import
 is used, every definition is referenced, imports sit at module level, none
-is of dataclasses, no value is changed in place, and the certificate checker
-reads nothing of the crosscheck or the builders.  One more test imports the
-package cold, in a subprocess."""
+is of dataclasses, no value is changed in place, the certificate checker
+reads nothing of the crosscheck or the builders, and no json dump is
+indented.  One more test imports the package cold, in a subprocess."""
 
 import ast
 import subprocess
@@ -184,24 +184,30 @@ def test_no_value_is_changed_in_place(path):
     assert not changed
 
 
-def _is_self_key(node):
-    return (isinstance(node, ast.Attribute) and node.attr == "_key"
+# a value's cached slot -> the one method that fills it
+CACHES = {"_key": "key", "_str": "__str__"}
+
+
+def _is_self_cache(node):
+    return (isinstance(node, ast.Attribute) and node.attr in CACHES
             and isinstance(node.value, ast.Name) and node.value.id == "self")
 
 
-def _is_key_unset(test):
-    """`self._key is None`."""
-    return (isinstance(test, ast.Compare) and _is_self_key(test.left)
+def _unset_cache(test):
+    """The slot tested by `self.<slot> is None`, or None."""
+    if (isinstance(test, ast.Compare) and _is_self_cache(test.left)
             and [type(op) for op in test.ops] == [ast.Is]
             and isinstance(test.comparators[0], ast.Constant)
-            and test.comparators[0].value is None)
+            and test.comparators[0].value is None):
+        return test.left.attr
+    return None
 
 
-def _key_writes(node, function=None, guarded=False):
-    """(line, allowed) of each write to a `_key` attribute under node: an
-    assignment, augmented or not, a `del` or a setattr naming "_key".  Allowed
-    are `self._key = None` in __init__, and `self._key = ...` in key() under
-    `if self._key is None`."""
+def _key_writes(node, function=None, guarded=None):
+    """(line, allowed) of each write to a cached slot (`_key`, `_str`) under
+    node: an assignment, augmented or not, a `del` or a setattr naming the
+    slot.  Allowed are `self.<slot> = None` in __init__, and `self.<slot> =
+    ...` in the slot's method under `if self.<slot> is None`."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             yield from _key_writes(child, getattr(child, "name", None))
@@ -214,20 +220,22 @@ def _key_writes(node, function=None, guarded=False):
         elif isinstance(child, ast.Delete):
             targets = child.targets
         written = [t for target in targets for t in ast.walk(target)
-                   if isinstance(t, ast.Attribute) and t.attr == "_key"]
+                   if isinstance(t, ast.Attribute) and t.attr in CACHES]
         if written:
             value = getattr(child, "value", None)  # a del has none
             init = (function == "__init__" and isinstance(value, ast.Constant)
                     and value.value is None)
-            allowed = (isinstance(child, ast.Assign) and all(map(_is_self_key, written))
-                       and (init or (function == "key" and guarded)))
+            filled = all(t.attr == guarded and CACHES[t.attr] == function for t in written)
+            allowed = (isinstance(child, ast.Assign) and all(map(_is_self_cache, written))
+                       and (init or filled))
             yield child.lineno, allowed
-        if (isinstance(child, ast.Call) and any(isinstance(a, ast.Constant) and a.value == "_key"
+        if (isinstance(child, ast.Call) and any(isinstance(a, ast.Constant) and a.value in CACHES
                                                 for a in child.args)):
             yield child.lineno, False
-        if isinstance(child, ast.If) and _is_key_unset(child.test):
+        slot = _unset_cache(child.test) if isinstance(child, ast.If) else None
+        if slot:
             for stmt in child.body:
-                yield from _key_writes(ast.Module([stmt], []), function, True)
+                yield from _key_writes(ast.Module([stmt], []), function, slot)
             for stmt in child.orelse:
                 yield from _key_writes(ast.Module([stmt], []), function, guarded)
         else:
@@ -236,9 +244,10 @@ def _key_writes(node, function=None, guarded=False):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_key_caches_are_written_once(path):
-    """A value that keys itself keeps its key in `_key`: None from __init__,
-    then set once, in key(), under `if self._key is None`.  A reset or an
-    unguarded write elsewhere would let a shared value's key change."""
+    """A value that keys itself keeps its key in `_key`, and one that prints
+    itself once its string in `_str`: None from __init__, then set once, in
+    key() or __str__, under `if self.<slot> is None`.  A reset or an
+    unguarded write elsewhere would let a shared value's key or text change."""
     assert [f"{path.name}:{line}" for line, allowed in _key_writes(_tree(path))
             if not allowed] == []
 
@@ -275,6 +284,29 @@ class ElseBranch:
     writes = list(_key_writes(ast.parse(source)))
     assert writes == [(4, True), (8, True), (12, False), (13, False), (16, False),
                       (17, False), (18, False), (26, False)]
+
+
+def test_str_writes_are_found():
+    """The same rules hold for `_str`, filled only by __str__."""
+    source = '''
+class Printed:
+    def __init__(self):
+        self._key = self._str = None
+
+    def __str__(self):
+        if self._str is None:
+            self._str = "p"
+        if self._key is None:
+            self._str = "q"
+        return self._str
+
+    def key(self):
+        if self._str is None:
+            self._key = 1
+        self._str = None
+'''
+    assert list(_key_writes(ast.parse(source))) == [(4, True), (8, True), (10, False),
+                                                     (15, False), (16, False)]
 
 
 def _closure_builders(tree):
@@ -405,3 +437,39 @@ def test_trust_breaches_are_found():
         "check_certificate reads map_form", "check_certificate reads crosscheck_dlog",
         "check_certificate reads vanishing_from", "vanishing_from reads wedge",
         "certificate_from_json reads default_precision"]
+
+
+def _indented_json(tree):
+    """Lines of the json dump calls that pass `indent`, by keyword or by a
+    ** mapping that may hold it: indent makes CPython's json leave its C
+    encoder for the pure-Python one."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if (name in ("dump", "dumps", "JSONEncoder")
+                    and any(k.arg in ("indent", None) for k in node.keywords)):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_json_dump_is_indented(path):
+    """Certificates are written by certify._write, which gives the bytes of
+    json.dumps(indent=1, sort_keys=True) at about the C encoder's speed."""
+    assert [f"{path.name}:{line}" for line in _indented_json(_tree(path))] == []
+
+
+def test_indented_json_dumps_are_found():
+    source = '''
+import json
+from json import dumps
+json.dumps({}, sort_keys=True)
+json.dumps({}, indent=1, sort_keys=True)
+dumps([], indent=None)
+json.dump({}, fh, **options)
+json.JSONEncoder(indent=2).encode({})
+print("indent", json.loads("[]"), sep="")
+'''
+    assert _indented_json(ast.parse(source)) == [5, 6, 7, 8]
