@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -774,6 +775,13 @@ def certificate_from_json(text):
         doc = json.loads(text)
     except RecursionError:
         raise ParseError("certificate JSON is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(exc)) from None
+    except ValueError as exc:
+        if "int_max_str_digits" not in str(exc):  # not an integer past the digit limit
+            raise
+        raise ParseError("certificate JSON has an integer past the interpreter's digit limit "
+                         f"of {sys.get_int_max_str_digits()}") from None
     ctx = _field(doc, "context", dict)
     variables = _field(ctx, "variables", list, "context.")
     relations = _field(ctx, "relations", list, "context.")

@@ -5,7 +5,10 @@ def quote(value):
     """repr of a string or str of another value, bounded: past 60 characters,
     a string shows the repr of its first 60 and another value the first 60 of
     its str, then the length.  The str of a JSON value is its repr."""
-    text, show = (value, repr) if isinstance(value, str) else (str(value), str)
+    try:
+        text, show = (value, repr) if isinstance(value, str) else (str(value), str)
+    except ValueError:  # a number longer than the interpreter prints
+        return "a number past the interpreter's digit limit"
     return show(text) if len(text) <= 60 else f"{show(text[:60])}… ({len(text)} characters)"
 
 

@@ -15,7 +15,7 @@ import operator
 import re
 
 from .errors import ParseError, quote
-from .linalg import ZeroDenominator, rational
+from .linalg import rational
 from .poly import Polynomial
 
 # five parser frames per parenthesis, well inside the default recursion limit
@@ -37,9 +37,7 @@ def tokenize(text):
         if m.group(1):
             try:
                 tokens.append(("num", rational("".join(m.group(1).split()))))
-            except ZeroDenominator:
-                raise ParseError(f"zero denominator in {quote(text)}") from None
-            except ValueError as exc:  # a literal over the interpreter's digit limit
+            except ValueError as exc:  # 1/0, or a literal over the interpreter's digit limit
                 raise ParseError(f"{exc} in {quote(text)}") from None
         elif m.group(2):
             tokens.append(("name", m.group(2)))

@@ -77,7 +77,7 @@ class OmegaModule:
         since a leading monomial that divided it would divide m.  Reduction is a
         ring map, so these are the rows of the raw products."""
         A = self.algebra
-        if self.degree == 0 or not self.wedges:
+        if self.degree == 0:
             return
         table = wedge_table(A.nvars, 1, self.degree - 1)
         for g in A.groebner:

@@ -16,9 +16,10 @@ A[sigma]/sigma^N after the projection step.
 from __future__ import annotations
 
 import operator
+import sys
 
-from .algebra import ONE_COORDS, extension_name
-from .errors import AlgebraMismatch, NonUnitEntry, ParseError, PositionInvalid
+from .algebra import extension_name
+from .errors import AlgebraMismatch, NonUnitEntry, ParseError, PositionInvalid, quote
 from .expr import evaluate, polynomial_str
 from .linalg import Vector, add_to, rational
 from .poly import Polynomial, power
@@ -62,9 +63,6 @@ class LaurentPolynomial(Vector, space="algebra"):
                                  {d: c for d, c in self.coords.items() if d < order})
 
     def mul(self, other, order=None):
-        rest = self if other._is_one() else other if self._is_one() else None
-        if rest is not None and other.algebra is self.algebra:  # a factor 1 does no work
-            return rest if order is None else rest.truncate(order)
         res = {}
         for d1, c1 in self.coords.items():
             for d2, c2 in other.coords.items():
@@ -79,9 +77,6 @@ class LaurentPolynomial(Vector, space="algebra"):
         base = self if order is None else self.truncate(order)
         return power(base, k, lambda: LaurentPolynomial.constant(self.algebra, 1),
                      lambda a, b: a.mul(b, order))
-
-    def _is_one(self):
-        return len(self.coords) == 1 and 0 in self.coords and self.coords[0].coords == ONE_COORDS
 
     def key(self):
         """Computed once: a polynomial, its coords included, is never changed."""
@@ -129,6 +124,15 @@ class LaurentPolynomial(Vector, space="algebra"):
                         lambda a, k: charged(a.span() * k, cls.power, a, k))
 
 
+def _printable(q, what):
+    """q, an int or a Fraction, unless a part of it has more digits than the
+    interpreter prints: a checked state holding one raises PositionInvalid."""
+    big, limit = max(abs(q.numerator), q.denominator), sys.get_int_max_str_digits()
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise PositionInvalid(f"{what} has more than the interpreter's limit of {limit} digits")
+    return q
+
+
 def _check_atom(poly):
     if not poly or not poly.coords[poly.ord()].augmentation():
         raise NonUnitEntry(
@@ -149,7 +153,7 @@ class LaurentEntry:
             if exp == 0:
                 continue
             _check_atom(poly)
-            norm.append((poly, exp))
+            norm.append((poly, _printable(exp, "an atom exponent")))
         self.atoms = tuple(norm)
 
     def split(self, order=None):
@@ -183,8 +187,8 @@ class LaurentEntry:
         total = sum(exp for _, exp in atoms)
         if max(high - low, total) > EXPANSION_BUDGET:
             raise PositionInvalid(
-                f"expanding {LaurentEntry(self.algebra, atoms)} spans {high - low} "
-                f"sigma-degrees with total exponent {total}, over the budget of "
+                f"expanding {LaurentEntry(self.algebra, atoms)} spans {quote(high - low)} "
+                f"sigma-degrees with total exponent {quote(total)}, over the budget of "
                 f"{EXPANSION_BUDGET}")
         acc = None
         for poly, exp in atoms:
@@ -203,13 +207,8 @@ class LaurentEntry:
         return self._key
 
     def __str__(self):
-        if not self.atoms:
-            return "1"
-        parts = []
-        for poly, exp in self.atoms:
-            body = f"({poly})"
-            parts.append(body if exp == 1 else f"{body}^{exp}")
-        return "*".join(parts)
+        return "*".join(f"({poly})" if exp == 1 else f"({poly})^{exp}"
+                        for poly, exp in self.atoms) or "1"
 
 
 def entries_value_equal(e1, e2, order=None):
@@ -301,7 +300,8 @@ class SymbolCombination:
             k = sym.key()
             add_to(merged, k, coeff)
             keyed.setdefault(k, sym)
-        self.terms = tuple((merged[k], keyed[k]) for k in sorted(merged))
+        self.terms = tuple((_printable(merged[k], "a coefficient"), keyed[k])
+                           for k in sorted(merged))
 
     @classmethod
     def one_term(cls, algebra, degree, sym):
@@ -329,7 +329,7 @@ class SymbolCombination:
                                  [(c, s.truncate(order)) for c, s in self.terms])
 
     def key(self):
-        return tuple((str(c), s.key()) for c, s in self.terms)
+        return tuple((c, s.key()) for c, s in self.terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -338,6 +338,4 @@ class SymbolCombination:
         return isinstance(other, SymbolCombination) and self.key() == other.key()
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{s}" for c, s in self.terms)
+        return " + ".join(f"{c}*{s}" for c, s in self.terms) or "0"

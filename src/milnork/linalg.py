@@ -28,17 +28,13 @@ from .errors import quote
 _LITERAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
-class ZeroDenominator(ValueError):
-    """A literal such as 1/0: a ValueError, like every other bad number."""
-
-
 def rational(value):
     """The exact rational `value` as an int when it is whole, else as a
     Fraction.  Accepts ints, Fractions and literals such as ` -2/5 `; any
-    other string, such as `1.5`, `1_0` or the nine characters `1e9000000`,
-    raises ValueError, and `1/0` its subclass ZeroDenominator.  Any other
-    type raises TypeError: a float, since its binary expansion is not the
-    number it was meant as, and a bool or a Decimal, which no input passes."""
+    other string, such as `1.5`, `1_0`, `1/0` or the nine characters
+    `1e9000000`, raises ValueError.  Any other type raises TypeError: a
+    float, since its binary expansion is not the number it was meant as,
+    and a bool or a Decimal, which no input passes."""
     if value.__class__ is int:
         return value
     if isinstance(value, str):
@@ -52,7 +48,7 @@ def rational(value):
             raise ValueError(f"a number literal of {digits} digits is over the limit of "
                              f"{sys.get_int_max_str_digits()} digits") from None
         if not den:
-            raise ZeroDenominator(f"{quote(value)} has a zero denominator")
+            raise ValueError(f"{quote(value)} has a zero denominator")
         value = Fraction(num, den)
     elif value.__class__ is not Fraction:
         raise TypeError(f"{quote(value)} is a {type(value).__name__}; exact arithmetic needs "

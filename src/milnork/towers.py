@@ -10,6 +10,7 @@ Mittag-Leffler hypothesis for surjective systems), or vacuously at the top.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
 
 from .errors import InvalidSpec, ParseError
 from .linalg import RowSpace, rational, whole
@@ -54,9 +55,7 @@ class Tower(namedtuple("Tower", "dims maps")):
 
 
 def _mat_mul(a, b):
-    if not a or not b:
-        return tuple(tuple() for _ in a)
-    bt = list(zip(*b)) if b else []
+    bt = list(zip(*b))
     return tuple(
         tuple(rational(sum(x * y for x, y in zip(row, col))) for col in bt)
         for row in a
@@ -69,10 +68,7 @@ def _mat_rank(mat):
 
 def surjectivity_check(tower):
     """Per adjacent map: does it hit all of its target level?"""
-    out = []
-    for k, m in enumerate(tower.maps):
-        out.append(_mat_rank(m) == tower.dims[k])
-    return out
+    return [_mat_rank(m) == tower.dims[k] for k, m in enumerate(tower.maps)]
 
 
 class LevelStabilization(namedtuple("LevelStabilization",
@@ -140,13 +136,7 @@ def limit_dim(tower):
     true when the image chains stabilize at every level, meaning the window
     value survives any extension of the tower by isomorphisms.
     """
-    if tower.length == 0:
-        return LimitReport(0, True)
-    offsets = []
-    total = 0
-    for d in tower.dims:
-        offsets.append(total)
-        total += d
+    *offsets, total = accumulate(tower.dims, initial=0)
     space = RowSpace()
     for k, m in enumerate(tower.maps):
         for i in range(tower.dims[k]):

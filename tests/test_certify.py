@@ -356,6 +356,15 @@ def test_certificate_json_repeated_malformed_atom_raises_the_same_parse_error(t2
     assert str(loaded.value) == str(direct.value)
 
 
+def test_only_an_integer_past_the_digit_limit_is_named_so():
+    """Bytes that are not UTF-8 raise json's UnicodeDecodeError, a ValueError
+    that the loader does not call an over-long integer."""
+    with pytest.raises(UnicodeDecodeError):
+        certificate_from_json(b'{"context": "\xff"}')
+    with pytest.raises(ParseError, match="an integer past the interpreter's digit limit"):
+        certificate_from_json(b'{"context": ' + b"9" * 5000 + b"}")
+
+
 def test_certificate_annotations_mention_projection_assumption(Q):
     cert = vanishing_certificate(Q, 1, 1)
     assert any("Kerz" in note for note in cert.annotations)

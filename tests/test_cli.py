@@ -394,6 +394,97 @@ def test_certificate_not_an_object_exit_2(capsys, tmp_path):
     assert code == 2 and "input error" in err
 
 
+def _load_text(capsys, tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code = main(["certify-eq8", "--load", str(path), "--format", "record"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("text, first_line", [
+    # json's own message, as before
+    ("{'context': 1}", "input error: Expecting property name enclosed in double quotes: "
+                       "line 1 column 2 (char 1)"),
+    # was Python's digit-limit message, which names sys.set_int_max_str_digits()
+    ('{"context": {"n": ' + "9" * 5000 + "}}",
+     "input error: certificate JSON has an integer past the interpreter's digit limit of 4300"),
+], ids=["syntax", "long-integer"])
+def test_certificate_json_the_loader_cannot_read_is_a_parse_error(capsys, tmp_path, text,
+                                                                   first_line):
+    code, out, err = _load_text(capsys, tmp_path, text)
+    assert (code, err.splitlines()[0], len(out)) == (2, first_line, 0)
+    assert len(err.encode()) < 200
+
+
+def _t3_c1_doc(capsys, tmp_path, t3_spec):
+    """The saved eq8 certificate of Q[t]/t^3 at c = 1, n = 1."""
+    saved = tmp_path / "e8.json"
+    assert run(capsys, "certify-eq8", "--algebra", t3_spec, "--c", "1", "--n", "1",
+               "--save", str(saved))[0] == 0
+    return json.loads(saved.read_text())
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_a_step_past_the_digit_limit_fails_at_that_step(capsys, tmp_path, t3_spec, cut):
+    # its pack by 2 (step 14) replaced by two packs by 10^4000: the second
+    # makes an atom exponent of 8,001 digits.  Both documents used to exit 2
+    # with Python's digit-limit message, from the over-budget detail of step
+    # 16, or from state == goal when cut there.
+    doc = _t3_c1_doc(capsys, tmp_path, t3_spec)
+    assert doc["steps"][14]["payload"] == {"m": 2, "mode": "pack"}
+    doc["steps"][14]["payload"]["m"] = 10 ** 4000
+    doc["steps"][14:15] = [doc["steps"][14], json.loads(json.dumps(doc["steps"][14]))]
+    if cut:
+        del doc["steps"][16:]
+    code, out, err = _load_code(capsys, tmp_path, doc)
+    assert (code, err, len(out)) == (1, "", 901 if cut else 941)
+    assert ("certificate.valid=false\ncertificate.failure_index=15\n"
+            "certificate.failure_detail=an atom exponent has more than the interpreter's "
+            "limit of 4300 digits\n") in out
+    assert "certificate.step.15=torsion_scale:FAIL\n" in out
+
+
+@pytest.mark.parametrize("where, code, first_line, size", [
+    ("claim", 2, "input error: a coefficient has more than the interpreter's limit of 4300 digits",
+     0),
+    ("inserts", 1, "", 961),
+])
+def test_a_merged_coefficient_past_the_digit_limit_is_refused(capsys, tmp_path, t3_spec, where,
+                                                              code, first_line, size):
+    # two terms of one symbol, each of a legal 4,300-digit coefficient, merge
+    # into 4,301 digits; both documents used to exit 2 with Python's message
+    doc = _t3_c1_doc(capsys, tmp_path, t3_spec)
+    if where == "claim":
+        sym = doc["claim"]["lhs"][0][1]
+        doc["claim"]["lhs"] = [["BIG", sym], ["BIG", sym]]
+    else:
+        step = doc["steps"][0]
+        assert (step["rule"], step["payload"]["mode"]) == ("steinberg", "insert")
+        step["payload"]["coeff"] = "BIG"
+        doc["steps"][0:1] = [step, step]
+    code_, out, err = _load_text(capsys, tmp_path, json.dumps(doc).replace("BIG", "9" * 4300))
+    assert (code_, (err.splitlines() or [""])[0], len(out)) == (code, first_line, size)
+    if where == "inserts":
+        assert ("certificate.valid=false\ncertificate.failure_index=1\n"
+                "certificate.failure_detail=a coefficient has more than the interpreter's "
+                "limit of 4300 digits\n") in out
+
+
+def test_an_over_budget_sum_past_the_digit_limit_is_named_not_printed(capsys, tmp_path, t3_spec):
+    # two atoms of 4,300-digit exponents: their total exponent has 4,301
+    # digits, and printing it in the detail used to exit 2 with Python's message
+    doc = _t3_c1_doc(capsys, tmp_path, t3_spec)
+    step = doc["steps"][10]
+    assert step["rule"] == "entry_identity"
+    step["payload"]["atoms"] = [["1 + t", "BIG"], ["1 - t", "BIG"]]
+    code, out, err = _load_text(capsys, tmp_path, json.dumps(doc).replace('"BIG"', "9" * 4300))
+    assert (code, err, len(out)) == (1, "", 9581)
+    assert "certificate.failure_index=10\n" in out
+    assert (" spans 0 sigma-degrees with total exponent a number past the interpreter's digit "
+            "limit, over the budget of 128\n") in out
+
+
 def test_certificate_position_list_exit_2(capsys, q_spec, tmp_path):
     doc = _saved_doc(capsys, q_spec, tmp_path)
     doc["steps"][0]["position"] = [0]
@@ -524,6 +615,15 @@ def test_a_zero_denominator_in_a_cli_integer_is_a_usage_error(capsys, t3_spec, a
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert "invalid whole value: '1/0'" in captured.err and "Traceback" not in captured.err
+
+
+def test_a_zero_denominator_in_an_expression_is_an_input_error(capsys, t3_spec):
+    # was "input error: zero denominator in '1/0 + t'"; now the message of a
+    # spec order or a tower entry, with the expression after it
+    code = main(["certify-eq7", "--algebra", t3_spec, "--c", "1/0 + t", "--n", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.err.splitlines()[0], len(captured.out)) == (
+        2, "input error: '1/0' has a zero denominator in '1/0 + t'", 0)
 
 
 def test_a_zero_denominator_in_a_spec_order_is_an_input_error(capsys, tmp_path):

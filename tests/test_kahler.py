@@ -108,6 +108,17 @@ def test_omega_above_variable_count_is_zero():
     assert omega_module(A3, 2).dimension == 0
 
 
+@pytest.mark.parametrize("variables, relations, p", [
+    ([], [], 1), ([], [], 3), (["t"], ["t^3"], 2), (["t"], ["t^3"], 5),
+    (["x", "y"], ["x^2", "x*y", "y^2"], 3), (["x", "y"], ["x^2", "y^2"], 4),
+])
+def test_omega_above_variable_count_has_no_wedge_and_no_relation(variables, relations, p):
+    """No cell of the wedge table is usable, so the relation loop makes no row."""
+    M = omega_module(alg(variables, relations), p)
+    assert (M.wedges, M.free_dim, M.basis_cols, M.layout, M.dimension) == ((), 0, (), (), 0)
+    assert M._space.pivots == {}
+
+
 def test_omega2_square_zero():
     A = alg(["x", "y"], ["x^2", "x*y", "y^2"])
     M = omega_module(A, 2)

@@ -62,13 +62,13 @@ def _product_loop(p, q, order=None):
 
 
 def test_a_factor_one_is_the_other_side():
-    """A constant-1 side hands back the other side, truncated when an order
-    is given, and that equals the pair-by-pair product."""
+    """A constant-1 side gives the other side, truncated when an order is
+    given, and that equals the pair-by-pair product."""
     one = LaurentPolynomial.constant(T2, 1)
     p = lp({0: "2", 1: "1+t", 2: "2", 4: "t", 6: "1"})
     for a, b in ((p, one), (one, p), (one, one)):
         other = b if a is one else a
-        assert a.mul(b) is other and a.mul(b).coords == _product_loop(a, b)
+        assert a.mul(b).coords == _product_loop(a, b)
         for order in (0, 1, 3, 5, 7, 10):
             assert a.mul(b, order).coords == _product_loop(a, b, order)
             assert a.mul(b, order).coords == other.truncate(order).coords
@@ -173,6 +173,44 @@ def test_state_canonicalization():
     assert len(state2.terms) == 1 and state2.terms[0][0] == 1
 
 
+def test_combination_equality_compares_coefficients_as_numbers():
+    """The key holds each coefficient itself, in rational's one form."""
+    sym = Symbol((LaurentEntry(T2, [(LaurentPolynomial.sigma(T2), 1)]),) * 2)
+    halves = SymbolCombination(T2, 2, [("1/2", sym), (Fraction(1, 2), sym)])
+    assert halves.key() == ((1, sym.key()),) and halves.terms[0][0].__class__ is int
+    assert halves == SymbolCombination(T2, 2, [(Fraction(2, 2), sym)])
+    assert halves != SymbolCombination(T2, 2, [("2/3", sym)])
+
+
+def test_a_number_the_interpreter_cannot_print_is_refused_in_a_state():
+    """A checked state holds only numbers whose decimal form the interpreter
+    prints: an exponent or a coefficient part of 4,301 digits is refused."""
+    s = LaurentPolynomial.sigma(T2)
+    longest = 10 ** 4300 - 1  # 4,300 digits, the interpreter's default limit
+    assert LaurentEntry(T2, [(s, -longest)]).atoms == ((s, -longest),)
+    sym = Symbol((LaurentEntry(T2, [(s, 1)]),) * 2)
+    ((coeff, _),) = SymbolCombination(T2, 2, [(Fraction(1, longest), sym)]).terms
+    assert coeff.denominator == longest
+    # an over-budget detail quotes its sums bounded, and names one past the limit
+    two = lp({0: "2"})
+    with pytest.raises(PositionInvalid, match=r"total exponent 10{59}… \(71 characters\),"):
+        entry_is_one(LaurentEntry(T2, [(two, 10 ** 70)]))
+    with pytest.raises(PositionInvalid, match="total exponent a number past the interpreter's "
+                                              "digit limit, over the budget of 128"):
+        entry_is_one(LaurentEntry(T2, [(two, longest), (two + s, longest)]))
+    with pytest.raises(PositionInvalid, match="an atom exponent has more than the "
+                                              "interpreter's limit of 4300 digits"):
+        LaurentEntry(T2, [(s, -longest - 1)])
+    for coeff in (longest + 1, Fraction(1, longest + 1), Fraction(-longest - 1, 7)):
+        with pytest.raises(PositionInvalid, match="a coefficient has more than"):
+            SymbolCombination(T2, 2, [(coeff, sym)])
+    # the merged sum is checked, not each term: two of 4,300 digits make 4,301
+    with pytest.raises(PositionInvalid, match="a coefficient has more than"):
+        SymbolCombination(T2, 2, [(longest, sym), (longest, sym)])
+    assert SymbolCombination(T2, 2, [(longest, sym), (1, sym), (-1, sym)]).terms == (
+        (longest, sym),)
+
+
 def test_symbol_and_entry_keys_are_computed_once():
     """A symbol and an entry never change, so each computes its key once: a
     second call returns the same object, equal to the key of a rebuilt value."""
@@ -197,6 +235,16 @@ def test_symbols_and_combinations_stay_in_one_algebra():
     terms = [(1, Symbol((e2, e2)))]
     merged = SymbolCombination(T2, 2, terms + terms)
     assert merged.key() == SymbolCombination(T2, 2, [(2, Symbol((e2, e2)))]).key()
+
+
+def test_a_laurent_product_stays_in_one_algebra():
+    """The convolution multiplies elements, so a side of another algebra is
+    refused, a constant 1 included."""
+    for a, b in ((LaurentPolynomial.constant(T2, 1), LaurentPolynomial.sigma(T3)),
+                 (LaurentPolynomial.sigma(T2), LaurentPolynomial.constant(T3, 1))):
+        for order in (None, 3):
+            with pytest.raises(AlgebraMismatch):
+                a.mul(b, order)
 
 
 def test_equality_is_by_value_within_one_algebra():

@@ -2,9 +2,11 @@
 is used, every definition is referenced, imports sit at module level, none
 is of dataclasses, no value is changed in place, the certificate checker
 reads nothing of the crosscheck or the builders, and no json dump is
-indented.  One more test imports the package cold, in a subprocess."""
+indented.  Two more tests import the package: every exception class it
+defines is a MilnorkError, and it imports cold, in a subprocess."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from milnork.algebra import AlgebraElement
+from milnork.errors import MilnorkError
 from milnork.kahler import DifferentialForm
 from milnork.laurent import LaurentPolynomial
 from milnork.linalg import Vector
@@ -473,3 +476,57 @@ json.JSONEncoder(indent=2).encode({})
 print("indent", json.loads("[]"), sep="")
 '''
     assert _indented_json(ast.parse(source)) == [5, 6, 7, 8]
+
+
+
+def _untyped_exceptions(namespace, module):
+    """Names of the exception classes that `module` defines in `namespace`
+    but that do not derive from MilnorkError."""
+    return [name for name, value in namespace.items()
+            if isinstance(value, type) and value.__module__ == module
+            and issubclass(value, BaseException) and not issubclass(value, MilnorkError)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__main__"],
+                         ids=lambda p: p.name)
+def test_every_exception_is_a_milnork_error(path):
+    """Every exception the package defines derives from MilnorkError, which
+    cli.main answers with exit 2, so none is a bare ValueError in disguise.
+    __main__ runs the CLI when imported, and defines no class."""
+    name = "milnork" if path.stem == "__init__" else f"milnork.{path.stem}"
+    module = importlib.import_module(name)
+    assert _untyped_exceptions(vars(module), module.__name__) == []
+
+
+def test_untyped_exceptions_are_found():
+    source = '''
+import json
+from milnork.errors import MilnorkError, ParseError
+
+
+class Typed(ParseError):
+    pass
+
+
+class TypedToo(MilnorkError, ValueError):
+    pass
+
+
+class Bad(ValueError):
+    pass
+
+
+class Worse(Bad):
+    pass
+
+
+class Dotted(json.JSONDecodeError):
+    pass
+
+
+class Plain:
+    pass
+'''
+    namespace = {"__name__": "planted"}
+    exec(source, namespace)
+    assert _untyped_exceptions(namespace, "planted") == ["Bad", "Worse", "Dotted"]

@@ -123,3 +123,26 @@ def test_monotone_under_injective_append():
     base = Tower.build([2, 2], [[[1, 0], [0, 1]]])
     grown = Tower.build([2, 2, 2], [[[1, 0], [0, 1]], [[1, 0], [0, 1]]])
     assert limit_dim(grown).dim <= limit_dim(base).dim
+
+
+def test_a_tower_of_no_levels_has_a_stabilized_zero_limit():
+    T = Tower.build([], [])
+    assert limit_dim(T) == (0, True)
+    assert ml_window_check(T) == [] and surjectivity_check(T) == []
+
+
+@pytest.mark.parametrize("dims, maps, ranks, offsets, limit", [
+    ([2, 0, 2], [[[], []], []], [(0, 0), (0,), ()], [0, 0, 0], (2, True)),
+    ([0, 2, 1], [[], [[1], [1]]], [(0, 0), (1,), ()], [0, 0, 0], (1, False)),
+    ([1, 0], [[[]]], [(0,), ()], [0, 0], (0, False)),
+    ([0], [], [()], [0], (0, True)),
+    ([2, 1, 0, 1], [[[1], [0]], [[]], []], [(1, 0, 0), (0, 0), (0,), ()], [1, 0, 0, 0],
+     (1, True)),
+])
+def test_a_level_of_dimension_zero_goes_through_the_general_loops(dims, maps, ranks, offsets,
+                                                                   limit):
+    """Products through a zero-dimensional level are zero-width matrices, of rank 0."""
+    T = Tower.build(dims, maps)
+    reports = ml_window_check(T)
+    assert [r.ranks for r in reports] == ranks and [r.offset for r in reports] == offsets
+    assert limit_dim(T) == limit
