@@ -15,16 +15,9 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 from itertools import count, product
 
-from .errors import (
-    AlgebraMismatch,
-    InvalidSpec,
-    NameCollision,
-    NotArtinian,
-    NotAUnit,
-    NotLocal,
-)
+from .errors import AlgebraMismatch, InvalidSpec, NotArtinian, NotAUnit, NotLocal, ParseError, quote
 from .expr import evaluate, monomial_str, parse_polynomial, polynomial_str
-from .linalg import Vector, add_to, rational
+from .linalg import Vector, add_to, printable, rational
 from .poly import (
     Polynomial,
     degrevlex_key,
@@ -147,7 +140,7 @@ class Algebra:
         self.names = spec.variables
         self.nvars = len(self.names)
         # (leading monomial, polynomial) per Groebner element, sorted: reduce_mono's
-        # divisors, and what an extension sorts by (a TruncatedExtension's too)
+        # divisors.  Empty for A[s]/s^N, whose reduce_mono is A's, placed in its layer
         self._leads = tuple(leads)
         self.groebner = tuple(g for _, g in self._leads)
         self.basis = tuple(basis)  # ascending degrevlex; basis[0] == 1
@@ -214,7 +207,9 @@ class Algebra:
 
         Strings are evaluated with this algebra's arithmetic, which reduces
         after every operation, so the work is bounded by the dimension and
-        not by how far the expression would expand over Q[vars].
+        not by how far the expression would expand over Q[vars].  A string
+        whose value holds a number longer than the interpreter prints raises
+        ParseError.
         """
         if isinstance(value, AlgebraElement):
             if value.algebra is not self:
@@ -223,8 +218,10 @@ class Algebra:
         if isinstance(value, (int, Fraction, float)):
             q = rational(value)
             return AlgebraElement(self, {0: q} if q else {})
-        return evaluate(value, self.names, self.element,
-                        lambda i: self.variable(self.names[i]))
+        e = evaluate(value, self.names, self.element, lambda i: self.variable(self.names[i]))
+        for q in e.coords.values():
+            printable(q, ParseError, f"a number in {quote(value)}")
+        return e
 
     @property
     def one(self):
@@ -412,20 +409,16 @@ class TruncatedExtension(Algebra):
     G_A involves no s, so its leading terms are coprime to s^N and
     G_A + {s^N} is already B's reduced Groebner basis; the staircase is the
     product of A's with 1, s, ..., s^(N-1), ordered as a s^k by (deg a + k, -k,
-    index of a), degrevlex with s last.  B's ring is A: normal forms and basis
+    index of a), degrevlex with s last.  B stores no Groebner basis: its
+    reduce_mono is the closed form.  B's ring is A: normal forms and basis
     products are A's, from A's product table, placed at the sum of the
     s-exponents, and zero at or above s^N.
     """
 
     def __init__(self, spec, base, order):
-        s_power = (0,) * base.nvars + (order,)  # s^N, its own leading monomial
-        leads = sorted([(lm + (0,), {m + (0,): c for m, c in g.coords.items()})
-                        for lm, g in base._leads] + [(s_power, {s_power: 1})],
-                       key=lambda lead: degrevlex_key(lead[0]))
         layout = tuple((a, -neg_k) for _, neg_k, a in sorted(
             (sum(m) + k, -k, a) for a, m in enumerate(base.basis) for k in range(order)))
-        super().__init__(spec, [base.basis[a] + (k,) for a, k in layout],
-                         [(lm, Polynomial(base.nvars + 1, terms)) for lm, terms in leads])
+        super().__init__(spec, [base.basis[a] + (k,) for a, k in layout], ())
         self.base, self.ring, self.ext_name, self.ext_order = base, base, spec.distinguished, order
         place = [[None] * base.dimension for _ in range(order)]
         for i, (a, k) in enumerate(layout):
@@ -442,9 +435,8 @@ class TruncatedExtension(Algebra):
 
 def truncated_extension(algebra, name, order):
     """A[name]/name^order in closed form (see TruncatedExtension), once per
-    (name, order); A is included coordinate-wise."""
-    if name in algebra.names:
-        raise NameCollision(f"variable {name!r} already present")
+    (name, order); A is included coordinate-wise.  A name that A already has
+    makes the spec's names repeat, which AlgebraSpec refuses."""
     return derived_algebra(algebra, algebra.names + (name,),
                            algebra.spec.relations + (f"{name}^{order}",), name,
                            TruncatedExtension, algebra, order)
@@ -492,14 +484,6 @@ def sigma_layers(e):
         a, k = B._layout[i]
         layers[k][a] = c
     return [AlgebraElement(B.base, layer) for layer in layers]
-
-
-def from_sigma_layers(B, layers):
-    """sum c_k sigma^k in B from {k: c_k}, 0 <= k < N: the inverse of sigma_layers."""
-    if any(c.algebra is not B.base for c in layers.values()):
-        raise AlgebraMismatch("layer coefficients do not live in the base algebra")
-    return AlgebraElement(B, {B._place[k][a]: v for k, c in layers.items()
-                              for a, v in c.coords.items()})
 
 
 def quotient_mod_variable(algebra, name):

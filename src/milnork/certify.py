@@ -45,10 +45,10 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 from .algebra import (
+    AlgebraElement,
     AlgebraSpec,
     build_algebra,
     extension_name,
-    from_sigma_layers,
     truncated_extension,
 )
 from .errors import (
@@ -185,15 +185,12 @@ class Replay:
 
     def rewrite(self, rule, position, payload):
         """Apply a step built here.  A term of `position` may be named by its
-        entries' atom lists; the step records that term's index."""
+        entries' atom lists; the step records that term's index, or None when
+        the state lacks it, which check_step refuses as a bad field."""
         state = self.states[-1].state
-        named = {}
-        for key in ("term", "term2"):
-            if key in position and not isinstance(position[key], int):
-                sym = Symbol.from_atoms(state.algebra, position[key])
-                named[key] = state.find(sym.key())
-                if named[key] is None:
-                    raise PositionInvalid(f"term {sym} not present in the working state")
+        named = {key: state.find(Symbol.from_atoms(state.algebra, position[key]).key())
+                 for key in ("term", "term2")
+                 if key in position and not isinstance(position[key], int)}
         self.apply(RewriteStep(rule, {**position, **named}, payload))
 
 
@@ -599,12 +596,11 @@ class ExtendedRealizer:
 
 def lift_laurent(poly, ring, shift=0):
     """sigma^(-shift) * poly in the truncation ring A[sigma]/sigma^N, for an
-    atom poly of sigma-order at least `shift`."""
-    k = poly.maxdeg() - shift
-    if k >= ring.ext_order:
-        raise PrecisionInsufficient(
-            f"atom needs sigma^{k}; raise the precision above {ring.ext_order}")
-    return from_sigma_layers(ring, {deg - shift: c for deg, c in poly.coords.items()})
+    atom poly over A of sigma-order at least `shift`, each coefficient placed
+    in its layer.  crosscheck_dlog has refused every precision at which an
+    atom's sigma-span reaches N."""
+    return AlgebraElement(ring, {ring._place[deg - shift][a]: q for deg, c in poly.coords.items()
+                                 for a, q in c.coords.items()})
 
 
 class CrosscheckReport(namedtuple("CrosscheckReport",
@@ -664,10 +660,12 @@ def crosscheck_dlog(cert, precision=None):
     symbols = {id(sym): sym for st in states for _, sym in st.terms}.values()
     max_span = max((poly.span() for sym in symbols for entry in sym.entries
                     for poly, _ in entry.atoms), default=0)
-    need = max(2, 3 * max_span)  # 3 * span >= span + 1 once span >= 1
+    need, why = max(2, 3 * max_span), f"atoms of sigma-span {max_span}"  # 3 * span >= span + 1
+    # a truncated state is read in A[s]/s^(n+2), which A[s]/s^(N+1) must map onto
+    if run.states[-1].order is not None and n + 1 > need:
+        need, why = n + 1, f"the truncation at sigma^{n + 1} (n + 1)"
     if N < need:
-        raise PrecisionInsufficient(
-            f"precision {N} too small for atoms of sigma-span {max_span}; need at least {need}")
+        raise PrecisionInsufficient(f"precision {N} too small for {why}; need at least {need}")
 
     A = cert.context.algebra
     realizer = shared_realizer(A, N)

@@ -41,10 +41,6 @@ class NotAUnit(MilnorkError):
     pass
 
 
-class NameCollision(MilnorkError):
-    pass
-
-
 class AlgebraMismatch(MilnorkError):
     pass
 

@@ -24,7 +24,7 @@ from functools import cache
 from itertools import combinations
 
 from .algebra import AlgebraElement, derived_algebra, extension_name, invert_unit
-from .errors import AlgebraMismatch, NotAUnit, OutOfDomain
+from .errors import AlgebraMismatch, OutOfDomain
 from .expr import monomial_str
 from .linalg import RowSpace, Vector, add_to
 from .report import field_rows
@@ -177,15 +177,6 @@ class DifferentialForm(Vector, space="module"):
         return M.form(A._product(element.coords, A._scalars, self.coords, M.layout,
                                  wedge_table(A.nvars, 0, M.degree), len(M.wedges)))
 
-    def __str__(self):
-        if not self.coords:
-            return "0"
-        parts = []
-        for i in sorted(self.coords):
-            c = self.coords[i]
-            parts.append(f"({c})*[{self.module.label(i)}]")
-        return " + ".join(parts)
-
 
 def omega_module(algebra, p):
     """Omega^p of the algebra over Q, built once per algebra."""
@@ -226,13 +217,12 @@ def wedge(f, g):
 
 
 def dlog(u):
-    """dlog(u) = du * u^{-1}, a 1-form; requires u to be a unit.
+    """dlog(u) = du * u^{-1}, a 1-form; requires u to be a unit, or
+    invert_unit raises NotAUnit.
 
     Memoized per algebra on u's key: elements and forms are immutable, so
     every caller may share the one form.
     """
-    if not u.augmentation():
-        raise NotAUnit(f"dlog of non-unit {u}")
     return u.algebra.memo("dlog", u.key(), _dlog, u)
 
 

@@ -16,12 +16,11 @@ A[sigma]/sigma^N after the projection step.
 from __future__ import annotations
 
 import operator
-import sys
 
 from .algebra import extension_name
 from .errors import AlgebraMismatch, NonUnitEntry, ParseError, PositionInvalid, quote
 from .expr import evaluate, polynomial_str
-from .linalg import Vector, add_to, rational
+from .linalg import Vector, add_to, printable, rational
 from .poly import Polynomial, power
 
 
@@ -103,7 +102,9 @@ class LaurentPolynomial(Vector, space="algebra"):
         """`text` evaluated over A[sigma], sigma named by extension_name, with
         each coefficient reduced in A after every operation.  Each product and
         power is charged the sigma-span of its result, and the one whose charge
-        passes EXPANSION_BUDGET for the string raises ParseError unexpanded."""
+        passes EXPANSION_BUDGET for the string raises ParseError unexpanded.  So
+        does a value holding a coefficient or sigma-degree longer than the
+        interpreter prints, which a power of a span-0 atom reaches uncharged."""
         names = algebra.names + (extension_name(algebra),)
         spent = [0]  # every product and power in the string is charged against one budget
 
@@ -119,18 +120,13 @@ class LaurentPolynomial(Vector, space="algebra"):
                 return cls.sigma(algebra)
             return cls(algebra, {0: algebra.variable(names[i])})
 
-        return evaluate(text, names, lambda q: cls.constant(algebra, q), variable,
+        poly = evaluate(text, names, lambda q: cls.constant(algebra, q), variable,
                         lambda a, b: charged(a.span() + b.span(), cls.mul, a, b),
                         lambda a, k: charged(a.span() * k, cls.power, a, k))
-
-
-def _printable(q, what):
-    """q, an int or a Fraction, unless a part of it has more digits than the
-    interpreter prints: a checked state holding one raises PositionInvalid."""
-    big, limit = max(abs(q.numerator), q.denominator), sys.get_int_max_str_digits()
-    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
-        raise PositionInvalid(f"{what} has more than the interpreter's limit of {limit} digits")
-    return q
+        for deg, c in poly.coords.items():
+            for q in (deg, *c.coords.values()):
+                printable(q, ParseError, f"a number in {quote(text)}")
+        return poly
 
 
 def _check_atom(poly):
@@ -153,7 +149,8 @@ class LaurentEntry:
             if exp == 0:
                 continue
             _check_atom(poly)
-            norm.append((poly, _printable(exp, "an atom exponent")))
+            # a checked state holding a number the interpreter cannot print fails its step
+            norm.append((poly, printable(exp, PositionInvalid, "an atom exponent")))
         self.atoms = tuple(norm)
 
     def split(self, order=None):
@@ -187,7 +184,7 @@ class LaurentEntry:
         total = sum(exp for _, exp in atoms)
         if max(high - low, total) > EXPANSION_BUDGET:
             raise PositionInvalid(
-                f"expanding {LaurentEntry(self.algebra, atoms)} spans {quote(high - low)} "
+                f"expanding {quote(LaurentEntry(self.algebra, atoms))} spans {quote(high - low)} "
                 f"sigma-degrees with total exponent {quote(total)}, over the budget of "
                 f"{EXPANSION_BUDGET}")
         acc = None
@@ -300,7 +297,7 @@ class SymbolCombination:
             k = sym.key()
             add_to(merged, k, coeff)
             keyed.setdefault(k, sym)
-        self.terms = tuple((_printable(merged[k], "a coefficient"), keyed[k])
+        self.terms = tuple((printable(merged[k], PositionInvalid, "a coefficient"), keyed[k])
                            for k in sorted(merged))
 
     @classmethod

@@ -56,6 +56,15 @@ def rational(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def printable(q, error, what):
+    """q, an int or a Fraction, unless its numerator or denominator has more
+    digits than the interpreter prints: then `error`, which names `what`."""
+    big, limit = max(abs(q.numerator), q.denominator), sys.get_int_max_str_digits()
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise error(f"{what} has more than the interpreter's limit of {limit} digits")
+    return q
+
+
 def whole(value):
     """`rational(value)` when it is whole; `1/2` or `1_0`, say, raise ValueError."""
     q = rational(value)

@@ -16,7 +16,6 @@ from milnork.algebra import (
 from milnork.errors import (
     AlgebraMismatch,
     InvalidSpec,
-    NameCollision,
     NotArtinian,
     NotAUnit,
     NotLocal,
@@ -155,7 +154,7 @@ def test_truncated_extension(t3):
     assert set(e.monomial_strings()) == {"1", "t", "sigma", "t*sigma"}
     degenerate = truncated_extension(t3, "sigma", 1)
     assert degenerate.dimension == t3.dimension
-    with pytest.raises(NameCollision):
+    with pytest.raises(InvalidSpec, match="variable names must be unique"):
         truncated_extension(t3, "t", 2)
 
 

@@ -73,6 +73,16 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+def test_repeated_variable_names_exit_2(capsys, tmp_path):
+    # the one check of repeated names, for a spec and for A[s]/s^N alike
+    spec = tmp_path / "tt.spec"
+    spec.write_text("variables: t, t\nrelations: t^3\n")
+    code = main(["algebra-info", "--algebra", str(spec)])
+    captured = capsys.readouterr()
+    assert (code, captured.err.splitlines()[0], len(captured.out)) == (
+        2, "input error: variable names must be unique", 0)
+
+
 def test_bad_algebra_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.spec"
     bad.write_text("variables: x\nrelations: x^2 - x\n")
@@ -330,6 +340,34 @@ def test_precision_requirement_is_the_one_it_quotes(capsys, tmp_path, t3_eq8_doc
                        "of sigma-span 0; need at least 2\n")
 
 
+@pytest.mark.parametrize("precision, code, first_line, size", [
+    ("3", 2, "input error: precision 3 too small for the truncation at sigma^11 (n + 1); "
+             "need at least 11", 0),
+    ("10", 2, "input error: precision 10 too small for the truncation at sigma^11 (n + 1); "
+              "need at least 11", 0),
+    ("11", 0, "", 365),
+    (None, 0, "", 365),
+])
+def test_a_projection_needs_precision_n_plus_one(capsys, tmp_path, t3_eq8_doc, precision, code,
+                                                  first_line, size):
+    # atoms of sigma-span 1 need only 3, but a truncated state is read in
+    # A[s]/s^(n+2), which the realizer's A[s]/s^(N+1) must map onto: below
+    # n + 1 this exited 2 with map_form's own message
+    state = [["1", [[["1 - sigma", 1]], [["1 + t", 1]]]]]
+    t3_eq8_doc["context"]["n"] = 10
+    t3_eq8_doc.update(start=state, goal=state, claim={"lhs": state, "rhs": state,
+                                                      "linkage": "direct"},
+                      steps=[{"rule": "projection", "position": {}, "payload": {"order": 11}}])
+    path = tmp_path / "projected.json"
+    path.write_text(json.dumps(t3_eq8_doc))
+    code_ = main(["certify-eq8", "--load", str(path), "--format", "record"]
+                 + (["--precision", precision] if precision else []))
+    captured = capsys.readouterr()
+    assert (code_, (captured.err.splitlines() or [""])[0], len(captured.out)) == (
+        code, first_line, size)
+    assert code or "certificate.valid=true\n" in captured.out
+
+
 def test_certify_precision_above_cap_exit_2(capsys, t3_spec, monkeypatch):
     monkeypatch.setattr(certify, "ExtendedRealizer", None)  # rejected before any ring
     code = main(["certify-eq7", "--algebra", t3_spec, "--c", "1+t", "--n", "2",
@@ -479,10 +517,42 @@ def test_an_over_budget_sum_past_the_digit_limit_is_named_not_printed(capsys, tm
     assert step["rule"] == "entry_identity"
     step["payload"]["atoms"] = [["1 + t", "BIG"], ["1 - t", "BIG"]]
     code, out, err = _load_text(capsys, tmp_path, json.dumps(doc).replace('"BIG"', "9" * 4300))
-    assert (code, err, len(out)) == (1, "", 9581)
+    assert (code, err, len(out)) == (1, "", 1042)
     assert "certificate.failure_index=10\n" in out
+    # the expanded entry is quoted: it was printed whole, 8,618 characters
+    assert "=expanding (t + 1)^" + "9" * 52 + "… (8618 characters) spans 0 " in out
     assert (" spans 0 sigma-degrees with total exponent a number past the interpreter's digit "
             "limit, over the budget of 128\n") in out
+
+
+_LONG_SIGMA_POWER = "(sigma^{0})^{0}".format(10 ** 2200)
+
+
+@pytest.mark.parametrize("where, quoted", [
+    ("--c", "'2^20000'"),
+    ("context.c", "'2^20000'"),
+    ("claim.lhs", f"{_LONG_SIGMA_POWER[:60]!r}… (4411 characters)"),
+])
+def test_an_input_value_past_the_digit_limit_is_refused_where_it_is_read(capsys, tmp_path,
+                                                                          t3_spec, where, quoted):
+    # a value no literal spells: 2^20000 has 6,021 digits, and (sigma^N)^N with
+    # N = 10^2200 the sigma-degree 10^4400, which no span charge bounds.  Each
+    # exited 2 with Python's digit-limit message while the report printed; a
+    # loaded context.c was valid (exit 0) and failed only on --save
+    if where == "--c":
+        code = main(["certify-eq7", "--algebra", t3_spec, "--c", "2^20000", "--n", "1"])
+        captured = capsys.readouterr()
+        out, err = captured.out, captured.err
+    else:
+        doc = _t3_c1_doc(capsys, tmp_path, t3_spec)
+        if where == "context.c":
+            doc["context"]["c"] = "2^20000"
+        else:
+            doc["claim"]["lhs"] = [["1", [[[_LONG_SIGMA_POWER, 1]], [["1 + t", 1]]]]]
+        code, out, err = _load_code(capsys, tmp_path, doc)
+    assert (code, err.splitlines()[0], len(out)) == (
+        2, f"input error: a number in {quoted} has more than the interpreter's limit of "
+           "4300 digits", 0)
 
 
 def test_certificate_position_list_exit_2(capsys, q_spec, tmp_path):
@@ -509,6 +579,13 @@ def test_tau_command(capsys, tmp_path):
     assert code == 0
     assert "tau.surjective=true" in out
     assert "tau.compatible=true" in out
+
+
+def test_tau_needs_a_sigma_variable(capsys, t3_spec):
+    code = main(["tau", "--algebra", t3_spec, "--n", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.err.splitlines()[0], len(captured.out)) == (
+        2, "input error: the algebra does not designate a sigma variable", 0)
 
 
 def test_tau_not_multiplicative_exit_1(capsys, tmp_path):

@@ -20,7 +20,6 @@ from milnork.algebra import (
     AlgebraSpec,
     TruncatedExtension,
     build_algebra,
-    from_sigma_layers,
     invert_unit,
     sigma_layers,
     truncated_extension,
@@ -55,7 +54,6 @@ def _generic(A, name, N):
 
 
 def _assert_same_ring(B, G):
-    assert B.groebner == G.groebner
     assert B.basis == G.basis
     assert B.dimension == B.base.dimension * B.ext_order
     bound = [max(m[i] for m in B.basis) + 2 for i in range(B.nvars)]
@@ -91,7 +89,7 @@ def test_ring_and_omega_match_generic(A):
     for N in (1, 2, 5, 12):
         B = truncated_extension(A, "sigma", N)
         G = _generic(A, "sigma", N)
-        assert B.groebner == G.groebner and B.basis == G.basis, N
+        assert B.basis == G.basis, N
         if N <= 5:
             _assert_same_ring(B, G)
         rng = random.Random(N * 1000 + B.dimension)
@@ -182,7 +180,8 @@ def _unit(B, rng):
                                   for i in support})
 
     degrees = {0, 1, *rng.sample(range(1, B.ext_order), 2)} if B.ext_order > 2 else range(B.ext_order)
-    return from_sigma_layers(B, {k: layer() for k in degrees})
+    return AlgebraElement(B, {B._place[k][a]: q for k in degrees
+                              for a, q in layer().coords.items()})
 
 
 @pytest.mark.parametrize("A", ALGEBRAS, ids=IDS)

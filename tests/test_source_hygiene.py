@@ -1,8 +1,8 @@
 """Source hygiene of the milnork package, read with ast alone: every import
 is used, every definition is referenced, imports sit at module level, none
 is of dataclasses, no value is changed in place, the certificate checker
-reads nothing of the crosscheck or the builders, and no json dump is
-indented.  Two more tests import the package: every exception class it
+reads nothing of the crosscheck or the builders, no json dump is
+indented, and every error class is raised somewhere.  Two more tests import the package: every exception class it
 defines is a MilnorkError, and it imports cold, in a subprocess."""
 
 import ast
@@ -530,3 +530,72 @@ class Plain:
     namespace = {"__name__": "planted"}
     exec(source, namespace)
     assert _untyped_exceptions(namespace, "planted") == ["Bad", "Worse", "Dotted"]
+
+
+def _raised_names(tree):
+    """The names a module's `raise` statements raise: `raise E`, `raise E(...)`,
+    or either through a module attribute, as `errors.E`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return names
+
+
+def _unraised_error_classes(errors_tree, trees):
+    """The classes errors.py defines, other than the base MilnorkError, that no
+    `raise` in `trees` names."""
+    raised = set().union(*map(_raised_names, trees))
+    return [node.name for node in errors_tree.body
+            if isinstance(node, ast.ClassDef) and node.name != "MilnorkError"
+            and node.name not in raised]
+
+
+def test_every_error_class_is_raised():
+    """An error class that no raise names is dead: the check that raised it
+    went, and the class stayed behind."""
+    assert _unraised_error_classes(_tree(PACKAGE / "errors.py"), map(_tree, MODULES)) == []
+
+
+def test_unraised_error_classes_are_found():
+    errors = ast.parse('''
+class MilnorkError(Exception):
+    pass
+
+
+class Raised(MilnorkError):
+    pass
+
+
+class Called(MilnorkError):
+    pass
+
+
+class Dotted(MilnorkError):
+    pass
+
+
+class Imported(MilnorkError):
+    pass
+
+
+class Unnamed(MilnorkError):
+    pass
+''')
+    module = ast.parse('''
+from . import errors
+from .errors import Called, Imported, Raised
+
+
+def f(x):
+    if x:
+        raise Raised
+    try:
+        raise Called(f"{x}")
+    except Called:
+        raise
+    raise errors.Dotted("no") from None
+    return Imported
+''')
+    assert _unraised_error_classes(errors, [module]) == ["Imported", "Unnamed"]
