@@ -326,6 +326,9 @@ def build_algebra(spec):
     """
     nvars = len(spec.variables)
     rels = [parse_polynomial(r, spec.variables) for r in spec.relations]
+    for r, p in zip(spec.relations, rels):
+        for q in p.coords.values():
+            printable(q, ParseError, f"a number in {quote(r)}")
     gb = buchberger(rels)
     leads = [m for m, _ in gb]
     if any(sum(m) == 0 for m in leads):

@@ -28,10 +28,11 @@ States before the projection step live over exact Laurent polynomials; after
 it, all products are truncated.  check_certificate reads its verdict from the
 one replay of the steps.  The independent soundness monitor crosscheck_dlog
 realizes every intermediate state as an honest 2-form, a symbol {e1, e2} as
-sigma * dlog e1 ^ dlog e2 in a high-precision truncation ring, and verifies
-that each step preserves the form exactly.  That comparison is
-ExtendedRealizer.agreement, the one loop shared with the suite's
-rule-soundness grid, which runs each of its instances as a one-step replay.
+sigma * dlog e1 ^ dlog e2 in a high-precision truncation ring, or after the
+projection in A[sigma]/sigma^(n+2), and verifies that each step preserves
+the form exactly.  That comparison is ExtendedRealizer.agreement, the one
+loop shared with the suite's rule-soundness grid, which runs each of its
+instances as a one-step replay.
 """
 
 from __future__ import annotations
@@ -527,7 +528,7 @@ def vanishing_certificate(algebra, c, n):
 
 
 class ExtendedRealizer:
-    """Realize Laurent states honestly in Omega^2 of R = A[s]/s^(N+1).
+    """Realize checked states honestly in Omega^2 of R = A[s]/s^(N+1) (see at).
 
     A symbol {e1, e2} goes to s * dlog e1 ^ dlog e2.  Writing each entry's
     atoms with s^v factored out, dlog e = omega + a * dlog(s), with omega a
@@ -574,21 +575,23 @@ class ExtendedRealizer:
                 add_to(total, col, coeff * val)
         return DifferentialForm(self.omega2, total)
 
-    def agreement(self, states, small_ring):
+    def at(self, order):
+        """This realizer over Laurent polynomials; after the projection to
+        s^order, A[s]/s^(order+1)'s, where s * embeds Omega^2 of A[s]/s^order."""
+        return self if order is None else shared_realizer(self.ring.base, order)
+
+    def agreement(self, states):
         """Per step between consecutive checked states, whether it preserves
         the realized 2-form exactly.
 
-        Each state is realized once.  A truncated state's form is read in
-        small_ring through map_form, and so is the Laurent form before the
-        projection, when the two are compared.
+        Each state is realized once, at its order; the Laurent form before the
+        projection is read through map_form in the ring of the state after it.
         """
         agrees, prev = [], self.realize_state(states[0].state)
         for before, after in zip(states, states[1:]):
-            form = self.realize_state(after.state)
-            if after.order is not None:
-                form = map_form(form, small_ring)
+            form = self.at(after.order).realize_state(after.state)
             if after.order != before.order:
-                prev = map_form(prev, small_ring)
+                prev = map_form(prev, form.module.algebra)
             agrees.append(form == prev)
             prev = form
         return agrees
@@ -597,10 +600,10 @@ class ExtendedRealizer:
 def lift_laurent(poly, ring, shift=0):
     """sigma^(-shift) * poly in the truncation ring A[sigma]/sigma^N, for an
     atom poly over A of sigma-order at least `shift`, each coefficient placed
-    in its layer.  crosscheck_dlog has refused every precision at which an
-    atom's sigma-span reaches N."""
+    in its layer; degrees N and above are zero there.  crosscheck_dlog has
+    refused every Laurent atom whose sigma-span reaches its ring's N."""
     return AlgebraElement(ring, {ring._place[deg - shift][a]: q for deg, c in poly.coords.items()
-                                 for a, q in c.coords.items()})
+                                 if deg - shift < ring.ext_order for a, q in c.coords.items()})
 
 
 class CrosscheckReport(namedtuple("CrosscheckReport",
@@ -639,11 +642,11 @@ MAX_PRECISION = EXPANSION_BUDGET
 def crosscheck_dlog(cert, precision=None):
     """Realize every intermediate state and verify each step preserves it.
 
-    Every state is realized by one ExtendedRealizer, a symbol {e1, e2} as
-    s * dlog e1 ^ dlog e2 in Omega^2 of A[s]/s^(N+1); the factor s clears
-    the dlog(s) that atoms of nonzero s-order bring.  The realizer's agreement
-    compares consecutive forms, truncated states read in A[s]/s^(n+2), and
-    the goal is realized for final_zero.  Nothing is kept between calls.  A
+    A symbol {e1, e2} is realized as s * dlog e1 ^ dlog e2; the factor s
+    clears the dlog(s) that atoms of nonzero s-order bring.  A Laurent state
+    is realized in Omega^2 of A[s]/s^(N+1), a truncated one in A[s]/s^(n+2),
+    and the realizer's agreement compares consecutive forms.  The goal is
+    realized by the same rule for final_zero.  Nothing is kept between calls.  A
     step the replay rejects is the first disagreeing step.  The precision is
     an integer; a float raises TypeError.
     """
@@ -653,32 +656,26 @@ def crosscheck_dlog(cert, precision=None):
         raise PrecisionTooLarge(
             f"precision {N} is above the cap of {MAX_PRECISION}"
             + (f" (the default 3(n+2) at n = {n})" if precision is None else ""))
-    # the spans of what is realized: the replay's states, the goal and the claim
-    # sides; a payload atom that reaches no state is never realized
+    # the spans of what is realized: the replay's states and the goal; a payload
+    # atom that reaches no state, and a claim side, is never realized
     run = cert.replay
-    states = [st.state for st in run.states] + [cert.goal, cert.claim_lhs, cert.claim_rhs]
+    states = [st.state for st in run.states] + [cert.goal]
     symbols = {id(sym): sym for st in states for _, sym in st.terms}.values()
     max_span = max((poly.span() for sym in symbols for entry in sym.entries
                     for poly, _ in entry.atoms), default=0)
     need, why = max(2, 3 * max_span), f"atoms of sigma-span {max_span}"  # 3 * span >= span + 1
-    # a truncated state is read in A[s]/s^(n+2), which A[s]/s^(N+1) must map onto
+    # the Laurent form is read across the projection in A[s]/s^(n+2): N + 1 >= n + 2
     if run.states[-1].order is not None and n + 1 > need:
         need, why = n + 1, f"the truncation at sigma^{n + 1} (n + 1)"
     if N < need:
         raise PrecisionInsufficient(f"precision {N} too small for {why}; need at least {need}")
 
-    A = cert.context.algebra
-    realizer = shared_realizer(A, N)
-    # a truncated state's form, read in A[s]/s^(n+2): s * is injective on
-    # Omega^2 of A[s]/s^(n+1), so equality there is equality of the states
-    small_ring = truncated_extension(A, extension_name(A), n + 2)
-
-    agrees = realizer.agreement(run.states, small_ring)
+    realizer = shared_realizer(cert.context.algebra, N)
+    agrees = realizer.agreement(run.states)
     step_rows = [(i, step.rule, ok) for i, (step, ok) in enumerate(zip(run.steps, agrees))]
     if run.failure is not None:
         step_rows.append((run.failure, cert.steps[run.failure].rule, False))
-    final = realizer.realize_state(cert.goal)
-    final = final if run.states[-1].order is None else map_form(final, small_ring)
+    final = realizer.at(run.states[-1].order).realize_state(cert.goal)
     return CrosscheckReport(N, tuple(step_rows), all(ok for _, _, ok in step_rows), not final)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milnork import certify, kahler, laurent, suite
-from milnork.algebra import Algebra, AlgebraSpec, build_algebra, truncated_extension
+from milnork.algebra import Algebra, AlgebraSpec, build_algebra, extension_name, truncated_extension
 from milnork.certify import (
     MAX_PRECISION,
     CheckState,
@@ -22,6 +22,7 @@ from milnork.certify import (
     crosscheck_dlog,
     default_precision,
     lift_laurent,
+    shared_realizer,
     splitting_certificate,
     vanishing_certificate,
     vanishing_from,
@@ -36,7 +37,7 @@ from milnork.errors import (
     PrecisionTooLarge,
     SideConditionFailed,
 )
-from milnork.kahler import OmegaModule
+from milnork.kahler import OmegaModule, map_form
 from milnork.family import builtin_algebras
 from milnork.laurent import (
     LaurentEntry,
@@ -204,6 +205,60 @@ def test_crosscheck_agreement(Q, t2):
         assert rep.all_agree
         assert rep.final_realization_zero
         assert rep.precision == default_precision(n)
+
+
+_T3 = (["t"], ["t^3"], "1 + t")
+_XY_M4 = (["x", "y"], ["x^4", "x^3*y", "x^2*y^2", "x*y^3", "y^4"], "1 + x")
+
+
+def _assert_realized_in_own_ring(cert, N):
+    """Each truncated state, and the state before the projection, realized
+    in A[s]/s^(n+2) is its form at the precision N read there through map_form."""
+    A, n = cert.context.algebra, cert.context.n
+    states = cert.replay.states
+    first = next(i for i, st in enumerate(states) if st.order is not None)
+    assert {st.order for st in states[first:]} == {n + 1}
+    small = truncated_extension(A, extension_name(A), n + 2)
+    for st in states[first - 1:]:
+        assert (map_form(shared_realizer(A, N).realize_state(st.state), small)
+                == shared_realizer(A, n + 1).realize_state(st.state))
+
+
+@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("spec", [_T3, _XY_M4], ids=["t3", "xy_m4"])
+def test_a_truncated_state_is_realized_in_its_own_ring(spec, n):
+    """The crosscheck realizes a state truncated at s^(n+1) in A[s]/s^(n+2);
+    the route it replaced realized it at the precision N and mapped the form."""
+    variables, relations, c = spec
+    A = alg(variables, relations)
+    _assert_realized_in_own_ring(vanishing_certificate(A, A.element(c), n), default_precision(n))
+
+
+def test_an_atom_past_the_truncation_is_cut_where_it_is_realized():
+    """A step after the projection inserts a symbol whose first entry, p * p^-1
+    with p = 1 + s^2 + t s^20, collapses to 1.  p keeps its s-degree 20 in
+    the truncated state, past A[s]/s^(n+2), where its lift drops it."""
+    A = alg(*_T3[:2])
+    cert = vanishing_certificate(A, A.element(_T3[2]), 2)
+    one, sig = LaurentPolynomial.constant(A, 1), LaurentPolynomial.sigma(A)
+    p = one + LaurentPolynomial(A, {2: A.one, 20: A.element("t")})
+    sym = Symbol.from_atoms(A, ([(p, 1), (p, -1)], [(one - sig, 1)]))
+    cert = cert._replace(steps=cert.steps + (RewriteStep(
+        "bilinearity", {}, {"mode": "insert", "coeff": "1", "symbol": sym, "slot": 0}),))
+    _assert_realized_in_own_ring(cert, 60)
+    report = crosscheck_dlog(cert, 60)
+    assert report.all_agree and report.steps[-1][1:] == ("bilinearity", True)
+
+
+def test_the_claim_sides_are_not_realized():
+    """Only the replay's states and the goal are realized, so only their
+    atoms set the precision: a claim side of s-span 50 needs none."""
+    A = alg(*_T3[:2])
+    cert = vanishing_certificate(A, A.element(_T3[2]), 2)
+    one = LaurentPolynomial.constant(A, 1)
+    wide = one + LaurentPolynomial(A, {50: A.one})
+    rhs = _state(A, (1, Symbol.from_atoms(A, ([(wide, 1)], [(one + one, 1)]))))
+    assert crosscheck_dlog(cert._replace(claim_rhs=rhs)) == crosscheck_dlog(cert)
 
 
 def test_repeated_crosscheck_builds_nothing(monkeypatch):

@@ -528,25 +528,46 @@ def test_an_over_budget_sum_past_the_digit_limit_is_named_not_printed(capsys, tm
 _LONG_SIGMA_POWER = "(sigma^{0})^{0}".format(10 ** 2200)
 
 
+_BIG_RELATIONS = ["x^2 - 2^20000*y^2", "x*y", "y^3"]
+_BIG_SPECS = {
+    "algebra-info": f"variables: x, y\nrelations: {', '.join(_BIG_RELATIONS)}\n",
+    "tau": f"variables: x, y, s\nrelations: {', '.join(_BIG_RELATIONS)}, s^2, x*s, y*s\n"
+           "sigma: s\n",
+}
+
+
 @pytest.mark.parametrize("where, quoted", [
     ("--c", "'2^20000'"),
     ("context.c", "'2^20000'"),
     ("claim.lhs", f"{_LONG_SIGMA_POWER[:60]!r}… (4411 characters)"),
+    ("algebra-info", "'x^2 - 2^20000*y^2'"),
+    ("tau", "'x^2 - 2^20000*y^2'"),
+    ("context.relations", "'x^2 - 2^20000*y^2'"),
 ])
 def test_an_input_value_past_the_digit_limit_is_refused_where_it_is_read(capsys, tmp_path,
                                                                           t3_spec, where, quoted):
     # a value no literal spells: 2^20000 has 6,021 digits, and (sigma^N)^N with
     # N = 10^2200 the sigma-degree 10^4400, which no span charge bounds.  Each
     # exited 2 with Python's digit-limit message while the report printed; a
-    # loaded context.c was valid (exit 0) and failed only on --save
-    if where == "--c":
-        code = main(["certify-eq7", "--algebra", t3_spec, "--c", "2^20000", "--n", "1"])
+    # loaded context.c was valid (exit 0) and failed only on --save.  A spec
+    # relation did so under algebra-info and tau, which print the Groebner
+    # basis; a loaded context.relations was valid (exit 0)
+    spec = tmp_path / "big.spec"
+    argv = {"--c": ["certify-eq7", "--algebra", t3_spec, "--c", "2^20000", "--n", "1"],
+            "algebra-info": ["algebra-info", "--algebra", str(spec)],
+            "tau": ["tau", "--algebra", str(spec), "--n", "1"]}
+    if where in argv:
+        if where in _BIG_SPECS:
+            spec.write_text(_BIG_SPECS[where])
+        code = main(argv[where])
         captured = capsys.readouterr()
         out, err = captured.out, captured.err
     else:
         doc = _t3_c1_doc(capsys, tmp_path, t3_spec)
         if where == "context.c":
             doc["context"]["c"] = "2^20000"
+        elif where == "context.relations":
+            doc["context"].update(variables=["x", "y"], relations=_BIG_RELATIONS)
         else:
             doc["claim"]["lhs"] = [["1", [[[_LONG_SIGMA_POWER, 1]], [["1 + t", 1]]]]]
         code, out, err = _load_code(capsys, tmp_path, doc)
