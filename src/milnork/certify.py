@@ -601,7 +601,7 @@ def lift_laurent(poly, ring, shift=0):
     """sigma^(-shift) * poly in the truncation ring A[sigma]/sigma^N, for an
     atom poly over A of sigma-order at least `shift`, each coefficient placed
     in its layer; degrees N and above are zero there.  crosscheck_dlog has
-    refused every Laurent atom whose sigma-span reaches its ring's N."""
+    refused every Laurent-state atom whose sigma-span reaches its ring's N."""
     return AlgebraElement(ring, {ring._place[deg - shift][a]: q for deg, c in poly.coords.items()
                                  if deg - shift < ring.ext_order for a, q in c.coords.items()})
 
@@ -648,7 +648,8 @@ def crosscheck_dlog(cert, precision=None):
     and the realizer's agreement compares consecutive forms.  The goal is
     realized by the same rule for final_zero.  Nothing is kept between calls.  A
     step the replay rejects is the first disagreeing step.  The precision is
-    an integer; a float raises TypeError.
+    an integer; a float raises TypeError.  The least N is set by the Laurent
+    forms: their atoms' spans, and n + 1 when one is read across the projection.
     """
     n = cert.context.n
     N = default_precision(n) if precision is None else operator.index(precision)
@@ -656,11 +657,11 @@ def crosscheck_dlog(cert, precision=None):
         raise PrecisionTooLarge(
             f"precision {N} is above the cap of {MAX_PRECISION}"
             + (f" (the default 3(n+2) at n = {n})" if precision is None else ""))
-    # the spans of what is realized: the replay's states and the goal; a payload
-    # atom that reaches no state, and a claim side, is never realized
+    # the spans of what A[s]/s^(N+1) realizes: the Laurent states, and the goal,
+    # read at the last state's order; a truncated state's atoms are cut in its ring
     run = cert.replay
-    states = [st.state for st in run.states] + [cert.goal]
-    symbols = {id(sym): sym for st in states for _, sym in st.terms}.values()
+    states = run.states + [CheckState(cert.goal, run.states[-1].order)]
+    symbols = {id(s): s for st in states if st.order is None for _, s in st.state.terms}.values()
     max_span = max((poly.span() for sym in symbols for entry in sym.entries
                     for poly, _ in entry.atoms), default=0)
     need, why = max(2, 3 * max_span), f"atoms of sigma-span {max_span}"  # 3 * span >= span + 1

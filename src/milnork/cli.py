@@ -41,6 +41,15 @@ from .suite import SUITE_NAMES, run_suite
 from .towers import limit_dim, ml_window_check, parse_tower_file, surjectivity_check
 
 
+def _read_input(path):
+    """The text of an input file; bytes that are not UTF-8 are a ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(str(exc)) from None
+
+
 def parse_algebra_file(text):
     """Key/value algebra spec: variables, relations, optional sigma and order, once each."""
     data = {}
@@ -126,8 +135,7 @@ def _cmd_tangent_span(A, args):
 
 def _cmd_certify(A, args, builder):
     if args.load:
-        with open(args.load, "r", encoding="utf-8") as fh:
-            cert = certificate_from_json(fh.read())
+        cert = certificate_from_json(_read_input(args.load))
     else:
         cert = builder(A, A.element(args.c), args.n)
     verdict = check_certificate(cert)
@@ -153,8 +161,7 @@ def _cmd_tau(A, args):
 
 
 def _cmd_tower(A, args):
-    with open(args.tower, "r", encoding="utf-8") as fh:
-        tower = parse_tower_file(fh.read())
+    tower = parse_tower_file(_read_input(args.tower))
     rep = Report("tower")
     rep.add("tower.levels", tower.length)
     rep.add("tower.dims", ",".join(str(d) for d in tower.dims))
@@ -258,8 +265,7 @@ def main(argv=None):
     try:
         A = None
         if getattr(args, "algebra", None) and not getattr(args, "load", None):
-            with open(args.algebra, "r", encoding="utf-8") as fh:
-                A = build_algebra(parse_algebra_file(fh.read()))
+            A = build_algebra(parse_algebra_file(_read_input(args.algebra)))
         report, holds = args.func(A, args)
         text = report.render(args.format)
         if args.output:
@@ -268,6 +274,6 @@ def main(argv=None):
         else:
             sys.stdout.write(text)
         return 0 if holds else 1
-    except (OSError, MilnorkError, ValueError) as exc:
+    except (OSError, MilnorkError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

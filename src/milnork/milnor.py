@@ -12,7 +12,7 @@ K(A[s]/s^(n+1)) -> K(A[s]/s^n), (c) the evaluation sending a generator
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .algebra import (
     AlgebraElement,
@@ -233,7 +233,7 @@ def span_check(targets, module):
         for idx, form in enumerate(targets):
             if form.module is not module:
                 raise AlgebraMismatch("target form lives in a different module")
-            if space.insert(dict(form.coords)) is not None:
+            if space.insert(form.coords) is not None:
                 witnesses.append(idx)
                 if space.rank == dim:
                     break
@@ -283,7 +283,9 @@ def transport_check(B, n):
     report checks surjectivity and multiplicativity on monomial bases.
     Compatibility is tested on the degree-2 generators in Omega^1 of A'
     tensored with the cyclic module sigma^n/sigma^(n+1), computed as the
-    quotient by the annihilator action.
+    quotient by the annihilator action.  Each sample's c' is in the span of
+    `layer` by construction: tau(1 + c*lam^n) - 1 = tau(c)*sigma^n is the row
+    `layer` was built from for c, so 1 - tau(1 + c*lam^n) reduces to (0 | c').
     """
     if n < 1:
         raise OutOfDomain("transport checks need n >= 1")
@@ -297,19 +299,13 @@ def transport_check(B, n):
     dom = truncated_extension(Ap, sigma_name, n)
 
     # surjectivity on monomial bases
-    images = [transport(dom.basis_element(i), Bn) for i in range(dom.dimension)]
+    basis = [dom.basis_element(i) for i in range(dom.dimension)]
+    images = [transport(b, Bn) for b in basis]
     surjective = RowSpace(img.coords for img in images).rank == Bn.dimension
 
-    # multiplicativity of the monomial-level map
-    multiplicative = True
-    for i in range(dom.dimension):
-        ei = dom.basis_element(i)
-        for j in range(i, dom.dimension):
-            if transport(ei * dom.basis_element(j), Bn) != images[i] * images[j]:
-                multiplicative = False
-                break
-        if not multiplicative:
-            break
+    # multiplicativity of the monomial-level map, on basis pairs i <= j
+    multiplicative = all(transport(a * b, Bn) == ta * tb for (a, ta), (b, tb)
+                         in combinations_with_replacement(zip(basis, images), 2))
 
     # b -> b*sigma^n from A' to B/sigma^(n+1), eliminated once: its relations
     # are the annihilator of sigma^n / sigma^(n+1) as an A'-module, and it
@@ -318,21 +314,21 @@ def transport_check(B, n):
     degenerate = not bool(sig_n)
     ncols = Bn1.dimension
 
-    def in_ap(row, sign):
-        return AlgebraElement(Ap, {col - ncols: sign * v for col, v in row.items()})
+    def in_ap(row):
+        return AlgebraElement(Ap, {col - ncols: v for col, v in row.items()})
 
     layer = augmented_space([(transport(b, Bn1) * sig_n).coords for b in coefficient_samples(Ap)],
                             ncols)
-    kernel_basis = [in_ap(row, 1) for lead, row in layer.pivots.items() if lead >= ncols]
+    kernel_basis = [in_ap(row) for lead, row in layer.pivots.items() if lead >= ncols]
 
     # the tensor target Omega^1_{A'} / (annihilator * Omega^1_{A'})
     M = omega_module(Ap, 1)
-    killed = RowSpace(dict(bform.act(k).coords) for k in kernel_basis
+    killed = RowSpace(bform.act(k).coords for k in kernel_basis
                       for bform in M.basis_forms())
     tensor_dim = M.dimension - killed.rank
 
     def to_tensor(form):
-        return killed.reduce(dict(form.coords))
+        return killed.reduce(form.coords)
 
     # compatibility on generators {1 + c lam^n, u}
     compatible = True
@@ -343,15 +339,11 @@ def transport_check(B, n):
         for c, u in product(coefficient_samples(Ap), unit_samples(Ap)):
             samples += 1
             first = dom_full.one + transport(c, dom_full) * lam_n
-            lifted = transport(u, dom_full)
-            direct = relative_realize(make_symbol([first, lifted], 1), n)
+            direct = relative_realize(make_symbol([first, transport(u, dom_full)], 1), n)
             # route the first entry through tau and realize on the quotient
-            # side; u, s-free, is its own image there
-            residual = layer.reduce((transport(first, Bn1) - Bn1.one).coords)
-            if any(col < ncols for col in residual):
-                compatible = False
-                break
-            routed = _coefficient_wedge(in_ap(residual, -1), [u])
+            # side; u, s-free, is its own image there, and c' is in the span
+            residual = layer.reduce((Bn1.one - transport(first, Bn1)).coords)
+            routed = _coefficient_wedge(in_ap(residual), [u])
             if to_tensor(direct) != to_tensor(routed):
                 compatible = False
                 break

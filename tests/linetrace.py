@@ -40,8 +40,6 @@ ALLOWED = {
     ("kahler.py", "elif direct == corrected:", "elif direct == literal:"): _WRONG_ENGINE,
     ("kahler.py", "elif direct == literal:", 'verdict = "literal"'): _WRONG_ENGINE,
     ("kahler.py", "elif direct == literal:", 'verdict = "neither"'): _WRONG_ENGINE,
-    ("milnor.py", "if any(col < ncols for col in residual):", "compatible = False"): _INCOMPATIBLE,
-    ("milnor.py", "if any(col < ncols for col in residual):", "break"): _INCOMPATIBLE,
     ("milnor.py", "if to_tensor(direct) != to_tensor(routed):", "compatible = False"):
         _INCOMPATIBLE,
     ("milnor.py", "if to_tensor(direct) != to_tensor(routed):", "break"): _INCOMPATIBLE,

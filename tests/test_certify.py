@@ -237,7 +237,9 @@ def test_a_truncated_state_is_realized_in_its_own_ring(spec, n):
 def test_an_atom_past_the_truncation_is_cut_where_it_is_realized():
     """A step after the projection inserts a symbol whose first entry, p * p^-1
     with p = 1 + s^2 + t s^20, collapses to 1.  p keeps its s-degree 20 in
-    the truncated state, past A[s]/s^(n+2), where its lift drops it."""
+    the truncated state, past A[s]/s^(n+2), where its lift drops it.  Only
+    the Laurent states set the precision, so the default one checks it too,
+    with the same step rows."""
     A = alg(*_T3[:2])
     cert = vanishing_certificate(A, A.element(_T3[2]), 2)
     one, sig = LaurentPolynomial.constant(A, 1), LaurentPolynomial.sigma(A)
@@ -248,6 +250,9 @@ def test_an_atom_past_the_truncation_is_cut_where_it_is_realized():
     _assert_realized_in_own_ring(cert, 60)
     report = crosscheck_dlog(cert, 60)
     assert report.all_agree and report.steps[-1][1:] == ("bilinearity", True)
+    default = crosscheck_dlog(cert)
+    assert default.precision == default_precision(2) == 12
+    assert default._replace(precision=60) == report
 
 
 def test_the_claim_sides_are_not_realized():

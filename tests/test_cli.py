@@ -73,6 +73,32 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, flag, data, position", [
+    ("algebra-info", "--algebra", b"variables: t\nrelations: t^3 # \xff\n", 30),
+    ("tower", "--tower", b"dims: 1\n\xff\n", 8),
+    ("certify-eq8", "--load", b'{"context": "\xff"}', 13),
+], ids=["spec", "tower", "certificate"])
+def test_an_input_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, command, flag, data,
+                                                         position):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    code = main([command, flag, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", f"input error: 'utf-8' codec can't decode byte 0xff in position {position}: "
+               "invalid start byte\n")
+
+
+def test_an_engine_value_error_is_a_bug_not_an_input_error(t3_spec, monkeypatch):
+    """main answers only OSError and the milnork errors; a ValueError from the
+    engine escapes with its traceback."""
+    def broken(A, p):
+        raise ValueError("engine invariant")
+    monkeypatch.setattr(cli, "omega_module", broken)
+    with pytest.raises(ValueError, match="engine invariant"):
+        main(["omega", "--algebra", t3_spec, "--p", "1"])
+
+
 def test_repeated_variable_names_exit_2(capsys, tmp_path):
     # the one check of repeated names, for a spec and for A[s]/s^N alike
     spec = tmp_path / "tt.spec"

@@ -7,6 +7,8 @@ from milnork.algebra import (
     AlgebraElement,
     AlgebraSpec,
     build_algebra,
+    derived_algebra,
+    quotient_mod_variable,
     transport,
     truncated_extension,
 )
@@ -412,6 +414,25 @@ def test_transport_check_spec_cases():
     assert r2.ok and r2.kernel_dim == 1 and r2.tensor_target_dim == 1
     r3 = transport_check(B2, 3)
     assert r3.degenerate and r3.tensor_target_dim == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("variables, relations", [
+    (["sigma"], ["sigma^4"]),
+    (["t", "sigma"], ["t^2", "sigma^3", "t*sigma"]),
+], ids=["sigma4", "mixed"])
+def test_tau_sends_each_first_entry_to_its_layer_row(variables, relations, n):
+    """Why transport_check finds every sample's c' in the span of its layer:
+    tau(1 + c lam^n) - 1 = tau(c) * sigma^n in B/sigma^(n+1), the row that
+    the layer holds for each coefficient sample c of A' = B/sigma."""
+    B = alg(variables, relations, distinguished="sigma")
+    Ap = quotient_mod_variable(B, "sigma")
+    Bn1 = derived_algebra(B, B.names, B.spec.relations + (f"sigma^{n + 1}",), "sigma")
+    dom_full = truncated_extension(Ap, "sigma", n + 1)
+    lam_n, sigma_n = dom_full.variable("sigma") ** n, Bn1.variable("sigma") ** n
+    for c in coefficient_samples(Ap):
+        first = dom_full.one + transport(c, dom_full) * lam_n
+        assert transport(first, Bn1) - Bn1.one == transport(c, Bn1) * sigma_n
 
 
 def test_transport_check_requires_sigma(t3):

@@ -2,10 +2,12 @@
 is used, every definition is referenced, imports sit at module level, none
 is of dataclasses, no value is changed in place, the certificate checker
 reads nothing of the crosscheck or the builders, no json dump is
-indented, and every error class is raised somewhere.  Two more tests import the package: every exception class it
+indented, every error class is raised somewhere, and cli.main catches no
+builtin error but OSError.  Two more tests import the package: every exception class it
 defines is a MilnorkError, and it imports cold, in a subprocess."""
 
 import ast
+import builtins
 import importlib
 import subprocess
 import sys
@@ -599,3 +601,53 @@ def f(x):
     return Imported
 ''')
     assert _unraised_error_classes(errors, [module]) == ["Imported", "Unnamed"]
+
+
+def _builtin_errors_caught(tree, name="main"):
+    """The builtin exception classes that the except clauses of the top-level
+    function `name` catch, other than OSError and SystemExit (argparse's
+    exit); a bare except is named "except:"."""
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    caught = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.ExceptHandler):
+            if node.type is None:
+                caught.append("except:")
+                continue
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught += [t.id for t in types if isinstance(t, ast.Name)
+                       and t.id not in ("OSError", "SystemExit")
+                       and isinstance(getattr(builtins, t.id, None), type)
+                       and issubclass(getattr(builtins, t.id), BaseException)]
+    return caught
+
+
+def test_the_cli_answers_only_os_and_milnork_errors():
+    """An input error reaching cli.main is an OSError or a MilnorkError; an
+    engine bug that raises any other exception keeps its traceback."""
+    assert _builtin_errors_caught(_tree(PACKAGE / "cli.py")) == []
+
+
+def test_builtin_errors_caught_are_found():
+    tree = ast.parse('''
+import json
+
+
+def main():
+    try:
+        pass
+    except SystemExit:
+        pass
+    try:
+        pass
+    except (OSError, MilnorkError, ValueError):
+        pass
+    except json.JSONDecodeError:
+        pass
+    except KeyError as exc:
+        pass
+    except:
+        pass
+''')
+    assert _builtin_errors_caught(tree) == ["ValueError", "KeyError", "except:"]
