@@ -17,7 +17,7 @@ from itertools import count, product
 
 from .errors import AlgebraMismatch, InvalidSpec, NotArtinian, NotAUnit, NotLocal, ParseError, quote
 from .expr import evaluate, monomial_str, parse_polynomial, polynomial_str
-from .linalg import Vector, add_to, printable, rational
+from .linalg import Vector, add_to, printable, printable_power, rational
 from .poly import (
     Polynomial,
     degrevlex_key,
@@ -209,7 +209,8 @@ class Algebra:
         after every operation, so the work is bounded by the dimension and
         not by how far the expression would expand over Q[vars].  A string
         whose value holds a number longer than the interpreter prints raises
-        ParseError.
+        ParseError; so, before it is built, does a power whose augmentation,
+        that of its base raised to the power, would hold one.
         """
         if isinstance(value, AlgebraElement):
             if value.algebra is not self:
@@ -218,9 +219,16 @@ class Algebra:
         if isinstance(value, (int, Fraction, float)):
             q = rational(value)
             return AlgebraElement(self, {0: q} if q else {})
-        e = evaluate(value, self.names, self.element, lambda i: self.variable(self.names[i]))
+        what = f"a number in {quote(value)}"
+
+        def raise_to(base, k):
+            printable_power(base.augmentation(), k, ParseError, what)
+            return base ** k
+
+        e = evaluate(value, self.names, self.element, lambda i: self.variable(self.names[i]),
+                     raise_to=raise_to)
         for q in e.coords.values():
-            printable(q, ParseError, f"a number in {quote(value)}")
+            printable(q, ParseError, what)
         return e
 
     @property
@@ -275,12 +283,21 @@ class Algebra:
 
 
 class AlgebraElement(Vector, space="algebra"):
-    __slots__ = ("algebra", "coords", "_key")
+    """An element by its coordinates, never changed once built.  It hashes by
+    value, once: equal elements of one algebra have equal keys, and elements
+    of two algebras are never equal, so a memo table may key by elements."""
+
+    __slots__ = ("algebra", "coords", "_key", "_hash")
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
         self.coords = coords
-        self._key = None
+        self._key = self._hash = None
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def key(self):
         """Sorted by basis monomial, as term order and saved certificates are.

@@ -53,6 +53,7 @@ class OmegaModule:
         self.wedges = tuple(combinations(range(algebra.nvars), degree))
         self.wedge_index = {w: i for i, w in enumerate(self.wedges)}
         self.free_dim = algebra.dimension * len(self.wedges)
+        self._act_cells = wedge_table(algebra.nvars, 0, degree)  # 0-wedge ^ each wedge, for act
         if algebra.base is None:
             self._space = RowSpace()
             self._build_relations()
@@ -175,7 +176,7 @@ class DifferentialForm(Vector, space="module"):
         A = M.algebra
         element = A.element(element)
         return M.form(A._product(element.coords, A._scalars, self.coords, M.layout,
-                                 wedge_table(A.nvars, 0, M.degree), len(M.wedges)))
+                                 M._act_cells, len(M.wedges)))
 
 
 def omega_module(algebra, p):

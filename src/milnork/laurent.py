@@ -20,7 +20,7 @@ import operator
 from .algebra import extension_name
 from .errors import AlgebraMismatch, NonUnitEntry, ParseError, PositionInvalid, quote
 from .expr import evaluate, polynomial_str
-from .linalg import Vector, add_to, printable, rational
+from .linalg import Vector, add_to, printable, printable_power, rational
 from .poly import Polynomial, power
 
 
@@ -104,8 +104,11 @@ class LaurentPolynomial(Vector, space="algebra"):
         power is charged the sigma-span of its result, and the one whose charge
         passes EXPANSION_BUDGET for the string raises ParseError unexpanded.  So
         does a value holding a coefficient or sigma-degree longer than the
-        interpreter prints, which a power of a span-0 atom reaches uncharged."""
+        interpreter prints, which a power of a span-0 atom reaches uncharged;
+        a power whose lowest coefficient's augmentation would hold one raises
+        before it is built."""
         names = algebra.names + (extension_name(algebra),)
+        what = f"a number in {quote(text)}"
         spent = [0]  # every product and power in the string is charged against one budget
 
         def charged(span, op, *operands):
@@ -120,12 +123,16 @@ class LaurentPolynomial(Vector, space="algebra"):
                 return cls.sigma(algebra)
             return cls(algebra, {0: algebra.variable(names[i])})
 
+        def raise_to(a, k):  # a unit lowest coefficient of a has its k-th power lowest in a^k
+            printable_power(a.coords[a.ord()].augmentation() if a else 0, k, ParseError, what)
+            return a.power(k)
+
         poly = evaluate(text, names, lambda q: cls.constant(algebra, q), variable,
                         lambda a, b: charged(a.span() + b.span(), cls.mul, a, b),
-                        lambda a, k: charged(a.span() * k, cls.power, a, k))
+                        lambda a, k: charged(a.span() * k, raise_to, a, k))
         for deg, c in poly.coords.items():
             for q in (deg, *c.coords.values()):
-                printable(q, ParseError, f"a number in {quote(text)}")
+                printable(q, ParseError, what)
         return poly
 
 
@@ -239,8 +246,9 @@ class Symbol:
     __slots__ = ("entries", "_key")
 
     def __init__(self, entries):
-        if len({id(e.algebra) for e in entries}) > 1:
-            raise AlgebraMismatch("symbol entries over different algebras")
+        for e in entries:
+            if e.algebra is not entries[0].algebra:
+                raise AlgebraMismatch("symbol entries over different algebras")
         self.entries = entries
         self._key = None
 

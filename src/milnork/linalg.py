@@ -65,6 +65,18 @@ def printable(q, error, what):
     return q
 
 
+def printable_power(q, k, error, what):
+    """Check q ** k as `printable` checks a number, building no power past the
+    limit.  The larger of its numerator and denominator is m ** k, for m the
+    larger of q's; when m >= 2, m ** j has more than j * (m.bit_length() - 1)
+    bits, so it is past the limit once that passes 4 * limit bits (2^4 > 10),
+    and no higher power of m than the first such j is built to find it so."""
+    big = max(abs(q.numerator), q.denominator)
+    if big > 1:
+        j = 4 * sys.get_int_max_str_digits() // (big.bit_length() - 1) + 1
+        printable(big ** min(k, j), error, what)
+
+
 def whole(value):
     """`rational(value)` when it is whole; `1/2` or `1_0`, say, raise ValueError."""
     q = rational(value)

@@ -73,11 +73,11 @@ def dlog_realize(comb):
 def _coefficient_wedge(c, units):
     """c * dlog u_1 ^ ... ^ dlog u_k over c's algebra; the 0-form c when k = 0.
 
-    The wedge is memoized, like dlog, on the algebra it lives in, keyed by
-    the units' keys; only the action of c is computed per call.
+    The wedge is memoized on the algebra it lives in, keyed by the units
+    themselves, which hash by value; only the action of c is computed per call.
     """
     A = c.algebra
-    return A.memo("dlog_wedges", tuple(u.key() for u in units), _dlog_wedge, A, units).act(c)
+    return A.memo("dlog_wedges", tuple(units), _dlog_wedge, A, units).act(c)
 
 
 # -- deterministic sample grids ------------------------------------------------
@@ -167,7 +167,8 @@ def relative_realize(comb, n):
     {1 + c s^n, u_1, ..., u_(p-1)} with s-free units u_i goes to
     c * dlog u_1 ^ ... ^ dlog u_(p-1) over the base algebra; terms containing
     a 1 - s slot are sent to zero.  The s^n/s^(n+1) factor is a degree tag:
-    the target is Omega^(p-1) of the base.
+    the target is Omega^(p-1) of the base.  Each slot is classified once on B,
+    keyed by the entry itself, which hashes by value.
     """
     B = comb.algebra
     if B.base is None:
@@ -179,12 +180,12 @@ def relative_realize(comb, n):
         first = sym.entries[0]
         if first.algebra is not B:
             raise AlgebraMismatch(f"symbol {sym} does not live in the combination's algebra")
-        c = B.memo("slots", first.key(), _classify_slot, first)[0]
+        c = B.memo("slots", first, _classify_slot, first)[0]
         if c is None:
             raise NotGeneratorShape(f"first slot of {sym} is not 1 + c*{B.ext_name}^{n}")
         units = []
         for entry in sym.entries[1:]:
-            _, unit, one_minus = B.memo("slots", entry.key(), _classify_slot, entry)
+            _, unit, one_minus = B.memo("slots", entry, _classify_slot, entry)
             if one_minus:
                 break
             if unit is None:

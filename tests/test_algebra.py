@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milnork.algebra import (
+    AlgebraElement,
     AlgebraSpec,
     build_algebra,
     derived_algebra,
@@ -140,6 +141,59 @@ def test_spec_is_equal_and_hashed_by_value(t3):
     assert a == b and hash(a) == hash(b)
     assert (derived_algebra(t3, ("t", "s"), ["t^3", "s^2"])
             is derived_algebra(t3, ["t", "s"], ("t^3", "s^2")))
+
+
+def test_equal_elements_hash_equal_by_every_route(xy):
+    """An element hashes by value, so a memo keyed by elements finds one entry
+    for equal ones: parsed, summed, transported or reduced, each is 1 + x."""
+    x = xy.index[(1, 0)]
+    routes = [xy.element("1 + x"), xy.one + xy.basis_element(x),
+              transport(alg(["x"], ["x^2"]).element("1 + x"), xy),
+              xy.element("(1 + x)^3 - 2*x"), xy.element("(1 + x)*(1 - x)") + xy.element("x")]
+    assert all(e == routes[0] for e in routes)
+    assert {hash(e) for e in routes} == {hash(routes[0].key())}
+    assert len({e: None for e in routes}) == 1
+    half = xy.element("1/2 + x")
+    assert half == xy.element(Fraction(1, 2)) + xy.basis_element(x)
+    assert hash(half) == hash(xy.element(Fraction(1, 2)) + xy.basis_element(x))
+
+
+def test_equal_coordinates_over_two_algebras_are_two_keys():
+    """Two algebras built from one spec are two algebras: their elements of
+    equal coordinates hash alike but are unequal, so one table keyed by them
+    holds two entries and builds twice."""
+    spec = AlgebraSpec(("x", "y"), ("x^2", "x*y", "y^2"))
+    A1, A2 = build_algebra(spec), build_algebra(spec)
+    e1, e2 = A1.element("1 + x"), A2.element("1 + x")
+    assert e1.coords == e2.coords and e1.key() == e2.key() and hash(e1) == hash(e2)
+    assert e1 != e2 and len({e1, e2}) == 2
+    built = []
+    for e in (e1, e2, A1.element("x + 1")):
+        A1.memo("keyed", e, lambda e: built.append(e) or e, e)
+    assert built == [e1, e2] and len(A1._memo["keyed"]) == 2
+
+
+def test_a_power_past_the_digit_limit_is_refused_before_it_is_built(t3, monkeypatch):
+    """A power multiplies its base's augmentation a to a^k.  When a is not 0,
+    1 or -1, a^k past the interpreter's digit limit is refused, with the
+    message a finished value past it gets, and the power is not built.
+    3^9000 has 4,294 digits and 3^9100 4,342."""
+    assert t3.element("3^9000") == t3.element(3 ** 9000)
+    assert (t3.element("(1 + t)^100000000")
+            == t3.element("1 + 100000000*t + 4999999950000000*t^2"))
+    assert t3.element("(-1 + t^2)^100000000") == t3.element("1 - 100000000*t^2")
+    powers = []
+    real = AlgebraElement.__pow__
+    monkeypatch.setattr(AlgebraElement, "__pow__", lambda e, k: powers.append(k) or real(e, k))
+    # a later term that cancels the power does not save it: it is refused where it is built
+    for text in ("3^9100", "3^100000000", "(3 + t)^100000000", "(1/3)^9100",
+                 "1 + 3^9100 - 3^9100", "(t + 2)^14285"):
+        with pytest.raises(ParseError) as err:
+            t3.element(text)
+        assert str(err.value) == (f"a number in {text!r} has more than the interpreter's limit "
+                                  "of 4300 digits")
+    assert powers == []
+    assert t3.element("2^14284") == t3.element(2 ** 14284)  # 4,300 digits
 
 
 def test_truncated_extension(t3):

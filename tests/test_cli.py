@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -599,6 +600,31 @@ def test_an_input_value_past_the_digit_limit_is_refused_where_it_is_read(capsys,
         code, out, err = _load_code(capsys, tmp_path, doc)
     assert (code, err.splitlines()[0], len(out)) == (
         2, f"input error: a number in {quoted} has more than the interpreter's limit of "
+           "4300 digits", 0)
+
+
+@pytest.mark.parametrize("where", ["--c", "context.c", "claim atom"])
+def test_a_constant_power_past_the_digit_limit_is_refused_before_it_is_built(
+        capsys, tmp_path, t3_spec, where):
+    # 3^100000000 has 47,712,126 digits; building it ran for minutes.  A
+    # power of 2 of that size was refused in 0.5 s only because it is cheap
+    value = "3^100000000"
+    if where == "--c":
+        start = time.perf_counter()
+        code = main(["certify-eq7", "--algebra", t3_spec, "--c", value, "--n", "1"])
+        captured = capsys.readouterr()
+        out, err = captured.out, captured.err
+    else:
+        doc = _t3_c1_doc(capsys, tmp_path, t3_spec)
+        if where == "context.c":
+            doc["context"]["c"] = value
+        else:
+            doc["claim"]["lhs"] = [["1", [[[value, 1]], [["1 + t", 1]]]]]
+        start = time.perf_counter()
+        code, out, err = _load_code(capsys, tmp_path, doc)
+    assert time.perf_counter() - start < 1
+    assert (code, err.splitlines()[0], len(out)) == (
+        2, f"input error: a number in '{value}' has more than the interpreter's limit of "
            "4300 digits", 0)
 
 

@@ -317,6 +317,29 @@ def test_from_string_charges_one_budget_per_string(monkeypatch):
             LaurentPolynomial.from_string(T3, text)
 
 
+def test_from_string_refuses_a_power_past_the_digit_limit_unbuilt(monkeypatch):
+    """A span-0 power is charged nothing, but its lowest coefficient's
+    augmentation a goes to a^k: one past the digit limit is refused before the
+    power is built, with the message of a finished value past it."""
+    assert (LaurentPolynomial.from_string(T3, "(3*sigma)^9000").coords
+            == {9000: T3.element(3 ** 9000)})
+    assert LaurentPolynomial.from_string(T3, "(t*sigma)^100000000").coords == {}
+    assert LaurentPolynomial.from_string(T3, "(-sigma)^100000000").coords == {10 ** 8: T3.one}
+    powers = []
+    real = LaurentPolynomial.power
+    monkeypatch.setattr(LaurentPolynomial, "power",
+                        lambda p, k, order=None: powers.append(k) or real(p, k, order))
+    for text in ("3^100000000", "(3*sigma)^9100", "(1/3*sigma^2 + t*sigma^2)^100000000"):
+        with pytest.raises(ParseError) as err:
+            LaurentPolynomial.from_string(T3, text)
+        assert str(err.value) == (f"a number in {text!r} has more than the interpreter's limit "
+                                  "of 4300 digits")
+    assert powers == [2, 2]  # the two sigma^2 of the last string, not the power over them
+    # the budget is charged first, as before: a wide power is refused by its span
+    with pytest.raises(ParseError, match=f"over the budget of {EXPANSION_BUDGET}"):
+        LaurentPolynomial.from_string(T3, "(3 + sigma)^100000000")
+
+
 def test_power_under_an_order_truncates_every_product():
     one_plus = lp({0: "1", 1: "1"})
     assert one_plus.power(5, 3).coords == {0: T2.one, 1: T2.element(5), 2: T2.element(10)}

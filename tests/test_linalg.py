@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
-from milnork.linalg import RowSpace, add_to, augmented_space
+import pytest
+
+from milnork.linalg import RowSpace, add_to, augmented_space, printable, printable_power
 
 
 def dense_to_sparse(row):
@@ -65,3 +68,32 @@ def test_augmented_space_relations_and_solve():
     assert [sum(x[i] * vecs[i].get(j, 0) for i in range(3)) for j in range(3)] == [2, 1, 3]
     # outside the span a column below 3 is left
     assert min(space.reduce(dense_to_sparse([1, 0, 0]))) < 3
+
+
+@pytest.mark.parametrize("q", [0, 1, -1, 2, 3, -7, 10, Fraction(1, 10), Fraction(-9, 4),
+                               10 ** 100 + 1])
+def test_a_power_is_checked_as_its_value_would_be(q):
+    """printable_power(q, k) raises exactly when printable(q ** k) does, for k
+    on both sides of the digit limit, with the same message."""
+    m = max(abs(Fraction(q).numerator), Fraction(q).denominator)
+    edge = math.ceil(4300 / math.log10(m)) - 1 if m > 1 else 0  # the last k under 10^4300
+    for k in {0, 1, 2, *range(max(edge - 3, 0), edge + 4)}:
+        try:
+            printable(Fraction(q) ** k, ValueError, "q^k")
+            expected = None
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            printable_power(Fraction(q), k, ValueError, "q^k")
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (q, k)
+        assert m < 2 or (expected is None) == (k <= edge), (q, k)
+
+
+def test_a_power_past_the_limit_is_refused_without_building_it():
+    # 3^(10^18) would have about 4.8 * 10^17 digits
+    with pytest.raises(ValueError, match=r"3\^k has more than the interpreter's limit of 4300"):
+        printable_power(3, 10 ** 18, ValueError, "3^k")
+    printable_power(-1, 10 ** 18, ValueError, "(-1)^k")

@@ -307,6 +307,68 @@ def test_realizing_a_family_classifies_each_slot_once(monkeypatch):
     assert len(B._memo["slots"]) == 42  # 20 first slots, 1 - s and 21 units
 
 
+def test_realizing_a_family_builds_each_slot_and_wedge_once(monkeypatch):
+    """The slot and wedge memos key by the elements themselves: they build one
+    entry per distinct slot and per distinct tuple of units, however many
+    generators share it, and a second pass over the family builds nothing."""
+    from milnork import milnor
+
+    built = {"slots": 0, "wedges": 0}
+    classify, wedge_of = milnor._classify_slot, milnor._dlog_wedge
+
+    def counted_slot(entry):
+        built["slots"] += 1
+        return classify(entry)
+
+    def counted_wedge(algebra, units):
+        built["wedges"] += 1
+        return wedge_of(algebra, units)
+
+    monkeypatch.setattr(milnor, "_classify_slot", counted_slot)
+    monkeypatch.setattr(milnor, "_dlog_wedge", counted_wedge)
+    A = alg(["x", "y"], [f"x^{a}*y^{4 - a}" for a in range(5)])
+    gens = relative_generators(A, 2, 3)
+    one_minus = gens.algebra.element("1 - sigma").key()
+    slots, wedges = set(), set()
+    for g in gens:  # the slots relative_realize reads: up to the first 1 - s
+        (_, sym), = g.terms
+        keys = [e.key() for e in sym.entries]
+        cut = keys.index(one_minus) + 1 if one_minus in keys else len(keys)
+        slots.update(keys[:cut])
+        if one_minus not in keys:
+            wedges.add(tuple(keys[1:]))
+    first = [relative_realize(g, 2) for g in gens]
+    assert (built["slots"], built["wedges"]) == (len(slots), len(wedges)) == (22, 121)
+    assert [relative_realize(g, 2) for g in gens] == first
+    assert (built["slots"], built["wedges"]) == (22, 121)
+
+
+def test_equal_slots_of_two_extensions_share_no_memo_entry():
+    """Two algebras built from one spec give two extensions: an element of
+    either is a key of its own, and each realizes in its own module."""
+    spec = AlgebraSpec(("x", "y"), ("x^2", "x*y", "y^2"))
+    forms = []
+    for A in (build_algebra(spec), build_algebra(spec)):
+        gens = relative_generators(A, 1, 2)
+        forms.append([relative_realize(g, 1) for g in gens])
+        B = gens.algebra
+        assert all(e.algebra is B for e in B._memo["slots"])
+        assert all(u.algebra is A for units in A._memo["dlog_wedges"] for u in units)
+    assert [f.coords for f in forms[0]] == [f.coords for f in forms[1]]
+    assert forms[0][0].module is not forms[1][0].module
+    assert all(f != g for f, g in zip(*forms))
+
+
+def test_a_symbol_of_elements_over_two_algebras_is_refused(t3):
+    B = truncated_extension(t3, "sigma", 2)
+    for entries in ((t3.element("1 + t"), B.element("1 + t")),
+                    (B.element("1 + t*sigma"), B.element(2), t3.element(2))):
+        with pytest.raises(AlgebraMismatch) as err:
+            Symbol(entries)
+        assert str(err.value) == "symbol entries over different algebras"
+    assert Symbol(()).degree == 0 and Symbol((B.one,)).algebra is B
+
+
 def test_relative_realize_degree_one(t3):
     # degree-1 classes land in Omega^0 = A as the leading coefficient itself
     B = truncated_extension(t3, "sigma", 2)

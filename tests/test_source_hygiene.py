@@ -190,7 +190,7 @@ def test_no_value_is_changed_in_place(path):
 
 
 # a value's cached slot -> the one method that fills it
-CACHES = {"_key": "key", "_str": "__str__"}
+CACHES = {"_key": "key", "_str": "__str__", "_hash": "__hash__"}
 
 
 def _is_self_cache(node):
@@ -209,7 +209,7 @@ def _unset_cache(test):
 
 
 def _key_writes(node, function=None, guarded=None):
-    """(line, allowed) of each write to a cached slot (`_key`, `_str`) under
+    """(line, allowed) of each write to a cached slot (`_key`, `_str`, `_hash`) under
     node: an assignment, augmented or not, a `del` or a setattr naming the
     slot.  Allowed are `self.<slot> = None` in __init__, and `self.<slot> =
     ...` in the slot's method under `if self.<slot> is None`."""
@@ -249,10 +249,11 @@ def _key_writes(node, function=None, guarded=None):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_key_caches_are_written_once(path):
-    """A value that keys itself keeps its key in `_key`, and one that prints
-    itself once its string in `_str`: None from __init__, then set once, in
-    key() or __str__, under `if self.<slot> is None`.  A reset or an
-    unguarded write elsewhere would let a shared value's key or text change."""
+    """A value that keys itself keeps its key in `_key`, one that prints
+    itself once its string in `_str`, and one that hashes by value its hash
+    in `_hash`: None from __init__, then set once, in key(), __str__ or
+    __hash__, under `if self.<slot> is None`.  A reset or an unguarded write
+    elsewhere would let a shared value's key, text or hash change."""
     assert [f"{path.name}:{line}" for line, allowed in _key_writes(_tree(path))
             if not allowed] == []
 
