@@ -38,7 +38,6 @@ instances as a one-step replay.
 from __future__ import annotations
 
 import json
-import operator
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -59,7 +58,6 @@ from .errors import (
     OutOfDomain,
     ParseError,
     PositionInvalid,
-    PrecisionInsufficient,
     PrecisionTooLarge,
     SideConditionFailed,
     quote,
@@ -600,8 +598,8 @@ class ExtendedRealizer:
 def lift_laurent(poly, ring, shift=0):
     """sigma^(-shift) * poly in the truncation ring A[sigma]/sigma^N, for an
     atom poly over A of sigma-order at least `shift`, each coefficient placed
-    in its layer; degrees N and above are zero there.  crosscheck_dlog has
-    refused every Laurent-state atom whose sigma-span reaches its ring's N."""
+    in its layer; degrees N and above are zero there.  crosscheck_dlog picks
+    its ring's N past the sigma-span of every Laurent-state atom."""
     return AlgebraElement(ring, {ring._place[deg - shift][a]: q for deg, c in poly.coords.items()
                                  if deg - shift < ring.ext_order for a, q in c.coords.items()})
 
@@ -623,23 +621,19 @@ class CrosscheckReport(namedtuple("CrosscheckReport",
         return rows
 
 
-def default_precision(n):
-    return 3 * (n + 2)
-
-
 # The crosscheck's cost is densest at small n, where the dlog series of
 # 1 + c s^(n+1) fills all N sigma-degrees, and grows there nearly as N^2 (2.8-3.1
-# times from N = 32 to 64, 3.8 from 64 to 128): eq7 at n = 2 with --precision N,
+# times from N = 32 to 64, 3.8 from 64 to 128): eq7 at n = 2 realized at precision N,
 # on one Xeon core under CPython 3.11, takes 0.017-0.019 and 0.063-0.071 s on Q[t]/t^3
 # at N = 64 and 128, and 0.030-0.036 and 0.115-0.125 s on the ten-dimensional
 # Q[x,y]/m^4 (the crosscheck alone, timed inside the process, 14 runs each).  N is
 # capped where that worst case stays under 10 s on the five algebras the benchmark
-# certifies over (Q[x,y]/m^4 is the slowest).  The cap admits the default precision up
-# to n = 40; the bundled suite uses N <= 18 and the benchmark N <= 42.
+# certifies over (Q[x,y]/m^4 is the slowest).  The cap admits the bundled chains,
+# whose N is 3(n+2), up to n = 40; the bundled suite uses N <= 18 and the benchmark N <= 42.
 MAX_PRECISION = EXPANSION_BUDGET
 
 
-def crosscheck_dlog(cert, precision=None):
+def crosscheck_dlog(cert):
     """Realize every intermediate state and verify each step preserves it.
 
     A symbol {e1, e2} is realized as s * dlog e1 ^ dlog e2; the factor s
@@ -648,28 +642,19 @@ def crosscheck_dlog(cert, precision=None):
     and the realizer's agreement compares consecutive forms.  The goal is
     realized by the same rule for final_zero.  Nothing is kept between calls.  A
     step the replay rejects is the first disagreeing step.  The precision is
-    an integer; a float raises TypeError.  The least N is set by the Laurent
-    forms: their atoms' spans, and n + 1 when one is read across the projection.
+    N = 3 * max(n + 2, the widest sigma-span of an atom the Laurent forms hold):
+    3 * span >= span + 1, and N + 1 >= n + 2 reads a form across the projection.
     """
-    n = cert.context.n
-    N = default_precision(n) if precision is None else operator.index(precision)
-    if N > MAX_PRECISION:
-        raise PrecisionTooLarge(
-            f"precision {N} is above the cap of {MAX_PRECISION}"
-            + (f" (the default 3(n+2) at n = {n})" if precision is None else ""))
     # the spans of what A[s]/s^(N+1) realizes: the Laurent states, and the goal,
     # read at the last state's order; a truncated state's atoms are cut in its ring
     run = cert.replay
     states = run.states + [CheckState(cert.goal, run.states[-1].order)]
     symbols = {id(s): s for st in states if st.order is None for _, s in st.state.terms}.values()
-    max_span = max((poly.span() for sym in symbols for entry in sym.entries
-                    for poly, _ in entry.atoms), default=0)
-    need, why = max(2, 3 * max_span), f"atoms of sigma-span {max_span}"  # 3 * span >= span + 1
-    # the Laurent form is read across the projection in A[s]/s^(n+2): N + 1 >= n + 2
-    if run.states[-1].order is not None and n + 1 > need:
-        need, why = n + 1, f"the truncation at sigma^{n + 1} (n + 1)"
-    if N < need:
-        raise PrecisionInsufficient(f"precision {N} too small for {why}; need at least {need}")
+    spans = (poly.span() for sym in symbols for entry in sym.entries for poly, _ in entry.atoms)
+    N = 3 * max(cert.context.n + 2, max(spans, default=0))
+    if N > MAX_PRECISION:
+        raise PrecisionTooLarge(f"the crosscheck needs precision {N}, above the cap of "
+                                f"{MAX_PRECISION}")
 
     realizer = shared_realizer(cert.context.algebra, N)
     agrees = realizer.agreement(run.states)

@@ -145,7 +145,7 @@ def _cmd_certify(A, args, builder):
     rep.extend(verdict.record())
     holds = verdict.valid
     if holds:
-        cross = crosscheck_dlog(cert, precision=args.precision)
+        cross = crosscheck_dlog(cert)
         rep.extend(cross.record())
         holds = cross.all_agree
     if args.save:
@@ -202,9 +202,7 @@ _CERTIFY = (
     ("--algebra", {"help": "algebra spec file"}), *_REPORT,
     ("--c", {"help": "unit coefficient expression; one that starts with '-' is written "
                      "--c=-1+t"}),
-    ("--n", {"type": _whole, "help": "level of the relative kernel"}),
-    ("--precision", {"type": _whole, "default": None,
-                     "help": "crosscheck truncation order (default 3(n+2))"}),
+    ("--n", {"type": _whole, "help": "level of the relative kernel; crosscheck N >= 3(n+2)"}),
     ("--save", {"help": "write the certificate as JSON"}),
     ("--load", {"help": "check a saved certificate instead of building one"}))
 

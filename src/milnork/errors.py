@@ -73,9 +73,5 @@ class NotASplittingChain(MilnorkError):
     """A certificate extended to eq8 is not an eq7 chain whose replay reaches its goal."""
 
 
-class PrecisionInsufficient(MilnorkError):
-    """The truncation order cannot represent every atom; raise the precision."""
-
-
 class PrecisionTooLarge(MilnorkError):
     """The crosscheck ring would exceed the precision cap."""

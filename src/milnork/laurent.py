@@ -28,8 +28,8 @@ from .poly import Polynomial, power
 # its total atom exponent.  A wider side fails with PositionInvalid, so a
 # short certificate field such as (1 + sigma)^3000 or 2^1000000000 costs
 # nothing.  The value is the crosscheck's precision cap (certify.MAX_PRECISION):
-# the eq7/eq8 chains it admits (n <= 40) expand sides of span and total
-# exponent at most max(n + 2, 6).
+# the eq7/eq8 chains it admits, whose N is 3(n+2) (n <= 40), expand sides of
+# span and total exponent at most max(n + 2, 6).
 EXPANSION_BUDGET = 128
 
 

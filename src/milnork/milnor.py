@@ -11,6 +11,7 @@ K(A[s]/s^(n+1)) -> K(A[s]/s^n), (c) the evaluation sending a generator
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from itertools import combinations_with_replacement, product
 
@@ -129,7 +130,7 @@ class GeneratorFamily:
     each tail of k units from `lifted`, made on each pass from the shared
     units, which were checked once when the family was built.
 
-    len() counts them without building any.
+    len() counts them without building any, and raises OutOfDomain past sys.maxsize.
     """
 
     __slots__ = ("algebra", "heads", "lifted")
@@ -138,7 +139,12 @@ class GeneratorFamily:
         self.algebra, self.heads, self.lifted = algebra, heads, lifted
 
     def __len__(self):
-        return sum(len(self.lifted) ** k for _, k in self.heads)
+        m = len(self.lifted)  # m^min(k, 64) is m^k, or past sys.maxsize as m^k is
+        count = sum(m ** min(k, 64) for _, k in self.heads)
+        if count > sys.maxsize:
+            raise OutOfDomain(f"degree p = {self.heads[0][1] + 1} makes more generators "
+                              f"than the limit of {sys.maxsize}")
+        return count
 
     def __iter__(self):
         for head, k in self.heads:

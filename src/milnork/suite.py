@@ -232,12 +232,12 @@ def rule_soundness_checks():
     """Deterministic instance grids: each accepted step preserves the dlog
     realization exactly (>= 50 instances per rule kind).  Every instance is a
     one-step replay, compared by the crosscheck's own ExtendedRealizer.agreement."""
-    agree = {}
+    agree = {}  # at N = 12: 3 * span for atom spans <= 4, the n = 2 crosscheck's ring
 
     def run(A, terms, rule, position, payload):
         replay = Replay(SymbolCombination(A, 2, terms))
         replay.rewrite(rule, position, payload)
-        agree.setdefault(rule, []).extend(shared_realizer(A, 8).agreement(replay.states))
+        agree.setdefault(rule, []).extend(shared_realizer(A, 12).agreement(replay.states))
 
     for name, A in _small_contexts():
         one = LaurentPolynomial.constant(A, 1)

@@ -20,7 +20,6 @@ from milnork.certify import (
     check_certificate,
     check_step,
     crosscheck_dlog,
-    default_precision,
     lift_laurent,
     shared_realizer,
     splitting_certificate,
@@ -33,7 +32,6 @@ from milnork.errors import (
     NotASplittingChain,
     ParseError,
     PositionInvalid,
-    PrecisionInsufficient,
     PrecisionTooLarge,
     SideConditionFailed,
 )
@@ -204,7 +202,7 @@ def test_crosscheck_agreement(Q, t2):
         rep = crosscheck_dlog(cert)
         assert rep.all_agree
         assert rep.final_realization_zero
-        assert rep.precision == default_precision(n)
+        assert rep.precision == 3 * (n + 2)
 
 
 _T3 = (["t"], ["t^3"], "1 + t")
@@ -231,15 +229,15 @@ def test_a_truncated_state_is_realized_in_its_own_ring(spec, n):
     the route it replaced realized it at the precision N and mapped the form."""
     variables, relations, c = spec
     A = alg(variables, relations)
-    _assert_realized_in_own_ring(vanishing_certificate(A, A.element(c), n), default_precision(n))
+    _assert_realized_in_own_ring(vanishing_certificate(A, A.element(c), n), 3 * (n + 2))
 
 
 def test_an_atom_past_the_truncation_is_cut_where_it_is_realized():
     """A step after the projection inserts a symbol whose first entry, p * p^-1
     with p = 1 + s^2 + t s^20, collapses to 1.  p keeps its s-degree 20 in
     the truncated state, past A[s]/s^(n+2), where its lift drops it.  Only
-    the Laurent states set the precision, so the default one checks it too,
-    with the same step rows."""
+    the Laurent states set the precision, so the crosscheck runs at 12, with
+    the step rows of a realizer at 60."""
     A = alg(*_T3[:2])
     cert = vanishing_certificate(A, A.element(_T3[2]), 2)
     one, sig = LaurentPolynomial.constant(A, 1), LaurentPolynomial.sigma(A)
@@ -248,11 +246,11 @@ def test_an_atom_past_the_truncation_is_cut_where_it_is_realized():
     cert = cert._replace(steps=cert.steps + (RewriteStep(
         "bilinearity", {}, {"mode": "insert", "coeff": "1", "symbol": sym, "slot": 0}),))
     _assert_realized_in_own_ring(cert, 60)
-    report = crosscheck_dlog(cert, 60)
+    report = crosscheck_dlog(cert)
     assert report.all_agree and report.steps[-1][1:] == ("bilinearity", True)
-    default = crosscheck_dlog(cert)
-    assert default.precision == default_precision(2) == 12
-    assert default._replace(precision=60) == report
+    assert report.precision == 12
+    assert [ok for _, _, ok in report.steps] == shared_realizer(A, 60).agreement(
+        cert.replay.states)
 
 
 def test_the_claim_sides_are_not_realized():
@@ -340,29 +338,52 @@ def test_failure_detail_in_record_only_when_invalid(Q):
     assert "entry_identity" in verdict.failure_detail
 
 
-def test_precision_insufficient(Q):
-    cert = vanishing_certificate(Q, 1, 2)
-    with pytest.raises(PrecisionInsufficient):
-        crosscheck_dlog(cert, precision=3)
+def _wide_certificate(span, second=None):
+    """A loaded Q[t]/t^3 certificate at n = 2 that inserts the Steinberg symbol
+    {1 + sigma^span, -sigma^span}, whose first atom has sigma-span `span`,
+    and then removes it, or applies the step `second` instead."""
+    first = [[[f"sigma^{span} + 1", 1]], [[f"-sigma^{span}", 1]]]
+    insert = {"rule": "steinberg", "position": {},
+              "payload": {"mode": "insert", "coeff": "1", "symbol": {"symbol": first}}}
+    remove = {"rule": "steinberg", "position": {"term": 0}, "payload": {"mode": "remove"}}
+    return certificate_from_json(json.dumps({
+        "context": {"variables": ["t"], "relations": ["t^3"], "n": 2, "c": "1 + t"},
+        "claim": {"lhs": [], "rhs": [], "linkage": "direct"}, "start": [], "goal": [],
+        "steps": [insert, second or remove]}))
 
 
-def test_precision_must_be_an_integer(Q):
-    # int() read 12.7 as 12, and "12" as 12
-    cert = vanishing_certificate(Q, 1, 2)
-    for precision in (12.7, 12.0, Fraction(25, 2), "12"):
-        with pytest.raises(TypeError):
-            crosscheck_dlog(cert, precision=precision)
-    assert crosscheck_dlog(cert, precision=12) == crosscheck_dlog(cert)
+def test_the_precision_is_three_times_the_widest_laurent_span():
+    """N = 3 * max(n + 2, span): an atom of sigma-span 20 in a Laurent state
+    sets N = 60 at n = 2, where 3(n + 2) is 12."""
+    cert = _wide_certificate(20)
+    assert check_certificate(cert).valid
+    assert crosscheck_dlog(cert) == (60, ((0, "steinberg", True), (1, "steinberg", True)),
+                                     True, True)
+    assert crosscheck_dlog(_wide_certificate(1)).precision == 12
+
+
+def test_a_corrupted_step_disagrees_at_the_computed_precision():
+    """A second step the replay rejects, an insert of {1 + sigma^20, sigma^20},
+    reads DISAGREE; the inserted span-20 atom still sets N = 60."""
+    bad = [[["sigma^20 + 1", 1]], [["sigma^20", 1]]]
+    cert = _wide_certificate(20, {"rule": "steinberg", "position": {}, "payload": {
+        "mode": "insert", "coeff": "1", "symbol": {"symbol": bad}}})
+    verdict = check_certificate(cert)
+    assert not verdict.valid and verdict.failure_index == 1
+    report = crosscheck_dlog(cert)
+    assert report.precision == 60 and not report.all_agree
+    assert report.steps == ((0, "steinberg", True), (1, "steinberg", False))
 
 
 def test_precision_above_cap_builds_no_ring(Q, monkeypatch):
+    """A span of 43 or a level of 41 sets N = 129, over the cap of 128: the
+    crosscheck refuses it before building any ring."""
     monkeypatch.setattr(certify, "ExtendedRealizer", None)  # any realizer would fail
-    cert = vanishing_certificate(Q, 1, 2)
-    with pytest.raises(PrecisionTooLarge, match=f"above the cap of {MAX_PRECISION}"):
-        crosscheck_dlog(cert, precision=100000)
-    with pytest.raises(PrecisionTooLarge, match=r"the default 3\(n\+2\) at n = 41"):
-        crosscheck_dlog(vanishing_certificate(Q, 1, 41))
-    assert default_precision(40) <= MAX_PRECISION < default_precision(41)
+    assert 3 * 42 <= MAX_PRECISION < 3 * 43
+    for cert in (_wide_certificate(43), vanishing_certificate(Q, 1, 41)):
+        with pytest.raises(PrecisionTooLarge, match=r"^the crosscheck needs precision 129, "
+                                                    f"above the cap of {MAX_PRECISION}$"):
+            crosscheck_dlog(cert)
 
 
 def test_certificate_json_round_trip(t2):
@@ -669,14 +690,14 @@ def _counting_realize_state(monkeypatch):
 def test_eq8_crosscheck_does_not_depend_on_earlier_crosschecks(monkeypatch):
     """The crosscheck keeps nothing between calls: an extended eq8 certificate
     gives the same report and realizes each state and then the goal, with or
-    without an eq7 crosscheck before it, twice in a row, after a reload and
-    at another precision."""
+    without an eq7 crosscheck before it, twice in a row and after a reload,
+    and its step rows are those of a realizer at a wider precision."""
     t3 = alg(["t"], ["t^3"])
     realized = _counting_realize_state(monkeypatch)
 
-    def crosscheck(cert, precision=None):
+    def crosscheck(cert):
         realized.clear()
-        report = crosscheck_dlog(cert, precision)
+        report = crosscheck_dlog(cert)
         assert len(realized) == len(cert.steps) + 2
         return report
 
@@ -689,8 +710,8 @@ def test_eq8_crosscheck_does_not_depend_on_earlier_crosschecks(monkeypatch):
     assert crosscheck(cert8) == report8
     assert crosscheck(cert8) == report8
     assert crosscheck(certificate_from_json(certificate_to_json(cert8))) == report8
-    wider = crosscheck(cert8, default_precision(2) + 1)
-    assert wider.steps == report8.steps and wider.all_agree and wider.final_realization_zero
+    wider = shared_realizer(t3, 13).agreement(cert8.replay.states)
+    assert wider == [ok for _, _, ok in report8.steps] and all(wider)
     assert crosscheck(cert8) == report8
 
 

@@ -295,7 +295,7 @@ def test_certify_commands(capsys, q_spec, tmp_path):
 
 
 def test_certify_valid_but_disagreeing_crosscheck_exit_1(capsys, q_spec, monkeypatch):
-    monkeypatch.setattr(cli, "crosscheck_dlog", lambda cert, precision=None: (
+    monkeypatch.setattr(cli, "crosscheck_dlog", lambda cert: (
         certify.CrosscheckReport(6, ((0, "steinberg", False),), False, True)))
     code, out = run(capsys, "certify-eq7", "--algebra", q_spec, "--c", "2", "--n", "1",
                     "--format", "record")
@@ -344,42 +344,58 @@ def test_certify_needs_args(capsys, q_spec):
 
 
 def test_certify_precision_override(capsys, q_spec):
+    # --precision 12 set the crosscheck's N; the crosscheck works it out, and
+    # the option is gone
     code, out = run(capsys, "certify-eq7", "--algebra", q_spec, "--c", "2", "--n", "1",
-                    "--precision", "12", "--format", "record")
-    assert code == 0 and "crosscheck.precision=12" in out
-    code, _ = run(capsys, "certify-eq7", "--algebra", q_spec, "--c", "2", "--n", "1",
-                  "--precision", "3")
-    assert code == 2  # too small to represent the atoms
+                    "--format", "record")
+    assert code == 0 and "crosscheck.precision=9\n" in out
+    assert main(["certify-eq7", "--algebra", q_spec, "--c", "2", "--n", "1",
+                 "--precision", "12"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "unrecognized arguments: --precision 12" in captured.err
+
+
+def _stationary(doc, state, path):
+    """doc with start, goal and both claim sides `state`, and no steps, at path."""
+    doc.update(start=state, goal=state, steps=[],
+               claim={"lhs": state, "rhs": state, "linkage": "direct"})
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def test_precision_requirement_is_the_one_it_quotes(capsys, tmp_path, t3_eq8_doc):
-    # every atom of sigma-span 0: the requirement is 2, where the message
-    # used to ask for 1 while refusing it
-    state = [["1", [[["1 + t", 1]], [["2", 1]]]]]
-    t3_eq8_doc.update(start=state, goal=state, steps=[],
-                      claim={"lhs": state, "rhs": state, "linkage": "direct"})
-    path = tmp_path / "still.json"
-    path.write_text(json.dumps(t3_eq8_doc))
-    for precision, code in (("1", 2), ("2", 0)):
-        assert main(["certify-eq8", "--load", str(path), "--precision", precision]) == code
-        err = capsys.readouterr().err
-        assert err == ("" if code == 0 else "input error: precision 1 too small for atoms "
-                       "of sigma-span 0; need at least 2\n")
+    # N = 3 * max(n + 2, span) at n = 2: the N a verdict reports, or the one
+    # the refusal quotes; span 20 exited 2 with "precision 12 too small for
+    # atoms of sigma-span 20; need at least 60"
+    for span, code, message in (
+            (0, 0, ""), (20, 0, ""),
+            (43, 2, "input error: the crosscheck needs precision 129, above the cap of 128\n")):
+        state = [["1", [[[f"1 + sigma^{span}", 1]], [["1 + t", 1]]]]]
+        path = _stationary(t3_eq8_doc, state, tmp_path / "still.json")
+        assert main(["certify-eq8", "--load", path, "--format", "record"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == message
+        if code == 0:
+            for row in ("certificate.valid=true", f"crosscheck.precision={3 * max(4, span)}",
+                        "crosscheck.all_agree=true"):
+                assert row + "\n" in captured.out
 
 
-@pytest.mark.parametrize("precision, code, first_line, size", [
-    ("3", 2, "input error: precision 3 too small for the truncation at sigma^11 (n + 1); "
-             "need at least 11", 0),
-    ("10", 2, "input error: precision 10 too small for the truncation at sigma^11 (n + 1); "
-              "need at least 11", 0),
-    ("11", 0, "", 365),
-    (None, 0, "", 365),
-])
-def test_a_projection_needs_precision_n_plus_one(capsys, tmp_path, t3_eq8_doc, precision, code,
-                                                  first_line, size):
-    # atoms of sigma-span 1 need only 3, but a truncated state is read in
-    # A[s]/s^(n+2), which the realizer's A[s]/s^(N+1) must map onto: below
-    # n + 1 this exited 2 with map_form's own message
+def test_an_empty_certificate_is_crosschecked_at_3_n_plus_2(capsys, tmp_path, t3_eq8_doc):
+    # no atom at all: max() of the spans alone raised ValueError
+    path = _stationary(t3_eq8_doc, [], tmp_path / "empty.json")
+    code, out = run(capsys, "certify-eq8", "--load", path, "--format", "record")
+    assert code == 0
+    for row in ("certificate.valid=true", "crosscheck.precision=12", "crosscheck.all_agree=true",
+                "crosscheck.final_zero=true"):
+        assert row + "\n" in out
+
+
+def test_a_projection_needs_precision_n_plus_one(capsys, tmp_path, t3_eq8_doc):
+    # atoms of sigma-span 1, but a truncated state is read in A[s]/s^(n+2),
+    # which the realizer's A[s]/s^(N+1) must map onto: N = 3(n + 2) = 36 >= n + 1
+    # at n = 10, where --precision 3 or 10 exited 2 and 11 was the least it took
     state = [["1", [[["1 - sigma", 1]], [["1 + t", 1]]]]]
     t3_eq8_doc["context"]["n"] = 10
     t3_eq8_doc.update(start=state, goal=state, claim={"lhs": state, "rhs": state,
@@ -387,20 +403,34 @@ def test_a_projection_needs_precision_n_plus_one(capsys, tmp_path, t3_eq8_doc, p
                       steps=[{"rule": "projection", "position": {}, "payload": {"order": 11}}])
     path = tmp_path / "projected.json"
     path.write_text(json.dumps(t3_eq8_doc))
-    code_ = main(["certify-eq8", "--load", str(path), "--format", "record"]
-                 + (["--precision", precision] if precision else []))
+    code = main(["certify-eq8", "--load", str(path), "--format", "record"])
     captured = capsys.readouterr()
-    assert (code_, (captured.err.splitlines() or [""])[0], len(captured.out)) == (
-        code, first_line, size)
-    assert code or "certificate.valid=true\n" in captured.out
+    assert (code, captured.err, len(captured.out)) == (0, "", 365)
+    assert "certificate.valid=true\n" in captured.out
+    assert "crosscheck.precision=36\n" in captured.out
 
 
 def test_certify_precision_above_cap_exit_2(capsys, t3_spec, monkeypatch):
     monkeypatch.setattr(certify, "ExtendedRealizer", None)  # rejected before any ring
-    code = main(["certify-eq7", "--algebra", t3_spec, "--c", "1+t", "--n", "2",
-                 "--precision", "100000"])
+    code = main(["certify-eq7", "--algebra", t3_spec, "--c", "1+t", "--n", "41"])
     assert code == 2
-    assert f"precision 100000 is above the cap of {certify.MAX_PRECISION}" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("input error: the crosscheck needs precision 129, above "
+                                       f"the cap of {certify.MAX_PRECISION}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem2", "--n", "1", "--p", "32"],
+    ["theorem2", "--n", "1", "--p", "100"],
+    ["phi", "--n", "1", "--p", "40"],
+])
+def test_a_family_longer_than_len_counts_is_an_input_error(capsys, t3_spec, argv):
+    # each exited 1, the code of a short rank, with OverflowError: cannot fit
+    # 'int' into an index-sized integer
+    code = main([argv[0], "--algebra", t3_spec] + argv[1:])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"input error: degree p = {argv[-1]} makes more generators than "
+                            f"the limit of {sys.maxsize}\n")
 
 
 def test_certify_non_unit_c_exit_2(capsys, tmp_path):
@@ -757,7 +787,7 @@ def test_algebra_file_order_reads_the_literal_grammar():
 @pytest.mark.parametrize("argv", [
     ["omega", "--p", "1/0"],
     ["theorem2", "--n", "1/0", "--p", "1"],
-    ["certify-eq7", "--c", "1+t", "--n", "2", "--precision", "1/0"],
+    ["certify-eq7", "--c", "1+t", "--n", "1/0"],
 ])
 def test_a_zero_denominator_in_a_cli_integer_is_a_usage_error(capsys, t3_spec, argv):
     # each used to end in ZeroDivisionError: Fraction(1, 0)
@@ -832,7 +862,7 @@ def test_a_long_bad_number_is_quoted_bounded(capsys, tmp_path, where):
 @pytest.mark.parametrize("argv", [
     ["omega", "--p"],
     ["theorem2", "--p", "2", "--n"],
-    ["certify-eq7", "--c", "1+t", "--n", "2", "--precision"],
+    ["certify-eq7", "--c", "1+t", "--n"],
 ])
 def test_a_long_bad_whole_option_is_quoted_bounded(capsys, t3_spec, argv):
     # argparse quoted the whole value: 10,174 bytes of stderr for --p
@@ -848,7 +878,7 @@ def test_a_long_bad_whole_option_is_quoted_bounded(capsys, t3_spec, argv):
     # int() reads 1_0 as 10
     ["omega", "--p", "1_0"],
     ["theorem2", "--n", "1_0", "--p", "2"],
-    ["certify-eq8", "--c", "2", "--n", "1", "--precision", "1_0"],
+    ["certify-eq8", "--c", "2", "--n", "1_0"],
 ])
 def test_cli_integers_are_whole_literals(capsys, t3_spec, argv):
     code = main([argv[0], "--algebra", t3_spec] + argv[1:])

@@ -94,7 +94,8 @@ def test_fuzz_algebra_spec(workdir, text):
     _exit_code(["algebra-info", "--algebra", str(path), "--format", "record"])
 
 
-# (c) whole-number options of the fast commands over Q[t]/t^3
+# (c) whole-number options of the fast commands over Q[t]/t^3; not phi, which lists
+# about 4^(p-1) generators, for minutes at a valid p of 14
 @pytest.fixture(scope="module")
 def t3_spec(workdir):
     spec = workdir / "t3.spec"
@@ -104,9 +105,9 @@ def t3_spec(workdir):
 
 @st.composite
 def _whole_argv(draw):
-    command = draw(st.sampled_from(["omega", "decomposition", "certify-eq7"]))
-    options = {"omega": ("--p",), "decomposition": ("--n", "--p"),
-               "certify-eq7": ("--n", "--precision")}[command]
+    command = draw(st.sampled_from(["omega", "decomposition", "theorem2", "certify-eq7"]))
+    options = {"omega": ("--p",), "decomposition": ("--n", "--p"), "theorem2": ("--n", "--p"),
+               "certify-eq7": ("--n",)}[command]
     argv = [command] + (["--c", "1+t"] if command == "certify-eq7" else [])
     for option in options:
         argv += [option, draw(_NUMBER)]
@@ -117,7 +118,9 @@ def _whole_argv(draw):
 @given(argv=_whole_argv())
 @example(argv=["omega", "--p", "1/0"])
 @example(argv=["theorem2", "--n", "1/0", "--p", "1"])
-@example(argv=["certify-eq7", "--c", "1+t", "--n", "2", "--precision", "1/0"])
+@example(argv=["certify-eq7", "--c", "1+t", "--n", "1/0"])
+@example(argv=["theorem2", "--n", "1", "--p", "32"])
+@example(argv=["theorem2", "--n", "1", "--p", "100"])
 def test_fuzz_whole_number_options(t3_spec, argv):
     _exit_code(argv + ["--algebra", t3_spec, "--format", "record"])
 

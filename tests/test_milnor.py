@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,22 @@ def test_family_length_counts_what_iteration_builds(n, p):
 def test_family_units_are_checked_when_it_is_built(t3):
     with pytest.raises(NonUnitEntry):
         relative_generators(t3, 1, 2, units=["t"])
+
+
+def test_family_length_past_sys_maxsize_is_out_of_domain():
+    """len() counts exactly up to sys.maxsize at any degree, and refuses a
+    longer family without raising the unit count to a long tail's power."""
+    Q = alg([], [])
+    # one unit, no unit, and no tail: 2, 0 and 1 symbols
+    assert len(relative_generators(Q, 1, 10**6, coeffs=["1"], units=["2"])) == 2
+    assert len(relative_generators(Q, 1, 10**6, coeffs=["1"], units=[])) == 0
+    assert len(relative_generators(Q, 1, 1, coeffs=["1"], units=[])) == 1
+    # two units: 2^(p-1) + 2^(p-2) symbols, under sys.maxsize = 2^63 - 1 at p = 63
+    assert len(relative_generators(Q, 1, 63, coeffs=["1"], units=["2", "3"])) == 3 * 2**61
+    for p in (64, 10**6):
+        with pytest.raises(OutOfDomain, match=f"^degree p = {p} makes more generators than "
+                                              f"the limit of {sys.maxsize}$"):
+            len(relative_generators(Q, 1, p, coeffs=["1"], units=["2", "3"]))
 
 
 @pytest.mark.parametrize("n, p", [(1, 2), (2, 3)])

@@ -435,14 +435,14 @@ def test_trust_breaches_are_found():
     source = CERTIFY.read_text(encoding="utf-8")
     planted = {"def check_certificate(cert):\n": "map_form, crosscheck_dlog, vanishing_from",
                "def vanishing_from(splitting):\n": "wedge",
-               "def certificate_from_json(text):\n": "default_precision"}
+               "def certificate_from_json(text):\n": "shared_realizer"}
     for line, reads in planted.items():
         assert source.count(line) == 1
         source = source.replace(line, f"{line}    {reads}\n")
     assert _trust_breaches(source) == [
         "check_certificate reads map_form", "check_certificate reads crosscheck_dlog",
         "check_certificate reads vanishing_from", "vanishing_from reads wedge",
-        "certificate_from_json reads default_precision"]
+        "certificate_from_json reads shared_realizer"]
 
 
 def _indented_json(tree):
