@@ -746,6 +746,16 @@ def _field(obj, key, kind, where=""):
     return value
 
 
+def _json_int(literal):
+    """json's parse_int: an integer literal, refused before int() when it has more
+    digits than the interpreter's limit (0 is no limit)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(literal) - literal.startswith("-") > limit:
+        raise ParseError("certificate JSON has an integer past the interpreter's digit limit "
+                         f"of {limit}")
+    return int(literal)
+
+
 def certificate_from_json(text):
     """Load a certificate written by certificate_to_json.
 
@@ -753,16 +763,11 @@ def certificate_from_json(text):
     field its rule needs still loads; the checker rejects it at that step.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise ParseError("certificate JSON is nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc)) from None
-    except ValueError as exc:
-        if "int_max_str_digits" not in str(exc):  # not an integer past the digit limit
-            raise
-        raise ParseError("certificate JSON has an integer past the interpreter's digit limit "
-                         f"of {sys.get_int_max_str_digits()}") from None
     ctx = _field(doc, "context", dict)
     variables = _field(ctx, "variables", list, "context.")
     relations = _field(ctx, "relations", list, "context.")

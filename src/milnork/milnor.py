@@ -71,16 +71,6 @@ def dlog_realize(comb):
     return total
 
 
-def _coefficient_wedge(c, units):
-    """c * dlog u_1 ^ ... ^ dlog u_k over c's algebra; the 0-form c when k = 0.
-
-    The wedge is memoized on the algebra it lives in, keyed by the units
-    themselves, which hash by value; only the action of c is computed per call.
-    """
-    A = c.algebra
-    return A.memo("dlog_wedges", tuple(units), _dlog_wedge, A, units).act(c)
-
-
 # -- deterministic sample grids ------------------------------------------------
 
 
@@ -167,6 +157,21 @@ def _classify_slot(entry):
             layers[:2] == [one, -one][:n + 1] and not any(layers[2:]))
 
 
+def _realize_tail(B, tail):
+    """dlog u_1 ^ ... ^ dlog u_k over A = B.base for a tail of s-free slots
+    of B, or the zero form of Omega^k_A once a slot is 1 - s; the slots are
+    read in order, so one that is not s-free before any 1 - s raises."""
+    units = []
+    for entry in tail:
+        _, unit, one_minus = B.memo("slots", entry, _classify_slot, entry)
+        if one_minus:
+            return omega_module(B.base, len(tail)).form()
+        if unit is None:
+            raise NotGeneratorShape(f"slot {entry} is not {B.ext_name}-free")
+        units.append(unit)
+    return B.base.memo("dlog_wedges", tuple(units), _dlog_wedge, B.base, units)
+
+
 def relative_realize(comb, n):
     """Evaluate the relative-class map on generator-shaped combinations.
 
@@ -174,7 +179,8 @@ def relative_realize(comb, n):
     c * dlog u_1 ^ ... ^ dlog u_(p-1) over the base algebra; terms containing
     a 1 - s slot are sent to zero.  The s^n/s^(n+1) factor is a degree tag:
     the target is Omega^(p-1) of the base.  Each slot is classified once on B,
-    keyed by the entry itself, which hashes by value.
+    keyed by the entry itself, which hashes by value, and each tail once,
+    keyed by its entries; c acts per term, and only on a nonzero wedge.
     """
     B = comb.algebra
     if B.base is None:
@@ -189,18 +195,11 @@ def relative_realize(comb, n):
         c = B.memo("slots", first, _classify_slot, first)[0]
         if c is None:
             raise NotGeneratorShape(f"first slot of {sym} is not 1 + c*{B.ext_name}^{n}")
-        units = []
-        for entry in sym.entries[1:]:
-            _, unit, one_minus = B.memo("slots", entry, _classify_slot, entry)
-            if one_minus:
-                break
-            if unit is None:
-                raise NotGeneratorShape(f"slot {entry} is not {B.ext_name}-free")
-            units.append(unit)
-        else:
-            form = _coefficient_wedge(c, units)
-            form = form if coeff == 1 else form.scale(coeff)
-            total = form if total is None else total + form
+        tail = sym.entries[1:]
+        form = B.memo("tails", tail, _realize_tail, B, tail)
+        if form:
+            form = form.act(c) if coeff == 1 else form.act(c).scale(coeff)
+        total = form if total is None else total + form
     return omega_module(B.base, comb.degree - 1).form() if total is None else total
 
 
@@ -350,7 +349,7 @@ def transport_check(B, n):
             # route the first entry through tau and realize on the quotient
             # side; u, s-free, is its own image there, and c' is in the span
             residual = layer.reduce((Bn1.one - transport(first, Bn1)).coords)
-            routed = _coefficient_wedge(in_ap(residual), [u])
+            routed = dlog(u).act(in_ap(residual))
             if to_tensor(direct) != to_tensor(routed):
                 compatible = False
                 break

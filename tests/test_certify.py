@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -444,6 +445,23 @@ def test_only_an_integer_past_the_digit_limit_is_named_so():
         certificate_from_json(b'{"context": "\xff"}')
     with pytest.raises(ParseError, match="an integer past the interpreter's digit limit"):
         certificate_from_json(b'{"context": ' + b"9" * 5000 + b"}")
+
+
+def test_the_digit_limit_of_the_loader_is_the_interpreters():
+    # a literal of exactly the limit loads, one digit more is refused, a sign
+    # is not a digit, and a limit of 0 refuses none
+    limit = sys.get_int_max_str_digits()
+    for literal in ("9" * limit, "-" + "9" * limit):
+        with pytest.raises(ParseError, match="field context must be an object"):
+            certificate_from_json('{"context": ' + literal + "}")
+    with pytest.raises(ParseError, match="digit limit"):
+        certificate_from_json('{"context": -' + "9" * (limit + 1) + "}")
+    try:
+        sys.set_int_max_str_digits(0)
+        with pytest.raises(ParseError, match="field context must be an object"):
+            certificate_from_json('{"context": ' + "9" * (limit + 1) + "}")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_certificate_annotations_mention_projection_assumption(Q):

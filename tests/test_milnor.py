@@ -303,8 +303,9 @@ def test_family_symbols_equal_the_general_construction(t3):
 
 
 def test_realizing_a_family_classifies_each_slot_once(monkeypatch):
-    # one memo lookup per slot and one for the wedge; the family's ring-level
-    # data is not looked up per generator
+    # one memo lookup for the first slot and one for the tail; a tail's slots
+    # and wedge are looked up only when it is first built, and the family's
+    # ring-level data is not looked up per generator
     A = alg(["x", "y", "z"], [f"x^{a}*y^{b}*z^{4 - a - b}"
                               for a in range(5) for b in range(5 - a)])
     gens = relative_generators(A, 2, 3)
@@ -318,46 +319,54 @@ def test_realizing_a_family_classifies_each_slot_once(monkeypatch):
     monkeypatch.setattr(Algebra, "memo", counting)
     forms = [relative_realize(g, 2) for g in gens]
     assert len(forms) == 8841
-    assert len(calls) <= 4.2 * len(forms)
+    assert len(calls) <= 2.4 * len(forms)
     B = gens.algebra
     assert "slot_layers" not in B._memo and "one_minus" not in B._memo
     assert len(B._memo["slots"]) == 42  # 20 first slots, 1 - s and 21 units
 
 
 def test_realizing_a_family_builds_each_slot_and_wedge_once(monkeypatch):
-    """The slot and wedge memos key by the elements themselves: they build one
-    entry per distinct slot and per distinct tuple of units, however many
-    generators share it, and a second pass over the family builds nothing."""
+    """The slot, tail and wedge memos key by the elements themselves: they build
+    one entry per distinct slot, per distinct tail and per distinct tuple of
+    units, however many generators share it, and a second pass over the
+    family builds nothing."""
     from milnork import milnor
 
-    built = {"slots": 0, "wedges": 0}
-    classify, wedge_of = milnor._classify_slot, milnor._dlog_wedge
+    built = {"slots": 0, "tails": 0, "wedges": 0}
+    classify, tail_of, wedge_of = milnor._classify_slot, milnor._realize_tail, milnor._dlog_wedge
 
     def counted_slot(entry):
         built["slots"] += 1
         return classify(entry)
+
+    def counted_tail(B, tail):
+        built["tails"] += 1
+        return tail_of(B, tail)
 
     def counted_wedge(algebra, units):
         built["wedges"] += 1
         return wedge_of(algebra, units)
 
     monkeypatch.setattr(milnor, "_classify_slot", counted_slot)
+    monkeypatch.setattr(milnor, "_realize_tail", counted_tail)
     monkeypatch.setattr(milnor, "_dlog_wedge", counted_wedge)
     A = alg(["x", "y"], [f"x^{a}*y^{4 - a}" for a in range(5)])
     gens = relative_generators(A, 2, 3)
     one_minus = gens.algebra.element("1 - sigma").key()
-    slots, wedges = set(), set()
+    slots, tails, wedges = set(), set(), set()
     for g in gens:  # the slots relative_realize reads: up to the first 1 - s
         (_, sym), = g.terms
         keys = [e.key() for e in sym.entries]
         cut = keys.index(one_minus) + 1 if one_minus in keys else len(keys)
         slots.update(keys[:cut])
+        tails.add(tuple(keys[1:]))
         if one_minus not in keys:
             wedges.add(tuple(keys[1:]))
+    counts = (len(slots), len(tails), len(wedges))
     first = [relative_realize(g, 2) for g in gens]
-    assert (built["slots"], built["wedges"]) == (len(slots), len(wedges)) == (22, 121)
+    assert (built["slots"], built["tails"], built["wedges"]) == counts == (22, 132, 121)
     assert [relative_realize(g, 2) for g in gens] == first
-    assert (built["slots"], built["wedges"]) == (22, 121)
+    assert (built["slots"], built["tails"], built["wedges"]) == counts
 
 
 def test_equal_slots_of_two_extensions_share_no_memo_entry():
@@ -369,11 +378,71 @@ def test_equal_slots_of_two_extensions_share_no_memo_entry():
         gens = relative_generators(A, 1, 2)
         forms.append([relative_realize(g, 1) for g in gens])
         B = gens.algebra
+        # _memo is a defaultdict: a table under another name would be empty here
+        assert B._memo["slots"] and B._memo["tails"] and A._memo["dlog_wedges"]
         assert all(e.algebra is B for e in B._memo["slots"])
+        assert all(e.algebra is B for tail in B._memo["tails"] for e in tail)
         assert all(u.algebra is A for units in A._memo["dlog_wedges"] for u in units)
     assert [f.coords for f in forms[0]] == [f.coords for f in forms[1]]
     assert forms[0][0].module is not forms[1][0].module
     assert all(f != g for f, g in zip(*forms))
+
+
+def _tail_builds(monkeypatch):
+    """A list that grows by each tail relative_realize builds."""
+    from milnork import milnor
+
+    built, tail_of = [], milnor._realize_tail
+
+    def counted(B, tail):
+        built.append(tail)
+        return tail_of(B, tail)
+
+    monkeypatch.setattr(milnor, "_realize_tail", counted)
+    return built
+
+
+def test_a_tail_slot_that_is_not_s_free_is_refused_on_every_call():
+    # the tail memo stores nothing for a tail it refused, so the second call
+    # reads the slots again and raises the same error
+    B = truncated_extension(alg(["t"], ["t^3"]), "sigma", 2)
+    tail = (B.element("1 + t"), B.element("1 + sigma"), B.element("1 - sigma"))
+    comb = make_symbol((B.element("1 + t*sigma"),) + tail, 1)
+    for _ in range(2):
+        with pytest.raises(NotGeneratorShape) as err:
+            relative_realize(comb, 1)
+        assert str(err.value) == "slot sigma + 1 is not sigma-free"
+        assert tail not in B._memo["tails"]
+
+
+def test_a_one_minus_s_slot_before_any_other_makes_the_tail_zero(monkeypatch):
+    # the slots after 1 - s are not read, as before the tail memo; the zero
+    # form is the memo's value, so the tail is built once
+    A = alg(["t"], ["t^3"])
+    B = truncated_extension(A, "sigma", 2)
+    built = _tail_builds(monkeypatch)
+    comb = make_symbol([B.element("1 + t*sigma"), B.element("1 - sigma"),
+                        B.element("1 + sigma")], 1)
+    for _ in range(2):
+        f = relative_realize(comb, 1)
+        assert not f.coords and f.module is omega_module(A, 2)
+    assert len(built) == 1
+    # a unit slot before the 1 - s is read and kept; the tail is still zero
+    comb = make_symbol([B.element("1 + sigma"), B.element("1 + t"), B.element("1 - sigma")], 3)
+    assert [relative_realize(comb, 1).coords for _ in range(2)] == [{}, {}]
+    assert len(built) == 2
+
+
+def test_an_empty_tail_realizes_to_c(monkeypatch):
+    # p = 1: the tail is (), its wedge is the 0-form 1, and c acts on it
+    A = alg(["t"], ["t^3"])
+    B = truncated_extension(A, "sigma", 2)
+    built = _tail_builds(monkeypatch)
+    expected = omega_module(A, 0).form(A.element("2 + t").coords)
+    for coeff in (1, Fraction(1, 2), 1):
+        comb = make_symbol([B.element("1 + (2 + t)*sigma")], coeff)
+        assert relative_realize(comb, 1) == expected.scale(coeff)
+    assert built == [()]
 
 
 def test_a_symbol_of_elements_over_two_algebras_is_refused(t3):
