@@ -433,6 +433,33 @@ def test_a_family_longer_than_len_counts_is_an_input_error(capsys, t3_spec, argv
                             f"the limit of {sys.maxsize}\n")
 
 
+def test_phi_refuses_a_family_past_its_row_budget_before_listing_it(capsys, t3_spec):
+    # p = 14 over Q[t]/t^3 is 218,103,808 generators, hours of listing; it
+    # exited 0 only after building every row of its report
+    start = time.perf_counter()
+    code = main(["phi", "--algebra", t3_spec, "--n", "1", "--p", "14"])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"input error: phi lists at most {cli.PHI_ROW_BUDGET} generators; "
+                            "degree p = 14 at level n = 1 makes 218103808\n")
+
+
+def test_phi_lists_a_family_of_exactly_its_row_budget(capsys, t3_spec, monkeypatch):
+    code, out = run(capsys, "phi", "--algebra", t3_spec, "--n", "1", "--p", "3",
+                    "--format", "record")
+    count = int(out.split("phi.count=")[1].split("\n")[0])
+    monkeypatch.setattr(cli, "PHI_ROW_BUDGET", count)
+    assert run(capsys, "phi", "--algebra", t3_spec, "--n", "1", "--p", "3",
+               "--format", "record") == (code, out) and code == 0
+    monkeypatch.setattr(cli, "PHI_ROW_BUDGET", count - 1)
+    code = main(["phi", "--algebra", t3_spec, "--n", "1", "--p", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"input error: phi lists at most {count - 1} generators; "
+                            f"degree p = 3 at level n = 1 makes {count}\n")
+
+
 def test_certify_non_unit_c_exit_2(capsys, tmp_path):
     spec = tmp_path / "t2.spec"
     spec.write_text("variables: t\nrelations: t^2\n")

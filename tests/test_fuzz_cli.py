@@ -95,7 +95,7 @@ def test_fuzz_algebra_spec(workdir, text):
 
 
 # (c) whole-number options of the fast commands over Q[t]/t^3; not phi, which lists
-# about 4^(p-1) generators, for minutes at a valid p of 14
+# about 4^(p-1) generators, for seconds at p = 8, under its row budget
 @pytest.fixture(scope="module")
 def t3_spec(workdir):
     spec = workdir / "t3.spec"

@@ -22,9 +22,9 @@ from milnork.errors import (
 )
 from milnork.certify import splitting_certificate, vanishing_certificate
 from milnork.family import builtin_algebras
-from milnork.kahler import decomposition_report, map_form, omega_module
+from milnork.kahler import decomposition_report, dlog, map_form, omega_module
 from milnork.laurent import Symbol, SymbolCombination
-from milnork.linalg import RowSpace
+from milnork.linalg import RowSpace, augmented_space
 from milnork.milnor import (
     coefficient_samples,
     dlog_realize,
@@ -490,7 +490,7 @@ def test_tangent_realize(t3):
         tangent_realize(make_symbol([T3.element("1 + eps"), T3.element("2")], 1))
 
 
-def test_tangent_span_spec_example(t3):
+def test_tangent_span_spec_example(t3, monkeypatch):
     T = truncated_extension(t3, "eps", 2)
     eps = T.variable("eps")
     targets = []
@@ -498,8 +498,19 @@ def test_tangent_span_spec_example(t3):
         first = T.one + T.element(c) * eps
         for u in ("1+t", "2", "1-t"):
             targets.append(tangent_realize(make_symbol([first, T.element(u)], 1)))
-    verdict = span_check(targets, omega_module(t3, 1))
+    M = omega_module(t3, 1)
+    verdict = span_check(targets, M)
     assert verdict.spans and verdict.rank == 2 and len(verdict.certificate) == 2
+    # zero forms before and between the targets: none reaches the row space,
+    # and the witnesses are the same targets at their new indices
+    inserted = []
+    monkeypatch.setattr(RowSpace, "insert", lambda self, row, insert=RowSpace.insert:
+                        inserted.append(row) or insert(self, row))
+    padded = [M.form()] + [f for target in targets for f in (target, M.form())]
+    again = span_check(padded, M)
+    assert (again.rank, again.spans) == (verdict.rank, verdict.spans)
+    assert again.certificate == tuple(2 * i + 1 for i in verdict.certificate)
+    assert inserted and all(inserted)
 
 
 def test_span_check_edges(t3):
@@ -581,6 +592,52 @@ def test_tau_sends_each_first_entry_to_its_layer_row(variables, relations, n):
     for c in coefficient_samples(Ap):
         first = dom_full.one + transport(c, dom_full) * lam_n
         assert transport(first, Bn1) - Bn1.one == transport(c, Bn1) * sigma_n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("variables, relations", [
+    (["sigma"], ["sigma^4"]),
+    (["t", "sigma"], ["t^2", "sigma^3", "t*sigma"]),
+    (["t", "sigma"], ["t^3", "sigma^3", "t^2*sigma"]),
+    (["x", "y", "sigma"], ["x^2", "y^2", "sigma^3", "x*sigma - y*sigma^2"]),
+], ids=["sigma4", "mixed", "t3", "xy"])
+def test_tau_compatibility_holds_on_every_sample(variables, relations, n):
+    """transport_check's compatibility argument, run sample by sample as a
+    reference: for each {1 + c lam^n, u} over A' = B/sigma, c' read off the
+    layer rows (b sigma^n | e_b) differs from c by an annihilator of sigma^n
+    in B/sigma^(n+1), and the direct realization c dlog u and the routed
+    c' dlog u agree modulo the annihilator times Omega^1 of A'."""
+    B = alg(variables, relations, distinguished="sigma")
+    Ap = quotient_mod_variable(B, "sigma")
+    Bn1 = derived_algebra(B, B.names, B.spec.relations + (f"sigma^{n + 1}",), "sigma")
+    dom_full = truncated_extension(Ap, "sigma", n + 1)
+    lam_n, sigma_n = dom_full.variable("sigma") ** n, Bn1.variable("sigma") ** n
+    ncols = Bn1.dimension
+    layer = augmented_space([(transport(b, Bn1) * sigma_n).coords
+                             for b in coefficient_samples(Ap)], ncols)
+    annihilator = [AlgebraElement(Ap, {col - ncols: v for col, v in row.items()})
+                   for lead, row in layer.pivots.items() if lead >= ncols]
+    assert all(not transport(a, Bn1) * sigma_n for a in annihilator)
+    killed = RowSpace(form.act(a).coords for a in annihilator
+                      for form in omega_module(Ap, 1).basis_forms())
+
+    samples = 0
+    for c in coefficient_samples(Ap):
+        first = dom_full.one + transport(c, dom_full) * lam_n
+        residual = layer.reduce((Bn1.one - transport(first, Bn1)).coords)
+        assert min(residual, default=ncols) >= ncols  # c sigma^n is in the layer's span
+        c_prime = AlgebraElement(Ap, {col - ncols: v for col, v in residual.items()})
+        assert not transport(c_prime - c, Bn1) * sigma_n
+        for u in unit_samples(Ap):
+            samples += 1
+            direct = relative_realize(make_symbol([first, transport(u, dom_full)], 1), n)
+            assert direct == dlog(u).act(c)
+            routed = dlog(u).act(c_prime)
+            assert not killed.reduce((direct - routed).coords)
+
+    report = transport_check(B, n)
+    assert report.compatible and report.kernel_dim == len(annihilator)
+    assert report.samples == (0 if report.degenerate else samples)
 
 
 def test_transport_check_requires_sigma(t3):
